@@ -13,6 +13,11 @@
 //! Alongside wall time it records the modeled cost (messages, bytes,
 //! events, virtual makespan), which must be *identical* run to run:
 //! any drift there is a determinism bug, and the binary fails loudly.
+//! The same holds commit to commit: before overwriting `BENCH_lb.json`
+//! the binary reads it back and, for every row both files have, exits 1
+//! (leaving the file alone) if a modeled-cost column moved, and prints a
+//! `::warning::` if wall clock grew past 1.25× — delete the file to
+//! accept an intended change of modeled cost.
 //!
 //! After the grid, a single-repeat scaling sweep pushes the headline
 //! configuration (hotspot/tempered, hardened) through 256 → 1k → 8k →
@@ -36,6 +41,7 @@ use std::time::Instant;
 use tempered_bench::write_results;
 use tempered_core::distribution::Distribution;
 use tempered_core::rng::RngFactory;
+use tempered_obs::json::{self, arr, as_num, field, get, obj, Json};
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::sim::NetworkModel;
 use tempered_runtime::{run_distributed_lb, DistLbResult, RetryConfig};
@@ -166,6 +172,61 @@ fn scaling_sweep() -> Vec<SweepRow> {
     rows
 }
 
+/// A cell of `BENCH_lb.json` as it reads in the file (`-` when absent).
+fn show(v: Option<&Json>) -> String {
+    match v {
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Num(n)) => n.to_string(),
+        Some(other) => format!("{other:?}"),
+        None => "-".to_string(),
+    }
+}
+
+/// The modeled-cost guard: compare the rows of `new` (the file about to
+/// be written) with the same rows of `old` (the file on disk), matched on
+/// `(workload, balancer, ranks)`. Returns one line per modeled-cost
+/// column that differs; wall-clock regressions past 1.25× only warn,
+/// because wall clock is the one column a different machine may move.
+fn modeled_cost_drift(old: &str, new: &str) -> Result<Vec<String>, String> {
+    let (old, new) = (json::parse(old)?, json::parse(new)?);
+    let mut drift = Vec::new();
+    for table in ["runs", "scaling"] {
+        let rows = |doc| {
+            arr(
+                field(obj(doc, "BENCH_lb.json")?, table, "BENCH_lb.json")?,
+                table,
+            )
+        };
+        let id = |row| -> Vec<String> {
+            let keys = ["workload", "balancer", "ranks"].iter();
+            keys.filter_map(|k| get(row, k))
+                .map(|v| show(Some(v)))
+                .collect()
+        };
+        for row in rows(&new)? {
+            let row = obj(row, table)?;
+            let before = rows(&old)?
+                .iter()
+                .filter_map(|r| obj(r, table).ok())
+                .find(|r| id(r) == id(row));
+            let Some(before) = before else { continue };
+            let label = format!("{table} {}", id(row).join("/"));
+            for column in ["messages", "bytes", "events", "virtual_s", "virtual_ms"] {
+                let (was, is) = (get(before, column), get(row, column));
+                if was != is {
+                    drift.push(format!("{label}: {column} {} -> {}", show(was), show(is)));
+                }
+            }
+            let wall = |r| as_num(field(r, "wall_ms", table)?, "wall_ms");
+            let (was, is) = (wall(before)?, wall(row)?);
+            if is > 1.25 * was {
+                println!("::warning::perf regression {label}: {was:.2}ms -> {is:.2}ms (>25%)");
+            }
+        }
+    }
+    Ok(drift)
+}
+
 fn main() {
     let rank_counts: &[usize] = if tempered_bench::quick_mode() {
         &[8, 16]
@@ -226,8 +287,7 @@ fn main() {
 
     let sweep = scaling_sweep();
 
-    // Hand-rolled JSON (the vendored serde has no formats behind it),
-    // one object per cell under a stable schema.
+    // One object per cell under a stable schema.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"lb\",");
     let _ = writeln!(json, "  \"seed\": {SEED},");
@@ -283,8 +343,24 @@ fn main() {
         json.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
-    // The benchmark of record lives at the repo root (CI diffs it);
-    // the sweep curve goes under results/ next to the other artifacts.
+    // The benchmark of record lives at the repo root; the sweep curve
+    // goes under results/ next to the other artifacts.
+    if let Ok(committed) = std::fs::read_to_string("BENCH_lb.json") {
+        match modeled_cost_drift(&committed, &json) {
+            Ok(drift) if drift.is_empty() => {}
+            Ok(drift) => {
+                eprintln!("modeled cost drifted from BENCH_lb.json (file left untouched):");
+                for line in drift {
+                    eprintln!("  {line}");
+                }
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("BENCH_lb.json: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
     std::fs::write("BENCH_lb.json", &json).expect("write BENCH_lb.json");
     println!("wrote BENCH_lb.json");
 
@@ -307,4 +383,33 @@ fn main() {
         );
     }
     write_results("scaling.csv", &csv);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::modeled_cost_drift;
+
+    fn doc(messages: u64, wall_ms: f64, scaling_ranks: u64) -> String {
+        format!(
+            r#"{{"runs": [
+                {{"workload": "hotspot", "balancer": "tempered", "ranks": 8, "wall_ms": {wall_ms},
+                  "messages": {messages}, "bytes": 10, "events": 20, "virtual_s": 0.000723}}
+              ],
+              "scaling": [{{"ranks": {scaling_ranks}, "wall_ms": 1.0, "virtual_ms": 29.817,
+                            "messages": 5, "bytes": 6, "events": 7}}]}}"#
+        )
+    }
+
+    #[test]
+    fn shared_rows_must_agree_on_modeled_cost_only() {
+        // Wall clock may move (it warns); rows only one file has are skipped.
+        assert_eq!(
+            modeled_cost_drift(&doc(2498, 0.5, 256), &doc(2498, 9.0, 1024)),
+            Ok(vec![])
+        );
+        let drift = modeled_cost_drift(&doc(2498, 0.5, 256), &doc(2499, 0.5, 256)).unwrap();
+        assert_eq!(drift.len(), 1, "{drift:?}");
+        assert!(drift[0].contains("messages") && drift[0].contains("2499"));
+        assert!(modeled_cost_drift("{", &doc(1, 1.0, 1)).is_err());
+    }
 }

@@ -22,10 +22,9 @@ use crate::load::Load;
 use crate::refine::net_migrations;
 use crate::rng::RngFactory;
 use crate::task::Task;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the hierarchical balancer.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HierConfig {
     /// Tree branching factor (children per interior node).
     pub arity: usize,

@@ -78,6 +78,23 @@ pub trait LoadBalancer {
     ) -> RebalanceResult;
 }
 
+/// A boxed balancer is a balancer, so wrappers such as [`PredictiveLb`]
+/// compose over a strategy chosen at run time.
+impl<B: LoadBalancer + ?Sized> LoadBalancer for Box<B> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn rebalance(
+        &mut self,
+        dist: &Distribution,
+        factory: &RngFactory,
+        epoch: u64,
+    ) -> RebalanceResult {
+        (**self).rebalance(dist, factory, epoch)
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;

@@ -18,10 +18,9 @@ use crate::ordering::OrderingKind;
 use crate::refine::{refine, RefineConfig, RefineOutcome};
 use crate::rng::RngFactory;
 use crate::transfer::TransferConfig;
-use serde::{Deserialize, Serialize};
 
 /// TemperedLB tuning knobs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TemperedConfig {
     /// Independent trials (`n_trials`; the paper's EMPIRE runs use 10 and
     /// note fewer would suffice).

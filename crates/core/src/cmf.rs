@@ -26,10 +26,9 @@ use crate::ids::RankId;
 use crate::knowledge::Knowledge;
 use crate::load::Load;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which CMF construction Algorithm 2's `BUILDCMF` uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CmfKind {
     /// GrapevineLB: scale by `ℓ_ave`, built once before the transfer loop.
     Original,

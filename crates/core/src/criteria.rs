@@ -17,7 +17,6 @@
 //!   relaxed further, making it the *optimal* criterion for this strategy.
 
 use crate::load::Load;
-use serde::{Deserialize, Serialize};
 
 /// Which acceptance test `EVALUATECRITERION` applies.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// // Relaxed: 1.4 is still far below the sender's 3.0 → accepted.
 /// assert!(CriterionKind::Relaxed.evaluate(l_x, task, l_ave, l_p));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CriterionKind {
     /// GrapevineLB original: `ℓ_x + LOAD(o_x) < ℓ_ave`.
     Original,

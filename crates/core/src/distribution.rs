@@ -14,11 +14,10 @@ use crate::ids::{RankId, TaskId};
 use crate::imbalance::LoadStatistics;
 use crate::load::Load;
 use crate::task::Task;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A single proposed or executed task movement.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Migration {
     /// The task being moved.
     pub task: TaskId,
@@ -81,7 +80,7 @@ impl std::error::Error for DistributionError {}
 /// assert!(dist.imbalance() < 0.4);
 /// dist.check_invariants().unwrap();
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Distribution {
     ranks: Vec<Vec<Task>>,
     rank_loads: Vec<Load>,

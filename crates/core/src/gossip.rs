@@ -33,10 +33,9 @@ use crate::load::Load;
 use crate::rng::RngFactory;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gossip execution mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum GossipMode {
     /// Synchronous rounds; ranks forward only when they learned new
     /// information. Scalable (`O(P·f·k)` messages).
@@ -48,7 +47,7 @@ pub enum GossipMode {
 }
 
 /// Configuration of the inform/gossip stage.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GossipConfig {
     /// Fanout factor `f`: targets contacted per send.
     pub fanout: usize,

@@ -7,7 +7,6 @@
 //! task indices, rank indices, and CMF sample indices all flow through the
 //! same functions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a rank (a simulated MPI process).
@@ -16,7 +15,7 @@ use std::fmt;
 /// relied upon by [`crate::gossip`] (sampling targets uniformly from `P`)
 /// and by the distribution container, which stores per-rank state in flat
 /// vectors indexed by `RankId::as_usize`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RankId(pub u32);
 
 impl RankId {
@@ -72,7 +71,7 @@ impl fmt::Display for RankId {
 /// its id for the lifetime of the run, which is what lets the balancers
 /// track `TARGET^p()` maps and lets the runtime route messages to tasks
 /// regardless of their current rank.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 impl TaskId {

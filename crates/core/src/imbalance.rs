@@ -15,10 +15,9 @@
 //! (not necessary) stopping criterion; `ℓ_ave` is constant under transfers.
 
 use crate::load::Load;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics over a set of per-rank loads.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LoadStatistics {
     /// Maximum per-rank load, `ℓ_max`.
     pub max: Load,

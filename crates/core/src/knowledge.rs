@@ -22,7 +22,6 @@
 
 use crate::ids::RankId;
 use crate::load::Load;
-use serde::{Deserialize, Serialize};
 
 /// Sets up to this size answer membership by scanning the dense rank
 /// array; larger sets switch to the bitset. Scanning 32 × 4-byte ids is
@@ -31,20 +30,15 @@ use serde::{Deserialize, Serialize};
 const SCAN_MAX: usize = 32;
 
 /// A rank's accumulated view of underloaded peers (`S^p` + `LOAD^p()`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Knowledge {
     ranks: Vec<RankId>,
     loads: Vec<Load>,
     /// Membership bitset over rank ids; empty until `len > SCAN_MAX`,
-    /// then grown lazily to the highest member id. Rebuilt by
-    /// [`Knowledge::rebuild_index`] after deserialization.
-    #[serde(skip)]
+    /// then grown lazily to the highest member id.
     bits: Vec<u64>,
     /// Whether `ranks` is in strictly ascending order. `true` after
-    /// [`Knowledge::canonicalize`] and preserved by in-order appends;
-    /// conservatively `false` after deserialization until
-    /// [`Knowledge::rebuild_index`] runs.
-    #[serde(skip)]
+    /// [`Knowledge::canonicalize`] and preserved by in-order appends.
     sorted: bool,
 }
 
@@ -234,19 +228,6 @@ impl Knowledge {
         }
         self.sorted = true;
     }
-
-    /// Rebuild the membership structures (needed after deserialization,
-    /// where the bitset and sortedness flag are skipped).
-    pub fn rebuild_index(&mut self) {
-        self.bits.clear();
-        if self.ranks.len() > SCAN_MAX {
-            for i in 0..self.ranks.len() {
-                let r = self.ranks[i];
-                self.set_bit(r);
-            }
-        }
-        self.sorted = self.ranks.windows(2).all(|w| w[0] < w[1]);
-    }
 }
 
 impl PartialEq for Knowledge {
@@ -345,19 +326,6 @@ mod tests {
         assert_eq!(a.load_of(RankId::new(9)), Some(Load::new(3.0)));
         assert!(a.add_to_load(RankId::new(5), Load::new(1.0)));
         assert_eq!(a.load_of(RankId::new(5)), Some(Load::new(2.0)));
-    }
-
-    #[test]
-    fn rebuild_index_restores_membership() {
-        // Emulate the post-deserialization state (bits and sorted are
-        // #[serde(skip)]) by clearing them and rebuilding.
-        let a = k(&[(4, 0.5), (2, 2.0)]);
-        let mut c = a.clone();
-        c.bits.clear();
-        c.sorted = false;
-        c.rebuild_index();
-        assert!(c.contains(RankId::new(4)));
-        assert_eq!(c.load_of(RankId::new(2)), Some(Load::new(2.0)));
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! balancers, and it centralizes the tolerance used when comparing loads
 //! that were accumulated in different orders.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A non-negative, finite workload measurement.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Load(pub f64);
 
 /// Relative tolerance used by [`Load::approx_eq`] for comparisons between

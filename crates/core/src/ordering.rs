@@ -21,7 +21,6 @@
 
 use crate::load::Load;
 use crate::task::Task;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Which traversal order `ORDERTASKS` produces.
@@ -43,7 +42,7 @@ use std::cmp::Ordering;
 /// );
 /// assert_eq!(order[0].load, Load::new(7.0));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum OrderingKind {
     /// Original: task-id order (stand-in for hash-iteration order, but
     /// deterministic).

@@ -22,10 +22,9 @@ use crate::ids::RankId;
 
 use crate::rng::RngFactory;
 use crate::transfer::{transfer_stage, TransferConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the full iterative LB pass.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RefineConfig {
     /// Number of independent trials (`n_trials`, Algorithm 3 line 2).
     pub trials: usize,
@@ -69,7 +68,7 @@ impl Default for RefineConfig {
 
 /// Statistics for one iteration of one trial — one row of the §V-B / §V-D
 /// tables.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IterationRecord {
     /// Trial index (0-based).
     pub trial: usize,

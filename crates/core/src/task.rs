@@ -2,7 +2,6 @@
 
 use crate::ids::TaskId;
 use crate::load::Load;
-use serde::{Deserialize, Serialize};
 
 /// A migratable work unit with an instrumented load.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// each task executed during the previous phase and hands the balancer a
 /// bag of `(id, load)` pairs per rank. The balancer never looks inside a
 /// task; `Task` is therefore deliberately just that pair.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Task {
     /// Globally unique, migration-stable identifier.
     pub id: TaskId,

@@ -21,10 +21,9 @@ use crate::load::Load;
 use crate::ordering::OrderingKind;
 use crate::task::Task;
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the transfer stage: the §V design space.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TransferConfig {
     /// Acceptance criterion (Algorithm 2 lines 33–39).
     pub criterion: CriterionKind,

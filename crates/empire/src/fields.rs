@@ -15,10 +15,8 @@
 //! which is why the paper's `t_n` is nearly identical across
 //! configurations.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic field surrogate.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FieldModel {
     /// Domain center x.
     pub center_x: f64,

@@ -14,11 +14,10 @@
 //! the metric so sweeps can expose the trade-off.
 
 use crate::mesh::Mesh;
-use serde::{Deserialize, Serialize};
 use tempered_core::distribution::Distribution;
 
 /// Locality statistics of one assignment.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LocalityStats {
     /// Total undirected neighbor edges in the color graph.
     pub total_edges: usize,

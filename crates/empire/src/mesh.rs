@@ -12,11 +12,10 @@
 //! `colors_x × colors_y` colors, giving an overdecomposition factor of
 //! `colors_x · colors_y` (the paper uses 24).
 
-use serde::{Deserialize, Serialize};
 use tempered_core::ids::{RankId, TaskId};
 
 /// Geometry and decomposition of the computational domain.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Mesh {
     /// Domain width (physical units).
     pub width: f64,
@@ -148,7 +147,7 @@ impl Mesh {
 
 /// Identifier of a color (migratable mesh chunk). Convertible to the
 /// balancer's [`TaskId`] one-to-one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ColorId(pub u64);
 
 impl ColorId {

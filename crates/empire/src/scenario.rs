@@ -17,10 +17,9 @@
 
 use crate::fields::FieldModel;
 use crate::mesh::Mesh;
-use serde::{Deserialize, Serialize};
 
 /// Workload scenario parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BdotScenario {
     /// Mesh and decomposition.
     pub mesh: Mesh,
@@ -106,7 +105,7 @@ impl BdotScenario {
 }
 
 /// Maps counted work to modeled execution time.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Seconds of particle work per particle per step.
     pub per_particle: f64,

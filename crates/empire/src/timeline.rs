@@ -21,7 +21,6 @@
 use crate::app::EmpireSim;
 use crate::locality::measure_locality;
 use crate::scenario::{BdotScenario, CostModel};
-use serde::{Deserialize, Serialize};
 use tempered_core::balancer::{
     GrapevineLb, GreedyLb, HierConfig, HierLb, LoadBalancer, TemperedLb,
 };
@@ -29,11 +28,10 @@ use tempered_core::imbalance::lower_bound_max_load;
 use tempered_core::load::Load;
 use tempered_core::ordering::OrderingKind;
 use tempered_runtime::lb::LbProtocolConfig;
-use tempered_runtime::sim::NetworkModel;
-use tempered_runtime::DistributedTemperedLb;
+use tempered_runtime::DistributedLb;
 
 /// Which balancer an AMT configuration runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LbStrategy {
     /// AMT overheads, no balancing ("AMT without LB").
     None,
@@ -65,7 +63,7 @@ impl LbStrategy {
 }
 
 /// One of the paper's execution configurations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Pure MPI baseline: no overdecomposition overhead, no balancing.
     Spmd,
@@ -143,7 +141,7 @@ impl TimelineConfig {
 }
 
 /// Per-step record (one point of each Fig. 4 series).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StepStats {
     /// Timestep.
     pub step: usize,
@@ -178,7 +176,7 @@ impl StepStats {
 }
 
 /// Aggregate results of one configuration (one Fig. 3 row).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Timeline {
     /// Configuration label.
     pub label: String,
@@ -209,7 +207,7 @@ enum Balancer {
     Greedy(GreedyLb),
     Hier,
     Tempered(TemperedLb),
-    Distributed(DistributedTemperedLb),
+    Distributed(DistributedLb),
 }
 
 /// Run one configuration end to end.
@@ -241,14 +239,13 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
             lb.config.iters = cfg.tempered_iters;
             Balancer::Tempered(lb)
         }
-        LbStrategy::DistributedTempered => Balancer::Distributed(DistributedTemperedLb {
-            config: LbProtocolConfig {
+        LbStrategy::DistributedTempered => {
+            Balancer::Distributed(DistributedLb::tempered(LbProtocolConfig {
                 trials: cfg.tempered_trials,
                 iters: cfg.tempered_iters,
                 ..LbProtocolConfig::default()
-            },
-            model: NetworkModel::default(),
-        }),
+            }))
+        }
     };
 
     let mut steps = Vec::with_capacity(cfg.scenario.steps);

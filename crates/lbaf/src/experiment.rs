@@ -14,7 +14,6 @@
 
 use crate::layout::ConcentratedLayout;
 use crate::table::{fmt_sig, Table};
-use serde::{Deserialize, Serialize};
 use tempered_core::cmf::CmfKind;
 use tempered_core::criteria::CriterionKind;
 use tempered_core::distribution::Distribution;
@@ -25,7 +24,7 @@ use tempered_core::rng::RngFactory;
 use tempered_core::transfer::TransferConfig;
 
 /// Which §V variant a criterion experiment runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CriterionVariant {
     /// Original GrapevineLB transfer stage (§V-B table).
     Original,
@@ -66,7 +65,7 @@ impl CriterionVariant {
 }
 
 /// Configuration of a criterion experiment.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CriterionExperiment {
     /// Initial layout (paper: 10⁴ tasks on 2⁴ of 2¹² ranks).
     pub layout: ConcentratedLayout,
@@ -127,7 +126,7 @@ impl CriterionExperiment {
 }
 
 /// One row of a criterion table (iteration 0 is the initial state).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CriterionRow {
     /// Iteration index (0 = before balancing).
     pub iteration: usize,

@@ -9,14 +9,13 @@
 //! a few other shapes used by tests and sweeps.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
 use tempered_core::task::Task;
 
 /// Parameters of the concentrated layout family.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ConcentratedLayout {
     /// Total ranks (paper: 2¹² = 4096).
     pub num_ranks: usize,

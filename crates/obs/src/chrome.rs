@@ -8,13 +8,12 @@
 //! hash-map iteration, no pointers, no wall-clock — so the same [`Trace`]
 //! always serializes to the same bytes.
 //!
-//! Because no general-purpose JSON parser is vendored into this
-//! workspace, [`read_chrome_trace`] parses exactly the line-oriented
-//! shape this module writes (which is all `obs_report` needs to rebuild
-//! a cost breakdown from a recorded `trace.json`); it is not a general
-//! JSON reader.
+//! [`read_chrome_trace`] reads the file back through [`crate::json`], so
+//! a trace that was re-indented or had its keys reordered by another
+//! tool still loads; it understands the fields this module writes.
 
 use crate::event::Trace;
+use crate::json::{self, arr, as_num, as_str, as_uint, field, get, obj, Json};
 
 /// One exported trace event, the common currency between the writer,
 /// the reader, and the cost-breakdown report.
@@ -126,81 +125,52 @@ pub fn write_chrome_trace(trace: &Trace) -> String {
     out
 }
 
-/// Extract the raw JSON value following `"key":` in `line`, if present.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
-    }
-}
-
-/// Parse the `"args":{...}` object of `line` into `(key, value)` pairs.
-fn parse_args(line: &str) -> Vec<(String, String)> {
-    let Some(start) = line.find("\"args\":{") else {
-        return Vec::new();
-    };
-    let body_start = start + "\"args\":{".len();
-    let Some(rel_end) = line[body_start..].find('}') else {
-        return Vec::new();
-    };
-    let body = &line[body_start..body_start + rel_end];
-    body.split(',')
-        .filter(|kv| !kv.is_empty())
-        .filter_map(|kv| {
-            let (k, v) = kv.split_once(':')?;
-            Some((k.trim_matches('"').to_string(), v.to_string()))
-        })
-        .collect()
-}
-
-/// Parse a `trace.json` previously produced by [`write_chrome_trace`]
-/// back into its event records. Metadata (`"ph":"M"`) rows are skipped.
+/// Parse a `trace.json` produced by [`write_chrome_trace`] back into its
+/// event records. Metadata (`"ph":"M"`) rows are skipped.
 ///
-/// Returns `Err` with a line-numbered message when a line is not in the
-/// writer's format.
-pub fn read_chrome_trace(json: &str) -> Result<Vec<TraceRecord>, String> {
+/// Returns `Err` naming the offending `traceEvents[i]` entry when the
+/// text is not JSON or an event lacks a field the writer emits.
+pub fn read_chrome_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
+    let root = json::parse(text)?;
+    let events = arr(
+        field(obj(&root, "trace")?, "traceEvents", "trace")?,
+        "traceEvents",
+    )?;
     let mut records = Vec::new();
-    for (lineno, raw) in json.lines().enumerate() {
-        let line = raw.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"ph\":") {
-            continue; // envelope lines: header, closing "]}"
-        }
-        let ph = field(line, "ph")
-            .and_then(|s| s.chars().next())
-            .ok_or_else(|| format!("line {}: missing \"ph\"", lineno + 1))?;
+    for (i, event) in events.iter().enumerate() {
+        let what = format!("traceEvents[{i}]");
+        let ev = obj(event, &what)?;
+        let ph = as_str(field(ev, "ph", &what)?, "ph")?
+            .chars()
+            .next()
+            .ok_or_else(|| format!("{what}: empty \"ph\""))?;
         if ph == 'M' {
             continue;
         }
-        let parse_f64 = |key: &str| -> Result<f64, String> {
-            field(line, key)
-                .ok_or_else(|| format!("line {}: missing \"{key}\"", lineno + 1))?
-                .parse::<f64>()
-                .map_err(|e| format!("line {}: bad \"{key}\": {e}", lineno + 1))
+        let num = |key: &str| as_num(field(ev, key, &what)?, key);
+        let args = match get(ev, "args") {
+            None => Vec::new(),
+            Some(args) => obj(args, "args")?
+                .iter()
+                .map(|(k, v)| match v {
+                    Json::Num(n) => Ok((k.clone(), n.to_string())),
+                    other => Err(format!(
+                        "{what}: args.{k}: expected a number, got {other:?}"
+                    )),
+                })
+                .collect::<Result<_, _>>()?,
         };
-        let tid = field(line, "tid")
-            .ok_or_else(|| format!("line {}: missing \"tid\"", lineno + 1))?
-            .parse::<u32>()
-            .map_err(|e| format!("line {}: bad \"tid\": {e}", lineno + 1))?;
-        let ts_us = parse_f64("ts")?;
-        let dur_us = if ph == 'X' { parse_f64("dur")? } else { 0.0 };
-        let name = field(line, "name")
-            .ok_or_else(|| format!("line {}: missing \"name\"", lineno + 1))?
-            .to_string();
-        let cat = field(line, "cat").unwrap_or("").to_string();
         records.push(TraceRecord {
             ph,
-            tid,
-            ts_us,
-            dur_us,
-            name,
-            cat,
-            args: parse_args(line),
+            tid: as_uint(field(ev, "tid", &what)?, "tid", u32::MAX.into())? as u32,
+            ts_us: num("ts")?,
+            dur_us: if ph == 'X' { num("dur")? } else { 0.0 },
+            name: as_str(field(ev, "name", &what)?, "name")?.to_string(),
+            cat: match get(ev, "cat") {
+                None => String::new(),
+                Some(cat) => as_str(cat, "cat")?.to_string(),
+            },
+            args,
         });
     }
     Ok(records)
@@ -259,6 +229,28 @@ mod tests {
         let json = write_chrome_trace(&trace);
         let parsed = read_chrome_trace(&json).unwrap();
         assert_eq!(parsed, to_records(&trace));
+    }
+
+    /// The reader is a JSON reader, not a scanner of the writer's line
+    /// layout: another tool may re-indent the file or reorder keys.
+    #[test]
+    fn reader_accepts_reformatted_and_reordered_output() {
+        let trace = sample_trace();
+        // No string the writer emits contains a comma or a brace.
+        let pretty = write_chrome_trace(&trace)
+            .replace(',', ",\n    ")
+            .replace('{', "{\n  ")
+            .replace('}', "\n}");
+        assert_eq!(read_chrome_trace(&pretty).unwrap(), to_records(&trace));
+
+        let reordered = r#"{"traceEvents": [
+            {"args": {"trial": 0, "iter": 1}, "cat": "lb", "name": "lb:gossip",
+             "dur": 1.500, "ts": 0.000, "tid": 0, "pid": 0, "ph": "X"}
+        ], "displayTimeUnit": "ms"}"#;
+        assert_eq!(
+            read_chrome_trace(reordered).unwrap(),
+            to_records(&trace)[..1]
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 pub mod chrome;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod tail;

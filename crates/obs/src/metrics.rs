@@ -15,8 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log₂ buckets: bucket `i` holds values whose bit length is
 /// `i`, i.e. `0`, `1`, `2..=3`, `4..=7`, ... up to `u64::MAX`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -27,7 +25,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// the observability crate (the runtime re-exports it for compatibility)
 /// and can be folded into a [`MetricsRegistry`] with
 /// [`MetricsRegistry::record_network`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Total messages sent.
     pub messages: u64,

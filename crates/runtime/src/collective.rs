@@ -12,7 +12,6 @@
 //! tell the embedding protocol what to send; all actual communication
 //! goes through the protocol's own message type.
 
-use serde::{Deserialize, Serialize};
 use tempered_core::ids::RankId;
 
 /// Binary spanning tree over `0..n`, rooted at `root`.
@@ -77,7 +76,7 @@ impl Tree {
 /// The constant-size statistic reduced before load balancing:
 /// `(Σ load, max load, rank count)` — enough to derive `ℓ_ave`, `ℓ_max`,
 /// and the imbalance `I`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct LoadSummary {
     /// Sum of per-rank loads.
     pub total: f64,

@@ -1,66 +1,59 @@
-//! Userspace link emulator: one [`FaultPlan`] interpreter shared by the
-//! real-I/O drivers.
+//! Userspace link emulator: the one [`FaultPlan`] interpreter, shared by
+//! every driver.
 //!
-//! The deterministic simulator applies fault fates inside its own event
-//! loop (it owns virtual time and can multiply latencies); the threaded
-//! executor and the TCP socket driver instead face *real* clocks and
-//! real transports, and both need the exact same send-time decision
-//! procedure: per-message fate (drop / duplicate / delay spike), then
-//! directed link fate (cut / lossy / delay / flap / corrupt + partition
-//! windows), then receiver pause deferral — all drawn from the plan's
-//! seeded hash streams so the n-th message on a link suffers the same
-//! fate under every driver.
+//! The deterministic simulator, the threaded executor and the TCP socket
+//! driver all need the exact same decision procedure: per-message fate
+//! (drop / duplicate / delay spike) at send time, then directed link fate
+//! (cut / lossy / delay / flap / corrupt + partition windows), then
+//! receiver pause deferral, and a crash check at delivery time — all
+//! drawn from the plan's seeded hash streams so the n-th message on a
+//! link suffers the same fate under every driver. That procedure lives
+//! here and nowhere else (pinned by `tests/fate_identity.rs`).
 //!
-//! This module factors that procedure out of the drivers. The emulator
-//! is pure with respect to time: callers pass `now` (seconds since run
-//! start — wall-clock for the real drivers) and get back zero or more
-//! [`Delivery`] values with an optional earliest-delivery time in the
-//! same clock. How a "delivery" travels afterwards (crossbeam channel,
-//! TCP frame) is the driver's business, which is exactly what lets the
-//! chaos grids rerun over real sockets and commit bit-for-bit what the
-//! simulator commits (see `DESIGN.md` §12).
+//! The emulator is pure with respect to time: callers pass `now` (virtual
+//! seconds in the simulator, wall-clock seconds since run start in the
+//! real drivers) and their *arrival rule* — how a latency multiplier
+//! turns into an arrival time on their clock — and get each surviving
+//! copy handed back with that arrival time. How a copy travels afterwards
+//! (event queue, crossbeam channel, TCP frame) is the driver's business,
+//! which is exactly what lets the chaos grids rerun over real sockets and
+//! commit bit-for-bit what the simulator commits (see `DESIGN.md` §12).
 
 use crate::fault::{CrashSchedule, Fate, FaultInjector, FaultPlan, FaultStats, LinkFate};
 use crate::sim::Protocol;
 use tempered_core::ids::RankId;
 use tempered_obs::{EventKind, Recorder};
 
-/// One surviving copy of an emulated send.
-#[derive(Clone, Debug)]
-pub struct Delivery<M> {
-    /// The message (possibly corrupted in flight via
-    /// [`Protocol::corrupted`]).
-    pub msg: M,
-    /// Earliest delivery time in seconds since run start (`None` =
-    /// deliver immediately). Produced by delay-style fates and pause
-    /// windows; the driver holds the message until this time passes.
-    pub not_before: Option<f64>,
-}
-
-/// Send-time and delivery-time fault interpreter for real-I/O drivers.
+/// Send-time and delivery-time fault interpreter.
 ///
-/// Construct once per rank process (or per worker thread — per-link
-/// ordinal streams are keyed by the *sending* rank, so any partitioning
-/// of the emulator that keeps all of a rank's sends on one instance
-/// reproduces the single-injector simulator exactly).
+/// Construct once per simulator, rank process, or worker thread —
+/// per-link ordinal streams are keyed by the *sending* rank, so any
+/// partitioning of the emulator that keeps all of a rank's sends on one
+/// instance reproduces the single-instance simulator exactly.
 pub struct LinkEmulator {
     injector: Option<FaultInjector>,
     crash_sched: CrashSchedule,
-    recorder: Recorder,
+    /// Receives one instant event per injected fault.
+    pub(crate) recorder: Recorder,
     /// Deliveries discarded because the destination was crashed.
     crash_dropped: u64,
-    /// Seconds of hold-back per unit of injected latency factor.
-    delay_unit: f64,
+}
+
+/// The wall-clock drivers' arrival rule for [`LinkEmulator::outgoing`]:
+/// they have no base latency to multiply, so a copy is held back
+/// `delay_unit` seconds per unit of latency factor above 1 (e.g.
+/// [`crate::parallel::PARALLEL_DELAY_UNIT`]) and an unfaulted message
+/// arrives at `now` itself, i.e. is not held at all.
+pub fn wall_arrival(now: f64, delay_unit: f64) -> impl Fn(f64, f64, u32) -> f64 {
+    move |fate, link, copy| now + (fate * link - 1.0).max(0.0) * f64::from(copy + 1) * delay_unit
 }
 
 impl LinkEmulator {
     /// Build an emulator for `plan`. A [`FaultPlan::is_zero`] plan is
-    /// validated and discarded outright (the fast path then touches no
-    /// hash stream at all), mirroring both executors' behavior. The
-    /// recorder receives one instant event per injected fault;
-    /// `delay_unit` is the driver's wall-clock hold-back per unit of
-    /// latency factor (e.g. [`crate::parallel::PARALLEL_DELAY_UNIT`]).
-    pub fn new(plan: FaultPlan, recorder: Recorder, delay_unit: f64) -> Self {
+    /// validated and discarded outright: the fast path then touches no
+    /// hash stream at all, so the only way a plan can perturb a run is by
+    /// actually injecting a fault.
+    pub fn new(plan: FaultPlan, recorder: Recorder) -> Self {
         let crash_sched = CrashSchedule::new(&plan.crashes);
         let injector = if plan.is_zero() {
             plan.validate_or_panic();
@@ -73,68 +66,61 @@ impl LinkEmulator {
             crash_sched,
             recorder,
             crash_dropped: 0,
-            delay_unit,
         }
     }
 
-    /// Whether the plan injects nothing (the passthrough fast path).
-    pub fn is_passthrough(&self) -> bool {
-        self.injector.is_none() && self.crash_sched.is_empty()
-    }
-
-    /// Apply send-time fates to one outgoing message at time `now`
-    /// (seconds since run start): the surviving copies, in delivery
-    /// order. An empty vector means the message was severed (dropped,
-    /// cut, or corrupted with no corruption model).
+    /// Apply send-time fates to one outgoing message at time `now`,
+    /// handing each surviving copy and its arrival time to `deliver` in
+    /// delivery order. `deliver` is not called at all when the message
+    /// was severed (dropped, cut, or corrupted with no corruption model).
+    ///
+    /// `arrival(fate factor, link factor, copy index)` is the driver's
+    /// arrival rule; an unfaulted message asks for `arrival(1.0, 1.0, 0)`.
+    /// A duplicated copy trails the original (copy index 1), like a
+    /// retransmission overlapping the first delivery. Arrivals inside a
+    /// pause window of `to` are deferred to the window's end.
     pub fn outgoing<P: Protocol>(
         &mut self,
         from: RankId,
         to: RankId,
         msg: P::Msg,
         now: f64,
-    ) -> Vec<Delivery<P::Msg>> {
-        let Some(inj) = &mut self.injector else {
-            return vec![Delivery {
-                msg,
-                not_before: None,
-            }];
+        arrival: impl Fn(f64, f64, u32) -> f64,
+        mut deliver: impl FnMut(P::Msg, f64),
+    ) {
+        let inj = match &mut self.injector {
+            Some(inj) if P::faultable(&msg) => inj,
+            _ => {
+                deliver(msg, arrival(1.0, 1.0, 0));
+                return;
+            }
         };
-        if !P::faultable(&msg) {
-            return vec![Delivery {
-                msg,
-                not_before: None,
-            }];
-        }
         let fate = inj.fate(from, to);
+        // The link layer rules on the same send: a cut severs every copy,
+        // a delay compounds with the per-message fate, a corruption
+        // damages the payload in flight. Send time decides which windows
+        // are open.
         let link = inj.link_fate(from, to, now);
         if self.recorder.is_enabled() {
             record_fates(&self.recorder, from, to, now, &fate, &link);
         }
         if link.cut {
-            return Vec::new();
+            return;
         }
         let msg = if link.corrupt {
             match P::corrupted(&msg) {
                 Some(bad) => bad,
                 // No corruption model: indistinguishable from loss.
-                None => return Vec::new(),
+                None => return,
             }
         } else {
             msg
         };
-        let mut out = Vec::with_capacity(fate.copies as usize);
+        let mut msg = Some(msg);
         for copy in 0..fate.copies {
-            // A duplicated copy trails the original, like a
-            // retransmission overlapping the first delivery.
-            let extra = (fate.delay_factor * link.delay_factor - 1.0).max(0.0) * (copy + 1) as f64;
-            let mut not_before = if extra > 0.0 {
-                Some(now + extra * self.delay_unit)
-            } else {
-                None
-            };
-            let arrival = not_before.unwrap_or(now);
-            if let Some(until) = inj.deferred_until(to, arrival) {
-                not_before = Some(until);
+            let mut at = arrival(fate.delay_factor, link.delay_factor, copy);
+            if let Some(until) = inj.deferred_until(to, at) {
+                at = until;
                 self.recorder.instant(
                     from.as_u32(),
                     now,
@@ -144,17 +130,21 @@ impl LinkEmulator {
                     },
                 );
             }
-            out.push(Delivery {
-                msg: msg.clone(),
-                not_before,
-            });
+            // The last copy moves the payload; only duplicated copies
+            // clone.
+            let m = if copy + 1 == fate.copies {
+                msg.take().expect("one take per send")
+            } else {
+                msg.as_ref().expect("taken only by the last copy").clone()
+            };
+            deliver(m, at);
         }
-        out
     }
 
     /// Delivery-time crash check: whether `to` is up at `now`. A `false`
-    /// verdict counts the discarded delivery (and records it), mirroring
-    /// the simulator's pop-time crash drop.
+    /// verdict counts the discarded delivery (and records it). Crash-stop
+    /// is decided at *arrival*, never at send time, so a simulator's
+    /// per-send latency draws stay aligned with a crash-free run.
     pub fn admit(&mut self, from: RankId, to: RankId, now: f64) -> bool {
         if !self.crash_sched.is_down(to, now) {
             return true;
@@ -252,17 +242,44 @@ mod tests {
     }
 
     fn emu(plan: FaultPlan) -> LinkEmulator {
-        LinkEmulator::new(plan, Recorder::disabled(), 1e-4)
+        LinkEmulator::new(plan, Recorder::disabled())
+    }
+
+    /// Send `msg` on `from → to` at `now` under the wall-clock arrival
+    /// rule; the surviving copies as `(msg, arrival)`.
+    fn send<P: Protocol<Msg = u32>>(
+        e: &mut LinkEmulator,
+        from: u32,
+        to: u32,
+        msg: u32,
+        now: f64,
+    ) -> Vec<(u32, f64)> {
+        let mut out = Vec::new();
+        e.outgoing::<P>(
+            RankId::new(from),
+            RankId::new(to),
+            msg,
+            now,
+            wall_arrival(now, 1e-4),
+            |m, at| out.push((m, at)),
+        );
+        out
+    }
+
+    fn on_link(kind: LinkFaultKind) -> Vec<LinkFault> {
+        vec![LinkFault {
+            src: vec![RankId::new(0)],
+            dst: vec![RankId::new(1)],
+            start: 0.0,
+            end: None,
+            kind,
+        }]
     }
 
     #[test]
     fn zero_plan_is_a_passthrough() {
         let mut e = emu(FaultPlan::none());
-        assert!(e.is_passthrough());
-        let out = e.outgoing::<Echo>(RankId::new(0), RankId::new(1), 7, 0.0);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].msg, 7);
-        assert!(out[0].not_before.is_none());
+        assert_eq!(send::<Echo>(&mut e, 0, 1, 7, 0.5), [(7, 0.5)]);
         assert!(e.admit(RankId::new(0), RankId::new(1), 0.0));
         assert_eq!(e.stats(), FaultStats::default());
     }
@@ -270,24 +287,12 @@ mod tests {
     #[test]
     fn cut_link_severs_and_counts() {
         let mut e = emu(FaultPlan {
-            links: vec![LinkFault {
-                src: vec![RankId::new(0)],
-                dst: vec![RankId::new(1)],
-                start: 0.0,
-                end: None,
-                kind: LinkFaultKind::Cut,
-            }],
+            links: on_link(LinkFaultKind::Cut),
             ..FaultPlan::none()
         });
-        assert!(e
-            .outgoing::<Echo>(RankId::new(0), RankId::new(1), 7, 0.0)
-            .is_empty());
+        assert!(send::<Echo>(&mut e, 0, 1, 7, 0.0).is_empty());
         // The reverse direction is untouched.
-        assert_eq!(
-            e.outgoing::<Echo>(RankId::new(1), RankId::new(0), 7, 0.0)
-                .len(),
-            1
-        );
+        assert_eq!(send::<Echo>(&mut e, 1, 0, 7, 0.0).len(), 1);
         assert_eq!(e.stats().link_cut, 1);
     }
 
@@ -295,25 +300,16 @@ mod tests {
     fn corruption_uses_the_protocol_model_or_becomes_loss() {
         let plan = || FaultPlan {
             seed: 5,
-            links: vec![LinkFault {
-                src: vec![RankId::new(0)],
-                dst: vec![RankId::new(1)],
-                start: 0.0,
-                end: None,
-                kind: LinkFaultKind::Corrupt { p: 1.0 },
-            }],
+            links: on_link(LinkFaultKind::Corrupt { p: 1.0 }),
             ..FaultPlan::none()
         };
-        let mut with_model = emu(plan());
-        let out = with_model.outgoing::<Echo>(RankId::new(0), RankId::new(1), 6, 0.0);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].msg, 7, "corruption model applied in flight");
-
-        let mut without = emu(plan());
+        assert_eq!(
+            send::<Echo>(&mut emu(plan()), 0, 1, 6, 0.0),
+            [(7, 0.0)],
+            "corruption model applied in flight"
+        );
         assert!(
-            without
-                .outgoing::<NoModel>(RankId::new(0), RankId::new(1), 6, 0.0)
-                .is_empty(),
+            send::<NoModel>(&mut emu(plan()), 0, 1, 6, 0.0).is_empty(),
             "no corruption model: damage is loss"
         );
     }
@@ -321,20 +317,14 @@ mod tests {
     #[test]
     fn delay_fates_hold_back_in_driver_units() {
         let mut e = emu(FaultPlan {
-            links: vec![LinkFault {
-                src: vec![RankId::new(0)],
-                dst: vec![RankId::new(1)],
-                start: 0.0,
-                end: None,
-                kind: LinkFaultKind::Delay { factor: 5.0 },
-            }],
+            links: on_link(LinkFaultKind::Delay { factor: 5.0 }),
             ..FaultPlan::none()
         });
-        let out = e.outgoing::<Echo>(RankId::new(0), RankId::new(1), 7, 2.0);
+        let out = send::<Echo>(&mut e, 0, 1, 7, 2.0);
         assert_eq!(out.len(), 1);
         // (5 − 1) × delay_unit past `now`.
         let expected = 2.0 + 4.0 * 1e-4;
-        assert!((out[0].not_before.unwrap() - expected).abs() < 1e-12);
+        assert!((out[0].1 - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -344,13 +334,10 @@ mod tests {
             duplicate: 1.0,
             ..FaultPlan::none()
         });
-        let out = e.outgoing::<Echo>(RankId::new(0), RankId::new(1), 7, 0.0);
-        assert_eq!(out.len(), 2);
         // Without a delay fate both copies travel back-to-back (the
         // wall-clock drivers have no base latency to multiply); a delay
         // fate staggers them via the `(copy + 1)` factor.
-        assert!(out[0].not_before.is_none());
-        assert!(out[1].not_before.is_none());
+        assert_eq!(send::<Echo>(&mut e, 0, 1, 7, 0.0), [(7, 0.0), (7, 0.0)]);
         assert_eq!(e.stats().duplicated, 1);
     }
 
@@ -364,13 +351,9 @@ mod tests {
             }],
             ..FaultPlan::none()
         });
-        let send = |e: &mut LinkEmulator, now| {
-            e.outgoing::<Echo>(RankId::new(0), RankId::new(1), 7, now)
-                .len()
-        };
-        assert_eq!(send(&mut e, 0.5), 1, "before the window");
-        assert_eq!(send(&mut e, 1.5), 0, "inside the window");
-        assert_eq!(send(&mut e, 2.5), 1, "after the heal");
+        assert_eq!(send::<Echo>(&mut e, 0, 1, 7, 0.5).len(), 1, "before");
+        assert_eq!(send::<Echo>(&mut e, 0, 1, 7, 1.5).len(), 0, "inside");
+        assert_eq!(send::<Echo>(&mut e, 0, 1, 7, 2.5).len(), 1, "healed");
     }
 
     #[test]
@@ -392,28 +375,20 @@ mod tests {
     fn ordinal_streams_match_across_instances() {
         // Two emulators over the same plan must draw identical per-link
         // fates — the property that lets every rank process run its own
-        // instance and still reproduce the single-injector simulator.
+        // instance and still reproduce the single-instance simulator.
         let plan = || FaultPlan {
             seed: 11,
-            links: vec![LinkFault {
-                src: vec![RankId::new(0)],
-                dst: vec![RankId::new(1)],
-                start: 0.0,
-                end: None,
-                kind: LinkFaultKind::Lossy { p: 0.5 },
-            }],
+            links: on_link(LinkFaultKind::Lossy { p: 0.5 }),
             ..FaultPlan::none()
         };
         let mut a = emu(plan());
         let mut b = emu(plan());
         for i in 0..64 {
-            let sa = a
-                .outgoing::<Echo>(RankId::new(0), RankId::new(1), i, 0.0)
-                .len();
-            let sb = b
-                .outgoing::<Echo>(RankId::new(0), RankId::new(1), i, 0.0)
-                .len();
-            assert_eq!(sa, sb, "message {i} diverged");
+            assert_eq!(
+                send::<Echo>(&mut a, 0, 1, i, 0.0),
+                send::<Echo>(&mut b, 0, 1, i, 0.0),
+                "message {i} diverged"
+            );
         }
         assert_eq!(a.stats(), b.stats());
     }

@@ -21,17 +21,17 @@
 //!    wall-clock hold-back. The schedule of effects (which message is
 //!    dropped, duplicated, …) is identical either way.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tempered_core::ids::RankId;
 use tempered_core::rng::{derive_seed, splitmix64};
+use tempered_obs::MetricsRegistry;
 
 /// A transient outage: messages arriving at `rank` during
 /// `[from, until)` (seconds — virtual in the simulator, wall-clock from
 /// run start in the threaded executor) are held and delivered at
 /// `until`. Models a rank that stops processing for a while (GC pause,
 /// OS preemption, network partition healing).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PauseWindow {
     /// The paused rank.
     pub rank: RankId,
@@ -52,7 +52,7 @@ pub struct PauseWindow {
 /// detector fires looks like a blackout the reliable layer can mask.
 /// State-loss recovery is the application layer's job (see the
 /// checkpoint/restore machinery in `tempered-empire`).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CrashEvent {
     /// The crashing rank.
     pub rank: RankId,
@@ -85,7 +85,7 @@ impl CrashEvent {
 }
 
 /// What a matching [`LinkFault`] does to traffic on the link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkFaultKind {
     /// The link is severed: every message on it is dropped.
     Cut,
@@ -126,7 +126,7 @@ pub enum LinkFaultKind {
 /// run start in the threaded executor). An empty `src`/`dst` set acts as
 /// a wildcard. Asymmetric faults are expressed by listing only one
 /// direction; the reverse link stays clean unless another fault names it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkFault {
     /// Source ranks the fault applies to (empty = every rank).
     pub src: Vec<RankId>,
@@ -169,7 +169,7 @@ impl LinkFault {
 /// isolated from everyone else — traffic crossing the bipartition in
 /// *either* direction is cut while the send time lies in `[start, end)`.
 /// Traffic within each component flows normally.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PartitionWindow {
     /// One component of the bipartition (the other is its complement).
     pub side: Vec<RankId>,
@@ -197,7 +197,7 @@ impl PartitionWindow {
 /// fenced view bump, a drain evacuates a live node and parks it. Times
 /// are seconds on the same clock as the rest of the plan (virtual in the
 /// simulator, wall-clock from run start in the threaded executor).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnEvent {
     /// When the change takes effect: it is applied at the first step
     /// boundary at or after `at`.
@@ -214,7 +214,7 @@ pub struct ChurnEvent {
 /// meaningful across a plan. Seed nodes are `0..seed_ranks`; joined
 /// nodes must use fresh ids (the conventional choice is the next unused
 /// integer).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChurnKind {
     /// Node `node` knocks and is admitted as a new rank.
     Join {
@@ -446,7 +446,7 @@ impl std::error::Error for FaultPlanError {}
 /// [`crate::sim::Protocol::faultable`]) and must lie in `[0, 1]`.
 /// [`FaultPlan::none`] — the default — injects nothing and is
 /// guaranteed not to perturb the run in any way.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault-decision hash stream (independent of the
     /// experiment master seed).
@@ -790,7 +790,7 @@ impl LinkFate {
 }
 
 /// Counters of injected effects, reported alongside network stats.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultStats {
     /// Faultable messages that passed through the injector.
     pub faultable: u64,
@@ -833,6 +833,22 @@ impl FaultStats {
         self.link_cut += other.link_cut;
         self.link_delayed += other.link_delayed;
         self.corrupted += other.corrupted;
+    }
+
+    /// Add every counter to `m` under `fault.<name>` — what each executor
+    /// flushes into its recorder's registry when a run ends.
+    pub fn record(&self, m: &mut MetricsRegistry) {
+        m.counter_add("fault.faultable", self.faultable);
+        m.counter_add("fault.dropped", self.dropped);
+        m.counter_add("fault.duplicated", self.duplicated);
+        m.counter_add("fault.spiked", self.spiked);
+        m.counter_add("fault.reordered", self.reordered);
+        m.counter_add("fault.straggled", self.straggled);
+        m.counter_add("fault.paused", self.paused);
+        m.counter_add("fault.crash_dropped", self.crash_dropped);
+        m.counter_add("fault.link_cut", self.link_cut);
+        m.counter_add("fault.link_delayed", self.link_delayed);
+        m.counter_add("fault.corrupted", self.corrupted);
     }
 }
 

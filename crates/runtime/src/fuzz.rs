@@ -23,7 +23,7 @@ use crate::audit::{audit_artifacts, capture_lb_run, AuditReport, Invariant, Viol
 use crate::fault::FaultPlan;
 use crate::health::HealthConfig;
 use crate::lb::{LbProtocolConfig, PartitionConfig};
-use crate::planfile::{self, Json, Parser};
+use crate::planfile;
 use crate::reliable::RetryConfig;
 use crate::sim::NetworkModel;
 use rand::rngs::SmallRng;
@@ -32,6 +32,7 @@ use std::fmt::Write as _;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
 use tempered_core::rng::{derive_seed, RngFactory};
+use tempered_obs::json::{self, as_str, as_uint, obj, Json};
 use tempered_obs::{EventKind, Recorder};
 
 /// Largest integer the hand-rolled JSON codec can carry exactly (its
@@ -867,12 +868,8 @@ impl FuzzCase {
     /// parsed case is *not* validated — callers should
     /// [`FuzzCase::validate`] before running it.
     pub fn from_json(text: &str) -> Result<FuzzCase, String> {
-        let mut parser = Parser::new(text);
-        let root = parser.value()?;
-        if parser.peek().is_some() {
-            return parser.err("trailing content after case");
-        }
-        let map = planfile::obj(&root, "case")?;
+        let root = json::parse(text)?;
+        let map = obj(&root, "case")?;
         let mut case = FuzzCase {
             seed: 0,
             ranks: 0,
@@ -884,18 +881,8 @@ impl FuzzCase {
             expect: None,
             inject_bug: None,
         };
-        let as_count = |v: &Json, what: &str| -> Result<u64, String> {
-            let n = planfile::as_num(v, what)?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("{what}: {n} is not a non-negative integer"));
-            }
-            if n > MAX_JSON_SAFE_INT as f64 {
-                return Err(format!(
-                    "{what}: {n} exceeds 2^53-1 and cannot round-trip through JSON exactly"
-                ));
-            }
-            Ok(n as u64)
-        };
+        // Counts above 2^53-1 cannot round-trip through JSON exactly.
+        let as_count = |v: &Json, what: &str| as_uint(v, what, MAX_JSON_SAFE_INT);
         for (key, value) in map {
             match key.as_str() {
                 "seed" => case.seed = as_count(value, "seed")?,
@@ -903,31 +890,25 @@ impl FuzzCase {
                 "hot" => case.hot = as_count(value, "hot")? as usize,
                 "tasks_per_hot" => case.tasks_per_hot = as_count(value, "tasks_per_hot")? as usize,
                 "elastic_steps" => case.elastic_steps = as_count(value, "elastic_steps")?,
-                "balancer" => match value {
-                    Json::Str(s) => {
-                        case.balancer = Balancer::from_name(s)
-                            .ok_or_else(|| format!("balancer: unknown balancer \"{s}\""))?;
-                    }
-                    other => return Err(format!("balancer: expected a string, got {other:?}")),
-                },
-                "expect" => match value {
-                    Json::Str(s) => {
-                        case.expect = Some(
-                            Invariant::from_name(s)
-                                .ok_or_else(|| format!("expect: unknown invariant \"{s}\""))?,
-                        );
-                    }
-                    other => return Err(format!("expect: expected a string, got {other:?}")),
-                },
-                "inject_bug" => match value {
-                    Json::Str(s) => {
-                        case.inject_bug = Some(
-                            InjectedBug::from_name(s)
-                                .ok_or_else(|| format!("inject_bug: unknown bug \"{s}\""))?,
-                        );
-                    }
-                    other => return Err(format!("inject_bug: expected a string, got {other:?}")),
-                },
+                "balancer" => {
+                    let s = as_str(value, "balancer")?;
+                    case.balancer = Balancer::from_name(s)
+                        .ok_or_else(|| format!("balancer: unknown balancer \"{s}\""))?;
+                }
+                "expect" => {
+                    let s = as_str(value, "expect")?;
+                    case.expect = Some(
+                        Invariant::from_name(s)
+                            .ok_or_else(|| format!("expect: unknown invariant \"{s}\""))?,
+                    );
+                }
+                "inject_bug" => {
+                    let s = as_str(value, "inject_bug")?;
+                    case.inject_bug = Some(
+                        InjectedBug::from_name(s)
+                            .ok_or_else(|| format!("inject_bug: unknown bug \"{s}\""))?,
+                    );
+                }
                 "plan" => case.plan = planfile::plan_from_json(value)?,
                 other => return Err(format!("case: unknown field \"{other}\"")),
             }

@@ -22,11 +22,10 @@
 //! ([`HealthDetector::on_heartbeat`]) and polls it on its own timer
 //! ([`HealthDetector::tick`]); the detector never sends anything itself.
 
-use serde::{Deserialize, Serialize};
 use tempered_core::ids::RankId;
 
 /// Tuning for the heartbeat failure detector.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HealthConfig {
     /// Heartbeat send period in seconds. Must be small against the
     /// reliable layer's give-up horizon and the protocol stage deadline,

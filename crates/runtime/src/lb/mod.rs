@@ -11,20 +11,16 @@
 //!   stages, epochs, collectives, gossip, transfer, commit. No I/O, no
 //!   clocks, no retries.
 //! - [`transport`] — composable delivery layers ([`transport::Raw`],
-//!   [`transport::Reliable`], [`transport::Faulty`]) turning protocol
-//!   messages into wire frames and back.
+//!   [`transport::Reliable`]) turning protocol messages into wire frames
+//!   and back.
 //! - [`rank`] — the thin actor ([`LbRank`]) binding engine + transport
 //!   to an executor via the [`crate::sim::Protocol`] trait.
-//! - [`emulator`] — the userspace link emulator interpreting a
-//!   [`crate::fault::FaultPlan`] for the real-I/O drivers (send-time
-//!   fates, crash windows), shared by `parallel` and [`socket`].
 //! - drivers — the deterministic discrete-event [`crate::sim::Simulator`],
 //!   the threaded `parallel` executor, the zero-latency in-process
 //!   [`LocalRunner`], and the multi-process TCP [`socket`] driver.
 
 mod config;
 pub mod driver;
-pub mod emulator;
 pub mod engine;
 mod messages;
 mod rank;
@@ -33,7 +29,6 @@ pub mod transport;
 
 pub use config::{LbProtocolConfig, PartitionConfig};
 pub use driver::{run_local_lb, LocalLbResult, LocalRunner};
-pub use emulator::{Delivery, LinkEmulator};
 pub use engine::{AsyncIterationRecord, Command, EngineConfig, GossipEngine, Stage};
 pub use messages::{LbMsg, LbWire, TaskEntry, WireDecodeError, WireDecodeErrorKind};
 pub use rank::LbRank;
@@ -44,7 +39,6 @@ use crate::reliable::ReliableStats;
 use crate::sim::{NetworkModel, SimReport, Simulator};
 use tempered_core::balancer::{LoadBalancer, RebalanceResult};
 use tempered_core::distribution::Distribution;
-use tempered_core::forecast::{ForecastBank, Holt};
 use tempered_core::ids::RankId;
 use tempered_core::refine::net_migrations;
 use tempered_core::rng::RngFactory;
@@ -224,208 +218,79 @@ pub(crate) fn run_lb_ranks(
     (sim.into_ranks(), report)
 }
 
-/// [`LoadBalancer`] adapter: TemperedLB executed through the full
-/// asynchronous protocol instead of the analysis-mode driver.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DistributedTemperedLb {
-    /// Protocol knobs.
-    pub config: LbProtocolConfig,
-    /// Network latency model for the simulated interconnect.
-    pub model: NetworkModel,
-}
-
-/// Shared rebalance path of the distributed [`LoadBalancer`] adapters:
-/// namespace the protocol's randomness by invocation epoch, run the full
-/// async protocol on the discrete-event executor, and report net
-/// migrations against the input.
-fn rebalance_distributed(
-    dist: &Distribution,
-    cfg: LbProtocolConfig,
-    model: NetworkModel,
-    factory: &RngFactory,
-    epoch: u64,
-) -> RebalanceResult {
-    let sub = RngFactory::new(tempered_core::rng::derive_seed(
-        factory.master(),
-        &[0x0A57_C0DE, epoch],
-    ));
-    let out = run_distributed_lb(dist, cfg, model, &sub);
-    let migrations = net_migrations(dist, &out.distribution);
-    RebalanceResult {
-        initial_imbalance: out.initial_imbalance,
-        final_imbalance: out.final_imbalance,
-        messages_sent: out.report.network.messages,
-        migrations,
-        distribution: out.distribution,
-    }
-}
-
-impl LoadBalancer for DistributedTemperedLb {
-    fn name(&self) -> &'static str {
-        "DistTemperedLB"
-    }
-
-    fn rebalance(
-        &mut self,
-        dist: &Distribution,
-        factory: &RngFactory,
-        epoch: u64,
-    ) -> RebalanceResult {
-        rebalance_distributed(dist, self.config, self.model, factory, epoch)
-    }
-}
-
-/// [`LoadBalancer`] adapter: the original GrapevineLB (single trial,
-/// single iteration, strict criterion, original CMF) executed through
-/// the full asynchronous protocol. Every balancer expressible as a
-/// `RefineConfig` runs distributed this way — the engine is generic over
-/// the configuration, not specialized to TemperedLB.
+/// [`LoadBalancer`] adapter: a balancer executed through the full
+/// asynchronous protocol on the discrete-event executor instead of the
+/// analysis-mode driver. Every balancer expressible as a `RefineConfig`
+/// runs distributed this way — the engine is generic over the
+/// configuration, not specialized to TemperedLB — and the adapter
+/// composes with the `tempered_core::balancer` wrappers like any other
+/// balancer: `PredictiveLb::new(name, DistributedLb::tempered(cfg), model)`
+/// feeds the unchanged protocol forecasts in place of last-phase loads.
 #[derive(Clone, Copy, Debug)]
-pub struct DistributedGrapevineLb {
-    /// Protocol knobs (defaults to [`LbProtocolConfig::grapevine`]).
-    pub config: LbProtocolConfig,
-    /// Network latency model for the simulated interconnect.
-    pub model: NetworkModel,
-}
-
-impl Default for DistributedGrapevineLb {
-    fn default() -> Self {
-        DistributedGrapevineLb {
-            config: LbProtocolConfig::grapevine(),
-            model: NetworkModel::default(),
-        }
-    }
-}
-
-impl LoadBalancer for DistributedGrapevineLb {
-    fn name(&self) -> &'static str {
-        "DistGrapevineLB"
-    }
-
-    fn rebalance(
-        &mut self,
-        dist: &Distribution,
-        factory: &RngFactory,
-        epoch: u64,
-    ) -> RebalanceResult {
-        rebalance_distributed(dist, self.config, self.model, factory, epoch)
-    }
-}
-
-/// Shared rebalance path of the *predictive* distributed adapters:
-/// observe the phase into the forecast bank, run the unchanged
-/// asynchronous protocol on the forecast distribution (same engine,
-/// same transports — the protocol cannot tell predicted loads from
-/// measured ones), and restate the committed placement in observed-load
-/// units.
-fn rebalance_distributed_predictive(
-    bank: &mut ForecastBank<Holt>,
-    dist: &Distribution,
-    cfg: LbProtocolConfig,
-    model: NetworkModel,
-    factory: &RngFactory,
-    epoch: u64,
-) -> RebalanceResult {
-    bank.observe_epoch(epoch, dist);
-    let forecast = bank.forecast(dist);
-    let proposed = rebalance_distributed(&forecast, cfg, model, factory, epoch);
-    let migrations = net_migrations(dist, &proposed.distribution);
-    let mut distribution = dist.clone();
-    distribution
-        .apply(&migrations)
-        .expect("net migrations against the input are consistent");
-    RebalanceResult {
-        initial_imbalance: dist.imbalance(),
-        final_imbalance: distribution.imbalance(),
-        messages_sent: proposed.messages_sent,
-        migrations,
-        distribution,
-    }
-}
-
-/// [`LoadBalancer`] adapter: TemperedLB through the full asynchronous
-/// protocol, fed Holt per-task forecasts in place of last-phase loads
-/// (see `tempered_core::forecast`). The protocol stack is the stock
-/// one — only the loads handed to [`run_distributed_lb`] differ.
-#[derive(Clone, Debug, Default)]
-pub struct DistributedPredictiveTemperedLb {
+pub struct DistributedLb {
     /// Protocol knobs.
     pub config: LbProtocolConfig,
     /// Network latency model for the simulated interconnect.
     pub model: NetworkModel,
-    /// Per-task forecast state, accumulated across invocations.
-    pub bank: ForecastBank<Holt>,
+    name: &'static str,
 }
 
-impl LoadBalancer for DistributedPredictiveTemperedLb {
-    fn name(&self) -> &'static str {
-        "DistPredTemperedLB"
+impl DistributedLb {
+    /// TemperedLB (`DistTemperedLB`) under `config`.
+    pub fn tempered(config: LbProtocolConfig) -> Self {
+        DistributedLb {
+            config,
+            model: NetworkModel::default(),
+            name: "DistTemperedLB",
+        }
     }
 
-    fn rebalance(
-        &mut self,
-        dist: &Distribution,
-        factory: &RngFactory,
-        epoch: u64,
-    ) -> RebalanceResult {
-        rebalance_distributed_predictive(
-            &mut self.bank,
-            dist,
-            self.config,
-            self.model,
-            factory,
-            epoch,
-        )
-    }
-}
-
-/// [`LoadBalancer`] adapter: GrapevineLB through the full asynchronous
-/// protocol, fed Holt per-task forecasts.
-#[derive(Clone, Debug)]
-pub struct DistributedPredictiveGrapevineLb {
-    /// Protocol knobs (defaults to [`LbProtocolConfig::grapevine`]).
-    pub config: LbProtocolConfig,
-    /// Network latency model for the simulated interconnect.
-    pub model: NetworkModel,
-    /// Per-task forecast state, accumulated across invocations.
-    pub bank: ForecastBank<Holt>,
-}
-
-impl Default for DistributedPredictiveGrapevineLb {
-    fn default() -> Self {
-        DistributedPredictiveGrapevineLb {
+    /// The original GrapevineLB (`DistGrapevineLB`): single trial, single
+    /// iteration, strict criterion, original CMF
+    /// ([`LbProtocolConfig::grapevine`]).
+    pub fn grapevine() -> Self {
+        DistributedLb {
             config: LbProtocolConfig::grapevine(),
             model: NetworkModel::default(),
-            bank: ForecastBank::new(Holt::default()),
+            name: "DistGrapevineLB",
         }
     }
 }
 
-impl LoadBalancer for DistributedPredictiveGrapevineLb {
+impl LoadBalancer for DistributedLb {
     fn name(&self) -> &'static str {
-        "DistPredGrapevineLB"
+        self.name
     }
 
+    /// Namespace the protocol's randomness by invocation epoch, run the
+    /// full async protocol, and report net migrations against the input.
     fn rebalance(
         &mut self,
         dist: &Distribution,
         factory: &RngFactory,
         epoch: u64,
     ) -> RebalanceResult {
-        rebalance_distributed_predictive(
-            &mut self.bank,
-            dist,
-            self.config,
-            self.model,
-            factory,
-            epoch,
-        )
+        let sub = RngFactory::new(tempered_core::rng::derive_seed(
+            factory.master(),
+            &[0x0A57_C0DE, epoch],
+        ));
+        let out = run_distributed_lb(dist, self.config, self.model, &sub);
+        let migrations = net_migrations(dist, &out.distribution);
+        RebalanceResult {
+            initial_imbalance: out.initial_imbalance,
+            final_imbalance: out.final_imbalance,
+            messages_sent: out.report.network.messages,
+            migrations,
+            distribution: out.distribution,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempered_core::balancer::PredictiveLb;
+    use tempered_core::forecast::Holt;
     use tempered_core::transfer::TransferConfig;
 
     fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
@@ -667,15 +532,8 @@ mod tests {
     fn predictive_adapter_matches_twin_on_constant_workload() {
         let dist = concentrated(16, 2, 20);
         let factory = RngFactory::new(2);
-        let mut twin = DistributedTemperedLb {
-            config: quick_cfg(),
-            model: NetworkModel::default(),
-        };
-        let mut pred = DistributedPredictiveTemperedLb {
-            config: quick_cfg(),
-            model: NetworkModel::default(),
-            bank: ForecastBank::default(),
-        };
+        let mut twin = DistributedLb::tempered(quick_cfg());
+        let mut pred = PredictiveLb::new("DistPredTemperedLB", twin, Holt::default());
         for epoch in 0..3 {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);
@@ -706,7 +564,11 @@ mod tests {
         use tempered_core::load::Load;
         let mut dist = concentrated(8, 2, 15);
         let factory = RngFactory::new(6);
-        let mut pred = DistributedPredictiveGrapevineLb::default();
+        let mut pred = PredictiveLb::new(
+            "DistPredGrapevineLB",
+            DistributedLb::grapevine(),
+            Holt::default(),
+        );
         for epoch in 0..3u64 {
             let r = pred.rebalance(&dist, &factory, epoch);
             let mut replay = dist.clone();
@@ -725,10 +587,8 @@ mod tests {
     #[test]
     fn balancer_trait_adapter_works() {
         let dist = concentrated(16, 2, 20);
-        let mut lb = DistributedTemperedLb {
-            config: quick_cfg(),
-            model: NetworkModel::default(),
-        };
+        let mut lb = DistributedLb::tempered(quick_cfg());
+        assert_eq!(lb.name(), "DistTemperedLB");
         let r = lb.rebalance(&dist, &RngFactory::new(2), 0);
         assert!(r.final_imbalance < r.initial_imbalance);
         let mut replay = dist.clone();

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! GossipEngine   pure state machine: (epoch, LbMsg) → Vec<Command>
-//! Transport      Raw | Reliable(RetryConfig) | Faulty(plan, ·)
+//! Transport      Raw | Reliable(RetryConfig)
 //! LbRank         this file: interprets Commands, applies TxActions to a
 //!                driver Ctx, records spans/instants, arms deadlines
 //! driver         Simulator (discrete-event), parallel executor, or the

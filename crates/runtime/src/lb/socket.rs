@@ -39,8 +39,8 @@
 use super::messages::LbWire;
 use super::rank::LbRank;
 use crate::crc::crc32;
+use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::lb::emulator::LinkEmulator;
 use crate::sim::{Ctx, Protocol};
 use crate::wheel::HeldQueue;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -246,11 +246,8 @@ pub fn run_socket_rank(
     let num_ranks = peers.len();
     let start = Instant::now();
     let halt = Arc::new(AtomicBool::new(false));
-    let mut emulator = LinkEmulator::new(
-        cfg.fault_plan.clone(),
-        tempered_obs::Recorder::disabled(),
-        cfg.delay_unit,
-    );
+    let mut emulator =
+        LinkEmulator::new(cfg.fault_plan.clone(), tempered_obs::Recorder::disabled());
     let (in_tx, in_rx) = unbounded::<(RankId, LbWire)>();
 
     // Per-peer outbound frame queues, drained by writer threads.
@@ -319,36 +316,39 @@ pub fn run_socket_rank(
                 for (to, msg, bytes) in batch {
                     stats.record(bytes);
                     let send_now = start.elapsed().as_secs_f64();
-                    for d in emulator.outgoing::<LbRank>(me, to, msg, send_now) {
-                        let due = d
-                            .not_before
-                            .map(|s| start + Duration::from_secs_f64(s))
-                            .filter(|when| *when > Instant::now());
-                        match due {
-                            Some(when) => {
-                                held.hold(
-                                    when,
-                                    if to == me {
-                                        HeldItem::Deliver {
-                                            from: me,
-                                            msg: d.msg,
-                                        }
-                                    } else {
-                                        HeldItem::Send { to, msg: d.msg }
-                                    },
-                                );
-                            }
-                            None if to == me => {
-                                // Rare self-send: deliver next loop turn.
-                                let _ = in_tx.send((me, d.msg));
-                            }
-                            None => {
-                                if let Some(tx) = &out_tx[to.as_usize()] {
-                                    let _ = tx.send(encode_frame(&d.msg));
+                    emulator.outgoing::<LbRank>(
+                        me,
+                        to,
+                        msg,
+                        send_now,
+                        wall_arrival(send_now, cfg.delay_unit),
+                        |msg, arrival| {
+                            let due = (arrival > send_now)
+                                .then(|| start + Duration::from_secs_f64(arrival))
+                                .filter(|when| *when > Instant::now());
+                            match due {
+                                Some(when) => {
+                                    held.hold(
+                                        when,
+                                        if to == me {
+                                            HeldItem::Deliver { from: me, msg }
+                                        } else {
+                                            HeldItem::Send { to, msg }
+                                        },
+                                    );
+                                }
+                                None if to == me => {
+                                    // Rare self-send: deliver next loop turn.
+                                    let _ = in_tx.send((me, msg));
+                                }
+                                None => {
+                                    if let Some(tx) = &out_tx[to.as_usize()] {
+                                        let _ = tx.send(encode_frame(&msg));
+                                    }
                                 }
                             }
-                        }
-                    }
+                        },
+                    );
                 }
             }};
         }

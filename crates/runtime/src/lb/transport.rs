@@ -15,18 +15,13 @@
 //! Raw                      best-effort frames, zero overhead
 //! Reliable(RetryConfig)    at-least-once: seq numbers, acks, retransmit
 //!                          with exponential backoff, receiver dedup
-//! Faulty(FaultPlan, T)     adversarial decorator: drops / duplicates
-//!                          outgoing frames per a deterministic plan
 //! ```
 //!
-//! `Faulty<Reliable>` is the chaos-harness configuration: faults injected
-//! *below* the reliability layer, which must mask them. (The
-//! discrete-event [`crate::sim::Simulator`] also injects faults itself,
-//! network-side, which additionally models delay spikes and reordering —
-//! the transport decorator covers drivers without a modeled network.)
+//! Faults are not a transport: every driver injects them network-side,
+//! *below* the reliability layer that must mask them, through the one
+//! [`crate::emulator::LinkEmulator`].
 
 use super::messages::{payload_bytes, LbMsg, LbWire, SEQ_OVERHEAD_BYTES};
-use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::reliable::{ReliableChannel, ReliableStats, RetryAction, RetryConfig, SeqSetView};
 use tempered_core::ids::RankId;
 
@@ -104,11 +99,6 @@ pub trait Transport: std::fmt::Debug + Send {
 
     /// Delivery-layer statistics (all zero for best-effort transports).
     fn stats(&self) -> ReliableStats;
-
-    /// Fault-injection statistics, when a fault decorator is stacked.
-    fn fault_stats(&self) -> FaultStats {
-        FaultStats::default()
-    }
 
     /// Fence a rank declared dead: drop any pending retransmissions to
     /// it, so orphaned retry timers settle silently instead of burning
@@ -317,86 +307,6 @@ impl Transport for Reliable {
             acked: self.channel.acked_view(),
             seen: self.channel.seen_view(),
         })
-    }
-}
-
-/// Adversarial decorator: drops or duplicates outgoing wire frames per a
-/// deterministic [`FaultPlan`], *below* the wrapped transport — exactly
-/// where a lossy network sits relative to the reliability layer. Timers
-/// and incoming frames pass through untouched.
-#[derive(Debug)]
-pub struct Faulty<T> {
-    inner: T,
-    injector: FaultInjector,
-    me: RankId,
-}
-
-impl<T: Transport> Faulty<T> {
-    /// Wrap `inner`, injecting faults on frames sent by `me`.
-    pub fn new(inner: T, plan: FaultPlan, me: RankId) -> Self {
-        Faulty {
-            inner,
-            injector: FaultInjector::new(plan),
-            me,
-        }
-    }
-}
-
-impl<T: Transport> Transport for Faulty<T> {
-    fn send(&mut self, to: RankId, msg: LbMsg, out: &mut Vec<TxAction>) {
-        let mut inner_out = Vec::new();
-        self.inner.send(to, msg, &mut inner_out);
-        self.apply_fates(inner_out, out);
-    }
-
-    fn receive(&mut self, from: RankId, wire: LbWire, out: &mut Vec<TxAction>) -> RxEvent {
-        let mut inner_out = Vec::new();
-        let event = self.inner.receive(from, wire, &mut inner_out);
-        self.apply_fates(inner_out, out);
-        event
-    }
-
-    fn stats(&self) -> ReliableStats {
-        self.inner.stats()
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.injector.stats
-    }
-
-    fn fence(&mut self, dead: RankId) {
-        self.inner.fence(dead);
-    }
-
-    fn reinstate(&mut self, to: RankId, seq: u64, msg: LbMsg, out: &mut Vec<TxAction>) {
-        // The revived retransmission crosses the same faulty network.
-        let mut inner_out = Vec::new();
-        self.inner.reinstate(to, seq, msg, &mut inner_out);
-        self.apply_fates(inner_out, out);
-    }
-
-    fn delivery_audit(&self) -> Option<DeliveryAudit> {
-        self.inner.delivery_audit()
-    }
-}
-
-impl<T: Transport> Faulty<T> {
-    fn apply_fates(&mut self, actions: Vec<TxAction>, out: &mut Vec<TxAction>) {
-        for action in actions {
-            match action {
-                TxAction::Wire { to, wire, bytes } => {
-                    let fate = self.injector.fate(self.me, to);
-                    for _ in 0..fate.copies {
-                        out.push(TxAction::Wire {
-                            to,
-                            wire: wire.clone(),
-                            bytes,
-                        });
-                    }
-                }
-                timer @ TxAction::Timer { .. } => out.push(timer),
-            }
-        }
     }
 }
 
@@ -623,51 +533,5 @@ mod tests {
         assert!(matches!(ev, RxEvent::Retransmitted { .. }));
         let ev = receiver.receive(RankId::new(0), wire, &mut Vec::new());
         assert!(matches!(ev, RxEvent::Deliver(LbMsg::Gossip { .. })));
-    }
-
-    #[test]
-    fn faulty_decorator_drops_and_duplicates_deterministically() {
-        let plan = FaultPlan {
-            drop: 0.5,
-            ..FaultPlan::none()
-        };
-        let run = || {
-            let mut t = Faulty::new(Raw::new(0), plan.clone(), RankId::new(0));
-            let mut frames = 0;
-            for i in 0..200 {
-                let mut out = Vec::new();
-                t.send(RankId::new(1 + (i % 3)), gossip(1), &mut out);
-                frames += out.len();
-            }
-            (frames, t.fault_stats().dropped)
-        };
-        let (frames_a, dropped_a) = run();
-        let (frames_b, dropped_b) = run();
-        assert_eq!(frames_a, frames_b, "fates are a pure function of the plan");
-        assert_eq!(dropped_a, dropped_b);
-        assert!(
-            dropped_a > 40,
-            "half the frames should drop, saw {dropped_a}"
-        );
-        assert_eq!(frames_a + dropped_a as usize, 200);
-    }
-
-    #[test]
-    fn faulty_passes_timers_through() {
-        let plan = FaultPlan {
-            drop: 1.0,
-            ..FaultPlan::none()
-        };
-        let mut t = Faulty::new(
-            Reliable::new(RetryConfig::default(), 0),
-            plan,
-            RankId::new(0),
-        );
-        let mut out = Vec::new();
-        t.send(RankId::new(1), gossip(1), &mut out);
-        // The data frame always drops under drop=1.0, but the retry timer
-        // must survive — it is what eventually masks or reports the loss.
-        assert!(out.iter().all(|a| matches!(a, TxAction::Timer { .. })));
-        assert_eq!(out.len(), 1);
     }
 }

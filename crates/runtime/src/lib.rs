@@ -22,8 +22,9 @@
 //!   ([`lb::engine::GossipEngine`]), stacked delivery transports
 //!   ([`lb::transport`]), and thin per-executor drivers.
 //! * [`fault`] — seed-deterministic fault injection (drop, duplication,
-//!   delay spikes, stragglers, pauses, crash-stop failures) shared by
-//!   both executors.
+//!   delay spikes, stragglers, pauses, crash-stop failures).
+//! * [`emulator`] — the one interpreter of a [`fault::FaultPlan`], owned
+//!   by the simulator and by every real-I/O driver alike.
 //! * [`reliable`] — at-least-once delivery with retransmission, backoff,
 //!   and receiver-side dedup, hardening the LB protocol against faults.
 //! * [`health`] — accrual-style heartbeat failure detection, turning a
@@ -32,8 +33,6 @@
 //!   sets) used to fence stale-view traffic after a crash.
 //! * [`phase`] — phase demarcation and per-task instrumentation
 //!   (the *principle of persistence*, §III-B).
-//! * [`rdma`] — simulated one-sided RDMA handles with get/put/accumulate
-//!   (§III-A's second data-flow path).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,6 +41,7 @@ pub mod audit;
 pub mod collective;
 pub mod crc;
 pub mod elastic;
+pub mod emulator;
 pub mod fault;
 pub mod fuzz;
 pub mod health;
@@ -50,7 +50,6 @@ pub mod membership;
 pub mod parallel;
 pub mod phase;
 pub mod planfile;
-pub mod rdma;
 pub mod reliable;
 pub mod sim;
 pub mod termination;
@@ -62,9 +61,7 @@ pub use fault::{
 pub use health::{HealthConfig, HealthDetector};
 pub use lb::{
     run_distributed_lb, run_distributed_lb_traced, run_distributed_lb_with_faults, run_local_lb,
-    DistLbResult, DistributedGrapevineLb, DistributedPredictiveGrapevineLb,
-    DistributedPredictiveTemperedLb, DistributedTemperedLb, GossipEngine, LbProtocolConfig,
-    LocalLbResult, PartitionConfig,
+    DistLbResult, DistributedLb, GossipEngine, LbProtocolConfig, LocalLbResult, PartitionConfig,
 };
 pub use membership::View;
 pub use reliable::{ReliableStats, RetryConfig};

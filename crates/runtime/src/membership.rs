@@ -33,7 +33,6 @@
 //! this). Without heals `base_gen` stays 0 and every path reduces
 //! bit-exactly to the crash-stop behavior.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tempered_core::ids::RankId;
 
@@ -44,7 +43,7 @@ use tempered_core::ids::RankId;
 pub const VIEW_EPOCH_STRIDE: u64 = 1 << 32;
 
 /// A membership view: the full rank set minus the ranks declared dead.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct View {
     num_ranks: usize,
     dead: BTreeSet<RankId>,

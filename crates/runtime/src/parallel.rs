@@ -23,8 +23,8 @@
 //! termination condition (as the LB protocol does); an actor that never
 //! reports done hangs the run, which tests guard with a wall-clock bound.
 
+use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::lb::emulator::LinkEmulator;
 use crate::sim::{Ctx, Protocol};
 use crate::wheel::HeldQueue;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -138,11 +138,7 @@ where
             let senders = senders.clone();
             let rx = receivers[w].clone();
             let done_count = &done_count;
-            let emulator = LinkEmulator::new(
-                plan.clone(),
-                options.recorder.clone(),
-                PARALLEL_DELAY_UNIT.as_secs_f64(),
-            );
+            let emulator = LinkEmulator::new(plan.clone(), options.recorder.clone());
             handles.push(scope.spawn(move || {
                 let mut worker = Worker {
                     shard,
@@ -180,17 +176,7 @@ where
         .collect();
     options.recorder.with_metrics(|m| {
         m.record_network("parallel.net", &network);
-        m.counter_add("fault.faultable", faults.faultable);
-        m.counter_add("fault.dropped", faults.dropped);
-        m.counter_add("fault.duplicated", faults.duplicated);
-        m.counter_add("fault.spiked", faults.spiked);
-        m.counter_add("fault.reordered", faults.reordered);
-        m.counter_add("fault.straggled", faults.straggled);
-        m.counter_add("fault.paused", faults.paused);
-        m.counter_add("fault.crash_dropped", faults.crash_dropped);
-        m.counter_add("fault.link_cut", faults.link_cut);
-        m.counter_add("fault.link_delayed", faults.link_delayed);
-        m.counter_add("fault.corrupted", faults.corrupted);
+        faults.record(m);
         m.gauge_max("parallel.wall_time_s", start.elapsed().as_secs_f64());
     });
     ParallelReport {
@@ -257,16 +243,23 @@ where
             // the window clock — the threaded analogue of the simulator's
             // virtual send time (same convention as pause windows).
             let send_now = self.start.elapsed().as_secs_f64();
-            for delivery in self.emulator.outgoing::<P>(from, to, msg, send_now) {
-                let _ = self.senders[t % workers].send(Envelope {
-                    to: t,
-                    from,
-                    msg: delivery.msg,
-                    not_before: delivery
-                        .not_before
-                        .map(|s| self.start + Duration::from_secs_f64(s)),
-                });
-            }
+            let (start, sender) = (self.start, &self.senders[t % workers]);
+            self.emulator.outgoing::<P>(
+                from,
+                to,
+                msg,
+                send_now,
+                wall_arrival(send_now, PARALLEL_DELAY_UNIT.as_secs_f64()),
+                |msg, arrival| {
+                    let _ = sender.send(Envelope {
+                        to: t,
+                        from,
+                        msg,
+                        not_before: (arrival > send_now)
+                            .then(|| start + Duration::from_secs_f64(arrival)),
+                    });
+                },
+            );
         }
     }
 
@@ -281,11 +274,10 @@ where
     }
 
     fn deliver(&mut self, to: usize, from: RankId, msg: P::Msg) {
-        let slot = self
-            .shard
-            .iter()
-            .position(|(i, _)| *i == to)
-            .expect("routed to owning worker");
+        // Ranks are sharded `i % workers` in ascending order, so rank
+        // `to` sits at slot `to / workers` of its owning worker.
+        let slot = to / self.senders.len();
+        debug_assert_eq!(self.shard[slot].0, to, "routed to owning worker");
         let me = RankId::from(to);
         // Monotonic seconds since executor start: the threaded analogue
         // of the simulator's virtual clock, used for timestamps only

@@ -9,13 +9,12 @@
 //! phase-level balancing is applicable at all (§III-B notes that when
 //! persistence fails, balancing should move within a phase instead).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tempered_core::ids::TaskId;
 use tempered_core::load::Load;
 
 /// Instrumented loads for one completed phase.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PhaseRecord {
     /// Phase index (application timestep).
     pub phase: u64,

@@ -1,213 +1,29 @@
 //! JSON (de)serialization for [`FaultPlan`] files.
 //!
-//! The vendored `serde` is a marker-trait facade with no data formats
-//! behind it, so chaos-plan files get a small hand-rolled JSON codec
-//! instead: a tolerant recursive-descent parser for the JSON subset a
-//! plan needs (objects, arrays, numbers, strings, booleans, `null`) and
-//! a canonical writer whose output round-trips bit-exactly through
-//! [`FaultPlan::from_json`]. Omitted fields take their
-//! [`FaultPlan::none`] defaults, so checked-in plan files only state
-//! what they perturb.
+//! Plan files are read with the workspace's one JSON reader
+//! ([`tempered_obs::json`]) and written by a canonical writer whose
+//! output round-trips bit-exactly through [`FaultPlan::from_json`].
+//! Omitted fields take their [`FaultPlan::none`] defaults, so checked-in
+//! plan files only state what they perturb.
 
 use crate::fault::{
     ChurnEvent, ChurnKind, CrashEvent, FaultPlan, LinkFault, LinkFaultKind, PartitionWindow,
     PauseWindow,
 };
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tempered_core::ids::RankId;
+use tempered_obs::json::{self, arr, as_num, as_str, as_uint, field, get, obj, Json};
 
-/// A parsed JSON value (the subset plan files use).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-// ---- parsing ---------------------------------------------------------------
-
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-pub(crate) type PResult<T> = Result<T, String>;
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    pub(crate) fn err<T>(&self, what: &str) -> PResult<T> {
-        Err(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b" \t\r\n".contains(b))
-        {
-            self.pos += 1;
-        }
-    }
-
-    pub(crate) fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> PResult<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", b as char))
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> PResult<Json> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> PResult<Json> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.err(&format!("expected '{word}'"))
-        }
-    }
-
-    fn number(&mut self) -> PResult<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("malformed number at byte {start}"))
-    }
-
-    fn string(&mut self) -> PResult<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        _ => return self.err("unsupported escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> PResult<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> PResult<Json> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-}
+type PResult<T> = Result<T, String>;
 
 // ---- Json -> FaultPlan -----------------------------------------------------
 
-pub(crate) fn as_num(v: &Json, what: &str) -> PResult<f64> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        other => Err(format!("{what}: expected a number, got {other:?}")),
-    }
-}
-
 fn as_rank(v: &Json, what: &str) -> PResult<RankId> {
-    let n = as_num(v, what)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u32::MAX as f64 {
-        return Err(format!("{what}: {n} is not a rank id"));
-    }
-    Ok(RankId::new(n as u32))
+    Ok(RankId::new(as_uint(v, what, u32::MAX.into())? as u32))
 }
 
 fn as_ranks(v: &Json, what: &str) -> PResult<Vec<RankId>> {
-    match v {
-        Json::Arr(items) => items.iter().map(|i| as_rank(i, what)).collect(),
-        other => Err(format!("{what}: expected an array, got {other:?}")),
-    }
+    arr(v, what)?.iter().map(|i| as_rank(i, what)).collect()
 }
 
 fn as_opt_num(v: &Json, what: &str) -> PResult<Option<f64>> {
@@ -217,36 +33,9 @@ fn as_opt_num(v: &Json, what: &str) -> PResult<Option<f64>> {
     }
 }
 
-pub(crate) fn obj<'a>(v: &'a Json, what: &str) -> PResult<&'a BTreeMap<String, Json>> {
-    match v {
-        Json::Obj(map) => Ok(map),
-        other => Err(format!("{what}: expected an object, got {other:?}")),
-    }
-}
-
-pub(crate) fn arr<'a>(v: &'a Json, what: &str) -> PResult<&'a [Json]> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        other => Err(format!("{what}: expected an array, got {other:?}")),
-    }
-}
-
-pub(crate) fn field<'a>(
-    map: &'a BTreeMap<String, Json>,
-    key: &str,
-    what: &str,
-) -> PResult<&'a Json> {
-    map.get(key)
-        .ok_or_else(|| format!("{what}: missing field \"{key}\""))
-}
-
-fn link_kind(map: &BTreeMap<String, Json>) -> PResult<LinkFaultKind> {
+fn link_kind(map: &[(String, Json)]) -> PResult<LinkFaultKind> {
     let kind = obj(field(map, "kind", "link")?, "link.kind")?;
-    let ty = match field(kind, "type", "link.kind")? {
-        Json::Str(s) => s.as_str(),
-        other => return Err(format!("link.kind.type: expected a string, got {other:?}")),
-    };
-    match ty {
+    match as_str(field(kind, "type", "link.kind")?, "link.kind.type")? {
         "cut" => Ok(LinkFaultKind::Cut),
         "lossy" => Ok(LinkFaultKind::Lossy {
             p: as_num(field(kind, "p", "link.kind")?, "link.kind.p")?,
@@ -265,26 +54,12 @@ fn link_kind(map: &BTreeMap<String, Json>) -> PResult<LinkFaultKind> {
     }
 }
 
-fn as_node(v: &Json, what: &str) -> PResult<u64> {
-    let n = as_num(v, what)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!("{what}: {n} is not a node id"));
-    }
-    Ok(n as u64)
-}
-
 pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
     let map = obj(root, "plan")?;
     let mut plan = FaultPlan::none();
     for (key, value) in map {
         match key.as_str() {
-            "seed" => {
-                let n = as_num(value, "seed")?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("seed: {n} is not a u64"));
-                }
-                plan.seed = n as u64;
-            }
+            "seed" => plan.seed = as_uint(value, "seed", u64::MAX)?,
             "drop" => plan.drop = as_num(value, "drop")?,
             "duplicate" => plan.duplicate = as_num(value, "duplicate")?,
             "delay_spike" => plan.delay_spike = as_num(value, "delay_spike")?,
@@ -319,7 +94,7 @@ pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
                     plan.crashes.push(CrashEvent {
                         rank: as_rank(field(c, "rank", "crash")?, "crash.rank")?,
                         at: as_num(field(c, "at", "crash")?, "crash.at")?,
-                        restart_after: match c.get("restart_after") {
+                        restart_after: match get(c, "restart_after") {
                             None => None,
                             Some(v) => as_opt_num(v, "crash.restart_after")?,
                         },
@@ -333,7 +108,7 @@ pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
                         src: as_ranks(field(l, "src", "link")?, "link.src")?,
                         dst: as_ranks(field(l, "dst", "link")?, "link.dst")?,
                         start: as_num(field(l, "start", "link")?, "link.start")?,
-                        end: match l.get("end") {
+                        end: match get(l, "end") {
                             None => None,
                             Some(v) => as_opt_num(v, "link.end")?,
                         },
@@ -347,7 +122,7 @@ pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
                     plan.partitions.push(PartitionWindow {
                         side: as_ranks(field(p, "side", "partition")?, "partition.side")?,
                         start: as_num(field(p, "start", "partition")?, "partition.start")?,
-                        end: match p.get("end") {
+                        end: match get(p, "end") {
                             None => None,
                             Some(v) => as_opt_num(v, "partition.end")?,
                         },
@@ -358,18 +133,18 @@ pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
                 for item in arr(value, "churn")? {
                     let c = obj(item, "churn[]")?;
                     let at = as_num(field(c, "at", "churn")?, "churn.at")?;
-                    let kind = match (c.get("join"), c.get("drain")) {
+                    let kind = match (get(c, "join"), get(c, "drain")) {
                         (Some(j), None) => {
-                            if c.contains_key("deadline") {
+                            if get(c, "deadline").is_some() {
                                 return Err("churn: \"deadline\" only applies to drains".into());
                             }
                             ChurnKind::Join {
-                                node: as_node(j, "churn.join")?,
+                                node: as_uint(j, "churn.join", u64::MAX)?,
                             }
                         }
                         (None, Some(d)) => ChurnKind::Drain {
-                            node: as_node(d, "churn.drain")?,
-                            deadline: match c.get("deadline") {
+                            node: as_uint(d, "churn.drain", u64::MAX)?,
+                            deadline: match get(c, "deadline") {
                                 None => None,
                                 Some(v) => as_opt_num(v, "churn.deadline")?,
                             },
@@ -425,12 +200,7 @@ impl FaultPlan {
     /// files fail loudly. The parsed plan is *not* validated — callers
     /// should [`FaultPlan::validate`] before use.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let mut parser = Parser::new(text);
-        let root = parser.value()?;
-        if parser.peek().is_some() {
-            return parser.err("trailing content after plan");
-        }
-        plan_from_json(&root)
+        plan_from_json(&json::parse(text)?)
     }
 
     /// Read, parse, *and validate* a plan file, prefixing every error
@@ -726,6 +496,29 @@ mod tests {
             r#"{"links": [{"src": [], "dst": [], "start": 0, "kind": {"type": "meteor"}}]}"#
         )
         .is_err());
+    }
+
+    /// Hostile or sloppy plan text is an `Err`, never an abort and never
+    /// a silent guess: 200 000 nested arrays do not overflow the stack, a
+    /// non-ASCII typo is named as typed, and a repeated key is rejected.
+    #[test]
+    fn depth_bombs_non_ascii_and_duplicate_keys_fail_loudly() {
+        let bomb = format!("{{\"stragglers\": {}", "[".repeat(200_000));
+        let err = FaultPlan::from_json(&bomb).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 at byte"), "{err}");
+
+        let err = FaultPlan::from_json(r#"{"sèed": 9}"#).unwrap_err();
+        assert!(err.contains("unknown field \"sèed\""), "{err}");
+
+        let err = FaultPlan::from_json(r#"{"drop": 0.1, "seed": 1, "drop": 0.2}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"drop\""), "{err}");
+
+        let dir = std::env::temp_dir().join("tempered-planfile-bomb-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bomb.json");
+        std::fs::write(&path, &bomb).unwrap();
+        let err = FaultPlan::load(&path).unwrap_err();
+        assert!(err.starts_with(&format!("{}: ", path.display())), "{err}");
     }
 
     /// The shipped example plans (`examples/plans/*.json`, the files

@@ -17,11 +17,10 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tempered_core::ids::RankId;
 
 /// Retransmission and give-up policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryConfig {
     /// Initial retransmission timeout in seconds (virtual seconds under
     /// the simulator, wall-clock under threads).
@@ -65,7 +64,7 @@ impl RetryConfig {
 }
 
 /// Delivery-layer counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReliableStats {
     /// Unique messages sent through the channel.
     pub sent: u64,

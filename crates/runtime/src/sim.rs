@@ -24,12 +24,13 @@
 //!   simulator hook exists to *validate* the detector against ground
 //!   truth.
 
-use crate::fault::{CrashSchedule, Fate, FaultInjector, FaultPlan, FaultStats, LinkFate};
+use crate::emulator::LinkEmulator;
+use crate::fault::{FaultPlan, FaultStats};
 use crate::wheel::TimerWheel;
 use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
 use tempered_obs::NetworkStats;
-use tempered_obs::{EventKind, Recorder};
+use tempered_obs::Recorder;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -272,12 +273,9 @@ pub struct Simulator<P: Protocol> {
     rng: SmallRng,
     now: f64,
     stats: NetworkStats,
-    injector: Option<FaultInjector>,
-    crash_sched: CrashSchedule,
-    /// Deliveries discarded because the destination was crashed.
-    crash_dropped: u64,
+    /// The fault plan's interpreter; also holds the run's recorder.
+    emulator: LinkEmulator,
     events_delivered: u64,
-    recorder: Recorder,
     /// Network (non-timer) events currently queued; lets the executor
     /// finish without draining still-armed timers of completed ranks.
     net_in_queue: u64,
@@ -305,11 +303,8 @@ impl<P: Protocol> Simulator<P> {
             rng,
             now: 0.0,
             stats: NetworkStats::default(),
-            injector: None,
-            crash_sched: CrashSchedule::default(),
-            crash_dropped: 0,
+            emulator: LinkEmulator::new(FaultPlan::none(), Recorder::disabled()),
             events_delivered: 0,
-            recorder: Recorder::disabled(),
             net_in_queue: 0,
             max_events: 500_000_000,
         }
@@ -320,13 +315,7 @@ impl<P: Protocol> Simulator<P> {
     /// touch the simulator's random stream, so the only way a plan can
     /// perturb anything is by actually injecting a fault.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.crash_sched = CrashSchedule::new(&plan.crashes);
-        self.injector = if plan.is_zero() {
-            plan.validate_or_panic();
-            None
-        } else {
-            Some(FaultInjector::new(plan))
-        };
+        self.emulator = LinkEmulator::new(plan, self.emulator.recorder.clone());
     }
 
     /// Attach an observability recorder. Fault injections and network
@@ -336,7 +325,7 @@ impl<P: Protocol> Simulator<P> {
     /// touches the simulator's random stream, so attaching a recorder
     /// cannot perturb a run.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.emulator.recorder = recorder;
     }
 
     /// Number of ranks.
@@ -358,7 +347,7 @@ impl<P: Protocol> Simulator<P> {
     /// for good — a permanently dead rank can never report anything, so
     /// waiting on it would turn every fatal crash into a hang.
     fn rank_finished(&self, p: usize) -> bool {
-        self.ranks[p].is_done() || self.crash_sched.is_down_forever(RankId::from(p), self.now)
+        self.ranks[p].is_done() || self.emulator.down_forever(RankId::from(p), self.now)
     }
 
     fn flush_outbox(&mut self, from: RankId, outbox: &mut Vec<(RankId, P::Msg, usize)>) {
@@ -372,117 +361,34 @@ impl<P: Protocol> Simulator<P> {
             // random stream and stats stay aligned with a fault-free run.
             let latency = self.model.latency(bytes, &mut self.rng);
             self.stats.record(bytes);
-            if self.recorder.is_enabled() {
-                self.recorder
+            if self.emulator.recorder.is_enabled() {
+                self.emulator
+                    .recorder
                     .observe("sim.net.latency_ns", (latency * 1e9) as u64);
             }
-            let Some(inj) = &mut self.injector else {
-                self.net_in_queue += 1;
-                self.queue.push(
-                    self.now + latency,
-                    Event {
-                        to,
-                        from,
-                        msg,
-                        timer: false,
-                    },
-                );
-                continue;
-            };
-            let faultable = P::faultable(&msg);
-            let fate = if faultable {
-                inj.fate(from, to)
-            } else {
-                Fate::clean()
-            };
-            // The link layer rules on the same send: a cut severs every
-            // copy, a delay compounds with the per-message fate, a
-            // corruption damages the payload in flight. Send time (virtual
-            // `now`) decides which windows are open.
-            let link = if faultable {
-                inj.link_fate(from, to, self.now)
-            } else {
-                LinkFate::clean()
-            };
-            if faultable && self.recorder.is_enabled() {
-                let fault = |kind| EventKind::Fault {
-                    kind,
-                    to: to.as_u32(),
-                };
-                if fate.copies == 0 {
-                    self.recorder
-                        .instant(from.as_u32(), self.now, fault("drop"));
-                } else if fate.copies > 1 {
-                    self.recorder
-                        .instant(from.as_u32(), self.now, fault("duplicate"));
-                }
-                if fate.delay_factor > 1.0 {
-                    self.recorder
-                        .instant(from.as_u32(), self.now, fault("delay"));
-                }
-                if link.cut {
-                    self.recorder
-                        .instant(from.as_u32(), self.now, fault("link_cut"));
-                }
-                if link.delay_factor > 1.0 {
-                    self.recorder
-                        .instant(from.as_u32(), self.now, fault("link_delay"));
-                }
-                if link.corrupt {
-                    self.recorder
-                        .instant(from.as_u32(), self.now, fault("corrupt"));
-                }
-            }
-            if link.cut {
-                continue;
-            }
-            let msg = if link.corrupt {
-                match P::corrupted(&msg) {
-                    Some(bad) => bad,
-                    // No corruption model: the damage is indistinguishable
-                    // from loss.
-                    None => continue,
-                }
-            } else {
-                msg
-            };
-            let mut msg = Some(msg);
-            for copy in 0..fate.copies {
-                // A duplicated copy trails the original at double latency,
-                // like a retransmission overlapping the first delivery.
-                let mut arrival =
-                    self.now + latency * fate.delay_factor * link.delay_factor * (copy + 1) as f64;
-                if faultable {
-                    if let Some(until) = inj.deferred_until(to, arrival) {
-                        arrival = until;
-                        self.recorder.instant(
-                            from.as_u32(),
-                            self.now,
-                            EventKind::Fault {
-                                kind: "pause",
-                                to: to.as_u32(),
-                            },
-                        );
-                    }
-                }
-                self.net_in_queue += 1;
-                // The last copy moves the payload; only duplicated copies
-                // clone (copies == 1 in the fault-free fast path).
-                let m = if copy + 1 == fate.copies {
-                    msg.take().expect("one take per copy")
-                } else {
-                    msg.as_ref().expect("taken only by the last copy").clone()
-                };
-                self.queue.push(
-                    arrival,
-                    Event {
-                        to,
-                        from,
-                        msg: m,
-                        timer: false,
-                    },
-                );
-            }
+            // Virtual time multiplies the drawn latency: a duplicated copy
+            // trails the original at double latency.
+            let now = self.now;
+            let (queue, net_in_queue) = (&mut self.queue, &mut self.net_in_queue);
+            self.emulator.outgoing::<P>(
+                from,
+                to,
+                msg,
+                now,
+                |fate, link, copy| now + latency * fate * link * f64::from(copy + 1),
+                |msg, arrival| {
+                    *net_in_queue += 1;
+                    queue.push(
+                        arrival,
+                        Event {
+                            to,
+                            from,
+                            msg,
+                            timer: false,
+                        },
+                    );
+                },
+            );
         }
     }
 
@@ -540,23 +446,9 @@ impl<P: Protocol> Simulator<P> {
                     }
                     // Crash-stop: anything addressed to a down rank —
                     // messages and its own timers — is discarded at
-                    // arrival time. Suppression happens at *pop* time,
-                    // never at send time, so the latency draws (taken per
-                    // send in `flush_outbox`) stay aligned with a
-                    // crash-free run; the clock still advances so the
+                    // arrival time; the clock still advances so the
                     // down-forever accounting above sees crash times pass.
-                    if self.crash_sched.is_down(ev.to, time) {
-                        self.crash_dropped += 1;
-                        if self.recorder.is_enabled() {
-                            self.recorder.instant(
-                                ev.from.as_u32(),
-                                time,
-                                EventKind::Fault {
-                                    kind: "crash_drop",
-                                    to: ev.to.as_u32(),
-                                },
-                            );
-                        }
+                    if !self.emulator.admit(ev.from, ev.to, time) {
                         continue;
                     }
                     self.events_delivered += 1;
@@ -588,23 +480,12 @@ impl<P: Protocol> Simulator<P> {
             }
         }
 
-        let mut faults = self.injector.as_ref().map(|i| i.stats).unwrap_or_default();
-        faults.crash_dropped += self.crash_dropped;
-        self.recorder.with_metrics(|m| {
+        let faults = self.emulator.stats();
+        self.emulator.recorder.with_metrics(|m| {
             m.record_network("sim.net", &self.stats);
             m.counter_add("sim.events_delivered", self.events_delivered);
             m.gauge_max("sim.finish_time_s", self.now);
-            m.counter_add("fault.faultable", faults.faultable);
-            m.counter_add("fault.dropped", faults.dropped);
-            m.counter_add("fault.duplicated", faults.duplicated);
-            m.counter_add("fault.spiked", faults.spiked);
-            m.counter_add("fault.reordered", faults.reordered);
-            m.counter_add("fault.straggled", faults.straggled);
-            m.counter_add("fault.paused", faults.paused);
-            m.counter_add("fault.crash_dropped", faults.crash_dropped);
-            m.counter_add("fault.link_cut", faults.link_cut);
-            m.counter_add("fault.link_delayed", faults.link_delayed);
-            m.counter_add("fault.corrupted", faults.corrupted);
+            faults.record(m);
         });
         SimReport {
             finish_time: self.now,

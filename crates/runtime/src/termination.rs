@@ -24,12 +24,11 @@
 //! whatever executor is in use (event-driven or threaded).
 
 use crate::collective::Tree;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tempered_core::ids::RankId;
 
 /// Control messages of the detector.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TdMsg {
     /// Ring token accumulating `(sent, received)` for `epoch`.
     Token {

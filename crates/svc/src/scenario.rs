@@ -8,14 +8,13 @@
 //! a few hundred migratable units); ranks are servers.
 
 use crate::workload::{LoadGen, Workload};
-use serde::{Deserialize, Serialize};
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::load::Load;
 use tempered_core::task::Task;
 
 /// A deterministic service workload scenario.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SvcScenario {
     /// Scenario name (CSV rows, plot labels).
     pub name: String,

@@ -20,18 +20,14 @@
 use crate::scenario::SvcScenario;
 use crate::workload::LOAD_QUANTUM;
 use tempered_core::balancer::{
-    predictive_grapevine, predictive_tempered, GrapevineLb, GreedyLb, LoadBalancer,
-    PredictiveGrapevineLb, PredictiveTemperedLb, RebalanceResult, TemperedLb,
+    GrapevineLb, GreedyLb, LoadBalancer, PredictiveLb, RebalanceResult, TemperedLb,
 };
 use tempered_core::distribution::Distribution;
+use tempered_core::forecast::Holt;
 use tempered_core::rng::RngFactory;
 use tempered_obs::tail::{TailAccumulator, TailSummary};
 use tempered_runtime::lb::LbProtocolConfig;
-use tempered_runtime::sim::NetworkModel;
-use tempered_runtime::{
-    DistributedGrapevineLb, DistributedPredictiveGrapevineLb, DistributedPredictiveTemperedLb,
-    DistributedTemperedLb,
-};
+use tempered_runtime::DistributedLb;
 
 /// Which balancer drives the timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,68 +163,54 @@ pub struct SvcTimeline {
 
 enum Balancer {
     Null,
-    Greedy(GreedyLb),
-    Grapevine(GrapevineLb),
-    Tempered(TemperedLb),
-    PredGrapevine(PredictiveGrapevineLb),
-    PredTempered(PredictiveTemperedLb),
-    DistTempered(DistributedTemperedLb),
-    DistPredTempered(DistributedPredictiveTemperedLb),
-    DistGrapevine(DistributedGrapevineLb),
-    DistPredGrapevine(DistributedPredictiveGrapevineLb),
+    Plain(Box<dyn LoadBalancer>),
+    Predictive(PredictiveLb<Box<dyn LoadBalancer>, Holt>),
 }
 
 impl Balancer {
     fn build(cfg: &SvcTimelineConfig) -> Balancer {
+        use SvcBalancerKind as K;
         let tempered = || {
             let mut lb = TemperedLb::default();
             lb.config.trials = cfg.tempered_trials;
             lb.config.iters = cfg.tempered_iters;
             lb
         };
-        let proto = || LbProtocolConfig {
-            trials: cfg.tempered_trials,
-            iters: cfg.tempered_iters,
-            fanout: 4,
-            rounds: 6,
-            ..Default::default()
+        let dist_tempered = || {
+            DistributedLb::tempered(LbProtocolConfig {
+                trials: cfg.tempered_trials,
+                iters: cfg.tempered_iters,
+                fanout: 4,
+                rounds: 6,
+                ..Default::default()
+            })
         };
-        match cfg.balancer {
-            SvcBalancerKind::Null => Balancer::Null,
-            SvcBalancerKind::Greedy => Balancer::Greedy(GreedyLb),
-            SvcBalancerKind::Grapevine => Balancer::Grapevine(GrapevineLb::default()),
-            SvcBalancerKind::Tempered => Balancer::Tempered(tempered()),
-            SvcBalancerKind::PredictiveGrapevine => {
-                let mut lb = predictive_grapevine();
-                lb.bank.quantum = LOAD_QUANTUM;
-                Balancer::PredGrapevine(lb)
+        // The strategy, and for the predictive kinds the name their Holt
+        // forecast wrapper goes by.
+        let (inner, predictive): (Box<dyn LoadBalancer>, Option<&'static str>) = match cfg.balancer
+        {
+            K::Null => return Balancer::Null,
+            K::Greedy => (Box::new(GreedyLb), None),
+            K::Grapevine => (Box::new(GrapevineLb::default()), None),
+            K::Tempered => (Box::new(tempered()), None),
+            K::PredictiveGrapevine => (Box::new(GrapevineLb::default()), Some("PredGrapevineLB")),
+            K::PredictiveTempered => (Box::new(tempered()), Some("PredTemperedLB")),
+            K::DistributedTempered => (Box::new(dist_tempered()), None),
+            K::DistributedPredictiveTempered => {
+                (Box::new(dist_tempered()), Some("DistPredTemperedLB"))
             }
-            SvcBalancerKind::PredictiveTempered => {
-                let mut lb = predictive_tempered();
-                lb.inner = tempered();
+            K::DistributedGrapevine => (Box::new(DistributedLb::grapevine()), None),
+            K::DistributedPredictiveGrapevine => (
+                Box::new(DistributedLb::grapevine()),
+                Some("DistPredGrapevineLB"),
+            ),
+        };
+        match predictive {
+            None => Balancer::Plain(inner),
+            Some(name) => {
+                let mut lb = PredictiveLb::new(name, inner, Holt::default());
                 lb.bank.quantum = LOAD_QUANTUM;
-                Balancer::PredTempered(lb)
-            }
-            SvcBalancerKind::DistributedTempered => Balancer::DistTempered(DistributedTemperedLb {
-                config: proto(),
-                model: NetworkModel::default(),
-            }),
-            SvcBalancerKind::DistributedPredictiveTempered => {
-                let mut lb = DistributedPredictiveTemperedLb {
-                    config: proto(),
-                    model: NetworkModel::default(),
-                    ..Default::default()
-                };
-                lb.bank.quantum = LOAD_QUANTUM;
-                Balancer::DistPredTempered(lb)
-            }
-            SvcBalancerKind::DistributedGrapevine => {
-                Balancer::DistGrapevine(DistributedGrapevineLb::default())
-            }
-            SvcBalancerKind::DistributedPredictiveGrapevine => {
-                let mut lb = DistributedPredictiveGrapevineLb::default();
-                lb.bank.quantum = LOAD_QUANTUM;
-                Balancer::DistPredGrapevine(lb)
+                Balancer::Predictive(lb)
             }
         }
     }
@@ -237,20 +219,8 @@ impl Balancer {
     /// per-epoch idempotence makes the later `rebalance` a no-op
     /// observer for the same phase.
     fn observe(&mut self, epoch: u64, dist: &Distribution) {
-        match self {
-            Balancer::PredGrapevine(lb) => {
-                lb.bank.observe_epoch(epoch, dist);
-            }
-            Balancer::PredTempered(lb) => {
-                lb.bank.observe_epoch(epoch, dist);
-            }
-            Balancer::DistPredTempered(lb) => {
-                lb.bank.observe_epoch(epoch, dist);
-            }
-            Balancer::DistPredGrapevine(lb) => {
-                lb.bank.observe_epoch(epoch, dist);
-            }
-            _ => {}
+        if let Balancer::Predictive(lb) = self {
+            lb.bank.observe_epoch(epoch, dist);
         }
     }
 
@@ -262,15 +232,8 @@ impl Balancer {
     ) -> Option<RebalanceResult> {
         match self {
             Balancer::Null => None,
-            Balancer::Greedy(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::Grapevine(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::Tempered(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::PredGrapevine(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::PredTempered(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::DistTempered(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::DistPredTempered(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::DistGrapevine(lb) => Some(lb.rebalance(dist, factory, epoch)),
-            Balancer::DistPredGrapevine(lb) => Some(lb.rebalance(dist, factory, epoch)),
+            Balancer::Plain(lb) => Some(lb.rebalance(dist, factory, epoch)),
+            Balancer::Predictive(lb) => Some(lb.rebalance(dist, factory, epoch)),
         }
     }
 }

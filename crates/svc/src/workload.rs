@@ -21,7 +21,6 @@
 //! assignments bit for bit (the same trick `runtime/tests/equivalence.rs`
 //! plays with quarter-unit loads).
 
-use serde::{Deserialize, Serialize};
 use tempered_core::rng::derive_seed;
 
 /// The dyadic quantum all shard loads are snapped to.
@@ -47,7 +46,7 @@ const KEY_ZIPF: u64 = 0x5EC5_21BF;
 const KEY_CHURN: u64 = 0x5EC5_C4C4;
 
 /// One composable load dynamic.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LoadGen {
     /// Diurnal sinusoid: each shard follows
     /// `1 + amplitude · sin(2π(phase/period + offset(s)))` with a
@@ -162,7 +161,7 @@ impl LoadGen {
 
 /// A composed workload: base load times every generator's factor,
 /// snapped to the dyadic grid.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Workload {
     /// Baseline per-shard load (seconds of work per phase).
     pub base_load: f64,

@@ -79,9 +79,11 @@ fn distributed_protocol_matches_analysis_mode_quality() {
         &RngFactory::new(5),
         0,
     );
-    let mut async_lb = DistributedTemperedLb::default();
-    async_lb.config.trials = 2;
-    async_lb.config.iters = 4;
+    let mut async_lb = DistributedLb::tempered(LbProtocolConfig {
+        trials: 2,
+        iters: 4,
+        ..Default::default()
+    });
     let asynch = async_lb.rebalance(&dist, &RngFactory::new(5), 0);
 
     assert!(sync.best_imbalance < 1.0, "sync: {}", sync.best_imbalance);
