@@ -59,20 +59,6 @@ use tempered_runtime::{
     HealthConfig, LinkFault, LinkFaultKind, PartitionConfig, PartitionWindow, RetryConfig,
 };
 
-/// Hot-spot input: a few overloaded ranks, the rest empty.
-fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-    let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-        .map(|r| {
-            if r < hot {
-                vec![1.0; tasks_per_hot]
-            } else {
-                vec![]
-            }
-        })
-        .collect();
-    Distribution::from_loads(per_rank)
-}
-
 /// Per-rank sorted task-id view of an assignment, for exact comparison.
 fn assignment(d: &Distribution) -> Vec<Vec<TaskId>> {
     d.rank_ids()
@@ -832,7 +818,7 @@ fn main() {
     }
 
     let (num_ranks, hot, tasks) = if quick { (16, 2, 25) } else { (32, 3, 40) };
-    let dist = concentrated(num_ranks, hot, tasks);
+    let dist = Distribution::concentrated(num_ranks, hot, tasks);
     let seed = 4242;
 
     let retry = RetryConfig {

@@ -218,7 +218,6 @@ fn main() -> ExitCode {
         deadline: Duration::from_secs_f64(args.deadline),
         seed: args.seed,
         fault_plan: plan,
-        ..SocketConfig::default()
     };
     let report = run_socket_rank(me, rank, listener, peers, socket_cfg, stop, || {
         emit("DONE");

@@ -50,19 +50,6 @@ use tempered_svc::SvcScenario;
 const SEED: u64 = 4242;
 const REPEATS: usize = 3;
 
-fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-    let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-        .map(|r| {
-            if r < hot {
-                vec![1.0; tasks_per_hot]
-            } else {
-                vec![]
-            }
-        })
-        .collect();
-    Distribution::from_loads(per_rank)
-}
-
 fn config(balancer: &str) -> LbProtocolConfig {
     let base = match balancer {
         "tempered" => LbProtocolConfig {
@@ -148,7 +135,7 @@ fn scaling_sweep() -> Vec<SweepRow> {
             break;
         }
         let hot = (ranks / 8).max(2);
-        let dist = concentrated(ranks, hot, 40);
+        let dist = Distribution::concentrated(ranks, hot, 40);
         let t0 = Instant::now();
         let out = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(SEED));
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -238,7 +225,7 @@ fn main() {
     for &ranks in rank_counts {
         let hot = (ranks / 8).max(2);
         let shapes: [(&'static str, Distribution); 2] = [
-            ("hotspot", concentrated(ranks, hot, 40)),
+            ("hotspot", Distribution::concentrated(ranks, hot, 40)),
             ("svc_flash", svc_flash(ranks)),
         ];
         for (workload, dist) in shapes {

@@ -168,11 +168,6 @@ impl<B: LoadBalancer> DrainingLb<B> {
         }
     }
 
-    /// Replace the draining set (membership changes between epochs).
-    pub fn set_draining(&mut self, draining: BTreeSet<RankId>) {
-        self.draining = draining;
-    }
-
     /// The wrapped balancer.
     pub fn inner(&self) -> &B {
         &self.inner

@@ -127,6 +127,16 @@ impl Distribution {
         dist
     }
 
+    /// The hot-spot input of §V-B scaled to taste: the first `hot` of
+    /// `num_ranks` ranks hold `tasks_per_hot` unit-load tasks each, the
+    /// rest are empty.
+    pub fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Self {
+        Distribution::from_loads((0..num_ranks).map(|r| {
+            let tasks = if r < hot { tasks_per_hot } else { 0 };
+            std::iter::repeat_n(1.0, tasks)
+        }))
+    }
+
     /// Number of ranks (populated or not).
     #[inline]
     pub fn num_ranks(&self) -> usize {

@@ -236,11 +236,6 @@ impl<M: LoadModel + Clone> ForecastBank<M> {
         }
     }
 
-    /// The prototype model's name (labels the whole bank).
-    pub fn model_name(&self) -> &'static str {
-        self.prototype.name()
-    }
-
     /// Number of tasks with at least one observation.
     pub fn len(&self) -> usize {
         self.models.len()

@@ -270,20 +270,6 @@ mod tests {
     use super::*;
     use crate::gossip::GossipMode;
 
-    /// The §V-B-style scenario scaled down: all tasks on a few ranks.
-    fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-        let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-            .map(|r| {
-                if r < hot {
-                    vec![1.0; tasks_per_hot]
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Distribution::from_loads(per_rank)
-    }
-
     fn small_cfg(transfer: TransferConfig, trials: usize, iters: usize) -> RefineConfig {
         RefineConfig {
             trials,
@@ -301,7 +287,7 @@ mod tests {
 
     #[test]
     fn tempered_dramatically_reduces_concentrated_imbalance() {
-        let dist = concentrated(64, 2, 100);
+        let dist = Distribution::concentrated(64, 2, 100);
         let cfg = small_cfg(TransferConfig::tempered(), 2, 8);
         let out = refine(&dist, &cfg, &RngFactory::new(42), 0);
         assert!(out.initial_imbalance > 30.0);
@@ -315,7 +301,7 @@ mod tests {
 
     #[test]
     fn grapevine_improves_less_than_tempered() {
-        let dist = concentrated(64, 2, 100);
+        let dist = Distribution::concentrated(64, 2, 100);
         let factory = RngFactory::new(42);
         let grapevine = refine(
             &dist,
@@ -339,7 +325,7 @@ mod tests {
 
     #[test]
     fn refinement_never_returns_worse_than_input() {
-        let dist = concentrated(16, 1, 20);
+        let dist = Distribution::concentrated(16, 1, 20);
         for seed in [1, 2, 3] {
             let out = refine(
                 &dist,
@@ -353,7 +339,7 @@ mod tests {
 
     #[test]
     fn migrations_transform_input_into_best() {
-        let dist = concentrated(32, 2, 40);
+        let dist = Distribution::concentrated(32, 2, 40);
         let out = refine(
             &dist,
             &small_cfg(TransferConfig::tempered(), 2, 4),
@@ -369,7 +355,7 @@ mod tests {
 
     #[test]
     fn total_load_is_conserved() {
-        let dist = concentrated(32, 3, 30);
+        let dist = Distribution::concentrated(32, 3, 30);
         let out = refine(
             &dist,
             &small_cfg(TransferConfig::tempered(), 1, 6),
@@ -382,7 +368,7 @@ mod tests {
 
     #[test]
     fn records_cover_all_trials_and_iterations() {
-        let dist = concentrated(16, 1, 10);
+        let dist = Distribution::concentrated(16, 1, 10);
         let cfg = small_cfg(TransferConfig::tempered(), 3, 4);
         let out = refine(&dist, &cfg, &RngFactory::new(1), 0);
         assert_eq!(out.records.len(), 12);
@@ -395,7 +381,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let dist = concentrated(32, 2, 25);
+        let dist = Distribution::concentrated(32, 2, 25);
         let cfg = small_cfg(TransferConfig::tempered(), 2, 3);
         let a = refine(&dist, &cfg, &RngFactory::new(123), 5);
         let b = refine(&dist, &cfg, &RngFactory::new(123), 5);

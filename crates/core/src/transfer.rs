@@ -62,14 +62,6 @@ impl TransferConfig {
             threshold_h: 1.0,
         }
     }
-
-    /// TemperedLB with a specific task ordering (for Fig. 4d).
-    pub fn tempered_with_ordering(ordering: OrderingKind) -> Self {
-        TransferConfig {
-            ordering,
-            ..TransferConfig::tempered()
-        }
-    }
 }
 
 impl Default for TransferConfig {

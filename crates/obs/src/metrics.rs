@@ -222,14 +222,6 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// Record a duration in seconds into histogram `name` (stored as ns).
-    pub fn observe_secs(&mut self, name: &str, seconds: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record_secs(seconds);
-    }
-
     /// Fold `net` in under `prefix` (`<prefix>.messages`, `<prefix>.bytes`).
     pub fn record_network(&mut self, prefix: &str, net: &NetworkStats) {
         self.counter_add(&format!("{prefix}.messages"), net.messages);

@@ -751,23 +751,7 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
         if sc.cross_check && !faulted && msg_faults_zero {
             // The threaded executor, same seed: the assignment must be
             // the same *bits* — elasticity must not cost determinism.
-            let ranks: Vec<LbRank> = dist
-                .rank_ids()
-                .map(|r| {
-                    let tasks: Vec<(TaskId, f64)> = dist
-                        .tasks_on(r)
-                        .iter()
-                        .map(|t| (t.id, t.load.get()))
-                        .collect();
-                    LbRank::new(
-                        r,
-                        dist.num_ranks(),
-                        tasks,
-                        sc.cfg,
-                        RngFactory::new(epoch_seed),
-                    )
-                })
-                .collect();
+            let ranks = LbRank::for_dist(&dist, sc.cfg, RngFactory::new(epoch_seed));
             let report = run_parallel(ranks, 4, Duration::from_secs(60));
             let threaded: Vec<Vec<(u64, u64)>> = report
                 .ranks

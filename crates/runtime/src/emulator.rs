@@ -20,6 +20,7 @@
 //! commit bit-for-bit what the simulator commits (see `DESIGN.md` §12).
 
 use crate::fault::{CrashSchedule, Fate, FaultInjector, FaultPlan, FaultStats, LinkFate};
+use crate::parallel::PARALLEL_DELAY_UNIT;
 use crate::sim::Protocol;
 use tempered_core::ids::RankId;
 use tempered_obs::{EventKind, Recorder};
@@ -39,13 +40,13 @@ pub struct LinkEmulator {
     crash_dropped: u64,
 }
 
-/// The wall-clock drivers' arrival rule for [`LinkEmulator::outgoing`]:
-/// they have no base latency to multiply, so a copy is held back
-/// `delay_unit` seconds per unit of latency factor above 1 (e.g.
-/// [`crate::parallel::PARALLEL_DELAY_UNIT`]) and an unfaulted message
-/// arrives at `now` itself, i.e. is not held at all.
-pub fn wall_arrival(now: f64, delay_unit: f64) -> impl Fn(f64, f64, u32) -> f64 {
-    move |fate, link, copy| now + (fate * link - 1.0).max(0.0) * f64::from(copy + 1) * delay_unit
+/// The wall-clock host's arrival rule for [`LinkEmulator::outgoing`]: it
+/// has no base latency to multiply, so a copy is held back
+/// [`PARALLEL_DELAY_UNIT`] per unit of latency factor above 1 and an
+/// unfaulted message arrives at `now` itself, i.e. is not held at all.
+pub fn wall_arrival(now: f64) -> impl Fn(f64, f64, u32) -> f64 {
+    let unit = PARALLEL_DELAY_UNIT.as_secs_f64();
+    move |fate, link, copy| now + (fate * link - 1.0).max(0.0) * f64::from(copy + 1) * unit
 }
 
 impl LinkEmulator {
@@ -260,7 +261,7 @@ mod tests {
             RankId::new(to),
             msg,
             now,
-            wall_arrival(now, 1e-4),
+            wall_arrival(now),
             |m, at| out.push((m, at)),
         );
         out
@@ -322,8 +323,8 @@ mod tests {
         });
         let out = send::<Echo>(&mut e, 0, 1, 7, 2.0);
         assert_eq!(out.len(), 1);
-        // (5 − 1) × delay_unit past `now`.
-        let expected = 2.0 + 4.0 * 1e-4;
+        // (5 − 1) × PARALLEL_DELAY_UNIT past `now`.
+        let expected = 2.0 + 4.0 * PARALLEL_DELAY_UNIT.as_secs_f64();
         assert!((out[0].1 - expected).abs() < 1e-12);
     }
 

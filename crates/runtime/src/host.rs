@@ -1,0 +1,420 @@
+//! The wall-clock rank host: the one driver loop under the threaded
+//! executor ([`crate::parallel`]) and the TCP driver ([`crate::lb::socket`]).
+//!
+//! A [`Host`] owns some of a run's ranks and everything hosting them on a
+//! wall clock takes: the `Instant` → seconds clock, the [`LinkEmulator`]
+//! that rules on their sends, the [`HeldQueue`] of protocol timers and
+//! delay-fated copies, the reused handler buffers and the send counters.
+//! What differs between drivers stays with them, as two closures:
+//!
+//! * `egress(from, to, msg)` — where a surviving copy goes: a peer
+//!   worker's channel, a peer process's frame queue.
+//! * the per-turn stop rule — done-count and idle timeout for threads,
+//!   stop flag and deadline for sockets.
+//!
+//! Copies fated to a delay are held on the *sending* side — the one rule
+//! that also works across processes — and released no earlier than their
+//! arrival time; pause deferral rides in the same arrival time. Timers
+//! are local: they bypass the emulator and `egress`, but not the crash
+//! gate. One clock reading serves a whole handler turn: the `now` the
+//! handler sees is the send time the emulator rules on.
+
+use crate::emulator::{wall_arrival, LinkEmulator};
+use crate::fault::{FaultPlan, FaultStats};
+use crate::sim::{Ctx, Protocol};
+use crate::wheel::HeldQueue;
+use crossbeam::channel::{Receiver, RecvTimeoutError};
+use std::time::{Duration, Instant};
+use tempered_core::ids::RankId;
+use tempered_obs::{NetworkStats, Recorder};
+
+/// One message on its way into a host: `(from, to, msg)`.
+pub(crate) type Inbound<M> = (RankId, RankId, M);
+
+/// Longest the receive loop sleeps before it reconsults the stop rule.
+const TICK: Duration = Duration::from_millis(1);
+
+enum Held<M> {
+    /// A protocol timer, due back at the rank that scheduled it.
+    Timer(RankId, M),
+    /// A delay-fated copy `(from, to, msg)` awaiting egress.
+    Send(RankId, RankId, M),
+}
+
+/// The ranks of one worker thread or one rank process, and the loop that
+/// runs them.
+pub(crate) struct Host<P: Protocol> {
+    /// Hosted ranks by ascending id: rank `r` sits at slot `r / stride`.
+    ranks: Vec<(usize, P)>,
+    stride: usize,
+    /// Per slot: already counted by [`Host::newly_done`].
+    done: Vec<bool>,
+    fresh_done: usize,
+    start: Instant,
+    emulator: LinkEmulator,
+    held: HeldQueue<Held<P::Msg>>,
+    outbox: Vec<(RankId, P::Msg, usize)>,
+    timers: Vec<(f64, P::Msg)>,
+    stats: NetworkStats,
+}
+
+impl<P: Protocol> Host<P> {
+    /// Host `ranks` as one of `stride` hosts that split a run's ranks
+    /// round-robin: this one owns every rank congruent to its first
+    /// modulo `stride` (a single-rank host passes the rank count).
+    ///
+    /// `start` is the run's time zero, which fault windows count from.
+    /// Hosts of one run share it and each build their own emulator over
+    /// the same plan: per-link fault ordinals are keyed by the sending
+    /// rank, and all of a rank's sends pass through its host, so the
+    /// split reproduces the single-emulator simulator exactly.
+    pub(crate) fn new(
+        ranks: Vec<(usize, P)>,
+        stride: usize,
+        start: Instant,
+        plan: FaultPlan,
+        recorder: Recorder,
+    ) -> Self {
+        Host {
+            done: vec![false; ranks.len()],
+            ranks,
+            stride,
+            fresh_done: 0,
+            start,
+            emulator: LinkEmulator::new(plan, recorder),
+            held: HeldQueue::new(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
+            stats: NetworkStats::default(),
+        }
+    }
+
+    /// Wall-clock seconds since the run started: the hosts' analogue of
+    /// the simulator's virtual clock.
+    pub(crate) fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// The hosted ranks, their send counters and the fault accounting.
+    pub(crate) fn finish(self) -> (Vec<(usize, P)>, NetworkStats, FaultStats) {
+        (self.ranks, self.stats, self.emulator.stats())
+    }
+
+    /// How many hosted ranks finished since the last call: those whose
+    /// protocol reported done, and those the plan has crashed for good —
+    /// they can never report done, and waiting on them would turn every
+    /// fatal crash into a hang. Each rank is counted once.
+    pub(crate) fn newly_done(&mut self) -> usize {
+        if self.emulator.has_crashes() {
+            let now = self.now();
+            for (done, (id, _)) in self.done.iter_mut().zip(&self.ranks) {
+                if !*done && self.emulator.down_forever(RankId::from(*id), now) {
+                    *done = true;
+                    self.fresh_done += 1;
+                }
+            }
+        }
+        std::mem::take(&mut self.fresh_done)
+    }
+
+    /// Run one handler of the rank at `slot`, then route what it produced:
+    /// sends through the emulator to `egress` (or into the held queue when
+    /// fated to a delay), timers into the held queue.
+    fn turn(
+        &mut self,
+        slot: usize,
+        now: f64,
+        egress: &mut impl FnMut(RankId, RankId, P::Msg),
+        handler: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
+    ) {
+        let (id, rank) = &mut self.ranks[slot];
+        let me = RankId::from(*id);
+        let mut ctx = Ctx::for_executor_reusing(me, now, &mut self.outbox, &mut self.timers);
+        handler(rank, &mut ctx);
+        for (to, msg, bytes) in self.outbox.drain(..) {
+            self.stats.record(bytes);
+            let (held, start) = (&mut self.held, self.start);
+            self.emulator
+                .outgoing::<P>(me, to, msg, now, wall_arrival(now), |msg, arrival| {
+                    if arrival > now {
+                        let when = start + Duration::from_secs_f64(arrival);
+                        held.hold(when, Held::Send(me, to, msg));
+                    } else {
+                        egress(me, to, msg);
+                    }
+                });
+        }
+        // Virtual seconds map one-to-one onto wall-clock seconds.
+        for (delay, msg) in self.timers.drain(..) {
+            let when = self.start + Duration::from_secs_f64(now + delay);
+            self.held.hold(when, Held::Timer(me, msg));
+        }
+        if !self.done[slot] && rank.is_done() {
+            self.done[slot] = true;
+            self.fresh_done += 1;
+        }
+    }
+
+    /// Start every hosted rank.
+    pub(crate) fn start(&mut self, egress: &mut impl FnMut(RankId, RankId, P::Msg)) {
+        for slot in 0..self.ranks.len() {
+            let now = self.now();
+            self.turn(slot, now, egress, |rank, ctx| rank.on_start(ctx));
+        }
+    }
+
+    /// Deliver one message or timer to hosted rank `to`, unless it lies
+    /// inside a crash window: crash-stop is decided at arrival, mirroring
+    /// the simulator's pop-time check.
+    pub(crate) fn deliver(
+        &mut self,
+        from: RankId,
+        to: RankId,
+        msg: P::Msg,
+        egress: &mut impl FnMut(RankId, RankId, P::Msg),
+    ) {
+        let slot = to.as_usize() / self.stride;
+        debug_assert_eq!(self.ranks[slot].0, to.as_usize(), "routed to its host");
+        let now = self.now();
+        if self.emulator.admit(from, to, now) {
+            self.turn(slot, now, egress, |rank, ctx| {
+                rank.on_message(ctx, from, msg)
+            });
+        }
+    }
+
+    /// Release every held entry whose time has come, in deadline order;
+    /// returns how many.
+    pub(crate) fn fire_due(&mut self, egress: &mut impl FnMut(RankId, RankId, P::Msg)) -> usize {
+        let mut fired = 0;
+        while let Some(item) = self.held.pop_due(Instant::now()) {
+            match item {
+                Held::Timer(me, msg) => self.deliver(me, me, msg, egress),
+                Held::Send(from, to, msg) => egress(from, to, msg),
+            }
+            fired += 1;
+        }
+        fired
+    }
+
+    /// Start the hosted ranks, then serve `inbox` until `stop` says so
+    /// (or every sender is gone). `stop` is consulted after each turn of
+    /// the loop with how long the host has been idle — zero when the turn
+    /// received a message or released a held entry.
+    pub(crate) fn run(
+        &mut self,
+        inbox: &Receiver<Inbound<P::Msg>>,
+        mut egress: impl FnMut(RankId, RankId, P::Msg),
+        mut stop: impl FnMut(&mut Self, Duration) -> bool,
+    ) {
+        self.start(&mut egress);
+        let mut idle = Duration::ZERO;
+        loop {
+            // Wake early if a held entry comes due before the tick.
+            let wait = match self.held.next_deadline() {
+                Some(when) => when.saturating_duration_since(Instant::now()).min(TICK),
+                None => TICK,
+            };
+            let received = match inbox.recv_timeout(wait) {
+                Ok((from, to, msg)) => {
+                    self.deliver(from, to, msg, &mut egress);
+                    // Batched drain: a blocked host typically wakes to a
+                    // mailbox full of gossip, and draining it in one sweep
+                    // amortizes the wake-up over every queued message
+                    // instead of paying it per message.
+                    while let Ok((from, to, msg)) = inbox.try_recv() {
+                        self.deliver(from, to, msg, &mut egress);
+                    }
+                    true
+                }
+                Err(RecvTimeoutError::Timeout) => false,
+                Err(RecvTimeoutError::Disconnected) => return,
+            };
+            let fired = self.fire_due(&mut egress);
+            idle = if received || fired > 0 {
+                Duration::ZERO
+            } else {
+                idle + wait.max(Duration::from_micros(1))
+            };
+            if stop(self, idle) {
+                return;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{CrashEvent, LinkFault, LinkFaultKind};
+    use crate::parallel::PARALLEL_DELAY_UNIT;
+
+    /// Sends `send` to rank 1 and arms `timers` on start; keeps what it
+    /// is handed, in order.
+    #[derive(Default)]
+    struct Stub {
+        send: Option<u32>,
+        timers: Vec<(f64, u32)>,
+        got: Vec<(RankId, u32)>,
+    }
+
+    impl Protocol for Stub {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if let Some(msg) = self.send {
+                ctx.send(RankId::new(1), msg, 8);
+            }
+            for &(delay, msg) in &self.timers {
+                ctx.schedule(delay, msg);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u32>, from: RankId, msg: u32) {
+            self.got.push((from, msg));
+        }
+    }
+
+    /// Rank 0 alone on a host of a two-rank run.
+    fn host(rank: Stub, plan: FaultPlan) -> Host<Stub> {
+        Host::new(
+            vec![(0, rank)],
+            2,
+            Instant::now(),
+            plan,
+            Recorder::disabled(),
+        )
+    }
+
+    fn sender(plan: FaultPlan) -> Host<Stub> {
+        let rank = Stub {
+            send: Some(7),
+            ..Stub::default()
+        };
+        host(rank, plan)
+    }
+
+    /// Start a [`sender`], then fire held entries until `want` copies
+    /// reached egress: the seconds after the run's time zero (or a little
+    /// more) at which each copy was released.
+    fn released(plan: FaultPlan, want: usize) -> (Vec<f64>, FaultStats) {
+        let t0 = Instant::now();
+        let mut h = sender(plan);
+        let mut out = Vec::new();
+        let mut egress = |_, _, msg| {
+            assert_eq!(msg, 7);
+            out.push(t0.elapsed().as_secs_f64());
+        };
+        h.start(&mut egress);
+        while !h.held.is_empty() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never released");
+            h.fire_due(&mut egress);
+            std::thread::yield_now();
+        }
+        assert_eq!(out.len(), want);
+        (out, h.finish().2)
+    }
+
+    fn delayed(factor: f64) -> Vec<LinkFault> {
+        vec![LinkFault {
+            src: vec![RankId::new(0)],
+            dst: vec![RankId::new(1)],
+            start: 0.0,
+            end: None,
+            kind: LinkFaultKind::Delay { factor },
+        }]
+    }
+
+    #[test]
+    fn unfaulted_send_reaches_egress_at_once() {
+        let mut h = sender(FaultPlan::none());
+        let mut out = Vec::new();
+        h.start(&mut |from, to, msg| out.push((from, to, msg)));
+        assert_eq!(out, [(RankId::new(0), RankId::new(1), 7)]);
+        let (_, network, faults) = h.finish();
+        assert_eq!((network.messages, network.bytes), (1, 8));
+        assert_eq!(faults, FaultStats::default());
+    }
+
+    #[test]
+    fn delay_fate_is_held_on_the_sending_side() {
+        let plan = || FaultPlan {
+            links: delayed(51.0),
+            ..FaultPlan::none()
+        };
+        sender(plan()).start(&mut |_, _, _| panic!("a delay-fated copy left at once"));
+        let (out, faults) = released(plan(), 1);
+        assert!(
+            out[0] >= 50.0 * PARALLEL_DELAY_UNIT.as_secs_f64(),
+            "released after {} s",
+            out[0]
+        );
+        assert_eq!(faults.link_delayed, 1);
+    }
+
+    #[test]
+    fn duplicate_trails_the_original() {
+        // Copy k of a delayed send is held (k + 1) × the hold-back.
+        let (out, faults) = released(
+            FaultPlan {
+                seed: 3,
+                duplicate: 1.0,
+                links: delayed(21.0),
+                ..FaultPlan::none()
+            },
+            2,
+        );
+        let unit = PARALLEL_DELAY_UNIT.as_secs_f64();
+        assert!(out[0] >= 20.0 * unit && out[1] >= 40.0 * unit, "{out:?}");
+        assert_eq!(faults.duplicated, 1);
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_and_bypass_the_emulator() {
+        // Every message that met the emulator would be dropped.
+        let mut h = host(
+            Stub {
+                timers: vec![(3e-3, 3), (1e-3, 1), (2e-3, 2)],
+                ..Stub::default()
+            },
+            FaultPlan {
+                drop: 1.0,
+                ..FaultPlan::none()
+            },
+        );
+        let mut egress = |_, _, _| panic!("timers never leave their rank");
+        h.start(&mut egress);
+        while !h.held.is_empty() {
+            h.fire_due(&mut egress);
+            std::thread::yield_now();
+        }
+        let (ranks, network, faults) = h.finish();
+        let me = RankId::new(0);
+        assert_eq!(ranks[0].1.got, [(me, 1), (me, 2), (me, 3)]);
+        assert_eq!(network.messages, 0);
+        assert_eq!(faults, FaultStats::default());
+    }
+
+    #[test]
+    fn crash_window_drops_deliveries_and_timers() {
+        let mut h = host(
+            Stub {
+                timers: vec![(0.0, 1)],
+                ..Stub::default()
+            },
+            FaultPlan {
+                crashes: vec![CrashEvent::fatal(RankId::new(0), 0.0)],
+                ..FaultPlan::none()
+            },
+        );
+        let mut egress = |_, _, _| panic!("a crashed rank sends nothing");
+        h.start(&mut egress);
+        h.deliver(RankId::new(1), RankId::new(0), 9, &mut egress);
+        while h.fire_due(&mut egress) == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(h.newly_done(), 1, "down for good counts as finished");
+        assert_eq!(h.newly_done(), 0, "and is counted once");
+        let (ranks, _, faults) = h.finish();
+        assert!(ranks[0].1.got.is_empty(), "delivery to a corpse");
+        assert_eq!(faults.crash_dropped, 2);
+    }
+}

@@ -157,18 +157,7 @@ pub fn run_local_lb(
     factory: &RngFactory,
 ) -> LocalLbResult {
     let num_ranks = dist.num_ranks();
-    let ranks: Vec<LbRank> = dist
-        .rank_ids()
-        .map(|r| {
-            let tasks: Vec<_> = dist
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get()))
-                .collect();
-            LbRank::new(r, num_ranks, tasks, cfg, *factory)
-        })
-        .collect();
-    let mut runner = LocalRunner::new(ranks);
+    let mut runner = LocalRunner::new(LbRank::for_dist(dist, cfg, *factory));
     let completed = runner.run();
     assert!(
         completed,

@@ -338,20 +338,6 @@ impl GossipEngine {
         out
     }
 
-    /// Leader-side partition heal: re-admit `rejoined` ranks (typically a
-    /// parked rank whose [`LbMsg::Knock`] just got through, proving the
-    /// path works again). Bumps the view's heal fence so the healed
-    /// generation dominates every generation either side ever used, then
-    /// either floods the healed view and restarts on the grown live set
-    /// (mid-run) or sends the rejoined ranks a [`LbMsg::Heal`] offer so
-    /// they stand down in agreement with the committed result
-    /// (post-commit). The caller is responsible for the leader check.
-    pub fn on_heal(&mut self, rejoined: &BTreeSet<RankId>) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.handle_heal(&mut out, rejoined);
-        out
-    }
-
     /// Park without a view change of our own: the driver saw a View
     /// naming *this* rank dead — some component fenced us out and moved
     /// on (we were warm-restarted, or cut off before we could suspect
@@ -863,6 +849,12 @@ impl GossipEngine {
         self.handle_heal(out, &rejoined);
     }
 
+    /// Leader-side partition heal: re-admit `rejoined` ranks. Bumps the
+    /// view's heal fence so the healed generation dominates every
+    /// generation either side ever used, then either floods the healed
+    /// view and restarts on the grown live set (mid-run) or sends the
+    /// rejoined ranks a [`LbMsg::Heal`] offer so they stand down in
+    /// agreement with the committed result (post-commit).
     fn handle_heal(&mut self, out: &mut Vec<Command>, rejoined: &BTreeSet<RankId>) {
         let news: BTreeSet<RankId> = rejoined
             .iter()

@@ -196,20 +196,10 @@ pub(crate) fn run_lb_ranks(
     plan: FaultPlan,
     recorder: Recorder,
 ) -> (Vec<LbRank>, SimReport) {
-    let num_ranks = dist.num_ranks();
-    let ranks: Vec<LbRank> = dist
-        .rank_ids()
-        .map(|r| {
-            let tasks: Vec<_> = dist
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get()))
-                .collect();
-            let mut rank = LbRank::new(r, num_ranks, tasks, cfg, *factory);
-            rank.set_recorder(recorder.clone());
-            rank
-        })
-        .collect();
+    let mut ranks = LbRank::for_dist(dist, cfg, *factory);
+    for rank in &mut ranks {
+        rank.set_recorder(recorder.clone());
+    }
 
     let mut sim = Simulator::new(ranks, model, factory);
     sim.set_recorder(recorder);
@@ -293,19 +283,6 @@ mod tests {
     use tempered_core::forecast::Holt;
     use tempered_core::transfer::TransferConfig;
 
-    fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-        let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-            .map(|r| {
-                if r < hot {
-                    vec![1.0; tasks_per_hot]
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Distribution::from_loads(per_rank)
-    }
-
     fn quick_cfg() -> LbProtocolConfig {
         LbProtocolConfig {
             trials: 2,
@@ -318,7 +295,7 @@ mod tests {
 
     #[test]
     fn async_protocol_balances_concentrated_load() {
-        let dist = concentrated(32, 2, 50);
+        let dist = Distribution::concentrated(32, 2, 50);
         let out = run_distributed_lb(
             &dist,
             quick_cfg(),
@@ -338,7 +315,7 @@ mod tests {
 
     #[test]
     fn async_protocol_conserves_load() {
-        let dist = concentrated(16, 1, 30);
+        let dist = Distribution::concentrated(16, 1, 30);
         let out = run_distributed_lb(
             &dist,
             quick_cfg(),
@@ -351,7 +328,7 @@ mod tests {
 
     #[test]
     fn async_protocol_is_deterministic() {
-        let dist = concentrated(16, 2, 20);
+        let dist = Distribution::concentrated(16, 2, 20);
         let run = |seed| {
             run_distributed_lb(
                 &dist,
@@ -372,7 +349,7 @@ mod tests {
 
     #[test]
     fn async_records_track_iterations() {
-        let dist = concentrated(16, 2, 20);
+        let dist = Distribution::concentrated(16, 2, 20);
         let cfg = quick_cfg();
         let out = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(5));
         assert_eq!(out.records.len(), cfg.trials * cfg.iters);
@@ -397,7 +374,7 @@ mod tests {
     fn grapevine_config_matches_original_limits() {
         // With the original criterion on a concentrated distribution the
         // protocol should improve far less than tempered.
-        let dist = concentrated(32, 1, 64);
+        let dist = Distribution::concentrated(32, 1, 64);
         let grapevine = run_distributed_lb(
             &dist,
             LbProtocolConfig {
@@ -428,7 +405,7 @@ mod tests {
     fn nack_variant_bounces_overfilling_proposals() {
         // Many hot ranks all discovering the same few cold ranks: prime
         // territory for multi-sender collisions.
-        let dist = concentrated(12, 8, 30);
+        let dist = Distribution::concentrated(12, 8, 30);
         let cfg = LbProtocolConfig {
             use_nacks: true,
             ..quick_cfg()
@@ -452,23 +429,13 @@ mod tests {
     #[test]
     fn nacks_are_actually_exercised() {
         use crate::sim::Simulator;
-        let dist = concentrated(12, 8, 30);
+        let dist = Distribution::concentrated(12, 8, 30);
         let cfg = LbProtocolConfig {
             use_nacks: true,
             ..quick_cfg()
         };
         let factory = RngFactory::new(4);
-        let ranks: Vec<LbRank> = dist
-            .rank_ids()
-            .map(|r| {
-                let tasks: Vec<_> = dist
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| (t.id, t.load.get()))
-                    .collect();
-                LbRank::new(r, dist.num_ranks(), tasks, cfg, factory)
-            })
-            .collect();
+        let ranks = LbRank::for_dist(&dist, cfg, factory);
         let mut sim = Simulator::new(ranks, NetworkModel::default(), &factory);
         let report = sim.run();
         assert!(report.completed);
@@ -484,7 +451,7 @@ mod tests {
     /// complete run.
     #[test]
     fn protocol_survives_heavy_message_reordering() {
-        let dist = concentrated(20, 3, 25);
+        let dist = Distribution::concentrated(20, 3, 25);
         let wild = NetworkModel {
             base_latency: 1.0e-6,
             per_byte: 1.0e-9,
@@ -530,7 +497,7 @@ mod tests {
     /// commits the identical assignment.
     #[test]
     fn predictive_adapter_matches_twin_on_constant_workload() {
-        let dist = concentrated(16, 2, 20);
+        let dist = Distribution::concentrated(16, 2, 20);
         let factory = RngFactory::new(2);
         let mut twin = DistributedLb::tempered(quick_cfg());
         let mut pred = PredictiveLb::new("DistPredTemperedLB", twin, Holt::default());
@@ -562,7 +529,7 @@ mod tests {
     fn predictive_adapter_is_consistent_under_drift() {
         use tempered_core::ids::TaskId;
         use tempered_core::load::Load;
-        let mut dist = concentrated(8, 2, 15);
+        let mut dist = Distribution::concentrated(8, 2, 15);
         let factory = RngFactory::new(6);
         let mut pred = PredictiveLb::new(
             "DistPredGrapevineLB",
@@ -586,7 +553,7 @@ mod tests {
 
     #[test]
     fn balancer_trait_adapter_works() {
-        let dist = concentrated(16, 2, 20);
+        let dist = Distribution::concentrated(16, 2, 20);
         let mut lb = DistributedLb::tempered(quick_cfg());
         assert_eq!(lb.name(), "DistTemperedLB");
         let r = lb.rebalance(&dist, &RngFactory::new(2), 0);
@@ -625,7 +592,7 @@ mod tests {
         /// task that was homed on a survivor.
         #[test]
         fn coordinator_crash_mid_gossip_survivors_complete() {
-            let dist = concentrated(16, 2, 30);
+            let dist = Distribution::concentrated(16, 2, 30);
             let out = run_distributed_lb_with_faults(
                 &dist,
                 crash_cfg(),
@@ -647,7 +614,7 @@ mod tests {
 
         #[test]
         fn quarter_of_ranks_crashing_still_completes() {
-            let dist = concentrated(16, 4, 20);
+            let dist = Distribution::concentrated(16, 4, 20);
             // 4 of 16 ranks (25%) die at staggered times mid-protocol,
             // including one hot rank.
             let crashes = vec![
@@ -676,7 +643,7 @@ mod tests {
 
         #[test]
         fn crash_runs_are_deterministic() {
-            let dist = concentrated(16, 2, 25);
+            let dist = Distribution::concentrated(16, 2, 25);
             let run = || {
                 run_distributed_lb_with_faults(
                     &dist,
@@ -706,7 +673,7 @@ mod tests {
         /// the plain hardened run.
         #[test]
         fn health_layer_is_assignment_neutral_without_crashes() {
-            let dist = concentrated(16, 2, 30);
+            let dist = Distribution::concentrated(16, 2, 30);
             let plain = run_distributed_lb(
                 &dist,
                 quick_cfg().hardened(RetryConfig::default()),
@@ -746,7 +713,7 @@ mod tests {
         /// stands.
         #[test]
         fn warm_restarted_zombie_cannot_disrupt_survivors() {
-            let dist = concentrated(16, 2, 30);
+            let dist = Distribution::concentrated(16, 2, 30);
             let out = run_distributed_lb_with_faults(
                 &dist,
                 crash_cfg(),
@@ -795,7 +762,7 @@ mod tests {
         /// the cut.
         #[test]
         fn minority_parks_majority_commits_on_clean_split() {
-            let dist = concentrated(16, 4, 20);
+            let dist = Distribution::concentrated(16, 4, 20);
             let side = [1u32, 5, 9, 13]; // includes hot rank 1
             let out = run_distributed_lb_with_faults(
                 &dist,
@@ -827,7 +794,7 @@ mod tests {
         /// prove it owns the run.
         #[test]
         fn even_split_parks_everyone_and_commits_nothing() {
-            let dist = concentrated(16, 4, 20);
+            let dist = Distribution::concentrated(16, 4, 20);
             let side = [0u32, 1, 2, 3, 4, 5, 6, 7];
             let out = run_distributed_lb_with_faults(
                 &dist,
@@ -854,7 +821,7 @@ mod tests {
         /// standing down in agreement with the majority's commit.
         #[test]
         fn healed_partition_unparks_the_minority() {
-            let dist = concentrated(16, 4, 20);
+            let dist = Distribution::concentrated(16, 4, 20);
             let side = [1u32, 5, 9, 13];
             let out = run_distributed_lb_with_faults(
                 &dist,
@@ -874,7 +841,7 @@ mod tests {
         /// same deterministic machinery as everything else.
         #[test]
         fn partitioned_runs_are_deterministic() {
-            let dist = concentrated(16, 4, 20);
+            let dist = Distribution::concentrated(16, 4, 20);
             let run = || {
                 run_distributed_lb_with_faults(
                     &dist,
@@ -903,7 +870,7 @@ mod tests {
         /// fires without one.
         #[test]
         fn partition_layer_is_assignment_neutral_without_faults() {
-            let dist = concentrated(16, 2, 30);
+            let dist = Distribution::concentrated(16, 2, 30);
             let crash_only = run_distributed_lb(
                 &dist,
                 quick_cfg()
@@ -946,7 +913,7 @@ mod tests {
         #[test]
         fn gray_link_does_not_kill_a_live_peer() {
             use crate::fault::{LinkFault, LinkFaultKind};
-            let dist = concentrated(16, 2, 30);
+            let dist = Distribution::concentrated(16, 2, 30);
             let plan = FaultPlan {
                 links: vec![LinkFault {
                     src: vec![RankId::new(0)],
@@ -978,7 +945,7 @@ mod tests {
         // algorithm; their final imbalances should land in the same
         // regime (not identical: message orderings differ).
         use tempered_core::refine::{refine, RefineConfig};
-        let dist = concentrated(32, 2, 50);
+        let dist = Distribution::concentrated(32, 2, 50);
         let sync = refine(
             &dist,
             &RefineConfig {

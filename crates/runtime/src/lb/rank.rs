@@ -29,6 +29,7 @@ use crate::health::HealthDetector;
 use crate::reliable::ReliableStats;
 use crate::sim::{Ctx, Protocol};
 use std::collections::BTreeSet;
+use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::RngFactory;
 use tempered_obs::{EventKind, Recorder};
@@ -103,6 +104,21 @@ impl LbRank {
             rec: Recorder::disabled(),
             open_span: None,
         }
+    }
+
+    /// One actor per rank of `dist`, each holding the tasks `dist` places
+    /// there, in rank order.
+    pub fn for_dist(dist: &Distribution, cfg: LbProtocolConfig, factory: RngFactory) -> Vec<Self> {
+        dist.rank_ids()
+            .map(|r| {
+                let tasks = dist
+                    .tasks_on(r)
+                    .iter()
+                    .map(|t| (t.id, t.load.get()))
+                    .collect();
+                LbRank::new(r, dist.num_ranks(), tasks, cfg, factory)
+            })
+            .collect()
     }
 
     /// Attach an observability recorder (disabled by default). Stage and

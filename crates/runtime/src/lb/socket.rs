@@ -4,22 +4,24 @@
 //! [`crate::sim::Simulator`] and the threaded `parallel` executor): one
 //! OS process per rank, [`LbWire`] frames over length-prefixed TCP
 //! streams, the same [`LbRank`] actor and the same
-//! [`LinkEmulator`]-interpreted [`FaultPlan`] as everywhere else.
+//! [`crate::emulator::LinkEmulator`]-interpreted [`FaultPlan`] as
+//! everywhere else.
 //!
 //! Layout per rank process (see `DESIGN.md` §12):
 //!
 //! ```text
-//! accept thread     nonblocking accept + handshake, spawns readers
-//! reader threads    stream → FrameReader → (from, LbWire) channel
+//! accept thread     nonblocking accept, spawns one reader per stream
+//! reader threads    handshake, then stream → FrameReader → inbound channel
 //! writer threads    per-peer frame queue → connect/reconnect → stream
-//! main loop         LbRank + LinkEmulator + timer heap (this file)
+//! main thread       crate::host::Host hosting the one LbRank
 //! ```
 //!
-//! The main loop mirrors the parallel executor's worker exactly: sends
-//! pass through the emulator at send time (per-link fault ordinals are
-//! keyed by the sending rank, so per-process emulators reproduce the
-//! single-injector simulator), delay fates hold frames back on the
+//! The main thread runs the loop a parallel worker runs, `Host::run`:
+//! sends pass through the emulator at send time (per-link fault ordinals
+//! are keyed by the sending rank, so per-process emulators reproduce the
+//! single-injector simulator), delay fates hold messages back on the
 //! *sender* side, and crash windows gate admission at delivery time.
+//! Only the byte pumps, the frame egress and the stop rule live here.
 //! Real TCP loss — a reset mid-run, a peer not yet listening — is
 //! absorbed by reconnect-with-backoff below and the `Reliable`
 //! transport above, the same contract as an injected drop.
@@ -39,10 +41,9 @@
 use super::messages::LbWire;
 use super::rank::LbRank;
 use crate::crc::crc32;
-use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::sim::{Ctx, Protocol};
-use crate::wheel::HeldQueue;
+use crate::host::{Host, Inbound};
+use crate::sim::Protocol;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::Rng;
 use std::io::{ErrorKind, Read, Write};
@@ -156,18 +157,21 @@ impl FrameReader {
     }
 }
 
-/// Knobs for [`run_socket_rank`].
+/// Per-attempt TCP connect timeout, and how long an accepted stream may
+/// take to present its handshake before it is dropped.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Socket read timeout — also the cadence at which reader and writer
+/// threads notice shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// First reconnect backoff; doubles per failed attempt up to the ceiling.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(5);
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
+
+/// What a caller decides about [`run_socket_rank`].
 #[derive(Clone, Debug)]
 pub struct SocketConfig {
-    /// Per-attempt TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Socket read timeout — also the cadence at which reader/writer
-    /// threads notice shutdown.
-    pub read_timeout: Duration,
-    /// First reconnect backoff; doubles per failed attempt.
-    pub initial_backoff: Duration,
-    /// Reconnect backoff ceiling.
-    pub max_backoff: Duration,
     /// Hard wall-clock bound on the whole run; exceeding it abandons
     /// the run (`finished` may still be true if the protocol was done).
     pub deadline: Duration,
@@ -176,23 +180,14 @@ pub struct SocketConfig {
     pub seed: u64,
     /// Faults to emulate in userspace between engine and socket.
     pub fault_plan: FaultPlan,
-    /// Seconds of sender-side hold-back per unit of injected latency
-    /// factor (the socket analogue of
-    /// [`crate::parallel::PARALLEL_DELAY_UNIT`]).
-    pub delay_unit: f64,
 }
 
 impl Default for SocketConfig {
     fn default() -> Self {
         SocketConfig {
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_millis(50),
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(500),
             deadline: Duration::from_secs(60),
             seed: 0,
             fault_plan: FaultPlan::none(),
-            delay_unit: crate::parallel::PARALLEL_DELAY_UNIT.as_secs_f64(),
         }
     }
 }
@@ -214,13 +209,6 @@ pub struct SocketRankReport {
     pub wall_time_s: f64,
 }
 
-/// A held-back event in the main loop: an inbound delivery (timers,
-/// self-sends) or an outbound frame delayed by an emulated fate.
-enum HeldItem {
-    Deliver { from: RankId, msg: LbWire },
-    Send { to: RankId, msg: LbWire },
-}
-
 /// Run one rank of the LB protocol over TCP until `stop` is raised or
 /// the deadline passes.
 ///
@@ -236,7 +224,7 @@ enum HeldItem {
 /// traffic in between, which is what lets peers finish after we do.
 pub fn run_socket_rank(
     me: RankId,
-    mut rank: LbRank,
+    rank: LbRank,
     listener: TcpListener,
     peers: Vec<SocketAddr>,
     cfg: SocketConfig,
@@ -246,48 +234,39 @@ pub fn run_socket_rank(
     let num_ranks = peers.len();
     let start = Instant::now();
     let halt = Arc::new(AtomicBool::new(false));
-    let mut emulator =
-        LinkEmulator::new(cfg.fault_plan.clone(), tempered_obs::Recorder::disabled());
-    let (in_tx, in_rx) = unbounded::<(RankId, LbWire)>();
+    let mut host = Host::new(
+        vec![(me.as_usize(), rank)],
+        num_ranks,
+        start,
+        cfg.fault_plan,
+        tempered_obs::Recorder::disabled(),
+    );
+    let (in_tx, in_rx) = unbounded::<Inbound<LbWire>>();
 
     // Per-peer outbound frame queues, drained by writer threads.
-    let mut out_tx: Vec<Option<Sender<Vec<u8>>>> = (0..num_ranks).map(|_| None).collect();
     let mut out_rx: Vec<(usize, Receiver<Vec<u8>>)> = Vec::new();
-    for (r, slot) in out_tx.iter_mut().enumerate() {
-        if r != me.as_usize() {
-            let (tx, rx) = unbounded();
-            *slot = Some(tx);
-            out_rx.push((r, rx));
-        }
-    }
-
-    let mut stats = NetworkStats::default();
-    let mut held: HeldQueue<HeldItem> = HeldQueue::new();
-    let mut outbox: Vec<(RankId, LbWire, usize)> = Vec::new();
-    let mut done_notified = false;
+    let out_tx: Vec<Option<Sender<Vec<u8>>>> = (0..num_ranks)
+        .map(|r| {
+            (r != me.as_usize()).then(|| {
+                let (tx, rx) = unbounded();
+                out_rx.push((r, rx));
+                tx
+            })
+        })
+        .collect();
 
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
 
     std::thread::scope(|scope| {
-        // Accept thread: handshake inbound connections and spawn one
-        // reader per peer stream.
+        // Accept thread: spawns one reader per inbound stream.
         {
             let halt = Arc::clone(&halt);
             let stop = Arc::clone(&stop);
             let in_tx = in_tx.clone();
-            let read_timeout = cfg.read_timeout;
             scope.spawn(move || {
-                accept_loop(
-                    &listener,
-                    num_ranks,
-                    read_timeout,
-                    &halt,
-                    &stop,
-                    &in_tx,
-                    scope,
-                );
+                accept_loop(&listener, me, num_ranks, &halt, &stop, &in_tx, scope);
             });
         }
 
@@ -302,153 +281,55 @@ pub fn run_socket_rank(
                 me.as_usize() as u64,
                 peer as u64,
             );
-            let wcfg = cfg.clone();
             scope.spawn(move || {
-                writer_loop(me, addr, rx, wcfg, jitter, &halt, &stop);
+                writer_loop(me, addr, rx, jitter, &halt, &stop);
             });
         }
 
-        // ---- main loop: the socket analogue of the parallel worker ----
-
-        macro_rules! flush {
-            () => {{
-                let batch = std::mem::take(&mut outbox);
-                for (to, msg, bytes) in batch {
-                    stats.record(bytes);
-                    let send_now = start.elapsed().as_secs_f64();
-                    emulator.outgoing::<LbRank>(
-                        me,
-                        to,
-                        msg,
-                        send_now,
-                        wall_arrival(send_now, cfg.delay_unit),
-                        |msg, arrival| {
-                            let due = (arrival > send_now)
-                                .then(|| start + Duration::from_secs_f64(arrival))
-                                .filter(|when| *when > Instant::now());
-                            match due {
-                                Some(when) => {
-                                    held.hold(
-                                        when,
-                                        if to == me {
-                                            HeldItem::Deliver { from: me, msg }
-                                        } else {
-                                            HeldItem::Send { to, msg }
-                                        },
-                                    );
-                                }
-                                None if to == me => {
-                                    // Rare self-send: deliver next loop turn.
-                                    let _ = in_tx.send((me, msg));
-                                }
-                                None => {
-                                    if let Some(tx) = &out_tx[to.as_usize()] {
-                                        let _ = tx.send(encode_frame(&msg));
-                                    }
-                                }
-                            }
-                        },
-                    );
+        host.run(
+            &in_rx,
+            |_, to, msg| match &out_tx[to.as_usize()] {
+                Some(peer) => {
+                    let _ = peer.send(encode_frame(&msg));
                 }
-            }};
-        }
-
-        macro_rules! deliver {
-            ($from:expr, $msg:expr) => {{
-                let now = start.elapsed().as_secs_f64();
-                // Crash windows gate delivery, mirroring the simulator's
-                // pop-time check (real process kills are the orchestrator's
-                // job; plan-driven windows keep single-process parity).
-                if emulator.admit($from, me, now) {
-                    let mut ctx = Ctx::for_executor(me, now, &mut outbox);
-                    rank.on_message(&mut ctx, $from, $msg);
-                    let timers = ctx.take_timers();
-                    flush!();
-                    arm_timers(&mut held, me, timers);
+                // No queue to ourselves: a (rare) self-send is delivered
+                // on the next loop turn.
+                None => {
+                    let _ = in_tx.send((me, me, msg));
                 }
-            }};
-        }
-
-        // Start the actor.
-        {
-            let now = start.elapsed().as_secs_f64();
-            let mut ctx = Ctx::for_executor(me, now, &mut outbox);
-            rank.on_start(&mut ctx);
-            let timers = ctx.take_timers();
-            flush!();
-            arm_timers(&mut held, me, timers);
-        }
-
-        let tick = Duration::from_millis(1);
-        loop {
-            if stop.load(Ordering::SeqCst) || start.elapsed() >= cfg.deadline {
-                break;
-            }
-            // Fire every held event whose time has come.
-            while let Some(item) = held.pop_due(Instant::now()) {
-                match item {
-                    HeldItem::Deliver { from, msg } => deliver!(from, msg),
-                    HeldItem::Send { to, msg } => {
-                        if let Some(tx) = &out_tx[to.as_usize()] {
-                            let _ = tx.send(encode_frame(&msg));
-                        }
-                    }
+            },
+            |host, _idle| {
+                if host.newly_done() > 0 {
+                    on_done();
                 }
-            }
-            if !done_notified
-                && (rank.is_done() || emulator.down_forever(me, start.elapsed().as_secs_f64()))
-            {
-                // A plan-crashed rank can never finish; report it done so
-                // the orchestrator's barrier does not hang on a corpse.
-                done_notified = true;
-                on_done();
-            }
-            let wait = match held.next_deadline() {
-                Some(when) => when.saturating_duration_since(Instant::now()).min(tick),
-                None => tick,
-            };
-            match in_rx.recv_timeout(wait) {
-                Ok((from, msg)) => deliver!(from, msg),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
+                stop.load(Ordering::SeqCst) || start.elapsed() >= cfg.deadline
+            },
+        );
 
         halt.store(true, Ordering::SeqCst);
     });
 
-    let finished = rank.is_done();
+    let wall_time_s = host.now();
+    let (mut ranks, network, faults) = host.finish();
+    let (_, rank) = ranks.pop().expect("the host holds this rank");
     SocketRankReport {
+        finished: rank.is_done(),
         rank,
-        network: stats,
-        faults: emulator.stats(),
-        finished,
-        wall_time_s: start.elapsed().as_secs_f64(),
+        network,
+        faults,
+        wall_time_s,
     }
 }
 
-/// Arm protocol timers as held self-deliveries (virtual seconds map 1:1
-/// onto wall-clock seconds, the parallel executor's convention).
-fn arm_timers(held: &mut HeldQueue<HeldItem>, me: RankId, timers: Vec<(f64, LbWire)>) {
-    let now = Instant::now();
-    for (delay, msg) in timers {
-        held.hold(
-            now + Duration::from_secs_f64(delay),
-            HeldItem::Deliver { from: me, msg },
-        );
-    }
-}
-
-/// Accept inbound connections, handshake them, and spawn a reader per
-/// stream. Nonblocking accept polled on a short sleep so shutdown is
-/// prompt.
+/// Accept inbound connections and spawn a reader per stream.
+/// Nonblocking accept polled on a short sleep so shutdown is prompt.
 fn accept_loop<'scope>(
     listener: &TcpListener,
+    me: RankId,
     num_ranks: usize,
-    read_timeout: Duration,
     halt: &Arc<AtomicBool>,
     stop: &Arc<AtomicBool>,
-    in_tx: &Sender<(RankId, LbWire)>,
+    in_tx: &Sender<Inbound<LbWire>>,
     scope: &'scope std::thread::Scope<'scope, '_>,
 ) {
     loop {
@@ -456,25 +337,14 @@ fn accept_loop<'scope>(
             return;
         }
         match listener.accept() {
-            Ok((mut stream, _)) => {
+            Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(read_timeout));
+                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let _ = stream.set_nonblocking(false);
-                // Handshake: magic + sender rank, else drop the stream.
-                let mut hs = [0u8; 8];
-                if read_exact_patient(&mut stream, &mut hs, halt, stop).is_err() {
-                    continue;
-                }
-                let magic = u32::from_le_bytes(hs[0..4].try_into().unwrap());
-                let from = u32::from_le_bytes(hs[4..8].try_into().unwrap());
-                if magic != HANDSHAKE_MAGIC || from as usize >= num_ranks {
-                    continue;
-                }
-                let from = RankId::new(from);
                 let in_tx = in_tx.clone();
                 let halt = Arc::clone(halt);
                 let stop = Arc::clone(stop);
-                scope.spawn(move || reader_loop(stream, from, &in_tx, &halt, &stop));
+                scope.spawn(move || reader_loop(stream, me, num_ranks, &in_tx, &halt, &stop));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -484,37 +354,50 @@ fn accept_loop<'scope>(
     }
 }
 
-/// `read_exact` that tolerates read timeouts while watching shutdown.
-fn read_exact_patient(
+/// Read the handshake (magic, then the sender's rank id) off a freshly
+/// accepted stream. `None` — drop the stream — when it is malformed,
+/// names a rank outside the run, or has not fully arrived within
+/// [`CONNECT_TIMEOUT`]: a connection that never speaks (port scan,
+/// health probe) must cost nothing but its own thread, briefly.
+fn read_handshake(
     stream: &mut TcpStream,
-    buf: &mut [u8],
+    num_ranks: usize,
     halt: &AtomicBool,
     stop: &AtomicBool,
-) -> std::io::Result<()> {
+) -> Option<RankId> {
+    let give_up = Instant::now() + CONNECT_TIMEOUT;
+    let mut hs = [0u8; 8];
     let mut filled = 0;
-    while filled < buf.len() {
-        if halt.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst) {
-            return Err(ErrorKind::Interrupted.into());
+    while filled < hs.len() {
+        if halt.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst) || Instant::now() >= give_up {
+            return None;
         }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+        match stream.read(&mut hs[filled..]) {
+            Ok(0) => return None,
             Ok(n) => filled += n,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(_) => return None,
         }
     }
-    Ok(())
+    let magic = u32::from_le_bytes(hs[0..4].try_into().unwrap());
+    let from = u32::from_le_bytes(hs[4..8].try_into().unwrap());
+    (magic == HANDSHAKE_MAGIC && (from as usize) < num_ranks).then(|| RankId::new(from))
 }
 
-/// Drain one peer's stream into the inbound channel, frame by frame.
+/// Handshake one inbound stream, then drain it into the inbound channel,
+/// frame by frame.
 fn reader_loop(
     mut stream: TcpStream,
-    from: RankId,
-    in_tx: &Sender<(RankId, LbWire)>,
+    me: RankId,
+    num_ranks: usize,
+    in_tx: &Sender<Inbound<LbWire>>,
     halt: &AtomicBool,
     stop: &AtomicBool,
 ) {
+    let Some(from) = read_handshake(&mut stream, num_ranks, halt, stop) else {
+        return;
+    };
     let mut reader = FrameReader::new();
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -526,7 +409,7 @@ fn reader_loop(
             Ok(n) => {
                 reader.push(&buf[..n]);
                 while let Some(wire) = reader.next_frame() {
-                    if in_tx.send((from, wire)).is_err() {
+                    if in_tx.send((from, me, wire)).is_err() {
                         return;
                     }
                 }
@@ -547,14 +430,13 @@ fn writer_loop(
     me: RankId,
     addr: SocketAddr,
     rx: Receiver<Vec<u8>>,
-    cfg: SocketConfig,
     mut jitter: rand::rngs::SmallRng,
     halt: &AtomicBool,
     stop: &AtomicBool,
 ) {
     let shutting_down = || halt.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst);
     let mut stream: Option<TcpStream> = None;
-    let mut backoff = cfg.initial_backoff;
+    let mut backoff = INITIAL_BACKOFF;
     let mut pending: Option<Vec<u8>> = None;
     loop {
         if shutting_down() {
@@ -562,14 +444,14 @@ fn writer_loop(
         }
         // (Re)connect if needed.
         if stream.is_none() {
-            if let Ok(mut s) = TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
+            if let Ok(mut s) = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
                 let _ = s.set_nodelay(true);
                 let mut hs = [0u8; 8];
                 hs[0..4].copy_from_slice(&HANDSHAKE_MAGIC.to_le_bytes());
                 hs[4..8].copy_from_slice(&me.as_u32().to_le_bytes());
                 if s.write_all(&hs).is_ok() {
                     stream = Some(s);
-                    backoff = cfg.initial_backoff;
+                    backoff = INITIAL_BACKOFF;
                 }
             }
             if stream.is_none() {
@@ -582,14 +464,14 @@ fn writer_loop(
                     std::thread::sleep(step.min(sleep - slept));
                     slept += step;
                 }
-                backoff = (backoff * 2).min(cfg.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
                 continue;
             }
         }
         // Next frame: the one that failed last time, or a fresh one.
         let frame = match pending.take() {
             Some(f) => f,
-            None => match rx.recv_timeout(cfg.read_timeout) {
+            None => match rx.recv_timeout(READ_TIMEOUT) {
                 Ok(f) => f,
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return,
@@ -612,7 +494,6 @@ mod tests {
     use crate::sim::{NetworkModel, Simulator};
     use std::net::Ipv4Addr;
     use tempered_core::distribution::Distribution;
-    use tempered_core::ids::TaskId;
 
     #[test]
     fn frame_roundtrips_through_the_reader() {
@@ -679,15 +560,14 @@ mod tests {
     }
 
     /// End-to-end over real loopback sockets, one thread per "process":
-    /// the committed assignment must be bit-for-bit the simulator's.
+    /// the committed assignment must be bit-for-bit the simulator's —
+    /// also when every listener's first connection is a stranger that
+    /// never sends a byte (port scan, health probe).
     #[test]
     fn loopback_run_matches_simulator_assignment() {
         let num_ranks = 4usize;
         let seed = 4242u64;
-        let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-            .map(|r| if r == 0 { vec![1.0; 12] } else { vec![] })
-            .collect();
-        let dist = Distribution::from_loads(per_rank);
+        let dist = Distribution::concentrated(num_ranks, 1, 12);
         let cfg = LbProtocolConfig {
             trials: 1,
             iters: 2,
@@ -709,18 +589,10 @@ mod tests {
         })
         .partition_tolerant(PartitionConfig { park_deadline: 1.0 });
         let factory = RngFactory::new(seed);
-        let build = |r: usize| {
-            let tasks: Vec<(TaskId, f64)> = dist
-                .tasks_on(RankId::from(r))
-                .iter()
-                .map(|t| (t.id, t.load.get()))
-                .collect();
-            LbRank::new(RankId::from(r), num_ranks, tasks, cfg, factory)
-        };
 
         // Reference: the deterministic simulator.
         let mut sim = Simulator::new(
-            (0..num_ranks).map(build).collect(),
+            LbRank::for_dist(&dist, cfg, factory),
             NetworkModel::default(),
             &factory,
         );
@@ -744,16 +616,20 @@ mod tests {
             .iter()
             .map(|l| l.local_addr().expect("addr"))
             .collect();
+        let _silent: Vec<TcpStream> = peers
+            .iter()
+            .map(|addr| TcpStream::connect(addr).expect("connect"))
+            .collect();
         let stop = Arc::new(AtomicBool::new(false));
         let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut reports: Vec<Option<SocketRankReport>> = (0..num_ranks).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (r, listener) in listeners.into_iter().enumerate() {
+            let ranks = LbRank::for_dist(&dist, cfg, factory);
+            for (r, (listener, rank)) in listeners.into_iter().zip(ranks).enumerate() {
                 let peers = peers.clone();
                 let stop = Arc::clone(&stop);
                 let done = Arc::clone(&done);
-                let rank = build(r);
                 handles.push(scope.spawn(move || {
                     run_socket_rank(
                         RankId::from(r),

@@ -8,10 +8,14 @@
 //! * [`sim`] — deterministic discrete-event executor delivering active
 //!   messages between rank protocols under a latency model.
 //! * [`wheel`] — hierarchical timer wheel backing the simulator's event
-//!   queue and both executors' held-wire queues, with a deterministic
+//!   queue and the wall-clock host's held queue, with a deterministic
 //!   `(time, push order)` pop order.
+//! * `host` (crate-private) — the one wall-clock driver loop: clock,
+//!   emulator, held queue, handler buffers, receive loop. A driver adds
+//!   where a surviving copy goes and when to stop.
 //! * [`parallel`] — multi-threaded executor running the *same* protocols
-//!   with real concurrency (crossbeam channels), stress-testing protocol
+//!   with real concurrency: ranks sharded over worker threads, one host
+//!   each, crossbeam channels between them. Stress-tests protocol
 //!   correctness under arbitrary interleavings.
 //! * [`termination`] — Mattern four-counter wave termination detection,
 //!   the mechanism sequencing the barrier-free gossip protocol (§IV-B).
@@ -20,7 +24,8 @@
 //! * [`lb`] — the full asynchronous TemperedLB/GrapevineLB protocol,
 //!   layered sans-I/O style: a pure protocol engine
 //!   ([`lb::engine::GossipEngine`]), stacked delivery transports
-//!   ([`lb::transport`]), and thin per-executor drivers.
+//!   ([`lb::transport`]), and thin per-executor drivers — among them
+//!   [`lb::socket`], a host per rank process behind TCP byte pumps.
 //! * [`fault`] — seed-deterministic fault injection (drop, duplication,
 //!   delay spikes, stragglers, pauses, crash-stop failures).
 //! * [`emulator`] — the one interpreter of a [`fault::FaultPlan`], owned
@@ -45,6 +50,7 @@ pub mod emulator;
 pub mod fault;
 pub mod fuzz;
 pub mod health;
+mod host;
 pub mod lb;
 pub mod membership;
 pub mod parallel;

@@ -15,7 +15,7 @@
 //! duplication / delay fate under both executors. Delay-style faults are
 //! expressed in wall-clock time here (one unit of latency factor =
 //! [`PARALLEL_DELAY_UNIT`]); pause windows count wall-clock seconds from
-//! run start. Protocol timers ([`Ctx::schedule`]) likewise map virtual
+//! run start. Protocol timers ([`crate::sim::Ctx::schedule`]) likewise map virtual
 //! seconds one-to-one onto wall-clock seconds.
 //!
 //! The executor stops when every rank has reported done and the channels
@@ -23,14 +23,12 @@
 //! termination condition (as the LB protocol does); an actor that never
 //! reports done hangs the run, which tests guard with a wall-clock bound.
 
-use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::sim::{Ctx, Protocol};
-use crate::wheel::HeldQueue;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::host::{Host, Inbound};
+use crate::sim::Protocol;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use tempered_core::ids::RankId;
 use tempered_obs::NetworkStats;
 use tempered_obs::Recorder;
 
@@ -40,17 +38,8 @@ use tempered_obs::Recorder;
 /// and spikes genuinely reorder traffic, small enough that tests finish.
 pub const PARALLEL_DELAY_UNIT: Duration = Duration::from_micros(100);
 
-/// Channel endpoints for one worker.
-type Endpoints<M> = (Vec<Sender<Envelope<M>>>, Vec<Receiver<Envelope<M>>>);
-
-/// Envelope routed between workers.
-struct Envelope<M> {
-    to: usize,
-    from: RankId,
-    msg: M,
-    /// Earliest delivery time (fault-injected delay); `None` = now.
-    not_before: Option<Instant>,
-}
+/// Channel endpoints, one pair per worker.
+type Endpoints<M> = (Vec<Sender<Inbound<M>>>, Vec<Receiver<Inbound<M>>>);
 
 /// Options for [`run_parallel_with`].
 #[derive(Clone, Debug, Default)]
@@ -112,12 +101,6 @@ where
     let workers = num_threads.clamp(1, num_ranks.max(1));
     let done_count = AtomicUsize::new(0);
     let start = Instant::now();
-    // Per-worker emulators share the plan: sends from a rank are always
-    // processed by its owning worker, so per-link ordinals — and hence
-    // fault decisions — match the single-injector simulator exactly.
-    // Crash windows count wall-clock seconds from run start, mirroring
-    // the pause-window convention.
-    let plan = options.fault_plan;
 
     let (senders, receivers): Endpoints<P::Msg> = (0..workers).map(|_| unbounded()).unzip();
 
@@ -127,42 +110,52 @@ where
         shards[i % workers].push((i, p));
     }
 
-    let mut results: Vec<Option<(usize, P)>> = (0..num_ranks).map(|_| None).collect();
+    let mut results: Vec<Option<P>> = (0..num_ranks).map(|_| None).collect();
     let mut network = NetworkStats::default();
     let mut faults = FaultStats::default();
     let mut completed = true;
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
-        for (w, shard) in shards.into_iter().enumerate() {
+        for (shard, inbox) in shards.into_iter().zip(receivers) {
             let senders = senders.clone();
-            let rx = receivers[w].clone();
             let done_count = &done_count;
-            let emulator = LinkEmulator::new(plan.clone(), options.recorder.clone());
+            let mut host = Host::new(
+                shard,
+                workers,
+                start,
+                options.fault_plan.clone(),
+                options.recorder.clone(),
+            );
             handles.push(scope.spawn(move || {
-                let mut worker = Worker {
-                    shard,
-                    senders,
-                    done_count,
-                    done_flags: Vec::new(),
-                    stats: NetworkStats::default(),
-                    emulator,
-                    start,
-                    held: HeldQueue::new(),
-                    outbox: Vec::new(),
-                };
-                let ok = worker.run(rx, num_ranks, idle_timeout);
-                let fstats = worker.emulator.stats();
-                (worker.shard, worker.stats, fstats, ok)
+                let mut ok = false;
+                host.run(
+                    &inbox,
+                    // A send can only fail after global completion, when
+                    // peer workers have exited; at that point the message
+                    // is stale control traffic and dropping it is correct.
+                    |from, to, msg| {
+                        let _ = senders[to.as_usize() % workers].send((from, to, msg));
+                    },
+                    // Stop once every rank has reported done and this
+                    // worker has gone a tick without traffic, or give up
+                    // on a deadlocked or livelocked protocol.
+                    |host, idle| {
+                        if idle.is_zero() {
+                            return false;
+                        }
+                        done_count.fetch_add(host.newly_done(), Ordering::SeqCst);
+                        ok = done_count.load(Ordering::SeqCst) == num_ranks;
+                        ok || idle >= idle_timeout
+                    },
+                );
+                (host.finish(), ok)
             }));
         }
-        // Drop our copies so channels can hang up when workers finish.
-        drop(senders);
-        drop(receivers);
         for h in handles {
-            let (shard, stats, fstats, ok) = h.join().expect("worker panicked");
+            let ((shard, stats, fstats), ok) = h.join().expect("worker panicked");
             for (i, p) in shard {
-                results[i] = Some((i, p));
+                results[i] = Some(p);
             }
             network.merge(&stats);
             faults.merge(&fstats);
@@ -172,7 +165,7 @@ where
 
     let ranks: Vec<P> = results
         .into_iter()
-        .map(|slot| slot.expect("every rank returned").1)
+        .map(|slot| slot.expect("every rank returned"))
         .collect();
     options.recorder.with_metrics(|m| {
         m.record_network("parallel.net", &network);
@@ -187,243 +180,18 @@ where
     }
 }
 
-struct Worker<'a, P: Protocol> {
-    shard: Vec<(usize, P)>,
-    senders: Vec<Sender<Envelope<P::Msg>>>,
-    done_count: &'a AtomicUsize,
-    done_flags: Vec<bool>,
-    stats: NetworkStats,
-    emulator: LinkEmulator,
-    start: Instant,
-    /// Protocol timers and delay-faulted envelopes awaiting their time.
-    held: HeldQueue<(usize, RankId, P::Msg)>,
-    outbox: Vec<(RankId, P::Msg, usize)>,
-}
-
-impl<P> Worker<'_, P>
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
-    fn mark_done(&mut self, slot: usize) {
-        if self.shard[slot].1.is_done() && !self.done_flags[slot] {
-            self.done_flags[slot] = true;
-            self.done_count.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Count permanently-crashed local ranks as finished: they can never
-    /// report done themselves, and waiting on them would turn every fatal
-    /// crash into an idle-timeout failure.
-    fn sweep_crashed(&mut self) {
-        if !self.emulator.has_crashes() {
-            return;
-        }
-        let now = self.start.elapsed().as_secs_f64();
-        for slot in 0..self.shard.len() {
-            let me = RankId::from(self.shard[slot].0);
-            if !self.done_flags[slot] && self.emulator.down_forever(me, now) {
-                self.done_flags[slot] = true;
-                self.done_count.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Route one envelope, applying fault fates. A send can only fail
-    /// after global completion, when peer workers have exited; at that
-    /// point the message is stale control traffic and dropping it is
-    /// correct.
-    fn flush(&mut self, from: RankId) {
-        let workers = self.senders.len();
-        let outbox = std::mem::take(&mut self.outbox);
-        for (to, msg, bytes) in outbox {
-            self.stats.record(bytes);
-            let t = to.as_usize();
-            // Link-level fates use wall-clock seconds since run start as
-            // the window clock — the threaded analogue of the simulator's
-            // virtual send time (same convention as pause windows).
-            let send_now = self.start.elapsed().as_secs_f64();
-            let (start, sender) = (self.start, &self.senders[t % workers]);
-            self.emulator.outgoing::<P>(
-                from,
-                to,
-                msg,
-                send_now,
-                wall_arrival(send_now, PARALLEL_DELAY_UNIT.as_secs_f64()),
-                |msg, arrival| {
-                    let _ = sender.send(Envelope {
-                        to: t,
-                        from,
-                        msg,
-                        not_before: (arrival > send_now)
-                            .then(|| start + Duration::from_secs_f64(arrival)),
-                    });
-                },
-            );
-        }
-    }
-
-    fn arm_timers(&mut self, me: RankId, timers: Vec<(f64, P::Msg)>) {
-        let now = Instant::now();
-        for (delay, msg) in timers {
-            self.held.hold(
-                now + Duration::from_secs_f64(delay),
-                (me.as_usize(), me, msg),
-            );
-        }
-    }
-
-    fn deliver(&mut self, to: usize, from: RankId, msg: P::Msg) {
-        // Ranks are sharded `i % workers` in ascending order, so rank
-        // `to` sits at slot `to / workers` of its owning worker.
-        let slot = to / self.senders.len();
-        debug_assert_eq!(self.shard[slot].0, to, "routed to owning worker");
-        let me = RankId::from(to);
-        // Monotonic seconds since executor start: the threaded analogue
-        // of the simulator's virtual clock, used for timestamps only
-        // (protocols treat `now` as opaque).
-        let now = self.start.elapsed().as_secs_f64();
-        // Crash-stop: deliveries (messages and timers) to a down rank are
-        // discarded at arrival, mirroring the simulator's pop-time check.
-        if !self.emulator.admit(from, me, now) {
-            return;
-        }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Ctx::for_executor(me, now, &mut outbox);
-        self.shard[slot].1.on_message(&mut ctx, from, msg);
-        let timers = ctx.take_timers();
-        self.outbox = outbox;
-        self.flush(me);
-        self.arm_timers(me, timers);
-        self.mark_done(slot);
-    }
-
-    /// Route one inbound envelope: hold it if a delay fate pushed its
-    /// delivery time into the future, deliver it otherwise.
-    fn admit_or_hold(&mut self, env: Envelope<P::Msg>) {
-        match env.not_before {
-            Some(when) if when > Instant::now() => {
-                self.held.hold(when, (env.to, env.from, env.msg));
-            }
-            _ => self.deliver(env.to, env.from, env.msg),
-        }
-    }
-
-    /// Deliver every held entry whose time has come; returns how many.
-    fn fire_due(&mut self) -> usize {
-        let mut fired = 0;
-        while let Some((to, from, msg)) = self.held.pop_due(Instant::now()) {
-            self.deliver(to, from, msg);
-            fired += 1;
-        }
-        fired
-    }
-
-    fn run(
-        &mut self,
-        rx: Receiver<Envelope<P::Msg>>,
-        num_ranks: usize,
-        idle_timeout: Duration,
-    ) -> bool {
-        self.done_flags = self.shard.iter().map(|_| false).collect();
-
-        // Start local ranks.
-        for slot in 0..self.shard.len() {
-            let me = RankId::from(self.shard[slot].0);
-            let mut outbox = std::mem::take(&mut self.outbox);
-            let now = self.start.elapsed().as_secs_f64();
-            let mut ctx = Ctx::for_executor(me, now, &mut outbox);
-            self.shard[slot].1.on_start(&mut ctx);
-            let timers = ctx.take_timers();
-            self.outbox = outbox;
-            self.flush(me);
-            self.arm_timers(me, timers);
-            self.mark_done(slot);
-        }
-
-        let mut idle = Duration::ZERO;
-        let tick = Duration::from_millis(1);
-        loop {
-            // Wake early if a held delivery comes due before the tick.
-            let wait = match self.held.next_deadline() {
-                Some(when) => when.saturating_duration_since(Instant::now()).min(tick),
-                None => tick,
-            };
-            match rx.recv_timeout(wait) {
-                Ok(env) => {
-                    idle = Duration::ZERO;
-                    self.admit_or_hold(env);
-                    // Batched drain: a blocked worker typically wakes to
-                    // a mailbox full of gossip, and draining it in one
-                    // sweep amortizes the wake-up over every queued
-                    // envelope instead of paying it per message.
-                    while let Ok(env) = rx.try_recv() {
-                        self.admit_or_hold(env);
-                    }
-                    self.fire_due();
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.fire_due() > 0 {
-                        idle = Duration::ZERO;
-                        continue;
-                    }
-                    self.sweep_crashed();
-                    if self.done_count.load(Ordering::SeqCst) == num_ranks {
-                        return true;
-                    }
-                    idle += wait.max(Duration::from_micros(1));
-                    if idle >= idle_timeout {
-                        // Deadlocked or livelocked protocol: give up.
-                        return false;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.sweep_crashed();
-                    return self.done_count.load(Ordering::SeqCst) == num_ranks;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lb::{LbProtocolConfig, LbRank};
+    use crate::sim::Ctx;
     use tempered_core::distribution::Distribution;
-    use tempered_core::ids::TaskId;
+    use tempered_core::ids::RankId;
     use tempered_core::rng::RngFactory;
-
-    fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-        let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-            .map(|r| {
-                if r < hot {
-                    vec![1.0; tasks_per_hot]
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Distribution::from_loads(per_rank)
-    }
-
-    fn build_ranks(dist: &Distribution, cfg: LbProtocolConfig, seed: u64) -> Vec<LbRank> {
-        let factory = RngFactory::new(seed);
-        dist.rank_ids()
-            .map(|r| {
-                let tasks: Vec<(TaskId, f64)> = dist
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| (t.id, t.load.get()))
-                    .collect();
-                LbRank::new(r, dist.num_ranks(), tasks, cfg, factory)
-            })
-            .collect()
-    }
 
     #[test]
     fn lb_protocol_completes_under_real_concurrency() {
-        let dist = concentrated(24, 2, 40);
+        let dist = Distribution::concentrated(24, 2, 40);
         let cfg = LbProtocolConfig {
             trials: 2,
             iters: 3,
@@ -431,7 +199,7 @@ mod tests {
             rounds: 5,
             ..Default::default()
         };
-        let ranks = build_ranks(&dist, cfg, 77);
+        let ranks = LbRank::for_dist(&dist, cfg, RngFactory::new(77));
         let report = run_parallel(ranks, 4, Duration::from_secs(20));
         assert!(report.completed, "protocol must terminate under threads");
         // Task conservation across the whole system.
@@ -472,7 +240,7 @@ mod tests {
 
     #[test]
     fn single_thread_matches_multi_thread_conservation() {
-        let dist = concentrated(8, 1, 16);
+        let dist = Distribution::concentrated(8, 1, 16);
         let cfg = LbProtocolConfig {
             trials: 1,
             iters: 2,
@@ -481,7 +249,7 @@ mod tests {
             ..Default::default()
         };
         for threads in [1, 2, 8] {
-            let ranks = build_ranks(&dist, cfg, 5);
+            let ranks = LbRank::for_dist(&dist, cfg, RngFactory::new(5));
             let report = run_parallel(ranks, threads, Duration::from_secs(20));
             assert!(report.completed, "threads={threads}");
             let total: usize = report.ranks.iter().map(|r| r.final_tasks().len()).sum();

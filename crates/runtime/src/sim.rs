@@ -155,25 +155,11 @@ impl<M> TimerSink<'_, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Construct a context for an executor implementation (used by the
-    /// threaded executor in [`crate::parallel`]).
-    pub(crate) fn for_executor(
-        me: RankId,
-        now: f64,
-        outbox: &'a mut Vec<(RankId, M, usize)>,
-    ) -> Self {
-        Ctx {
-            me,
-            now,
-            outbox,
-            timers: TimerSink::Owned(Vec::new()),
-        }
-    }
-
-    /// Executor context writing timers into a caller-owned buffer, so a
-    /// hot event loop reuses one allocation for every handler call. The
-    /// caller drains the buffer after the handler instead of
-    /// [`Ctx::take_timers`].
+    /// Construct a context for an executor implementation (the simulator
+    /// and the wall-clock [`crate::host`]). Timers go into a caller-owned
+    /// buffer, so a hot event loop reuses one allocation for every
+    /// handler call; the caller drains the buffer after the handler
+    /// instead of [`Ctx::take_timers`].
     pub(crate) fn for_executor_reusing(
         me: RankId,
         now: f64,

@@ -134,11 +134,6 @@ impl TerminationDetector {
         self.live[0]
     }
 
-    /// Whether `rank` has been declared dead.
-    pub fn is_dead(&self, rank: RankId) -> bool {
-        self.dead.contains(&rank)
-    }
-
     /// Number of surviving ranks.
     pub fn num_live(&self) -> usize {
         self.live.len()

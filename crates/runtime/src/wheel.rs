@@ -385,11 +385,9 @@ impl<T: WheelTime, V> Drop for TimerWheel<T, V> {
     }
 }
 
-/// A queue of wire messages held back until a wall-clock deadline — the
-/// delay/flap machinery shared by the threaded executor
-/// (`runtime::parallel`) and the TCP socket driver (`lb::socket`), which
-/// previously each carried their own copy of this logic around a
-/// `BinaryHeap`.
+/// A queue of items held back until a wall-clock deadline: the protocol
+/// timers and delay-fated copies of the wall-clock host (`runtime::host`),
+/// under the threaded executor and the TCP socket driver alike.
 ///
 /// Deadlines are bucketed at millisecond granularity; release order is
 /// exact `(deadline, hold order)` regardless of bucketing, per the

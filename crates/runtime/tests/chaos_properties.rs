@@ -242,7 +242,7 @@ proptest! {
         deaths in prop::collection::vec(1usize..12, 3),
         times in prop::collection::vec(1e-5f64..5e-3, 3),
     ) {
-        let dist = concentrated(12, 2, 15);
+        let dist = Distribution::concentrated(12, 2, 15);
         let cfg = small_cfg()
             .hardened(generous_retry())
             .crash_tolerant(HealthConfig::default());
@@ -268,25 +268,12 @@ proptest! {
     }
 }
 
-fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-    let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-        .map(|r| {
-            if r < hot {
-                vec![1.0; tasks_per_hot]
-            } else {
-                vec![]
-            }
-        })
-        .collect();
-    Distribution::from_loads(per_rank)
-}
-
 /// A zeroed fault plan (even one with a nonzero seed and unity
 /// stragglers) must be bit-identical to running with no fault layer at
 /// all — in legacy and in hardened mode.
 #[test]
 fn zeroed_plan_is_bit_identical_to_no_plan() {
-    let dist = concentrated(16, 2, 20);
+    let dist = Distribution::concentrated(16, 2, 20);
     let zeroed = FaultPlan {
         seed: 0xDEAD_BEEF,
         stragglers: vec![(RankId::new(2), 1.0)],
@@ -332,7 +319,7 @@ fn zeroed_plan_is_bit_identical_to_no_plan() {
 /// assignment of the legacy best-effort protocol.
 #[test]
 fn hardening_is_transparent_when_fault_free() {
-    let dist = concentrated(16, 2, 20);
+    let dist = Distribution::concentrated(16, 2, 20);
     let legacy = run_distributed_lb(
         &dist,
         small_cfg(),
@@ -367,7 +354,7 @@ fn hardening_is_transparent_when_fault_free() {
 /// transport commits the identical assignment.
 #[test]
 fn distributed_grapevine_converges_deterministically_under_chaos() {
-    let dist = concentrated(12, 2, 18);
+    let dist = Distribution::concentrated(12, 2, 18);
     let cfg = LbProtocolConfig::grapevine().hardened(generous_retry());
     let a = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(7));
     let b = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(7));
@@ -415,7 +402,7 @@ fn distributed_grapevine_converges_deterministically_under_chaos() {
 /// not a corrupted assignment.
 #[test]
 fn blackout_degrades_every_rank_and_reverts_to_input() {
-    let dist = concentrated(8, 2, 10);
+    let dist = Distribution::concentrated(8, 2, 10);
     let cfg = small_cfg().hardened(RetryConfig {
         timeout: 100e-6,
         backoff: 2.0,
@@ -453,7 +440,7 @@ fn blackout_degrades_every_rank_and_reverts_to_input() {
 /// cross-executor determinism the chaos harness relies on.
 #[test]
 fn parallel_executor_converges_under_faults() {
-    let dist = concentrated(8, 1, 16);
+    let dist = Distribution::concentrated(8, 1, 16);
     // Wall-clock retry budget: milliseconds, not virtual seconds.
     let cfg = small_cfg().hardened(RetryConfig {
         timeout: 2e-3,
@@ -469,17 +456,7 @@ fn parallel_executor_converges_under_faults() {
         stragglers: vec![(RankId::new(3), 2.0)],
         ..FaultPlan::none()
     };
-    let ranks: Vec<LbRank> = dist
-        .rank_ids()
-        .map(|r| {
-            let tasks: Vec<(TaskId, f64)> = dist
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get()))
-                .collect();
-            LbRank::new(r, dist.num_ranks(), tasks, cfg, RngFactory::new(41))
-        })
-        .collect();
+    let ranks = LbRank::for_dist(&dist, cfg, RngFactory::new(41));
     let report = run_parallel_with(
         ranks,
         4,

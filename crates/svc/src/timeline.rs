@@ -82,21 +82,6 @@ impl SvcBalancerKind {
             SvcBalancerKind::PredictiveTempered,
         ]
     }
-
-    /// The persistence twin a predictive kind is measured against.
-    pub fn persistence_twin(&self) -> Option<SvcBalancerKind> {
-        match self {
-            SvcBalancerKind::PredictiveGrapevine => Some(SvcBalancerKind::Grapevine),
-            SvcBalancerKind::PredictiveTempered => Some(SvcBalancerKind::Tempered),
-            SvcBalancerKind::DistributedPredictiveTempered => {
-                Some(SvcBalancerKind::DistributedTempered)
-            }
-            SvcBalancerKind::DistributedPredictiveGrapevine => {
-                Some(SvcBalancerKind::DistributedGrapevine)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Harness configuration.

@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use tempered_core::distribution::Distribution;
 use tempered_core::forecast::{ForecastBank, Holt};
-use tempered_core::ids::TaskId;
 use tempered_core::refine::net_migrations;
 use tempered_core::rng::{derive_seed, RngFactory};
 use tempered_runtime::lb::{LbProtocolConfig, LbRank};
@@ -79,23 +78,7 @@ fn run_both_drivers(seed: u64) -> (Vec<Vec<(u64, u64)>>, usize) {
         assert_eq!(sim.degraded_ranks, 0);
 
         // Driver 2: the threaded parallel executor, same seed.
-        let ranks: Vec<LbRank> = forecast
-            .rank_ids()
-            .map(|r| {
-                let tasks: Vec<(TaskId, f64)> = forecast
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| (t.id, t.load.get()))
-                    .collect();
-                LbRank::new(
-                    r,
-                    forecast.num_ranks(),
-                    tasks,
-                    cfg,
-                    RngFactory::new(epoch_seed),
-                )
-            })
-            .collect();
+        let ranks = LbRank::for_dist(&forecast, cfg, RngFactory::new(epoch_seed));
         let report = run_parallel(ranks, 4, Duration::from_secs(30));
         assert!(report.completed, "threaded run must complete");
         assert!(report.ranks.iter().all(|r| !r.degraded()));

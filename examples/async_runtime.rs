@@ -11,21 +11,8 @@ use tempered_lb::prelude::*;
 use tempered_lb::runtime::lb::LbRank;
 use tempered_lb::runtime::parallel::run_parallel;
 
-fn concentrated(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-    let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-        .map(|r| {
-            if r < hot {
-                vec![1.0; tasks_per_hot]
-            } else {
-                vec![]
-            }
-        })
-        .collect();
-    Distribution::from_loads(per_rank)
-}
-
 fn main() {
-    let dist = concentrated(64, 4, 60);
+    let dist = Distribution::concentrated(64, 4, 60);
     let cfg = LbProtocolConfig {
         trials: 3,
         iters: 5,
@@ -67,17 +54,7 @@ fn main() {
     // The same protocol actors under real concurrency: termination
     // detection and epoch buffering must hold under arbitrary message
     // interleavings.
-    let ranks: Vec<LbRank> = dist
-        .rank_ids()
-        .map(|r| {
-            let tasks: Vec<(TaskId, f64)> = dist
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get()))
-                .collect();
-            LbRank::new(r, dist.num_ranks(), tasks, cfg, factory)
-        })
-        .collect();
+    let ranks = LbRank::for_dist(&dist, cfg, factory);
     let report = run_parallel(ranks, 8, Duration::from_secs(30));
     assert!(report.completed, "threaded run must terminate");
     let max_load: f64 = report
