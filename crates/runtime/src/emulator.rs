@@ -15,7 +15,7 @@
 //! real drivers) and their *arrival rule* — how a latency multiplier
 //! turns into an arrival time on their clock — and get each surviving
 //! copy handed back with that arrival time. How a copy travels afterwards
-//! (event queue, crossbeam channel, TCP frame) is the driver's business,
+//! (event queue, in-memory channel, TCP frame) is the driver's business,
 //! which is exactly what lets the chaos grids rerun over real sockets and
 //! commit bit-for-bit what the simulator commits (see `DESIGN.md` §12).
 

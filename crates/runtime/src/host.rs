@@ -18,12 +18,19 @@
 //! are local: they bypass the emulator and `egress`, but not the crash
 //! gate. One clock reading serves a whole handler turn: the `now` the
 //! handler sees is the send time the emulator rules on.
+//!
+//! The inbox is a `std::sync::mpsc` channel, and the loop spins before it
+//! parks: a handler takes microseconds and waking a parked thread takes
+//! tens, so a host that blocked the instant its inbox ran dry would pay
+//! the kernel once per message. After a turn that did work it polls for
+//! [`SPIN`] first and blocks only when that stays empty; a host with
+//! nothing to do goes straight back to sleep.
 
 use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::sim::{Ctx, Protocol};
 use crate::wheel::HeldQueue;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 use tempered_core::ids::RankId;
 use tempered_obs::{NetworkStats, Recorder};
@@ -33,6 +40,32 @@ pub(crate) type Inbound<M> = (RankId, RankId, M);
 
 /// Longest the receive loop sleeps before it reconsults the stop rule.
 const TICK: Duration = Duration::from_millis(1);
+
+/// How long a host that just did work polls an empty inbox before it
+/// blocks. A reply to what it just sent is typically a handler away, and
+/// a wake-up from the kernel costs more than several handlers. Measured
+/// flat from 10 to 300 µs; short enough that a host out of work burns one
+/// window and then sleeps.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// What the receive step did when it found the inbox empty.
+#[derive(Debug, Default)]
+pub(crate) struct IdleStats {
+    /// Polling windows entered.
+    pub(crate) spins: u64,
+    /// Polling windows that ended in a message.
+    pub(crate) spin_hits: u64,
+    /// Blocking waits entered.
+    pub(crate) parks: u64,
+}
+
+impl IdleStats {
+    pub(crate) fn merge(&mut self, other: &IdleStats) {
+        self.spins += other.spins;
+        self.spin_hits += other.spin_hits;
+        self.parks += other.parks;
+    }
+}
 
 enum Held<M> {
     /// A protocol timer, due back at the rank that scheduled it.
@@ -56,6 +89,7 @@ pub(crate) struct Host<P: Protocol> {
     outbox: Vec<(RankId, P::Msg, usize)>,
     timers: Vec<(f64, P::Msg)>,
     stats: NetworkStats,
+    idle: IdleStats,
 }
 
 impl<P: Protocol> Host<P> {
@@ -86,6 +120,7 @@ impl<P: Protocol> Host<P> {
             outbox: Vec::new(),
             timers: Vec::new(),
             stats: NetworkStats::default(),
+            idle: IdleStats::default(),
         }
     }
 
@@ -95,9 +130,10 @@ impl<P: Protocol> Host<P> {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// The hosted ranks, their send counters and the fault accounting.
-    pub(crate) fn finish(self) -> (Vec<(usize, P)>, NetworkStats, FaultStats) {
-        (self.ranks, self.stats, self.emulator.stats())
+    /// The hosted ranks, their send counters, the fault accounting and
+    /// what the receive step did with an empty inbox.
+    pub(crate) fn finish(self) -> (Vec<(usize, P)>, NetworkStats, FaultStats, IdleStats) {
+        (self.ranks, self.stats, self.emulator.stats(), self.idle)
     }
 
     /// How many hosted ranks finished since the last call: those whose
@@ -197,6 +233,47 @@ impl<P: Protocol> Host<P> {
         fired
     }
 
+    /// Take the next message off `inbox`, waiting up to `wait` for one.
+    /// An `armed` host (its last turn did work) polls for [`SPIN`] before
+    /// it blocks; `Timeout` covers both ways of coming back empty.
+    fn receive(
+        &mut self,
+        inbox: &Receiver<Inbound<P::Msg>>,
+        wait: Duration,
+        armed: bool,
+    ) -> Result<Inbound<P::Msg>, RecvTimeoutError> {
+        let poll = || match inbox.try_recv() {
+            Ok(msg) => Some(Ok(msg)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        };
+        if let Some(out) = poll() {
+            return out;
+        }
+        if wait.is_zero() {
+            // A held entry is already due: neither a spin nor a park.
+            return Err(RecvTimeoutError::Timeout);
+        }
+        let began = Instant::now();
+        if armed {
+            self.idle.spins += 1;
+            let spin = SPIN.min(wait);
+            while began.elapsed() < spin {
+                std::thread::yield_now();
+                if let Some(out) = poll() {
+                    self.idle.spin_hits += u64::from(out.is_ok());
+                    return out;
+                }
+            }
+        }
+        let left = wait.saturating_sub(began.elapsed());
+        if left.is_zero() {
+            return Err(RecvTimeoutError::Timeout);
+        }
+        self.idle.parks += 1;
+        inbox.recv_timeout(left)
+    }
+
     /// Start the hosted ranks, then serve `inbox` until `stop` says so
     /// (or every sender is gone). `stop` is consulted after each turn of
     /// the loop with how long the host has been idle — zero when the turn
@@ -211,17 +288,18 @@ impl<P: Protocol> Host<P> {
         let mut idle = Duration::ZERO;
         loop {
             // Wake early if a held entry comes due before the tick.
+            let began = Instant::now();
             let wait = match self.held.next_deadline() {
-                Some(when) => when.saturating_duration_since(Instant::now()).min(TICK),
+                Some(when) => when.saturating_duration_since(began).min(TICK),
                 None => TICK,
             };
-            let received = match inbox.recv_timeout(wait) {
+            let received = match self.receive(inbox, wait, idle.is_zero()) {
                 Ok((from, to, msg)) => {
                     self.deliver(from, to, msg, &mut egress);
-                    // Batched drain: a blocked host typically wakes to a
-                    // mailbox full of gossip, and draining it in one sweep
-                    // amortizes the wake-up over every queued message
-                    // instead of paying it per message.
+                    // Batched drain: a host that waited typically comes
+                    // back to a mailbox full of gossip, and draining it in
+                    // one sweep amortizes the wait over every queued
+                    // message instead of paying it per message.
                     while let Ok((from, to, msg)) = inbox.try_recv() {
                         self.deliver(from, to, msg, &mut egress);
                     }
@@ -234,7 +312,10 @@ impl<P: Protocol> Host<P> {
             idle = if received || fired > 0 {
                 Duration::ZERO
             } else {
-                idle + wait.max(Duration::from_micros(1))
+                // The time actually waited, so the stop rules' timeouts
+                // keep their wall-clock meaning; never zero, which means
+                // "this turn did work".
+                idle + began.elapsed().max(Duration::from_micros(1))
             };
             if stop(self, idle) {
                 return;
@@ -250,11 +331,13 @@ mod tests {
     use crate::parallel::PARALLEL_DELAY_UNIT;
 
     /// Sends `send` to rank 1 and arms `timers` on start; keeps what it
-    /// is handed, in order.
+    /// is handed, in order, and with `relay` set passes a nonzero message
+    /// on to itself, one less.
     #[derive(Default)]
     struct Stub {
         send: Option<u32>,
         timers: Vec<(f64, u32)>,
+        relay: bool,
         got: Vec<(RankId, u32)>,
     }
 
@@ -268,8 +351,11 @@ mod tests {
                 ctx.schedule(delay, msg);
             }
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, u32>, from: RankId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: RankId, msg: u32) {
             self.got.push((from, msg));
+            if self.relay && msg > 0 {
+                ctx.send(ctx.me(), msg - 1, 8);
+            }
         }
     }
 
@@ -329,7 +415,7 @@ mod tests {
         let mut out = Vec::new();
         h.start(&mut |from, to, msg| out.push((from, to, msg)));
         assert_eq!(out, [(RankId::new(0), RankId::new(1), 7)]);
-        let (_, network, faults) = h.finish();
+        let (_, network, faults, _) = h.finish();
         assert_eq!((network.messages, network.bytes), (1, 8));
         assert_eq!(faults, FaultStats::default());
     }
@@ -386,7 +472,7 @@ mod tests {
             h.fire_due(&mut egress);
             std::thread::yield_now();
         }
-        let (ranks, network, faults) = h.finish();
+        let (ranks, network, faults, _) = h.finish();
         let me = RankId::new(0);
         assert_eq!(ranks[0].1.got, [(me, 1), (me, 2), (me, 3)]);
         assert_eq!(network.messages, 0);
@@ -413,8 +499,57 @@ mod tests {
         }
         assert_eq!(h.newly_done(), 1, "down for good counts as finished");
         assert_eq!(h.newly_done(), 0, "and is counted once");
-        let (ranks, _, faults) = h.finish();
+        let (ranks, _, faults, _) = h.finish();
         assert!(ranks[0].1.got.is_empty(), "delivery to a corpse");
         assert_eq!(faults.crash_dropped, 2);
+    }
+
+    /// Run `h` on an inbox only its own egress feeds, until it has been
+    /// idle for `quiet`: how many turns the loop took, and the host.
+    fn run_alone(mut h: Host<Stub>, quiet: Duration) -> (u64, Host<Stub>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut turns = 0;
+        h.run(
+            &rx,
+            |from, to, msg| tx.send((from, to, msg)).expect("the inbox is open"),
+            |_, idle| {
+                turns += 1;
+                idle >= quiet
+            },
+        );
+        (turns, h)
+    }
+
+    #[test]
+    fn an_idle_host_spins_once_then_parks_every_turn() {
+        let (turns, h) = run_alone(
+            host(Stub::default(), FaultPlan::none()),
+            Duration::from_millis(50),
+        );
+        let idle = h.finish().3;
+        // Only the first turn is armed; every turn, finding nothing,
+        // blocks once, for a `TICK` or however much longer the OS takes.
+        assert_eq!((idle.spins, idle.spin_hits), (1, 0));
+        assert_eq!(idle.parks, turns);
+        assert!((1..=50).contains(&turns), "{turns} turns in 50 ms");
+    }
+
+    #[test]
+    fn work_rearms_the_spin() {
+        // Long after the first turn's spin the timer hands the rank a 1,
+        // which it passes on to itself through egress as a 0. The turn
+        // after finds that in the inbox at once; the turn after that is
+        // the first to come up empty behind work, and spins.
+        let rank = Stub {
+            timers: vec![(5e-3, 1)],
+            relay: true,
+            ..Stub::default()
+        };
+        let (_, h) = run_alone(host(rank, FaultPlan::none()), Duration::from_millis(10));
+        let (ranks, network, _, idle) = h.finish();
+        let me = RankId::new(0);
+        assert_eq!(ranks[0].1.got, [(me, 1), (me, 0)]);
+        assert_eq!(network.messages, 1);
+        assert_eq!((idle.spins, idle.spin_hits), (2, 0));
     }
 }

@@ -44,11 +44,11 @@ use crate::crc::crc32;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::host::{Host, Inbound};
 use crate::sim::Protocol;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::Rng;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempered_core::ids::RankId;
@@ -89,6 +89,11 @@ pub fn encode_frame(wire: &LbWire) -> Vec<u8> {
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// How much of `buf` has already left as frames. Popping a frame
+    /// advances this instead of moving what is still buffered, so one
+    /// socket read holding hundreds of small frames costs one compaction
+    /// (at the next `push`), not one per frame.
+    read: usize,
 }
 
 impl FrameReader {
@@ -99,12 +104,14 @@ impl FrameReader {
 
     /// Append bytes read from the stream.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.read);
+        self.read = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet assembled into a frame.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.read
     }
 
     /// Pop the next complete frame, if one has fully arrived.
@@ -117,27 +124,30 @@ impl FrameReader {
     /// the same way, with the checksum inverted so verification still
     /// fails.
     pub fn next_frame(&mut self) -> Option<LbWire> {
-        if self.buf.len() < 8 {
+        let unread = &self.buf[self.read..];
+        if unread.len() < 8 {
             return None;
         }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(self.buf[4..8].try_into().unwrap());
+        let len = u32::from_le_bytes(unread[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(unread[4..8].try_into().unwrap());
         if len > MAX_FRAME_BYTES {
             // Desynchronized or hostile stream: surface one damaged
-            // frame and resynchronize by discarding the buffer.
-            let bytes = std::mem::take(&mut self.buf);
+            // frame and resynchronize by discarding what is unread.
+            let bytes = unread.to_vec();
+            self.buf.clear();
+            self.read = 0;
             return Some(LbWire::Damaged {
                 crc: !crc32(&bytes),
                 bytes,
             });
         }
-        if self.buf.len() < 8 + len {
+        if unread.len() < 8 + len {
             return None;
         }
         // Decode straight out of the reassembly buffer: the payload is
         // only copied out on the damaged paths, which need to own the
         // bytes they surface.
-        let payload = &self.buf[8..8 + len];
+        let payload = &unread[8..8 + len];
         let wire = if crc32(payload) != crc {
             LbWire::Damaged {
                 crc,
@@ -152,7 +162,7 @@ impl FrameReader {
                 },
             }
         };
-        self.buf.drain(..8 + len);
+        self.read += 8 + len;
         Some(wire)
     }
 }
@@ -241,14 +251,14 @@ pub fn run_socket_rank(
         cfg.fault_plan,
         tempered_obs::Recorder::disabled(),
     );
-    let (in_tx, in_rx) = unbounded::<Inbound<LbWire>>();
+    let (in_tx, in_rx) = channel::<Inbound<LbWire>>();
 
     // Per-peer outbound frame queues, drained by writer threads.
     let mut out_rx: Vec<(usize, Receiver<Vec<u8>>)> = Vec::new();
     let out_tx: Vec<Option<Sender<Vec<u8>>>> = (0..num_ranks)
         .map(|r| {
             (r != me.as_usize()).then(|| {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 out_rx.push((r, rx));
                 tx
             })
@@ -310,7 +320,7 @@ pub fn run_socket_rank(
     });
 
     let wall_time_s = host.now();
-    let (mut ranks, network, faults) = host.finish();
+    let (mut ranks, network, faults, _) = host.finish();
     let (_, rank) = ranks.pop().expect("the host holds this rank");
     SocketRankReport {
         finished: rank.is_done(),
@@ -552,9 +562,14 @@ mod tests {
         junk.extend_from_slice(&u32::MAX.to_le_bytes());
         junk.extend_from_slice(&0u32.to_le_bytes());
         junk.extend_from_slice(b"garbage");
-        reader.push(&junk);
+        // Behind a whole frame in the same read: what is discarded is the
+        // unread bytes, no more and no less.
+        let mut read = encode_frame(&LbWire::Heartbeat);
+        read.extend_from_slice(&junk);
+        reader.push(&read);
+        assert_eq!(reader.next_frame(), Some(LbWire::Heartbeat));
         let got = reader.next_frame().expect("surfaced");
-        assert!(matches!(got, LbWire::Damaged { .. }));
+        assert!(matches!(&got, LbWire::Damaged { bytes, .. } if *bytes == junk));
         assert!(!got.verify());
         assert_eq!(reader.pending(), 0, "buffer resynchronized");
     }

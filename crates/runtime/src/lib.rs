@@ -11,11 +11,12 @@
 //!   queue and the wall-clock host's held queue, with a deterministic
 //!   `(time, push order)` pop order.
 //! * `host` (crate-private) — the one wall-clock driver loop: clock,
-//!   emulator, held queue, handler buffers, receive loop. A driver adds
-//!   where a surviving copy goes and when to stop.
+//!   emulator, held queue, handler buffers, and a receive loop that
+//!   spins briefly before it parks. A driver adds where a surviving copy
+//!   goes and when to stop.
 //! * [`parallel`] — multi-threaded executor running the *same* protocols
 //!   with real concurrency: ranks sharded over worker threads, one host
-//!   each, crossbeam channels between them. Stress-tests protocol
+//!   each, `std::sync::mpsc` channels between them. Stress-tests protocol
 //!   correctness under arbitrary interleavings.
 //! * [`termination`] — Mattern four-counter wave termination detection,
 //!   the mechanism sequencing the barrier-free gossip protocol (§IV-B).

@@ -2,7 +2,9 @@
 //!
 //! Runs the same [`Protocol`] actors as the deterministic simulator, but
 //! with real concurrency: ranks are sharded across worker threads and
-//! messages flow through crossbeam channels. Delivery order between ranks
+//! messages flow through `std::sync::mpsc` channels, one inbox per worker,
+//! which each worker polls briefly before it parks (see [`crate::host`]:
+//! a wake-up costs more than a handler). Delivery order between ranks
 //! is whatever the OS scheduler produces — exactly the nondeterminism a
 //! real AMT runtime faces — which makes this executor the stress test for
 //! protocol correctness: termination detection, epoch buffering, and
@@ -24,17 +26,17 @@
 //! reports done hangs the run, which tests guard with a wall-clock bound.
 
 use crate::fault::{FaultPlan, FaultStats};
-use crate::host::{Host, Inbound};
+use crate::host::{Host, IdleStats, Inbound};
 use crate::sim::Protocol;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 use tempered_obs::NetworkStats;
 use tempered_obs::Recorder;
 
 /// Wall-clock hold-back per unit of injected latency factor: a message
 /// with fate `delay_factor = f` is held for `(f − 1) ×` this duration.
-/// Chosen large against crossbeam channel latency (~µs) so stragglers
+/// Chosen large against in-memory channel latency (~µs) so stragglers
 /// and spikes genuinely reorder traffic, small enough that tests finish.
 pub const PARALLEL_DELAY_UNIT: Duration = Duration::from_micros(100);
 
@@ -102,7 +104,7 @@ where
     let done_count = AtomicUsize::new(0);
     let start = Instant::now();
 
-    let (senders, receivers): Endpoints<P::Msg> = (0..workers).map(|_| unbounded()).unzip();
+    let (senders, receivers): Endpoints<P::Msg> = (0..workers).map(|_| channel()).unzip();
 
     // Shard ranks: worker w owns ranks with index % workers == w.
     let mut shards: Vec<Vec<(usize, P)>> = (0..workers).map(|_| Vec::new()).collect();
@@ -113,6 +115,7 @@ where
     let mut results: Vec<Option<P>> = (0..num_ranks).map(|_| None).collect();
     let mut network = NetworkStats::default();
     let mut faults = FaultStats::default();
+    let mut idle = IdleStats::default();
     let mut completed = true;
 
     std::thread::scope(|scope| {
@@ -153,12 +156,13 @@ where
             }));
         }
         for h in handles {
-            let ((shard, stats, fstats), ok) = h.join().expect("worker panicked");
+            let ((shard, stats, fstats, istats), ok) = h.join().expect("worker panicked");
             for (i, p) in shard {
                 results[i] = Some(p);
             }
             network.merge(&stats);
             faults.merge(&fstats);
+            idle.merge(&istats);
             completed &= ok;
         }
     });
@@ -169,6 +173,9 @@ where
         .collect();
     options.recorder.with_metrics(|m| {
         m.record_network("parallel.net", &network);
+        m.counter_add("parallel.spins", idle.spins);
+        m.counter_add("parallel.spin_hits", idle.spin_hits);
+        m.counter_add("parallel.parks", idle.parks);
         faults.record(m);
         m.gauge_max("parallel.wall_time_s", start.elapsed().as_secs_f64());
     });
@@ -189,17 +196,20 @@ mod tests {
     use tempered_core::ids::RankId;
     use tempered_core::rng::RngFactory;
 
-    #[test]
-    fn lb_protocol_completes_under_real_concurrency() {
-        let dist = Distribution::concentrated(24, 2, 40);
-        let cfg = LbProtocolConfig {
+    fn lb_config() -> LbProtocolConfig {
+        LbProtocolConfig {
             trials: 2,
             iters: 3,
             fanout: 4,
             rounds: 5,
             ..Default::default()
-        };
-        let ranks = LbRank::for_dist(&dist, cfg, RngFactory::new(77));
+        }
+    }
+
+    #[test]
+    fn lb_protocol_completes_under_real_concurrency() {
+        let dist = Distribution::concentrated(24, 2, 40);
+        let ranks = LbRank::for_dist(&dist, lb_config(), RngFactory::new(77));
         let report = run_parallel(ranks, 4, Duration::from_secs(20));
         assert!(report.completed, "protocol must terminate under threads");
         // Task conservation across the whole system.
@@ -216,6 +226,58 @@ mod tests {
             max_load / avg - 1.0 < 2.0,
             "imbalance after threaded LB too high: {}",
             max_load / avg - 1.0
+        );
+    }
+
+    /// Hand-off between workers must cost less than the work it spreads.
+    /// A host that parked the instant its inbox ran dry blocked once per
+    /// two or three messages and paid the kernel a wake-up for each; two
+    /// workers then took three to eighteen times as long as one.
+    #[test]
+    fn a_second_worker_costs_less_than_the_work_it_takes() {
+        let dist = Distribution::concentrated(256, 32, 40);
+        // One run: how long it took, and how often its workers blocked
+        // per message sent.
+        let timed = |threads: usize| {
+            let ranks = LbRank::for_dist(&dist, lb_config(), RngFactory::new(77));
+            let recorder = Recorder::enabled(dist.num_ranks());
+            let options = ParallelOptions {
+                recorder: recorder.clone(),
+                ..Default::default()
+            };
+            let began = Instant::now();
+            let report = run_parallel_with(ranks, threads, Duration::from_secs(60), options);
+            let took = began.elapsed();
+            assert!(report.completed, "threads={threads}");
+            let total: usize = report.ranks.iter().map(|r| r.final_tasks().len()).sum();
+            assert_eq!(total, dist.num_tasks(), "threads={threads}");
+            let mut parks = 0;
+            recorder.with_metrics(|m| parks = m.counter("parallel.parks"));
+            (took, parks as f64 / report.network.messages as f64)
+        };
+        // Best of five each, taken alternately so that a noisy stretch
+        // of the machine falls on both sides.
+        let (mut one_worker, mut two_workers) = (Duration::MAX, Duration::MAX);
+        let mut parks_per_message = f64::MAX;
+        for _ in 0..5 {
+            one_worker = one_worker.min(timed(1).0);
+            let (took, parks) = timed(2);
+            two_workers = two_workers.min(took);
+            parks_per_message = parks_per_message.min(parks);
+        }
+        assert!(
+            parks_per_message < 0.05,
+            "two workers blocked {parks_per_message:.3} times a message"
+        );
+        // Debug handlers are slow enough to hide hand-off, and one core
+        // has no second worker to hand off to.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        if cfg!(debug_assertions) || cores < 2 {
+            return;
+        }
+        assert!(
+            two_workers <= 3 * one_worker,
+            "two workers took {two_workers:?}, one took {one_worker:?} ({cores} cores)"
         );
     }
 

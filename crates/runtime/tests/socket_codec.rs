@@ -178,6 +178,20 @@ proptest! {
         prop_assert_eq!(reader.pending(), 0);
     }
 
+    /// One socket read can hold hundreds of small frames: many whole
+    /// frames in a single push pop in order and leave nothing behind.
+    #[test]
+    fn many_frames_in_one_push_pop_in_order(
+        wires in prop::collection::vec(arb_wire(), 1..200),
+    ) {
+        let stream: Vec<u8> = wires.iter().flat_map(encode_frame).collect();
+        let mut reader = FrameReader::new();
+        reader.push(&stream);
+        let got: Vec<LbWire> = std::iter::from_fn(|| reader.next_frame()).collect();
+        prop_assert_eq!(got, wires);
+        prop_assert_eq!(reader.pending(), 0);
+    }
+
     /// Any single corrupted payload byte is caught by the CRC: the
     /// frame surfaces as `Damaged` (failing verification, so the rank
     /// drops it unacked), and the reader resynchronizes cleanly on the
