@@ -23,7 +23,12 @@
 //! configuration (hotspot/tempered, hardened) through 256 → 1k → 8k →
 //! 32k ranks, recording wall clock per modeled millisecond and the
 //! process memory high-water mark — the curve behind the "toward 100k
-//! ranks" claim. `TEMPERED_SCALE_MAX=<ranks>` caps the sweep.
+//! ranks" claim — plus the two per-unit columns ROADMAP item 2's gate is
+//! written in, `hwm_kb_per_rank` and `wall_us_per_event`.
+//! `TEMPERED_SCALE_MAX=<ranks>` caps the sweep. After writing both files
+//! the binary exits 1 if memory per rank at the largest swept rank count
+//! exceeds 1.5× the 256-rank row: per-rank state that grows with the job
+//! is the thing a fully distributed balancer must not have.
 //!
 //! Note on the 16-rank `svc_flash`/`grapevine` row: final imbalance
 //! equals initial by design, not by accident. Grapevine's overloaded
@@ -49,6 +54,9 @@ use tempered_svc::SvcScenario;
 
 const SEED: u64 = 4242;
 const REPEATS: usize = 3;
+/// ROADMAP item 2: memory high-water per rank may grow at most this much
+/// from the smallest swept rank count to the largest.
+const HWM_PER_RANK_GATE: f64 = 1.5;
 
 fn config(balancer: &str) -> LbProtocolConfig {
     let base = match balancer {
@@ -116,6 +124,16 @@ struct SweepRow {
     hwm_kb: u64,
 }
 
+impl SweepRow {
+    fn hwm_kb_per_rank(&self) -> f64 {
+        self.hwm_kb as f64 / self.ranks as f64
+    }
+
+    fn wall_us_per_event(&self) -> f64 {
+        self.wall_ms * 1e3 / self.events as f64
+    }
+}
+
 /// Scaling sweep: the headline configuration (hotspot/tempered,
 /// hardened reliable delivery) at rank counts well past the grid, one
 /// repeat each — the shape of the curve matters here, not ±5% noise.
@@ -151,8 +169,15 @@ fn scaling_sweep() -> Vec<SweepRow> {
             hwm_kb: vm_hwm_kb(),
         };
         println!(
-            "  scale ranks={:<6} wall={:>9.1}ms virtual={:>8.3}ms msgs={} hwm={}KiB",
-            row.ranks, row.wall_ms, row.virtual_ms, row.messages, row.hwm_kb
+            "  scale ranks={:<6} wall={:>9.1}ms virtual={:>8.3}ms msgs={} hwm={}KiB \
+             ({:.1}KiB/rank, {:.3}us/event)",
+            row.ranks,
+            row.wall_ms,
+            row.virtual_ms,
+            row.messages,
+            row.hwm_kb,
+            row.hwm_kb_per_rank(),
+            row.wall_us_per_event()
         );
         rows.push(row);
     }
@@ -316,7 +341,7 @@ fn main() {
             json,
             "    {{\"ranks\": {}, \"tasks\": {}, \"wall_ms\": {:.3}, \"virtual_ms\": {:.3}, \
              \"wall_per_virtual_ms\": {:.3}, \"messages\": {}, \"bytes\": {}, \"events\": {}, \
-             \"vm_hwm_kb\": {}}}",
+             \"vm_hwm_kb\": {}, \"hwm_kb_per_rank\": {:.1}, \"wall_us_per_event\": {:.3}}}",
             s.ranks,
             s.tasks,
             s.wall_ms,
@@ -326,6 +351,8 @@ fn main() {
             s.bytes,
             s.events,
             s.hwm_kb,
+            s.hwm_kb_per_rank(),
+            s.wall_us_per_event(),
         );
         json.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
     }
@@ -352,12 +379,13 @@ fn main() {
     println!("wrote BENCH_lb.json");
 
     let mut csv = String::from(
-        "ranks,tasks,wall_ms,virtual_ms,wall_per_virtual_ms,messages,bytes,events,vm_hwm_kb\n",
+        "ranks,tasks,wall_ms,virtual_ms,wall_per_virtual_ms,messages,bytes,events,vm_hwm_kb,\
+         hwm_kb_per_rank,wall_us_per_event\n",
     );
     for s in &sweep {
         let _ = writeln!(
             csv,
-            "{},{},{:.3},{:.3},{:.3},{},{},{},{}",
+            "{},{},{:.3},{:.3},{:.3},{},{},{},{},{:.1},{:.3}",
             s.ranks,
             s.tasks,
             s.wall_ms,
@@ -367,9 +395,23 @@ fn main() {
             s.bytes,
             s.events,
             s.hwm_kb,
+            s.hwm_kb_per_rank(),
+            s.wall_us_per_event(),
         );
     }
     write_results("scaling.csv", &csv);
+
+    if let (Some(first), Some(last)) = (sweep.first(), sweep.last()) {
+        let (base, top) = (first.hwm_kb_per_rank(), last.hwm_kb_per_rank());
+        if top > HWM_PER_RANK_GATE * base {
+            eprintln!(
+                "memory per rank grew with the job: {top:.1} KiB at {} ranks against \
+                 {base:.1} KiB at {} (gate {HWM_PER_RANK_GATE}x)",
+                last.ranks, first.ranks
+            );
+            std::process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]

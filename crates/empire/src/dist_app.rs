@@ -500,7 +500,6 @@ impl PicRank {
     fn coll_children(&self) -> Vec<RankId> {
         self.tree
             .children(self.live_index())
-            .into_iter()
             .map(|c| self.live[c.as_usize()])
             .collect()
     }

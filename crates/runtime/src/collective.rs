@@ -51,16 +51,13 @@ impl Tree {
         }
     }
 
-    /// Children of `r` (zero, one, or two).
-    pub fn children(&self, r: RankId) -> Vec<RankId> {
-        let rel = self.rel_of(r);
-        let mut out = Vec::with_capacity(2);
-        for c in [2 * rel + 1, 2 * rel + 2] {
-            if c < self.num_ranks {
-                out.push(self.rank_of(c));
-            }
-        }
-        out
+    /// Children of `r` (zero, one, or two), in ascending relative order.
+    /// The iterator knows its length, so a caller that only needs the
+    /// child count takes `len()` without walking it.
+    pub fn children(&self, r: RankId) -> impl ExactSizeIterator<Item = RankId> {
+        let tree = *self;
+        let first = 2 * self.rel_of(r) + 1;
+        (first..(first + 2).min(self.num_ranks)).map(move |c| tree.rank_of(c))
     }
 
     /// Depth of the tree (edges on the longest root-to-leaf path).

@@ -54,7 +54,7 @@ mod stages;
 
 use super::messages::{LbMsg, TaskEntry};
 use crate::collective::{LoadSummary, ReduceSlot, Tree};
-use crate::membership::View;
+use crate::membership::{live_index, nth_live, View};
 use crate::termination::{TdMsg, TdOutcome, TerminationDetector};
 use stages::StageState;
 use std::collections::{BTreeSet, HashMap};
@@ -220,12 +220,11 @@ pub struct GossipEngine {
     tree: Tree,
     det: TerminationDetector,
 
-    // Membership: the current view and its sorted survivor list. Every
-    // TD epoch is offset by `view.epoch_base()` and every collective
-    // slot is stamped with the generation, so cross-view traffic is
-    // recognizably stale (see `is_stale`) and restarts cannot mix state.
+    // Membership: the current view. Every TD epoch is offset by
+    // `view.epoch_base()` and every collective slot is stamped with the
+    // generation, so cross-view traffic is recognizably stale (see
+    // `is_stale`) and restarts cannot mix state.
     view: View,
-    live: Vec<RankId>,
 
     // Task state.
     original: Vec<TaskEntry>,
@@ -286,7 +285,6 @@ impl GossipEngine {
             tree: Tree::new(num_ranks, RankId::new(0)),
             det: TerminationDetector::new(me, num_ranks),
             view: View::new(num_ranks),
-            live: (0..num_ranks).map(RankId::from).collect(),
             current: original.clone(),
             best: original.clone(),
             original,
@@ -566,35 +564,31 @@ impl GossipEngine {
     //
     // The collective tree spans *live-rank indices*, not rank ids: after
     // a view change the survivors renumber themselves 0..num_live by
-    // sorted rank id and rebuild a dense binary tree over those indices.
-    // In the initial view (nobody dead) index == id, so the mapping is
-    // the identity and the clean path is bit-identical to the pre-fault
-    // protocol.
+    // ascending rank id and rebuild a dense binary tree over those
+    // indices. The numbering is computed from the view's dead set
+    // (`membership::live_index` / `nth_live`), so no rank lists the
+    // survivors. In the initial view (nobody dead) index == id, so the
+    // mapping is the identity and the clean path is bit-identical to the
+    // pre-fault protocol.
 
     fn live_index(&self) -> RankId {
-        let idx = self
-            .live
-            .binary_search(&self.me)
-            .expect("engine rank must be live in its own view");
-        RankId::from(idx)
+        RankId::from(live_index(self.view.dead(), self.me))
     }
 
     fn coll_parent(&self) -> Option<RankId> {
         self.tree
             .parent(self.live_index())
-            .map(|p| self.live[p.as_usize()])
+            .map(|p| nth_live(self.view.dead(), p.as_usize()))
     }
 
-    fn coll_children(&self) -> Vec<RankId> {
+    fn coll_children(&self) -> impl ExactSizeIterator<Item = RankId> + '_ {
         self.tree
             .children(self.live_index())
-            .into_iter()
-            .map(|c| self.live[c.as_usize()])
-            .collect()
+            .map(|c| nth_live(self.view.dead(), c.as_usize()))
     }
 
     fn slot_mut(&mut self, slot: u32) -> &mut ReduceSlot {
-        let children = self.coll_children().len();
+        let children = self.tree.children(self.live_index()).len();
         self.slots
             .entry(slot)
             .or_insert_with(|| ReduceSlot::new(children))
@@ -619,10 +613,11 @@ impl GossipEngine {
         }
     }
 
-    fn broadcast_down(&mut self, out: &mut Vec<Command>, slot: u32, summary: LoadSummary) {
-        for child in self.coll_children() {
-            self.send_ctrl(out, child, LbMsg::ReduceDown { slot, summary });
-        }
+    fn broadcast_down(&self, out: &mut Vec<Command>, slot: u32, summary: LoadSummary) {
+        out.extend(self.coll_children().map(|to| Command::Send {
+            to,
+            msg: LbMsg::ReduceDown { slot, summary },
+        }));
     }
 
     fn on_reduce_result(&mut self, out: &mut Vec<Command>, slot: u32, summary: LoadSummary) {
@@ -833,15 +828,19 @@ impl GossipEngine {
 
     /// A [`LbMsg::Knock`] arrived from a rank this view has fenced out:
     /// the path to it demonstrably works again, so the partition healed.
-    /// Only the live component's *leader* (lowest live rank) initiates
-    /// the heal, and only while it holds quorum — two concurrent healers
-    /// could otherwise mint competing heal fences for overlapping views.
+    /// Only the live component's *leader* initiates the heal, and only
+    /// while it holds quorum — two concurrent healers could otherwise
+    /// mint competing heal fences for overlapping views. The leader is
+    /// the lowest rank live when the protocol last (re)started, which is
+    /// the rank coordinating its termination detection: a post-commit
+    /// heal readmits ranks into the view without restarting, and the
+    /// leader of the component that committed keeps answering.
     fn handle_knock(&mut self, out: &mut Vec<Command>, from: RankId) {
         if !self.cfg.quorum
             || self.parked
             || self.view.is_live(from)
             || !self.view.has_quorum()
-            || self.live.first() != Some(&self.me)
+            || self.det.coordinator() != self.me
         {
             return;
         }
@@ -938,8 +937,7 @@ impl GossipEngine {
     /// the wait.
     fn park(&mut self, out: &mut Vec<Command>) {
         self.parked = true;
-        self.live = self.view.live_ranks();
-        self.tree = Tree::new(self.live.len(), RankId::new(0));
+        self.tree = Tree::new(self.view.num_live(), RankId::new(0));
         let _ = self.det.set_dead(self.view.dead());
         self.det.start_epoch(self.view.epoch_base());
         self.slots.clear();
@@ -974,9 +972,8 @@ impl GossipEngine {
     fn restart(&mut self, out: &mut Vec<Command>) {
         // A heal that regained quorum un-parks the engine.
         self.parked = false;
-        // Survivor set and the dense collective tree over its indices.
-        self.live = self.view.live_ranks();
-        self.tree = Tree::new(self.live.len(), RankId::new(0));
+        // The dense collective tree over the survivors' indices.
+        self.tree = Tree::new(self.view.num_live(), RankId::new(0));
 
         // Fence termination detection: tell the detector who died (its
         // relaunch sends target the old, now-abandoned epoch — discard
@@ -1204,6 +1201,40 @@ mod tests {
         assert!(cmds.is_empty(), "a done engine neither floods nor restarts");
         assert_eq!(e.view().generation(), 0);
         assert_eq!(e.final_tasks().len(), 1);
+    }
+
+    #[test]
+    fn the_leader_of_a_committed_component_keeps_answering_knocks() {
+        // Rank 1 leads {1, 2, 3} of 5 after ranks 0 and 4 were fenced
+        // out, and has committed. Healing rank 0 post-commit puts a
+        // lower rank back into the view without restarting anything, so
+        // the component is still led from here: rank 4's knock must be
+        // answered too, not left to a rank that never ran this protocol.
+        let cfg = EngineConfig {
+            quorum: true,
+            ..EngineConfig::tempered()
+        };
+        let mut e = GossipEngine::new(RankId::new(1), 5, vec![], cfg, RngFactory::new(1));
+        let _ = e.start();
+        let dead: BTreeSet<RankId> = [RankId::new(0), RankId::new(4)].into_iter().collect();
+        let _ = e.on_view(&dead);
+        e.state = StageState::Done;
+        e.done = true;
+        let heal_offers = |cmds: Vec<Command>| {
+            let offer = |c: &&Command| {
+                matches!(
+                    c,
+                    Command::Send {
+                        msg: LbMsg::Heal { .. },
+                        ..
+                    }
+                )
+            };
+            cmds.iter().filter(offer).count()
+        };
+        assert_eq!(heal_offers(e.on_message(RankId::new(0), LbMsg::Knock)), 1);
+        assert!(e.view().is_live(RankId::new(0)));
+        assert_eq!(heal_offers(e.on_message(RankId::new(4), LbMsg::Knock)), 1);
     }
 
     #[test]

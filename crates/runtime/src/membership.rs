@@ -42,6 +42,34 @@ use tempered_core::ids::RankId;
 /// different views never collide.
 pub const VIEW_EPOCH_STRIDE: u64 = 1 << 32;
 
+/// Dense index of the live rank `rank` among the survivors of `dead`,
+/// in ascending rank order: `rank − |dead below rank|`.
+///
+/// Together with [`nth_live`] this is the survivor numbering the
+/// collective tree and the termination ring run over. It is computed
+/// from the dead set on demand instead of being kept as a per-rank list
+/// of survivors, which would cost every rank O(job size) memory for a
+/// map that is the identity until somebody dies. With nobody dead both
+/// functions are O(1); otherwise they walk the dead ranks below the
+/// answer. Neither allocates.
+pub fn live_index(dead: &BTreeSet<RankId>, rank: RankId) -> usize {
+    debug_assert!(!dead.contains(&rank), "rank {rank} has no live index");
+    rank.as_usize() - dead.range(..rank).count()
+}
+
+/// The `i`-th survivor of `dead` in ascending rank order — the inverse
+/// of [`live_index`]. The caller keeps `i` below the survivor count.
+pub fn nth_live(dead: &BTreeSet<RankId>, i: usize) -> RankId {
+    let mut rank = i;
+    for d in dead {
+        if d.as_usize() > rank {
+            break;
+        }
+        rank += 1;
+    }
+    RankId::from(rank)
+}
+
 /// A membership view: the full rank set minus the ranks declared dead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct View {
@@ -92,14 +120,6 @@ impl View {
     /// Number of surviving ranks.
     pub fn num_live(&self) -> usize {
         self.num_ranks - self.dead.len()
-    }
-
-    /// Surviving ranks in ascending order.
-    pub fn live_ranks(&self) -> Vec<RankId> {
-        (0..self.num_ranks)
-            .map(RankId::from)
-            .filter(|r| self.is_live(*r))
-            .collect()
     }
 
     /// Declare a single rank dead. Returns `true` if the view grew
@@ -170,7 +190,7 @@ mod tests {
         assert_eq!(v.generation(), 0);
         assert_eq!(v.epoch_base(), 0);
         assert_eq!(v.num_live(), 4);
-        assert_eq!(v.live_ranks().len(), 4);
+        assert_eq!(nth_live(v.dead(), 3), RankId::new(3));
         assert!(v.is_live(RankId::new(3)));
     }
 
@@ -182,10 +202,11 @@ mod tests {
         assert_eq!(v.generation(), 1);
         assert_eq!(v.epoch_base(), VIEW_EPOCH_STRIDE);
         assert!(!v.is_live(RankId::new(2)));
-        assert_eq!(
-            v.live_ranks(),
-            vec![RankId::new(0), RankId::new(1), RankId::new(3)]
-        );
+        let live = [RankId::new(0), RankId::new(1), RankId::new(3)];
+        for (i, r) in live.into_iter().enumerate() {
+            assert_eq!(live_index(v.dead(), r), i);
+            assert_eq!(nth_live(v.dead(), i), r);
+        }
     }
 
     #[test]

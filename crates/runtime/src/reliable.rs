@@ -17,6 +17,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::collections::VecDeque;
 use tempered_core::ids::RankId;
 
 /// Retransmission and give-up policy.
@@ -203,6 +204,7 @@ impl SeqSet {
 #[derive(Clone, Debug)]
 struct Pending<M> {
     to: RankId,
+    seq: u64,
     msg: M,
     attempts: u32,
 }
@@ -216,18 +218,26 @@ struct Pending<M> {
 /// rank — O(P²) across the job, a measured 6 GiB of the 8k-rank
 /// high-water mark — even though a rank only ever corresponds with
 /// O(fanout × rounds × iters) distinct peers regardless of job size.
-/// The in-flight window per peer is small (a fanout's worth of unacked
-/// messages), so pending messages live in a per-peer vector scanned
-/// linearly.
+///
+/// Unacknowledged messages are *not* per-peer state: a container per
+/// peer outlives the few microseconds its messages are in flight and
+/// costs memory for every peer ever contacted, while what is in flight
+/// at once across all peers is a handful of entries. They live in one
+/// window per rank, in send order. Acknowledgements come back in
+/// roughly the order the messages left, so a lookup walks the window
+/// from both ends inward and costs O(distance to the nearer end): O(1)
+/// for acks in send order or in exactly reversed order — including
+/// after a View flood to every rank of the job — and O(in-flight
+/// count) at worst, as for a retry timer whose message has long
+/// settled. Removal keeps the order (it shifts the shorter side), which
+/// is what keeps the oldest entry at the front.
 #[derive(Clone, Debug)]
 pub struct ReliableChannel<M> {
     cfg: RetryConfig,
     /// Last assigned sequence number per destination rank.
     next_seq: PeerTable<u64>,
-    /// Unacknowledged messages per destination rank, keyed by seq.
-    pending: PeerTable<Vec<(u64, Pending<M>)>>,
-    /// Total entries across `pending`.
-    pending_total: usize,
+    /// Unacknowledged messages to every destination, oldest first.
+    window: VecDeque<Pending<M>>,
     /// Receiver-side dedup state per source rank.
     seen: PeerTable<SeqSet>,
     /// Sender-side record of every sequence number a peer has ever
@@ -333,8 +343,7 @@ impl<M: Clone> ReliableChannel<M> {
         ReliableChannel {
             cfg,
             next_seq: PeerTable::default(),
-            pending: PeerTable::default(),
-            pending_total: 0,
+            window: VecDeque::new(),
             seen: PeerTable::default(),
             acked: PeerTable::default(),
             jitter_rng: None,
@@ -375,15 +384,12 @@ impl<M: Clone> ReliableChannel<M> {
         let next = slot(&mut self.next_seq, to);
         *next += 1;
         let seq = *next;
-        slot(&mut self.pending, to).push((
+        self.window.push_back(Pending {
+            to,
             seq,
-            Pending {
-                to,
-                msg,
-                attempts: 0,
-            },
-        ));
-        self.pending_total += 1;
+            msg,
+            attempts: 0,
+        });
         self.stats.sent += 1;
         let delay = self.armed_delay(0);
         (seq, delay)
@@ -394,14 +400,27 @@ impl<M: Clone> ReliableChannel<M> {
         // Recorded unconditionally — even for acks of already-settled
         // seqs — so the audit sees exactly what the peer claimed.
         slot(&mut self.acked, from).insert(seq);
-        let window = slot(&mut self.pending, from);
-        if let Some(i) = window.iter().position(|&(s, _)| s == seq) {
-            // Window order is irrelevant (lookups are linear scans by
-            // seq), so the O(1) removal is safe.
-            window.swap_remove(i);
-            self.pending_total -= 1;
+        if let Some(i) = self.find(from, seq) {
+            self.window.remove(i);
             self.stats.acked += 1;
         }
+    }
+
+    /// Position of the unacknowledged `(to, seq)` in the window, looking
+    /// from both ends inward (see the type's docs for the cost).
+    fn find(&self, to: RankId, seq: u64) -> Option<usize> {
+        let hit = |i: usize| self.window[i].seq == seq && self.window[i].to == to;
+        let len = self.window.len();
+        (0..len.div_ceil(2)).find_map(|front| {
+            let back = len - 1 - front;
+            if hit(front) {
+                Some(front)
+            } else if hit(back) {
+                Some(back)
+            } else {
+                None
+            }
+        })
     }
 
     /// Receiver side: record the arrival of `(from, seq)`. Returns
@@ -431,23 +450,18 @@ impl<M: Clone> ReliableChannel<M> {
 
     /// A retry timer for `(to, seq)` fired; decide what happens next.
     pub fn on_retry_timer(&mut self, to: RankId, seq: u64) -> RetryAction<M> {
-        let window = slot(&mut self.pending, to);
-        let Some(i) = window.iter().position(|&(s, _)| s == seq) else {
+        let Some(i) = self.find(to, seq) else {
             return RetryAction::Settled;
         };
-        let p = &mut window[i].1;
+        let p = &mut self.window[i];
         if p.attempts >= self.cfg.max_retries {
-            let (_, p) = window.swap_remove(i);
-            self.pending_total -= 1;
+            let p = self.window.remove(i).expect("index just found");
             self.stats.gave_up += 1;
-            return RetryAction::GaveUp {
-                to: p.to,
-                msg: p.msg,
-            };
+            return RetryAction::GaveUp { to, msg: p.msg };
         }
         p.attempts += 1;
         self.stats.retransmitted += 1;
-        let (to, msg, attempts) = (p.to, p.msg.clone(), p.attempts);
+        let (msg, attempts) = (p.msg.clone(), p.attempts);
         RetryAction::Resend {
             to,
             seq,
@@ -463,15 +477,12 @@ impl<M: Clone> ReliableChannel<M> {
     /// membership layer still vouches for the destination, so abandoning
     /// the payload would wedge the protocol once the path recovers.
     pub fn reinstate(&mut self, to: RankId, seq: u64, msg: M) -> f64 {
-        slot(&mut self.pending, to).push((
+        self.window.push_back(Pending {
+            to,
             seq,
-            Pending {
-                to,
-                msg,
-                attempts: 0,
-            },
-        ));
-        self.pending_total += 1;
+            msg,
+            attempts: 0,
+        });
         self.stats.revived += 1;
         self.armed_delay(0)
     }
@@ -481,16 +492,14 @@ impl<M: Clone> ReliableChannel<M> {
     /// settle, so a corpse never drags the sender into a spurious
     /// give-up. Returns how many messages were abandoned.
     pub fn forget_peer(&mut self, to: RankId) -> usize {
-        let window = slot(&mut self.pending, to);
-        let dropped = window.len();
-        window.clear();
-        self.pending_total -= dropped;
-        dropped
+        let before = self.window.len();
+        self.window.retain(|p| p.to != to);
+        before - self.window.len()
     }
 
     /// Number of unacknowledged messages.
     pub fn pending_count(&self) -> usize {
-        self.pending_total
+        self.window.len()
     }
 }
 
@@ -662,6 +671,50 @@ mod tests {
             c.on_retry_timer(RankId::new(2), s3),
             RetryAction::Resend { .. }
         ));
+    }
+
+    #[test]
+    fn settled_peers_leave_no_pending_state_behind() {
+        // One message in flight at a time, to 1 000 distinct peers: the
+        // window never needs more room than the first send claimed.
+        let mut c = ch();
+        let (seq, _) = c.send(RankId::new(0), "m");
+        c.on_ack(RankId::new(0), seq);
+        let room_for_one = c.window.capacity();
+        for r in 1..1000 {
+            let (seq, _) = c.send(RankId::new(r), "m");
+            c.on_ack(RankId::new(r), seq);
+        }
+        assert_eq!(c.pending_count(), 0);
+        assert_eq!(c.stats.acked, 1000);
+        assert_eq!(c.window.capacity(), room_for_one);
+    }
+
+    #[test]
+    fn a_flood_to_every_rank_settles_without_going_quadratic() {
+        // A View flood puts one message per rank of the job in flight at
+        // once. Acks in send order are found at the front and acks in
+        // reversed order at the back; a front-only scan would make the
+        // reversed pass ~2·10⁹ comparisons and blow the bound.
+        const PEERS: u32 = 65_536;
+        for reversed in [false, true] {
+            let mut c = ch();
+            let started = std::time::Instant::now();
+            for r in 0..PEERS {
+                assert_eq!(c.send(RankId::new(r), "view").0, 1);
+            }
+            for i in 0..PEERS {
+                let r = if reversed { PEERS - 1 - i } else { i };
+                c.on_ack(RankId::new(r), 1);
+            }
+            assert_eq!(c.pending_count(), 0);
+            assert_eq!(c.stats.acked, u64::from(PEERS));
+            let took = started.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(2),
+                "reversed={reversed}: {took:?} to settle a {PEERS}-peer flood"
+            );
+        }
     }
 
     #[test]

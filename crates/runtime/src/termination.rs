@@ -24,6 +24,7 @@
 //! whatever executor is in use (event-driven or threaded).
 
 use crate::collective::Tree;
+use crate::membership::{live_index, nth_live};
 use std::collections::BTreeSet;
 use tempered_core::ids::RankId;
 
@@ -86,10 +87,10 @@ pub struct TerminationDetector {
     /// coordinator). With no dead ranks, live index == rank id and this
     /// is the original full tree.
     tree: Tree,
-    /// Ranks declared crashed; they leave the ring and the tree.
+    /// Ranks declared crashed; they leave the ring and the tree. The
+    /// survivors' ring and tree positions are computed from this set
+    /// ([`crate::membership::live_index`]), never listed.
     dead: BTreeSet<RankId>,
-    /// Sorted surviving ranks; `live[0]` coordinates.
-    live: Vec<RankId>,
     epoch: u64,
     sent: u64,
     recv: u64,
@@ -113,7 +114,6 @@ impl TerminationDetector {
             num_ranks,
             tree: Tree::new(num_ranks, RankId::new(0)),
             dead: BTreeSet::new(),
-            live: (0..num_ranks).map(RankId::from).collect(),
             epoch: 0,
             sent: 0,
             recv: 0,
@@ -131,33 +131,29 @@ impl TerminationDetector {
 
     /// The rank coordinating waves: the lowest surviving rank.
     pub fn coordinator(&self) -> RankId {
-        self.live[0]
+        nth_live(&self.dead, 0)
     }
 
     /// Number of surviving ranks.
     pub fn num_live(&self) -> usize {
-        self.live.len()
+        self.num_ranks - self.dead.len()
     }
 
     /// This rank's successor in the live token ring.
     fn next_live(&self) -> RankId {
-        let i = self
-            .live
-            .binary_search(&self.me)
-            .expect("a dead rank cannot run the detector");
-        self.live[(i + 1) % self.live.len()]
+        let i = live_index(&self.dead, self.me);
+        nth_live(&self.dead, (i + 1) % self.num_live())
     }
 
-    /// Children of `me` in the termination broadcast tree over survivors.
-    fn bcast_children(&self) -> Vec<RankId> {
-        let i = self
-            .live
-            .binary_search(&self.me)
-            .expect("a dead rank cannot run the detector");
+    /// Broadcast of `Terminated` to the children of `me` in the tree
+    /// over survivors.
+    fn bcast_terminated(&self, epoch: u64, sent: u64) -> Vec<TdSend> {
         self.tree
-            .children(RankId::from(i))
-            .into_iter()
-            .map(|c| self.live[c.as_usize()])
+            .children(RankId::from(live_index(&self.dead, self.me)))
+            .map(|c| TdSend {
+                to: nth_live(&self.dead, c.as_usize()),
+                msg: TdMsg::Terminated { epoch, sent },
+            })
             .collect()
     }
 
@@ -177,11 +173,7 @@ impl TerminationDetector {
             return TdOutcome::default();
         }
         self.dead = dead.clone();
-        self.live = (0..self.num_ranks)
-            .map(RankId::from)
-            .filter(|r| !self.dead.contains(r))
-            .collect();
-        self.tree = Tree::new(self.live.len(), RankId::new(0));
+        self.tree = Tree::new(self.num_live(), RankId::new(0));
         self.prev_wave = None;
         self.wave = 0;
         self.forwarded_wave = 0;
@@ -233,7 +225,7 @@ impl TerminationDetector {
         if self.me != self.coordinator() || self.terminated {
             return TdOutcome::default();
         }
-        if self.live.len() == 1 {
+        if self.num_live() == 1 {
             self.terminated = true;
             return TdOutcome {
                 sends: Vec::new(),
@@ -284,17 +276,8 @@ impl TerminationDetector {
                     if sent == recv && stable {
                         // Terminated: broadcast down the tree.
                         self.terminated = true;
-                        let mut sends: Vec<TdSend> = self
-                            .bcast_children()
-                            .into_iter()
-                            .map(|to| TdSend {
-                                to,
-                                msg: TdMsg::Terminated { epoch, sent },
-                            })
-                            .collect();
-                        sends.shrink_to_fit();
                         TdOutcome {
-                            sends,
+                            sends: self.bcast_terminated(epoch, sent),
                             terminated_epoch: Some(epoch),
                             terminated_sent: sent,
                         }
@@ -343,16 +326,8 @@ impl TerminationDetector {
                     return TdOutcome::default();
                 }
                 self.terminated = true;
-                let sends = self
-                    .bcast_children()
-                    .into_iter()
-                    .map(|to| TdSend {
-                        to,
-                        msg: TdMsg::Terminated { epoch, sent },
-                    })
-                    .collect();
                 TdOutcome {
-                    sends,
+                    sends: self.bcast_terminated(epoch, sent),
                     terminated_epoch: Some(epoch),
                     terminated_sent: sent,
                 }

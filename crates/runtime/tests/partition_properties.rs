@@ -7,7 +7,9 @@
 //! themselves must converge under arbitrary delivery orders and
 //! duplicated floods (the join rule is order-insensitive), and a
 //! transient link cut that the retry budget can span must be invisible
-//! to the committed assignment.
+//! to the committed assignment. The survivor numbering every rank
+//! computes from its dead set must be the one an enumeration of the
+//! survivors gives, for any dead set.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -17,9 +19,10 @@ use tempered_core::rng::RngFactory;
 use tempered_runtime::fault::{FaultPlan, LinkFault, LinkFaultKind, PartitionWindow};
 use tempered_runtime::health::HealthConfig;
 use tempered_runtime::lb::{LbProtocolConfig, PartitionConfig};
-use tempered_runtime::membership::View;
+use tempered_runtime::membership::{live_index, nth_live, View};
 use tempered_runtime::reliable::RetryConfig;
 use tempered_runtime::sim::NetworkModel;
+use tempered_runtime::termination::{TdMsg, TerminationDetector};
 use tempered_runtime::{run_distributed_lb, run_distributed_lb_with_faults};
 
 const RANKS: usize = 12;
@@ -278,5 +281,87 @@ proptest! {
             replica.merge_full(*base, dead);
         }
         prop_assert_eq!(replica, snapshot);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The computed survivor numbering against its oracle, the filtered
+    /// enumeration no rank keeps any more: [`live_index`] and
+    /// [`nth_live`] are inverse bijections between the survivors and
+    /// `0..num_live` in ascending rank order, for any dead set — rank 0
+    /// dead and all but one rank dead included. And the termination
+    /// detector, which runs its token ring and broadcast tree over that
+    /// numbering, has the lowest survivor coordinate a wave that visits
+    /// every survivor exactly once, in ring order, and no corpse.
+    #[test]
+    fn survivor_numbering_matches_enumeration_for_any_dead_set(
+        num_ranks in 1usize..513,
+        raw in prop::collection::vec(any::<u64>(), 0..700),
+        keep in any::<u64>(),
+        all_but_one in 0u32..8,
+    ) {
+        let keep = RankId::from((keep % num_ranks as u64) as usize);
+        let mut dead: BTreeSet<RankId> = if all_but_one == 0 {
+            (0..num_ranks).map(RankId::from).collect()
+        } else {
+            raw.iter().map(|x| RankId::from((x % num_ranks as u64) as usize)).collect()
+        };
+        dead.remove(&keep);
+        let mut view = View::new(num_ranks);
+        view.merge(&dead);
+        let oracle: Vec<RankId> = (0..num_ranks)
+            .map(RankId::from)
+            .filter(|r| view.is_live(*r))
+            .collect();
+        prop_assert_eq!(oracle.len(), view.num_live());
+
+        for (i, &r) in oracle.iter().enumerate() {
+            prop_assert_eq!(live_index(&dead, r), i);
+            prop_assert_eq!(nth_live(&dead, i), r);
+        }
+
+        // One zero-traffic epoch over the survivors: what the engine does
+        // to its detector on a view change, then a kick.
+        let mut dets: Vec<Option<TerminationDetector>> = (0..num_ranks)
+            .map(RankId::from)
+            .map(|r| view.is_live(r).then(|| {
+                let mut d = TerminationDetector::new(r, num_ranks);
+                let _ = d.set_dead(&dead);
+                d.start_epoch(1);
+                d
+            }))
+            .collect();
+        for d in dets.iter().flatten() {
+            prop_assert_eq!(d.coordinator(), oracle[0]);
+            prop_assert_eq!(d.num_live(), oracle.len());
+        }
+        let coordinator = oracle[0].as_usize();
+        let kick = dets[coordinator].as_mut().expect("survivor").kick();
+        let mut queue: std::collections::VecDeque<_> = kick.sends.into_iter().collect();
+        let mut first_wave = Vec::new();
+        let mut told = Vec::new();
+        while let Some(send) = queue.pop_front() {
+            match send.msg {
+                TdMsg::Token { wave: 1, .. } => first_wave.push(send.to),
+                TdMsg::Token { .. } => {}
+                TdMsg::Terminated { .. } => told.push(send.to),
+            }
+            let det = dets[send.to.as_usize()].as_mut();
+            prop_assert!(det.is_some(), "control message sent to dead rank {}", send.to);
+            queue.extend(det.expect("checked").handle(send.msg).sends);
+        }
+        // The ring: every survivor after the coordinator in ascending
+        // order, then back to the coordinator.
+        let mut ring = oracle[1..].to_vec();
+        if oracle.len() > 1 {
+            ring.push(oracle[0]);
+        }
+        prop_assert_eq!(first_wave, ring);
+        // The broadcast: every survivor but the coordinator, once each.
+        told.sort();
+        prop_assert_eq!(&told[..], &oracle[1..]);
+        prop_assert!(dets.iter().flatten().all(|d| d.is_terminated()));
     }
 }
