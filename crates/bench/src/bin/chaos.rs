@@ -50,7 +50,7 @@ use lbaf::Table;
 use std::collections::BTreeSet;
 use tempered_bench::{counter_cells, lb_run_metrics, write_results};
 use tempered_core::distribution::Distribution;
-use tempered_core::ids::{RankId, TaskId};
+use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::sim::NetworkModel;
@@ -58,17 +58,6 @@ use tempered_runtime::{
     run_distributed_lb, run_distributed_lb_with_faults, CrashEvent, DistLbResult, FaultPlan,
     HealthConfig, LinkFault, LinkFaultKind, PartitionConfig, PartitionWindow, RetryConfig,
 };
-
-/// Per-rank sorted task-id view of an assignment, for exact comparison.
-fn assignment(d: &Distribution) -> Vec<Vec<TaskId>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut ids: Vec<TaskId> = d.tasks_on(r).iter().map(|t| t.id).collect();
-            ids.sort();
-            ids
-        })
-        .collect()
-}
 
 /// `ℓ_max / ℓ_ave` over the ranks *not* in `dead` — the survivor-set
 /// balance quality. Using the raw ratio (≥ 1) instead of the paper's
@@ -123,7 +112,7 @@ fn sweep(
 ) -> (Table, usize) {
     // Reference outcome: same config and seed, no faults.
     let clean = run_distributed_lb(dist, cfg, NetworkModel::default(), &RngFactory::new(seed));
-    let reference = assignment(&clean.distribution);
+    let reference = clean.distribution.canonical();
 
     let mut table = Table::new(
         format!("{name} under chaos (duplicate=0.1, spike=0.05 everywhere)"),
@@ -161,7 +150,7 @@ fn sweep(
             let out = run_with_plan(dist, cfg, seed, plan);
             let outcome = if out.degraded_ranks > 0 {
                 "degraded".to_string()
-            } else if assignment(&out.distribution) == reference {
+            } else if out.distribution.canonical() == reference {
                 "identical".to_string()
             } else {
                 mismatches += 1;
@@ -261,7 +250,7 @@ fn crash_sweep(
             let out = run_with_plan(dist, cfg, seed, plan.clone());
             let again = run_with_plan(dist, cfg, seed, plan);
 
-            let deterministic = assignment(&out.distribution) == assignment(&again.distribution)
+            let deterministic = out.distribution.canonical() == again.distribution.canonical()
                 && out.report.events_delivered == again.report.events_delivered
                 && out.report.finish_time.to_bits() == again.report.finish_time.to_bits();
             let lambda = survivor_lambda(&out.distribution, &dead);
@@ -444,7 +433,7 @@ fn partition_sweep(
     for s in partition_scenarios(dist.num_ranks()) {
         let out = run_with_plan(dist, cfg, seed, s.plan.clone());
         let again = run_with_plan(dist, cfg, seed, s.plan.clone());
-        let deterministic = assignment(&out.distribution) == assignment(&again.distribution)
+        let deterministic = out.distribution.canonical() == again.distribution.canonical()
             && out.report.events_delivered == again.report.events_delivered
             && out.report.finish_time.to_bits() == again.report.finish_time.to_bits()
             && out.parked_ranks == again.parked_ranks;
@@ -505,29 +494,12 @@ fn elastic_grid(quick: bool) -> (Table, usize) {
     use std::collections::BTreeSet as Set;
     use tempered_obs::Recorder;
     use tempered_runtime::elastic::policy::AutoscaleConfig;
-    use tempered_runtime::elastic::{run_elastic, ElasticOutcome, ElasticScenario, LoadProfile};
+    use tempered_runtime::elastic::{
+        run_elastic, threaded_driver, ElasticOutcome, ElasticScenario, LoadProfile,
+    };
     use tempered_runtime::fault::ChurnEvent;
 
     let (seed_ranks, steps) = if quick { (6usize, 8u64) } else { (10, 12) };
-    let retry = RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..RetryConfig::default()
-    };
-    let partition_tolerant = LbProtocolConfig {
-        trials: 2,
-        iters: 3,
-        fanout: 3,
-        rounds: 4,
-        ..Default::default()
-    }
-    .hardened(retry)
-    .crash_tolerant(HealthConfig::default())
-    .partition_tolerant(PartitionConfig {
-        park_deadline: 0.05,
-    });
 
     // Seed per-rank load sits near 6 (tasks_per_rank × mean 1.0), so
     // the band [4.5, 9] holds the flat phases and the flash/trough
@@ -562,7 +534,11 @@ fn elastic_grid(quick: bool) -> (Table, usize) {
     scenarios.push(trough);
 
     let mut join_part = ElasticScenario::baseline("join_partition", seed_ranks, steps, 0xE1A3);
-    join_part.cfg = partition_tolerant;
+    join_part.cfg = join_part
+        .cfg
+        .hardened(RetryConfig::generous())
+        .crash_tolerant(HealthConfig::default())
+        .partition_tolerant(PartitionConfig::quick());
     join_part.plan.churn = vec![ChurnEvent::join(2.0, seed_ranks as u64)];
     // The join's step runs under a healing minority split: the
     // partition-tolerant stack parks the minority until the heal, and
@@ -609,8 +585,8 @@ fn elastic_grid(quick: bool) -> (Table, usize) {
 
     for sc in &scenarios {
         eprintln!("elastic scenario: {}", sc.name);
-        let out = run_elastic(sc, &Recorder::disabled());
-        let again = run_elastic(sc, &Recorder::disabled());
+        let out = run_elastic(sc, Some(&mut threaded_driver), &Recorder::disabled());
+        let again = run_elastic(sc, Some(&mut threaded_driver), &Recorder::disabled());
         let deterministic = out.final_assignment == again.final_assignment
             && out.membership.roster() == again.membership.roster();
 
@@ -688,11 +664,6 @@ fn elastic_grid(quick: bool) -> (Table, usize) {
     (table, violations)
 }
 
-/// `--strict`: promote audit violations to a nonzero exit.
-fn strict_mode() -> bool {
-    std::env::args().any(|a| a == "--strict")
-}
-
 /// Re-run an ad-hoc scenario under the run-wide safety auditor (same
 /// plan, config, and seed — the simulator is deterministic, so this
 /// audits *the* run the caller just saw) and exit 1 on any violated
@@ -731,7 +702,7 @@ fn parse_crash_spec(spec: &str) -> Result<CrashEvent, String> {
     let (rank, rest) = spec
         .split_once('@')
         .ok_or_else(|| format!("expected <rank>@<time>[+<downtime>], got {spec:?}"))?;
-    let rank: usize = rank
+    let rank: u32 = rank
         .parse()
         .map_err(|_| format!("bad rank in crash spec {spec:?}"))?;
     let (at, downtime) = match rest.split_once('+') {
@@ -744,68 +715,62 @@ fn parse_crash_spec(spec: &str) -> Result<CrashEvent, String> {
     Ok(match downtime {
         Some(d) => {
             let d: f64 = d.parse().map_err(|_| format!("bad downtime in {spec:?}"))?;
-            CrashEvent::with_restart(RankId::new(rank as u32), at, d)
+            CrashEvent::with_restart(RankId::new(rank), at, d)
         }
-        None => CrashEvent::fatal(RankId::new(rank as u32), at),
+        None => CrashEvent::fatal(RankId::new(rank), at),
     })
 }
 
-/// Collect `--crash` arguments into a custom crash list (empty when the
-/// flag is absent). Errors are reported as clean CLI failures.
-fn custom_crashes() -> Vec<CrashEvent> {
-    let mut crashes = Vec::new();
-    let mut args = std::env::args().skip(1);
+/// The values of every `flag <value>` occurrence in `args`.
+fn flag_values<'a>(args: &'a [String], flag: &str, what: &str) -> Result<Vec<&'a str>, String> {
+    let mut values = Vec::new();
+    let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if arg != "--crash" {
-            continue;
-        }
-        let spec = args.next().unwrap_or_else(|| {
-            eprintln!("chaos: --crash needs a <rank>@<time>[+<downtime>] argument");
-            std::process::exit(2);
-        });
-        match parse_crash_spec(&spec) {
-            Ok(c) => crashes.push(c),
-            Err(e) => {
-                eprintln!("chaos: {e}");
-                std::process::exit(2);
-            }
+        if arg == flag {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("{flag} needs a {what} argument"))?;
+            values.push(value.as_str());
         }
     }
-    crashes
+    Ok(values)
 }
 
-/// `--plan <file.json>`: load a full [`FaultPlan`] from disk (empty when
-/// the flag is absent). Unreadable files and malformed JSON are clean
-/// CLI failures.
-fn plan_from_file() -> Option<FaultPlan> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg != "--plan" {
-            continue;
-        }
-        let path = args.next().unwrap_or_else(|| {
-            eprintln!("chaos: --plan needs a <file.json> argument");
-            std::process::exit(2);
-        });
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("chaos: cannot read plan file {path}: {e}");
-            std::process::exit(2);
-        });
-        let plan = FaultPlan::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("chaos: bad plan file {path}: {e}");
-            std::process::exit(2);
-        });
-        return Some(plan);
-    }
-    None
+/// Collect `--crash` arguments into a custom crash list (empty when the
+/// flag is absent).
+fn custom_crashes(args: &[String]) -> Result<Vec<CrashEvent>, String> {
+    flag_values(args, "--crash", "<rank>@<time>[+<downtime>]")?
+        .into_iter()
+        .map(parse_crash_spec)
+        .collect()
+}
+
+/// `--plan <file.json>`: load and validate a full [`FaultPlan`] from
+/// disk (`None` when the flag is absent). Every failure names the file.
+fn plan_from_file(args: &[String]) -> Result<Option<FaultPlan>, String> {
+    flag_values(args, "--plan", "<file.json>")?
+        .first()
+        .map(|path| FaultPlan::load(std::path::Path::new(path)))
+        .transpose()
+}
+
+/// A malformed command line is a clean exit 2, never a panic.
+fn or_usage_error<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("chaos: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
     let quick = tempered_bench::quick_mode();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--strict`: promote audit violations to a nonzero exit.
+    let strict = args.iter().any(|a| a == "--strict");
 
     // Elastic-membership grid: planned joins, drains, autoscaling, and
     // their interactions with partitions and stalled handoffs.
-    if std::env::args().any(|a| a == "--elastic") {
+    if args.iter().any(|a| a == "--elastic") {
         let (table, violations) = elastic_grid(quick);
         println!("{}", table.render());
         write_results("chaos_elastic.csv", &table.to_csv());
@@ -821,31 +786,14 @@ fn main() {
     let dist = Distribution::concentrated(num_ranks, hot, tasks);
     let seed = 4242;
 
-    let retry = RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..RetryConfig::default()
-    };
-    let tempered = LbProtocolConfig {
-        trials: 2,
-        iters: 3,
-        fanout: 4,
-        rounds: 5,
-        ..Default::default()
-    }
-    .hardened(retry);
-    let grapevine = LbProtocolConfig::grapevine().hardened(retry);
+    let tempered = LbProtocolConfig::quick().hardened(RetryConfig::generous());
+    let grapevine = LbProtocolConfig::grapevine().hardened(RetryConfig::generous());
     let crash_tolerant = tempered.crash_tolerant(HealthConfig::default());
-    let partition_knobs = PartitionConfig {
-        park_deadline: 0.05,
-    };
-    let partition_tolerant = crash_tolerant.partition_tolerant(partition_knobs);
+    let partition_tolerant = crash_tolerant.partition_tolerant(PartitionConfig::quick());
 
     // A full fault plan from a JSON file: validate, run against the
     // partition-tolerant stack, report.
-    if let Some(plan) = plan_from_file() {
+    if let Some(plan) = or_usage_error(plan_from_file(&args)) {
         let out = run_with_plan(&dist, partition_tolerant, seed, plan.clone());
         println!(
             "plan scenario: imbalance {:.3} -> {:.3}, {} migrations, \
@@ -857,14 +805,14 @@ fn main() {
             out.parked_ranks,
             out.report.finish_time * 1e3
         );
-        if strict_mode() {
+        if strict {
             audit_gate(&dist, partition_tolerant, seed, &plan);
         }
         return;
     }
 
     // Ad-hoc scenario from the command line: validate, run, report.
-    let custom = custom_crashes();
+    let custom = or_usage_error(custom_crashes(&args));
     if !custom.is_empty() {
         let plan = FaultPlan {
             seed: 0xDEAD,
@@ -881,7 +829,7 @@ fn main() {
             out.degraded_ranks,
             out.report.finish_time * 1e3
         );
-        if strict_mode() {
+        if strict {
             audit_gate(&dist, crash_tolerant, seed, &plan);
         }
         return;
@@ -925,7 +873,7 @@ fn main() {
             "Partition-tolerant GrapevineLB",
             grapevine
                 .crash_tolerant(HealthConfig::default())
-                .partition_tolerant(partition_knobs),
+                .partition_tolerant(PartitionConfig::quick()),
         ),
     ] {
         let (table, bad) = partition_sweep(name, cfg, &dist, seed);
@@ -946,4 +894,44 @@ fn main() {
         partition_violations, 0,
         "a partitioned run double-committed, lost tasks, or failed to reproduce"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn crash_rank_beyond_u32_is_rejected_not_wrapped() {
+        let ok = custom_crashes(&args(&["--crash", "3@0.0002", "--crash", "7@0.0003+0.005"]));
+        let ranks: Vec<RankId> = ok.unwrap().iter().map(|c| c.rank).collect();
+        assert_eq!(ranks, [RankId::new(3), RankId::new(7)]);
+        // 2^32 + 3 used to parse as usize and truncate to rank 3.
+        let err = custom_crashes(&args(&["--crash", "4294967299@0.0002"])).unwrap_err();
+        assert!(err.contains("bad rank"), "{err}");
+        assert!(custom_crashes(&args(&["--crash"])).is_err());
+        assert!(custom_crashes(&args(&["--strict"])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn plan_flag_validates_on_load_and_names_the_file() {
+        assert!(plan_from_file(&args(&["--strict"])).unwrap().is_none());
+        let path = std::env::temp_dir().join(format!("chaos_bad_plan_{}.json", std::process::id()));
+        // Parses, but no plan may drop with probability 1.5.
+        let bad = FaultPlan {
+            drop: 1.5,
+            ..FaultPlan::none()
+        };
+        std::fs::write(&path, bad.to_json()).unwrap();
+        let shown = path.display().to_string();
+        let err = plan_from_file(&args(&["--plan", &shown])).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.starts_with(&shown), "{err}");
+        assert!(err.contains("drop"), "{err}");
+        let err = plan_from_file(&args(&["--plan", "no/such/plan.json"])).unwrap_err();
+        assert!(err.starts_with("no/such/plan.json"), "{err}");
+    }
 }

@@ -223,13 +223,7 @@ fn main() -> ExitCode {
         emit("DONE");
     });
 
-    let mut ids: Vec<u64> = report
-        .rank
-        .final_tasks()
-        .iter()
-        .map(|t| t.id.as_u64())
-        .collect();
-    ids.sort_unstable();
+    let ids = sockets::task_ids(&report.rank.canonical());
     let tasks: Vec<String> = ids.iter().map(u64::to_string).collect();
     emit(&format!(
         "RESULT rank={} finished={} degraded={} parked={} msgs={} bytes={} retransmits={} \

@@ -37,9 +37,13 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 use tempered_bench::{sockets, write_results};
+use tempered_core::distribution::Distribution;
+use tempered_core::ids::TaskId;
 use tempered_core::rng::RngFactory;
-use tempered_runtime::run_distributed_lb_with_faults;
+use tempered_obs::Recorder;
+use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::sim::NetworkModel;
+use tempered_runtime::{run_distributed_lb_with_faults, FaultPlan};
 
 struct Args {
     ranks: usize,
@@ -403,78 +407,151 @@ fn recv_until(
     }
 }
 
+/// Audit one fleet's `RESULT` lines: appends to `failures`, returns the
+/// task ids the fleet accounts for and whether every rank matched
+/// `reference` — the simulator's placement of the same run, `None` for
+/// a cell whose outcome is inherently wall-clock. `skip` is the killed
+/// rank, if any.
+fn audit_fleet(
+    results: &[Option<RankResult>],
+    reference: Option<&[Vec<(TaskId, u64)>]>,
+    skip: Option<usize>,
+    failures: &mut Vec<String>,
+) -> (Vec<u64>, bool) {
+    let mut all_tasks: Vec<u64> = Vec::new();
+    let mut matched = true;
+    for (r, slot) in results.iter().enumerate() {
+        if Some(r) == skip {
+            continue;
+        }
+        let Some(res) = slot else {
+            failures.push(format!("rank {r}: no RESULT"));
+            matched = false;
+            continue;
+        };
+        if !res.finished {
+            failures.push(format!("rank {r} never finished"));
+        }
+        if res.degraded {
+            failures.push(format!("rank {r} degraded"));
+        }
+        all_tasks.extend(&res.tasks);
+        if let Some(placement) = reference {
+            let expected = sockets::task_ids(&placement[r]);
+            if res.tasks != expected {
+                failures.push(format!(
+                    "rank {r} diverged from the simulator: {:?} vs {expected:?}",
+                    res.tasks
+                ));
+                matched = false;
+            }
+        }
+    }
+    // No task may be owned twice, kill scenario included (the restart
+    // path re-homes from the original placement, it never clones).
+    let unique: BTreeSet<u64> = all_tasks.iter().copied().collect();
+    if unique.len() != all_tasks.len() {
+        failures.push("a task is owned by two ranks".into());
+    }
+    (all_tasks, matched)
+}
+
+fn write_plan(path: &std::path::Path, plan: &FaultPlan) {
+    if let Err(e) = std::fs::write(path, plan.to_json()) {
+        eprintln!("orchestrate: write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 /// `--elastic`: a multi-step elastic timeline over real processes. The
-/// orchestrator consumes the churn dimension of a [`FaultPlan`] exactly
-/// like the simulator's step runner does — at step boundaries — but the
-/// fleet is real: a joining node gets a *fresh `lb_rank` process* the
-/// step it is admitted, and a drained node's process is retired (never
-/// respawned) once its handoff commits. Each step's fleet runs the full
-/// socket protocol on the step's placement (shipped bit-exactly via
-/// `--tasks`) and must reproduce the simulator reference bit for bit.
-fn elastic_mode(args: &Args, bin: &PathBuf) -> ! {
-    use tempered_core::balancer::evacuate;
-    use tempered_core::criteria::CriterionKind;
-    use tempered_core::distribution::Distribution;
-    use tempered_core::ids::TaskId;
-    use tempered_core::task::Task;
-    use tempered_runtime::elastic::ElasticMembership;
-    use tempered_runtime::fault::{ChurnEvent, ChurnKind, FaultPlan};
+/// timeline is `run_elastic`'s — the same step loop the simulator and
+/// threaded grids run — with a fleet of `lb_rank` processes handed in as
+/// its second driver: every step spawns one process per roster node (so
+/// a joiner gets a fresh process the step it is admitted and a drained
+/// node never gets another), ships each its bit-exact task slice via
+/// `--tasks`, and must reproduce the simulator's placement bit for bit.
+fn elastic_mode(args: &Args, bin: &PathBuf, plans_out: &std::path::Path) -> ! {
+    use tempered_runtime::elastic::{run_elastic, ElasticScenario};
+    use tempered_runtime::fault::ChurnEvent;
 
     let seed_ranks = args.ranks;
-    let steps = 4u64;
-    let step_dt = 1.0;
-    let joiner = seed_ranks as u64;
-    // The timeline: a join at step 1, a drain (with a generous
-    // deadline) at step 2 — shipped on the plan's churn dimension so
-    // the same JSON drives the simulator and threaded grids.
-    let plan = FaultPlan {
-        churn: vec![
-            ChurnEvent::join(1.0, joiner),
-            ChurnEvent::drain(2.0, 1, Some(2.0 * step_dt)),
-        ],
-        ..FaultPlan::none()
-    };
-    plan.validate_churn(seed_ranks, Some(steps as f64 * step_dt))
-        .expect("elastic timeline is valid");
-    let plans_out = PathBuf::from("results/plans");
-    if let Err(e) = std::fs::create_dir_all(&plans_out) {
-        eprintln!("orchestrate: create {}: {e}", plans_out.display());
-        std::process::exit(1);
-    }
-    let churn_path = plans_out.join(format!("sockets_elastic_{seed_ranks}.json"));
-    if let Err(e) = std::fs::write(&churn_path, plan.to_json()) {
-        eprintln!("orchestrate: write {}: {e}", churn_path.display());
-        std::process::exit(1);
-    }
-    // The per-step rank processes see no faults: churn is consumed
-    // here, at the boundaries, never inside a protocol run.
+    let mut sc = ElasticScenario::baseline("sockets_elastic", seed_ranks, 4, sockets::SOCKETS_SEED);
+    // The rank processes rebuild this configuration from `--balancer`.
+    sc.cfg = sockets::balancer_config("tempered").expect("known balancer");
+    // A join at step 1, a drain (with a generous deadline) at step 2 —
+    // shipped on the plan's churn dimension so the same JSON drives the
+    // simulator and threaded grids.
+    sc.plan.churn = vec![
+        ChurnEvent::join(1.0, seed_ranks as u64),
+        ChurnEvent::drain(2.0, 1, Some(2.0)),
+    ];
+    write_plan(
+        &plans_out.join(format!("sockets_elastic_{seed_ranks}.json")),
+        &sc.plan,
+    );
+    // The per-step rank processes see no faults: churn is consumed at
+    // the boundaries, never inside a protocol run.
     let clean_path = plans_out.join("sockets_elastic_step.json");
-    if let Err(e) = std::fs::write(&clean_path, FaultPlan::none().to_json()) {
-        eprintln!("orchestrate: write {}: {e}", clean_path.display());
-        std::process::exit(1);
-    }
+    write_plan(&clean_path, &FaultPlan::none());
 
-    let mut membership = ElasticMembership::new(seed_ranks);
-    let seed_dist = sockets::scenario_dist(seed_ranks);
-    let mut placement: std::collections::BTreeMap<u64, Vec<(TaskId, f64)>> = seed_dist
-        .rank_ids()
-        .map(|r| {
-            (
-                r.as_u32() as u64,
-                seed_dist
-                    .tasks_on(r)
+    // Per step: task ids the fleet accounted for, and its failures.
+    let mut fleets: Vec<(usize, Vec<String>)> = Vec::new();
+    let mut fleet = |dist: &Distribution, _: LbProtocolConfig, seed: u64| {
+        let ranks = dist.num_ranks();
+        println!("== elastic step {}: fleet {ranks} ==", fleets.len());
+        // Each process gets its slice as `id:loadbits` pairs, in the
+        // distribution's own order: a rank sums its input loads in the
+        // order it was handed them.
+        let tasks: Vec<String> = dist
+            .rank_ids()
+            .map(|r| match dist.tasks_on(r) {
+                [] => "-".to_string(),
+                slice => slice
                     .iter()
-                    .map(|t| (t.id, t.load.get()))
-                    .collect(),
+                    .map(|t| format!("{}:{:016x}", t.id.as_u64(), t.load.get().to_bits()))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            })
+            .collect();
+        let cell = run_cell(
+            bin,
+            ranks,
+            "tempered",
+            &clean_path,
+            None,
+            Duration::from_secs_f64(args.deadline),
+            CellInputs {
+                seed,
+                tasks: Some(&tasks),
+            },
+        );
+        let mut failures = cell.failures;
+        let (held, _) = audit_fleet(&cell.results, None, None, &mut failures);
+        if held.len() != dist.num_tasks() {
+            failures.push(format!(
+                "{} tasks accounted for, input had {}",
+                held.len(),
+                dist.num_tasks()
+            ));
+        }
+        fleets.push((held.len(), failures));
+        // What the fleet committed, priced at the step's input loads. An
+        // id the input never held has no load there and cannot match.
+        let priced = |&id: &u64| {
+            let load = dist.load_of(TaskId::new(id));
+            (
+                TaskId::new(id),
+                load.map_or(u64::MAX, |l| l.get().to_bits()),
             )
-        })
-        .collect();
-    let total_tasks = seed_dist.num_tasks();
-    let cfg = sockets::balancer_config("tempered").expect("known balancer");
-
-    let mut events = plan.churn.clone();
-    events.sort_by(|a, b| a.at.total_cmp(&b.at));
-    let mut next_event = 0usize;
+        };
+        let placement = cell
+            .results
+            .iter()
+            .map(|slot| slot.iter().flat_map(|res| &res.tasks).map(priced).collect())
+            .collect();
+        Some(placement)
+    };
+    let out = run_elastic(&sc, Some(&mut fleet), &Recorder::disabled());
 
     let mut table = Table::new(
         format!("Elastic sockets timeline: {seed_ranks} seed ranks, join @1, drain @2"),
@@ -489,190 +566,39 @@ fn elastic_mode(args: &Args, bin: &PathBuf) -> ! {
         ],
     );
     let mut violations = 0usize;
-
-    for step in 0..steps {
-        let now = step as f64 * step_dt;
-        let mut joined = Vec::new();
-        let mut drained = Vec::new();
-
-        // Boundary churn: admissions and drain-starts due now.
-        while next_event < events.len() && events[next_event].at <= now {
-            let ev = events[next_event];
-            next_event += 1;
-            match ev.kind {
-                ChurnKind::Join { node } => {
-                    membership.knock(node).expect("validated join");
-                    placement.entry(node).or_default();
-                    joined.push(node);
-                }
-                ChurnKind::Drain { node, deadline } => {
-                    membership
-                        .begin_drain(node, now, deadline)
-                        .expect("validated drain");
-                }
-            }
+    for (report, (held, mut failures)) in out.steps.iter().zip(fleets) {
+        if report.matched != Some(true) {
+            failures.push("the fleet diverged from the simulator".into());
         }
-
-        // Drain handoff at the boundary: evacuate, park, retire the
-        // process (it is simply never part of another fleet).
-        let roster = membership.roster();
-        let draining = membership.draining_ranks();
-        if !draining.is_empty() {
-            let mut dist = Distribution::new(roster.len());
-            for (i, n) in roster.iter().enumerate() {
-                for &(id, load) in &placement[n] {
-                    dist.insert(
-                        tempered_core::ids::RankId::new(i as u32),
-                        Task::new(id, load),
-                    )
-                    .expect("placement holds each task once");
-                }
-            }
-            let moves = evacuate(&dist, &draining, CriterionKind::Relaxed);
-            for m in &moves {
-                let from = roster[m.from.as_usize()];
-                let to = roster[m.to.as_usize()];
-                let src = placement.get_mut(&from).expect("source node placed");
-                let at = src
-                    .iter()
-                    .position(|&(id, _)| id == m.task)
-                    .expect("task on its source");
-                let entry = src.remove(at);
-                placement
-                    .get_mut(&to)
-                    .expect("dest node placed")
-                    .push(entry);
-            }
-            for rank in &draining {
-                let node = roster[rank.as_usize()];
-                membership.finish_drain(node).expect("handoff completes");
-                drained.push(node);
-            }
-        }
-
-        // The step's dense fleet and its simulator reference.
-        let roster = membership.roster();
-        let fleet = roster.len();
-        let mut dist = Distribution::new(fleet);
-        for (i, n) in roster.iter().enumerate() {
-            for &(id, load) in &placement[n] {
-                dist.insert(
-                    tempered_core::ids::RankId::new(i as u32),
-                    Task::new(id, load),
-                )
-                .expect("placement holds each task once");
-            }
-        }
-        let step_seed = sockets::SOCKETS_SEED ^ (0xE1A5 + step);
-        let reference = run_distributed_lb_with_faults(
-            &dist,
-            cfg,
-            NetworkModel::default(),
-            &RngFactory::new(step_seed),
-            FaultPlan::none(),
-        );
-        let ref_assignment = sockets::assignment(&reference.distribution);
-
-        // Ship each process its bit-exact slice: `id:loadbits` pairs.
-        let tasks: Vec<String> = (0..fleet)
-            .map(|r| {
-                let ts = &placement[&roster[r]];
-                if ts.is_empty() {
-                    "-".to_string()
-                } else {
-                    ts.iter()
-                        .map(|(id, load)| format!("{}:{:016x}", id.as_u64(), load.to_bits()))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                }
-            })
-            .collect();
-
-        println!(
-            "== elastic step {step}: fleet {fleet} (+{:?} -{:?}) ==",
-            joined, drained
-        );
-        let cell = run_cell(
-            bin,
-            fleet,
-            "tempered",
-            &clean_path,
-            None,
-            Duration::from_secs_f64(args.deadline),
-            CellInputs {
-                seed: step_seed,
-                tasks: Some(&tasks),
-            },
-        );
-        let mut failures = cell.failures;
-        let mut all_tasks: Vec<u64> = Vec::new();
-        let mut matched = true;
-        for (r, slot) in cell.results.iter().enumerate() {
-            let Some(res) = slot else {
-                failures.push(format!("rank {r}: no RESULT"));
-                matched = false;
-                continue;
-            };
-            if !res.finished {
-                failures.push(format!("rank {r} never finished"));
-            }
-            all_tasks.extend(&res.tasks);
-            if res.tasks != ref_assignment[r] {
-                failures.push(format!(
-                    "rank {r} diverged from the simulator: {:?} vs {:?}",
-                    res.tasks, ref_assignment[r]
-                ));
-                matched = false;
-            }
-        }
-        let unique: BTreeSet<u64> = all_tasks.iter().copied().collect();
-        if unique.len() != all_tasks.len() {
-            failures.push("a task is owned by two ranks".into());
-        }
-        if all_tasks.len() != total_tasks {
-            failures.push(format!(
-                "{} tasks accounted for, input had {total_tasks}",
-                all_tasks.len()
-            ));
-        }
-        if !membership.has_quorum() {
+        if !report.quorum_held {
             failures.push("the roster lost quorum".into());
         }
-
         let ok = failures.is_empty();
         if !ok {
             violations += 1;
             for f in &failures {
-                eprintln!("VIOLATION [elastic step {step}] {f}");
+                eprintln!("VIOLATION [elastic step {}] {f}", report.step);
             }
         }
         table.push_row(vec![
-            step.to_string(),
-            fleet.to_string(),
-            format!("{joined:?}"),
-            format!("{drained:?}"),
-            all_tasks.len().to_string(),
-            if matched { "yes" } else { "NO" }.to_string(),
+            report.step.to_string(),
+            report.roster.len().to_string(),
+            format!("{:?}", report.joined),
+            format!("{:?}", report.drained),
+            held.to_string(),
+            if report.matched == Some(true) {
+                "yes"
+            } else {
+                "NO"
+            }
+            .to_string(),
             if ok { "ok" } else { "VIOLATION" }.to_string(),
         ]);
-
-        // Commit the agreed placement back onto the stable node ids.
-        for (i, n) in roster.iter().enumerate() {
-            placement.insert(
-                *n,
-                reference
-                    .distribution
-                    .tasks_on(tempered_core::ids::RankId::new(i as u32))
-                    .iter()
-                    .map(|t| (t.id, t.load.get()))
-                    .collect(),
-            );
-        }
     }
 
     println!("{}", table.render());
     write_results("chaos_sockets_elastic.csv", &table.to_csv());
-    if violations > 0 {
+    if violations > 0 || out.cross_checked != out.steps.len() || out.lost_tasks > 0 {
         eprintln!("orchestrate: {violations} elastic step(s) violated their invariants");
         std::process::exit(1);
     }
@@ -695,8 +621,13 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let plans_out = PathBuf::from("results/plans");
+    if let Err(e) = std::fs::create_dir_all(&plans_out) {
+        eprintln!("orchestrate: create {}: {e}", plans_out.display());
+        std::process::exit(1);
+    }
     if args.elastic {
-        elastic_mode(&args, &bin);
+        elastic_mode(&args, &bin, &plans_out);
     }
     let scenarios = match sockets::scenarios(args.ranks, &args.plans_dir) {
         Ok(s) => s,
@@ -708,11 +639,6 @@ fn main() {
 
     let dist = sockets::scenario_dist(args.ranks);
     let total_tasks = dist.num_tasks();
-    let plans_out = PathBuf::from("results/plans");
-    if let Err(e) = std::fs::create_dir_all(&plans_out) {
-        eprintln!("orchestrate: create {}: {e}", plans_out.display());
-        std::process::exit(1);
-    }
 
     let mut table = Table::new(
         format!(
@@ -745,10 +671,7 @@ fn main() {
         // canonical rendering once per scenario (round-tripping the
         // codec in anger, shipped plans included).
         let plan_path = plans_out.join(format!("sockets_{}_{}.json", scenario.name, args.ranks));
-        if let Err(e) = std::fs::write(&plan_path, scenario.plan.to_json()) {
-            eprintln!("orchestrate: write {}: {e}", plan_path.display());
-            std::process::exit(1);
-        }
+        write_plan(&plan_path, &scenario.plan);
 
         for balancer in ["tempered", "grapevine"] {
             if !args.balancers.is_empty() && !args.balancers.iter().any(|b| b == balancer) {
@@ -762,15 +685,16 @@ fn main() {
                 &RngFactory::new(sockets::SOCKETS_SEED),
                 scenario.plan.clone(),
             );
-            let ref_assignment = sockets::assignment(&reference.distribution);
+            let placement = reference.distribution.canonical();
 
             println!("== {} / {balancer} ==", scenario.name);
+            let kill = scenario.kill.map(|r| r.as_usize());
             let cell = run_cell(
                 &bin,
                 args.ranks,
                 balancer,
                 &plan_path,
-                scenario.kill.map(|r| r.as_usize()),
+                kill,
                 Duration::from_secs_f64(args.deadline),
                 CellInputs {
                     seed: sockets::SOCKETS_SEED,
@@ -778,56 +702,23 @@ fn main() {
                 },
             );
             let mut failures = cell.failures;
+            let (all_tasks, matched) = audit_fleet(
+                &cell.results,
+                scenario.bit_compare.then_some(placement.as_slice()),
+                kill,
+                &mut failures,
+            );
+            // A killed process never reports, so these are the survivors.
+            let reported = || cell.results.iter().flatten();
+            let finished = reported().filter(|r| r.finished).count();
+            let parked = reported().filter(|r| r.parked).count();
+            let degraded = reported().filter(|r| r.degraded).count();
+            let msgs: u64 = reported().map(|r| r.msgs).sum();
+            let bytes: u64 = reported().map(|r| r.bytes).sum();
+            let retransmits: u64 = reported().map(|r| r.retransmits).sum();
+            let max_wall = reported().map(|r| r.wall_ms).fold(0.0f64, f64::max);
 
-            let mut finished = 0usize;
-            let mut parked = 0usize;
-            let mut degraded = 0usize;
-            let mut msgs = 0u64;
-            let mut bytes = 0u64;
-            let mut retransmits = 0u64;
-            let mut max_wall = 0.0f64;
-            let mut all_tasks: Vec<u64> = Vec::new();
-            let mut matched = true;
-            for (r, slot) in cell.results.iter().enumerate() {
-                if Some(r) == scenario.kill.map(|k| k.as_usize()) {
-                    continue;
-                }
-                let Some(res) = slot else {
-                    failures.push(format!("rank {r}: no RESULT"));
-                    matched = false;
-                    continue;
-                };
-                finished += usize::from(res.finished);
-                parked += usize::from(res.parked);
-                degraded += usize::from(res.degraded);
-                msgs += res.msgs;
-                bytes += res.bytes;
-                retransmits += res.retransmits;
-                max_wall = max_wall.max(res.wall_ms);
-                all_tasks.extend(&res.tasks);
-                if !res.finished {
-                    failures.push(format!("rank {r} never finished"));
-                }
-                if res.degraded {
-                    failures.push(format!("rank {r} degraded"));
-                }
-                if scenario.bit_compare && res.tasks != ref_assignment[r] {
-                    failures.push(format!(
-                        "rank {r} diverged from the simulator: {:?} vs {:?}",
-                        res.tasks, ref_assignment[r]
-                    ));
-                    matched = false;
-                }
-            }
-
-            // No task may be owned twice, kill scenario included (the
-            // restart path re-homes from the original placement, it
-            // never clones).
-            let unique: BTreeSet<u64> = all_tasks.iter().copied().collect();
-            if unique.len() != all_tasks.len() {
-                failures.push("a task is owned by two ranks".into());
-            }
-            if scenario.kill.is_some() {
+            if kill.is_some() {
                 // Quorum-restart survival: the survivors committed a
                 // real assignment without parking, and no tasks beyond
                 // the victim's could vanish.

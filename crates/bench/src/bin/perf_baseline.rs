@@ -60,22 +60,10 @@ const HWM_PER_RANK_GATE: f64 = 1.5;
 
 fn config(balancer: &str) -> LbProtocolConfig {
     let base = match balancer {
-        "tempered" => LbProtocolConfig {
-            trials: 2,
-            iters: 3,
-            fanout: 4,
-            rounds: 5,
-            ..Default::default()
-        },
+        "tempered" => LbProtocolConfig::quick(),
         _ => LbProtocolConfig::grapevine(),
     };
-    base.hardened(RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..Default::default()
-    })
+    base.hardened(RetryConfig::generous())
 }
 
 /// The service flash-crowd workload frozen at the steepest point of its

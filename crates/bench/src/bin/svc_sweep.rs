@@ -141,19 +141,10 @@ fn gray_link_cell(plan_path: &Path, rows: &mut Vec<Row>) {
     }
     let forecast = bank.forecast(&dist);
     let cfg = LbProtocolConfig {
-        trials: 2,
         iters: 4,
-        fanout: 4,
-        rounds: 5,
-        ..Default::default()
+        ..LbProtocolConfig::quick()
     }
-    .hardened(RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..Default::default()
-    });
+    .hardened(RetryConfig::generous());
     let out = run_distributed_lb_with_faults(
         &forecast,
         cfg,

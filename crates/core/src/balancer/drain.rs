@@ -218,20 +218,6 @@ mod tests {
     use crate::balancer::{GrapevineLb, TemperedLb};
     use crate::ids::TaskId;
 
-    fn canonical(d: &Distribution) -> Vec<Vec<(u64, u64)>> {
-        d.rank_ids()
-            .map(|r| {
-                let mut ts: Vec<(u64, u64)> = d
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| (t.id.as_u64(), t.load.get().to_bits()))
-                    .collect();
-                ts.sort_unstable();
-                ts
-            })
-            .collect()
-    }
-
     fn drain_set(ranks: &[u32]) -> BTreeSet<RankId> {
         ranks.iter().map(|&r| RankId::new(r)).collect()
     }
@@ -303,7 +289,7 @@ mod tests {
         // ranks: rank = number of continuing ranks with smaller id.
         assert_eq!(continuing, [1u32, 2, 4, 5, 6, 7].map(RankId::new).to_vec());
         let back = unproject(&dense, &continuing, dist.num_ranks());
-        assert_eq!(canonical(&back), canonical(&evacuated));
+        assert_eq!(back.canonical(), evacuated.canonical());
     }
 
     #[test]
@@ -322,7 +308,7 @@ mod tests {
         // Migrations replay to the proposal.
         let mut replay = dist.clone();
         replay.apply(&result.migrations).unwrap();
-        assert_eq!(canonical(&replay), canonical(&result.distribution));
+        assert_eq!(replay.canonical(), result.distribution.canonical());
         // Every task is accounted for.
         for r in dist.rank_ids() {
             for t in dist.tasks_on(r) {
@@ -343,7 +329,7 @@ mod tests {
         );
         let a = plain.rebalance(&dist, &factory, 3);
         let b = wrapped.rebalance(&dist, &factory, 3);
-        assert_eq!(canonical(&a.distribution), canonical(&b.distribution));
+        assert_eq!(a.distribution.canonical(), b.distribution.canonical());
     }
 
     #[test]

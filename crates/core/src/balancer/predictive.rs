@@ -118,20 +118,6 @@ mod tests {
     use crate::ids::{RankId, TaskId};
     use crate::load::Load;
 
-    fn canonical(d: &Distribution) -> Vec<Vec<(u64, u64)>> {
-        d.rank_ids()
-            .map(|r| {
-                let mut ts: Vec<(u64, u64)> = d
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| (t.id.as_u64(), t.load.get().to_bits()))
-                    .collect();
-                ts.sort_unstable();
-                ts
-            })
-            .collect()
-    }
-
     #[test]
     fn constant_workload_matches_persistence_twin_exactly() {
         let dist = skewed(16, 24);
@@ -142,8 +128,8 @@ mod tests {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);
             assert_eq!(
-                canonical(&a.distribution),
-                canonical(&b.distribution),
+                a.distribution.canonical(),
+                b.distribution.canonical(),
                 "epoch {epoch}: constant workload must be bit-identical"
             );
             assert_eq!(a.migrations.len(), b.migrations.len());
@@ -162,7 +148,7 @@ mod tests {
         for epoch in 0..3 {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);
-            assert_eq!(canonical(&a.distribution), canonical(&b.distribution));
+            assert_eq!(a.distribution.canonical(), b.distribution.canonical());
             // Drift every task's load and carry the twin's assignment
             // forward so both see the same input next epoch.
             dist = a.distribution;
@@ -216,7 +202,7 @@ mod tests {
         let r = pred.rebalance(&dist, &factory(), 0);
         let mut replay = dist.clone();
         replay.apply(&r.migrations).unwrap();
-        assert_eq!(canonical(&replay), canonical(&r.distribution));
+        assert_eq!(replay.canonical(), r.distribution.canonical());
         assert_eq!(r.distribution.num_tasks(), dist.num_tasks());
         assert!(r.distribution.total_load().approx_eq(dist.total_load()));
     }

@@ -247,6 +247,25 @@ impl Distribution {
         self.statistics().imbalance
     }
 
+    /// Placement identity: per rank, the resident tasks as sorted
+    /// `(task id, load bits)` pairs. Two distributions hold the same
+    /// placement exactly when their canonical views are equal — insertion
+    /// and migration order drop out, every bit of every load counts. It
+    /// is the one view every "bit-identical" guard compares through.
+    pub fn canonical(&self) -> Vec<Vec<(TaskId, u64)>> {
+        self.ranks
+            .iter()
+            .map(|tasks| {
+                let mut view: Vec<(TaskId, u64)> = tasks
+                    .iter()
+                    .map(|t| (t.id, t.load.get().to_bits()))
+                    .collect();
+                view.sort_unstable();
+                view
+            })
+            .collect()
+    }
+
     /// Move `task` to rank `to`. No-op (and `Ok`) if already there.
     pub fn migrate(&mut self, task: TaskId, to: RankId) -> Result<(), DistributionError> {
         self.check_rank(to)?;
@@ -461,6 +480,30 @@ mod tests {
         d.migrate(TaskId::new(0), RankId::new(2)).unwrap();
         d.migrate(TaskId::new(1), RankId::new(1)).unwrap();
         assert!(d.average_load().approx_eq(before));
+    }
+
+    #[test]
+    fn canonical_ignores_insertion_order_and_keeps_every_load_bit() {
+        let build = |order: &[(u32, u64, f64)]| {
+            let mut d = Distribution::new(2);
+            for &(rank, id, load) in order {
+                d.insert(RankId::new(rank), Task::new(id, load)).unwrap();
+            }
+            d
+        };
+        let a = build(&[(0, 0, 1.0), (0, 1, 2.0), (1, 2, 0.3)]);
+        let b = build(&[(1, 2, 0.3), (0, 1, 2.0), (0, 0, 1.0)]);
+        assert_eq!(a.canonical(), b.canonical());
+        // A migration round trip reorders a rank's vector (swap_remove),
+        // not its canonical view.
+        let mut c = a.clone();
+        c.migrate(TaskId::new(0), RankId::new(1)).unwrap();
+        c.migrate(TaskId::new(0), RankId::new(0)).unwrap();
+        assert_eq!(c.canonical(), a.canonical());
+        // One ulp is a different placement: 0.1 + 0.2 is not 0.3.
+        let off = build(&[(0, 0, 1.0), (0, 1, 2.0), (1, 2, 0.1 + 0.2)]);
+        assert_ne!(off.canonical(), a.canonical());
+        assert_eq!(a.canonical()[1], vec![(TaskId::new(2), 0.3f64.to_bits())]);
     }
 
     #[test]

@@ -38,21 +38,6 @@ fn nonempty_distribution() -> impl Strategy<Value = Distribution> {
         .prop_filter("needs tasks", |d| d.num_tasks() > 0)
 }
 
-/// Sorted `(task, load-bits)` per rank: placement + exact loads.
-fn canonical(d: &Distribution) -> Vec<Vec<(u64, u64)>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut ts: Vec<(u64, u64)> = d
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id.as_u64(), t.load.get().to_bits()))
-                .collect();
-            ts.sort_unstable();
-            ts
-        })
-        .collect()
-}
-
 fn replay<M: LoadModel>(model: &mut M, series: &[f64]) -> Vec<u64> {
     series
         .iter()
@@ -140,7 +125,7 @@ proptest! {
             bank.observe_epoch(e, &dist);
         }
         let fc = bank.forecast(&dist);
-        prop_assert_eq!(canonical(&dist), canonical(&fc));
+        prop_assert_eq!(dist.canonical(), fc.canonical());
     }
 }
 
@@ -169,8 +154,8 @@ proptest! {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);
             prop_assert_eq!(
-                canonical(&a.distribution),
-                canonical(&b.distribution),
+                a.distribution.canonical(),
+                b.distribution.canonical(),
                 "epoch {}: predictive diverged from its persistence twin",
                 epoch
             );

@@ -57,9 +57,10 @@ use std::collections::{BTreeSet, HashMap};
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::{derive_seed, RngFactory};
 use tempered_obs::{EventKind, Recorder};
-use tempered_runtime::collective::{LoadSummary, ReduceSlot, Tree};
+use tempered_runtime::collective::{LoadSummary, Reduced, SurvivorTree};
 use tempered_runtime::fault::FaultPlan;
 use tempered_runtime::lb::{LbProtocolConfig, LbRank, LbWire};
+use tempered_runtime::membership::{live_index, nth_live};
 use tempered_runtime::sim::{Ctx, NetworkModel, Protocol, SimReport, Simulator};
 use tempered_runtime::termination::{TdMsg, TerminationDetector};
 
@@ -259,18 +260,17 @@ pub struct PicRank {
     me: RankId,
     cfg: DistPicConfig,
     factory: RngFactory,
-    /// Collective tree over *live-rank indices*; with no dead ranks,
-    /// index == rank id and this is the original full tree.
-    tree: Tree,
+    /// This rank's seat in the stats tree over the survivors of `dead`.
+    coll: SurvivorTree,
     det: TerminationDetector,
 
     /// Step-aligned crash schedule (global config, identical on every
     /// rank). Non-empty ⇒ the per-step checkpoint epoch runs.
     crash_plan: Vec<StepCrash>,
-    /// Ranks that have crashed so far.
+    /// Ranks that have crashed so far. The survivors are never listed:
+    /// they are `0..P` minus this set, numbered by
+    /// `membership::{live_index, nth_live}`.
     dead: BTreeSet<RankId>,
-    /// Sorted surviving ranks.
-    live: Vec<RankId>,
     /// This rank has crashed (it is done but holds no state).
     crashed: bool,
     /// Latest checkpoint held *for* each rank that buddies with us:
@@ -289,7 +289,6 @@ pub struct PicRank {
 
     step: usize,
     stage: PicStage,
-    slots: HashMap<u32, ReduceSlot>,
     buffered: Vec<(RankId, PicMsg)>,
 
     /// Embedded balancer (alive during and after its run on an LB step).
@@ -329,11 +328,10 @@ impl PicRank {
             me,
             cfg,
             factory,
-            tree: Tree::new(num_ranks, RankId::new(0)),
+            coll: SurvivorTree::new(me, num_ranks),
             det: TerminationDetector::new(me, num_ranks),
             crash_plan: Vec::new(),
             dead: BTreeSet::new(),
-            live: (0..num_ranks).map(RankId::from).collect(),
             crashed: false,
             ckpt_store: HashMap::new(),
             particles: ParticleBuffer::default(),
@@ -342,7 +340,6 @@ impl PicRank {
             inject_rng: factory.rank_stream(b"inject", 0, 0),
             step: 0,
             stage: PicStage::Exchange,
-            slots: HashMap::new(),
             buffered: Vec::new(),
             lb: None,
             lb_done_handled: false,
@@ -451,57 +448,49 @@ impl PicRank {
 
     // ---- membership and placement -----------------------------------------
 
-    /// Highest-scoring rank of `live` for `key` in the hash domain `tag`.
-    fn rendezvous_among(tag: u64, key: u64, live: &[RankId]) -> RankId {
-        *live
-            .iter()
-            .max_by_key(|r| derive_seed(tag, &[key, r.as_u32() as u64]))
+    /// The survivors of `dead` among `0..num_ranks`, ascending.
+    fn survivors(num_ranks: usize, dead: &BTreeSet<RankId>) -> impl Iterator<Item = RankId> + '_ {
+        (0..num_ranks)
+            .map(RankId::from)
+            .filter(move |r| !dead.contains(r))
+    }
+
+    /// Highest-scoring rank of `live` (ascending) for `key` in the hash
+    /// domain `tag`.
+    fn rendezvous_among(tag: u64, key: u64, live: impl Iterator<Item = RankId>) -> RankId {
+        live.max_by_key(|r| derive_seed(tag, &[key, r.as_u32() as u64]))
             .expect("placement needs at least one live rank")
     }
 
-    /// The rank acting as `color`'s location manager under the live set
-    /// `live`: its static mesh home while that rank is alive, else a
+    /// The rank acting as `color`'s location manager among the survivors
+    /// of `dead`: its static mesh home while that rank is alive, else a
     /// deterministic rendezvous-hashed replacement. Stable in the sense
     /// that it only moves when the current holder dies.
-    fn home_among(mesh: &Mesh, live: &[RankId], color: ColorId) -> RankId {
+    fn home_among(mesh: &Mesh, dead: &BTreeSet<RankId>, color: ColorId) -> RankId {
         let home = mesh.home_rank(color);
-        if live.contains(&home) {
+        if !dead.contains(&home) {
             return home;
         }
+        let live = Self::survivors(mesh.num_ranks(), dead);
         Self::rendezvous_among(HOME_TAG, color.0, live)
     }
 
     fn effective_home(&self, color: ColorId) -> RankId {
-        Self::home_among(&self.cfg.scenario.mesh, &self.live, color)
+        Self::home_among(&self.cfg.scenario.mesh, &self.dead, color)
     }
 
-    /// `owner`'s checkpoint buddy under the live set `live`.
-    fn buddy_among(live: &[RankId], owner: RankId) -> RankId {
-        let others: Vec<RankId> = live.iter().copied().filter(|&r| r != owner).collect();
-        Self::rendezvous_among(BUDDY_TAG, owner.as_u32() as u64, &others)
+    /// `owner`'s checkpoint buddy among the survivors of `dead`.
+    fn buddy_among(num_ranks: usize, dead: &BTreeSet<RankId>, owner: RankId) -> RankId {
+        let others = Self::survivors(num_ranks, dead).filter(|&r| r != owner);
+        Self::rendezvous_among(BUDDY_TAG, owner.as_u32() as u64, others)
     }
 
-    /// This rank's index in the sorted live set (the collective tree's
-    /// rank domain). Identity when nobody has died.
-    fn live_index(&self) -> RankId {
-        let idx = self
-            .live
-            .binary_search(&self.me)
-            .expect("a crashed rank takes no further part in collectives");
-        RankId::from(idx)
+    fn num_ranks(&self) -> usize {
+        self.cfg.scenario.mesh.num_ranks()
     }
 
-    fn coll_parent(&self) -> Option<RankId> {
-        self.tree
-            .parent(self.live_index())
-            .map(|p| self.live[p.as_usize()])
-    }
-
-    fn coll_children(&self) -> Vec<RankId> {
-        self.tree
-            .children(self.live_index())
-            .map(|c| self.live[c.as_usize()])
-            .collect()
+    fn num_live(&self) -> usize {
+        self.num_ranks() - self.dead.len()
     }
 
     fn stats_slot(&self) -> u32 {
@@ -529,7 +518,7 @@ impl PicRank {
         ctx.send(to, msg, bytes);
     }
 
-    fn send_ctrl(&mut self, ctx: &mut Ctx<'_, PicMsg>, to: RankId, msg: PicMsg) {
+    fn send_ctrl(ctx: &mut Ctx<'_, PicMsg>, to: RankId, msg: PicMsg) {
         let bytes = msg.wire_bytes();
         ctx.send(to, msg, bytes);
     }
@@ -540,7 +529,7 @@ impl PicRank {
         outcome: tempered_runtime::termination::TdOutcome,
     ) {
         for s in outcome.sends {
-            self.send_ctrl(ctx, s.to, PicMsg::Td(s.msg));
+            Self::send_ctrl(ctx, s.to, PicMsg::Td(s.msg));
         }
         if let Some(epoch) = outcome.terminated_epoch {
             self.on_epoch_terminated(ctx, epoch);
@@ -568,16 +557,15 @@ impl PicRank {
         // checkpoints were written under — before this step's deaths.
         let holders: Vec<(RankId, RankId)> = deaths
             .iter()
-            .map(|&d| (d, Self::buddy_among(&self.live, d)))
+            .map(|&d| (d, Self::buddy_among(self.num_ranks(), &self.dead, d)))
             .collect();
-        let old_live = self.live.clone();
+        let old_dead = self.dead.clone();
         for &d in &deaths {
             let fresh = self.dead.insert(d);
             debug_assert!(fresh, "a rank can only crash once");
         }
-        self.live.retain(|r| !self.dead.contains(r));
-        self.tree = Tree::new(self.live.len(), RankId::new(0));
-        self.enter_recover(ctx, &deaths, &holders, &old_live);
+        self.coll.rebuild(self.num_live());
+        self.enter_recover(ctx, &deaths, &holders, &old_dead);
     }
 
     /// Crash-stop: this rank is gone. It stays `done` so the executor
@@ -601,7 +589,7 @@ impl PicRank {
         ctx: &mut Ctx<'_, PicMsg>,
         deaths: &[RankId],
         holders: &[(RankId, RankId)],
-        old_live: &[RankId],
+        old_dead: &BTreeSet<RankId>,
     ) {
         self.stage = PicStage::Recover;
         let step = self.step as u64;
@@ -630,8 +618,8 @@ impl PicRank {
         // replacement home starts with an empty table and must learn the
         // current owner of every color it now manages.
         for c in self.owned.clone() {
-            let old_home = Self::home_among(&mesh, old_live, c);
-            let new_home = Self::home_among(&mesh, &self.live, c);
+            let old_home = Self::home_among(&mesh, old_dead, c);
+            let new_home = Self::home_among(&mesh, &self.dead, c);
             if old_home == new_home {
                 continue;
             }
@@ -689,7 +677,8 @@ impl PicRank {
             let mut batches: Vec<(ColorId, Vec<WireParticle>)> = by_color.into_iter().collect();
             batches.sort_by_key(|(c, _)| *c);
             for (color, particles) in batches {
-                let owner = Self::rendezvous_among(PLACE_TAG, color.0, &self.live);
+                let live = Self::survivors(mesh.num_ranks(), &self.dead);
+                let owner = Self::rendezvous_among(PLACE_TAG, color.0, live);
                 if owner == self.me {
                     self.adopt_color(ctx, d, color, particles);
                 } else {
@@ -917,31 +906,28 @@ impl PicRank {
         );
         let slot = self.stats_slot();
         let load = self.particles.len() as f64 * self.cfg.cost.per_particle;
-        if let Some(done) = self.slot_mut(slot).contribute(LoadSummary::of(load)) {
-            self.stats_complete(ctx, slot, done);
-        }
+        let done = self
+            .coll
+            .contribute(&self.dead, slot, LoadSummary::of(load));
+        self.stats_step(ctx, slot, done);
     }
 
-    fn slot_mut(&mut self, slot: u32) -> &mut ReduceSlot {
-        let children = self.coll_children().len();
-        self.slots
-            .entry(slot)
-            .or_insert_with(|| ReduceSlot::new(children))
-    }
-
-    fn stats_complete(&mut self, ctx: &mut Ctx<'_, PicMsg>, slot: u32, summary: LoadSummary) {
-        match self.coll_parent() {
-            Some(parent) => self.send_ctrl(ctx, parent, PicMsg::StatsUp { slot, summary }),
-            None => {
+    fn stats_step(&mut self, ctx: &mut Ctx<'_, PicMsg>, slot: u32, done: Option<Reduced>) {
+        match done {
+            Some(Reduced::Up(parent, summary)) => {
+                Self::send_ctrl(ctx, parent, PicMsg::StatsUp { slot, summary });
+            }
+            Some(Reduced::Root(summary)) => {
                 self.stats_broadcast(ctx, slot, summary);
                 self.on_stats_result(ctx, slot, summary);
             }
+            None => {}
         }
     }
 
-    fn stats_broadcast(&mut self, ctx: &mut Ctx<'_, PicMsg>, slot: u32, summary: LoadSummary) {
-        for child in self.coll_children() {
-            self.send_ctrl(ctx, child, PicMsg::StatsDown { slot, summary });
+    fn stats_broadcast(&self, ctx: &mut Ctx<'_, PicMsg>, slot: u32, summary: LoadSummary) {
+        for child in self.coll.children(&self.dead) {
+            Self::send_ctrl(ctx, child, PicMsg::StatsDown { slot, summary });
         }
     }
 
@@ -988,8 +974,8 @@ impl PicRank {
         );
         let epoch = self.checkpoint_epoch();
         self.det.start_epoch(epoch);
-        if self.live.len() > 1 {
-            let buddy = Self::buddy_among(&self.live, self.me);
+        if self.num_live() > 1 {
+            let buddy = Self::buddy_among(self.num_ranks(), &self.dead, self.me);
             let colors = self.owned.clone();
             let particles: Vec<WireParticle> = (0..self.particles.len())
                 .map(|i| {
@@ -1061,7 +1047,8 @@ impl PicRank {
         ));
         // The balancer runs over the *survivors*, addressed by live
         // index; with nobody dead this is the identity mapping.
-        let mut lb = LbRank::new(self.live_index(), self.live.len(), tasks, self.cfg.lb, sub);
+        let me = self.coll.live_index(&self.dead);
+        let mut lb = LbRank::new(me, self.num_live(), tasks, self.cfg.lb, sub);
         lb.set_recorder(self.rec.clone());
         self.pump_lb(ctx, |lb, lb_ctx| lb.on_start(lb_ctx), &mut lb);
         self.lb = Some(lb);
@@ -1082,14 +1069,16 @@ impl PicRank {
         let mut outbox: Vec<(RankId, LbWire, usize)> = Vec::new();
         let timers;
         {
-            let mut lb_ctx = Ctx::detached(self.live_index(), ctx.now(), &mut outbox);
+            let me = self.coll.live_index(&self.dead);
+            let mut lb_ctx = Ctx::detached(me, ctx.now(), &mut outbox);
             f(lb, &mut lb_ctx);
             timers = lb_ctx.take_timers();
         }
         let gen = self.lb_gen;
         for (to, wire, bytes) in outbox {
             // LB targets are live indices; translate to real rank ids.
-            ctx.send(self.live[to.as_usize()], PicMsg::Lb { gen, wire }, bytes);
+            let to = nth_live(&self.dead, to.as_usize());
+            ctx.send(to, PicMsg::Lb { gen, wire }, bytes);
         }
         for (delay, wire) in timers {
             ctx.schedule(delay, PicMsg::Lb { gen, wire });
@@ -1097,11 +1086,11 @@ impl PicRank {
     }
 
     fn on_lb_msg(&mut self, ctx: &mut Ctx<'_, PicMsg>, from: RankId, wire: LbWire) {
-        let lb_from = RankId::from(
-            self.live
-                .binary_search(&from)
-                .expect("LB traffic only flows among live ranks"),
+        debug_assert!(
+            !self.dead.contains(&from),
+            "LB traffic only flows among live ranks"
         );
+        let lb_from = RankId::from(live_index(&self.dead, from));
         let mut lb = self.lb.take().expect("LB messages only while LB exists");
         self.pump_lb(
             ctx,
@@ -1157,12 +1146,12 @@ impl PicRank {
         // Request payloads for gained colors from their previous owners,
         // and tell each gained color's mesh home about the new owner.
         // Task homes are in the balancer's live-index space.
-        let my_lb = self.live_index();
+        let my_lb = self.coll.live_index(&self.dead);
         let mut by_prev: HashMap<RankId, Vec<ColorId>> = HashMap::new();
         for t in &final_tasks {
             if t.home != my_lb {
                 by_prev
-                    .entry(self.live[t.home.as_usize()])
+                    .entry(nth_live(&self.dead, t.home.as_usize()))
                     .or_default()
                     .push(ColorId::from_task(t.id));
             }
@@ -1345,9 +1334,8 @@ impl PicRank {
                 self.adopt_color(ctx, dead, color, particles);
             }
             PicMsg::StatsUp { slot, summary } => {
-                if let Some(done) = self.slot_mut(slot).on_child(from, summary) {
-                    self.stats_complete(ctx, slot, done);
-                }
+                let done = self.coll.on_child(&self.dead, slot, from, summary);
+                self.stats_step(ctx, slot, done);
             }
             PicMsg::StatsDown { slot, summary } => {
                 self.stats_broadcast(ctx, slot, summary);
@@ -1780,6 +1768,26 @@ mod tests {
         let total: usize = out.final_particles.iter().sum();
         assert_eq!(total, global_population(&cfg, 13, steps));
         assert!(out.colors_migrated > 0, "LB still moves work");
+        // Pinned: numbering the survivors from the dead set
+        // (`live_index`/`nth_live`) must pick the rendezvous winners and
+        // the stats tree a sorted survivor list picks.
+        assert_eq!(
+            out.final_particles,
+            [85, 88, 67, 92, 88, 0, 75, 90, 86, 0, 85, 76, 64, 87, 70, 67]
+        );
+        assert_eq!((out.colors_migrated, out.particles_restored), (44, 68));
+        assert_eq!(out.report.events_delivered, 4730);
+        let digest = out.stats.iter().fold(0u64, |h, s| {
+            let words = [
+                s.imbalance.to_bits(),
+                s.max_rank_load.to_bits(),
+                s.num_particles as u64,
+            ];
+            words
+                .iter()
+                .fold(h, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01B3))
+        });
+        assert_eq!(digest, 0x69f3_7608_e893_2203, "per-step stats moved");
     }
 
     #[test]

@@ -596,9 +596,7 @@ mod tests {
         let cfg = quick_cfg()
             .hardened(RetryConfig::default())
             .crash_tolerant(HealthConfig::default())
-            .partition_tolerant(crate::lb::PartitionConfig {
-                park_deadline: 0.05,
-            });
+            .partition_tolerant(crate::lb::PartitionConfig::quick());
         let mut art = capture_lb_run(
             &dist,
             cfg,

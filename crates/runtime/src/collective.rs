@@ -12,6 +12,8 @@
 //! tell the embedding protocol what to send; all actual communication
 //! goes through the protocol's own message type.
 
+use crate::membership::{live_index, nth_live};
+use std::collections::{BTreeSet, HashMap};
 use tempered_core::ids::RankId;
 
 /// Binary spanning tree over `0..n`, rooted at `root`.
@@ -58,15 +60,6 @@ impl Tree {
         let tree = *self;
         let first = 2 * self.rel_of(r) + 1;
         (first..(first + 2).min(self.num_ranks)).map(move |c| tree.rank_of(c))
-    }
-
-    /// Depth of the tree (edges on the longest root-to-leaf path).
-    pub fn depth(&self) -> usize {
-        if self.num_ranks <= 1 {
-            0
-        } else {
-            (usize::BITS - self.num_ranks.leading_zeros()) as usize - 1
-        }
     }
 }
 
@@ -180,6 +173,110 @@ impl ReduceSlot {
     }
 }
 
+/// Where a completed reduce partial goes next.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Reduced {
+    /// Forward the partial to this parent.
+    Up(RankId, LoadSummary),
+    /// This rank is the root: the value is final, to be broadcast down
+    /// the [`SurvivorTree::children`] and consumed.
+    Root(LoadSummary),
+}
+
+/// One rank's seat in the reduce/broadcast tree over the *survivors* of
+/// a dead set, with its in-flight reduce slots.
+///
+/// The tree spans live-rank indices, not rank ids: after a death the
+/// survivors renumber themselves `0..num_live` by ascending rank id and
+/// rebuild a dense binary tree over those indices, rooted at index 0.
+/// The numbering is computed from the dead set
+/// ([`live_index`] / [`nth_live`]), so no rank lists the survivors; with
+/// nobody dead index == id and this is the plain full tree. The dead set
+/// stays with its owner (a membership view, an application's crash
+/// record) and is passed to every call.
+#[derive(Clone, Debug)]
+pub struct SurvivorTree {
+    me: RankId,
+    tree: Tree,
+    slots: HashMap<u32, ReduceSlot>,
+}
+
+impl SurvivorTree {
+    /// The full tree over `num_ranks` ranks, seen from `me`.
+    pub fn new(me: RankId, num_ranks: usize) -> Self {
+        SurvivorTree {
+            me,
+            tree: Tree::new(num_ranks, RankId::new(0)),
+            slots: HashMap::new(),
+        }
+    }
+
+    /// Rebuild over `num_live` survivors after the dead set grew or
+    /// shrank, dropping every partial collective of the old tree.
+    pub fn rebuild(&mut self, num_live: usize) {
+        self.tree = Tree::new(num_live, RankId::new(0));
+        self.slots.clear();
+    }
+
+    /// This rank's index among the survivors (the tree's rank domain).
+    pub fn live_index(&self, dead: &BTreeSet<RankId>) -> RankId {
+        RankId::from(live_index(dead, self.me))
+    }
+
+    fn parent(&self, dead: &BTreeSet<RankId>) -> Option<RankId> {
+        self.tree
+            .parent(self.live_index(dead))
+            .map(|p| nth_live(dead, p.as_usize()))
+    }
+
+    /// This rank's tree children, as rank ids.
+    pub fn children<'a>(
+        &self,
+        dead: &'a BTreeSet<RankId>,
+    ) -> impl ExactSizeIterator<Item = RankId> + 'a {
+        self.tree
+            .children(self.live_index(dead))
+            .map(move |c| nth_live(dead, c.as_usize()))
+    }
+
+    /// Record this rank's own contribution to `slot`.
+    pub fn contribute(
+        &mut self,
+        dead: &BTreeSet<RankId>,
+        slot: u32,
+        own: LoadSummary,
+    ) -> Option<Reduced> {
+        let done = self.slot_mut(dead, slot).contribute(own)?;
+        Some(self.route(dead, done))
+    }
+
+    /// Record child `from`'s partial for `slot`.
+    pub fn on_child(
+        &mut self,
+        dead: &BTreeSet<RankId>,
+        slot: u32,
+        from: RankId,
+        partial: LoadSummary,
+    ) -> Option<Reduced> {
+        let done = self.slot_mut(dead, slot).on_child(from, partial)?;
+        Some(self.route(dead, done))
+    }
+
+    fn slot_mut(&mut self, dead: &BTreeSet<RankId>, slot: u32) -> &mut ReduceSlot {
+        let children = self.tree.children(self.live_index(dead)).len();
+        self.slots
+            .entry(slot)
+            .or_insert_with(|| ReduceSlot::new(children))
+    }
+
+    fn route(&self, dead: &BTreeSet<RankId>, done: LoadSummary) -> Reduced {
+        match self.parent(dead) {
+            Some(parent) => Reduced::Up(parent, done),
+            None => Reduced::Root(done),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,14 +300,6 @@ mod tests {
                 assert_eq!(tree.parent(RankId::from(root)), None);
             }
         }
-    }
-
-    #[test]
-    fn tree_depth_is_logarithmic() {
-        assert_eq!(Tree::new(1, RankId::new(0)).depth(), 0);
-        assert_eq!(Tree::new(2, RankId::new(0)).depth(), 1);
-        assert_eq!(Tree::new(8, RankId::new(0)).depth(), 3);
-        assert_eq!(Tree::new(400, RankId::new(0)).depth(), 8);
     }
 
     #[test]
@@ -277,34 +366,58 @@ mod tests {
     }
 
     #[test]
-    fn whole_tree_reduce_sums_everything() {
-        // Drive slots manually over a 7-rank tree: leaves → root.
-        let n = 7;
-        let tree = Tree::new(n, RankId::new(0));
-        let mut slots: Vec<ReduceSlot> = (0..n)
-            .map(|r| ReduceSlot::new(tree.children(RankId::from(r)).len()))
-            .collect();
-        // Messages queued as (target, sender, partial).
-        let mut inbox: Vec<(usize, usize, LoadSummary)> = Vec::new();
-        for (r, slot) in slots.iter_mut().enumerate() {
-            if let Some(done) = slot.contribute(LoadSummary::of((r + 1) as f64)) {
-                if let Some(p) = tree.parent(RankId::from(r)) {
-                    inbox.push((p.as_usize(), r, done));
+    fn whole_tree_reduce_sums_the_survivors() {
+        // Seven ranks each contributing `rank + 1`: first with nobody
+        // dead (the plain full tree), then with ranks 1 and 4 dead — the
+        // five survivors renumber to 0..5 and every contribution still
+        // reaches the lowest survivor, the root.
+        for (dead, want) in [(vec![], (28.0, 7.0, 7)), (vec![1, 4], (21.0, 7.0, 5))] {
+            let dead: BTreeSet<RankId> = dead.into_iter().map(RankId::new).collect();
+            let live: Vec<RankId> = (0..7u32)
+                .map(RankId::new)
+                .filter(|r| !dead.contains(r))
+                .collect();
+            let mut seats: HashMap<RankId, SurvivorTree> = live
+                .iter()
+                .map(|&r| {
+                    let mut seat = SurvivorTree::new(r, 7);
+                    seat.rebuild(live.len());
+                    (r, seat)
+                })
+                .collect();
+            // Partials queued as (target, sender, partial).
+            let mut inbox: Vec<(RankId, RankId, LoadSummary)> = Vec::new();
+            let mut root_result = None;
+            for &r in &live {
+                let own = LoadSummary::of((r.as_u32() + 1) as f64);
+                match seats.get_mut(&r).unwrap().contribute(&dead, 9, own) {
+                    Some(Reduced::Up(parent, partial)) => inbox.push((parent, r, partial)),
+                    Some(Reduced::Root(total)) => root_result = Some(total),
+                    None => {}
                 }
             }
-        }
-        let mut root_result = None;
-        while let Some((t, from, partial)) = inbox.pop() {
-            if let Some(done) = slots[t].on_child(RankId::from(from), partial) {
-                match tree.parent(RankId::from(t)) {
-                    Some(p) => inbox.push((p.as_usize(), t, done)),
-                    None => root_result = Some(done),
+            while let Some((to, from, partial)) = inbox.pop() {
+                assert!(!dead.contains(&to), "partials only flow among survivors");
+                match seats
+                    .get_mut(&to)
+                    .unwrap()
+                    .on_child(&dead, 9, from, partial)
+                {
+                    Some(Reduced::Up(parent, partial)) => inbox.push((parent, to, partial)),
+                    Some(Reduced::Root(total)) => root_result = Some(total),
+                    None => {}
                 }
             }
+            let total = root_result.expect("root must complete");
+            assert_eq!((total.total, total.max, total.count), want);
+            // Children are named by rank id and span every survivor but
+            // the root exactly once.
+            let mut seen: Vec<RankId> = live
+                .iter()
+                .flat_map(|r| seats[r].children(&dead).collect::<Vec<_>>())
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, live[1..]);
         }
-        let total = root_result.expect("root must complete");
-        assert_eq!(total.total, 28.0); // 1+2+...+7
-        assert_eq!(total.max, 7.0);
-        assert_eq!(total.count, 7);
     }
 }

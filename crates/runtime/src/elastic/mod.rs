@@ -32,11 +32,12 @@
 //!
 //! Churn arrives as [`ChurnEvent`]s on the [`FaultPlan`] (timed, JSON
 //! plan files, validated by `FaultPlan::validate_churn`) and is consumed
-//! at step boundaries by [`run_elastic`], which drives the *unchanged*
-//! LB protocol over the current dense roster — through the
-//! discrete-event simulator and, cross-checked bit-for-bit, the threaded
-//! executor. The socket orchestrator honors the same timeline with real
-//! processes (`lb::socket::orchestrate_elastic`).
+//! at step boundaries by [`run_elastic`] — the one step loop — which
+//! drives the *unchanged* LB protocol over the current dense roster
+//! through the discrete-event simulator and compares every fault-free
+//! step, bit for bit, against whichever second driver the caller hands
+//! it: the threaded executor (`chaos --elastic`), a fleet of rank
+//! processes over TCP (`orchestrate --elastic`), or none (the fuzzer).
 
 pub mod policy;
 
@@ -227,16 +228,6 @@ impl ElasticMembership {
         self.roster().get(rank.as_usize()).copied()
     }
 
-    /// Dense ranks currently draining.
-    pub fn draining_ranks(&self) -> BTreeSet<RankId> {
-        self.roster()
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| matches!(self.members[&n], MemberState::Draining { .. }))
-            .map(|(i, _)| RankId::new(i as u32))
-            .collect()
-    }
-
     /// Draining nodes whose handoff deadline has passed at `now`.
     pub fn overdue(&self, now: f64) -> Vec<u64> {
         self.members
@@ -386,6 +377,13 @@ impl LoadProfile {
     }
 }
 
+/// Seconds of scenario time per step: a [`ChurnEvent`] applies at the
+/// first step boundary at or after its `at`.
+pub const STEP_DT: f64 = 1.0;
+
+/// Transfer criterion pricing every drain evacuation.
+const DRAIN_CRITERION: CriterionKind = CriterionKind::Relaxed;
+
 /// One elastic chaos scenario: a seed cluster, a step count, a churn
 /// timeline (explicit events and/or an autoscale policy), and the fault
 /// machinery to run each step's LB protocol under.
@@ -399,21 +397,15 @@ pub struct ElasticScenario {
     pub tasks_per_rank: usize,
     /// Step boundaries `0..steps`; churn applies at boundary times.
     pub steps: u64,
-    /// Seconds of scenario time per step (maps `ChurnEvent::at` onto
-    /// step boundaries: an event applies at the first boundary at or
-    /// after its time).
-    pub step_dt: f64,
     /// Protocol configuration for every step's LB run.
     pub cfg: LbProtocolConfig,
-    /// Transfer criterion pricing the drain evacuation.
-    pub criterion: CriterionKind,
     /// The fault plan; its churn timeline drives joins/drains, and its
     /// other dimensions apply to every step's protocol run.
     pub plan: FaultPlan,
     /// Extra fault plans for specific steps (e.g. a partition window in
     /// the step where a join lands). A step with extra faults runs
-    /// sim-only: the threaded executor's fault timing is wall-clock and
-    /// cannot be compared bit-for-bit.
+    /// sim-only: a wall-clock driver's fault timing cannot be compared
+    /// bit-for-bit.
     pub step_faults: Vec<(u64, FaultPlan)>,
     /// Chaos knob: nodes whose drain handoff stalls (the evacuation
     /// never commits), exercising the deadline → crash-path degrade.
@@ -424,9 +416,6 @@ pub struct ElasticScenario {
     pub autoscale: Option<AutoscaleConfig>,
     /// Master seed.
     pub seed: u64,
-    /// Cross-check fault-free steps on the threaded executor,
-    /// bit-for-bit.
-    pub cross_check: bool,
 }
 
 impl ElasticScenario {
@@ -437,22 +426,17 @@ impl ElasticScenario {
             seed_ranks,
             tasks_per_rank: 6,
             steps,
-            step_dt: 1.0,
             cfg: LbProtocolConfig {
-                trials: 2,
-                iters: 3,
                 fanout: 3,
                 rounds: 4,
-                ..Default::default()
+                ..LbProtocolConfig::quick()
             },
-            criterion: CriterionKind::Relaxed,
             plan: FaultPlan::none(),
             step_faults: Vec::new(),
             stalled: BTreeSet::new(),
             profile: LoadProfile::Flat,
             autoscale: None,
             seed,
-            cross_check: true,
         }
     }
 }
@@ -474,8 +458,9 @@ pub struct ElasticStepReport {
     pub evacuated_tasks: usize,
     /// Whether the roster held quorum at this boundary.
     pub quorum_held: bool,
-    /// Whether this step's sim and threaded assignments were compared.
-    pub cross_checked: bool,
+    /// Whether the second driver reproduced the simulator's placement;
+    /// `None` when this step was not compared.
+    pub matched: Option<bool>,
     /// Final imbalance of the committed placement.
     pub imbalance: f64,
 }
@@ -489,86 +474,150 @@ pub struct ElasticOutcome {
     pub lost_tasks: usize,
     /// Boundaries at which the roster lacked quorum (gate: 0).
     pub quorum_violations: usize,
-    /// Fault-free steps where the threaded executor's assignment
-    /// differed from the simulator's (gate: 0).
+    /// Compared steps where the second driver's placement differed from
+    /// the simulator's (gate: 0).
     pub divergences: usize,
-    /// Steps cross-checked on both drivers.
+    /// Steps compared on both drivers.
     pub cross_checked: usize,
     /// Drains that degraded to the crash path.
     pub deadline_crashes: usize,
     /// LB rounds discarded because a rank degraded mid-protocol.
     pub degraded_rounds: usize,
     /// Final placement: per roster node, sorted `(task id, load bits)`.
-    pub final_assignment: BTreeMap<u64, Vec<(u64, u64)>>,
+    pub final_assignment: BTreeMap<u64, Vec<(TaskId, u64)>>,
     /// Final membership.
     pub membership: ElasticMembership,
 }
 
-/// Canonical dense assignment: per rank, sorted `(task id, load bits)`.
-fn canonical(d: &Distribution) -> Vec<Vec<(u64, u64)>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut ts: Vec<(u64, u64)> = d
-                .tasks_on(r)
+/// What two drivers are compared on: [`Distribution::canonical`].
+pub type Placement = Vec<Vec<(TaskId, u64)>>;
+
+/// A second driver for one step's LB run: given the step's dense
+/// distribution, protocol configuration and seed, the placement it
+/// committed — or `None` if it did not finish.
+pub type SecondDriver<'a> =
+    &'a mut dyn FnMut(&Distribution, LbProtocolConfig, u64) -> Option<Placement>;
+
+/// The threaded executor as a [`SecondDriver`].
+pub fn threaded_driver(dist: &Distribution, cfg: LbProtocolConfig, seed: u64) -> Option<Placement> {
+    let ranks = LbRank::for_dist(dist, cfg, RngFactory::new(seed));
+    let report = run_parallel(ranks, 4, Duration::from_secs(60));
+    report
+        .completed
+        .then(|| report.ranks.iter().map(LbRank::canonical).collect())
+}
+
+/// The committed placement (stable node id → tasks at their immutable
+/// *base* loads) and the load profile that prices it at a step.
+struct Committed {
+    tasks: BTreeMap<u64, Vec<(TaskId, f64)>>,
+    /// The hot set — ids below this carry the profile's factor.
+    hot_below: u64,
+}
+
+impl Committed {
+    fn priced(&self, id: TaskId, base: f64, factor: f64) -> f64 {
+        if id.as_u64() < self.hot_below {
+            base * factor
+        } else {
+            base
+        }
+    }
+
+    /// The dense distribution of the current roster: rank `i` holds the
+    /// committed tasks of the `i`-th roster node at the profiled loads.
+    fn dense(&self, roster: &[u64], factor: f64) -> Distribution {
+        let mut dist = Distribution::new(roster.len());
+        for (i, n) in roster.iter().enumerate() {
+            for &(id, base) in self.tasks.get(n).into_iter().flatten() {
+                dist.insert(
+                    RankId::from(i),
+                    Task::new(id, self.priced(id, base, factor)),
+                )
+                .expect("placement holds each task once");
+            }
+        }
+        dist
+    }
+
+    /// Evacuate dense `ranks` of `membership`'s roster: each migration
+    /// relocates a `(task, base load)` pair between the nodes holding
+    /// the dense `from` and `to` ranks. Returns the number of moves.
+    fn evacuate(
+        &mut self,
+        membership: &ElasticMembership,
+        ranks: &BTreeSet<RankId>,
+        factor: f64,
+    ) -> usize {
+        let roster = membership.roster();
+        let moves = evacuate(&self.dense(&roster, factor), ranks, DRAIN_CRITERION);
+        for m in &moves {
+            let src = self.tasks.entry(roster[m.from.as_usize()]).or_default();
+            let at = src
                 .iter()
-                .map(|t| (t.id.as_u64(), t.load.get().to_bits()))
-                .collect();
-            ts.sort_unstable();
-            ts
-        })
-        .collect()
+                .position(|&(id, _)| id == m.task)
+                .expect("evacuated task lives on its source node");
+            let entry = src.remove(at);
+            self.tasks
+                .entry(roster[m.to.as_usize()])
+                .or_default()
+                .push(entry);
+        }
+        moves.len()
+    }
 }
 
 /// Run one elastic scenario: consume the churn timeline at step
 /// boundaries, drain/evacuate/admit, and drive the unchanged LB
-/// protocol over each step's dense roster through the simulator (and,
-/// on fault-free steps, the threaded executor, asserting bit-identical
-/// assignments). Gates are *recorded*, not asserted — the chaos grid
-/// sums them and asserts zero at the end.
-pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome {
-    let run_deadline = sc.steps as f64 * sc.step_dt;
+/// protocol over each step's dense roster through the simulator. This
+/// is the only step loop: a harness that wants the steps reproduced on
+/// another driver — the threaded executor ([`threaded_driver`]), a fleet
+/// of rank processes — hands it in as `second`, and every step free of
+/// message-level faults is compared placement for placement. Gates are
+/// *recorded*, not asserted — the chaos grid sums them and asserts zero
+/// at the end.
+pub fn run_elastic(
+    sc: &ElasticScenario,
+    mut second: Option<SecondDriver<'_>>,
+    recorder: &Recorder,
+) -> ElasticOutcome {
     sc.plan
-        .validate_churn(sc.seed_ranks, Some(run_deadline))
+        .validate_churn(sc.seed_ranks, Some(sc.steps as f64 * STEP_DT))
         .expect("elastic scenario ships a valid churn timeline");
 
     let mut membership = ElasticMembership::new(sc.seed_ranks);
     let mut policy = sc.autoscale.map(AutoscalePolicy::new);
     let mut next_node = sc.seed_ranks as u64;
 
-    // Placement: stable node id → committed tasks (base loads).
-    let mut placement: BTreeMap<u64, Vec<(TaskId, f64)>> = BTreeMap::new();
-    let mut hot: BTreeSet<TaskId> = BTreeSet::new();
-    let mut task_id = 0u64;
-    for n in 0..sc.seed_ranks as u64 {
-        let tasks: Vec<(TaskId, f64)> = (0..sc.tasks_per_rank)
-            .map(|i| {
-                let id = TaskId::new(task_id);
-                task_id += 1;
-                // Geometric-ish spread so the seed layout is imbalanced.
-                (
-                    id,
-                    0.5 + ((n as usize * sc.tasks_per_rank + i) % 7) as f64 * 0.25,
-                )
+    let total_tasks = sc.seed_ranks * sc.tasks_per_rank;
+    let mut placement = Committed {
+        // Geometric-ish spread so the seed layout is imbalanced.
+        tasks: (0..sc.seed_ranks)
+            .map(|n| {
+                let first = n * sc.tasks_per_rank;
+                let tasks = (first..first + sc.tasks_per_rank)
+                    .map(|t| (TaskId::new(t as u64), 0.5 + (t % 7) as f64 * 0.25))
+                    .collect();
+                (n as u64, tasks)
             })
-            .collect();
-        placement.insert(n, tasks);
-    }
-    let total_tasks = task_id as usize;
-    // The hot set — first half of the seed tasks — carries the profile.
-    hot.extend((0..task_id / 2).map(TaskId::new));
+            .collect(),
+        // The first half of the seed tasks carries the profile.
+        hot_below: total_tasks as u64 / 2,
+    };
     // Immutable base loads: profiling scales a *copy*, never the base.
     let base_load: BTreeMap<TaskId, f64> = placement
+        .tasks
         .values()
         .flat_map(|ts| ts.iter().copied())
         .collect();
-    // Cross-checking requires a step with no message-level faults; the
-    // churn dimension alone does not disqualify a step (it is consumed
-    // here at the boundaries, not inside the protocol run).
-    let msg_faults_zero = {
-        let mut p = sc.plan.clone();
-        p.churn.clear();
-        p.is_zero()
-    };
+    // Comparing drivers requires a step with no message-level faults;
+    // the churn dimension alone does not disqualify a step (it is
+    // consumed here at the boundaries, not inside the protocol run).
+    let msg_faults_zero = FaultPlan {
+        churn: Vec::new(),
+        ..sc.plan.clone()
+    }
+    .is_zero();
 
     // Churn events ordered by time (stable: plan order on ties).
     let mut events: Vec<ChurnEvent> = sc.plan.churn.clone();
@@ -588,11 +637,16 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
     };
 
     for step in 0..sc.steps {
-        let now = step as f64 * sc.step_dt;
+        let now = step as f64 * STEP_DT;
         recorder.instant(0, now, EventKind::PhaseBoundary { step });
         let mut joined = Vec::new();
         let mut drained = Vec::new();
         let mut deadline_crashed = Vec::new();
+        let mut admit = |membership: &mut ElasticMembership, node: u64| {
+            let rank = membership.knock(node).expect("validated join").as_u32();
+            joined.push(node);
+            recorder.instant(rank, now, EventKind::Joined { node, rank });
+        };
 
         // 1. Planned churn due at this boundary.
         while next_event < events.len() && events[next_event].at <= now {
@@ -600,18 +654,8 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
             next_event += 1;
             match ev.kind {
                 ChurnKind::Join { node } => {
-                    let rank = membership.knock(node).expect("validated join");
-                    placement.entry(node).or_default();
+                    admit(&mut membership, node);
                     next_node = next_node.max(node + 1);
-                    joined.push(node);
-                    recorder.instant(
-                        rank.as_u32(),
-                        now,
-                        EventKind::Joined {
-                            node,
-                            rank: rank.as_u32(),
-                        },
-                    );
                 }
                 ChurnKind::Drain { node, deadline } => {
                     membership
@@ -626,47 +670,29 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
         // synthesizes joins/drains when the forecast crosses its
         // hysteresis thresholds.
         let factor = sc.profile.factor(step);
-        let total_load: f64 = placement
-            .iter()
-            .filter(|(n, _)| membership.rank_of(**n).is_some())
-            .flat_map(|(_, ts)| ts.iter())
-            .map(|&(id, base)| {
-                if hot.contains(&id) {
-                    base * factor
-                } else {
-                    base
-                }
-            })
-            .sum();
         if let Some(policy) = policy.as_mut() {
+            let total_load: f64 = membership
+                .roster()
+                .iter()
+                .flat_map(|n| placement.tasks.get(n).into_iter().flatten())
+                .map(|&(id, base)| placement.priced(id, base, factor))
+                .sum();
             match policy.observe_and_decide(step, total_load, membership.num_ranks()) {
                 ScaleDecision::Out(n) => {
                     for _ in 0..n {
-                        let node = next_node;
+                        admit(&mut membership, next_node);
                         next_node += 1;
-                        let rank = membership.knock(node).expect("fresh node id");
-                        placement.entry(node).or_default();
-                        joined.push(node);
-                        recorder.instant(
-                            rank.as_u32(),
-                            now,
-                            EventKind::Joined {
-                                node,
-                                rank: rank.as_u32(),
-                            },
-                        );
                     }
                 }
                 ScaleDecision::In(n) => {
                     // Retire the highest-id active nodes — deterministic
                     // and biased toward the most recent joiners.
-                    let mut victims: Vec<u64> = membership
+                    let victims = membership
                         .roster()
                         .into_iter()
-                        .filter(|&n| membership.state(n) == Some(MemberState::Active))
-                        .collect();
-                    victims.reverse();
-                    for &node in victims.iter().take(n) {
+                        .rev()
+                        .filter(|&n| membership.state(n) == Some(MemberState::Active));
+                    for node in victims.take(n).collect::<Vec<_>>() {
                         if membership.begin_drain(node, now, None).is_ok() {
                             recorder.instant(0, now, EventKind::DrainStarted { node });
                         }
@@ -682,9 +708,7 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
         // is lost, exactly as the crash path restores a real corpse).
         for node in membership.overdue(now) {
             let rank = membership.rank_of(node).expect("overdue node is in roster");
-            let (dist, roster) = dense_dist(&placement, &membership, &hot, factor);
-            let moves = evacuate(&dist, &BTreeSet::from([rank]), sc.criterion);
-            commit_moves(&mut placement, &roster, &moves);
+            placement.evacuate(&membership, &BTreeSet::from([rank]), factor);
             membership.crash(node).expect("overdue node can crash");
             deadline_crashed.push(node);
             out.deadline_crashes += 1;
@@ -703,14 +727,11 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
             .collect();
         let mut evacuated_tasks = 0usize;
         if !handoff.is_empty() {
-            let (dist, roster) = dense_dist(&placement, &membership, &hot, factor);
             let draining: BTreeSet<RankId> = handoff
                 .iter()
                 .map(|&n| membership.rank_of(n).expect("draining node has a rank"))
                 .collect();
-            let moves = evacuate(&dist, &draining, sc.criterion);
-            evacuated_tasks = moves.len();
-            commit_moves(&mut placement, &roster, &moves);
+            evacuated_tasks = placement.evacuate(&membership, &draining, factor);
             for &node in &handoff {
                 membership.finish_drain(node).expect("handoff node drains");
                 drained.push(node);
@@ -726,7 +747,8 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
 
         // 6. The LB protocol over the dense roster — the *unchanged*
         // engine; elasticity is entirely in the projection around it.
-        let (dist, roster) = dense_dist(&placement, &membership, &hot, factor);
+        let roster = membership.roster();
+        let dist = placement.dense(&roster, factor);
         let step_plan = sc
             .step_faults
             .iter()
@@ -747,31 +769,17 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
             plan,
         );
 
-        let mut cross_checked = false;
-        if sc.cross_check && !faulted && msg_faults_zero {
-            // The threaded executor, same seed: the assignment must be
-            // the same *bits* — elasticity must not cost determinism.
-            let ranks = LbRank::for_dist(&dist, sc.cfg, RngFactory::new(epoch_seed));
-            let report = run_parallel(ranks, 4, Duration::from_secs(60));
-            let threaded: Vec<Vec<(u64, u64)>> = report
-                .ranks
-                .iter()
-                .map(|r| {
-                    let mut ts: Vec<(u64, u64)> = r
-                        .final_tasks()
-                        .iter()
-                        .map(|t| (t.id.as_u64(), t.load.to_bits()))
-                        .collect();
-                    ts.sort_unstable();
-                    ts
-                })
-                .collect();
-            if !report.completed || threaded != canonical(&sim.distribution) {
-                out.divergences += 1;
+        // The second driver, same seed: the placement must be the same
+        // *bits* — elasticity must not cost determinism.
+        let matched = match second.as_mut() {
+            Some(second) if !faulted && msg_faults_zero => {
+                let same = second(&dist, sc.cfg, epoch_seed) == Some(sim.distribution.canonical());
+                out.cross_checked += 1;
+                out.divergences += usize::from(!same);
+                Some(same)
             }
-            cross_checked = true;
-            out.cross_checked += 1;
-        }
+            _ => None,
+        };
 
         // 7. Commit — unless a rank degraded, in which case the whole
         // round is discarded and the committed placement stands (the
@@ -780,14 +788,14 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
             for (i, &node) in roster.iter().enumerate() {
                 let tasks: Vec<(TaskId, f64)> = sim
                     .distribution
-                    .tasks_on(RankId::new(i as u32))
+                    .tasks_on(RankId::from(i))
                     .iter()
                     // Committed placements carry the immutable *base*
                     // load — dividing the profiled load back out would
                     // drift ulps across steps.
                     .map(|t| (t.id, base_load[&t.id]))
                     .collect();
-                placement.insert(node, tasks);
+                placement.tasks.insert(node, tasks);
             }
         } else {
             out.degraded_rounds += 1;
@@ -795,10 +803,9 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
 
         // 8. Zero-loss gate: every seed task is still placed on a
         // roster node.
-        let placed: usize = membership
-            .roster()
+        let placed: usize = roster
             .iter()
-            .map(|n| placement.get(n).map_or(0, Vec::len))
+            .map(|n| placement.tasks.get(n).map_or(0, Vec::len))
             .sum();
         if placed < total_tasks {
             out.lost_tasks = out.lost_tasks.max(total_tasks - placed);
@@ -806,79 +813,30 @@ pub fn run_elastic(sc: &ElasticScenario, recorder: &Recorder) -> ElasticOutcome 
 
         out.steps.push(ElasticStepReport {
             step,
-            roster: membership.roster(),
+            roster,
             joined,
             drained,
             deadline_crashed,
             evacuated_tasks,
             quorum_held,
-            cross_checked,
+            matched,
             imbalance: sim.final_imbalance,
         });
     }
 
     for n in membership.roster() {
-        let mut ts: Vec<(u64, u64)> = placement
+        let mut ts: Vec<(TaskId, u64)> = placement
+            .tasks
             .get(&n)
-            .map(|v| {
-                v.iter()
-                    .map(|&(id, base)| (id.as_u64(), base.to_bits()))
-                    .collect()
-            })
-            .unwrap_or_default();
+            .into_iter()
+            .flatten()
+            .map(|&(id, base)| (id, base.to_bits()))
+            .collect();
         ts.sort_unstable();
         out.final_assignment.insert(n, ts);
     }
     out.membership = membership;
     out
-}
-
-/// Materialize the dense distribution of the current roster: rank `i`
-/// holds the committed tasks of the `i`-th roster node, priced at the
-/// profile-adjusted loads.
-fn dense_dist(
-    placement: &BTreeMap<u64, Vec<(TaskId, f64)>>,
-    membership: &ElasticMembership,
-    hot: &BTreeSet<TaskId>,
-    factor: f64,
-) -> (Distribution, Vec<u64>) {
-    let roster = membership.roster();
-    let mut dist = Distribution::new(roster.len());
-    for (i, n) in roster.iter().enumerate() {
-        if let Some(tasks) = placement.get(n) {
-            for &(id, base) in tasks {
-                let load = if hot.contains(&id) {
-                    base * factor
-                } else {
-                    base
-                };
-                dist.insert(RankId::new(i as u32), Task::new(id, load))
-                    .expect("placement holds each task once");
-            }
-        }
-    }
-    (dist, roster)
-}
-
-/// Apply evacuation migrations to the node-keyed placement: each move
-/// relocates a `(task, base load)` pair from the dense `from` rank's
-/// node to the dense `to` rank's node.
-fn commit_moves(
-    placement: &mut BTreeMap<u64, Vec<(TaskId, f64)>>,
-    roster: &[u64],
-    moves: &[tempered_core::distribution::Migration],
-) {
-    for m in moves {
-        let from = roster[m.from.as_usize()];
-        let to = roster[m.to.as_usize()];
-        let src = placement.entry(from).or_default();
-        let at = src
-            .iter()
-            .position(|&(id, _)| id == m.task)
-            .expect("evacuated task lives on its source node");
-        let entry = src.remove(at);
-        placement.entry(to).or_default().push(entry);
-    }
 }
 
 #[cfg(test)]
@@ -904,7 +862,7 @@ mod tests {
         assert!(m.generation() > g0, "every change bumps the fence");
 
         m.begin_drain(1, 0.0, None).unwrap();
-        assert_eq!(m.draining_ranks(), BTreeSet::from([RankId::new(1)]));
+        assert!(matches!(m.state(1), Some(MemberState::Draining { .. })));
         m.finish_drain(1).unwrap();
         // Node 1 left: ranks re-densify around the survivors.
         assert_eq!(m.roster(), vec![0, 2, 7]);
@@ -992,7 +950,7 @@ mod tests {
     #[test]
     fn elastic_baseline_runs_clean() {
         let sc = ElasticScenario::baseline("baseline", 4, 6, 11);
-        let out = run_elastic(&sc, &Recorder::disabled());
+        let out = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(out.lost_tasks, 0);
         assert_eq!(out.quorum_violations, 0);
         assert_eq!(out.divergences, 0);
@@ -1000,11 +958,62 @@ mod tests {
         assert_eq!(out.membership.roster().len(), 4);
     }
 
+    /// The comparison itself, with fakes standing in for the second
+    /// driver: an echo of the simulator matches at every step, one
+    /// swapped task diverges at every step, and no driver compares
+    /// nothing.
+    #[test]
+    fn a_second_driver_that_disagrees_is_detected() {
+        fn simulate(dist: &Distribution, cfg: LbProtocolConfig, seed: u64) -> Placement {
+            let factory = RngFactory::new(seed);
+            run_distributed_lb_with_faults(
+                dist,
+                cfg,
+                NetworkModel::default(),
+                &factory,
+                FaultPlan::none(),
+            )
+            .distribution
+            .canonical()
+        }
+        let mut sc = ElasticScenario::baseline("fake-driver", 4, 5, 19);
+        sc.plan.churn = vec![ChurnEvent::join(1.0, 4), ChurnEvent::drain(3.0, 0, None)];
+        let steps = sc.steps as usize;
+
+        let mut echo = |d: &Distribution, c, s| Some(simulate(d, c, s));
+        let out = run_elastic(&sc, Some(&mut echo), &Recorder::disabled());
+        assert_eq!((out.cross_checked, out.divergences), (steps, 0));
+        assert!(out.steps.iter().all(|s| s.matched == Some(true)));
+
+        let mut swapped = |d: &Distribution, c, s| {
+            let mut placement = simulate(d, c, s);
+            let from = placement.iter().position(|r| !r.is_empty()).unwrap();
+            let task = placement[from].pop().unwrap();
+            let to = (from + 1) % placement.len();
+            placement[to].push(task);
+            placement[to].sort_unstable();
+            Some(placement)
+        };
+        let out = run_elastic(&sc, Some(&mut swapped), &Recorder::disabled());
+        assert_eq!((out.cross_checked, out.divergences), (steps, steps));
+        assert!(out.steps.iter().all(|s| s.matched == Some(false)));
+
+        let mut hung = |_: &Distribution, _, _| None;
+        let out = run_elastic(&sc, Some(&mut hung), &Recorder::disabled());
+        assert_eq!(out.divergences, steps, "an unfinished run is a divergence");
+
+        let alone = run_elastic(&sc, None, &Recorder::disabled());
+        assert_eq!((alone.cross_checked, alone.divergences), (0, 0));
+        assert!(alone.steps.iter().all(|s| s.matched.is_none()));
+        // The second driver only observes: the timeline is the same.
+        assert_eq!(alone.final_assignment, out.final_assignment);
+    }
+
     #[test]
     fn planned_join_and_drain_round_trip_without_loss() {
         let mut sc = ElasticScenario::baseline("join-drain", 4, 8, 23);
         sc.plan.churn = vec![ChurnEvent::join(2.0, 4), ChurnEvent::drain(5.0, 1, None)];
-        let out = run_elastic(&sc, &Recorder::disabled());
+        let out = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(out.lost_tasks, 0);
         assert_eq!(out.quorum_violations, 0);
         assert_eq!(out.divergences, 0);
@@ -1020,7 +1029,7 @@ mod tests {
         let mut sc = ElasticScenario::baseline("deadline", 4, 8, 31);
         sc.plan.churn = vec![ChurnEvent::drain(2.0, 3, Some(1.5))];
         sc.stalled = BTreeSet::from([3]);
-        let out = run_elastic(&sc, &Recorder::disabled());
+        let out = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(out.deadline_crashes, 1, "the stalled drain must degrade");
         assert_eq!(out.membership.state(3), Some(MemberState::Dead));
         assert_eq!(out.lost_tasks, 0, "checkpoint recovery loses nothing");
@@ -1038,8 +1047,8 @@ mod tests {
             ChurnEvent::drain(3.0, 0, None),
             ChurnEvent::join(5.0, 12),
         ];
-        let a = run_elastic(&sc, &Recorder::disabled());
-        let b = run_elastic(&sc, &Recorder::disabled());
+        let a = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
+        let b = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(a.final_assignment, b.final_assignment);
         assert_eq!(a.membership.roster(), b.membership.roster());
     }

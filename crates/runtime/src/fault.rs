@@ -1093,12 +1093,6 @@ impl CrashSchedule {
             None => false,
         }
     }
-
-    /// Earliest crash time in the schedule, if any (executors use it to
-    /// know when the down-set can first change).
-    pub fn first_crash_at(&self) -> Option<f64> {
-        self.crashes.values().map(|c| c.at).reduce(f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -1770,7 +1764,5 @@ mod tests {
         assert!(!sched.is_down_forever(RankId::new(2), 2.0));
         // Unlisted ranks never crash.
         assert!(!sched.is_down(RankId::new(0), 50.0));
-        assert_eq!(sched.first_crash_at(), Some(1.0));
-        assert_eq!(CrashSchedule::new(&[]).first_crash_at(), None);
     }
 }

@@ -228,8 +228,7 @@ impl FuzzCase {
     /// The run deadline churn must respect (elastic cases only).
     pub fn deadline(&self) -> Option<f64> {
         if self.elastic_steps > 0 {
-            // `ElasticScenario::baseline` uses 1 second per step.
-            Some(self.elastic_steps as f64)
+            Some(self.elastic_steps as f64 * crate::elastic::STEP_DT)
         } else {
             None
         }
@@ -287,36 +286,21 @@ impl FuzzCase {
     }
 }
 
-/// The protocol configuration a case runs under: always hardened (the
-/// delivery audit needs ledgers), crash-tolerant when the plan crashes
-/// anything, and quorum-gated when the plan touches links or
-/// partitions — mirroring the chaos binary's scenario recipes, with
-/// finite deadlines so every generated case terminates.
+/// The protocol configuration a case runs under: the chaos harness's
+/// stack ([`LbProtocolConfig::quick`] or GrapevineLB, hardened with
+/// [`RetryConfig::generous`] — the delivery audit needs ledgers),
+/// crash-tolerant when the plan crashes anything, and quorum-gated when
+/// the plan touches links or partitions.
 pub fn protocol_config(balancer: Balancer, plan: &FaultPlan) -> LbProtocolConfig {
     let base = match balancer {
-        Balancer::Tempered => LbProtocolConfig {
-            trials: 2,
-            iters: 3,
-            fanout: 4,
-            rounds: 5,
-            ..Default::default()
-        },
+        Balancer::Tempered => LbProtocolConfig::quick(),
         Balancer::Grapevine => LbProtocolConfig::grapevine(),
     };
-    let retry = RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..RetryConfig::default()
-    };
-    let hardened = base.hardened(retry);
+    let hardened = base.hardened(RetryConfig::generous());
     if !plan.partitions.is_empty() || !plan.links.is_empty() {
         hardened
             .crash_tolerant(HealthConfig::default())
-            .partition_tolerant(PartitionConfig {
-                park_deadline: 0.05,
-            })
+            .partition_tolerant(PartitionConfig::quick())
     } else if !plan.crashes.is_empty() {
         hardened.crash_tolerant(HealthConfig::default())
     } else {
@@ -349,8 +333,8 @@ pub fn run_case(case: &FuzzCase) -> AuditReport {
 }
 
 /// Elastic timeline execution: churn joins/drains at step boundaries,
-/// message-level noise on every step's protocol run. Cross-checking is
-/// off (fuzz throughput), and [`InjectedBug`]s do not apply — they
+/// message-level noise on every step's protocol run. No second driver
+/// (fuzz throughput), and [`InjectedBug`]s do not apply — they
 /// corrupt protocol-run artifacts, which the elastic harness consumes
 /// internally.
 fn run_elastic_case(case: &FuzzCase) -> AuditReport {
@@ -362,17 +346,10 @@ fn run_elastic_case(case: &FuzzCase) -> AuditReport {
     );
     sc.tasks_per_rank = case.tasks_per_hot;
     sc.plan = case.plan.clone();
-    sc.cross_check = false;
     // Generated plans carry message-level noise; the best-effort
     // baseline config would starve under it, so harden every step.
-    sc.cfg = sc.cfg.hardened(RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..RetryConfig::default()
-    });
-    let outcome = crate::elastic::run_elastic(&sc, &Recorder::disabled());
+    sc.cfg = sc.cfg.hardened(RetryConfig::generous());
+    let outcome = crate::elastic::run_elastic(&sc, None, &Recorder::disabled());
     let mut rep = AuditReport {
         checked_tasks: case.ranks * case.tasks_per_hot,
         ..AuditReport::default()

@@ -77,6 +77,17 @@ impl Default for PartitionConfig {
     }
 }
 
+impl PartitionConfig {
+    /// The park deadline every simulator-scale harness runs under: long
+    /// against the µs-scale simulated RTT and [`RetryConfig::generous`]'s
+    /// backoff, short enough that a grid of parked cells stays fast.
+    pub fn quick() -> Self {
+        PartitionConfig {
+            park_deadline: 0.05,
+        }
+    }
+}
+
 impl From<RefineConfig> for LbProtocolConfig {
     /// Derive the protocol configuration that runs the *same algorithm*
     /// as `refine(cfg, ...)` distributed: every balancer that can state
@@ -110,6 +121,19 @@ impl LbProtocolConfig {
     /// iteration, original criterion and CMF, arbitrary ordering.
     pub fn grapevine() -> Self {
         RefineConfig::grapevine().into()
+    }
+
+    /// The reduced TemperedLB every chaos, fuzz and perf harness runs:
+    /// two trials of three iterations, fanout 4, five gossip rounds —
+    /// enough for a real migration pattern, small enough for a grid.
+    pub fn quick() -> Self {
+        LbProtocolConfig {
+            trials: 2,
+            iters: 3,
+            fanout: 4,
+            rounds: 5,
+            ..Default::default()
+        }
     }
 
     /// The same configuration with delivery hardening enabled under the

@@ -53,11 +53,11 @@
 mod stages;
 
 use super::messages::{LbMsg, TaskEntry};
-use crate::collective::{LoadSummary, ReduceSlot, Tree};
-use crate::membership::{live_index, nth_live, View};
+use crate::collective::{LoadSummary, Reduced, SurvivorTree};
+use crate::membership::View;
 use crate::termination::{TdMsg, TdOutcome, TerminationDetector};
 use stages::StageState;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::refine::RefineConfig;
 use tempered_core::rng::RngFactory;
@@ -78,13 +78,6 @@ pub enum Command {
         to: RankId,
         /// The protocol payload.
         msg: LbMsg,
-    },
-    /// The engine opened termination-detection epoch `epoch` (a gossip
-    /// round, the proposal exchange, or the commit). Informational:
-    /// drivers may use it for diagnostics or epoch-aware scheduling.
-    AdvanceEpoch {
-        /// The epoch just started.
-        epoch: u64,
     },
     /// A stage or round boundary was crossed: open an observability span
     /// (closing any previous one) and re-arm stage liveness deadlines.
@@ -215,9 +208,9 @@ pub struct GossipEngine {
     num_ranks: usize,
     cfg: EngineConfig,
     factory: RngFactory,
-    /// Collective tree over *live-rank indices* (root = index 0). With
-    /// no dead ranks, live index == rank id: the original full tree.
-    tree: Tree,
+    /// This rank's seat in the collective tree over the view's
+    /// survivors, with its partial reduces.
+    coll: SurvivorTree,
     det: TerminationDetector,
 
     // Membership: the current view. Every TD epoch is offset by
@@ -230,9 +223,6 @@ pub struct GossipEngine {
     original: Vec<TaskEntry>,
     current: Vec<TaskEntry>,
     best: Vec<TaskEntry>,
-
-    // Collective state.
-    slots: HashMap<u32, ReduceSlot>,
 
     // Globals agreed in Setup.
     l_ave: f64,
@@ -282,13 +272,12 @@ impl GossipEngine {
             me,
             num_ranks,
             factory,
-            tree: Tree::new(num_ranks, RankId::new(0)),
+            coll: SurvivorTree::new(me, num_ranks),
             det: TerminationDetector::new(me, num_ranks),
             view: View::new(num_ranks),
             current: original.clone(),
             best: original.clone(),
             original,
-            slots: HashMap::new(),
             l_ave: 0.0,
             initial_imbalance: 0.0,
             best_imbalance: f64::INFINITY,
@@ -562,59 +551,33 @@ impl GossipEngine {
 
     // ---- collectives -----------------------------------------------------
     //
-    // The collective tree spans *live-rank indices*, not rank ids: after
-    // a view change the survivors renumber themselves 0..num_live by
-    // ascending rank id and rebuild a dense binary tree over those
-    // indices. The numbering is computed from the view's dead set
-    // (`membership::live_index` / `nth_live`), so no rank lists the
-    // survivors. In the initial view (nobody dead) index == id, so the
-    // mapping is the identity and the clean path is bit-identical to the
-    // pre-fault protocol.
-
-    fn live_index(&self) -> RankId {
-        RankId::from(live_index(self.view.dead(), self.me))
-    }
-
-    fn coll_parent(&self) -> Option<RankId> {
-        self.tree
-            .parent(self.live_index())
-            .map(|p| nth_live(self.view.dead(), p.as_usize()))
-    }
-
-    fn coll_children(&self) -> impl ExactSizeIterator<Item = RankId> + '_ {
-        self.tree
-            .children(self.live_index())
-            .map(|c| nth_live(self.view.dead(), c.as_usize()))
-    }
-
-    fn slot_mut(&mut self, slot: u32) -> &mut ReduceSlot {
-        let children = self.tree.children(self.live_index()).len();
-        self.slots
-            .entry(slot)
-            .or_insert_with(|| ReduceSlot::new(children))
-    }
+    // `collective::SurvivorTree` owns the survivor numbering, the slots
+    // and the parent-or-root decision; what stays here is wrapping its
+    // answers in `LbMsg`s. In the initial view (nobody dead) live index
+    // == rank id, so the clean path is bit-identical to the pre-fault
+    // protocol.
 
     fn contribute(&mut self, out: &mut Vec<Command>, slot: u32, value: LoadSummary) {
-        if let Some(done) = self.slot_mut(slot).contribute(value) {
-            self.reduce_complete(out, slot, done);
-        }
+        let done = self.coll.contribute(self.view.dead(), slot, value);
+        self.reduce_step(out, slot, done);
     }
 
-    fn reduce_complete(&mut self, out: &mut Vec<Command>, slot: u32, summary: LoadSummary) {
-        match self.coll_parent() {
-            Some(parent) => {
+    fn reduce_step(&mut self, out: &mut Vec<Command>, slot: u32, done: Option<Reduced>) {
+        match done {
+            Some(Reduced::Up(parent, summary)) => {
                 self.send_ctrl(out, parent, LbMsg::ReduceUp { slot, summary });
             }
-            None => {
-                // Root: broadcast the result and consume it locally.
+            Some(Reduced::Root(summary)) => {
                 self.broadcast_down(out, slot, summary);
                 self.on_reduce_result(out, slot, summary);
             }
+            None => {}
         }
     }
 
     fn broadcast_down(&self, out: &mut Vec<Command>, slot: u32, summary: LoadSummary) {
-        out.extend(self.coll_children().map(|to| Command::Send {
+        let children = self.coll.children(self.view.dead());
+        out.extend(children.map(|to| Command::Send {
             to,
             msg: LbMsg::ReduceDown { slot, summary },
         }));
@@ -734,9 +697,8 @@ impl GossipEngine {
     fn dispatch(&mut self, out: &mut Vec<Command>, from: RankId, msg: LbMsg) {
         match msg {
             LbMsg::ReduceUp { slot, summary } => {
-                if let Some(done) = self.slot_mut(slot).on_child(from, summary) {
-                    self.reduce_complete(out, slot, done);
-                }
+                let done = self.coll.on_child(self.view.dead(), slot, from, summary);
+                self.reduce_step(out, slot, done);
             }
             LbMsg::ReduceDown { slot, summary } => {
                 self.broadcast_down(out, slot, summary);
@@ -937,29 +899,7 @@ impl GossipEngine {
     /// the wait.
     fn park(&mut self, out: &mut Vec<Command>) {
         self.parked = true;
-        self.tree = Tree::new(self.view.num_live(), RankId::new(0));
-        let _ = self.det.set_dead(self.view.dead());
-        self.det.start_epoch(self.view.epoch_base());
-        self.slots.clear();
-        let buffered = std::mem::take(&mut self.buffered);
-        self.buffered = buffered
-            .into_iter()
-            .filter(|(_, m)| !self.is_stale(m))
-            .collect();
-        self.current = self.original.clone();
-        self.best = self.original.clone();
-        self.l_ave = 0.0;
-        self.initial_imbalance = 0.0;
-        self.best_imbalance = f64::INFINITY;
-        self.trial = 0;
-        self.iter = 0;
-        self.records.clear();
-        self.iter_transfers = 0;
-        self.iter_rejected = 0;
-        self.migrations_in = 0;
-        self.migrations_out = 0;
-        self.nacks_received = 0;
-        self.state = StageState::Setup;
+        self.reset_for_view();
         out.push(Command::Instant(EventKind::Parked {
             generation: self.view.generation() as u32,
         }));
@@ -972,8 +912,28 @@ impl GossipEngine {
     fn restart(&mut self, out: &mut Vec<Command>) {
         // A heal that regained quorum un-parks the engine.
         self.parked = false;
-        // The dense collective tree over the survivors' indices.
-        self.tree = Tree::new(self.view.num_live(), RankId::new(0));
+        self.reset_for_view();
+
+        // Re-enter Setup on the survivor set, then replay anything we
+        // buffered from peers that restarted before us.
+        out.push(Command::OpenSpan(EventKind::LbStage {
+            stage: "setup",
+            trial: 0,
+            iter: 0,
+        }));
+        let summary = LoadSummary::of(self.my_load());
+        let slot = self.setup_slot();
+        self.contribute(out, slot, summary);
+        self.replay_buffered(out);
+    }
+
+    /// What a park and a restart share: fence everything the old view
+    /// had in flight and put the algorithm back at Setup on this rank's
+    /// original residency.
+    fn reset_for_view(&mut self) {
+        // The dense collective tree over the survivors' indices, free of
+        // the old view's partial collectives.
+        self.coll.rebuild(self.view.num_live());
 
         // Fence termination detection: tell the detector who died (its
         // relaunch sends target the old, now-abandoned epoch — discard
@@ -981,18 +941,15 @@ impl GossipEngine {
         let _ = self.det.set_dead(self.view.dead());
         self.det.start_epoch(self.view.epoch_base());
 
-        // Drop cross-view state: partial collectives and any buffered
-        // message that the new view fences out.
-        self.slots.clear();
+        // Drop any buffered message that the new view fences out.
         let buffered = std::mem::take(&mut self.buffered);
         self.buffered = buffered
             .into_iter()
             .filter(|(_, m)| !self.is_stale(m))
             .collect();
 
-        // Reset the algorithm to this rank's original residency. Tasks
-        // homed on a dead rank are gone at this layer — restoring their
-        // data is the application's job (checkpoints in
+        // Tasks homed on a dead rank are gone at this layer — restoring
+        // their data is the application's job (checkpoints in
         // `empire::dist_app`); the LB protocol just re-balances whatever
         // the survivors still hold.
         self.current = self.original.clone();
@@ -1008,19 +965,7 @@ impl GossipEngine {
         self.migrations_in = 0;
         self.migrations_out = 0;
         self.nacks_received = 0;
-
-        // Re-enter Setup on the survivor set, then replay anything we
-        // buffered from peers that restarted before us.
         self.state = StageState::Setup;
-        out.push(Command::OpenSpan(EventKind::LbStage {
-            stage: "setup",
-            trial: 0,
-            iter: 0,
-        }));
-        let summary = LoadSummary::of(self.my_load());
-        let slot = self.setup_slot();
-        self.contribute(out, slot, summary);
-        self.replay_buffered(out);
     }
 }
 

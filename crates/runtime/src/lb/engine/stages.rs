@@ -132,7 +132,6 @@ impl GossipEngine {
         }));
         let epoch = self.gossip_round_epoch(round);
         self.det.start_epoch(epoch);
-        out.push(Command::AdvanceEpoch { epoch });
 
         // Algorithm 1, stepped: round 1 is seeded by the underloaded
         // ranks (lines 6–12); round r+1 is sent by exactly the ranks
@@ -257,7 +256,6 @@ impl GossipEngine {
         }));
         let epoch = self.proposal_epoch();
         self.det.start_epoch(epoch);
-        out.push(Command::AdvanceEpoch { epoch });
         self.canonicalize_current();
         gs.knowledge.canonicalize();
 
@@ -387,7 +385,6 @@ impl GossipEngine {
         }));
         let epoch = self.commit_epoch();
         self.det.start_epoch(epoch);
-        out.push(Command::AdvanceEpoch { epoch });
         out.push(Command::Instant(EventKind::Committed {
             epoch,
             generation: self.view.generation(),

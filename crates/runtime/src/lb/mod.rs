@@ -504,22 +504,11 @@ mod tests {
         for epoch in 0..3 {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);
-            for r in dist.rank_ids() {
-                let key = |d: &Distribution| {
-                    let mut ts: Vec<(u64, u64)> = d
-                        .tasks_on(r)
-                        .iter()
-                        .map(|t| (t.id.as_u64(), t.load.get().to_bits()))
-                        .collect();
-                    ts.sort_unstable();
-                    ts
-                };
-                assert_eq!(
-                    key(&a.distribution),
-                    key(&b.distribution),
-                    "epoch {epoch}, rank {r}: constant workload must be bit-identical"
-                );
-            }
+            assert_eq!(
+                a.distribution.canonical(),
+                b.distribution.canonical(),
+                "epoch {epoch}: constant workload must be bit-identical"
+            );
         }
     }
 
@@ -687,23 +676,11 @@ mod tests {
                 &RngFactory::new(31),
             );
             assert_eq!(tolerant.degraded_ranks, 0);
-            for r in plain.distribution.rank_ids() {
-                let mut a: Vec<_> = plain
-                    .distribution
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| t.id)
-                    .collect();
-                let mut b: Vec<_> = tolerant
-                    .distribution
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| t.id)
-                    .collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "assignment must not depend on heartbeat traffic");
-            }
+            assert_eq!(
+                plain.distribution.canonical(),
+                tolerant.distribution.canonical(),
+                "assignment must not depend on heartbeat traffic"
+            );
         }
 
         /// A warm-restarted rank that was already declared dead must not
@@ -739,9 +716,7 @@ mod tests {
             quick_cfg()
                 .hardened(RetryConfig::default())
                 .crash_tolerant(HealthConfig::default())
-                .partition_tolerant(PartitionConfig {
-                    park_deadline: 0.05,
-                })
+                .partition_tolerant(PartitionConfig::quick())
         }
 
         fn split(side: &[u32], start: f64, end: Option<f64>) -> FaultPlan {
@@ -887,23 +862,11 @@ mod tests {
             );
             assert_eq!(tolerant.parked_ranks, 0);
             assert_eq!(tolerant.degraded_ranks, 0);
-            for r in crash_only.distribution.rank_ids() {
-                let mut a: Vec<_> = crash_only
-                    .distribution
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| t.id)
-                    .collect();
-                let mut b: Vec<_> = tolerant
-                    .distribution
-                    .tasks_on(r)
-                    .iter()
-                    .map(|t| t.id)
-                    .collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "the partition layer must be inert without faults");
-            }
+            assert_eq!(
+                crash_only.distribution.canonical(),
+                tolerant.distribution.canonical(),
+                "the partition layer must be inert without faults"
+            );
         }
 
         /// A lossy (gray) link between two ranks is absorbed by the

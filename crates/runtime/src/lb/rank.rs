@@ -137,6 +137,20 @@ impl LbRank {
         self.engine.final_tasks()
     }
 
+    /// This rank's slice of the run's placement identity: its final
+    /// tasks as sorted `(task id, load bits)`, comparing equal to the
+    /// matching rank of [`Distribution::canonical`] exactly when the two
+    /// committed the same placement.
+    pub fn canonical(&self) -> Vec<(TaskId, u64)> {
+        let mut view: Vec<(TaskId, u64)> = self
+            .final_tasks()
+            .iter()
+            .map(|t| (t.id, t.load.to_bits()))
+            .collect();
+        view.sort_unstable();
+        view
+    }
+
     /// Current stage.
     pub fn stage(&self) -> Stage {
         self.engine.stage()
@@ -448,10 +462,6 @@ impl LbRank {
                     self.transport.send(to, msg, &mut actions);
                     self.apply_actions(ctx, &mut actions);
                     self.scratch_tx = actions;
-                }
-                Command::AdvanceEpoch { .. } => {
-                    // Informational; epoch discipline is internal to the
-                    // engine and the drivers here don't schedule by epoch.
                 }
                 Command::OpenSpan(kind) => {
                     self.span_open(ctx.now(), kind);

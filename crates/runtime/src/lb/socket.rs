@@ -613,15 +613,7 @@ mod tests {
         );
         let report = sim.run();
         assert!(report.completed);
-        let reference: Vec<Vec<u64>> = sim
-            .into_ranks()
-            .iter()
-            .map(|r| {
-                let mut ids: Vec<u64> = r.final_tasks().iter().map(|t| t.id.as_u64()).collect();
-                ids.sort_unstable();
-                ids
-            })
-            .collect();
+        let reference: Vec<_> = sim.into_ranks().iter().map(LbRank::canonical).collect();
 
         // Real sockets on loopback.
         let listeners: Vec<TcpListener> = (0..num_ranks)
@@ -680,15 +672,9 @@ mod tests {
             let report = report.as_ref().expect("collected");
             assert!(report.finished, "rank {r} must finish");
             assert!(!report.rank.degraded(), "rank {r} degraded");
-            let mut ids: Vec<u64> = report
-                .rank
-                .final_tasks()
-                .iter()
-                .map(|t| t.id.as_u64())
-                .collect();
-            ids.sort_unstable();
-            total += ids.len();
-            assert_eq!(ids, reference[r], "rank {r} assignment diverged");
+            let placed = report.rank.canonical();
+            total += placed.len();
+            assert_eq!(placed, reference[r], "rank {r} assignment diverged");
         }
         assert_eq!(total, dist.num_tasks());
     }

@@ -197,13 +197,7 @@ mod tests {
     use tempered_core::rng::RngFactory;
 
     fn lb_config() -> LbProtocolConfig {
-        LbProtocolConfig {
-            trials: 2,
-            iters: 3,
-            fanout: 4,
-            rounds: 5,
-            ..Default::default()
-        }
+        LbProtocolConfig::quick()
     }
 
     #[test]

@@ -57,6 +57,21 @@ impl Default for RetryConfig {
 }
 
 impl RetryConfig {
+    /// The simulator-scale budget the chaos, fuzz and perf harnesses
+    /// harden with: generous enough that, at the drop rates they
+    /// exercise, a give-up or a missed stage deadline is negligible
+    /// (virtual-time backoff is free under the simulator), and finite so
+    /// every generated case terminates.
+    pub fn generous() -> Self {
+        RetryConfig {
+            timeout: 200e-6,
+            backoff: 1.5,
+            max_retries: 30,
+            stage_deadline: 30.0,
+            ..RetryConfig::default()
+        }
+    }
+
     /// Nominal (jitter-free) timer delay for retransmission attempt
     /// `attempt` (0-based): exponential backoff from `timeout`.
     pub fn delay_for(&self, attempt: u32) -> f64 {

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tempered_core::distribution::Distribution;
-use tempered_core::ids::{RankId, TaskId};
+use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
 use tempered_runtime::fault::{CrashEvent, FaultPlan, FaultStats, PauseWindow};
 use tempered_runtime::health::HealthConfig;
@@ -28,37 +28,8 @@ fn small_cfg() -> LbProtocolConfig {
     }
 }
 
-/// A retry budget generous enough that, at the drop rates exercised
-/// here, the probability of a give-up or a missed stage deadline is
-/// negligible (virtual-time backoff is free under the simulator).
-fn generous_retry() -> RetryConfig {
-    RetryConfig {
-        timeout: 200e-6,
-        backoff: 1.5,
-        max_retries: 30,
-        stage_deadline: 30.0,
-        ..RetryConfig::default()
-    }
-}
-
 fn hardened_cfg() -> LbProtocolConfig {
-    small_cfg().hardened(generous_retry())
-}
-
-/// Canonical view of an assignment: per rank, sorted `(task id, load
-/// bits)` pairs. Bit-level equality of two runs' outcomes.
-fn assignment(d: &Distribution) -> Vec<Vec<(TaskId, u64)>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut tasks: Vec<(TaskId, u64)> = d
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get().to_bits()))
-                .collect();
-            tasks.sort();
-            tasks
-        })
-        .collect()
+    small_cfg().hardened(RetryConfig::generous())
 }
 
 fn arb_distribution() -> impl Strategy<Value = Distribution> {
@@ -99,7 +70,7 @@ proptest! {
 
         prop_assert_eq!(chaos.degraded_ranks, 0,
             "generous retry budget must absorb moderate chaos");
-        prop_assert_eq!(assignment(&chaos.distribution), assignment(&clean.distribution));
+        prop_assert_eq!(chaos.distribution.canonical(), clean.distribution.canonical());
         prop_assert_eq!(chaos.final_imbalance.to_bits(), clean.final_imbalance.to_bits());
         prop_assert_eq!(chaos.tasks_migrated, clean.tasks_migrated);
         prop_assert_eq!(chaos.distribution.num_tasks(), dist.num_tasks());
@@ -144,7 +115,7 @@ proptest! {
             chaos.distribution.check_invariants().map_err(TestCaseError::fail)?;
             let clean = run_distributed_lb(
                 &dist, cfg, NetworkModel::default(), &RngFactory::new(seed));
-            prop_assert_eq!(assignment(&chaos.distribution), assignment(&clean.distribution));
+            prop_assert_eq!(chaos.distribution.canonical(), clean.distribution.canonical());
         }
     }
 
@@ -172,7 +143,7 @@ proptest! {
         let slow = run_distributed_lb_with_faults(
             &dist, cfg, NetworkModel::default(), &RngFactory::new(seed), plan);
         prop_assert_eq!(slow.degraded_ranks, 0);
-        prop_assert_eq!(assignment(&slow.distribution), assignment(&clean.distribution));
+        prop_assert_eq!(slow.distribution.canonical(), clean.distribution.canonical());
         prop_assert_eq!(slow.final_imbalance.to_bits(), clean.final_imbalance.to_bits());
         // Same outcome, but never faster: delays only ever add latency.
         // (Wire counts are NOT compared — idle waiting circulates extra
@@ -244,7 +215,7 @@ proptest! {
     ) {
         let dist = Distribution::concentrated(12, 2, 15);
         let cfg = small_cfg()
-            .hardened(generous_retry())
+            .hardened(RetryConfig::generous())
             .crash_tolerant(HealthConfig::default());
         let deaths: std::collections::BTreeSet<usize> = deaths.into_iter().collect();
         let crashes: Vec<CrashEvent> = deaths
@@ -261,7 +232,7 @@ proptest! {
         prop_assert!(a.distribution.num_tasks() <= dist.num_tasks());
         a.distribution.check_invariants().map_err(TestCaseError::fail)?;
         let b = run();
-        prop_assert_eq!(assignment(&a.distribution), assignment(&b.distribution));
+        prop_assert_eq!(a.distribution.canonical(), b.distribution.canonical());
         prop_assert_eq!(a.report.events_delivered, b.report.events_delivered);
         prop_assert_eq!(a.report.finish_time.to_bits(), b.report.finish_time.to_bits());
         prop_assert_eq!(a.degraded_ranks, b.degraded_ranks);
@@ -307,8 +278,8 @@ fn zeroed_plan_is_bit_identical_to_no_plan() {
             plain.final_imbalance.to_bits()
         );
         assert_eq!(
-            assignment(&planned.distribution),
-            assignment(&plain.distribution)
+            planned.distribution.canonical(),
+            plain.distribution.canonical()
         );
         assert_eq!(planned.report.faults.faultable, 0);
     }
@@ -334,8 +305,8 @@ fn hardening_is_transparent_when_fault_free() {
     );
     assert_eq!(hardened.degraded_ranks, 0);
     assert_eq!(
-        assignment(&hardened.distribution),
-        assignment(&legacy.distribution)
+        hardened.distribution.canonical(),
+        legacy.distribution.canonical()
     );
     assert_eq!(
         hardened.final_imbalance.to_bits(),
@@ -355,10 +326,10 @@ fn hardening_is_transparent_when_fault_free() {
 #[test]
 fn distributed_grapevine_converges_deterministically_under_chaos() {
     let dist = Distribution::concentrated(12, 2, 18);
-    let cfg = LbProtocolConfig::grapevine().hardened(generous_retry());
+    let cfg = LbProtocolConfig::grapevine().hardened(RetryConfig::generous());
     let a = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(7));
     let b = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(7));
-    assert_eq!(assignment(&a.distribution), assignment(&b.distribution));
+    assert_eq!(a.distribution.canonical(), b.distribution.canonical());
     assert_eq!(a.final_imbalance.to_bits(), b.final_imbalance.to_bits());
     assert_eq!(
         a.report.finish_time.to_bits(),
@@ -389,8 +360,8 @@ fn distributed_grapevine_converges_deterministically_under_chaos() {
     );
     assert_eq!(chaos.degraded_ranks, 0);
     assert_eq!(
-        assignment(&chaos.distribution),
-        assignment(&a.distribution),
+        chaos.distribution.canonical(),
+        a.distribution.canonical(),
         "faults may change timing and wire traffic, never the outcome"
     );
     assert_eq!(chaos.final_imbalance.to_bits(), a.final_imbalance.to_bits());
@@ -428,8 +399,8 @@ fn blackout_degrades_every_rank_and_reverts_to_input() {
     assert_eq!(out.degraded_ranks, dist.num_ranks());
     assert_eq!(out.tasks_migrated, 0);
     assert_eq!(
-        assignment(&out.distribution),
-        assignment(&dist),
+        out.distribution.canonical(),
+        dist.canonical(),
         "every degraded rank must keep exactly its input tasks"
     );
 }
@@ -478,20 +449,11 @@ fn parallel_executor_converges_under_faults() {
         let total: usize = report.ranks.iter().map(|r| r.final_tasks().len()).sum();
         assert_eq!(total, dist.num_tasks());
         let clean = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(41));
-        for (p, r) in report.ranks.iter().enumerate() {
-            let mut mine: Vec<TaskId> = r.final_tasks().iter().map(|t| t.id).collect();
-            mine.sort();
-            let mut theirs: Vec<TaskId> = clean
-                .distribution
-                .tasks_on(RankId::from(p))
-                .iter()
-                .map(|t| t.id)
-                .collect();
-            theirs.sort();
-            assert_eq!(
-                mine, theirs,
-                "rank {p} diverged from the fault-free assignment"
-            );
-        }
+        let mine: Vec<_> = report.ranks.iter().map(LbRank::canonical).collect();
+        assert_eq!(
+            mine,
+            clean.distribution.canonical(),
+            "a rank diverged from the fault-free assignment"
+        );
     }
 }

@@ -12,28 +12,11 @@
 use proptest::prelude::*;
 use tempered_core::distribution::Distribution;
 use tempered_core::gossip::GossipConfig;
-use tempered_core::ids::TaskId;
 use tempered_core::refine::{refine, RefineConfig};
 use tempered_core::rng::RngFactory;
 use tempered_core::transfer::TransferConfig;
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::run_local_lb;
-
-/// Canonical view of an assignment: per rank, sorted `(task id, load
-/// bits)` pairs.
-fn assignment(d: &Distribution) -> Vec<Vec<(TaskId, u64)>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut tasks: Vec<(TaskId, u64)> = d
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get().to_bits()))
-                .collect();
-            tasks.sort();
-            tasks
-        })
-        .collect()
-}
 
 /// Assert the async engine (zero-latency driver) and the sync `refine`
 /// agree bit-for-bit on the same input and seed.
@@ -44,8 +27,8 @@ fn assert_equivalent(dist: &Distribution, rcfg: &RefineConfig, seed: u64) {
 
     assert_eq!(local.degraded_ranks, 0);
     assert_eq!(
-        assignment(&sync.best),
-        assignment(&local.distribution),
+        sync.best.canonical(),
+        local.distribution.canonical(),
         "engine committed a different assignment than refine (seed {seed})"
     );
     assert_eq!(

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tempered_core::distribution::Distribution;
-use tempered_core::ids::{RankId, TaskId};
+use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
 use tempered_runtime::fault::{FaultPlan, LinkFault, LinkFaultKind, PartitionWindow};
 use tempered_runtime::health::HealthConfig;
@@ -37,9 +37,7 @@ fn partition_cfg() -> LbProtocolConfig {
     }
     .hardened(RetryConfig::default())
     .crash_tolerant(HealthConfig::default())
-    .partition_tolerant(PartitionConfig {
-        park_deadline: 0.05,
-    })
+    .partition_tolerant(PartitionConfig::quick())
 }
 
 /// Hot load on the first three ranks so both components of most
@@ -67,22 +65,6 @@ fn bipartition(side: &BTreeSet<u32>, start: f64, end: Option<f64>) -> FaultPlan 
         }],
         ..FaultPlan::none()
     }
-}
-
-/// Canonical view of an assignment: per rank, sorted `(task id, load
-/// bits)` pairs. Bit-level equality of two runs' outcomes.
-fn assignment(d: &Distribution) -> Vec<Vec<(TaskId, u64)>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut tasks: Vec<(TaskId, u64)> = d
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id, t.load.get().to_bits()))
-                .collect();
-            tasks.sort();
-            tasks
-        })
-        .collect()
 }
 
 proptest! {
@@ -119,28 +101,23 @@ proptest! {
             // input placement survives untouched.
             prop_assert_eq!(a.parked_ranks, RANKS);
             prop_assert_eq!(a.tasks_migrated, 0);
-            prop_assert_eq!(assignment(&a.distribution), assignment(&dist));
+            prop_assert_eq!(a.distribution.canonical(), dist.canonical());
         } else {
             let minority = if side.len() < complement.len() { &side } else { &complement };
             prop_assert_eq!(a.parked_ranks, minority.len(),
                 "exactly the quorum-less component parks");
             // The parked component moved nothing: every minority rank
             // still holds exactly its input tasks.
+            let (mine, input) = (a.distribution.canonical(), dist.canonical());
             for &r in minority {
-                let mut mine: Vec<TaskId> = a.distribution
-                    .tasks_on(RankId::new(r)).iter().map(|t| t.id).collect();
-                mine.sort();
-                let mut input: Vec<TaskId> = dist
-                    .tasks_on(RankId::new(r)).iter().map(|t| t.id).collect();
-                input.sort();
-                prop_assert_eq!(mine, input,
+                prop_assert_eq!(&mine[r as usize], &input[r as usize],
                     "parked rank {} must keep its original placement", r);
             }
         }
 
         // Same seed, same plan: bit-identical outcome, parks included.
         let b = run();
-        prop_assert_eq!(assignment(&a.distribution), assignment(&b.distribution));
+        prop_assert_eq!(a.distribution.canonical(), b.distribution.canonical());
         prop_assert_eq!(a.report.events_delivered, b.report.events_delivered);
         prop_assert_eq!(a.report.finish_time.to_bits(), b.report.finish_time.to_bits());
         prop_assert_eq!(a.parked_ranks, b.parked_ranks);
@@ -177,7 +154,7 @@ proptest! {
             prop_assert!(out.parked_ranks == 0 || out.parked_ranks == RANKS);
             if out.parked_ranks == RANKS {
                 prop_assert_eq!(out.tasks_migrated, 0);
-                prop_assert_eq!(assignment(&out.distribution), assignment(&dist));
+                prop_assert_eq!(out.distribution.canonical(), dist.canonical());
             }
         } else {
             prop_assert_eq!(out.parked_ranks, 0, "the heal re-admits everyone");
@@ -218,7 +195,7 @@ proptest! {
 
         prop_assert_eq!(cut.degraded_ranks, 0);
         prop_assert_eq!(cut.parked_ranks, 0, "a brief cut must not cost quorum");
-        prop_assert_eq!(assignment(&cut.distribution), assignment(&clean.distribution));
+        prop_assert_eq!(cut.distribution.canonical(), clean.distribution.canonical());
         prop_assert_eq!(cut.final_imbalance.to_bits(), clean.final_imbalance.to_bits());
         prop_assert_eq!(cut.tasks_migrated, clean.tasks_migrated);
     }

@@ -11,8 +11,8 @@
 
 use std::time::Duration;
 
-use tempered_core::distribution::Distribution;
 use tempered_core::forecast::{ForecastBank, Holt};
+use tempered_core::ids::TaskId;
 use tempered_core::refine::net_migrations;
 use tempered_core::rng::{derive_seed, RngFactory};
 use tempered_runtime::lb::{LbProtocolConfig, LbRank};
@@ -21,27 +21,12 @@ use tempered_runtime::run_distributed_lb;
 use tempered_runtime::sim::NetworkModel;
 use tempered_svc::prelude::*;
 
-/// Canonical assignment: per rank, sorted `(task id, load bits)`.
-fn assignment(d: &Distribution) -> Vec<Vec<(u64, u64)>> {
-    d.rank_ids()
-        .map(|r| {
-            let mut ts: Vec<(u64, u64)> = d
-                .tasks_on(r)
-                .iter()
-                .map(|t| (t.id.as_u64(), t.load.get().to_bits()))
-                .collect();
-            ts.sort_unstable();
-            ts
-        })
-        .collect()
-}
-
 /// Drive the flash-crowd scenario end to end; at every LB epoch run the
 /// protocol on the forecast loads through the simulator AND the threaded
 /// executor and demand the identical placement. Returns the final
 /// canonical assignment (for the outer determinism check) and how many
 /// LB decisions were cross-checked.
-fn run_both_drivers(seed: u64) -> (Vec<Vec<(u64, u64)>>, usize) {
+fn run_both_drivers(seed: u64) -> (Vec<Vec<(TaskId, u64)>>, usize) {
     let sc = SvcScenario::flash_crowd(8, 8, 24, seed);
     let cfg = LbProtocolConfig {
         trials: 2,
@@ -83,22 +68,10 @@ fn run_both_drivers(seed: u64) -> (Vec<Vec<(u64, u64)>>, usize) {
         assert!(report.completed, "threaded run must complete");
         assert!(report.ranks.iter().all(|r| !r.degraded()));
 
-        let sim_assignment = assignment(&sim.distribution);
-        let threaded: Vec<Vec<(u64, u64)>> = report
-            .ranks
-            .iter()
-            .map(|r| {
-                let mut ts: Vec<(u64, u64)> = r
-                    .final_tasks()
-                    .iter()
-                    .map(|t| (t.id.as_u64(), t.load.to_bits()))
-                    .collect();
-                ts.sort_unstable();
-                ts
-            })
-            .collect();
+        let threaded: Vec<_> = report.ranks.iter().map(LbRank::canonical).collect();
         assert_eq!(
-            sim_assignment, threaded,
+            sim.distribution.canonical(),
+            threaded,
             "phase {phase}: threaded executor diverged from the simulator"
         );
         compared += 1;
@@ -110,7 +83,7 @@ fn run_both_drivers(seed: u64) -> (Vec<Vec<(u64, u64)>>, usize) {
     }
 
     dist.check_invariants().expect("final placement is sound");
-    (assignment(&dist), compared)
+    (dist.canonical(), compared)
 }
 
 #[test]
@@ -123,14 +96,14 @@ fn flash_crowd_timeline_is_driver_equivalent_and_deterministic() {
     // The crowd forces real movement: the final placement cannot still
     // be the initial block layout.
     let block = SvcScenario::flash_crowd(8, 8, 24, 42).initial_distribution();
+    let ids = |view: &[Vec<(TaskId, u64)>]| -> Vec<Vec<TaskId>> {
+        view.iter()
+            .map(|r| r.iter().map(|t| t.0).collect())
+            .collect()
+    };
     assert_ne!(
-        a.iter()
-            .map(|r| r.iter().map(|t| t.0).collect::<Vec<_>>())
-            .collect::<Vec<_>>(),
-        assignment(&block)
-            .iter()
-            .map(|r| r.iter().map(|t| t.0).collect::<Vec<_>>())
-            .collect::<Vec<_>>(),
+        ids(&a),
+        ids(&block.canonical()),
         "a flash crowd must force migrations off the block placement"
     );
 

@@ -16,11 +16,8 @@ fn main() {
         scenario,
         cost: CostModel::default(),
         lb: LbProtocolConfig {
-            trials: 2,
             iters: 4,
-            fanout: 4,
-            rounds: 5,
-            ..Default::default()
+            ..LbProtocolConfig::quick()
         },
         lb_first_step: 4,
         lb_period: 20,
