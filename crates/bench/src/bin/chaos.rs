@@ -78,18 +78,14 @@ fn survivor_lambda(d: &Distribution, dead: &BTreeSet<RankId>) -> f64 {
     }
 }
 
-/// Run one fault plan after validating it; invalid plans are a caller
-/// bug for the built-in grids and a clean CLI error for `--crash`.
+/// Run one fault plan. The grids build theirs from the rank count; the
+/// two CLI doors (`--plan`, `--crash`) validate theirs against it first.
 fn run_with_plan(
     dist: &Distribution,
     cfg: LbProtocolConfig,
     seed: u64,
     plan: FaultPlan,
 ) -> DistLbResult {
-    plan.validate().unwrap_or_else(|e| {
-        eprintln!("chaos: invalid fault plan: {e}");
-        std::process::exit(2);
-    });
     run_distributed_lb_with_faults(
         dist,
         cfg,
@@ -745,12 +741,18 @@ fn custom_crashes(args: &[String]) -> Result<Vec<CrashEvent>, String> {
         .collect()
 }
 
-/// `--plan <file.json>`: load and validate a full [`FaultPlan`] from
-/// disk (`None` when the flag is absent). Every failure names the file.
-fn plan_from_file(args: &[String]) -> Result<Option<FaultPlan>, String> {
+/// `--plan <file.json>`: load a full [`FaultPlan`] from disk and validate
+/// it against the run's `num_ranks` (`None` when the flag is absent).
+/// Every failure names the file.
+fn plan_from_file(args: &[String], num_ranks: usize) -> Result<Option<FaultPlan>, String> {
     flag_values(args, "--plan", "<file.json>")?
         .first()
-        .map(|path| FaultPlan::load(std::path::Path::new(path)))
+        .map(|path| {
+            let plan = FaultPlan::load(std::path::Path::new(path))?;
+            plan.validate_churn(num_ranks, None)
+                .map_err(|e| format!("{path}: {e}"))?;
+            Ok(plan)
+        })
         .transpose()
 }
 
@@ -793,7 +795,7 @@ fn main() {
 
     // A full fault plan from a JSON file: validate, run against the
     // partition-tolerant stack, report.
-    if let Some(plan) = or_usage_error(plan_from_file(&args)) {
+    if let Some(plan) = or_usage_error(plan_from_file(&args, num_ranks)) {
         let out = run_with_plan(&dist, partition_tolerant, seed, plan.clone());
         println!(
             "plan scenario: imbalance {:.3} -> {:.3}, {} migrations, \
@@ -819,6 +821,11 @@ fn main() {
             crashes: custom,
             ..FaultPlan::none()
         };
+        // A malformed time or a rank nobody holds is a usage error too.
+        or_usage_error(
+            plan.validate_churn(num_ranks, None)
+                .map_err(|e| format!("invalid fault plan: {e}")),
+        );
         let out = run_with_plan(&dist, crash_tolerant, seed, plan.clone());
         println!(
             "custom crash scenario: imbalance {:.3} -> {:.3}, {} migrations, \
@@ -918,7 +925,7 @@ mod tests {
 
     #[test]
     fn plan_flag_validates_on_load_and_names_the_file() {
-        assert!(plan_from_file(&args(&["--strict"])).unwrap().is_none());
+        assert!(plan_from_file(&args(&["--strict"]), 16).unwrap().is_none());
         let path = std::env::temp_dir().join(format!("chaos_bad_plan_{}.json", std::process::id()));
         // Parses, but no plan may drop with probability 1.5.
         let bad = FaultPlan {
@@ -927,11 +934,11 @@ mod tests {
         };
         std::fs::write(&path, bad.to_json()).unwrap();
         let shown = path.display().to_string();
-        let err = plan_from_file(&args(&["--plan", &shown])).unwrap_err();
+        let err = plan_from_file(&args(&["--plan", &shown]), 16).unwrap_err();
         std::fs::remove_file(&path).unwrap();
         assert!(err.starts_with(&shown), "{err}");
         assert!(err.contains("drop"), "{err}");
-        let err = plan_from_file(&args(&["--plan", "no/such/plan.json"])).unwrap_err();
+        let err = plan_from_file(&args(&["--plan", "no/such/plan.json"]), 16).unwrap_err();
         assert!(err.starts_with("no/such/plan.json"), "{err}");
     }
 }

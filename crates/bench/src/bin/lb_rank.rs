@@ -136,7 +136,11 @@ fn main() -> ExitCode {
         }
     };
     let plan = match &args.plan {
-        Some(path) => match FaultPlan::load(path) {
+        Some(path) => match FaultPlan::load(path).and_then(|p| {
+            p.validate_churn(args.ranks, None)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            Ok(p)
+        }) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("lb_rank: {e}");
@@ -223,20 +227,17 @@ fn main() -> ExitCode {
         emit("DONE");
     });
 
-    let ids = sockets::task_ids(&report.rank.canonical());
-    let tasks: Vec<String> = ids.iter().map(u64::to_string).collect();
-    emit(&format!(
-        "RESULT rank={} finished={} degraded={} parked={} msgs={} bytes={} retransmits={} \
-         wall_ms={:.1} tasks={}",
-        me.as_usize(),
-        u8::from(report.finished),
-        u8::from(report.rank.degraded()),
-        u8::from(report.rank.parked()),
-        report.network.messages,
-        report.network.bytes,
-        report.rank.reliable_stats().retransmitted,
-        report.wall_time_s * 1e3,
-        tasks.join(",")
-    ));
+    let result = sockets::RankResult {
+        rank: me.as_usize(),
+        finished: report.finished,
+        degraded: report.rank.degraded(),
+        parked: report.rank.parked(),
+        msgs: report.network.messages,
+        bytes: report.network.bytes,
+        retransmits: report.rank.reliable_stats().retransmitted,
+        wall_ms: report.wall_time_s * 1e3,
+        tasks: sockets::task_ids(&report.rank.canonical()),
+    };
+    emit(&result.to_string());
     ExitCode::SUCCESS
 }

@@ -11,7 +11,7 @@
 //! Pass a path to re-report an existing trace without running anything:
 //! `cargo run -p tempered-bench --bin obs_report -- results/trace.json`
 
-use empire_pic::{run_distributed_pic_traced, BdotScenario, DistPicConfig, Mesh};
+use empire_pic::{run_distributed_pic_crash_traced, BdotScenario, DistPicConfig, Mesh};
 use lbaf::Table;
 use tempered_bench::write_results;
 use tempered_obs::{
@@ -90,11 +90,12 @@ fn main() {
     let num_ranks = cfg.scenario.mesh.num_ranks();
     eprintln!("obs_report: tracing a {num_ranks}-rank distributed PIC run (seed {SEED})");
     let recorder = Recorder::enabled(num_ranks);
-    let out = run_distributed_pic_traced(
+    let out = run_distributed_pic_crash_traced(
         cfg,
         NetworkModel::default(),
         SEED,
         FaultPlan::none(),
+        &[],
         recorder.clone(),
     );
     eprintln!(

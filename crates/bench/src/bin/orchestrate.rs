@@ -36,7 +36,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
-use tempered_bench::{sockets, write_results};
+use tempered_bench::sockets::{self, RankResult};
+use tempered_bench::write_results;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::TaskId;
 use tempered_core::rng::RngFactory;
@@ -104,51 +105,6 @@ fn lb_rank_bin() -> Result<PathBuf, String> {
             sibling.display()
         ))
     }
-}
-
-/// One rank's parsed RESULT line.
-#[derive(Debug, Default)]
-struct RankResult {
-    finished: bool,
-    degraded: bool,
-    parked: bool,
-    msgs: u64,
-    bytes: u64,
-    retransmits: u64,
-    wall_ms: f64,
-    tasks: Vec<u64>,
-}
-
-fn parse_result(line: &str) -> Result<(usize, RankResult), String> {
-    let mut rank = None;
-    let mut out = RankResult::default();
-    for field in line.split_whitespace() {
-        let (key, val) = field
-            .split_once('=')
-            .ok_or_else(|| format!("bad RESULT field {field:?}"))?;
-        let as_u64 = || val.parse::<u64>().map_err(|e| format!("{key}: {e}"));
-        match key {
-            "rank" => rank = Some(val.parse().map_err(|e| format!("rank: {e}"))?),
-            "finished" => out.finished = val == "1",
-            "degraded" => out.degraded = val == "1",
-            "parked" => out.parked = val == "1",
-            "msgs" => out.msgs = as_u64()?,
-            "bytes" => out.bytes = as_u64()?,
-            "retransmits" => out.retransmits = as_u64()?,
-            "wall_ms" => out.wall_ms = val.parse().map_err(|e| format!("wall_ms: {e}"))?,
-            "tasks" => {
-                out.tasks = if val.is_empty() {
-                    Vec::new()
-                } else {
-                    val.split(',')
-                        .map(|t| t.parse().map_err(|e| format!("tasks: {e}")))
-                        .collect::<Result<_, String>>()?
-                }
-            }
-            other => return Err(format!("unknown RESULT key {other}")),
-        }
-    }
-    Ok((rank.ok_or("RESULT missing rank=")?, out))
 }
 
 /// What one cell of the grid produced.
@@ -360,17 +316,12 @@ fn run_cell(
     };
     while owes(&results, &exited) {
         match recv_until(&rx, cutoff) {
-            Ok((r, Some(line))) => {
-                if let Some(rest) = line.strip_prefix("RESULT ") {
-                    match parse_result(rest) {
-                        Ok((rr, res)) if rr == r => {
-                            results[r] = Some(res);
-                        }
-                        Ok((rr, _)) => failures.push(format!("rank {r} reported as rank {rr}")),
-                        Err(e) => failures.push(format!("rank {r}: {e}")),
-                    }
-                }
-            }
+            Ok((r, Some(line))) => match RankResult::parse(&line) {
+                Some(Ok(res)) if res.rank == r => results[r] = Some(res),
+                Some(Ok(res)) => failures.push(format!("rank {r} reported as rank {}", res.rank)),
+                Some(Err(e)) => failures.push(format!("rank {r}: {e}")),
+                None => {}
+            },
             Ok((r, None)) => {
                 exited.insert(r);
                 // Reap the corpse now; teardown's kill would only

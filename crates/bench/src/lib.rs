@@ -85,29 +85,11 @@ pub fn run_fig4d_timelines() -> Vec<Timeline> {
 /// aggregation instead of plucking struct fields ad hoc.
 pub fn lb_run_metrics(out: &DistLbResult) -> MetricsRegistry {
     let mut m = MetricsRegistry::default();
-    m.counter_add("lb.reliable.sent", out.reliable.sent);
-    m.counter_add("lb.reliable.retransmitted", out.reliable.retransmitted);
-    m.counter_add("lb.reliable.acked", out.reliable.acked);
-    m.counter_add(
-        "lb.reliable.duplicates_suppressed",
-        out.reliable.duplicates_suppressed,
-    );
-    m.counter_add("lb.reliable.gave_up", out.reliable.gave_up);
-    m.counter_add("lb.reliable.revived", out.reliable.revived);
+    out.reliable.record(&mut m);
     m.counter_add("lb.degraded_ranks", out.degraded_ranks as u64);
     m.counter_add("lb.parked_ranks", out.parked_ranks as u64);
     m.counter_add("lb.tasks_migrated", out.tasks_migrated as u64);
-    m.counter_add("fault.faultable", out.report.faults.faultable);
-    m.counter_add("fault.dropped", out.report.faults.dropped);
-    m.counter_add("fault.crash_dropped", out.report.faults.crash_dropped);
-    m.counter_add("fault.link_cut", out.report.faults.link_cut);
-    m.counter_add("fault.link_delayed", out.report.faults.link_delayed);
-    m.counter_add("fault.corrupted", out.report.faults.corrupted);
-    m.counter_add("fault.reordered", out.report.faults.reordered);
-    m.counter_add("fault.duplicated", out.report.faults.duplicated);
-    m.counter_add("fault.spiked", out.report.faults.spiked);
-    m.counter_add("fault.straggled", out.report.faults.straggled);
-    m.counter_add("fault.paused", out.report.faults.paused);
+    out.report.faults.record(&mut m);
     m.counter_add("sim.events_delivered", out.report.events_delivered);
     m.record_network("sim.net", &out.report.network);
     m.gauge_max("sim.finish_time_s", out.report.finish_time);

@@ -96,11 +96,98 @@ pub fn balancer_config(name: &str) -> Result<LbProtocolConfig, String> {
 }
 
 /// The ids of one rank's canonical view (`Distribution::canonical`,
-/// `LbRank::canonical`): what a `RESULT` line prints and what the
+/// `LbRank::canonical`): what a [`RankResult`] carries and what the
 /// orchestrator compares it against. Loads never change inside an LB
 /// run, so on a shared input the ids carry the whole placement.
 pub fn task_ids(view: &[(TaskId, u64)]) -> Vec<u64> {
     view.iter().map(|&(id, _)| id.as_u64()).collect()
+}
+
+/// A rank process's last word on stdout — `RESULT rank=.. finished=..
+/// degraded=.. parked=.. msgs=.. bytes=.. retransmits=.. wall_ms=..
+/// tasks=<id,id,...>` — written by `lb_rank` ([`std::fmt::Display`]) and
+/// read back by `orchestrate` ([`RankResult::parse`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RankResult {
+    /// The reporting rank.
+    pub rank: usize,
+    /// Whether the protocol reached Done before the process was told to
+    /// exit.
+    pub finished: bool,
+    /// Whether the rank abandoned the protocol.
+    pub degraded: bool,
+    /// Whether the rank sat the run out parked.
+    pub parked: bool,
+    /// Frames put on the wire.
+    pub msgs: u64,
+    /// Bytes put on the wire.
+    pub bytes: u64,
+    /// Reliable-layer retransmissions.
+    pub retransmits: u64,
+    /// Wall-clock duration of the run in milliseconds.
+    pub wall_ms: f64,
+    /// The rank's final task ids ([`task_ids`]).
+    pub tasks: Vec<u64>,
+}
+
+impl std::fmt::Display for RankResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tasks: Vec<String> = self.tasks.iter().map(u64::to_string).collect();
+        write!(
+            f,
+            "RESULT rank={} finished={} degraded={} parked={} msgs={} bytes={} retransmits={} \
+             wall_ms={:.1} tasks={}",
+            self.rank,
+            u8::from(self.finished),
+            u8::from(self.degraded),
+            u8::from(self.parked),
+            self.msgs,
+            self.bytes,
+            self.retransmits,
+            self.wall_ms,
+            tasks.join(",")
+        )
+    }
+}
+
+impl RankResult {
+    /// Parse one stdout line of a rank process: `None` when it is not a
+    /// `RESULT` line at all, an error when it is one but malformed (an
+    /// unknown key, a value that does not parse, no `rank=`).
+    pub fn parse(line: &str) -> Option<Result<RankResult, String>> {
+        let fields = line.strip_prefix("RESULT ")?;
+        let parse = || {
+            let mut rank = None;
+            let mut out = RankResult::default();
+            for field in fields.split_whitespace() {
+                let (key, val) = field
+                    .split_once('=')
+                    .ok_or_else(|| format!("bad RESULT field {field:?}"))?;
+                let as_u64 = || val.parse::<u64>().map_err(|e| format!("{key}: {e}"));
+                match key {
+                    "rank" => rank = Some(val.parse().map_err(|e| format!("rank: {e}"))?),
+                    "finished" => out.finished = val == "1",
+                    "degraded" => out.degraded = val == "1",
+                    "parked" => out.parked = val == "1",
+                    "msgs" => out.msgs = as_u64()?,
+                    "bytes" => out.bytes = as_u64()?,
+                    "retransmits" => out.retransmits = as_u64()?,
+                    "wall_ms" => out.wall_ms = val.parse().map_err(|e| format!("wall_ms: {e}"))?,
+                    "tasks" if val.is_empty() => {}
+                    "tasks" => {
+                        out.tasks = val
+                            .split(',')
+                            .map(|t| t.parse().map_err(|e| format!("tasks: {e}")))
+                            .collect::<Result<_, String>>()?
+                    }
+                    other => return Err(format!("unknown RESULT key {other}")),
+                }
+            }
+            out.rank = rank.ok_or("RESULT missing rank=")?;
+            Ok(out)
+        };
+        Some(parse())
+    }
 }
 
 /// One row of the sockets chaos grid.
@@ -225,6 +312,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn result_lines_round_trip() {
+        let full = RankResult {
+            rank: 3,
+            finished: true,
+            degraded: false,
+            parked: true,
+            msgs: 812,
+            bytes: 40_960,
+            retransmits: 7,
+            wall_ms: 12.5,
+            tasks: vec![0, 5, 23],
+        };
+        let line = full.to_string();
+        assert_eq!(
+            line,
+            "RESULT rank=3 finished=1 degraded=0 parked=1 msgs=812 bytes=40960 \
+             retransmits=7 wall_ms=12.5 tasks=0,5,23"
+        );
+        assert_eq!(RankResult::parse(&line), Some(Ok(full.clone())));
+        // A rank left holding nothing prints an empty `tasks=`.
+        let empty = RankResult {
+            tasks: Vec::new(),
+            ..full
+        };
+        assert!(empty.to_string().ends_with(" tasks="));
+        assert_eq!(RankResult::parse(&empty.to_string()), Some(Ok(empty)));
+
+        assert_eq!(RankResult::parse("DONE"), None);
+        let err = |line: &str| RankResult::parse(line).unwrap().unwrap_err();
+        assert!(err("RESULT rank=1 colour=blue").contains("unknown RESULT key colour"));
+        assert!(err("RESULT finished=1 tasks=").contains("missing rank="));
+        assert!(err("RESULT rank=1 tasks=1,x").contains("tasks:"));
     }
 
     #[test]

@@ -9,17 +9,13 @@
 //! but — as in the paper's asynchronous implementation — the protocol
 //! produces good results well short of global knowledge.
 //!
-//! Two execution modes are provided:
-//!
-//! * [`GossipMode::RoundBased`] — the scalable interpretation used by real
-//!   implementations: in each synchronous round, every rank that *learned
-//!   something new* in the previous round (or is an underloaded seed in
-//!   round one) sends its current knowledge to `f` random targets. Message
-//!   count is bounded by `P·f·k`.
-//! * [`GossipMode::MessageTree`] — the literal pseudocode: every received
-//!   message with `r < k` triggers `f` forwards, forming a tree per seed.
-//!   Exponential in `k`; valuable for validating the round-based mode at
-//!   small scale, guarded by a message budget.
+//! [`run_gossip`] is the scalable, round-based interpretation used by real
+//! implementations: in each synchronous round, every rank that *learned
+//! something new* in the previous round (or is an underloaded seed in
+//! round one) sends its current knowledge to `f` random targets. Message
+//! count is bounded by `P·f·k`. The literal pseudocode — every received
+//! message with `r < k` triggers `f` forwards, a tree per seed, exponential
+//! in `k` — is kept as the reference this module's tests compare against.
 //!
 //! Round-based delivery is implemented with *prefix snapshots*: knowledge
 //! is insertion-ordered and append-only during gossip, so a sender's state
@@ -34,30 +30,13 @@ use crate::rng::RngFactory;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Gossip execution mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum GossipMode {
-    /// Synchronous rounds; ranks forward only when they learned new
-    /// information. Scalable (`O(P·f·k)` messages).
-    #[default]
-    RoundBased,
-    /// Literal Algorithm 1: per-message forwarding trees. Exponential in
-    /// `k`; use only at small scale.
-    MessageTree,
-}
-
 /// Configuration of the inform/gossip stage.
 #[derive(Clone, Copy, Debug)]
 pub struct GossipConfig {
     /// Fanout factor `f`: targets contacted per send.
     pub fanout: usize,
-    /// Number of rounds `k` (message depth in tree mode).
+    /// Number of rounds `k`.
     pub rounds: usize,
-    /// Execution mode.
-    pub mode: GossipMode,
-    /// Message budget for [`GossipMode::MessageTree`]; the stage stops
-    /// (recording `truncated`) when exceeded. Ignored in round-based mode.
-    pub max_messages: u64,
     /// Knowledge cap: a rank stops *accepting* new underloaded-rank
     /// entries once `|S^p|` reaches this bound (`0` = unbounded).
     ///
@@ -76,8 +55,6 @@ impl Default for GossipConfig {
         GossipConfig {
             fanout: 6,
             rounds: 10,
-            mode: GossipMode::RoundBased,
-            max_messages: 10_000_000,
             max_knowledge: 0,
         }
     }
@@ -93,10 +70,8 @@ pub struct GossipResult {
     /// Total `(rank, load)` pairs carried by all messages — the protocol's
     /// communication volume, reported by the scaling benches.
     pub pairs_sent: u64,
-    /// Rounds actually executed (round-based mode may quiesce early).
+    /// Rounds actually executed (the stage may quiesce early).
     pub rounds_executed: usize,
-    /// Tree mode only: whether the message budget cut the stage short.
-    pub truncated: bool,
 }
 
 impl GossipResult {
@@ -150,210 +125,6 @@ impl GossipResult {
 /// assert!(!result.knowledge[0].is_empty());
 /// ```
 pub fn run_gossip(
-    loads: &[Load],
-    l_ave: Load,
-    cfg: &GossipConfig,
-    factory: &RngFactory,
-    epoch: u64,
-) -> GossipResult {
-    match cfg.mode {
-        GossipMode::RoundBased => run_round_based(loads, l_ave, cfg, factory, epoch),
-        GossipMode::MessageTree => run_message_tree(loads, l_ave, cfg, factory, epoch),
-    }
-}
-
-/// Sample a target from `P \ (S^p ∪ {self})` (Algorithm 1 lines 20–21).
-///
-/// Rejection-samples while the complement is large; falls back to
-/// enumerating the complement when knowledge covers most of `P`, which is
-/// the common state late in gossip on mostly-underloaded systems.
-///
-/// Public so the asynchronous runtime protocol can share the exact
-/// sampling semantics (and distribution) of the analysis-mode gossip.
-pub fn sample_target(
-    rng: &mut SmallRng,
-    num_ranks: usize,
-    me: RankId,
-    knowledge: &Knowledge,
-) -> Option<RankId> {
-    let excluded = knowledge.len() + if knowledge.contains(me) { 0 } else { 1 };
-    if excluded >= num_ranks {
-        return None; // complement empty: everyone is known-underloaded
-    }
-    // Rejection sampling is cheap while the complement is at least ~1/4 of
-    // the space: expected < 4 draws.
-    if excluded * 4 <= num_ranks * 3 {
-        for _ in 0..64 {
-            let cand = RankId::new(rng.gen_range(0..num_ranks as u32));
-            if cand != me && !knowledge.contains(cand) {
-                return Some(cand);
-            }
-        }
-    }
-    // Dense complement scan fallback.
-    let complement: Vec<RankId> = (0..num_ranks as u32)
-        .map(RankId::new)
-        .filter(|&r| r != me && !knowledge.contains(r))
-        .collect();
-    if complement.is_empty() {
-        None
-    } else {
-        Some(complement[rng.gen_range(0..complement.len())])
-    }
-}
-
-/// Membership view of a rank's knowledge for fanout target sampling.
-///
-/// The sampling kernel only needs `|S^p|` and membership tests, so the
-/// flat bitset representation used by the analysis-mode engine and the
-/// [`Knowledge`] map used by the asynchronous runtime protocol share one
-/// implementation — and therefore draw *identical* random sequences,
-/// which the sync↔async equivalence guarantee depends on.
-pub trait TargetExclusions {
-    /// Number of known underloaded ranks, `|S^p|`.
-    fn known(&self) -> usize;
-    /// Whether `rank ∈ S^p`.
-    fn knows(&self, rank: RankId) -> bool;
-}
-
-impl TargetExclusions for Knowledge {
-    fn known(&self) -> usize {
-        self.len()
-    }
-    fn knows(&self, rank: RankId) -> bool {
-        self.contains(rank)
-    }
-}
-
-/// Draw `fanout` targets (with replacement, as Algorithm 1 does) from
-/// `P \ (S^p ∪ {self})` (Algorithm 1 lines 20–21).
-///
-/// Rejection-samples while the complement is large; when knowledge covers
-/// most of `P` — the common state for underloaded ranks late in gossip —
-/// the complement is enumerated *once* and all `fanout` draws share it,
-/// which is the difference between `O(P)` and `O(P·f)` per sender per
-/// round at §V-B scale. A rejection burst that misses 64 times simply
-/// yields fewer targets for this send; there is deliberately no dense
-/// fallback inside the burst, so the draw sequence is identical for
-/// every [`TargetExclusions`] implementation.
-pub fn sample_fanout_targets<K: TargetExclusions>(
-    rng: &mut SmallRng,
-    num_ranks: usize,
-    me: RankId,
-    knowledge: &K,
-    fanout: usize,
-    out: &mut Vec<RankId>,
-) {
-    out.clear();
-    let excluded = knowledge.known() + if knowledge.knows(me) { 0 } else { 1 };
-    if excluded >= num_ranks {
-        return;
-    }
-    if excluded * 4 <= num_ranks * 3 {
-        // Large complement: expected < 4 draws per target.
-        for _ in 0..fanout {
-            for _ in 0..64 {
-                let cand = RankId::new(rng.gen_range(0..num_ranks as u32));
-                if cand != me && !knowledge.knows(cand) {
-                    out.push(cand);
-                    break;
-                }
-            }
-        }
-        return;
-    }
-    // Dense knowledge: enumerate the complement once for all draws.
-    let complement: Vec<RankId> = (0..num_ranks as u32)
-        .map(RankId::new)
-        .filter(|&r| r != me && !knowledge.knows(r))
-        .collect();
-    for _ in 0..fanout {
-        out.push(complement[rng.gen_range(0..complement.len())]);
-    }
-}
-
-fn seeds(loads: &[Load], l_ave: Load) -> Vec<Knowledge> {
-    loads
-        .iter()
-        .enumerate()
-        .map(|(p, &l)| {
-            let mut k = Knowledge::new();
-            if l < l_ave {
-                k.insert(RankId::from(p), l);
-            }
-            k
-        })
-        .collect()
-}
-
-/// Flat, bitset-indexed knowledge used inside the round-based engine.
-///
-/// The §V-B experiment runs gossip over 4096 ranks with ~4080 underloaded
-/// seeds; merging accumulated lists through a hash map costs ~10 ns per
-/// membership probe and dominates the entire balancer. A dense bitset
-/// drops the probe to ~1 ns and keeps the insertion-ordered `(rank,
-/// load)` arrays the CMF needs.
-struct FlatKnowledge {
-    ranks: Vec<RankId>,
-    loads: Vec<Load>,
-    seen: Vec<u64>,
-    /// Entry cap (`usize::MAX` = unbounded); own-seed entries bypass it.
-    cap: usize,
-}
-
-impl FlatKnowledge {
-    fn new(num_ranks: usize, cap: usize) -> Self {
-        FlatKnowledge {
-            ranks: Vec::new(),
-            loads: Vec::new(),
-            seen: vec![0u64; num_ranks.div_ceil(64)],
-            cap,
-        }
-    }
-
-    #[inline]
-    fn contains(&self, r: RankId) -> bool {
-        let i = r.as_usize();
-        self.seen[i >> 6] & (1u64 << (i & 63)) != 0
-    }
-
-    #[inline]
-    fn insert(&mut self, r: RankId, l: Load) -> bool {
-        if self.ranks.len() >= self.cap {
-            return false;
-        }
-        let i = r.as_usize();
-        let word = &mut self.seen[i >> 6];
-        let bit = 1u64 << (i & 63);
-        if *word & bit != 0 {
-            return false;
-        }
-        *word |= bit;
-        self.ranks.push(r);
-        self.loads.push(l);
-        true
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.ranks.len()
-    }
-
-    fn into_knowledge(self) -> Knowledge {
-        self.ranks.into_iter().zip(self.loads).collect()
-    }
-}
-
-impl TargetExclusions for FlatKnowledge {
-    fn known(&self) -> usize {
-        self.len()
-    }
-    fn knows(&self, rank: RankId) -> bool {
-        self.contains(rank)
-    }
-}
-
-fn run_round_based(
     loads: &[Load],
     l_ave: Load,
     cfg: &GossipConfig,
@@ -447,7 +218,143 @@ fn run_round_based(
         messages_sent,
         pairs_sent,
         rounds_executed,
-        truncated: false,
+    }
+}
+
+/// Membership view of a rank's knowledge for fanout target sampling.
+///
+/// The sampling kernel only needs `|S^p|` and membership tests, so the
+/// flat bitset representation used by the analysis-mode engine and the
+/// [`Knowledge`] map used by the asynchronous runtime protocol share one
+/// implementation — and therefore draw *identical* random sequences,
+/// which the sync↔async equivalence guarantee depends on.
+pub trait TargetExclusions {
+    /// Number of known underloaded ranks, `|S^p|`.
+    fn known(&self) -> usize;
+    /// Whether `rank ∈ S^p`.
+    fn knows(&self, rank: RankId) -> bool;
+}
+
+impl TargetExclusions for Knowledge {
+    fn known(&self) -> usize {
+        self.len()
+    }
+    fn knows(&self, rank: RankId) -> bool {
+        self.contains(rank)
+    }
+}
+
+/// Draw `fanout` targets (with replacement, as Algorithm 1 does) from
+/// `P \ (S^p ∪ {self})` (Algorithm 1 lines 20–21).
+///
+/// Rejection-samples while the complement is large; when knowledge covers
+/// most of `P` — the common state for underloaded ranks late in gossip —
+/// the complement is enumerated *once* and all `fanout` draws share it,
+/// which is the difference between `O(P)` and `O(P·f)` per sender per
+/// round at §V-B scale. A rejection burst that misses 64 times simply
+/// yields fewer targets for this send; there is deliberately no dense
+/// fallback inside the burst, so the draw sequence is identical for
+/// every [`TargetExclusions`] implementation.
+pub fn sample_fanout_targets<K: TargetExclusions>(
+    rng: &mut SmallRng,
+    num_ranks: usize,
+    me: RankId,
+    knowledge: &K,
+    fanout: usize,
+    out: &mut Vec<RankId>,
+) {
+    out.clear();
+    let excluded = knowledge.known() + if knowledge.knows(me) { 0 } else { 1 };
+    if excluded >= num_ranks {
+        return;
+    }
+    if excluded * 4 <= num_ranks * 3 {
+        // Large complement: expected < 4 draws per target.
+        for _ in 0..fanout {
+            for _ in 0..64 {
+                let cand = RankId::new(rng.gen_range(0..num_ranks as u32));
+                if cand != me && !knowledge.knows(cand) {
+                    out.push(cand);
+                    break;
+                }
+            }
+        }
+        return;
+    }
+    // Dense knowledge: enumerate the complement once for all draws.
+    let complement: Vec<RankId> = (0..num_ranks as u32)
+        .map(RankId::new)
+        .filter(|&r| r != me && !knowledge.knows(r))
+        .collect();
+    for _ in 0..fanout {
+        out.push(complement[rng.gen_range(0..complement.len())]);
+    }
+}
+
+/// Flat, bitset-indexed knowledge used inside the round-based engine.
+///
+/// The §V-B experiment runs gossip over 4096 ranks with ~4080 underloaded
+/// seeds; merging accumulated lists through a hash map costs ~10 ns per
+/// membership probe and dominates the entire balancer. A dense bitset
+/// drops the probe to ~1 ns and keeps the insertion-ordered `(rank,
+/// load)` arrays the CMF needs.
+struct FlatKnowledge {
+    ranks: Vec<RankId>,
+    loads: Vec<Load>,
+    seen: Vec<u64>,
+    /// Entry cap (`usize::MAX` = unbounded); own-seed entries bypass it.
+    cap: usize,
+}
+
+impl FlatKnowledge {
+    fn new(num_ranks: usize, cap: usize) -> Self {
+        FlatKnowledge {
+            ranks: Vec::new(),
+            loads: Vec::new(),
+            seen: vec![0u64; num_ranks.div_ceil(64)],
+            cap,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, r: RankId) -> bool {
+        let i = r.as_usize();
+        self.seen[i >> 6] & (1u64 << (i & 63)) != 0
+    }
+
+    #[inline]
+    fn insert(&mut self, r: RankId, l: Load) -> bool {
+        if self.ranks.len() >= self.cap {
+            return false;
+        }
+        let i = r.as_usize();
+        let word = &mut self.seen[i >> 6];
+        let bit = 1u64 << (i & 63);
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        self.ranks.push(r);
+        self.loads.push(l);
+        true
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    fn into_knowledge(self) -> Knowledge {
+        self.ranks.into_iter().zip(self.loads).collect()
+    }
+}
+
+impl TargetExclusions for FlatKnowledge {
+    fn known(&self) -> usize {
+        self.len()
+    }
+    fn knows(&self, rank: RankId) -> bool {
+        self.contains(rank)
     }
 }
 
@@ -463,97 +370,155 @@ fn disjoint_pair<T>(v: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
     }
 }
 
-fn run_message_tree(
-    loads: &[Load],
-    l_ave: Load,
-    cfg: &GossipConfig,
-    factory: &RngFactory,
-    epoch: u64,
-) -> GossipResult {
-    use std::collections::VecDeque;
-
-    let num_ranks = loads.len();
-    let mut knowledge = seeds(loads, l_ave);
-    let mut rngs: Vec<SmallRng> = (0..num_ranks)
-        .map(|p| factory.rank_stream(b"gossip", p as u64, epoch))
-        .collect();
-
-    // Message: (target, payload pairs, round counter r).
-    struct Msg {
-        target: RankId,
-        payload: Vec<(RankId, Load)>,
-        round: usize,
-    }
-
-    let mut queue: VecDeque<Msg> = VecDeque::new();
-    let mut messages_sent = 0u64;
-    let mut pairs_sent = 0u64;
-    let mut truncated = false;
-    let mut max_round = 0usize;
-
-    // INFORM (Algorithm 1 lines 5–14): underloaded ranks seed.
-    for p in 0..num_ranks {
-        if loads[p] >= l_ave {
-            continue;
-        }
-        let me = RankId::from(p);
-        for _ in 0..cfg.fanout {
-            if let Some(target) = sample_target(&mut rngs[p], num_ranks, me, &knowledge[p]) {
-                queue.push_back(Msg {
-                    target,
-                    payload: knowledge[p].to_pairs(),
-                    round: 1,
-                });
-                messages_sent += 1;
-                pairs_sent += knowledge[p].len() as u64;
-            }
-        }
-    }
-
-    // INFORMHANDLER (lines 15–25).
-    let cap = if cfg.max_knowledge == 0 {
-        usize::MAX
-    } else {
-        cfg.max_knowledge
-    };
-    while let Some(msg) = queue.pop_front() {
-        if messages_sent >= cfg.max_messages {
-            truncated = true;
-            break;
-        }
-        let t = msg.target.as_usize();
-        let room = cap.saturating_sub(knowledge[t].len());
-        let take = msg.payload.len().min(room);
-        knowledge[t].merge_pairs(&msg.payload[..take]);
-        max_round = max_round.max(msg.round);
-        if msg.round < cfg.rounds {
-            let me = msg.target;
-            for _ in 0..cfg.fanout {
-                if let Some(target) = sample_target(&mut rngs[t], num_ranks, me, &knowledge[t]) {
-                    queue.push_back(Msg {
-                        target,
-                        payload: knowledge[t].to_pairs(),
-                        round: msg.round + 1,
-                    });
-                    messages_sent += 1;
-                    pairs_sent += knowledge[t].len() as u64;
-                }
-            }
-        }
-    }
-
-    GossipResult {
-        knowledge,
-        messages_sent,
-        pairs_sent,
-        rounds_executed: max_round,
-        truncated,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sample a target from `P \ (S^p ∪ {self})` (Algorithm 1 lines 20–21).
+    ///
+    /// Rejection-samples while the complement is large; falls back to
+    /// enumerating the complement when knowledge covers most of `P`, which is
+    /// the common state late in gossip on mostly-underloaded systems.
+    fn sample_target(
+        rng: &mut SmallRng,
+        num_ranks: usize,
+        me: RankId,
+        knowledge: &Knowledge,
+    ) -> Option<RankId> {
+        let excluded = knowledge.len() + if knowledge.contains(me) { 0 } else { 1 };
+        if excluded >= num_ranks {
+            return None; // complement empty: everyone is known-underloaded
+        }
+        // Rejection sampling is cheap while the complement is at least ~1/4 of
+        // the space: expected < 4 draws.
+        if excluded * 4 <= num_ranks * 3 {
+            for _ in 0..64 {
+                let cand = RankId::new(rng.gen_range(0..num_ranks as u32));
+                if cand != me && !knowledge.contains(cand) {
+                    return Some(cand);
+                }
+            }
+        }
+        // Dense complement scan fallback.
+        let complement: Vec<RankId> = (0..num_ranks as u32)
+            .map(RankId::new)
+            .filter(|&r| r != me && !knowledge.contains(r))
+            .collect();
+        if complement.is_empty() {
+            None
+        } else {
+            Some(complement[rng.gen_range(0..complement.len())])
+        }
+    }
+
+    fn seeds(loads: &[Load], l_ave: Load) -> Vec<Knowledge> {
+        loads
+            .iter()
+            .enumerate()
+            .map(|(p, &l)| {
+                let mut k = Knowledge::new();
+                if l < l_ave {
+                    k.insert(RankId::from(p), l);
+                }
+                k
+            })
+            .collect()
+    }
+
+    /// Literal Algorithm 1, the reference the round-based [`run_gossip`] is
+    /// checked against: every received message with `r < k` triggers `f`
+    /// forwards, forming a tree per seed. Exponential in `k`, so the stage
+    /// stops once `max_messages` were sent; the flag reports whether that
+    /// budget cut it short.
+    fn run_message_tree(
+        loads: &[Load],
+        l_ave: Load,
+        cfg: &GossipConfig,
+        max_messages: u64,
+        factory: &RngFactory,
+        epoch: u64,
+    ) -> (GossipResult, bool) {
+        use std::collections::VecDeque;
+
+        let num_ranks = loads.len();
+        let mut knowledge = seeds(loads, l_ave);
+        let mut rngs: Vec<SmallRng> = (0..num_ranks)
+            .map(|p| factory.rank_stream(b"gossip", p as u64, epoch))
+            .collect();
+
+        // Message: (target, payload pairs, round counter r).
+        struct Msg {
+            target: RankId,
+            payload: Vec<(RankId, Load)>,
+            round: usize,
+        }
+
+        let mut queue: VecDeque<Msg> = VecDeque::new();
+        let mut messages_sent = 0u64;
+        let mut pairs_sent = 0u64;
+        let mut truncated = false;
+        let mut max_round = 0usize;
+
+        // INFORM (Algorithm 1 lines 5–14): underloaded ranks seed.
+        for p in 0..num_ranks {
+            if loads[p] >= l_ave {
+                continue;
+            }
+            let me = RankId::from(p);
+            for _ in 0..cfg.fanout {
+                if let Some(target) = sample_target(&mut rngs[p], num_ranks, me, &knowledge[p]) {
+                    queue.push_back(Msg {
+                        target,
+                        payload: knowledge[p].to_pairs(),
+                        round: 1,
+                    });
+                    messages_sent += 1;
+                    pairs_sent += knowledge[p].len() as u64;
+                }
+            }
+        }
+
+        // INFORMHANDLER (lines 15–25).
+        let cap = if cfg.max_knowledge == 0 {
+            usize::MAX
+        } else {
+            cfg.max_knowledge
+        };
+        while let Some(msg) = queue.pop_front() {
+            if messages_sent >= max_messages {
+                truncated = true;
+                break;
+            }
+            let t = msg.target.as_usize();
+            let room = cap.saturating_sub(knowledge[t].len());
+            let take = msg.payload.len().min(room);
+            knowledge[t].merge_pairs(&msg.payload[..take]);
+            max_round = max_round.max(msg.round);
+            if msg.round < cfg.rounds {
+                let me = msg.target;
+                for _ in 0..cfg.fanout {
+                    if let Some(target) = sample_target(&mut rngs[t], num_ranks, me, &knowledge[t])
+                    {
+                        queue.push_back(Msg {
+                            target,
+                            payload: knowledge[t].to_pairs(),
+                            round: msg.round + 1,
+                        });
+                        messages_sent += 1;
+                        pairs_sent += knowledge[t].len() as u64;
+                    }
+                }
+            }
+        }
+
+        let result = GossipResult {
+            knowledge,
+            messages_sent,
+            pairs_sent,
+            rounds_executed: max_round,
+        };
+        (result, truncated)
+    }
 
     fn loads(v: &[f64]) -> Vec<Load> {
         v.iter().copied().map(Load::new).collect()
@@ -643,15 +608,13 @@ mod tests {
     fn message_tree_matches_round_based_coverage_at_small_scale() {
         let ls = loads(&[10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         let l_ave = avg(&ls);
-        let tree_cfg = GossipConfig {
+        let cfg = GossipConfig {
             fanout: 2,
             rounds: 4,
-            mode: GossipMode::MessageTree,
-            max_messages: 100_000,
             max_knowledge: 0,
         };
-        let r = run_gossip(&ls, l_ave, &tree_cfg, &RngFactory::new(11), 0);
-        assert!(!r.truncated);
+        let (r, truncated) = run_message_tree(&ls, l_ave, &cfg, 100_000, &RngFactory::new(11), 0);
+        assert!(!truncated);
         // Overloaded ranks should have learned most of the 6 underloaded.
         assert!(r.knowledge[0].len() >= 3);
         assert!(r.knowledge[1].len() >= 3);
@@ -670,12 +633,10 @@ mod tests {
         let cfg = GossipConfig {
             fanout: 4,
             rounds: 10,
-            mode: GossipMode::MessageTree,
-            max_messages: 50,
             max_knowledge: 0,
         };
-        let r = run_gossip(&ls, avg(&ls), &cfg, &RngFactory::new(5), 0);
-        assert!(r.truncated);
+        let (r, truncated) = run_message_tree(&ls, avg(&ls), &cfg, 50, &RngFactory::new(5), 0);
+        assert!(truncated);
         assert!(r.messages_sent <= 50 + 4 * 64);
     }
 
@@ -683,13 +644,12 @@ mod tests {
     fn no_underloaded_ranks_means_silence() {
         // All loads equal: no rank is strictly below average.
         let ls = vec![Load::new(1.0); 16];
-        for mode in [GossipMode::RoundBased, GossipMode::MessageTree] {
-            let cfg = GossipConfig {
-                mode,
-                ..Default::default()
-            };
-            let r = run_gossip(&ls, Load::new(1.0), &cfg, &RngFactory::new(1), 0);
-            assert_eq!(r.messages_sent, 0, "{mode:?}");
+        let cfg = GossipConfig::default();
+        let factory = RngFactory::new(1);
+        let rounds = run_gossip(&ls, Load::new(1.0), &cfg, &factory, 0);
+        let (tree, _) = run_message_tree(&ls, Load::new(1.0), &cfg, 10_000_000, &factory, 0);
+        for (mode, r) in [("round-based", rounds), ("message tree", tree)] {
+            assert_eq!(r.messages_sent, 0, "{mode}");
             assert!(r.knowledge.iter().all(|k| k.is_empty()));
         }
     }
@@ -730,20 +690,20 @@ mod tests {
     fn knowledge_cap_limits_set_sizes() {
         let mut ls = vec![Load::new(0.5); 64];
         ls[0] = Load::new(100.0);
-        for mode in [GossipMode::RoundBased, GossipMode::MessageTree] {
-            let cfg = GossipConfig {
-                fanout: 4,
-                rounds: 8,
-                mode,
-                max_messages: 200_000,
-                max_knowledge: 5,
-            };
-            let r = run_gossip(&ls, avg(&ls), &cfg, &RngFactory::new(3), 0);
+        let cfg = GossipConfig {
+            fanout: 4,
+            rounds: 8,
+            max_knowledge: 5,
+        };
+        let factory = RngFactory::new(3);
+        let rounds = run_gossip(&ls, avg(&ls), &cfg, &factory, 0);
+        let (tree, _) = run_message_tree(&ls, avg(&ls), &cfg, 200_000, &factory, 0);
+        for (mode, r) in [("round-based", rounds), ("message tree", tree)] {
             for k in &r.knowledge {
-                assert!(k.len() <= 5, "{mode:?}: |S| = {} exceeds cap", k.len());
+                assert!(k.len() <= 5, "{mode}: |S| = {} exceeds cap", k.len());
             }
             // The overloaded rank still learns *some* targets.
-            assert!(!r.knowledge[0].is_empty(), "{mode:?}");
+            assert!(!r.knowledge[0].is_empty(), "{mode}");
         }
     }
 

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::criteria::CriterionKind;
     pub use crate::distribution::{Distribution, Migration};
     pub use crate::forecast::{Ewma, ForecastBank, Holt, LastObserved, LoadModel};
-    pub use crate::gossip::{GossipConfig, GossipMode};
+    pub use crate::gossip::GossipConfig;
     pub use crate::ids::{RankId, TaskId};
     pub use crate::imbalance::{imbalance, lower_bound_max_load, LoadStatistics};
     pub use crate::knowledge::Knowledge;

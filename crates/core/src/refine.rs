@@ -268,7 +268,6 @@ pub fn net_migrations(from: &Distribution, to: &Distribution) -> Vec<Migration> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gossip::GossipMode;
 
     fn small_cfg(transfer: TransferConfig, trials: usize, iters: usize) -> RefineConfig {
         RefineConfig {
@@ -277,8 +276,6 @@ mod tests {
             gossip: GossipConfig {
                 fanout: 4,
                 rounds: 6,
-                mode: GossipMode::RoundBased,
-                max_messages: 1_000_000,
                 max_knowledge: 0,
             },
             transfer,

@@ -304,8 +304,6 @@ proptest! {
         let cfg = GossipConfig {
             fanout,
             rounds,
-            mode: GossipMode::RoundBased,
-            max_messages: u64::MAX,
             max_knowledge: 0,
         };
         let factory = RngFactory::new(seed);

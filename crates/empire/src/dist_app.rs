@@ -1428,37 +1428,7 @@ pub struct DistPicResult {
 /// Run the distributed PIC application end to end on the event-driven
 /// executor.
 pub fn run_distributed_pic(cfg: DistPicConfig, model: NetworkModel, seed: u64) -> DistPicResult {
-    run_distributed_pic_with_faults(cfg, model, seed, FaultPlan::none())
-}
-
-/// Run the distributed PIC application under an adversarial network.
-/// Faults apply to embedded-LB traffic only (see [`Protocol::faultable`]
-/// on [`PicRank`]); a balancing round that cannot complete within its
-/// retry budget is abandoned by the affected ranks, which keep their
-/// pre-round colors, and the step is counted in `degraded_lb_rounds`.
-pub fn run_distributed_pic_with_faults(
-    cfg: DistPicConfig,
-    model: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-) -> DistPicResult {
-    run_distributed_pic_traced(cfg, model, seed, plan, Recorder::disabled())
-}
-
-/// Run the distributed PIC application with a trace [`Recorder`]
-/// attached to every rank, the embedded balancers, and the simulator.
-/// With a disabled recorder this is exactly
-/// [`run_distributed_pic_with_faults`]; with an enabled one, the trace
-/// is bit-reproducible for a given `(cfg, model, seed, plan)` because
-/// all events are stamped with virtual time.
-pub fn run_distributed_pic_traced(
-    cfg: DistPicConfig,
-    model: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-    recorder: Recorder,
-) -> DistPicResult {
-    run_distributed_pic_crash_traced(cfg, model, seed, plan, &[], recorder)
+    run_distributed_pic_with_crashes(cfg, model, seed, &[])
 }
 
 /// Run the distributed PIC application with step-aligned crash-stop
@@ -1466,8 +1436,7 @@ pub fn run_distributed_pic_traced(
 /// to a rendezvous-hashed buddy); at each crash boundary the survivors
 /// restore the corpse's objects from its latest checkpoint and the run
 /// completes with the *full* particle population on the survivor set.
-/// An empty `crashes` slice is bit-identical to
-/// [`run_distributed_pic_with_faults`].
+/// An empty `crashes` slice is exactly [`run_distributed_pic`].
 pub fn run_distributed_pic_with_crashes(
     cfg: DistPicConfig,
     model: NetworkModel,
@@ -1485,7 +1454,14 @@ pub fn run_distributed_pic_with_crashes(
 }
 
 /// The fully general entry point: network faults, step-aligned crashes,
-/// and tracing together.
+/// and tracing together. Faults apply to embedded-LB traffic only (see
+/// [`Protocol::faultable`] on [`PicRank`]); a balancing round that cannot
+/// complete within its retry budget is abandoned by the affected ranks,
+/// which keep their pre-round colors, and the step is counted in
+/// `degraded_lb_rounds`. With an enabled [`Recorder`] — attached to every
+/// rank, the embedded balancers, and the simulator — the trace is
+/// bit-reproducible for a given `(cfg, model, seed, plan)` because all
+/// events are stamped with virtual time.
 pub fn run_distributed_pic_crash_traced(
     cfg: DistPicConfig,
     model: NetworkModel,

@@ -31,9 +31,8 @@ pub mod timeline;
 
 pub use app::{EmpireSim, PhaseLoads};
 pub use dist_app::{
-    run_distributed_pic, run_distributed_pic_crash_traced, run_distributed_pic_traced,
-    run_distributed_pic_with_crashes, run_distributed_pic_with_faults, DistPicConfig,
-    DistPicResult, PicRank, StepCrash,
+    run_distributed_pic, run_distributed_pic_crash_traced, run_distributed_pic_with_crashes,
+    DistPicConfig, DistPicResult, PicRank, StepCrash,
 };
 pub use locality::{measure_locality, LocalityStats};
 pub use mesh::{ColorId, Mesh};

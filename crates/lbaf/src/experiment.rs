@@ -17,7 +17,7 @@ use crate::table::{fmt_sig, Table};
 use tempered_core::cmf::CmfKind;
 use tempered_core::criteria::CriterionKind;
 use tempered_core::distribution::Distribution;
-use tempered_core::gossip::{GossipConfig, GossipMode};
+use tempered_core::gossip::GossipConfig;
 use tempered_core::ordering::OrderingKind;
 use tempered_core::refine::{refine, RefineConfig};
 use tempered_core::rng::RngFactory;
@@ -113,8 +113,6 @@ impl CriterionExperiment {
             gossip: GossipConfig {
                 fanout: self.fanout,
                 rounds: self.rounds,
-                mode: GossipMode::RoundBased,
-                max_messages: u64::MAX,
                 max_knowledge: 0,
             },
             transfer: TransferConfig {

@@ -10,7 +10,7 @@ use crate::table::{fmt_sig, Table};
 use tempered_core::cmf::CmfKind;
 use tempered_core::criteria::CriterionKind;
 use tempered_core::distribution::Distribution;
-use tempered_core::gossip::{run_gossip, GossipConfig, GossipMode};
+use tempered_core::gossip::{run_gossip, GossipConfig};
 use tempered_core::ordering::OrderingKind;
 use tempered_core::refine::{refine, RefineConfig};
 use tempered_core::rng::RngFactory;
@@ -249,8 +249,6 @@ pub fn gossip_coverage(dist: &Distribution, fanout: usize, max_rounds: usize, se
         let cfg = GossipConfig {
             fanout,
             rounds: k,
-            mode: GossipMode::RoundBased,
-            max_messages: u64::MAX,
             max_knowledge: 0,
         };
         let out = run_gossip(dist.rank_loads(), l_ave, &cfg, &RngFactory::new(seed), 0);

@@ -121,10 +121,14 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("malformed number at byte {start}"))
+        // `"1e999".parse::<f64>()` is `Ok(inf)`: a number no decoder here
+        // can use (a time never reached, a factor that overflows), so it
+        // is refused at the door for all of them.
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number out of range at byte {start}")),
+            Err(_) => Err(format!("malformed number at byte {start}")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -309,6 +313,8 @@ mod tests {
             "1 2",
             "\"open",
             "\"\\u00e9\"",
+            "1e999",
+            "[-1e999]",
         ] {
             let err = parse(bad).unwrap_err();
             assert!(err.contains("at byte"), "{bad:?}: {err}");

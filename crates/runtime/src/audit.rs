@@ -31,9 +31,9 @@
 
 use crate::fault::FaultPlan;
 use crate::lb::transport::DeliveryAudit;
-use crate::lb::{LbProtocolConfig, TaskEntry};
+use crate::lb::{LbProtocolConfig, LbRank, TaskEntry};
 use crate::reliable::SeqSetView;
-use crate::sim::{NetworkModel, SimReport};
+use crate::sim::NetworkModel;
 use std::collections::BTreeMap;
 use std::fmt;
 use tempered_core::distribution::Distribution;
@@ -155,9 +155,21 @@ pub struct RankClaims {
     pub generation: u64,
 }
 
-/// Everything the auditor consumes about one run. Split from the audit
-/// itself so tests (and the fuzzer's injected-bug fixtures) can mutate
-/// the artifacts before auditing.
+impl From<&LbRank> for RankClaims {
+    fn from(r: &LbRank) -> Self {
+        RankClaims {
+            tasks: r.final_tasks().to_vec(),
+            finished: r.finished(),
+            degraded: r.degraded(),
+            parked: r.parked(),
+            generation: r.view().generation(),
+        }
+    }
+}
+
+/// Everything the auditor consumes about one run, whichever driver ran
+/// it. Split from the audit itself so tests (and the fuzzer's
+/// injected-bug fixtures) can mutate the artifacts before auditing.
 #[derive(Clone, Debug)]
 pub struct LbRunArtifacts {
     /// Per-rank claims, indexed by rank id.
@@ -166,8 +178,24 @@ pub struct LbRunArtifacts {
     pub delivery: Vec<Option<DeliveryAudit>>,
     /// The recorded obs event stream.
     pub trace: Trace,
-    /// Executor report.
-    pub report: SimReport,
+    /// Whether every rank that could finish did (the driver's own
+    /// verdict: `SimReport::completed`, `ParallelReport::completed`, …).
+    /// An incomplete run excuses a task with no live owner.
+    pub completed: bool,
+}
+
+impl LbRunArtifacts {
+    /// The artifacts of a finished run: `ranks` as the driver handed
+    /// them back (index = rank id), the `trace` their recorder took, and
+    /// the driver's completion verdict.
+    pub fn from_ranks(ranks: &[LbRank], trace: Trace, completed: bool) -> Self {
+        LbRunArtifacts {
+            claims: ranks.iter().map(RankClaims::from).collect(),
+            delivery: ranks.iter().map(LbRank::delivery_audit).collect(),
+            trace,
+            completed,
+        }
+    }
 }
 
 /// Execute the protocol over `dist` in the deterministic simulator
@@ -184,23 +212,7 @@ pub fn capture_lb_run(
     let recorder = Recorder::enabled(dist.num_ranks());
     let (ranks, report) =
         crate::lb::run_lb_ranks(dist, cfg, model, factory, plan, recorder.clone());
-    let claims = ranks
-        .iter()
-        .map(|r| RankClaims {
-            tasks: r.final_tasks().to_vec(),
-            finished: r.finished(),
-            degraded: r.degraded(),
-            parked: r.parked(),
-            generation: r.view().generation(),
-        })
-        .collect();
-    let delivery = ranks.iter().map(|r| r.delivery_audit()).collect();
-    LbRunArtifacts {
-        claims,
-        delivery,
-        trace: recorder.snapshot(),
-        report,
-    }
+    LbRunArtifacts::from_ranks(&ranks, recorder.snapshot(), report.completed)
 }
 
 /// Run under the auditor: capture, then audit. Returns the report
@@ -317,7 +329,7 @@ fn audit_conservation(
             if live.is_empty() {
                 // Corpse-only claims (or none at all): the balancer has
                 // lost the task unless something really died.
-                let lost_excused = crashes || degraded_any || !art.report.completed;
+                let lost_excused = crashes || degraded_any || !art.completed;
                 if !lost_excused {
                     rep.violations.push(Violation {
                         invariant: Invariant::TaskConservation,
@@ -503,7 +515,7 @@ mod tests {
         assert!(rep.committed_events > 0);
         assert!(rep.delivery_pairs > 0);
         assert_eq!(rep.checked_tasks, 20);
-        assert!(art.report.completed);
+        assert!(art.completed);
     }
 
     #[test]
@@ -522,6 +534,61 @@ mod tests {
             plan,
         );
         assert!(rep.is_clean(), "violations: {:?}", rep.violations);
+    }
+
+    /// The auditor over runs the simulator never saw: real threads,
+    /// wall-clock stamps, whatever interleaving the scheduler produced.
+    /// Conservation and the delivery ledgers are delivery-order
+    /// independent by construction. The trace invariants hold here too:
+    /// both are per-rank (a rank's commit epochs and fenced generations
+    /// against its own earlier ones), so all they need of the clock is
+    /// that one rank's stamps never run backwards — which a host's
+    /// monotonic `Instant` gives them as surely as virtual time does —
+    /// and the snapshot's stable sort keeps same-stamp events of a rank
+    /// in the order it recorded them.
+    #[test]
+    fn threaded_runs_audit_clean_with_and_without_a_fatal_crash() {
+        use crate::parallel::{run_parallel_with, ParallelOptions};
+        use std::time::Duration;
+
+        let dist = hot_dist(8, 2, 10);
+        // Wall-clock knobs: a scheduler hiccup must not read as a loss or
+        // a death (same reasoning as `tempered_bench::sockets`).
+        let cfg = quick_cfg()
+            .hardened(RetryConfig {
+                timeout: 2e-3,
+                stage_deadline: 10.0,
+                ..RetryConfig::default()
+            })
+            .crash_tolerant(HealthConfig {
+                period: 10e-3,
+                suspicion_threshold: 30.0,
+                startup_grace: 0.5,
+            });
+        let mut crashed = FaultPlan::none();
+        crashed.crashes = vec![CrashEvent::fatal(RankId(7), 0.0)];
+        for plan in [FaultPlan::none(), crashed] {
+            let recorder = Recorder::enabled(dist.num_ranks());
+            let mut ranks = LbRank::for_dist(&dist, cfg, RngFactory::new(7));
+            for rank in &mut ranks {
+                rank.set_recorder(recorder.clone());
+            }
+            let options = ParallelOptions {
+                fault_plan: plan.clone(),
+                recorder: recorder.clone(),
+            };
+            let run = run_parallel_with(ranks, 3, Duration::from_secs(20), options);
+            assert!(run.completed, "crashes: {:?}", plan.crashes);
+            let art = LbRunArtifacts::from_ranks(&run.ranks, recorder.snapshot(), run.completed);
+            let rep = audit_artifacts(&dist, &cfg, &plan, &art);
+            assert!(rep.is_clean(), "violations: {:?}", rep.violations);
+            assert!(!rep.trace_truncated, "the trace invariants were checked");
+            assert!(rep.committed_events > 0);
+            assert!(rep.delivery_pairs > 0);
+            assert_eq!(rep.checked_tasks, 20);
+            let corpses = art.claims.iter().filter(|c| !c.finished).count();
+            assert_eq!(corpses, plan.crashes.len());
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ impl LinkEmulator {
     pub fn new(plan: FaultPlan, recorder: Recorder) -> Self {
         let crash_sched = CrashSchedule::new(&plan.crashes);
         let injector = if plan.is_zero() {
-            plan.validate_or_panic();
+            plan.validate()
+                .expect("a plan handed to an executor was validated at the door");
             None
         } else {
             Some(FaultInjector::new(plan))

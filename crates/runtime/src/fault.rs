@@ -270,27 +270,48 @@ pub enum FaultPlanError {
         /// The offending value.
         value: f64,
     },
-    /// A straggler latency factor is below 1.
+    /// `delay_spike_scale` or `reorder_factor` is below 1 or not finite.
+    FactorBelowOne {
+        /// Field name.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A straggler latency factor is below 1 or not finite.
     StragglerBelowOne {
         /// The rank the factor applies to.
         rank: RankId,
         /// The offending factor.
         factor: f64,
     },
-    /// A pause window is inverted or starts before time zero.
+    /// A pause window is inverted, starts before time zero, or has a
+    /// non-finite bound.
     MalformedPause(PauseWindow),
-    /// A crash event has a negative time or negative restart delay.
+    /// A crash event has a negative or non-finite time or restart delay.
     MalformedCrash(CrashEvent),
     /// Two crash events name the same rank.
     DuplicateCrash(RankId),
-    /// A link fault has an inverted window, a probability outside
-    /// `[0, 1]`, a delay factor below 1, or a non-positive flap period.
+    /// A link fault has an inverted or non-finite window, a probability
+    /// outside `[0, 1]`, a delay factor below 1, a non-positive flap
+    /// period, or a non-finite factor or period.
     MalformedLinkFault(LinkFault),
-    /// A partition window is inverted or starts before time zero.
+    /// A partition window is inverted, starts before time zero, or has a
+    /// non-finite bound.
     MalformedPartition(PartitionWindow),
-    /// A churn event has a negative time or a non-positive drain
-    /// deadline.
+    /// A churn event has a negative or non-finite time, or a drain
+    /// deadline that is not positive and finite.
     MalformedChurn(ChurnEvent),
+    /// A crash, straggler, pause, link fault or partition names a rank
+    /// outside the run's roster `0..ranks`: it would silently apply to
+    /// nobody.
+    RankOutOfRange {
+        /// The plan dimension naming the rank (`"crash"`, `"link"`, ...).
+        what: &'static str,
+        /// The offending rank.
+        rank: RankId,
+        /// The roster size it must lie below.
+        ranks: usize,
+    },
     /// A churn join names a node that is already live at that time
     /// (a seed node, or joined earlier and not yet drained).
     ChurnJoinOfLiveNode {
@@ -367,9 +388,13 @@ impl std::fmt::Display for FaultPlanError {
             FaultPlanError::ProbabilityOutOfRange { field, value } => {
                 write!(f, "FaultPlan.{field} must be a probability, got {value}")
             }
-            FaultPlanError::StragglerBelowOne { rank, factor } => {
-                write!(f, "straggler factor for {rank} must be >= 1, got {factor}")
+            FaultPlanError::FactorBelowOne { field, value } => {
+                write!(f, "FaultPlan.{field} must be finite and >= 1, got {value}")
             }
+            FaultPlanError::StragglerBelowOne { rank, factor } => write!(
+                f,
+                "straggler factor for {rank} must be finite and >= 1, got {factor}"
+            ),
             FaultPlanError::MalformedPause(w) => write!(
                 f,
                 "pause window for {} is malformed: [{}, {})",
@@ -397,6 +422,10 @@ impl std::fmt::Display for FaultPlanError {
                 f,
                 "churn event at {} is malformed: {:?}",
                 c.at, c.kind
+            ),
+            FaultPlanError::RankOutOfRange { what, rank, ranks } => write!(
+                f,
+                "{what} names rank {rank}, outside the run's {ranks} ranks"
             ),
             FaultPlanError::ChurnJoinOfLiveNode { at, node } => write!(
                 f,
@@ -528,8 +557,20 @@ impl FaultPlan {
         self.links.is_empty() && self.partitions.is_empty()
     }
 
-    /// Check every parameter, reporting the first offender.
+    /// Check every parameter, reporting the first offender. A plan that
+    /// passes cannot hang or panic an executor: every probability lies
+    /// in `[0, 1]`, every latency multiplier (`delay_spike_scale`,
+    /// `reorder_factor`, straggler and link-delay factors) is finite and
+    /// at least 1 — a factor below 1 can yield a negative latency, an
+    /// infinite one an unreachable arrival — and every time is finite
+    /// and non-negative. Whether the ranks it names exist is
+    /// [`FaultPlan::validate_churn`]'s check, which knows the roster.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
+        let time_ok = |t: f64| t >= 0.0 && t.is_finite();
+        let factor_ok = |f: f64| f >= 1.0 && f.is_finite();
+        let window_ok = |start: f64, end: Option<f64>| {
+            time_ok(start) && end.is_none_or(|e| e >= start && e.is_finite())
+        };
         for (field, value) in [
             ("drop", self.drop),
             ("duplicate", self.duplicate),
@@ -540,19 +581,27 @@ impl FaultPlan {
                 return Err(FaultPlanError::ProbabilityOutOfRange { field, value });
             }
         }
+        for (field, value) in [
+            ("delay_spike_scale", self.delay_spike_scale),
+            ("reorder_factor", self.reorder_factor),
+        ] {
+            if !factor_ok(value) {
+                return Err(FaultPlanError::FactorBelowOne { field, value });
+            }
+        }
         for &(rank, factor) in &self.stragglers {
-            if factor < 1.0 {
+            if !factor_ok(factor) {
                 return Err(FaultPlanError::StragglerBelowOne { rank, factor });
             }
         }
         for &w in &self.pauses {
-            if w.until < w.from || w.from < 0.0 {
+            if !window_ok(w.from, Some(w.until)) {
                 return Err(FaultPlanError::MalformedPause(w));
             }
         }
         let mut crashed = std::collections::BTreeSet::new();
         for &c in &self.crashes {
-            if c.at < 0.0 || c.restart_after.is_some_and(|d| d < 0.0) {
+            if !time_ok(c.at) || !c.restart_after.is_none_or(time_ok) {
                 return Err(FaultPlanError::MalformedCrash(c));
             }
             if !crashed.insert(c.rank) {
@@ -560,40 +609,46 @@ impl FaultPlan {
             }
         }
         for l in &self.links {
-            let window_ok = l.start >= 0.0 && l.end.is_none_or(|e| e >= l.start);
             let kind_ok = match l.kind {
                 LinkFaultKind::Cut => true,
                 LinkFaultKind::Lossy { p } | LinkFaultKind::Corrupt { p } => {
                     (0.0..=1.0).contains(&p)
                 }
-                LinkFaultKind::Delay { factor } => factor >= 1.0,
-                LinkFaultKind::Flap { period, duty } => period > 0.0 && (0.0..=1.0).contains(&duty),
+                LinkFaultKind::Delay { factor } => factor_ok(factor),
+                LinkFaultKind::Flap { period, duty } => {
+                    period > 0.0 && period.is_finite() && (0.0..=1.0).contains(&duty)
+                }
             };
-            if !window_ok || !kind_ok {
+            if !window_ok(l.start, l.end) || !kind_ok {
                 return Err(FaultPlanError::MalformedLinkFault(l.clone()));
             }
         }
         for p in &self.partitions {
-            if p.start < 0.0 || p.end.is_some_and(|e| e < p.start) {
+            if !window_ok(p.start, p.end) {
                 return Err(FaultPlanError::MalformedPartition(p.clone()));
             }
         }
         for &c in &self.churn {
             let deadline_ok = match c.kind {
                 ChurnKind::Join { .. } => true,
-                ChurnKind::Drain { deadline, .. } => deadline.is_none_or(|d| d > 0.0),
+                ChurnKind::Drain { deadline, .. } => {
+                    deadline.is_none_or(|d| d > 0.0 && d.is_finite())
+                }
             };
-            if c.at < 0.0 || !c.at.is_finite() || !deadline_ok {
+            if !time_ok(c.at) || !deadline_ok {
                 return Err(FaultPlanError::MalformedChurn(c));
             }
         }
         Ok(())
     }
 
-    /// Contextual churn validation on top of [`FaultPlan::validate`]:
-    /// replays the events in time order (ties in plan order) against the
-    /// seed roster `0..seed_ranks` and rejects overlapping or impossible
-    /// windows — a join of an already-live node, a drain of a node that
+    /// Contextual validation on top of [`FaultPlan::validate`], for a
+    /// caller that knows the run's roster `0..seed_ranks`. Every rank a
+    /// crash, straggler, pause, link fault or partition names must lie
+    /// inside it (a rank nobody holds would otherwise make the plan a
+    /// silent no-op). The churn dimension is then replayed in time order
+    /// (ties in plan order) against that seed roster, rejecting
+    /// overlapping or impossible windows — a join of an already-live node, a drain of a node that
     /// never joined (or already left), an event at or past the run
     /// deadline, and a drain that would empty the cluster — plus
     /// cross-dimension conflicts: a drain of a seed node that a crash
@@ -610,6 +665,28 @@ impl FaultPlan {
         run_deadline: Option<f64>,
     ) -> Result<(), FaultPlanError> {
         self.validate()?;
+        let named = (self.crashes.iter().map(|c| ("crash", c.rank)))
+            .chain(self.stragglers.iter().map(|&(r, _)| ("straggler", r)))
+            .chain(self.pauses.iter().map(|w| ("pause", w.rank)))
+            .chain(
+                self.links
+                    .iter()
+                    .flat_map(|l| l.src.iter().chain(&l.dst).map(|&r| ("link fault", r))),
+            )
+            .chain(
+                self.partitions
+                    .iter()
+                    .flat_map(|p| p.side.iter().map(|&r| ("partition", r))),
+            );
+        for (what, rank) in named {
+            if rank.as_usize() >= seed_ranks {
+                return Err(FaultPlanError::RankOutOfRange {
+                    what,
+                    rank,
+                    ranks: seed_ranks,
+                });
+            }
+        }
         let mut order: Vec<&ChurnEvent> = self.churn.iter().collect();
         order.sort_by(|a, b| a.at.total_cmp(&b.at));
         let mut live: std::collections::BTreeSet<u64> = (0..seed_ranks as u64).collect();
@@ -728,15 +805,6 @@ impl FaultPlan {
             }
         }
         Ok(())
-    }
-
-    /// [`FaultPlan::validate`], panicking on the first invalid parameter.
-    /// Kept for executors and tests that treat a bad plan as a programming
-    /// error rather than user input.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -882,7 +950,8 @@ impl FaultInjector {
     /// Build an injector for `plan` (panics on an invalid plan — callers
     /// with user-supplied plans should [`FaultPlan::validate`] first).
     pub fn new(plan: FaultPlan) -> Self {
-        plan.validate_or_panic();
+        plan.validate()
+            .expect("a plan handed to an executor was validated at the door");
         let straggler = plan.stragglers.iter().copied().collect();
         FaultInjector {
             plan,
@@ -1230,7 +1299,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be a probability")]
+    #[should_panic(expected = "ProbabilityOutOfRange")]
     fn out_of_range_probability_panics() {
         FaultInjector::new(plan(1.5, 0.0));
     }

@@ -1,7 +1,6 @@
 //! Configuration of the asynchronous LB protocol, and the one conversion
 //! that keeps it in lock-step with the analysis-mode [`RefineConfig`].
 
-use super::engine::EngineConfig;
 use crate::health::HealthConfig;
 use crate::reliable::RetryConfig;
 use tempered_core::refine::RefineConfig;
@@ -165,19 +164,6 @@ impl LbProtocolConfig {
             ..self
         }
     }
-
-    /// The engine-layer (algorithmic) slice of this configuration.
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            trials: self.trials,
-            iters: self.iters,
-            fanout: self.fanout,
-            rounds: self.rounds,
-            transfer: self.transfer,
-            use_nacks: self.use_nacks,
-            quorum: self.partition.is_some(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,24 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_slice_carries_the_algorithmic_knobs() {
-        let cfg = LbProtocolConfig {
-            trials: 3,
-            iters: 5,
-            fanout: 2,
-            rounds: 4,
-            use_nacks: true,
-            ..LbProtocolConfig::default()
-        };
-        let e = cfg.engine();
-        assert_eq!(e.trials, 3);
-        assert_eq!(e.iters, 5);
-        assert_eq!(e.fanout, 2);
-        assert_eq!(e.rounds, 4);
-        assert!(e.use_nacks);
-    }
-
-    #[test]
     fn hardened_preserves_other_knobs() {
         let cfg = LbProtocolConfig {
             trials: 4,
@@ -233,16 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn partition_tolerance_is_opt_in_and_flips_the_quorum_gate() {
+    fn partition_tolerance_is_opt_in() {
         let base = LbProtocolConfig::default();
         assert!(base.partition.is_none(), "default stays crash-stop");
-        assert!(!base.engine().quorum);
         let cfg = base
             .hardened(RetryConfig::default())
             .crash_tolerant(crate::health::HealthConfig::default())
             .partition_tolerant(PartitionConfig::default());
         assert!(cfg.partition.is_some());
-        assert!(cfg.engine().quorum);
         assert!(cfg.partition.unwrap().park_deadline > 0.0);
     }
 }

@@ -25,12 +25,12 @@
 use super::engine::AsyncIterationRecord;
 use super::rank::LbRank;
 use super::LbProtocolConfig;
+use crate::reliable::ReliableStats;
 use crate::sim::{Ctx, Protocol};
 use std::collections::VecDeque;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
-use tempered_core::task::Task;
 
 /// In-process zero-latency executor.
 pub struct LocalRunner<P: Protocol> {
@@ -41,7 +41,6 @@ pub struct LocalRunner<P: Protocol> {
     timers: Vec<(f64, u64, RankId, P::Msg)>,
     timer_seq: u64,
     now: f64,
-    delivered: u64,
 }
 
 impl<P: Protocol> LocalRunner<P> {
@@ -53,7 +52,6 @@ impl<P: Protocol> LocalRunner<P> {
             timers: Vec::new(),
             timer_seq: 0,
             now: 0.0,
-            delivered: 0,
         }
     }
 
@@ -94,18 +92,12 @@ impl<P: Protocol> LocalRunner<P> {
         }
     }
 
-    /// Messages delivered so far (diagnostics).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Consume the runner, returning the rank actors.
     pub fn into_ranks(self) -> Vec<P> {
         self.ranks
     }
 
     fn deliver(&mut self, to: RankId, from: RankId, msg: P::Msg) {
-        self.delivered += 1;
         let idx = to.as_u32() as usize;
         let mut outbox = Vec::new();
         let mut ctx = Ctx::detached(to, self.now, &mut outbox);
@@ -142,11 +134,16 @@ pub struct LocalLbResult {
     pub final_imbalance: f64,
     /// Real task migrations executed at commit.
     pub tasks_migrated: usize,
-    /// Per-iteration records from rank 0.
+    /// Per-iteration records from the first rank that finished normally.
     pub records: Vec<AsyncIterationRecord>,
     /// Ranks that abandoned the protocol (always 0 here: delivery is
     /// trivially reliable).
     pub degraded_ranks: usize,
+    /// Ranks that finished parked (always 0 here: nothing splits).
+    pub parked_ranks: usize,
+    /// Delivery-layer counters summed over ranks (all zero unless
+    /// [`LbProtocolConfig::reliability`] is set).
+    pub reliable: ReliableStats,
 }
 
 /// Run the asynchronous protocol over `dist` on the zero-latency
@@ -156,41 +153,13 @@ pub fn run_local_lb(
     cfg: LbProtocolConfig,
     factory: &RngFactory,
 ) -> LocalLbResult {
-    let num_ranks = dist.num_ranks();
     let mut runner = LocalRunner::new(LbRank::for_dist(dist, cfg, *factory));
     let completed = runner.run();
     assert!(
         completed,
         "the zero-latency driver cannot stall on a fault-free run"
     );
-    let ranks = runner.into_ranks();
-    let degraded_ranks = ranks.iter().filter(|r| r.degraded()).count();
-    let mut out = Distribution::new(num_ranks);
-    let mut tasks_migrated = 0usize;
-    for (p, r) in ranks.iter().enumerate() {
-        for t in r.final_tasks() {
-            let inserted = out.insert(RankId::from(p), Task::new(t.id, t.load));
-            if degraded_ranks == 0 {
-                inserted.expect("each task has exactly one final owner");
-            }
-        }
-        tasks_migrated += r.migrations_in();
-    }
-    if degraded_ranks == 0 {
-        assert_eq!(
-            out.num_tasks(),
-            dist.num_tasks(),
-            "no task may be lost or duplicated by the protocol"
-        );
-    }
-    LocalLbResult {
-        initial_imbalance: ranks[0].initial_imbalance(),
-        final_imbalance: out.imbalance(),
-        tasks_migrated,
-        records: ranks[0].records().to_vec(),
-        degraded_ranks,
-        distribution: out,
-    }
+    super::collapse(dist, &runner.into_ranks(), true)
 }
 
 #[cfg(test)]

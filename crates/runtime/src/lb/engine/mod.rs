@@ -52,6 +52,7 @@
 
 mod stages;
 
+use super::config::LbProtocolConfig;
 use super::messages::{LbMsg, TaskEntry};
 use crate::collective::{LoadSummary, Reduced, SurvivorTree};
 use crate::membership::View;
@@ -59,9 +60,7 @@ use crate::termination::{TdMsg, TdOutcome, TerminationDetector};
 use stages::StageState;
 use std::collections::BTreeSet;
 use tempered_core::ids::{RankId, TaskId};
-use tempered_core::refine::RefineConfig;
 use tempered_core::rng::RngFactory;
-use tempered_core::transfer::TransferConfig;
 use tempered_obs::EventKind;
 
 /// An effect requested by the engine.
@@ -87,73 +86,6 @@ pub enum Command {
     /// The protocol reached `Done` on this rank: close the open span and
     /// flush end-of-run metrics.
     Finished,
-}
-
-/// Algorithmic knobs of the protocol engine.
-///
-/// Exactly the parameters of [`RefineConfig`] — the analysis-mode
-/// configuration is the single source of truth, and [`From`] is the only
-/// conversion — plus the NACK switch that only exists in the
-/// message-driven execution. `GossipConfig`'s mode and budget caps have
-/// no async interpretation: the engine always runs round-based gossip,
-/// unbounded.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Independent trials (`n_trials`).
-    pub trials: usize,
-    /// Iterations per trial (`n_iters`).
-    pub iters: usize,
-    /// Gossip fanout `f`.
-    pub fanout: usize,
-    /// Gossip round limit `k`.
-    pub rounds: usize,
-    /// Transfer-stage knobs (criterion, CMF, ordering, threshold).
-    pub transfer: TransferConfig,
-    /// Enable Menon et al.'s negative acknowledgements: recipients bounce
-    /// proposed tasks that would push them past `ℓ_ave`. The paper drops
-    /// this mechanism (§V-A); the flag exists to measure that choice.
-    pub use_nacks: bool,
-    /// Quorum-gate view changes (partition tolerance): after a view
-    /// change that leaves this rank's live component without a strict
-    /// majority of the original ranks, the engine *parks* — reverts to
-    /// the original placement and goes inert instead of restarting — so
-    /// a minority component can never commit (split-brain prevention).
-    /// Off by default: the pure crash-stop interpretation restarts on
-    /// any survivor set.
-    pub quorum: bool,
-}
-
-impl From<RefineConfig> for EngineConfig {
-    fn from(cfg: RefineConfig) -> Self {
-        EngineConfig {
-            trials: cfg.trials,
-            iters: cfg.iters,
-            fanout: cfg.gossip.fanout,
-            rounds: cfg.gossip.rounds,
-            transfer: cfg.transfer,
-            use_nacks: false,
-            quorum: false,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// TemperedLB as run for the paper's EMPIRE results.
-    pub fn tempered() -> Self {
-        RefineConfig::tempered().into()
-    }
-
-    /// The original GrapevineLB: single trial, single iteration, original
-    /// criterion and CMF, arbitrary ordering.
-    pub fn grapevine() -> Self {
-        RefineConfig::grapevine().into()
-    }
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig::tempered()
-    }
 }
 
 /// Protocol stage (see module docs).
@@ -206,7 +138,11 @@ pub struct AsyncIterationRecord {
 pub struct GossipEngine {
     me: RankId,
     num_ranks: usize,
-    cfg: EngineConfig,
+    /// The protocol configuration this engine is sliced from: it reads
+    /// the algorithmic knobs (`trials`, `iters`, `fanout`, `rounds`,
+    /// `transfer`, `use_nacks`) and whether `partition` is set — the
+    /// quorum gate on view changes — and nothing of the delivery stack.
+    cfg: LbProtocolConfig,
     factory: RngFactory,
     /// This rank's seat in the collective tree over the view's
     /// survivors, with its partial reduces.
@@ -247,7 +183,7 @@ pub struct GossipEngine {
 
     done: bool,
     /// Parked: this rank's live component lost quorum under a partition
-    /// ([`EngineConfig::quorum`]). The engine is inert and read-only —
+    /// ([`LbProtocolConfig::partition`]). The engine is inert and read-only —
     /// original placement, no sends, no commits — until a heal readmits
     /// it (mid-run [`LbMsg::View`] flood or post-commit [`LbMsg::Heal`]
     /// offer) or the driver's park deadline finishes it as-is.
@@ -260,7 +196,7 @@ impl GossipEngine {
         me: RankId,
         num_ranks: usize,
         tasks: Vec<(TaskId, f64)>,
-        cfg: EngineConfig,
+        cfg: LbProtocolConfig,
         factory: RngFactory,
     ) -> Self {
         assert!(cfg.rounds >= 1, "gossip needs at least one round");
@@ -300,6 +236,14 @@ impl GossipEngine {
     /// Kick off the protocol: contributes to the setup allreduce.
     pub fn start(&mut self) -> Vec<Command> {
         let mut out = Vec::new();
+        self.enter_setup(&mut out);
+        out
+    }
+
+    /// Open the setup span and contribute this rank's load to the setup
+    /// allreduce — how the protocol starts, and restarts after a view
+    /// change.
+    fn enter_setup(&mut self, out: &mut Vec<Command>) {
         out.push(Command::OpenSpan(EventKind::LbStage {
             stage: "setup",
             trial: 0,
@@ -307,15 +251,14 @@ impl GossipEngine {
         }));
         let summary = LoadSummary::of(self.my_load());
         let slot = self.setup_slot();
-        self.contribute(&mut out, slot, summary);
-        out
+        self.contribute(out, slot, summary);
     }
 
     /// Declare `dead` ranks crashed — locally detected by the driver's
     /// failure detector. If the union grows this engine's view, the old
     /// view's epochs are fenced, the merged view is re-broadcast (a
     /// convergent flood), and the protocol restarts from Setup on the
-    /// surviving ranks — or parks, if [`EngineConfig::quorum`] is on and
+    /// surviving ranks — or parks, if [`LbProtocolConfig::partition`] is set and
     /// the survivors lost their majority. A finished engine keeps its
     /// committed result and ignores view changes.
     pub fn on_view(&mut self, dead: &BTreeSet<RankId>) -> Vec<Command> {
@@ -341,16 +284,9 @@ impl GossipEngine {
     }
 
     /// Feed one delivered protocol message (transport layer already
-    /// stripped) and collect the resulting effects.
-    pub fn on_message(&mut self, from: RankId, msg: LbMsg) -> Vec<Command> {
-        let mut out = Vec::new();
-        self.receive(&mut out, from, msg);
-        out
-    }
-
-    /// [`GossipEngine::on_message`] variant appending into a caller-owned
-    /// buffer, letting hot drivers reuse one allocation across messages.
-    pub fn on_message_into(&mut self, out: &mut Vec<Command>, from: RankId, msg: LbMsg) {
+    /// stripped), appending the resulting effects to a caller-owned
+    /// buffer so a hot driver reuses one allocation across messages.
+    pub fn on_message(&mut self, out: &mut Vec<Command>, from: RankId, msg: LbMsg) {
         self.receive(out, from, msg);
     }
 
@@ -378,11 +314,6 @@ impl GossipEngine {
     /// Current stage.
     pub fn stage(&self) -> Stage {
         self.state.stage()
-    }
-
-    /// Whether the protocol has finished on this rank.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Whether this rank is parked (quorum-less under a partition).
@@ -446,7 +377,7 @@ impl GossipEngine {
     }
 
     /// Proposed tasks bounced back by NACKs across the whole run
-    /// (always 0 unless [`EngineConfig::use_nacks`]).
+    /// (always 0 unless [`LbProtocolConfig::use_nacks`]).
     pub fn nacks_received(&self) -> usize {
         self.nacks_received
     }
@@ -781,7 +712,7 @@ impl GossipEngine {
             generation: self.view.generation() as u32,
             dead: self.view.dead().len() as u32,
         }));
-        if self.cfg.quorum && !self.view.has_quorum() {
+        if self.cfg.partition.is_some() && !self.view.has_quorum() {
             self.park(out);
         } else {
             self.restart(out);
@@ -798,7 +729,7 @@ impl GossipEngine {
     /// heal readmits ranks into the view without restarting, and the
     /// leader of the component that committed keeps answering.
     fn handle_knock(&mut self, out: &mut Vec<Command>, from: RankId) {
-        if !self.cfg.quorum
+        if self.cfg.partition.is_none()
             || self.parked
             || self.view.is_live(from)
             || !self.view.has_quorum()
@@ -916,14 +847,7 @@ impl GossipEngine {
 
         // Re-enter Setup on the survivor set, then replay anything we
         // buffered from peers that restarted before us.
-        out.push(Command::OpenSpan(EventKind::LbStage {
-            stage: "setup",
-            trial: 0,
-            iter: 0,
-        }));
-        let summary = LoadSummary::of(self.my_load());
-        let slot = self.setup_slot();
-        self.contribute(out, slot, summary);
+        self.enter_setup(out);
         self.replay_buffered(out);
     }
 
@@ -973,17 +897,23 @@ impl GossipEngine {
 mod tests {
     use super::*;
 
-    fn engine(cfg: EngineConfig, tasks: Vec<(TaskId, f64)>, num_ranks: usize) -> GossipEngine {
+    fn engine(cfg: LbProtocolConfig, tasks: Vec<(TaskId, f64)>, num_ranks: usize) -> GossipEngine {
         GossipEngine::new(RankId::new(0), num_ranks, tasks, cfg, RngFactory::new(1))
+    }
+
+    fn deliver(e: &mut GossipEngine, from: u32, msg: LbMsg) -> Vec<Command> {
+        let mut out = Vec::new();
+        e.on_message(&mut out, RankId::new(from), msg);
+        out
     }
 
     #[test]
     fn epoch_numbering_is_disjoint_and_ordered() {
-        let cfg = EngineConfig {
+        let cfg = LbProtocolConfig {
             trials: 3,
             iters: 4,
             rounds: 5,
-            ..EngineConfig::tempered()
+            ..LbProtocolConfig::default()
         };
         let mut e = engine(cfg, vec![], 2);
         let mut seen = Vec::new();
@@ -1009,10 +939,10 @@ mod tests {
 
     #[test]
     fn eval_slots_are_unique_per_iteration() {
-        let cfg = EngineConfig {
+        let cfg = LbProtocolConfig {
             trials: 2,
             iters: 3,
-            ..EngineConfig::tempered()
+            ..LbProtocolConfig::default()
         };
         let mut e = engine(cfg, vec![], 2);
         let mut slots = Vec::new();
@@ -1034,7 +964,7 @@ mod tests {
     fn sub_epoch_matches_the_analysis_mode_derivation() {
         // refine() namespaces (trial, 1-based iter) the same way with
         // invocation epoch 0; the two derivations must never drift.
-        let mut e = engine(EngineConfig::tempered(), vec![], 2);
+        let mut e = engine(LbProtocolConfig::default(), vec![], 2);
         for (trial, iter) in [(0usize, 0usize), (0, 7), (3, 2)] {
             e.trial = trial;
             e.iter = iter;
@@ -1047,12 +977,12 @@ mod tests {
     #[test]
     fn abort_before_commit_reverts_to_input() {
         let tasks = vec![(TaskId::new(1), 1.0), (TaskId::new(2), 2.0)];
-        let mut e = engine(EngineConfig::tempered(), tasks, 4);
+        let mut e = engine(LbProtocolConfig::default(), tasks, 4);
         e.state = StageState::Transfer;
         e.current.clear(); // pretend everything was proposed away
         let label = e.abort();
         assert_eq!(label, "proposals");
-        assert!(e.is_done());
+        assert!(e.done);
         assert_eq!(e.final_tasks().len(), 2);
         assert_eq!(e.stage(), Stage::Done);
     }
@@ -1060,7 +990,7 @@ mod tests {
     #[test]
     fn abort_at_commit_keeps_the_agreed_best() {
         let tasks = vec![(TaskId::new(1), 1.0)];
-        let mut e = engine(EngineConfig::tempered(), tasks, 4);
+        let mut e = engine(LbProtocolConfig::default(), tasks, 4);
         e.state = StageState::Commit;
         e.current = vec![TaskEntry {
             id: TaskId::new(9),
@@ -1075,7 +1005,7 @@ mod tests {
 
     #[test]
     fn view_change_floods_and_restarts_from_setup() {
-        let mut e = engine(EngineConfig::tempered(), vec![(TaskId::new(1), 1.0)], 4);
+        let mut e = engine(LbProtocolConfig::default(), vec![(TaskId::new(1), 1.0)], 4);
         let _ = e.start();
         let dead: BTreeSet<RankId> = [RankId::new(2)].into_iter().collect();
         let cmds = e.on_view(&dead);
@@ -1106,13 +1036,14 @@ mod tests {
 
     #[test]
     fn stale_traffic_from_an_old_view_is_dropped() {
-        let mut e = engine(EngineConfig::tempered(), vec![(TaskId::new(1), 1.0)], 4);
+        let mut e = engine(LbProtocolConfig::default(), vec![(TaskId::new(1), 1.0)], 4);
         let _ = e.start();
         let dead: BTreeSet<RankId> = [RankId::new(2)].into_iter().collect();
         let _ = e.on_view(&dead);
         // Old-view basic traffic (epochs below the new base) is ignored.
-        let cmds = e.on_message(
-            RankId::new(1),
+        let cmds = deliver(
+            &mut e,
+            1,
             LbMsg::Gossip {
                 epoch: 1,
                 round: 1,
@@ -1121,8 +1052,9 @@ mod tests {
         );
         assert!(cmds.is_empty());
         // Old-view collectives (generation 0 slots) are ignored too.
-        let cmds = e.on_message(
-            RankId::new(1),
+        let cmds = deliver(
+            &mut e,
+            1,
             LbMsg::ReduceUp {
                 slot: 0,
                 summary: LoadSummary::of(1.0),
@@ -1138,7 +1070,7 @@ mod tests {
 
     #[test]
     fn finished_engine_keeps_its_result_across_view_changes() {
-        let mut e = engine(EngineConfig::tempered(), vec![(TaskId::new(1), 1.0)], 4);
+        let mut e = engine(LbProtocolConfig::default(), vec![(TaskId::new(1), 1.0)], 4);
         e.state = StageState::Done;
         e.done = true;
         let dead: BTreeSet<RankId> = [RankId::new(3)].into_iter().collect();
@@ -1155,10 +1087,8 @@ mod tests {
         // lower rank back into the view without restarting anything, so
         // the component is still led from here: rank 4's knock must be
         // answered too, not left to a rank that never ran this protocol.
-        let cfg = EngineConfig {
-            quorum: true,
-            ..EngineConfig::tempered()
-        };
+        let cfg =
+            LbProtocolConfig::default().partition_tolerant(crate::lb::PartitionConfig::default());
         let mut e = GossipEngine::new(RankId::new(1), 5, vec![], cfg, RngFactory::new(1));
         let _ = e.start();
         let dead: BTreeSet<RankId> = [RankId::new(0), RankId::new(4)].into_iter().collect();
@@ -1177,21 +1107,8 @@ mod tests {
             };
             cmds.iter().filter(offer).count()
         };
-        assert_eq!(heal_offers(e.on_message(RankId::new(0), LbMsg::Knock)), 1);
+        assert_eq!(heal_offers(deliver(&mut e, 0, LbMsg::Knock)), 1);
         assert!(e.view().is_live(RankId::new(0)));
-        assert_eq!(heal_offers(e.on_message(RankId::new(4), LbMsg::Knock)), 1);
-    }
-
-    #[test]
-    fn engine_config_derives_from_refine_config() {
-        let t = EngineConfig::tempered();
-        let r = RefineConfig::tempered();
-        assert_eq!(t.trials, r.trials);
-        assert_eq!(t.iters, r.iters);
-        assert_eq!(t.fanout, r.gossip.fanout);
-        assert_eq!(t.rounds, r.gossip.rounds);
-        assert!(!t.use_nacks);
-        let g = EngineConfig::grapevine();
-        assert_eq!((g.trials, g.iters), (1, 1));
+        assert_eq!(heal_offers(deliver(&mut e, 4, LbMsg::Knock)), 1);
     }
 }

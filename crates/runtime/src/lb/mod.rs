@@ -29,7 +29,7 @@ pub mod transport;
 
 pub use config::{LbProtocolConfig, PartitionConfig};
 pub use driver::{run_local_lb, LocalLbResult, LocalRunner};
-pub use engine::{AsyncIterationRecord, Command, EngineConfig, GossipEngine, Stage};
+pub use engine::{AsyncIterationRecord, Command, GossipEngine, Stage};
 pub use messages::{LbMsg, LbWire, TaskEntry, WireDecodeError, WireDecodeErrorKind};
 pub use rank::LbRank;
 pub use socket::{encode_frame, run_socket_rank, FrameReader, SocketConfig, SocketRankReport};
@@ -116,7 +116,6 @@ pub fn run_distributed_lb_traced(
     plan: FaultPlan,
     recorder: Recorder,
 ) -> DistLbResult {
-    let num_ranks = dist.num_ranks();
     let fault_free = plan.crashes.is_empty() && plan.links_zero();
     let (ranks, report) = run_lb_ranks(dist, cfg, model, factory, plan, recorder);
     if fault_free {
@@ -126,11 +125,31 @@ pub fn run_distributed_lb_traced(
              `reliability` configured can starve the best-effort protocol)"
         );
     }
+    let c = collapse(dist, &ranks, fault_free);
+    DistLbResult {
+        distribution: c.distribution,
+        initial_imbalance: c.initial_imbalance,
+        final_imbalance: c.final_imbalance,
+        tasks_migrated: c.tasks_migrated,
+        records: c.records,
+        degraded_ranks: c.degraded_ranks,
+        parked_ranks: c.parked_ranks,
+        reliable: c.reliable,
+        report,
+    }
+}
+
+/// Fold the finished `ranks` of one run over `input` (index = rank id)
+/// into a placement: the one fold behind [`DistLbResult`] and
+/// [`LocalLbResult`]. `strict` is the caller vouching that nothing was
+/// injected that excuses a lost or doubly-claimed task; conservation is
+/// then asserted, unless a rank degraded all the same.
+pub(crate) fn collapse(input: &Distribution, ranks: &[LbRank], strict: bool) -> LocalLbResult {
     let degraded_ranks = ranks.iter().filter(|r| r.degraded()).count();
     let parked_ranks = ranks.iter().filter(|r| r.parked()).count();
-    let strict = degraded_ranks == 0 && fault_free;
+    let strict = strict && degraded_ranks == 0;
     let mut reliable = ReliableStats::default();
-    let mut out = Distribution::new(num_ranks);
+    let mut out = Distribution::new(input.num_ranks());
     let mut tasks_migrated = 0usize;
     for (p, r) in ranks.iter().enumerate() {
         reliable.merge(&r.reliable_stats());
@@ -154,7 +173,7 @@ pub fn run_distributed_lb_traced(
     if strict {
         assert_eq!(
             out.num_tasks(),
-            dist.num_tasks(),
+            input.num_tasks(),
             "no task may be lost or duplicated by the protocol"
         );
     }
@@ -168,7 +187,7 @@ pub fn run_distributed_lb_traced(
         .position(|r| r.finished() && !r.degraded() && !r.parked())
         .or_else(|| ranks.iter().position(|r| r.finished() && !r.degraded()))
         .unwrap_or(0);
-    DistLbResult {
+    LocalLbResult {
         initial_imbalance: ranks[reporter].initial_imbalance(),
         final_imbalance: out.imbalance(),
         tasks_migrated,
@@ -177,7 +196,6 @@ pub fn run_distributed_lb_traced(
         parked_ranks,
         reliable,
         distribution: out,
-        report,
     }
 }
 
@@ -281,6 +299,7 @@ mod tests {
     use super::*;
     use tempered_core::balancer::PredictiveLb;
     use tempered_core::forecast::Holt;
+    use tempered_core::ids::TaskId;
     use tempered_core::transfer::TransferConfig;
 
     fn quick_cfg() -> LbProtocolConfig {
@@ -516,7 +535,6 @@ mod tests {
     /// tasks and load, and its migrations replay onto the input.
     #[test]
     fn predictive_adapter_is_consistent_under_drift() {
-        use tempered_core::ids::TaskId;
         use tempered_core::load::Load;
         let mut dist = Distribution::concentrated(8, 2, 15);
         let factory = RngFactory::new(6);
@@ -554,6 +572,70 @@ mod tests {
                 .rank_load(rank)
                 .approx_eq(r.distribution.rank_load(rank)));
         }
+    }
+
+    /// A rank that ran the protocol to Done alone in a one-rank world,
+    /// holding `tasks`: the cheapest finished [`LbRank`] there is.
+    fn finished_alone(tasks: Vec<(TaskId, f64)>) -> LbRank {
+        let rank = LbRank::new(RankId::new(0), 1, tasks, quick_cfg(), RngFactory::new(1));
+        let mut runner = LocalRunner::new(vec![rank]);
+        assert!(runner.run());
+        runner.into_ranks().pop().unwrap()
+    }
+
+    fn two_ranks_claiming_task_7() -> (Distribution, Vec<LbRank>) {
+        let task = (TaskId::new(7), 1.0);
+        let mut input = Distribution::new(2);
+        input
+            .insert(RankId::new(0), Task::new(task.0, task.1))
+            .unwrap();
+        (
+            input,
+            vec![finished_alone(vec![task]), finished_alone(vec![task])],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "each task has exactly one final owner")]
+    fn collapse_panics_on_a_duplicated_claim_when_strict() {
+        let (input, ranks) = two_ranks_claiming_task_7();
+        collapse(&input, &ranks, true);
+    }
+
+    #[test]
+    fn collapse_keeps_the_first_of_a_duplicated_claim_otherwise() {
+        let (input, ranks) = two_ranks_claiming_task_7();
+        let c = collapse(&input, &ranks, false);
+        assert_eq!(c.distribution.num_tasks(), 1);
+        assert_eq!(c.distribution.tasks_on(RankId::new(0)).len(), 1);
+        assert_eq!(c.distribution.tasks_on(RankId::new(1)).len(), 0);
+    }
+
+    /// Rank 0 never ran (a corpse's engine); the records and the agreed
+    /// imbalance must come from the rank that committed.
+    #[test]
+    fn collapse_reports_from_a_committing_rank_when_rank_0_is_a_corpse() {
+        let id = TaskId::new;
+        let corpse = LbRank::new(
+            RankId::new(0),
+            2,
+            vec![(id(1), 1.0)],
+            quick_cfg(),
+            RngFactory::new(1),
+        );
+        let committed = finished_alone(vec![(id(2), 1.0)]);
+        let mut input = Distribution::new(2);
+        input.insert(RankId::new(0), Task::new(id(1), 1.0)).unwrap();
+        input.insert(RankId::new(1), Task::new(id(2), 1.0)).unwrap();
+        let c = collapse(&input, &[corpse, committed], false);
+        let cfg = quick_cfg();
+        assert_eq!(c.records.len(), cfg.trials * cfg.iters);
+        assert_eq!(
+            c.distribution.num_tasks(),
+            1,
+            "the corpse's task is not ours"
+        );
+        assert_eq!(c.distribution.tasks_on(RankId::new(1)).len(), 1);
     }
 
     mod crash {

@@ -6,9 +6,10 @@
 //!
 //! ```text
 //! GossipEngine   pure state machine: (epoch, LbMsg) → Vec<Command>
-//! Transport      Raw | Reliable(RetryConfig)
-//! LbRank         this file: interprets Commands, applies TxActions to a
-//!                driver Ctx, records spans/instants, arms deadlines
+//! Transport      Raw | Reliable(RetryConfig): LbMsg → frames and timers
+//!                written straight to the driver's Ctx
+//! LbRank         this file: interprets Commands, hands the Ctx to the
+//!                transport, records spans/instants, arms deadlines
 //! driver         Simulator (discrete-event), parallel executor, or the
 //!                zero-latency in-process LocalRunner
 //! ```
@@ -22,9 +23,9 @@
 //! watchdog and the degrade decision when delivery fails for good).
 
 use super::config::LbProtocolConfig;
-use super::engine::{Command, GossipEngine, Stage};
+use super::engine::{Command, GossipEngine};
 use super::messages::{payload_bytes, LbMsg, LbWire, TaskEntry};
-use super::transport::{transport_for, RxEvent, Transport, TxAction};
+use super::transport::{transport_for, RxEvent, Transport};
 use crate::health::HealthDetector;
 use crate::reliable::ReliableStats;
 use crate::sim::{Ctx, Protocol};
@@ -62,11 +63,9 @@ pub struct LbRank {
     parked_seen: bool,
     park_seq: u64,
 
-    // Reusable scratch buffers for the per-message hot path: transport
-    // actions and engine commands are drained in place instead of
-    // allocating a fresh `Vec` per delivered message.
-    scratch_actions: Vec<TxAction>,
-    scratch_tx: Vec<TxAction>,
+    // Reusable buffer for the per-message hot path: engine commands are
+    // drained in place instead of allocating a fresh `Vec` per delivered
+    // message.
     scratch_cmds: Vec<Command>,
 
     // Observability.
@@ -88,7 +87,7 @@ impl LbRank {
         LbRank {
             me,
             num_ranks,
-            engine: GossipEngine::new(me, num_ranks, tasks, cfg.engine(), factory),
+            engine: GossipEngine::new(me, num_ranks, tasks, cfg, factory),
             transport: transport_for(&cfg, me, &factory),
             cfg,
             stage_seq: 0,
@@ -98,8 +97,6 @@ impl LbRank {
             fenced: BTreeSet::new(),
             parked_seen: false,
             park_seq: 0,
-            scratch_actions: Vec::new(),
-            scratch_tx: Vec::new(),
             scratch_cmds: Vec::new(),
             rec: Recorder::disabled(),
             open_span: None,
@@ -151,11 +148,6 @@ impl LbRank {
         view
     }
 
-    /// Current stage.
-    pub fn stage(&self) -> Stage {
-        self.engine.stage()
-    }
-
     /// Whether this rank abandoned the protocol (retry budget exhausted
     /// or stage deadline missed) and reverted to a safe assignment.
     pub fn degraded(&self) -> bool {
@@ -187,19 +179,9 @@ impl LbRank {
         self.engine.initial_imbalance()
     }
 
-    /// Best imbalance seen (valid after the run).
-    pub fn best_imbalance(&self) -> f64 {
-        self.engine.best_imbalance()
-    }
-
     /// Tasks this rank fetched at commit (real migrations in).
     pub fn migrations_in(&self) -> usize {
         self.engine.migrations_in()
-    }
-
-    /// Tasks fetched *from* this rank at commit (real migrations out).
-    pub fn migrations_out(&self) -> usize {
-        self.engine.migrations_out()
     }
 
     /// Proposed tasks bounced back by NACKs across the whole run.
@@ -245,13 +227,7 @@ impl LbRank {
     /// once per rank, on normal completion or degradation.
     fn flush_metrics(&self) {
         self.rec.with_metrics(|m| {
-            let s = self.transport.stats();
-            m.counter_add("lb.reliable.sent", s.sent);
-            m.counter_add("lb.reliable.retransmitted", s.retransmitted);
-            m.counter_add("lb.reliable.acked", s.acked);
-            m.counter_add("lb.reliable.duplicates_suppressed", s.duplicates_suppressed);
-            m.counter_add("lb.reliable.gave_up", s.gave_up);
-            m.counter_add("lb.reliable.revived", s.revived);
+            self.transport.stats().record(m);
             m.counter_add("lb.migrations_in", self.engine.migrations_in() as u64);
             m.counter_add("lb.migrations_out", self.engine.migrations_out() as u64);
             m.counter_add("lb.nacks_received", self.engine.nacks_received() as u64);
@@ -433,16 +409,7 @@ impl LbRank {
         }
     }
 
-    // ---- command / action interpreters -----------------------------------
-
-    fn apply_actions(&mut self, ctx: &mut Ctx<'_, LbWire>, actions: &mut Vec<TxAction>) {
-        for action in actions.drain(..) {
-            match action {
-                TxAction::Wire { to, wire, bytes } => ctx.send(to, wire, bytes),
-                TxAction::Timer { delay, wire } => ctx.schedule(delay, wire),
-            }
-        }
-    }
+    // ---- command interpreter ----------------------------------------------
 
     fn run_commands(&mut self, ctx: &mut Ctx<'_, LbWire>, commands: &mut Vec<Command>) {
         for command in commands.drain(..) {
@@ -458,10 +425,7 @@ impl LbRank {
                         ctx.send(to, LbWire::Raw(msg), bytes);
                         continue;
                     }
-                    let mut actions = std::mem::take(&mut self.scratch_tx);
-                    self.transport.send(to, msg, &mut actions);
-                    self.apply_actions(ctx, &mut actions);
-                    self.scratch_tx = actions;
+                    self.transport.send(ctx, to, msg);
                 }
                 Command::OpenSpan(kind) => {
                     self.span_open(ctx.now(), kind);
@@ -561,11 +525,10 @@ impl Protocol for LbRank {
         if matches!(wire, LbWire::Heartbeat) {
             return;
         }
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        let rx = self.transport.receive(from, wire, &mut actions);
-        match rx {
+        // Whatever the frame calls for at the delivery layer — an ack, a
+        // retransmission — is on `ctx` before the event is interpreted.
+        match self.transport.receive(ctx, from, wire) {
             RxEvent::Deliver(msg) => {
-                self.apply_actions(ctx, &mut actions);
                 // Self-death valve: a View naming *this* rank dead means
                 // some component fenced us out and moved on (we were
                 // warm-restarted, falsely suspected during a long stall,
@@ -589,12 +552,11 @@ impl Protocol for LbRank {
                             // disrupt the survivors' new view.
                             self.degrade(ctx.now());
                         }
-                        self.scratch_actions = actions;
                         return;
                     }
                 }
                 let mut commands = std::mem::take(&mut self.scratch_cmds);
-                self.engine.on_message_into(&mut commands, from, msg);
+                self.engine.on_message(&mut commands, from, msg);
                 self.apply_view(ctx.now());
                 self.run_commands(ctx, &mut commands);
                 commands.clear();
@@ -602,7 +564,6 @@ impl Protocol for LbRank {
                 self.sync_park(ctx);
             }
             RxEvent::Duplicate { from, seq } => {
-                self.apply_actions(ctx, &mut actions);
                 self.rec.instant(
                     self.me.as_u32(),
                     ctx.now(),
@@ -621,7 +582,6 @@ impl Protocol for LbRank {
                         seq,
                     },
                 );
-                self.apply_actions(ctx, &mut actions);
             }
             RxEvent::GaveUp { to, seq, msg } => {
                 self.rec.instant(
@@ -649,8 +609,7 @@ impl Protocol for LbRank {
                         ctx.now(),
                         EventKind::LinkSuspect { to: to.as_u32() },
                     );
-                    self.transport.reinstate(to, seq, msg, &mut actions);
-                    self.apply_actions(ctx, &mut actions);
+                    self.transport.reinstate(ctx, to, seq, msg);
                 } else if self.health.is_some() {
                     // Retry exhaustion toward one peer under crash
                     // tolerance means that peer is gone, not that we
@@ -668,7 +627,6 @@ impl Protocol for LbRank {
                 // is dropped *without an ack*, so the sender's reliable
                 // channel re-delivers the original. Best-effort frames
                 // are simply lost — same contract as a drop.
-                self.apply_actions(ctx, &mut actions);
                 self.rec.instant(
                     self.me.as_u32(),
                     ctx.now(),
@@ -677,13 +635,8 @@ impl Protocol for LbRank {
                     },
                 );
             }
-            RxEvent::Nothing => self.apply_actions(ctx, &mut actions),
+            RxEvent::Nothing => {}
         }
-        // Unapplied leftovers (e.g. the non-vouched GaveUp paths) are
-        // dropped, exactly as the old per-message `Vec` was; the shell is
-        // kept for the next message.
-        actions.clear();
-        self.scratch_actions = actions;
     }
 
     fn is_done(&self) -> bool {

@@ -4,10 +4,11 @@
 //! A [`Transport`] turns protocol messages ([`LbMsg`]) into wire frames
 //! ([`LbWire`]) on the way out and wire frames back into deliverable
 //! protocol messages on the way in. Implementations are sans-I/O like the
-//! engine itself: they emit [`TxAction`]s (frames to put on the network,
-//! timers to arm) and [`RxEvent`]s (deliver, duplicate, retransmitted,
-//! gave-up) and never touch a socket, channel, or clock. Drivers
-//! interpret the actions; the engine never sees the difference.
+//! engine itself: frames to put on the network and timers to arm are
+//! written to the driver's [`Ctx`] ([`Ctx::send`], [`Ctx::schedule`]),
+//! what an incoming frame amounted to comes back as an [`RxEvent`]
+//! (deliver, duplicate, retransmitted, gave-up), and no socket, channel,
+//! or clock is ever touched. The engine never sees the difference.
 //!
 //! The stack composes by decoration:
 //!
@@ -23,28 +24,8 @@
 
 use super::messages::{payload_bytes, LbMsg, LbWire, SEQ_OVERHEAD_BYTES};
 use crate::reliable::{ReliableChannel, ReliableStats, RetryAction, RetryConfig, SeqSetView};
+use crate::sim::Ctx;
 use tempered_core::ids::RankId;
-
-/// An outgoing effect requested by a transport.
-#[derive(Clone, Debug)]
-pub enum TxAction {
-    /// Put `wire` on the network to `to`, modeled at `bytes`.
-    Wire {
-        /// Destination rank.
-        to: RankId,
-        /// The frame.
-        wire: LbWire,
-        /// Modeled size (framing + task payloads).
-        bytes: usize,
-    },
-    /// Deliver `wire` back to *this* rank after `delay` seconds.
-    Timer {
-        /// Relative delay in seconds.
-        delay: f64,
-        /// The self-message (a retry or stage timer).
-        wire: LbWire,
-    },
-}
 
 /// What an incoming wire frame amounted to.
 #[derive(Clone, Debug)]
@@ -92,10 +73,11 @@ pub enum RxEvent {
 /// A delivery layer: protocol messages down to wire frames and back.
 pub trait Transport: std::fmt::Debug + Send {
     /// Frame `msg` for transmission to `to`.
-    fn send(&mut self, to: RankId, msg: LbMsg, out: &mut Vec<TxAction>);
+    fn send(&mut self, ctx: &mut Ctx<'_, LbWire>, to: RankId, msg: LbMsg);
 
-    /// Interpret an incoming frame (network or self-timer).
-    fn receive(&mut self, from: RankId, wire: LbWire, out: &mut Vec<TxAction>) -> RxEvent;
+    /// Interpret an incoming frame (network or self-timer); any frame or
+    /// timer it calls for (an ack, a retransmission) goes to `ctx`.
+    fn receive(&mut self, ctx: &mut Ctx<'_, LbWire>, from: RankId, wire: LbWire) -> RxEvent;
 
     /// Delivery-layer statistics (all zero for best-effort transports).
     fn stats(&self) -> ReliableStats;
@@ -111,7 +93,7 @@ pub trait Transport: std::fmt::Debug + Send {
     /// rank attributes the give-up to a degraded link rather than a dead
     /// peer (the membership view still vouches for the destination).
     /// No-op for best-effort transports, which never give up.
-    fn reinstate(&mut self, _to: RankId, _seq: u64, _msg: LbMsg, _out: &mut Vec<TxAction>) {}
+    fn reinstate(&mut self, _ctx: &mut Ctx<'_, LbWire>, _to: RankId, _seq: u64, _msg: LbMsg) {}
 
     /// End-of-run snapshot of the delivery ledgers for the audit layer:
     /// which sequence numbers each peer acknowledged to this rank, and
@@ -148,16 +130,12 @@ impl Raw {
 }
 
 impl Transport for Raw {
-    fn send(&mut self, to: RankId, msg: LbMsg, out: &mut Vec<TxAction>) {
+    fn send(&mut self, ctx: &mut Ctx<'_, LbWire>, to: RankId, msg: LbMsg) {
         let bytes = payload_bytes(&msg, self.bytes_per_task);
-        out.push(TxAction::Wire {
-            to,
-            wire: LbWire::Raw(msg),
-            bytes,
-        });
+        ctx.send(to, LbWire::Raw(msg), bytes);
     }
 
-    fn receive(&mut self, from: RankId, wire: LbWire, _out: &mut Vec<TxAction>) -> RxEvent {
+    fn receive(&mut self, _ctx: &mut Ctx<'_, LbWire>, from: RankId, wire: LbWire) -> RxEvent {
         match wire {
             LbWire::Raw(msg) | LbWire::Data { msg, .. } => RxEvent::Deliver(msg),
             dam @ LbWire::Damaged { .. } => {
@@ -206,35 +184,30 @@ impl Reliable {
             bytes_per_task,
         }
     }
+
+    /// Put `(to, seq, msg)` on the network and arm its retry timer: the
+    /// one shape a first send, a retransmission and a reinstatement share.
+    fn transmit(&self, ctx: &mut Ctx<'_, LbWire>, to: RankId, seq: u64, msg: LbMsg, delay: f64) {
+        let bytes = payload_bytes(&msg, self.bytes_per_task) + SEQ_OVERHEAD_BYTES;
+        ctx.send(to, LbWire::Data { seq, msg }, bytes);
+        ctx.schedule(delay, LbWire::RetryTimer { to, seq });
+    }
 }
 
 impl Transport for Reliable {
-    fn send(&mut self, to: RankId, msg: LbMsg, out: &mut Vec<TxAction>) {
-        let bytes = payload_bytes(&msg, self.bytes_per_task) + SEQ_OVERHEAD_BYTES;
+    fn send(&mut self, ctx: &mut Ctx<'_, LbWire>, to: RankId, msg: LbMsg) {
         let (seq, delay) = self.channel.send(to, msg.clone());
-        out.push(TxAction::Wire {
-            to,
-            wire: LbWire::Data { seq, msg },
-            bytes,
-        });
-        out.push(TxAction::Timer {
-            delay,
-            wire: LbWire::RetryTimer { to, seq },
-        });
+        self.transmit(ctx, to, seq, msg, delay);
     }
 
-    fn receive(&mut self, from: RankId, wire: LbWire, out: &mut Vec<TxAction>) -> RxEvent {
+    fn receive(&mut self, ctx: &mut Ctx<'_, LbWire>, from: RankId, wire: LbWire) -> RxEvent {
         match wire {
             // Tolerated for mixed stacks; a raw frame has no seq to dedup.
             LbWire::Raw(msg) => RxEvent::Deliver(msg),
             LbWire::Data { seq, msg } => {
                 // Always ack, even duplicates: the ack for the original
                 // may have been lost.
-                out.push(TxAction::Wire {
-                    to: from,
-                    wire: LbWire::Ack { seq },
-                    bytes: SEQ_OVERHEAD_BYTES,
-                });
+                ctx.send(from, LbWire::Ack { seq }, SEQ_OVERHEAD_BYTES);
                 if self.channel.accept(from, seq) {
                     RxEvent::Deliver(msg)
                 } else {
@@ -252,16 +225,7 @@ impl Transport for Reliable {
                     msg,
                     next_delay,
                 } => {
-                    let bytes = payload_bytes(&msg, self.bytes_per_task) + SEQ_OVERHEAD_BYTES;
-                    out.push(TxAction::Wire {
-                        to,
-                        wire: LbWire::Data { seq, msg },
-                        bytes,
-                    });
-                    out.push(TxAction::Timer {
-                        delay: next_delay,
-                        wire: LbWire::RetryTimer { to, seq },
-                    });
+                    self.transmit(ctx, to, seq, msg, next_delay);
                     RxEvent::Retransmitted { to, seq }
                 }
                 RetryAction::GaveUp { to, msg } => RxEvent::GaveUp { to, seq, msg },
@@ -288,18 +252,9 @@ impl Transport for Reliable {
         self.channel.forget_peer(dead);
     }
 
-    fn reinstate(&mut self, to: RankId, seq: u64, msg: LbMsg, out: &mut Vec<TxAction>) {
+    fn reinstate(&mut self, ctx: &mut Ctx<'_, LbWire>, to: RankId, seq: u64, msg: LbMsg) {
         let delay = self.channel.reinstate(to, seq, msg.clone());
-        let bytes = payload_bytes(&msg, self.bytes_per_task) + SEQ_OVERHEAD_BYTES;
-        out.push(TxAction::Wire {
-            to,
-            wire: LbWire::Data { seq, msg },
-            bytes,
-        });
-        out.push(TxAction::Timer {
-            delay,
-            wire: LbWire::RetryTimer { to, seq },
-        });
+        self.transmit(ctx, to, seq, msg, delay);
     }
 
     fn delivery_audit(&self) -> Option<DeliveryAudit> {
@@ -334,6 +289,20 @@ pub fn transport_for(
 mod tests {
     use super::*;
 
+    type Frames = Vec<(RankId, LbWire, usize)>;
+    type Timers = Vec<(f64, LbWire)>;
+
+    /// Run `f` against a [`Ctx::detached`] and hand back what it wrote:
+    /// frames as `(to, wire, bytes)` and timers as `(delay, wire)`, each
+    /// in call order (the two are separate queues in every driver).
+    fn on_ctx<R>(f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R) -> (R, Frames, Timers) {
+        let mut frames = Vec::new();
+        let mut ctx = Ctx::detached(RankId::new(0), 0.0, &mut frames);
+        let result = f(&mut ctx);
+        let timers = ctx.take_timers();
+        (result, frames, timers)
+    }
+
     fn gossip(epoch: u64) -> LbMsg {
         LbMsg::Gossip {
             epoch,
@@ -342,22 +311,61 @@ mod tests {
         }
     }
 
+    /// One reliable send of `gossip(1)` to rank 1: its data frame and its
+    /// retry timer.
+    fn send_one(sender: &mut Reliable) -> (LbWire, LbWire) {
+        let ((), mut frames, mut timers) =
+            on_ctx(|ctx| sender.send(ctx, RankId::new(1), gossip(1)));
+        assert_eq!((frames.len(), timers.len()), (1, 1), "frame + retry timer");
+        let (to, wire, bytes) = frames.remove(0);
+        assert_eq!(to, RankId::new(1));
+        assert!(matches!(wire, LbWire::Data { seq: 1, .. }));
+        assert_eq!(bytes, gossip(1).wire_bytes() + SEQ_OVERHEAD_BYTES);
+        let (delay, timer) = timers.remove(0);
+        assert!(delay > 0.0);
+        assert!(matches!(timer, LbWire::RetryTimer { to, seq: 1 } if to == RankId::new(1)));
+        (wire, timer)
+    }
+
+    /// Fire `timer` until the retry budget runs out; the give-up itself
+    /// must write nothing.
+    fn exhaust(sender: &mut Reliable, timer: &LbWire) -> (RankId, u64, LbMsg) {
+        for _ in 0..4 {
+            let (ev, frames, timers) =
+                on_ctx(|ctx| sender.receive(ctx, RankId::new(0), timer.clone()));
+            match ev {
+                RxEvent::GaveUp { to, seq, msg } => {
+                    assert!(
+                        frames.is_empty() && timers.is_empty(),
+                        "a give-up is silent"
+                    );
+                    return (to, seq, msg);
+                }
+                RxEvent::Retransmitted { .. } => {
+                    assert_eq!((frames.len(), timers.len()), (1, 1), "resend + re-arm");
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        panic!("retry budget must eventually run out");
+    }
+
     #[test]
     fn raw_round_trips_without_overhead() {
         let mut t = Raw::new(1000);
-        let mut out = Vec::new();
-        t.send(RankId::new(1), gossip(1), &mut out);
-        assert_eq!(out.len(), 1);
-        let TxAction::Wire { to, wire, bytes } = out.pop().unwrap() else {
-            panic!("raw send must produce a wire frame");
-        };
+        let ((), mut frames, timers) = on_ctx(|ctx| t.send(ctx, RankId::new(1), gossip(1)));
+        assert!(timers.is_empty(), "best-effort frames arm nothing");
+        assert_eq!(frames.len(), 1);
+        let (to, wire, bytes) = frames.pop().unwrap();
         assert_eq!(to, RankId::new(1));
         assert_eq!(bytes, gossip(1).wire_bytes());
         let mut t2 = Raw::new(1000);
+        let (ev, frames, _) = on_ctx(|ctx| t2.receive(ctx, RankId::new(0), wire));
         assert!(matches!(
-            t2.receive(RankId::new(0), wire, &mut Vec::new()),
+            ev,
             RxEvent::Deliver(LbMsg::Gossip { epoch: 1, .. })
         ));
+        assert!(frames.is_empty(), "raw frames are never acked");
     }
 
     #[test]
@@ -367,70 +375,55 @@ mod tests {
             epoch: 9,
             tasks: vec![tempered_core::ids::TaskId::new(1); 3],
         };
-        let mut out = Vec::new();
-        t.send(RankId::new(1), msg.clone(), &mut out);
-        let TxAction::Wire { bytes, .. } = &out[0] else {
-            panic!("expected wire frame");
-        };
-        assert_eq!(*bytes, msg.wire_bytes() + 3 * 1000);
+        let ((), frames, _) = on_ctx(|ctx| t.send(ctx, RankId::new(1), msg.clone()));
+        assert_eq!(frames[0].2, msg.wire_bytes() + 3 * 1000);
     }
 
     #[test]
     fn reliable_frames_ack_and_dedup() {
         let mut sender = Reliable::new(RetryConfig::default(), 0);
         let mut receiver = Reliable::new(RetryConfig::default(), 0);
-        let mut out = Vec::new();
-        sender.send(RankId::new(1), gossip(1), &mut out);
-        assert_eq!(out.len(), 2, "frame + retry timer");
-        let TxAction::Wire { wire, bytes, .. } = out.remove(0) else {
-            panic!("first action must be the data frame");
-        };
-        assert_eq!(bytes, gossip(1).wire_bytes() + SEQ_OVERHEAD_BYTES);
-        assert!(matches!(out[0], TxAction::Timer { .. }));
+        let (wire, _) = send_one(&mut sender);
 
         // First delivery: acked and delivered.
-        let mut rx_out = Vec::new();
-        let ev = receiver.receive(RankId::new(0), wire.clone(), &mut rx_out);
+        let (ev, frames, timers) =
+            on_ctx(|ctx| receiver.receive(ctx, RankId::new(0), wire.clone()));
         assert!(matches!(ev, RxEvent::Deliver(_)));
+        assert!(timers.is_empty());
         assert!(
-            matches!(
-                &rx_out[0],
-                TxAction::Wire {
-                    wire: LbWire::Ack { .. },
-                    ..
-                }
-            ),
-            "data frames are always acked"
+            matches!(frames[..], [(to, LbWire::Ack { seq: 1 }, SEQ_OVERHEAD_BYTES)] if to == RankId::new(0)),
+            "data frames are always acked: {frames:?}"
         );
 
-        // Redelivery: still acked, but suppressed.
-        let mut rx_out2 = Vec::new();
-        let ev2 = receiver.receive(RankId::new(0), wire, &mut rx_out2);
-        assert!(matches!(ev2, RxEvent::Duplicate { .. }));
-        assert!(!rx_out2.is_empty(), "duplicates re-ack");
+        // Redelivery: acked a second time, but suppressed.
+        let (ev, frames, _) = on_ctx(|ctx| receiver.receive(ctx, RankId::new(0), wire));
+        assert!(matches!(ev, RxEvent::Duplicate { seq: 1, .. }));
+        assert!(
+            matches!(frames[..], [(_, LbWire::Ack { seq: 1 }, _)]),
+            "duplicates re-ack: {frames:?}"
+        );
         assert_eq!(receiver.stats().duplicates_suppressed, 1);
     }
 
     #[test]
     fn reliable_retry_then_settle() {
         let mut sender = Reliable::new(RetryConfig::default(), 0);
-        let mut out = Vec::new();
-        sender.send(RankId::new(1), gossip(1), &mut out);
-        let TxAction::Timer { wire: timer, .. } = out.pop().unwrap() else {
-            panic!("second action must be the retry timer");
-        };
+        let (_, timer) = send_one(&mut sender);
 
         // Unacked: the timer retransmits and re-arms.
-        let mut rt_out = Vec::new();
-        let ev = sender.receive(RankId::new(0), timer.clone(), &mut rt_out);
+        let (ev, frames, timers) = on_ctx(|ctx| sender.receive(ctx, RankId::new(0), timer.clone()));
         assert!(matches!(ev, RxEvent::Retransmitted { .. }));
-        assert_eq!(rt_out.len(), 2);
+        assert!(matches!(frames[..], [(_, LbWire::Data { seq: 1, .. }, _)]));
+        assert!(matches!(
+            timers[..],
+            [(_, LbWire::RetryTimer { seq: 1, .. })]
+        ));
 
         // Acked: the next timer settles silently.
-        let mut ack_out = Vec::new();
-        sender.receive(RankId::new(1), LbWire::Ack { seq: 1 }, &mut ack_out);
-        let ev = sender.receive(RankId::new(0), timer, &mut Vec::new());
+        on_ctx(|ctx| sender.receive(ctx, RankId::new(1), LbWire::Ack { seq: 1 }));
+        let (ev, frames, timers) = on_ctx(|ctx| sender.receive(ctx, RankId::new(0), timer));
         assert!(matches!(ev, RxEvent::Nothing));
+        assert!(frames.is_empty() && timers.is_empty());
         assert_eq!(sender.stats().retransmitted, 1);
         assert_eq!(sender.stats().acked, 1);
     }
@@ -442,26 +435,11 @@ mod tests {
             ..RetryConfig::default()
         };
         let mut sender = Reliable::new(retry, 0);
-        let mut out = Vec::new();
-        sender.send(RankId::new(1), gossip(1), &mut out);
-        let TxAction::Timer { wire: timer, .. } = out.pop().unwrap() else {
-            panic!("expected retry timer");
-        };
-        let mut gave_up = false;
-        for _ in 0..4 {
-            match sender.receive(RankId::new(0), timer.clone(), &mut Vec::new()) {
-                RxEvent::GaveUp { to, seq, msg } => {
-                    assert_eq!(to, RankId::new(1));
-                    assert_eq!(seq, 1);
-                    assert!(matches!(msg, LbMsg::Gossip { epoch: 1, .. }));
-                    gave_up = true;
-                    break;
-                }
-                RxEvent::Retransmitted { .. } => {}
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        assert!(gave_up, "retry budget must eventually run out");
+        let (_, timer) = send_one(&mut sender);
+        let (to, seq, msg) = exhaust(&mut sender, &timer);
+        assert_eq!(to, RankId::new(1));
+        assert_eq!(seq, 1);
+        assert!(matches!(msg, LbMsg::Gossip { epoch: 1, .. }));
     }
 
     #[test]
@@ -472,66 +450,38 @@ mod tests {
             ..RetryConfig::default()
         };
         let mut sender = Reliable::new(retry, 0);
-        let mut out = Vec::new();
-        sender.send(RankId::new(1), gossip(1), &mut out);
-        let TxAction::Timer { wire: timer, .. } = out.pop().unwrap() else {
-            panic!("expected retry timer");
-        };
-        // Exhaust the budget.
-        let mut gave = None;
-        for _ in 0..3 {
-            if let RxEvent::GaveUp { to, seq, msg } =
-                sender.receive(RankId::new(0), timer.clone(), &mut Vec::new())
-            {
-                gave = Some((to, seq, msg));
-                break;
-            }
-        }
-        let (to, seq, msg) = gave.expect("budget must run out");
+        let (_, timer) = send_one(&mut sender);
+        let (to, seq, msg) = exhaust(&mut sender, &timer);
         // Link-suspect verdict: revive. The transport retransmits the
         // same (to, seq) frame and re-arms the timer.
-        let mut out = Vec::new();
-        sender.reinstate(to, seq, msg, &mut out);
-        assert_eq!(out.len(), 2, "frame + retry timer");
+        let ((), frames, timers) = on_ctx(|ctx| sender.reinstate(ctx, to, seq, msg));
+        assert!(matches!(frames[..], [(_, LbWire::Data { seq: 1, .. }, _)]));
         assert!(matches!(
-            &out[0],
-            TxAction::Wire {
-                wire: LbWire::Data { seq: 1, .. },
-                ..
-            }
+            timers[..],
+            [(_, LbWire::RetryTimer { seq: 1, .. })]
         ));
         assert_eq!(sender.stats().revived, 1);
         // An ack now settles it like any first-class send.
-        sender.receive(RankId::new(1), LbWire::Ack { seq }, &mut Vec::new());
-        assert!(matches!(
-            sender.receive(RankId::new(0), timer, &mut Vec::new()),
-            RxEvent::Nothing
-        ));
+        on_ctx(|ctx| sender.receive(ctx, RankId::new(1), LbWire::Ack { seq }));
+        let (ev, _, _) = on_ctx(|ctx| sender.receive(ctx, RankId::new(0), timer));
+        assert!(matches!(ev, RxEvent::Nothing));
     }
 
     #[test]
     fn corrupted_frames_are_dropped_then_masked_by_retransmission() {
         let mut sender = Reliable::new(RetryConfig::default(), 0);
         let mut receiver = Reliable::new(RetryConfig::default(), 0);
-        let mut out = Vec::new();
-        sender.send(RankId::new(1), gossip(1), &mut out);
-        let TxAction::Wire { wire, .. } = out.remove(0) else {
-            panic!("expected data frame");
-        };
-        let TxAction::Timer { wire: timer, .. } = out.pop().unwrap() else {
-            panic!("expected retry timer");
-        };
+        let (wire, timer) = send_one(&mut sender);
 
         // The frame arrives bit-flipped: dropped, and crucially NOT acked.
-        let mut rx_out = Vec::new();
-        let ev = receiver.receive(RankId::new(0), wire.damaged(), &mut rx_out);
+        let (ev, frames, _) = on_ctx(|ctx| receiver.receive(ctx, RankId::new(0), wire.damaged()));
         assert!(matches!(ev, RxEvent::Corrupt { from } if from == RankId::new(0)));
-        assert!(rx_out.is_empty(), "corrupt frames must not be acked");
+        assert!(frames.is_empty(), "corrupt frames must not be acked");
 
         // The sender's retry timer re-delivers the intact original.
-        let ev = sender.receive(RankId::new(0), timer, &mut Vec::new());
+        let (ev, _, _) = on_ctx(|ctx| sender.receive(ctx, RankId::new(0), timer));
         assert!(matches!(ev, RxEvent::Retransmitted { .. }));
-        let ev = receiver.receive(RankId::new(0), wire, &mut Vec::new());
+        let (ev, _, _) = on_ctx(|ctx| receiver.receive(ctx, RankId::new(0), wire));
         assert!(matches!(ev, RxEvent::Deliver(LbMsg::Gossip { .. })));
     }
 }

@@ -216,22 +216,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// [`FaultPlan::load`] for an elastic run: additionally replays the
-    /// churn dimension against the seed roster `0..seed_ranks` and the
-    /// run deadline ([`FaultPlan::validate_churn`]), so an impossible
-    /// membership schedule is rejected with the same path-contextual
-    /// errors as any other malformed plan field.
-    pub fn load_elastic(
-        path: &std::path::Path,
-        seed_ranks: usize,
-        run_deadline: Option<f64>,
-    ) -> Result<FaultPlan, String> {
-        let plan = FaultPlan::load(path)?;
-        plan.validate_churn(seed_ranks, run_deadline)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(plan)
-    }
-
     /// Render the plan as pretty-printed JSON that [`FaultPlan::from_json`]
     /// parses back to an equal plan.
     pub fn to_json(&self) -> String {
@@ -593,21 +577,109 @@ mod tests {
         assert!(FaultPlan::from_json(r#"{"churn": [{"at": 0.5, "join": 1.5}]}"#).is_err());
     }
 
+    /// No plan can hang or panic an executor: each of these once did
+    /// (a negative latency factor, a deferral to +∞, a wheel index out of
+    /// bounds) or silently crashed nobody, and each is now an `Err` at
+    /// the door — the JSON reader for numbers that parse non-finite,
+    /// `validate` for what a caller builds in memory, `validate_churn`
+    /// for ranks outside the roster.
     #[test]
-    fn load_elastic_names_the_file_on_churn_overlaps() {
-        let dir = std::env::temp_dir().join("tempered-planfile-elastic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("overlap.json");
-        // Join of seed node 1: already live.
-        std::fs::write(&path, r#"{"churn": [{"at": 0.5, "join": 1}]}"#).unwrap();
-        let err = FaultPlan::load_elastic(&path, 4, None).unwrap_err();
-        assert!(err.starts_with(&format!("{}: ", path.display())), "{err}");
-        assert!(err.contains("already live"), "{err}");
-        // The same file is fine when node 1 is not a seed node.
-        assert!(FaultPlan::load_elastic(&path, 1, None).is_ok());
-        // And an event past the run deadline is caught with path context.
-        let err = FaultPlan::load_elastic(&path, 1, Some(0.25)).unwrap_err();
-        assert!(err.contains("run deadline"), "{err}");
+    fn plans_that_hung_or_panicked_are_rejected_at_the_door() {
+        let door = |plan: Result<FaultPlan, String>| {
+            plan.and_then(|p| p.validate_churn(16, None).map_err(|e| e.to_string()))
+        };
+        let text = |t: &str| FaultPlan::from_json(t);
+        let built = |edit: fn(&mut FaultPlan)| {
+            let mut p = FaultPlan::none();
+            edit(&mut p);
+            Ok(p)
+        };
+        let table: Vec<(Result<FaultPlan, String>, &str)> = vec![
+            (
+                text(r#"{"seed":1,"delay_spike":0.5,"delay_spike_scale":-10}"#),
+                "delay_spike_scale must be finite and >= 1, got -10",
+            ),
+            (
+                text(r#"{"pauses":[{"rank":0,"from":0,"until":1e999}]}"#),
+                "number out of range at byte",
+            ),
+            (
+                text(
+                    r#"{"links":[{"src":[],"dst":[],"start":0,
+                        "kind":{"type":"delay","factor":1e999}}]}"#,
+                ),
+                "number out of range at byte",
+            ),
+            (
+                text(r#"{"stragglers":[[0,1e999]]}"#),
+                "number out of range at byte",
+            ),
+            (
+                text(r#"{"crashes":[{"rank":4000000000,"at":1e-4,"restart_after":null}]}"#),
+                "crash names rank 4000000000, outside the run's 16 ranks",
+            ),
+            (
+                text(r#"{"reorder":0.1,"reorder_factor":0.5}"#),
+                "reorder_factor must be finite and >= 1",
+            ),
+            (
+                text(r#"{"partitions":[{"side":[3,16],"start":0,"end":null}]}"#),
+                "partition names rank 16",
+            ),
+            (
+                text(r#"{"links":[{"src":[2],"dst":[99],"start":0,"kind":{"type":"cut"}}]}"#),
+                "link fault names rank 99",
+            ),
+            (
+                text(r#"{"stragglers":[[16,2]]}"#),
+                "straggler names rank 16",
+            ),
+            (
+                text(r#"{"pauses":[{"rank":20,"from":0,"until":1}]}"#),
+                "pause names rank 20",
+            ),
+            // The same holes, for a plan built in memory rather than read.
+            (
+                built(|p| p.stragglers = vec![(RankId::new(0), f64::INFINITY)]),
+                "straggler factor for 0 must be finite",
+            ),
+            (
+                built(|p| {
+                    p.pauses = vec![PauseWindow {
+                        rank: RankId::new(0),
+                        from: 0.0,
+                        until: f64::INFINITY,
+                    }]
+                }),
+                "pause window for 0 is malformed",
+            ),
+            (
+                built(|p| {
+                    p.crashes = vec![CrashEvent::with_restart(RankId::new(1), 0.0, f64::NAN)]
+                }),
+                "crash of 1 is malformed",
+            ),
+            (
+                built(|p| {
+                    p.links = vec![LinkFault {
+                        src: vec![],
+                        dst: vec![],
+                        start: 0.0,
+                        end: Some(f64::INFINITY),
+                        kind: LinkFaultKind::Cut,
+                    }]
+                }),
+                "link fault is malformed",
+            ),
+            (
+                built(|p| p.churn = vec![ChurnEvent::drain(0.5, 1, Some(f64::INFINITY))]),
+                "churn event at 0.5 is malformed",
+            ),
+        ];
+        for (plan, want) in table {
+            let err = door(plan).expect_err(want);
+            assert!(err.contains(want), "want {want:?}, got {err:?}");
+        }
     }
 
     #[test]

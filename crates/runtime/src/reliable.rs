@@ -19,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
 use tempered_core::ids::RankId;
+use tempered_obs::MetricsRegistry;
 
 /// Retransmission and give-up policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -107,6 +108,21 @@ impl ReliableStats {
         self.duplicates_suppressed += other.duplicates_suppressed;
         self.gave_up += other.gave_up;
         self.revived += other.revived;
+    }
+
+    /// Fold the counters into a metrics registry under the canonical
+    /// `lb.reliable.*` names (the one place they are spelled, as
+    /// [`crate::fault::FaultStats::record`] is for `fault.*`).
+    pub fn record(&self, m: &mut MetricsRegistry) {
+        m.counter_add("lb.reliable.sent", self.sent);
+        m.counter_add("lb.reliable.retransmitted", self.retransmitted);
+        m.counter_add("lb.reliable.acked", self.acked);
+        m.counter_add(
+            "lb.reliable.duplicates_suppressed",
+            self.duplicates_suppressed,
+        );
+        m.counter_add("lb.reliable.gave_up", self.gave_up);
+        m.counter_add("lb.reliable.revived", self.revived);
     }
 }
 
@@ -374,11 +390,6 @@ impl<M: Clone> ReliableChannel<M> {
             ch.jitter_rng = Some(rng);
         }
         ch
-    }
-
-    /// The retry policy.
-    pub fn cfg(&self) -> &RetryConfig {
-        &self.cfg
     }
 
     /// Delay to arm for retransmission attempt `attempt`: exponential

@@ -13,8 +13,9 @@ use proptest::BoxedStrategy;
 use rand::Rng;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_runtime::collective::LoadSummary;
-use tempered_runtime::lb::transport::{Reliable, RxEvent, Transport, TxAction};
+use tempered_runtime::lb::transport::{Reliable, RxEvent, Transport};
 use tempered_runtime::lb::{encode_frame, FrameReader, LbMsg, LbWire, TaskEntry};
+use tempered_runtime::sim::Ctx;
 use tempered_runtime::termination::TdMsg;
 use tempered_runtime::RetryConfig;
 
@@ -246,60 +247,58 @@ fn corrupted_data_frames_are_dropped_unacked_and_redelivered() {
         pairs: vec![(me, 2.0)].into(),
     };
 
-    let mut out = Vec::new();
-    sender.send(peer, msg.clone(), &mut out);
-    let data = out
-        .iter()
-        .find_map(|a| match a {
-            TxAction::Wire { wire, .. } => Some(wire.clone()),
-            _ => None,
-        })
-        .expect("reliable send emits a Data frame");
-    let retry_timer = out
-        .iter()
-        .find_map(|a| match a {
-            TxAction::Timer { wire, .. } => Some(wire.clone()),
-            _ => None,
-        })
-        .expect("reliable send arms a retry timer");
+    // Each step runs against a detached context; what the transport
+    // wrote comes back as (frames, timers).
+    fn step<R>(
+        me: RankId,
+        f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R,
+    ) -> (R, Vec<LbWire>, Vec<LbWire>) {
+        let mut outbox = Vec::new();
+        let mut ctx = Ctx::detached(me, 0.0, &mut outbox);
+        let result = f(&mut ctx);
+        let timers = ctx.take_timers().into_iter().map(|(_, w)| w).collect();
+        (
+            result,
+            outbox.into_iter().map(|(_, w, _)| w).collect(),
+            timers,
+        )
+    }
+
+    let ((), frames, timers) = step(me, |ctx| sender.send(ctx, peer, msg.clone()));
+    let [data] = &frames[..] else {
+        panic!("reliable send emits one Data frame, got {frames:?}");
+    };
+    let [retry_timer] = &timers[..] else {
+        panic!("reliable send arms one retry timer, got {timers:?}");
+    };
 
     // The frame arrives corrupted: dropped, and — crucially — no ack.
-    let mut rx_out = Vec::new();
-    let event = receiver.receive(me, data.damaged(), &mut rx_out);
+    let (event, frames, _) = step(peer, |ctx| receiver.receive(ctx, me, data.damaged()));
     assert!(matches!(event, RxEvent::Corrupt { from } if from == me));
     assert!(
-        rx_out.is_empty(),
-        "a corrupt frame must be dropped unacked, got {rx_out:?}"
+        frames.is_empty(),
+        "a corrupt frame must be dropped unacked, got {frames:?}"
     );
 
     // The sender's retry timer fires and retransmits the clean copy.
-    let mut resend_out = Vec::new();
-    let event = sender.receive(me, retry_timer, &mut resend_out);
+    let (event, resent, _) = step(me, |ctx| sender.receive(ctx, me, retry_timer.clone()));
     assert!(matches!(event, RxEvent::Retransmitted { to, .. } if to == peer));
-    let resent = resend_out
-        .iter()
-        .find_map(|a| match a {
-            TxAction::Wire { wire, .. } => Some(wire.clone()),
-            _ => None,
-        })
-        .expect("retry fires a resend");
-    assert_eq!(resent, data, "the resend is the identical Data frame");
+    assert_eq!(
+        resent,
+        std::slice::from_ref(data),
+        "the resend is the identical Data frame"
+    );
 
     // The clean copy delivers and is acked; the ack settles the sender.
-    let mut rx_out = Vec::new();
-    let event = receiver.receive(me, resent, &mut rx_out);
+    let (event, acks, _) = step(peer, |ctx| receiver.receive(ctx, me, data.clone()));
     match event {
         RxEvent::Deliver(delivered) => assert_eq!(delivered, msg),
         other => panic!("clean resend must deliver, got {other:?}"),
     }
-    let ack = rx_out
-        .iter()
-        .find_map(|a| match a {
-            TxAction::Wire { wire, .. } => Some(wire.clone()),
-            _ => None,
-        })
-        .expect("delivery acks");
-    let event = sender.receive(peer, ack, &mut Vec::new());
+    let [ack] = &acks[..] else {
+        panic!("delivery acks once, got {acks:?}");
+    };
+    let (event, _, _) = step(me, |ctx| sender.receive(ctx, peer, ack.clone()));
     assert!(matches!(event, RxEvent::Nothing));
 
     assert_eq!(sender.stats().retransmitted, 1);

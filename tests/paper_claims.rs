@@ -103,8 +103,6 @@ fn gossip_rounds_follow_log_f_p() {
     let cfg = GossipConfig {
         fanout: 6,
         rounds: 4,
-        mode: GossipMode::RoundBased,
-        max_messages: u64::MAX,
         max_knowledge: 0,
     };
     let out = tempered_lb::core::gossip::run_gossip(dist.rank_loads(), l_ave, &cfg, &factory, 0);
