@@ -4,7 +4,7 @@
 //! fault-free: whenever no rank degrades, the final assignment must be
 //! identical to the fault-free run of the same configuration and seed.
 //!
-//! Both balancers run through the same engine/transport/driver stack:
+//! Both balancers run through the same engine/rank/driver stack:
 //! the TemperedLB configuration and the original single-trial
 //! GrapevineLB each get a grid (one shared sweep driver renders both).
 //!

@@ -47,7 +47,7 @@ use super::{LoadBalancer, RebalanceResult};
 /// # Panics
 ///
 /// Panics if every rank is draining — an empty cluster cannot inherit
-/// the work ([`crate::balancer::drain`] callers validate this upstream
+/// the work (callers validate this upstream
 /// via `FaultPlan::validate_churn`).
 pub fn evacuate(
     dist: &Distribution,

@@ -13,7 +13,7 @@
 //! destroy run-to-run reproducibility. Membership is answered without any
 //! hashing: small sets (the common case under a gossip knowledge cap) are
 //! scanned linearly over the dense `ranks` array, and once a set outgrows
-//! [`SCAN_MAX`] a lazily-grown bitset takes over, sized by the highest
+//! `SCAN_MAX` a lazily-grown bitset takes over, sized by the highest
 //! rank id actually seen — so per-rank memory stays proportional to what
 //! the rank *knows*, not to the system size. Position lookups
 //! ([`Knowledge::load_of`], [`Knowledge::add_to_load`]) binary-search when

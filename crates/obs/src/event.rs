@@ -86,7 +86,7 @@ pub enum EventKind {
         /// Static name of the stage in which degradation happened.
         stage: &'static str,
     },
-    /// The fault injector acted on an in-flight message.
+    /// The link emulator acted on an in-flight message.
     Fault {
         /// Static fault name (`"drop"`, `"duplicate"`, `"spike"`, ...).
         kind: &'static str,

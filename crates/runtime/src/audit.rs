@@ -30,8 +30,7 @@
 //! counterexample shrinking possible; see `crate::fuzz`).
 
 use crate::fault::FaultPlan;
-use crate::lb::transport::DeliveryAudit;
-use crate::lb::{LbProtocolConfig, LbRank, TaskEntry};
+use crate::lb::{DeliveryAudit, LbProtocolConfig, LbRank, TaskEntry};
 use crate::reliable::SeqSetView;
 use crate::sim::NetworkModel;
 use std::collections::BTreeMap;
@@ -174,7 +173,7 @@ impl From<&LbRank> for RankClaims {
 pub struct LbRunArtifacts {
     /// Per-rank claims, indexed by rank id.
     pub claims: Vec<RankClaims>,
-    /// Per-rank delivery ledgers (`None` for best-effort transports).
+    /// Per-rank delivery ledgers (`None` for best-effort ranks).
     pub delivery: Vec<Option<DeliveryAudit>>,
     /// The recorded obs event stream.
     pub trace: Trace,

@@ -1,29 +1,20 @@
-//! Seed-deterministic fault injection for the message-passing executors.
+//! Seed-deterministic fault plans for the message-passing executors.
 //!
 //! A [`FaultPlan`] describes an adverse network: per-message drop,
 //! duplication, reorder and heavy-tailed delay-spike probabilities,
-//! per-rank straggler slowdowns, and transient per-rank pause windows.
-//! Both executors ([`crate::sim::Simulator`] and
-//! [`crate::parallel::run_parallel_with`]) consult the same
-//! [`FaultInjector`] logic, so a given plan means the same thing under
-//! discrete-event simulation and real threads.
-//!
-//! Two properties drive the design:
-//!
-//! 1. **Statelessness relative to the model RNG.** Fault decisions are
-//!    pure hashes of `(plan seed, from, to, per-link ordinal)` — they
-//!    consume nothing from the executor's random streams. A zeroed plan
-//!    therefore leaves every other random decision bit-identical to a
-//!    run with no injector at all.
-//! 2. **Executor-neutral units.** A [`Fate`] expresses extra delay as a
-//!    *multiplier on nominal latency*; the simulator applies it to its
-//!    virtual-time network model, the threaded executor converts it to a
-//!    wall-clock hold-back. The schedule of effects (which message is
-//!    dropped, duplicated, …) is identical either way.
+//! per-rank straggler slowdowns, transient per-rank pause windows,
+//! crash-stop failures, directed link faults, partition windows and
+//! planned membership churn. This module is what a plan *is* — the plan
+//! types, their validation ([`FaultPlan::validate`],
+//! [`FaultPlan::validate_churn`], [`FaultPlanError`]) and the counters of
+//! what was injected ([`FaultStats`]). What a plan *does* is decided in
+//! one place, [`crate::emulator::LinkEmulator`], which every executor
+//! ([`crate::sim::Simulator`], [`crate::parallel::run_parallel_with`],
+//! the TCP driver) owns one of — so a given plan means the same thing
+//! under discrete-event simulation, real threads and real sockets.
 
 use std::collections::HashMap;
 use tempered_core::ids::RankId;
-use tempered_core::rng::{derive_seed, splitmix64};
 use tempered_obs::MetricsRegistry;
 
 /// A transient outage: messages arriving at `rank` during
@@ -143,13 +134,13 @@ pub struct LinkFault {
 impl LinkFault {
     /// Whether the fault's sets match the directed link `from → to`,
     /// ignoring the time window.
-    fn matches_link(&self, from: RankId, to: RankId) -> bool {
+    pub(crate) fn matches_link(&self, from: RankId, to: RankId) -> bool {
         (self.src.is_empty() || self.src.contains(&from))
             && (self.dst.is_empty() || self.dst.contains(&to))
     }
 
     /// Whether the window covers send time `now`.
-    fn active_at(&self, now: f64) -> bool {
+    pub(crate) fn active_at(&self, now: f64) -> bool {
         now >= self.start && self.end.is_none_or(|e| now < e)
     }
 
@@ -157,7 +148,7 @@ impl LinkFault {
     /// Draws are made for every message on a matching link *regardless of
     /// the window*, so the stream stays aligned however the windows are
     /// placed.
-    fn is_probabilistic(&self) -> bool {
+    pub(crate) fn is_probabilistic(&self) -> bool {
         matches!(
             self.kind,
             LinkFaultKind::Lossy { .. } | LinkFaultKind::Corrupt { .. }
@@ -182,7 +173,7 @@ pub struct PartitionWindow {
 impl PartitionWindow {
     /// Whether the partition severs the directed link `from → to` at
     /// send time `now`.
-    fn cuts(&self, from: RankId, to: RankId, now: f64) -> bool {
+    pub(crate) fn cuts(&self, from: RankId, to: RankId, now: f64) -> bool {
         if now < self.start || self.end.is_some_and(|e| now >= e) {
             return false;
         }
@@ -193,7 +184,7 @@ impl PartitionWindow {
 /// A planned membership change — the *churn* dimension of a
 /// [`FaultPlan`]. Unlike every other dimension, churn is consumed by the
 /// elastic membership layer ([`crate::elastic`]) at step boundaries, not
-/// by the message-level injector: a join admits a fresh node under a
+/// by the message-level emulator: a join admits a fresh node under a
 /// fenced view bump, a drain evacuates a live node and parks it. Times
 /// are seconds on the same clock as the rest of the plan (virtual in the
 /// simulator, wall-clock from run start in the threaded executor).
@@ -534,9 +525,9 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan can have no observable effect. Executors use
-    /// this to skip the injector entirely, making a zeroed plan
-    /// bit-identical to no plan.
+    /// True when the plan can have no observable effect. The emulator
+    /// then draws no fate at all, making a zeroed plan bit-identical to
+    /// no plan.
     pub fn is_zero(&self) -> bool {
         self.drop == 0.0
             && self.duplicate == 0.0
@@ -551,7 +542,7 @@ impl FaultPlan {
     }
 
     /// True when the plan contains no link faults and no partitions —
-    /// i.e. the link layer of the injector is inert and a legacy plan's
+    /// i.e. the link layer of the emulator is inert and a legacy plan's
     /// fate stream is untouched.
     pub fn links_zero(&self) -> bool {
         self.links.is_empty() && self.partitions.is_empty()
@@ -814,53 +805,10 @@ impl Default for FaultPlan {
     }
 }
 
-/// The injector's verdict for one message.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Fate {
-    /// Delivered copies: 0 (dropped), 1 (normal), or 2 (duplicated).
-    pub copies: u32,
-    /// Multiplier on the message's nominal latency (≥ 1).
-    pub delay_factor: f64,
-}
-
-impl Fate {
-    /// The fate of an unfaulted message.
-    pub fn clean() -> Self {
-        Fate {
-            copies: 1,
-            delay_factor: 1.0,
-        }
-    }
-}
-
-/// The link layer's verdict for one message, combining every matching
-/// [`LinkFault`] and [`PartitionWindow`] active at send time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkFate {
-    /// The message is severed (cut, flap down-phase, lossy draw, or
-    /// partition) and must not be delivered.
-    pub cut: bool,
-    /// Extra latency multiplier from `Delay` faults (≥ 1).
-    pub delay_factor: f64,
-    /// The message is delivered damaged; checksumming receivers drop it.
-    pub corrupt: bool,
-}
-
-impl LinkFate {
-    /// The fate on a healthy link.
-    pub fn clean() -> Self {
-        LinkFate {
-            cut: false,
-            delay_factor: 1.0,
-            corrupt: false,
-        }
-    }
-}
-
 /// Counters of injected effects, reported alongside network stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultStats {
-    /// Faultable messages that passed through the injector.
+    /// Faultable messages the emulator drew a fate for.
     pub faultable: u64,
     /// Messages dropped.
     pub dropped: u64,
@@ -920,250 +868,6 @@ impl FaultStats {
     }
 }
 
-/// Turns the hash `u` into a uniform in `[0, 1)`.
-#[inline]
-fn unit(u: u64) -> f64 {
-    (u >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Deterministic fault decisions for a stream of messages.
-///
-/// Each `(from, to)` link has an ordinal counter; the fate of the n-th
-/// message on a link is a pure function of `(seed, from, to, n)`. Sends
-/// from a rank are always processed by the component that owns the rank
-/// (the simulator, or the rank's worker thread), so per-link ordinals are
-/// deterministic under both executors.
-#[derive(Clone, Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    straggler: HashMap<RankId, f64>,
-    ordinals: HashMap<(RankId, RankId), u64>,
-    /// Per-link ordinals for the link-fault hash stream — independent of
-    /// `ordinals` so adding link faults to a plan leaves the legacy
-    /// per-message fate stream untouched.
-    link_ordinals: HashMap<(RankId, RankId), u64>,
-    /// Effect counters, updated as fates are drawn.
-    pub stats: FaultStats,
-}
-
-impl FaultInjector {
-    /// Build an injector for `plan` (panics on an invalid plan — callers
-    /// with user-supplied plans should [`FaultPlan::validate`] first).
-    pub fn new(plan: FaultPlan) -> Self {
-        plan.validate()
-            .expect("a plan handed to an executor was validated at the door");
-        let straggler = plan.stragglers.iter().copied().collect();
-        FaultInjector {
-            plan,
-            straggler,
-            ordinals: HashMap::new(),
-            link_ordinals: HashMap::new(),
-            stats: FaultStats::default(),
-        }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Decide the fate of the next message on the `from → to` link.
-    pub fn fate(&mut self, from: RankId, to: RankId) -> Fate {
-        self.stats.faultable += 1;
-        let ord = self.ordinals.entry((from, to)).or_insert(0);
-        *ord += 1;
-        let mut state = derive_seed(
-            self.plan.seed,
-            &[0xFA_017_u64, from.as_u32() as u64, to.as_u32() as u64, *ord],
-        );
-        let u_drop = unit(splitmix64(&mut state));
-        let u_dup = unit(splitmix64(&mut state));
-        let u_spike = unit(splitmix64(&mut state));
-        let u_reorder = unit(splitmix64(&mut state));
-        let u_mag = unit(splitmix64(&mut state));
-
-        if u_drop < self.plan.drop {
-            self.stats.dropped += 1;
-            return Fate {
-                copies: 0,
-                delay_factor: 1.0,
-            };
-        }
-        let copies = if u_dup < self.plan.duplicate {
-            self.stats.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        let mut delay_factor = 1.0_f64;
-        let strag = self
-            .straggler
-            .get(&from)
-            .copied()
-            .unwrap_or(1.0)
-            .max(self.straggler.get(&to).copied().unwrap_or(1.0));
-        if strag > 1.0 {
-            self.stats.straggled += 1;
-            delay_factor *= strag;
-        }
-        if u_spike < self.plan.delay_spike {
-            self.stats.spiked += 1;
-            // Truncated Pareto(α = 1): heavy tail, bounded at 100×scale.
-            delay_factor *= self.plan.delay_spike_scale / (1.0 - 0.99 * u_mag);
-        }
-        if u_reorder < self.plan.reorder {
-            self.stats.reordered += 1;
-            delay_factor *= self.plan.reorder_factor.max(1.0);
-        }
-        Fate {
-            copies,
-            delay_factor,
-        }
-    }
-
-    /// If `arrival` (seconds) falls inside a pause window of rank `to`,
-    /// return the deferred delivery time.
-    pub fn deferred_until(&mut self, to: RankId, arrival: f64) -> Option<f64> {
-        let mut deferred: Option<f64> = None;
-        for w in &self.plan.pauses {
-            if w.rank == to && arrival >= w.from && arrival < w.until {
-                deferred = Some(deferred.map_or(w.until, |d: f64| d.max(w.until)));
-            }
-        }
-        if deferred.is_some() {
-            self.stats.paused += 1;
-        }
-        deferred
-    }
-
-    /// Decide what the link layer does to the next message sent on
-    /// `from → to` at time `now` (seconds — virtual in the simulator,
-    /// wall-clock from run start in the threaded executor).
-    ///
-    /// Probabilistic faults (`Lossy`, `Corrupt`) draw from a dedicated
-    /// hash stream keyed by `(seed, from, to, link ordinal)`; the draws
-    /// happen for every message on a *matching* link regardless of the
-    /// time window, so the stream — and with it every downstream fate —
-    /// is independent of when the windows open and close. A plan with no
-    /// link faults and no partitions returns [`LinkFate::clean`] without
-    /// touching any counter or stream.
-    pub fn link_fate(&mut self, from: RankId, to: RankId, now: f64) -> LinkFate {
-        if self.plan.links_zero() {
-            return LinkFate::clean();
-        }
-        let mut fate = LinkFate::clean();
-        let mut state: Option<u64> = None;
-        for l in &self.plan.links {
-            if !l.matches_link(from, to) {
-                continue;
-            }
-            // Lazily derive the per-message hash state on first
-            // probabilistic match; later matches draw sequentially in
-            // plan order.
-            let draw = if l.is_probabilistic() {
-                let s = match &mut state {
-                    Some(s) => s,
-                    None => {
-                        let ord = self.link_ordinals.entry((from, to)).or_insert(0);
-                        *ord += 1;
-                        state.insert(derive_seed(
-                            self.plan.seed,
-                            &[
-                                0x11_4C_17_u64,
-                                from.as_u32() as u64,
-                                to.as_u32() as u64,
-                                *ord,
-                            ],
-                        ))
-                    }
-                };
-                unit(splitmix64(s))
-            } else {
-                0.0
-            };
-            if !l.active_at(now) {
-                continue;
-            }
-            match l.kind {
-                LinkFaultKind::Cut => fate.cut = true,
-                LinkFaultKind::Lossy { p } => {
-                    if draw < p {
-                        fate.cut = true;
-                    }
-                }
-                LinkFaultKind::Delay { factor } => fate.delay_factor *= factor,
-                LinkFaultKind::Flap { period, duty } => {
-                    let phase = ((now - l.start) / period).fract();
-                    if phase < duty {
-                        fate.cut = true;
-                    }
-                }
-                LinkFaultKind::Corrupt { p } => {
-                    if draw < p {
-                        fate.corrupt = true;
-                    }
-                }
-            }
-        }
-        for p in &self.plan.partitions {
-            if p.cuts(from, to, now) {
-                fate.cut = true;
-            }
-        }
-        if fate.cut {
-            self.stats.link_cut += 1;
-            // A severed message is neither delayed nor corrupted.
-            fate.delay_factor = 1.0;
-            fate.corrupt = false;
-        } else if fate.corrupt {
-            self.stats.corrupted += 1;
-        }
-        if fate.delay_factor > 1.0 {
-            self.stats.link_delayed += 1;
-        }
-        fate
-    }
-}
-
-/// Executor-neutral view of a plan's crash events: both executors ask the
-/// same two questions (is the rank down *now*, will it ever come back) so
-/// a crash schedule means the same thing in virtual and wall-clock time.
-#[derive(Clone, Debug, Default)]
-pub struct CrashSchedule {
-    crashes: HashMap<RankId, CrashEvent>,
-}
-
-impl CrashSchedule {
-    /// Build the schedule from a plan's crash events.
-    pub fn new(crashes: &[CrashEvent]) -> Self {
-        CrashSchedule {
-            crashes: crashes.iter().map(|&c| (c.rank, c)).collect(),
-        }
-    }
-
-    /// Whether the schedule contains any crash at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-    }
-
-    /// Whether `rank` is down at time `now` (crashed, not yet restarted).
-    pub fn is_down(&self, rank: RankId, now: f64) -> bool {
-        match self.crashes.get(&rank) {
-            Some(c) => now >= c.at && c.restart_after.is_none_or(|d| now < c.at + d),
-            None => false,
-        }
-    }
-
-    /// Whether `rank` is down at `now` and will never restart. Executors
-    /// count such ranks as finished so survivors' completion ends the run.
-    pub fn is_down_forever(&self, rank: RankId, now: f64) -> bool {
-        match self.crashes.get(&rank) {
-            Some(c) => now >= c.at && c.restart_after.is_none(),
-            None => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1178,15 +882,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_plan_is_zero_and_clean() {
+    fn zero_plan_is_zero() {
         assert!(FaultPlan::none().is_zero());
-        let mut inj = FaultInjector::new(FaultPlan::none());
-        for i in 0..100 {
-            let f = inj.fate(RankId::new(0), RankId::new(i % 7));
-            assert_eq!(f, Fate::clean());
-        }
-        assert_eq!(inj.stats.dropped, 0);
-        assert_eq!(inj.stats.faultable, 100);
+        assert_eq!(FaultPlan::none().validate(), Ok(()));
     }
 
     #[test]
@@ -1196,112 +894,6 @@ mod tests {
         assert!(p.is_zero());
         p.stragglers = vec![(RankId::new(3), 2.0)];
         assert!(!p.is_zero());
-    }
-
-    #[test]
-    fn fates_are_deterministic_per_link_ordinal() {
-        let p = plan(0.3, 0.2);
-        let mut a = FaultInjector::new(p.clone());
-        let mut b = FaultInjector::new(p);
-        let links = [(0u32, 1u32), (1, 0), (0, 2), (0, 1), (2, 5)];
-        for &(f, t) in &links {
-            assert_eq!(
-                a.fate(RankId::new(f), RankId::new(t)),
-                b.fate(RankId::new(f), RankId::new(t))
-            );
-        }
-    }
-
-    #[test]
-    fn fate_ignores_interleaving_of_other_links() {
-        // The n-th message on a link has the same fate regardless of
-        // traffic on other links.
-        let p = plan(0.5, 0.0);
-        let mut lone = FaultInjector::new(p.clone());
-        let fates: Vec<Fate> = (0..20)
-            .map(|_| lone.fate(RankId::new(3), RankId::new(4)))
-            .collect();
-        let mut busy = FaultInjector::new(p);
-        let mut got = Vec::new();
-        for i in 0..20 {
-            // Interleave unrelated traffic.
-            busy.fate(RankId::new(1), RankId::new(2));
-            got.push(busy.fate(RankId::new(3), RankId::new(4)));
-            if i % 3 == 0 {
-                busy.fate(RankId::new(4), RankId::new(3));
-            }
-        }
-        assert_eq!(fates, got);
-    }
-
-    #[test]
-    fn drop_rate_is_roughly_honored() {
-        let mut inj = FaultInjector::new(plan(0.2, 0.0));
-        let n = 10_000;
-        for i in 0..n {
-            inj.fate(RankId::new(i % 16), RankId::new((i + 1) % 16));
-        }
-        let rate = inj.stats.dropped as f64 / n as f64;
-        assert!((rate - 0.2).abs() < 0.02, "drop rate {rate} far from 0.2");
-    }
-
-    #[test]
-    fn duplicates_add_copies() {
-        let mut inj = FaultInjector::new(plan(0.0, 1.0));
-        let f = inj.fate(RankId::new(0), RankId::new(1));
-        assert_eq!(f.copies, 2);
-        assert_eq!(inj.stats.duplicated, 1);
-    }
-
-    #[test]
-    fn stragglers_scale_delay_both_directions() {
-        let mut p = FaultPlan::none();
-        p.stragglers = vec![(RankId::new(2), 8.0)];
-        let mut inj = FaultInjector::new(p);
-        let out = inj.fate(RankId::new(2), RankId::new(0));
-        let inb = inj.fate(RankId::new(0), RankId::new(2));
-        let other = inj.fate(RankId::new(0), RankId::new(1));
-        assert_eq!(out.delay_factor, 8.0);
-        assert_eq!(inb.delay_factor, 8.0);
-        assert_eq!(other.delay_factor, 1.0);
-        assert_eq!(inj.stats.straggled, 2);
-    }
-
-    #[test]
-    fn spikes_are_heavy_but_bounded() {
-        let mut p = FaultPlan::none();
-        p.seed = 7;
-        p.delay_spike = 1.0;
-        p.delay_spike_scale = 10.0;
-        let mut inj = FaultInjector::new(p);
-        for i in 0..1000 {
-            let f = inj.fate(RankId::new(0), RankId::new(1 + i % 5));
-            assert!(f.delay_factor >= 10.0);
-            assert!(f.delay_factor <= 10.0 * 101.0);
-        }
-        assert_eq!(inj.stats.spiked, 1000);
-    }
-
-    #[test]
-    fn pause_windows_defer_delivery() {
-        let mut p = FaultPlan::none();
-        p.pauses = vec![PauseWindow {
-            rank: RankId::new(1),
-            from: 1.0,
-            until: 2.0,
-        }];
-        let mut inj = FaultInjector::new(p);
-        assert_eq!(inj.deferred_until(RankId::new(1), 0.5), None);
-        assert_eq!(inj.deferred_until(RankId::new(1), 1.5), Some(2.0));
-        assert_eq!(inj.deferred_until(RankId::new(1), 2.0), None);
-        assert_eq!(inj.deferred_until(RankId::new(0), 1.5), None);
-        assert_eq!(inj.stats.paused, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "ProbabilityOutOfRange")]
-    fn out_of_range_probability_panics() {
-        FaultInjector::new(plan(1.5, 0.0));
     }
 
     #[test]
@@ -1388,155 +980,6 @@ mod tests {
         assert!(!p.is_zero());
         assert!(!p.links_zero());
         assert_eq!(p.validate(), Ok(()));
-    }
-
-    #[test]
-    fn cut_is_directed_and_windowed() {
-        let mut p = FaultPlan::none();
-        p.links = vec![link(&[0], &[1], 1.0, Some(2.0), LinkFaultKind::Cut)];
-        let mut inj = FaultInjector::new(p);
-        let (a, b) = (RankId::new(0), RankId::new(1));
-        assert!(!inj.link_fate(a, b, 0.5).cut);
-        assert!(inj.link_fate(a, b, 1.0).cut);
-        assert!(inj.link_fate(a, b, 1.9).cut);
-        assert!(!inj.link_fate(a, b, 2.0).cut);
-        // Reverse direction untouched — asymmetric by construction.
-        assert!(!inj.link_fate(b, a, 1.5).cut);
-        assert_eq!(inj.stats.link_cut, 2);
-    }
-
-    #[test]
-    fn empty_sets_are_wildcards() {
-        let mut p = FaultPlan::none();
-        p.links = vec![link(&[], &[3], 0.0, None, LinkFaultKind::Cut)];
-        let mut inj = FaultInjector::new(p);
-        assert!(inj.link_fate(RankId::new(7), RankId::new(3), 0.0).cut);
-        assert!(!inj.link_fate(RankId::new(3), RankId::new(7), 0.0).cut);
-    }
-
-    #[test]
-    fn lossy_draws_are_window_independent() {
-        // The n-th message on a link gets the same draw whether or not
-        // earlier messages fell inside the fault window.
-        let mk = |start: f64| {
-            let mut p = FaultPlan::none();
-            p.seed = 9;
-            p.links = vec![link(
-                &[0],
-                &[1],
-                start,
-                None,
-                LinkFaultKind::Lossy { p: 0.5 },
-            )];
-            FaultInjector::new(p)
-        };
-        let (a, b) = (RankId::new(0), RankId::new(1));
-        let mut early = mk(0.0);
-        let mut late = mk(10.0);
-        let early_fates: Vec<bool> = (0..64)
-            .map(|i| early.link_fate(a, b, 20.0 + i as f64).cut)
-            .collect();
-        for _ in 0..64 {
-            // Burn messages before the late window opens: these must not
-            // shift the draws used once the window is active.
-            late.link_fate(a, b, 5.0);
-        }
-        // A fresh injector's draws at ordinals 65.. must match `late`'s.
-        let mut fresh = mk(10.0);
-        for _ in 0..64 {
-            fresh.link_fate(a, b, 5.0);
-        }
-        let late_fates: Vec<bool> = (0..64)
-            .map(|i| late.link_fate(a, b, 20.0 + i as f64).cut)
-            .collect();
-        let fresh_fates: Vec<bool> = (0..64)
-            .map(|i| fresh.link_fate(a, b, 20.0 + i as f64).cut)
-            .collect();
-        assert_eq!(late_fates, fresh_fates);
-        // And the loss rate is in the right ballpark.
-        let hits = early_fates.iter().filter(|&&c| c).count();
-        assert!((16..=48).contains(&hits), "loss count {hits} far from half");
-    }
-
-    #[test]
-    fn flap_is_deterministic_in_time() {
-        let mut p = FaultPlan::none();
-        p.links = vec![link(
-            &[0],
-            &[1],
-            1.0,
-            None,
-            LinkFaultKind::Flap {
-                period: 1.0,
-                duty: 0.5,
-            },
-        )];
-        let mut inj = FaultInjector::new(p);
-        let (a, b) = (RankId::new(0), RankId::new(1));
-        assert!(inj.link_fate(a, b, 1.0).cut); // phase 0.0 < 0.5
-        assert!(inj.link_fate(a, b, 1.25).cut);
-        assert!(!inj.link_fate(a, b, 1.5).cut);
-        assert!(!inj.link_fate(a, b, 1.75).cut);
-        assert!(inj.link_fate(a, b, 2.1).cut);
-        assert!(!inj.link_fate(a, b, 0.5).cut); // before the fault starts
-    }
-
-    #[test]
-    fn delay_compounds_and_counts() {
-        let mut p = FaultPlan::none();
-        p.links = vec![
-            link(&[0], &[1], 0.0, None, LinkFaultKind::Delay { factor: 3.0 }),
-            link(&[], &[1], 0.0, None, LinkFaultKind::Delay { factor: 2.0 }),
-        ];
-        let mut inj = FaultInjector::new(p);
-        let f = inj.link_fate(RankId::new(0), RankId::new(1), 0.0);
-        assert_eq!(f.delay_factor, 6.0);
-        assert!(!f.cut);
-        assert_eq!(inj.stats.link_delayed, 1);
-    }
-
-    #[test]
-    fn partitions_cut_both_directions_across_the_split() {
-        let mut p = FaultPlan::none();
-        p.partitions = vec![PartitionWindow {
-            side: vec![RankId::new(0), RankId::new(1)],
-            start: 1.0,
-            end: Some(2.0),
-        }];
-        let mut inj = FaultInjector::new(p);
-        let (a, c) = (RankId::new(0), RankId::new(2));
-        assert!(inj.link_fate(a, c, 1.5).cut);
-        assert!(inj.link_fate(c, a, 1.5).cut);
-        // Within a component traffic flows.
-        assert!(!inj.link_fate(RankId::new(0), RankId::new(1), 1.5).cut);
-        assert!(!inj.link_fate(RankId::new(2), RankId::new(3), 1.5).cut);
-        // Outside the window the network is whole.
-        assert!(!inj.link_fate(a, c, 0.5).cut);
-        assert!(!inj.link_fate(a, c, 2.0).cut);
-    }
-
-    #[test]
-    fn corrupt_marks_but_cut_wins() {
-        let mut p = FaultPlan::none();
-        p.links = vec![link(
-            &[0],
-            &[1],
-            0.0,
-            None,
-            LinkFaultKind::Corrupt { p: 1.0 },
-        )];
-        let mut inj = FaultInjector::new(p.clone());
-        let f = inj.link_fate(RankId::new(0), RankId::new(1), 0.0);
-        assert!(f.corrupt && !f.cut);
-        assert_eq!(inj.stats.corrupted, 1);
-
-        p.links
-            .push(link(&[0], &[1], 0.0, None, LinkFaultKind::Cut));
-        let mut inj = FaultInjector::new(p);
-        let f = inj.link_fate(RankId::new(0), RankId::new(1), 0.0);
-        assert!(f.cut && !f.corrupt);
-        assert_eq!(inj.stats.corrupted, 0);
-        assert_eq!(inj.stats.link_cut, 1);
     }
 
     #[test]
@@ -1810,28 +1253,5 @@ mod tests {
             Err(FaultPlanError::ChurnDrainsEveryone { at: 0.1 })
         );
         assert_eq!(p.validate_churn(2, None), Ok(()));
-    }
-
-    #[test]
-    fn crash_schedule_tracks_downtime() {
-        let sched = CrashSchedule::new(&[
-            CrashEvent::fatal(RankId::new(1), 2.0),
-            CrashEvent {
-                rank: RankId::new(2),
-                at: 1.0,
-                restart_after: Some(3.0),
-            },
-        ]);
-        // Fatal crash: down from `at` forever.
-        assert!(!sched.is_down(RankId::new(1), 1.9));
-        assert!(sched.is_down(RankId::new(1), 2.0));
-        assert!(sched.is_down_forever(RankId::new(1), 100.0));
-        // Warm restart: down only during the outage window.
-        assert!(sched.is_down(RankId::new(2), 1.0));
-        assert!(sched.is_down(RankId::new(2), 3.9));
-        assert!(!sched.is_down(RankId::new(2), 4.0));
-        assert!(!sched.is_down_forever(RankId::new(2), 2.0));
-        // Unlisted ranks never crash.
-        assert!(!sched.is_down(RankId::new(0), 50.0));
     }
 }

@@ -3,7 +3,7 @@
 //! [`LocalRunner`] executes a set of ranks with no modeled network at
 //! all: messages deliver instantly in FIFO order, timers fire only when
 //! the message queue drains. It is the minimal driver of the
-//! engine/transport/driver stack — no latency model, no fault injection,
+//! engine/rank/driver stack — no latency model, no fault injection,
 //! no network statistics — and exists for two reasons:
 //!
 //! 1. **Equivalence testing.** With delivery trivially reliable and

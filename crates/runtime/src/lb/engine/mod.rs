@@ -4,7 +4,7 @@
 //! protocol messages ([`super::messages::LbMsg`]) and emits a list of
 //! [`Command`]s for the embedding driver to interpret. It knows nothing
 //! about channels, retries, clocks, recorders, or executors — those live
-//! in the [`super::transport`] stack and in the drivers (the
+//! in the rank actor ([`super::LbRank`]) and in the drivers (the
 //! discrete-event [`crate::sim::Simulator`], the threaded
 //! [`crate::parallel`] executor, and the zero-latency
 //! [`super::driver::LocalRunner`]). The stage flow is:
@@ -66,9 +66,10 @@ use tempered_obs::EventKind;
 /// An effect requested by the engine.
 ///
 /// The engine never performs I/O; each input (start, message) yields a
-/// list of commands that the embedding driver interprets — transmission
-/// through a [`super::transport::Transport`] stack, span/instant
-/// recording, stage-deadline arming.
+/// list of commands that the embedding rank actor ([`super::LbRank`])
+/// interprets — framing onto the wire (best-effort, or sequenced and
+/// retried when hardened), span/instant recording, stage-deadline
+/// arming.
 #[derive(Clone, Debug)]
 pub enum Command {
     /// Transmit a protocol message to `to`.
@@ -86,35 +87,6 @@ pub enum Command {
     /// The protocol reached `Done` on this rank: close the open span and
     /// flush end-of-run metrics.
     Finished,
-}
-
-/// Protocol stage (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
-    /// Waiting for the initial allreduce.
-    Setup,
-    /// Gossip epoch in progress.
-    Gossip,
-    /// Proposal epoch in progress.
-    Proposals,
-    /// Waiting for the evaluation allreduce.
-    Evaluate,
-    /// Commit epoch (lazy migration) in progress.
-    Commit,
-    /// Finished.
-    Done,
-}
-
-/// Static span label for a stage.
-pub(crate) fn stage_label(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Setup => "setup",
-        Stage::Gossip => "gossip",
-        Stage::Proposals => "proposals",
-        Stage::Evaluate => "evaluate",
-        Stage::Commit => "commit",
-        Stage::Done => "done",
-    }
 }
 
 /// One `(trial, iteration, imbalance)` record, mirroring
@@ -233,6 +205,16 @@ impl GossipEngine {
         }
     }
 
+    /// Open the span of the stage just entered, at the `(trial, iter)`
+    /// cursor (both 0 in Setup, at start and after every view reset).
+    fn open_stage_span(&self, out: &mut Vec<Command>) {
+        out.push(Command::OpenSpan(EventKind::LbStage {
+            stage: self.state.label(),
+            trial: self.trial as u32,
+            iter: self.iter as u32,
+        }));
+    }
+
     /// Kick off the protocol: contributes to the setup allreduce.
     pub fn start(&mut self) -> Vec<Command> {
         let mut out = Vec::new();
@@ -244,11 +226,8 @@ impl GossipEngine {
     /// allreduce — how the protocol starts, and restarts after a view
     /// change.
     fn enter_setup(&mut self, out: &mut Vec<Command>) {
-        out.push(Command::OpenSpan(EventKind::LbStage {
-            stage: "setup",
-            trial: 0,
-            iter: 0,
-        }));
+        debug_assert!(matches!(self.state, StageState::Setup));
+        self.open_stage_span(out);
         let summary = LoadSummary::of(self.my_load());
         let slot = self.setup_slot();
         self.contribute(out, slot, summary);
@@ -283,7 +262,7 @@ impl GossipEngine {
         out
     }
 
-    /// Feed one delivered protocol message (transport layer already
+    /// Feed one delivered protocol message (wire framing already
     /// stripped), appending the resulting effects to a caller-owned
     /// buffer so a hot driver reuses one allocation across messages.
     pub fn on_message(&mut self, out: &mut Vec<Command>, from: RankId, msg: LbMsg) {
@@ -298,9 +277,9 @@ impl GossipEngine {
     /// allreduce, and reverting unilaterally would desynchronize it.
     /// Returns the label of the stage that was abandoned.
     pub fn abort(&mut self) -> &'static str {
-        let label = stage_label(self.stage());
+        let label = self.state.label();
         if !self.done {
-            if !matches!(self.stage(), Stage::Commit | Stage::Done) {
+            if !matches!(self.state, StageState::Commit | StageState::Done) {
                 self.current = self.original.clone();
             }
             self.state = StageState::Done;
@@ -310,11 +289,6 @@ impl GossipEngine {
     }
 
     // ---- accessors -------------------------------------------------------
-
-    /// Current stage.
-    pub fn stage(&self) -> Stage {
-        self.state.stage()
-    }
 
     /// Whether this rank is parked (quorum-less under a partition).
     /// Remains `true` on a rank that finished read-only via the park
@@ -517,13 +491,13 @@ impl GossipEngine {
     fn on_reduce_result(&mut self, out: &mut Vec<Command>, slot: u32, summary: LoadSummary) {
         if slot == self.setup_slot() {
             // Setup complete: everyone now knows ℓ_ave / ℓ_max.
-            debug_assert_eq!(self.stage(), Stage::Setup);
+            debug_assert!(matches!(self.state, StageState::Setup));
             self.l_ave = summary.average();
             self.initial_imbalance = summary.imbalance();
             self.best_imbalance = summary.imbalance();
             self.enter_gossip(out);
         } else {
-            debug_assert_eq!(self.stage(), Stage::Evaluate);
+            debug_assert!(matches!(self.state, StageState::Evaluate));
             debug_assert_eq!(slot, self.eval_slot());
             let imbalance = summary.imbalance();
             self.records.push(AsyncIterationRecord {
@@ -604,7 +578,7 @@ impl GossipEngine {
         }
     }
 
-    /// Deliver a protocol message that passed the transport layer (dedup
+    /// Deliver a protocol message that passed the delivery layer (dedup
     /// already done); drop it if it predates our view, buffer it if it
     /// belongs to a future epoch.
     fn receive(&mut self, out: &mut Vec<Command>, from: RankId, msg: LbMsg) {
@@ -984,7 +958,7 @@ mod tests {
         assert_eq!(label, "proposals");
         assert!(e.done);
         assert_eq!(e.final_tasks().len(), 2);
-        assert_eq!(e.stage(), Stage::Done);
+        assert_eq!(e.state.label(), "done");
     }
 
     #[test]
@@ -1010,7 +984,7 @@ mod tests {
         let dead: BTreeSet<RankId> = [RankId::new(2)].into_iter().collect();
         let cmds = e.on_view(&dead);
         assert_eq!(e.view().generation(), 1);
-        assert_eq!(e.stage(), Stage::Setup, "restart re-enters setup");
+        assert_eq!(e.state.label(), "setup", "restart re-enters setup");
         assert!(
             e.gossip_round_epoch(1) >= crate::membership::VIEW_EPOCH_STRIDE,
             "new view's epochs are fenced past every old epoch"
@@ -1062,8 +1036,8 @@ mod tests {
         );
         assert!(cmds.is_empty());
         assert_eq!(
-            e.stage(),
-            Stage::Setup,
+            e.state.label(),
+            "setup",
             "stale traffic must not advance state"
         );
     }

@@ -9,7 +9,7 @@
 //! stale round's state cannot leak across iterations by construction.
 
 use super::super::messages::{LbMsg, TaskEntry};
-use super::{Command, GossipEngine, Stage};
+use super::{Command, GossipEngine};
 use crate::collective::LoadSummary;
 use crate::membership::View;
 use rand::rngs::SmallRng;
@@ -41,17 +41,17 @@ pub(super) enum StageState {
 }
 
 impl StageState {
-    /// The externally visible [`Stage`] this state denotes. The transfer
-    /// stage keeps its historical span label `proposals` for trace
+    /// The stage's name in spans, degrade events and panics. The transfer
+    /// stage keeps its historical label `proposals` for trace
     /// compatibility.
-    pub(super) fn stage(&self) -> Stage {
+    pub(super) fn label(&self) -> &'static str {
         match self {
-            StageState::Setup => Stage::Setup,
-            StageState::Gossip(_) => Stage::Gossip,
-            StageState::Transfer => Stage::Proposals,
-            StageState::Evaluate => Stage::Evaluate,
-            StageState::Commit => Stage::Commit,
-            StageState::Done => Stage::Done,
+            StageState::Setup => "setup",
+            StageState::Gossip(_) => "gossip",
+            StageState::Transfer => "proposals",
+            StageState::Evaluate => "evaluate",
+            StageState::Commit => "commit",
+            StageState::Done => "done",
         }
     }
 }
@@ -140,7 +140,7 @@ impl GossipEngine {
         // of the previous round's receipts.
         let mut gs = match std::mem::replace(&mut self.state, StageState::Done) {
             StageState::Gossip(gs) => gs,
-            s => unreachable!("gossip round entered from {:?}", s.stage()),
+            s => unreachable!("gossip round entered from {}", s.label()),
         };
         gs.round = round;
         let sending = if round == 1 {
@@ -207,7 +207,7 @@ impl GossipEngine {
                     gs.grew = true;
                 }
             }
-            s => debug_assert!(false, "gossip received in stage {:?}", s.stage()),
+            s => debug_assert!(false, "gossip received in stage {}", s.label()),
         }
     }
 
@@ -238,8 +238,8 @@ impl GossipEngine {
                 out.push(Command::Finished);
             }
             s => panic!(
-                "unexpected epoch {epoch} termination in stage {:?}",
-                s.stage()
+                "unexpected epoch {epoch} termination in stage {}",
+                s.label()
             ),
         }
     }
@@ -247,13 +247,9 @@ impl GossipEngine {
     fn run_transfer(&mut self, out: &mut Vec<Command>) {
         let mut gs = match std::mem::replace(&mut self.state, StageState::Transfer) {
             StageState::Gossip(gs) => gs,
-            s => unreachable!("transfer entered from {:?}", s.stage()),
+            s => unreachable!("transfer entered from {}", s.label()),
         };
-        out.push(Command::OpenSpan(EventKind::LbStage {
-            stage: "proposals",
-            trial: self.trial as u32,
-            iter: self.iter as u32,
-        }));
+        self.open_stage_span(out);
         let epoch = self.proposal_epoch();
         self.det.start_epoch(epoch);
         self.canonicalize_current();
@@ -347,11 +343,7 @@ impl GossipEngine {
 
     fn enter_evaluate(&mut self, out: &mut Vec<Command>) {
         self.state = StageState::Evaluate;
-        out.push(Command::OpenSpan(EventKind::LbStage {
-            stage: "evaluate",
-            trial: self.trial as u32,
-            iter: self.iter as u32,
-        }));
+        self.open_stage_span(out);
         self.canonicalize_current();
         let slot = self.eval_slot();
         let summary = LoadSummary::of(self.my_load());
@@ -378,11 +370,7 @@ impl GossipEngine {
 
     fn enter_commit(&mut self, out: &mut Vec<Command>) {
         self.state = StageState::Commit;
-        out.push(Command::OpenSpan(EventKind::LbStage {
-            stage: "commit",
-            trial: self.trial as u32,
-            iter: self.iter as u32,
-        }));
+        self.open_stage_span(out);
         let epoch = self.commit_epoch();
         self.det.start_epoch(epoch);
         out.push(Command::Instant(EventKind::Committed {

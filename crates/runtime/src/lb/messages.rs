@@ -24,17 +24,18 @@ pub struct TaskEntry {
     pub home: RankId,
 }
 
-/// Transport envelope around [`LbMsg`]: the delivery layer of the
-/// hardened protocol.
+/// Wire envelope around [`LbMsg`]: the delivery layer of the hardened
+/// protocol.
 ///
 /// With [`super::LbProtocolConfig::reliability`] unset every message
 /// travels as [`LbWire::Raw`] — zero overhead, bit-identical to the
 /// historical best-effort protocol. With a [`crate::reliable::RetryConfig`]
 /// installed, protocol messages travel as [`LbWire::Data`] with a
 /// per-link sequence number and are acknowledged / retransmitted /
-/// deduplicated by a [`crate::reliable::ReliableChannel`]; the two timer
+/// deduplicated by a [`crate::reliable::ReliableChannel`]; the four timer
 /// variants are scheduled by a rank *to itself* via
-/// [`crate::sim::Ctx::schedule`] and never cross the network.
+/// [`crate::sim::Ctx::schedule`] and never cross the network — they do
+/// not [`LbWire::decode`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum LbWire {
     /// Best-effort transmission (legacy mode; no delivery guarantee).
@@ -280,7 +281,9 @@ impl LbWire {
     }
 
     /// Decode a frame from its canonical encoding — the exact inverse of
-    /// [`LbWire::encode`]. The in-process executors never need this (they
+    /// [`LbWire::encode`] on every frame that crosses a network (the four
+    /// self-timer variants do not decode: a peer must not be able to fire
+    /// a rank's timers). The in-process executors never need this (they
     /// pass `LbWire` values by move), but the TCP socket driver
     /// ([`crate::lb::socket`]) ships the canonical bytes across real
     /// streams and reconstructs the frame on the receiving side.
@@ -302,6 +305,39 @@ impl LbWire {
             });
         }
         Ok(wire)
+    }
+
+    /// Whether a peer in a `num_ranks`-rank run may put this frame on the
+    /// wire, checked once, where bytes become frames
+    /// ([`crate::lb::FrameReader`]). Every rank it names — gossip pairs,
+    /// task homes, dead sets — must lie inside the roster: the engine
+    /// sends to the ranks it learns of and sizes its survivor set by the
+    /// dead ones. A [`LbWire::Damaged`] frame must actually fail its
+    /// check, and a self-timer is never a peer's to send.
+    pub(crate) fn admissible(&self, num_ranks: usize) -> bool {
+        let known = |r: &RankId| r.as_usize() < num_ranks;
+        match self {
+            LbWire::Raw(msg) | LbWire::Data { msg, .. } => match msg {
+                LbMsg::Gossip { pairs, .. } => pairs.iter().all(|(r, _)| known(r)),
+                LbMsg::Propose { tasks, .. }
+                | LbMsg::ProposeReply {
+                    rejected: tasks, ..
+                } => tasks.iter().all(|t| known(&t.home)),
+                LbMsg::View { dead, .. } | LbMsg::Heal { dead, .. } => dead.iter().all(known),
+                LbMsg::ReduceUp { .. }
+                | LbMsg::ReduceDown { .. }
+                | LbMsg::Fetch { .. }
+                | LbMsg::TaskData { .. }
+                | LbMsg::Knock
+                | LbMsg::Td(_) => true,
+            },
+            LbWire::Ack { .. } | LbWire::Heartbeat => true,
+            dam @ LbWire::Damaged { .. } => !dam.verify(),
+            LbWire::RetryTimer { .. }
+            | LbWire::StageTimer { .. }
+            | LbWire::HeartbeatTimer
+            | LbWire::ParkTimer { .. } => false,
+        }
     }
 
     /// CRC32 over the canonical encoding.
@@ -554,17 +590,9 @@ impl Cursor<'_> {
                 self.pos = self.bytes.len();
                 LbWire::Damaged { crc, bytes }
             }
-            0x25 => LbWire::RetryTimer {
-                to: self.rank()?,
-                seq: self.u64()?,
-            },
-            0x26 => LbWire::StageTimer {
-                stage_seq: self.u64()?,
-            },
-            0x27 => LbWire::HeartbeatTimer,
-            0x28 => LbWire::ParkTimer {
-                park_seq: self.u64()?,
-            },
+            // The four self-timers (tags 0x25–0x28 of `encode`) are not
+            // wire frames: a rank arms them for itself and acts on them
+            // whoever `from` is, so one off the network is a bad tag.
             other => {
                 self.pos -= 1;
                 return Err(self.fail(WireDecodeErrorKind::BadTag(other)));
@@ -716,8 +744,8 @@ impl LbMsg {
 
 /// Full modeled cost of a protocol message: wire framing plus the
 /// commit-stage task-data payload (`bytes_per_task` per shipped task).
-/// Transports use this so retransmissions recompute the same cost as the
-/// original transmission.
+/// Every send site uses this, so a retransmission recomputes the same
+/// cost as the original transmission.
 pub fn payload_bytes(msg: &LbMsg, bytes_per_task: usize) -> usize {
     let extra = match msg {
         LbMsg::TaskData { tasks, .. } => bytes_per_task * tasks.len(),
@@ -894,7 +922,22 @@ mod tests {
         }
     }
 
-    /// One frame of every variant, exercising every field shape.
+    /// The four self-timers: encodable (a corrupted frame is modeled over
+    /// the canonical bytes of any `LbWire`), never decodable.
+    fn timers() -> [LbWire; 4] {
+        [
+            LbWire::RetryTimer {
+                to: RankId::new(4),
+                seq: 8,
+            },
+            LbWire::StageTimer { stage_seq: 11 },
+            LbWire::HeartbeatTimer,
+            LbWire::ParkTimer { park_seq: 5 },
+        ]
+    }
+
+    /// One frame of every variant that crosses a network, exercising
+    /// every field shape.
     fn exhaustive_frames() -> Vec<LbWire> {
         let entries = vec![
             TaskEntry {
@@ -962,13 +1005,6 @@ mod tests {
         let mut frames = vec![
             LbWire::Ack { seq: 17 },
             LbWire::Heartbeat,
-            LbWire::RetryTimer {
-                to: RankId::new(4),
-                seq: 8,
-            },
-            LbWire::StageTimer { stage_seq: 11 },
-            LbWire::HeartbeatTimer,
-            LbWire::ParkTimer { park_seq: 5 },
             LbWire::Raw(LbMsg::Knock).damaged(),
         ];
         for m in msgs {
@@ -988,6 +1024,14 @@ mod tests {
                 bytes,
                 "decode∘encode must be the identity on canonical bytes ({frame:?})"
             );
+        }
+        // A rank acts on its timers whoever they claim to come from, so
+        // a peer must not be able to put one on the wire.
+        for timer in timers() {
+            let bytes = timer.encode();
+            let err = LbWire::decode(&bytes).expect_err("timers are not wire frames");
+            assert_eq!(err.kind, WireDecodeErrorKind::BadTag(bytes[0]), "{timer:?}");
+            assert_eq!(err.offset, 0);
         }
     }
 

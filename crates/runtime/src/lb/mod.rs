@@ -10,11 +10,11 @@
 //! - [`engine`] — the pure protocol state machine ([`GossipEngine`]):
 //!   stages, epochs, collectives, gossip, transfer, commit. No I/O, no
 //!   clocks, no retries.
-//! - [`transport`] — composable delivery layers ([`transport::Raw`],
-//!   [`transport::Reliable`]) turning protocol messages into wire frames
-//!   and back.
-//! - [`rank`] — the thin actor ([`LbRank`]) binding engine + transport
-//!   to an executor via the [`crate::sim::Protocol`] trait.
+//! - `rank` — the actor ([`LbRank`]) binding the engine to an executor
+//!   via the [`crate::sim::Protocol`] trait. It owns the rank's delivery
+//!   state (a [`crate::reliable::ReliableChannel`] when hardened), frames
+//!   each protocol message onto the driver's `Ctx` and reads each
+//!   incoming [`LbWire`] once.
 //! - drivers — the deterministic discrete-event [`crate::sim::Simulator`],
 //!   the threaded `parallel` executor, the zero-latency in-process
 //!   [`LocalRunner`], and the multi-process TCP [`socket`] driver.
@@ -25,13 +25,12 @@ pub mod engine;
 mod messages;
 mod rank;
 pub mod socket;
-pub mod transport;
 
 pub use config::{LbProtocolConfig, PartitionConfig};
 pub use driver::{run_local_lb, LocalLbResult, LocalRunner};
-pub use engine::{AsyncIterationRecord, Command, GossipEngine, Stage};
+pub use engine::{AsyncIterationRecord, Command, GossipEngine};
 pub use messages::{LbMsg, LbWire, TaskEntry, WireDecodeError, WireDecodeErrorKind};
-pub use rank::LbRank;
+pub use rank::{DeliveryAudit, LbRank};
 pub use socket::{encode_frame, run_socket_rank, FrameReader, SocketConfig, SocketRankReport};
 
 use crate::fault::FaultPlan;

@@ -1,33 +1,34 @@
-//! Per-rank actor of the asynchronous LB protocol: the thin glue that
-//! binds the pure [`GossipEngine`] to a [`Transport`] stack and an
-//! executor.
+//! Per-rank actor of the asynchronous LB protocol: the pure
+//! [`GossipEngine`], the rank's delivery state, and the glue that binds
+//! both to an executor.
 //!
 //! The layering (see `DESIGN.md` §9):
 //!
 //! ```text
 //! GossipEngine   pure state machine: (epoch, LbMsg) → Vec<Command>
-//! Transport      Raw | Reliable(RetryConfig): LbMsg → frames and timers
-//!                written straight to the driver's Ctx
-//! LbRank         this file: interprets Commands, hands the Ctx to the
-//!                transport, records spans/instants, arms deadlines
+//! LbRank         this file: interprets Commands, frames each LbMsg
+//!                (Raw, or Data + retry timer when hardened) straight
+//!                onto the driver's Ctx, reads each incoming LbWire in
+//!                one match, records spans/instants, arms deadlines
 //! driver         Simulator (discrete-event), parallel executor, or the
 //!                zero-latency in-process LocalRunner
 //! ```
 //!
 //! All protocol logic — stages, epochs, collectives, gossip, transfer,
-//! commit — lives in [`super::engine`]; all delivery mechanics — sequence
-//! numbers, acks, retransmission, dedup — live in [`super::transport`].
-//! What remains here is strictly the impedance match: commands to
-//! context calls, wire frames to transport calls, plus the two pieces of
-//! driver-side policy the engine must not know about (the stage-deadline
-//! watchdog and the degrade decision when delivery fails for good).
+//! commit — lives in [`super::engine`]; sequence numbers, the in-flight
+//! window, dedup and backoff live in [`crate::reliable::ReliableChannel`],
+//! which this actor owns when [`LbProtocolConfig::reliability`] is set.
+//! What remains here is the impedance match — commands to context calls,
+//! wire frames to channel and engine calls — plus the driver-side policy
+//! the engine must not know about (the stage-deadline watchdog and what a
+//! delivery failure *means*: degrade, declare the peer dead, or blame the
+//! link and reinstate).
 
 use super::config::LbProtocolConfig;
 use super::engine::{Command, GossipEngine};
-use super::messages::{payload_bytes, LbMsg, LbWire, TaskEntry};
-use super::transport::{transport_for, RxEvent, Transport};
+use super::messages::{payload_bytes, LbMsg, LbWire, TaskEntry, SEQ_OVERHEAD_BYTES};
 use crate::health::HealthDetector;
-use crate::reliable::ReliableStats;
+use crate::reliable::{ReliableChannel, ReliableStats, RetryAction, SeqSetView};
 use crate::sim::{Ctx, Protocol};
 use std::collections::BTreeSet;
 use tempered_core::distribution::Distribution;
@@ -35,14 +36,36 @@ use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::RngFactory;
 use tempered_obs::{EventKind, Recorder};
 
-/// The per-rank protocol actor: engine + transport + driver glue.
+/// Per-rank delivery ledgers snapshotted at the end of a run, used by
+/// `crate::audit` to check that nothing a peer acknowledged was lost:
+/// for every pair `(a, b)`, `acked` on `a` for peer `b` must be a
+/// subset of `seen` on `b` for peer `a`.
+#[derive(Clone, Debug, Default)]
+pub struct DeliveryAudit {
+    /// For each peer (rank-sorted): seqs that peer acknowledged to us.
+    pub acked: Vec<(RankId, SeqSetView)>,
+    /// For each peer (rank-sorted): seqs we have accepted from them.
+    pub seen: Vec<(RankId, SeqSetView)>,
+}
+
+/// Membership control traffic: what a rank still takes from a peer it
+/// has fenced (see [`LbRank::hears`]).
+fn is_membership(msg: &LbMsg) -> bool {
+    matches!(msg, LbMsg::Knock | LbMsg::View { .. } | LbMsg::Heal { .. })
+}
+
+/// The per-rank protocol actor: engine + delivery state + driver glue.
 #[derive(Debug)]
 pub struct LbRank {
     me: RankId,
     num_ranks: usize,
     cfg: LbProtocolConfig,
     engine: GossipEngine,
-    transport: Box<dyn Transport>,
+    /// At-least-once delivery with exactly-once processing — per-link
+    /// sequence numbers, acks, retransmission with backoff, receiver
+    /// dedup — present iff `cfg.reliability` is set. Without it every
+    /// message leaves as a best-effort [`LbWire::Raw`] frame.
+    channel: Option<ReliableChannel<LbMsg>>,
 
     // Stage-liveness watchdog (driver-side policy).
     stage_seq: u64,
@@ -51,7 +74,7 @@ pub struct LbRank {
 
     // Crash tolerance (present iff `cfg.health` is set): the failure
     // detector, and the set of ranks the current membership view has
-    // fenced out — the transport holds no state toward them and their
+    // fenced out — the channel holds no state toward them and their
     // traffic is ignored.
     health: Option<HealthDetector>,
     fenced: BTreeSet<RankId>,
@@ -88,7 +111,13 @@ impl LbRank {
             me,
             num_ranks,
             engine: GossipEngine::new(me, num_ranks, tasks, cfg, factory),
-            transport: transport_for(&cfg, me, &factory),
+            // Backoff jitter (when `retry.jitter` is nonzero) draws from
+            // the dedicated `(b"retry", rank)` stream, so retry timing is
+            // decorrelated across ranks yet fully seed-deterministic.
+            channel: cfg.reliability.map(|retry| {
+                let rng = factory.rank_stream(b"retry", me.as_u32() as u64, 0);
+                ReliableChannel::with_jitter(retry, rng)
+            }),
             cfg,
             stage_seq: 0,
             degraded: false,
@@ -127,7 +156,7 @@ impl LbRank {
         self.rec = rec;
     }
 
-    // ---- accessors (delegated to the engine / transport) -----------------
+    // ---- accessors (delegated to the engine / channel) -------------------
 
     /// This rank's final task set `(id, load, home)` after the protocol.
     pub fn final_tasks(&self) -> &[TaskEntry] {
@@ -191,7 +220,7 @@ impl LbRank {
 
     /// Delivery-layer counters (all zero in best-effort mode).
     pub fn reliable_stats(&self) -> ReliableStats {
-        self.transport.stats()
+        self.channel.as_ref().map(|c| c.stats).unwrap_or_default()
     }
 
     /// The membership view this rank's engine currently holds.
@@ -201,8 +230,11 @@ impl LbRank {
 
     /// End-of-run delivery ledgers for the audit layer (`None` in
     /// best-effort mode).
-    pub fn delivery_audit(&self) -> Option<super::transport::DeliveryAudit> {
-        self.transport.delivery_audit()
+    pub fn delivery_audit(&self) -> Option<DeliveryAudit> {
+        self.channel.as_ref().map(|c| DeliveryAudit {
+            acked: c.acked_view(),
+            seen: c.seen_view(),
+        })
     }
 
     // ---- observability ---------------------------------------------------
@@ -227,7 +259,7 @@ impl LbRank {
     /// once per rank, on normal completion or degradation.
     fn flush_metrics(&self) {
         self.rec.with_metrics(|m| {
-            self.transport.stats().record(m);
+            self.reliable_stats().record(m);
             m.counter_add("lb.migrations_in", self.engine.migrations_in() as u64);
             m.counter_add("lb.migrations_out", self.engine.migrations_out() as u64);
             m.counter_add("lb.nacks_received", self.engine.nacks_received() as u64);
@@ -297,7 +329,7 @@ impl LbRank {
                 // that heard of its own death), at everyone. A knock that
                 // gets through proves the path works again; the
                 // quorum-holding component's leader answers with a heal.
-                ctx.send(r, LbWire::Raw(LbMsg::Knock), LbMsg::Knock.wire_bytes());
+                self.send_raw(ctx, r, LbMsg::Knock);
             } else if self.fenced.contains(&r) {
                 // Periodic stand-down nudge instead of a heartbeat: a
                 // warm-restarted zombie wakes with no timers and (being
@@ -313,8 +345,7 @@ impl LbRank {
                     base: *base,
                     dead: dead.clone(),
                 };
-                let bytes = payload_bytes(&msg, self.cfg.bytes_per_task);
-                ctx.send(r, LbWire::Raw(msg), bytes);
+                self.send_raw(ctx, r, msg);
             } else {
                 ctx.send(r, LbWire::Heartbeat, LbWire::Heartbeat.wire_bytes());
             }
@@ -353,8 +384,9 @@ impl LbRank {
     }
 
     /// Sync driver-side fencing with the engine's membership view, both
-    /// ways. Newly dead ranks: drop transport state toward them (so
-    /// orphaned retry timers settle instead of degrading us) and pin
+    /// ways. Newly dead ranks: drop every pending retransmission to them
+    /// (so orphaned retry timers settle silently instead of burning the
+    /// budget, and eventually degrading *this* rank, on a corpse) and pin
     /// them suspected in the detector. Newly live ranks (a heal
     /// re-admitted them): lift the fence and reset their detector
     /// history — their silence during the partition must not instantly
@@ -363,7 +395,9 @@ impl LbRank {
         let view_dead = self.engine.view().dead();
         for r in view_dead.iter().copied() {
             if self.fenced.insert(r) {
-                self.transport.fence(r);
+                if let Some(channel) = &mut self.channel {
+                    channel.forget_peer(r);
+                }
                 if let Some(d) = &mut self.health {
                     d.force_suspect(r);
                 }
@@ -409,24 +443,173 @@ impl LbRank {
         }
     }
 
+    // ---- delivery -----------------------------------------------------------
+
+    /// Best-effort frame: no sequence number, no ack, no retry.
+    fn send_raw(&self, ctx: &mut Ctx<'_, LbWire>, to: RankId, msg: LbMsg) {
+        let bytes = payload_bytes(&msg, self.cfg.bytes_per_task);
+        ctx.send(to, LbWire::Raw(msg), bytes);
+    }
+
+    /// Put `(to, seq, msg)` on the network and arm its retry timer: the
+    /// one shape a first send, a retransmission and a reinstatement share.
+    fn transmit(&self, ctx: &mut Ctx<'_, LbWire>, to: RankId, seq: u64, msg: LbMsg, delay: f64) {
+        let bytes = payload_bytes(&msg, self.cfg.bytes_per_task) + SEQ_OVERHEAD_BYTES;
+        ctx.send(to, LbWire::Data { seq, msg }, bytes);
+        ctx.schedule(delay, LbWire::RetryTimer { to, seq });
+    }
+
+    /// Frame one engine message for `to`: reliably when hardened, except
+    /// toward a fenced peer — its acks will never come and retries would
+    /// burn the budget. Only the View flood targets corpses (to stand
+    /// down warm-restarted zombies), and best-effort is enough for it.
+    fn send(&mut self, ctx: &mut Ctx<'_, LbWire>, to: RankId, msg: LbMsg) {
+        match &mut self.channel {
+            Some(channel) if !self.fenced.contains(&to) => {
+                let (seq, delay) = channel.send(to, msg.clone());
+                self.transmit(ctx, to, seq, msg, delay);
+            }
+            _ => self.send_raw(ctx, to, msg),
+        }
+    }
+
+    /// Gate one frame off the network. `false` means a zombie talking:
+    /// traffic from a fenced rank is ignored entirely (in particular, it
+    /// must not prove liveness). Under partition tolerance `membership`
+    /// traffic is the one exception: a Knock is precisely a fenced rank
+    /// calling (the heal trigger), and a healed View flood or a Heal
+    /// offer reaches a parked rank *from* ranks it fenced on its own side
+    /// of the split. The engine's heal fence (view base) decides
+    /// staleness; hearsay still can't prove liveness, so the detector is
+    /// not fed.
+    ///
+    /// Any other frame that crossed the network proves the sender was
+    /// alive when it sent — cheaper and tighter than heartbeats alone. An
+    /// `ack` additionally proves the *outbound* path to the sender
+    /// delivered a frame, which is the direction the link-quality score
+    /// tracks.
+    fn hears(&mut self, now: f64, from: RankId, membership: bool, ack: bool) -> bool {
+        if self.fenced.contains(&from) {
+            return membership && self.cfg.partition.is_some();
+        }
+        if from != self.me {
+            if let Some(d) = &mut self.health {
+                d.on_heartbeat(from, now);
+                if ack && self.cfg.partition.is_some() {
+                    d.on_link_outcome(from, true);
+                }
+            }
+        }
+        true
+    }
+
+    /// A fresh protocol message for the engine.
+    fn deliver(&mut self, ctx: &mut Ctx<'_, LbWire>, from: RankId, msg: LbMsg) {
+        // Self-death valve: a View naming *this* rank dead means some
+        // component fenced us out and moved on (we were warm-restarted,
+        // falsely suspected during a long stall, or on the wrong side of
+        // a partition).
+        if let LbMsg::View { base, dead } = &msg {
+            if dead.contains(&self.me) {
+                if self.cfg.partition.is_some() {
+                    // Partition mode: never self-destruct on hearsay — a
+                    // current view fencing us out is partition evidence,
+                    // so park read-only and knock; a stale one (lower
+                    // heal fence) is a crossing flood from before a heal
+                    // that already re-admitted us.
+                    if *base >= self.engine.view().base_gen() {
+                        let mut commands = self.engine.park_self();
+                        self.run_commands(ctx, &mut commands);
+                        self.sync_park(ctx);
+                    }
+                } else {
+                    // Crash-stop mode: stand down rather than disrupt
+                    // the survivors' new view.
+                    self.degrade(ctx.now());
+                }
+                return;
+            }
+        }
+        let mut commands = std::mem::take(&mut self.scratch_cmds);
+        self.engine.on_message(&mut commands, from, msg);
+        self.apply_view(ctx.now());
+        self.run_commands(ctx, &mut commands);
+        commands.clear();
+        self.scratch_cmds = commands;
+        self.sync_park(ctx);
+    }
+
+    /// The retry timer of `(to, seq)` fired: settle silently if it was
+    /// acknowledged (or its peer fenced) meanwhile, retransmit while the
+    /// budget lasts, and decide what exhaustion *means* when it runs out.
+    fn on_retry_timer(&mut self, ctx: &mut Ctx<'_, LbWire>, to: RankId, seq: u64) {
+        let Some(channel) = &mut self.channel else {
+            return;
+        };
+        match channel.on_retry_timer(to, seq) {
+            RetryAction::Settled => {}
+            RetryAction::Resend {
+                msg, next_delay, ..
+            } => {
+                self.transmit(ctx, to, seq, msg, next_delay);
+                self.rec.instant(
+                    self.me.as_u32(),
+                    ctx.now(),
+                    EventKind::Retransmit {
+                        to: to.as_u32(),
+                        seq,
+                    },
+                );
+            }
+            RetryAction::GaveUp { msg, .. } => {
+                self.rec.instant(
+                    self.me.as_u32(),
+                    ctx.now(),
+                    EventKind::GaveUp { to: to.as_u32() },
+                );
+                let vouched = self.cfg.partition.is_some()
+                    && !self.fenced.contains(&to)
+                    && self.health.as_ref().is_some_and(|d| !d.is_suspected(to));
+                if vouched {
+                    // Gray-link attribution: the failure detector still
+                    // vouches for the peer — its frames keep arriving —
+                    // so the *path* ate this payload, not the peer.
+                    // Debit the link's quality score and reinstate the
+                    // message with a fresh retry budget instead of
+                    // declaring a live peer dead. A link that never
+                    // recovers stalls the stage, and the stage deadline
+                    // backstops that.
+                    if let Some(d) = &mut self.health {
+                        d.on_link_outcome(to, false);
+                    }
+                    self.rec.instant(
+                        self.me.as_u32(),
+                        ctx.now(),
+                        EventKind::LinkSuspect { to: to.as_u32() },
+                    );
+                    let delay = channel.reinstate(to, seq, msg.clone());
+                    self.transmit(ctx, to, seq, msg, delay);
+                } else if self.health.is_some() {
+                    // Retry exhaustion toward one peer under crash
+                    // tolerance means that peer is gone, not that we
+                    // are: declare it dead and restart on the survivors
+                    // instead of abandoning the protocol.
+                    if !self.fenced.contains(&to) {
+                        self.on_deaths(ctx, &[to]);
+                    }
+                } else {
+                    self.degrade(ctx.now());
+                }
+            }
+        }
+    }
+
     // ---- command interpreter ----------------------------------------------
 
     fn run_commands(&mut self, ctx: &mut Ctx<'_, LbWire>, commands: &mut Vec<Command>) {
         for command in commands.drain(..) {
             match command {
-                Command::Send { to, msg } => {
-                    if self.fenced.contains(&to) {
-                        // A fenced peer gets no reliable-channel state:
-                        // its acks will never come and retries would
-                        // burn the budget. Only the View flood targets
-                        // corpses (to stand down warm-restarted
-                        // zombies), and best-effort is enough for it.
-                        let bytes = payload_bytes(&msg, self.cfg.bytes_per_task);
-                        ctx.send(to, LbWire::Raw(msg), bytes);
-                        continue;
-                    }
-                    self.transport.send(ctx, to, msg);
-                }
+                Command::Send { to, msg } => self.send(ctx, to, msg),
                 Command::OpenSpan(kind) => {
                     self.span_open(ctx.now(), kind);
                     self.arm_stage_deadline(ctx);
@@ -463,179 +646,93 @@ impl Protocol for LbRank {
         if self.degraded {
             return;
         }
-        if matches!(wire, LbWire::HeartbeatTimer) {
-            self.on_heartbeat_timer(ctx);
-            return;
-        }
-        // The stage watchdog is driver-side policy, not delivery
-        // mechanics: a stale counter means the stage advanced since the
-        // timer was armed; only a live counter indicates a stall.
-        if let LbWire::StageTimer { stage_seq } = wire {
-            if !self.done && stage_seq == self.stage_seq {
-                self.degrade(ctx.now());
-            }
-            return;
-        }
-        // The park deadline: no heal arrived in time, finish read-only on
-        // the original placement. A stale sequence number means a heal
-        // un-parked (or re-parked) us since the timer was armed.
-        if let LbWire::ParkTimer { park_seq } = wire {
-            if !self.done && self.parked_seen && park_seq == self.park_seq {
-                let mut commands = self.engine.finish_parked();
-                self.run_commands(ctx, &mut commands);
-            }
-            return;
-        }
-        // Network traffic from a fenced rank is a zombie talking; ignore
-        // it entirely (in particular, don't let it prove liveness). Under
-        // partition tolerance, membership traffic is the one exception: a
-        // Knock is precisely a fenced rank calling (the heal trigger),
-        // and a healed View flood or a Heal offer reaches a parked rank
-        // *from* ranks it fenced on its own side of the split. The
-        // engine's heal fence (view base) decides staleness; hearsay
-        // still can't prove liveness, so the detector is not fed.
-        let from_fenced = self.fenced.contains(&from);
-        if from_fenced {
-            let membership = self.cfg.partition.is_some()
-                && matches!(
-                    &wire,
-                    LbWire::Raw(LbMsg::Knock | LbMsg::View { .. } | LbMsg::Heal { .. })
-                        | LbWire::Data {
-                            msg: LbMsg::Knock | LbMsg::View { .. } | LbMsg::Heal { .. },
-                            ..
-                        }
-                );
-            if !membership {
-                return;
-            }
-        }
-        // Any frame that crossed the network proves the sender was alive
-        // when it sent — cheaper and tighter than heartbeats alone. An
-        // ack additionally proves the *outbound* path to the sender
-        // delivered a frame, which is the direction the link-quality
-        // score tracks.
-        if from != self.me && !from_fenced {
-            if let Some(d) = &mut self.health {
-                d.on_heartbeat(from, ctx.now());
-                if self.cfg.partition.is_some() && matches!(wire, LbWire::Ack { .. }) {
-                    d.on_link_outcome(from, true);
+        let now = ctx.now();
+        match wire {
+            // ---- self-timers: armed by `ctx.schedule`, never framed ----
+            LbWire::HeartbeatTimer => self.on_heartbeat_timer(ctx),
+            // The stage watchdog is driver-side policy, not delivery
+            // mechanics: a stale counter means the stage advanced since
+            // the timer was armed; only a live counter indicates a stall.
+            LbWire::StageTimer { stage_seq } => {
+                if !self.done && stage_seq == self.stage_seq {
+                    self.degrade(now);
                 }
             }
-        }
-        if matches!(wire, LbWire::Heartbeat) {
-            return;
-        }
-        // Whatever the frame calls for at the delivery layer — an ack, a
-        // retransmission — is on `ctx` before the event is interpreted.
-        match self.transport.receive(ctx, from, wire) {
-            RxEvent::Deliver(msg) => {
-                // Self-death valve: a View naming *this* rank dead means
-                // some component fenced us out and moved on (we were
-                // warm-restarted, falsely suspected during a long stall,
-                // or on the wrong side of a partition).
-                if let LbMsg::View { base, dead } = &msg {
-                    if dead.contains(&self.me) {
-                        if self.cfg.partition.is_some() {
-                            // Partition mode: never self-destruct on
-                            // hearsay — a current view fencing us out is
-                            // partition evidence, so park read-only and
-                            // knock; a stale one (lower heal fence) is a
-                            // crossing flood from before a heal that
-                            // already re-admitted us.
-                            if *base >= self.engine.view().base_gen() {
-                                let mut commands = self.engine.park_self();
-                                self.run_commands(ctx, &mut commands);
-                                self.sync_park(ctx);
-                            }
-                        } else {
-                            // Crash-stop mode: stand down rather than
-                            // disrupt the survivors' new view.
-                            self.degrade(ctx.now());
-                        }
-                        return;
+            // The park deadline: no heal arrived in time, finish
+            // read-only on the original placement. A stale sequence
+            // number means a heal un-parked (or re-parked) us since the
+            // timer was armed.
+            LbWire::ParkTimer { park_seq } => {
+                if !self.done && self.parked_seen && park_seq == self.park_seq {
+                    let mut commands = self.engine.finish_parked();
+                    self.run_commands(ctx, &mut commands);
+                }
+            }
+            LbWire::RetryTimer { to, seq } => self.on_retry_timer(ctx, to, seq),
+
+            // ---- frames off the network --------------------------------
+            LbWire::Heartbeat => {
+                self.hears(now, from, false, false);
+            }
+            LbWire::Ack { seq } => {
+                if self.hears(now, from, false, true) {
+                    if let Some(channel) = &mut self.channel {
+                        channel.on_ack(from, seq);
                     }
                 }
-                let mut commands = std::mem::take(&mut self.scratch_cmds);
-                self.engine.on_message(&mut commands, from, msg);
-                self.apply_view(ctx.now());
-                self.run_commands(ctx, &mut commands);
-                commands.clear();
-                self.scratch_cmds = commands;
-                self.sync_park(ctx);
             }
-            RxEvent::Duplicate { from, seq } => {
-                self.rec.instant(
-                    self.me.as_u32(),
-                    ctx.now(),
-                    EventKind::DuplicateSuppressed {
-                        from: from.as_u32(),
-                        seq,
-                    },
-                );
+            // No sequence number to dedup. A hardened rank gets these too:
+            // the View flood to the fenced, and every Knock.
+            LbWire::Raw(msg) => {
+                if self.hears(now, from, is_membership(&msg), false) {
+                    self.deliver(ctx, from, msg);
+                }
             }
-            RxEvent::Retransmitted { to, seq } => {
-                self.rec.instant(
-                    self.me.as_u32(),
-                    ctx.now(),
-                    EventKind::Retransmit {
-                        to: to.as_u32(),
-                        seq,
-                    },
-                );
-            }
-            RxEvent::GaveUp { to, seq, msg } => {
-                self.rec.instant(
-                    self.me.as_u32(),
-                    ctx.now(),
-                    EventKind::GaveUp { to: to.as_u32() },
-                );
-                let vouched = self.cfg.partition.is_some()
-                    && !self.fenced.contains(&to)
-                    && self.health.as_ref().is_some_and(|d| !d.is_suspected(to));
-                if vouched {
-                    // Gray-link attribution: the failure detector still
-                    // vouches for the peer — its frames keep arriving —
-                    // so the *path* ate this payload, not the peer.
-                    // Debit the link's quality score and reinstate the
-                    // message with a fresh retry budget instead of
-                    // declaring a live peer dead. A link that never
-                    // recovers stalls the stage, and the stage deadline
-                    // backstops that.
-                    if let Some(d) = &mut self.health {
-                        d.on_link_outcome(to, false);
+            LbWire::Data { seq, msg } => {
+                if !self.hears(now, from, is_membership(&msg), false) {
+                    return;
+                }
+                // Always ack, even duplicates: the ack for the original
+                // may have been lost. The ack is on `ctx` before anything
+                // the engine sends in response. A best-effort rank keeps
+                // no ledger: it delivers unacked.
+                let fresh = match &mut self.channel {
+                    Some(channel) => {
+                        ctx.send(from, LbWire::Ack { seq }, SEQ_OVERHEAD_BYTES);
+                        channel.accept(from, seq)
                     }
+                    None => true,
+                };
+                if fresh {
+                    self.deliver(ctx, from, msg);
+                } else {
                     self.rec.instant(
                         self.me.as_u32(),
-                        ctx.now(),
-                        EventKind::LinkSuspect { to: to.as_u32() },
+                        now,
+                        EventKind::DuplicateSuppressed {
+                            from: from.as_u32(),
+                            seq,
+                        },
                     );
-                    self.transport.reinstate(ctx, to, seq, msg);
-                } else if self.health.is_some() {
-                    // Retry exhaustion toward one peer under crash
-                    // tolerance means that peer is gone, not that we
-                    // are: declare it dead and restart on the survivors
-                    // instead of abandoning the protocol.
-                    if !self.fenced.contains(&to) {
-                        self.on_deaths(ctx, &[to]);
-                    }
-                } else {
-                    self.degrade(ctx.now());
                 }
             }
-            RxEvent::Corrupt { from } => {
-                // Checksum mismatch: the frame was damaged in flight and
-                // is dropped *without an ack*, so the sender's reliable
-                // channel re-delivers the original. Best-effort frames
-                // are simply lost — same contract as a drop.
-                self.rec.instant(
-                    self.me.as_u32(),
-                    ctx.now(),
-                    EventKind::CorruptDropped {
-                        from: from.as_u32(),
-                    },
-                );
+            // Checksum mismatch ([`crate::fault::LinkFaultKind::Corrupt`],
+            // or real damage on a socket): the frame is dropped *without
+            // an ack*, so the sender's reliable channel re-delivers the
+            // original — corruption is masked exactly like loss.
+            // Best-effort frames are simply lost.
+            dam @ LbWire::Damaged { .. } => {
+                debug_assert!(!dam.verify(), "damaged frames carry a mismatched crc");
+                if self.hears(now, from, false, false) {
+                    self.rec.instant(
+                        self.me.as_u32(),
+                        now,
+                        EventKind::CorruptDropped {
+                            from: from.as_u32(),
+                        },
+                    );
+                }
             }
-            RxEvent::Nothing => {}
         }
     }
 
@@ -650,5 +747,315 @@ impl Protocol for LbRank {
     /// treating damage as loss.
     fn corrupted(msg: &LbWire) -> Option<LbWire> {
         Some(msg.damaged())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::HealthConfig;
+    use crate::lb::PartitionConfig;
+    use crate::reliable::RetryConfig;
+
+    type Frames = Vec<(RankId, LbWire, usize)>;
+    type Timers = Vec<(f64, LbWire)>;
+
+    const ME: RankId = RankId(0);
+    const PEER: RankId = RankId(1);
+
+    /// Run `f` against a [`Ctx::detached`] and hand back what it wrote:
+    /// frames as `(to, wire, bytes)` and timers as `(delay, wire)`, each
+    /// in call order (the two are separate queues in every driver).
+    fn on_ctx<R>(f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R) -> (R, Frames, Timers) {
+        let mut frames = Vec::new();
+        let mut ctx = Ctx::detached(ME, 0.0, &mut frames);
+        let result = f(&mut ctx);
+        let timers = ctx.take_timers();
+        (result, frames, timers)
+    }
+
+    /// Rank `me` of two, holding no tasks, not yet started.
+    fn rank(me: RankId, cfg: LbProtocolConfig) -> LbRank {
+        LbRank::new(me, 2, Vec::new(), cfg, RngFactory::new(7))
+    }
+
+    fn hardened(max_retries: u32) -> LbProtocolConfig {
+        LbProtocolConfig::default().hardened(RetryConfig {
+            max_retries,
+            ..RetryConfig::default()
+        })
+    }
+
+    /// A message an unstarted engine acts on at once and visibly: one
+    /// more entry in `final_tasks` per time it is fed.
+    fn propose() -> LbMsg {
+        LbMsg::Propose {
+            epoch: 0,
+            tasks: vec![TaskEntry {
+                id: TaskId::new(9),
+                load: 1.0,
+                home: PEER,
+            }],
+        }
+    }
+
+    /// One reliable send of `propose()` to the peer: its data frame and
+    /// its retry timer.
+    fn send_one(sender: &mut LbRank) -> (LbWire, LbWire) {
+        let ((), mut frames, mut timers) = on_ctx(|ctx| sender.send(ctx, PEER, propose()));
+        assert_eq!((frames.len(), timers.len()), (1, 1), "frame + retry timer");
+        let (to, wire, bytes) = frames.remove(0);
+        assert_eq!(to, PEER);
+        assert!(matches!(wire, LbWire::Data { seq: 1, .. }));
+        assert_eq!(bytes, propose().wire_bytes() + SEQ_OVERHEAD_BYTES);
+        let (delay, timer) = timers.remove(0);
+        assert!(delay > 0.0);
+        assert!(matches!(timer, LbWire::RetryTimer { to: PEER, seq: 1 }));
+        (wire, timer)
+    }
+
+    /// Fire `timer` until the retry budget runs out; what the turn that
+    /// gave up wrote.
+    fn exhaust(sender: &mut LbRank, timer: &LbWire) -> (Frames, Timers) {
+        for _ in 0..4 {
+            let ((), frames, timers) = on_ctx(|ctx| sender.on_message(ctx, ME, timer.clone()));
+            if sender.reliable_stats().gave_up == 1 {
+                return (frames, timers);
+            }
+            assert!(matches!(
+                frames[..],
+                [(PEER, LbWire::Data { seq: 1, .. }, _)]
+            ));
+            assert!(matches!(
+                timers[..],
+                [(_, LbWire::RetryTimer { to: PEER, seq: 1 })]
+            ));
+        }
+        panic!("retry budget must eventually run out");
+    }
+
+    #[test]
+    fn best_effort_frames_carry_no_overhead_and_arm_nothing() {
+        let mut sender = rank(ME, LbProtocolConfig::default());
+        let ((), mut frames, timers) = on_ctx(|ctx| sender.send(ctx, PEER, propose()));
+        assert!(timers.is_empty(), "best-effort frames arm nothing");
+        let [(PEER, wire, bytes)] = &mut frames[..] else {
+            panic!("one frame to the peer, got {frames:?}");
+        };
+        assert!(matches!(wire, LbWire::Raw(_)));
+        assert_eq!(*bytes, propose().wire_bytes());
+
+        let mut receiver = rank(PEER, LbProtocolConfig::default());
+        let ((), frames, _) = on_ctx(|ctx| receiver.on_message(ctx, ME, wire.clone()));
+        assert_eq!(receiver.final_tasks().len(), 1, "delivered to the engine");
+        assert!(frames.is_empty(), "raw frames are never acked");
+        assert_eq!(receiver.reliable_stats(), ReliableStats::default());
+        assert!(receiver.delivery_audit().is_none(), "no ledger kept");
+    }
+
+    #[test]
+    fn task_data_is_charged_its_payload_on_both_paths() {
+        let msg = LbMsg::TaskData {
+            epoch: 9,
+            tasks: vec![TaskId::new(1); 3],
+        };
+        let cfg = LbProtocolConfig {
+            bytes_per_task: 1000,
+            ..LbProtocolConfig::default()
+        };
+        let mut raw = rank(ME, cfg);
+        let ((), frames, _) = on_ctx(|ctx| raw.send(ctx, PEER, msg.clone()));
+        assert_eq!(frames[0].2, msg.wire_bytes() + 3 * 1000);
+        let mut reliable = rank(ME, cfg.hardened(RetryConfig::default()));
+        let ((), frames, _) = on_ctx(|ctx| reliable.send(ctx, PEER, msg.clone()));
+        assert_eq!(
+            frames[0].2,
+            msg.wire_bytes() + 3 * 1000 + SEQ_OVERHEAD_BYTES
+        );
+    }
+
+    #[test]
+    fn data_frames_are_acked_and_duplicates_not_refed() {
+        let mut sender = rank(ME, hardened(16));
+        let mut receiver = rank(PEER, hardened(16));
+        let (wire, _) = send_one(&mut sender);
+
+        // First delivery: acked — before anything the engine sends — and
+        // delivered.
+        let ((), frames, timers) = on_ctx(|ctx| receiver.on_message(ctx, ME, wire.clone()));
+        assert!(timers.is_empty());
+        assert!(
+            matches!(
+                frames[..],
+                [(ME, LbWire::Ack { seq: 1 }, SEQ_OVERHEAD_BYTES)]
+            ),
+            "data frames are always acked: {frames:?}"
+        );
+        assert_eq!(receiver.final_tasks().len(), 1);
+
+        // Redelivery: acked a second time, but the engine is not re-fed.
+        let ((), frames, _) = on_ctx(|ctx| receiver.on_message(ctx, ME, wire));
+        assert!(
+            matches!(frames[..], [(ME, LbWire::Ack { seq: 1 }, _)]),
+            "duplicates re-ack: {frames:?}"
+        );
+        assert_eq!(receiver.reliable_stats().duplicates_suppressed, 1);
+        assert_eq!(receiver.final_tasks().len(), 1, "engine fed exactly once");
+        let audit = receiver.delivery_audit().expect("hardened ranks keep one");
+        assert!(matches!(&audit.seen[..], [(ME, seen)] if seen.contains(1)));
+    }
+
+    #[test]
+    fn retry_timer_retransmits_then_settles_once_acked() {
+        let mut sender = rank(ME, hardened(16));
+        let (data, timer) = send_one(&mut sender);
+
+        // Unacked: the timer retransmits the identical frame and re-arms.
+        let ((), frames, timers) = on_ctx(|ctx| sender.on_message(ctx, ME, timer.clone()));
+        assert!(matches!(&frames[..], [(PEER, resent, _)] if *resent == data));
+        assert!(matches!(
+            timers[..],
+            [(_, LbWire::RetryTimer { to: PEER, seq: 1 })]
+        ));
+
+        // Acked: the next timer settles silently.
+        on_ctx(|ctx| sender.on_message(ctx, PEER, LbWire::Ack { seq: 1 }));
+        let ((), frames, timers) = on_ctx(|ctx| sender.on_message(ctx, ME, timer));
+        assert!(frames.is_empty() && timers.is_empty());
+        assert_eq!(sender.reliable_stats().retransmitted, 1);
+        assert_eq!(sender.reliable_stats().acked, 1);
+        assert!(!sender.degraded());
+    }
+
+    #[test]
+    fn exhausted_budget_without_a_detector_degrades_silently() {
+        let mut sender = rank(ME, hardened(2));
+        let (_, timer) = send_one(&mut sender);
+        let (frames, timers) = exhaust(&mut sender, &timer);
+        assert!(
+            frames.is_empty() && timers.is_empty(),
+            "a give-up is silent"
+        );
+        assert_eq!(sender.reliable_stats().retransmitted, 2);
+        assert!(sender.degraded() && sender.finished());
+    }
+
+    #[test]
+    fn give_up_on_a_vouched_peer_reinstates_with_a_fresh_budget() {
+        let cfg = hardened(1)
+            .crash_tolerant(HealthConfig::default())
+            .partition_tolerant(PartitionConfig::default());
+        // Rank 1 of 2 is a leaf of the reduction tree: starting it sends
+        // exactly its setup contribution — the whole first-send shape
+        // through the real command path.
+        let mut sender = rank(PEER, cfg);
+        let ((), frames, timers) = on_ctx(|ctx| sender.on_start(ctx));
+        assert!(matches!(
+            frames[..],
+            [(
+                ME,
+                LbWire::Data {
+                    seq: 1,
+                    msg: LbMsg::ReduceUp { .. }
+                },
+                _
+            )]
+        ));
+        let [(_, LbWire::HeartbeatTimer), (_, LbWire::StageTimer { .. }), (_, timer)] = &timers[..]
+        else {
+            panic!("heartbeat, stage deadline, then the retry timer: {timers:?}");
+        };
+        assert!(matches!(timer, LbWire::RetryTimer { to: ME, seq: 1 }));
+
+        // Budget of one: the first firing retransmits, the second gives
+        // up. The detector (inside its startup grace) still vouches for
+        // rank 0, so the link takes the blame: the same (to, seq) frame
+        // goes out again with its timer re-armed.
+        on_ctx(|ctx| sender.on_message(ctx, PEER, timer.clone()));
+        let ((), frames, timers) = on_ctx(|ctx| sender.on_message(ctx, PEER, timer.clone()));
+        assert_eq!(sender.reliable_stats().gave_up, 1);
+        assert!(matches!(frames[..], [(ME, LbWire::Data { seq: 1, .. }, _)]));
+        assert!(matches!(
+            timers[..],
+            [(_, LbWire::RetryTimer { to: ME, seq: 1 })]
+        ));
+        assert_eq!(sender.reliable_stats().revived, 1);
+        assert!(!sender.degraded());
+
+        // An ack now settles it like any first-class send.
+        on_ctx(|ctx| sender.on_message(ctx, ME, LbWire::Ack { seq: 1 }));
+        let ((), frames, timers) = on_ctx(|ctx| sender.on_message(ctx, PEER, timer.clone()));
+        assert!(frames.is_empty() && timers.is_empty());
+        assert_eq!(sender.reliable_stats().gave_up, 1);
+    }
+
+    #[test]
+    fn corrupt_frames_are_dropped_unacked_then_masked_by_retransmission() {
+        let mut sender = rank(ME, hardened(16));
+        let mut receiver = rank(PEER, hardened(16));
+        let (wire, timer) = send_one(&mut sender);
+
+        // The frame arrives bit-flipped: dropped, and crucially NOT acked.
+        let ((), frames, _) = on_ctx(|ctx| receiver.on_message(ctx, ME, wire.damaged()));
+        assert!(frames.is_empty(), "corrupt frames must not be acked");
+        assert!(receiver.final_tasks().is_empty());
+
+        // The sender's retry timer re-delivers the intact original.
+        let ((), frames, _) = on_ctx(|ctx| sender.on_message(ctx, ME, timer));
+        let [(PEER, resent, _)] = &frames[..] else {
+            panic!("one retransmission, got {frames:?}");
+        };
+        on_ctx(|ctx| receiver.on_message(ctx, ME, resent.clone()));
+        assert_eq!(receiver.final_tasks().len(), 1);
+        assert_eq!(receiver.reliable_stats().duplicates_suppressed, 0);
+    }
+
+    /// Both framings reach both kinds of rank: a hardened rank sends
+    /// `Raw` to the fenced and gets every `Knock` that way, and nothing
+    /// stops a best-effort rank from being handed a `Data` frame.
+    #[test]
+    fn mixed_framings_deliver_without_a_ledger_entry() {
+        let mut hard = rank(PEER, hardened(16));
+        let ((), frames, _) = on_ctx(|ctx| hard.on_message(ctx, ME, LbWire::Raw(propose())));
+        assert_eq!(hard.final_tasks().len(), 1, "raw frame delivered");
+        assert!(frames.is_empty(), "no seq, so nothing to ack");
+        let audit = hard.delivery_audit().expect("hardened");
+        assert!(audit.seen.is_empty(), "and nothing to dedup");
+
+        let mut soft = rank(PEER, LbProtocolConfig::default());
+        let data = LbWire::Data {
+            seq: 5,
+            msg: propose(),
+        };
+        let ((), frames, _) = on_ctx(|ctx| soft.on_message(ctx, ME, data.clone()));
+        assert_eq!(soft.final_tasks().len(), 1, "data frame delivered");
+        assert!(frames.is_empty(), "a best-effort rank never acks");
+        // No ledger: a second copy is delivered again, as on `Raw`.
+        on_ctx(|ctx| soft.on_message(ctx, ME, data));
+        assert_eq!(soft.final_tasks().len(), 2);
+        // Stray delivery-layer frames are inert without a channel.
+        let ((), frames, timers) = on_ctx(|ctx| {
+            soft.on_message(ctx, ME, LbWire::Ack { seq: 5 });
+            soft.on_message(ctx, PEER, LbWire::RetryTimer { to: ME, seq: 5 });
+        });
+        assert!(frames.is_empty() && timers.is_empty());
+    }
+
+    #[test]
+    fn sends_to_a_fenced_peer_bypass_the_channel() {
+        let mut r = rank(ME, hardened(16).crash_tolerant(HealthConfig::default()));
+        on_ctx(|ctx| r.on_start(ctx));
+        let ((), _, mut timers) = on_ctx(|ctx| r.send(ctx, PEER, propose()));
+        let (_, timer) = timers.remove(0);
+        // Declaring the peer dead fences it: the pending message is
+        // forgotten, so its timer settles instead of burning the budget.
+        on_ctx(|ctx| r.on_deaths(ctx, &[PEER]));
+        let ((), frames, timers) = on_ctx(|ctx| r.on_message(ctx, ME, timer));
+        assert!(frames.is_empty() && timers.is_empty());
+        assert_eq!(r.reliable_stats().retransmitted, 0);
+        // What still goes there (the View flood) goes best-effort.
+        let ((), frames, timers) = on_ctx(|ctx| r.send(ctx, PEER, LbMsg::Knock));
+        assert!(matches!(frames[..], [(PEER, LbWire::Raw(LbMsg::Knock), _)]));
+        assert!(timers.is_empty());
     }
 }

@@ -19,12 +19,12 @@
 //! The main thread runs the loop a parallel worker runs, `Host::run`:
 //! sends pass through the emulator at send time (per-link fault ordinals
 //! are keyed by the sending rank, so per-process emulators reproduce the
-//! single-injector simulator), delay fates hold messages back on the
+//! single-emulator simulator), delay fates hold messages back on the
 //! *sender* side, and crash windows gate admission at delivery time.
 //! Only the byte pumps, the frame egress and the stop rule live here.
 //! Real TCP loss — a reset mid-run, a peer not yet listening — is
-//! absorbed by reconnect-with-backoff below and the `Reliable`
-//! transport above, the same contract as an injected drop.
+//! absorbed by reconnect-with-backoff below and the rank's reliable
+//! channel above, the same contract as an injected drop.
 //!
 //! ## Frame format
 //!
@@ -35,8 +35,11 @@
 //! `crc` is [`crc32`] over the payload. A frame whose CRC does not
 //! match is *not* discarded silently: it surfaces as
 //! [`LbWire::Damaged`] so the receive path drops it unacked (the
-//! [`super::transport::Reliable`] layer then re-delivers the original)
-//! — in-flight damage and injected corruption take the same path.
+//! sender's reliable channel then re-delivers the original) — in-flight
+//! damage and injected corruption take the same path. So does a frame
+//! that checks out but is not one a peer may send: a payload that does
+//! not decode (self-timers included), or one naming a rank outside the
+//! run's roster.
 
 use super::messages::LbWire;
 use super::rank::LbRank;
@@ -81,13 +84,15 @@ pub fn encode_frame(wire: &LbWire) -> Vec<u8> {
 /// Incremental frame reassembler for one TCP stream.
 ///
 /// Feed raw bytes with [`FrameReader::push`] in whatever chunks the
-/// socket produces; [`FrameReader::next`] pops complete frames. Frames
-/// that fail the CRC or do not decode are returned as
-/// [`LbWire::Damaged`] (with a failing checksum) rather than dropped,
-/// so the receive path counts and handles them like injected
-/// corruption.
-#[derive(Debug, Default)]
+/// socket produces; [`FrameReader::next_frame`] pops complete frames.
+/// Frames that fail the CRC, do not decode, or name a rank outside the
+/// roster are returned as [`LbWire::Damaged`] (with a failing checksum)
+/// rather than dropped, so the receive path counts and handles them
+/// like injected corruption.
+#[derive(Debug)]
 pub struct FrameReader {
+    /// Every rank a frame names must lie in `0..num_ranks`.
+    num_ranks: usize,
     buf: Vec<u8>,
     /// How much of `buf` has already left as frames. Popping a frame
     /// advances this instead of moving what is still buffered, so one
@@ -97,9 +102,19 @@ pub struct FrameReader {
 }
 
 impl FrameReader {
-    /// An empty reassembler.
+    /// An empty reassembler that takes any rank id a frame names.
+    #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        FrameReader::default()
+        FrameReader::for_roster(usize::MAX)
+    }
+
+    /// An empty reassembler for one stream of a `num_ranks`-rank run.
+    pub fn for_roster(num_ranks: usize) -> Self {
+        FrameReader {
+            num_ranks,
+            buf: Vec::new(),
+            read: 0,
+        }
     }
 
     /// Append bytes read from the stream.
@@ -120,9 +135,10 @@ impl FrameReader {
     /// CRC mismatches arrives as `LbWire::Damaged { crc: <expected>,
     /// bytes: <received> }`, whose [`LbWire::verify`] fails — exactly
     /// the shape injected corruption takes. A CRC-valid payload that
-    /// does not decode (a peer speaking a different dialect) is wrapped
-    /// the same way, with the checksum inverted so verification still
-    /// fails.
+    /// does not decode (a peer speaking a different dialect, or forging
+    /// a self-timer), that names a rank outside the roster, or that is
+    /// itself a `Damaged` frame whose check passes is wrapped the same
+    /// way, with the checksum inverted so verification still fails.
     pub fn next_frame(&mut self) -> Option<LbWire> {
         let unread = &self.buf[self.read..];
         if unread.len() < 8 {
@@ -155,8 +171,8 @@ impl FrameReader {
             }
         } else {
             match LbWire::decode(payload) {
-                Ok(wire) => wire,
-                Err(_) => LbWire::Damaged {
+                Ok(wire) if wire.admissible(self.num_ranks) => wire,
+                _ => LbWire::Damaged {
                     crc: !crc,
                     bytes: payload.to_vec(),
                 },
@@ -408,7 +424,7 @@ fn reader_loop(
     let Some(from) = read_handshake(&mut stream, num_ranks, halt, stop) else {
         return;
     };
-    let mut reader = FrameReader::new();
+    let mut reader = FrameReader::for_roster(num_ranks);
     let mut buf = [0u8; 16 * 1024];
     loop {
         if halt.load(Ordering::SeqCst) || stop.load(Ordering::SeqCst) {
@@ -434,8 +450,8 @@ fn reader_loop(
 /// Own the outbound stream to one peer: connect (and reconnect) with
 /// seeded exponential backoff jitter, handshake, then write queued
 /// frames. A frame that fails mid-write is retried on the next
-/// connection — duplicate delivery is fine (the transport dedups), and
-/// the `Reliable` layer covers anything genuinely lost.
+/// connection — duplicate delivery is fine (the receiver dedups), and
+/// the reliable channel covers anything genuinely lost.
 fn writer_loop(
     me: RankId,
     addr: SocketAddr,
@@ -499,18 +515,19 @@ fn writer_loop(
 mod tests {
     use super::*;
     use crate::health::HealthConfig;
-    use crate::lb::{LbProtocolConfig, PartitionConfig};
+    use crate::lb::{LbMsg, LbProtocolConfig, PartitionConfig, TaskEntry};
     use crate::reliable::RetryConfig;
     use crate::sim::{NetworkModel, Simulator};
     use std::net::Ipv4Addr;
     use tempered_core::distribution::Distribution;
+    use tempered_core::ids::TaskId;
 
     #[test]
     fn frame_roundtrips_through_the_reader() {
         let wires = vec![
             LbWire::Heartbeat,
             LbWire::Ack { seq: 42 },
-            LbWire::Raw(super::super::messages::LbMsg::Knock),
+            LbWire::Raw(LbMsg::Knock),
         ];
         let mut reader = FrameReader::new();
         for w in &wires {
@@ -574,10 +591,100 @@ mod tests {
         assert_eq!(reader.pending(), 0, "buffer resynchronized");
     }
 
+    /// The four self-timers, which a rank acts on whoever sent them.
+    fn forged_timers() -> Vec<LbWire> {
+        let mut timers = vec![LbWire::HeartbeatTimer];
+        for n in 0..4 {
+            timers.push(LbWire::StageTimer { stage_seq: n });
+            timers.push(LbWire::ParkTimer { park_seq: n });
+            timers.push(LbWire::RetryTimer {
+                to: RankId::new(0),
+                seq: n,
+            });
+        }
+        timers
+    }
+
+    /// One frame of every message kind that names ranks, naming `r` next
+    /// to ranks that exist. A `View` naming more dead ranks than the run
+    /// has underflows the survivor count of an engine that believes it.
+    fn frames_naming(r: u32) -> Vec<LbWire> {
+        let entry = |home| TaskEntry {
+            id: TaskId::new(1),
+            load: 1.0,
+            home: RankId::new(home),
+        };
+        let msgs = [
+            LbMsg::Gossip {
+                epoch: 1,
+                round: 1,
+                pairs: vec![(RankId::new(0), 1.0), (RankId::new(r), 2.0)].into(),
+            },
+            LbMsg::Propose {
+                epoch: 1,
+                tasks: vec![entry(0), entry(r)],
+            },
+            LbMsg::ProposeReply {
+                epoch: 1,
+                rejected: vec![entry(r)],
+            },
+            LbMsg::View {
+                base: 0,
+                dead: (r..r + 5).map(RankId::new).collect(),
+            },
+            LbMsg::Heal {
+                base: 1,
+                dead: vec![RankId::new(1), RankId::new(r)].into(),
+            },
+        ];
+        let mut frames = Vec::new();
+        for msg in msgs {
+            frames.push(LbWire::Raw(msg.clone()));
+            frames.push(LbWire::Data { seq: 1, msg });
+        }
+        frames
+    }
+
+    /// Push `wire`'s frame through `reader` and pop what comes out.
+    fn through(mut reader: FrameReader, wire: &LbWire) -> LbWire {
+        reader.push(&encode_frame(wire));
+        let got = reader.next_frame().expect("frame complete");
+        assert_eq!(reader.pending(), 0);
+        got
+    }
+
+    #[test]
+    fn forged_timers_surface_as_damage() {
+        for timer in forged_timers() {
+            let got = through(FrameReader::for_roster(4), &timer);
+            assert!(
+                matches!(&got, LbWire::Damaged { bytes, .. } if *bytes == timer.encode()),
+                "{timer:?} came through as {got:?}"
+            );
+            assert!(!got.verify());
+        }
+    }
+
+    #[test]
+    fn ranks_outside_the_roster_surface_as_damage() {
+        for (inside, outside) in frames_naming(3).iter().zip(frames_naming(8)) {
+            assert_eq!(through(FrameReader::for_roster(8), inside), *inside);
+            let got = through(FrameReader::for_roster(8), &outside);
+            assert!(
+                matches!(&got, LbWire::Damaged { bytes, .. } if *bytes == outside.encode()),
+                "{outside:?} came through as {got:?}"
+            );
+            assert!(!got.verify());
+            // A reader that was told no roster takes any rank id.
+            assert_eq!(through(FrameReader::new(), &outside), outside);
+        }
+    }
+
     /// End-to-end over real loopback sockets, one thread per "process":
     /// the committed assignment must be bit-for-bit the simulator's —
     /// also when every listener's first connection is a stranger that
-    /// never sends a byte (port scan, health probe).
+    /// never sends a byte (port scan, health probe), and its second a
+    /// peer that forges timers and names ranks the run does not have.
     #[test]
     fn loopback_run_matches_simulator_assignment() {
         let num_ranks = 4usize;
@@ -626,6 +733,23 @@ mod tests {
         let _silent: Vec<TcpStream> = peers
             .iter()
             .map(|addr| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let _hostile: Vec<TcpStream> = peers
+            .iter()
+            .enumerate()
+            .map(|(r, addr)| {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                let as_rank = ((r + 1) % num_ranks) as u32;
+                s.write_all(&HANDSHAKE_MAGIC.to_le_bytes()).expect("magic");
+                s.write_all(&as_rank.to_le_bytes()).expect("rank");
+                for wire in forged_timers()
+                    .iter()
+                    .chain(&frames_naming(num_ranks as u32))
+                {
+                    s.write_all(&encode_frame(wire)).expect("frame");
+                }
+                s
+            })
             .collect();
         let stop = Arc::new(AtomicBool::new(false));
         let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));

@@ -24,11 +24,13 @@
 //!   allreduce and per-iteration evaluation.
 //! * [`lb`] — the full asynchronous TemperedLB/GrapevineLB protocol,
 //!   layered sans-I/O style: a pure protocol engine
-//!   ([`lb::engine::GossipEngine`]), stacked delivery transports
-//!   ([`lb::transport`]), and thin per-executor drivers — among them
-//!   [`lb::socket`], a host per rank process behind TCP byte pumps.
-//! * [`fault`] — seed-deterministic fault injection (drop, duplication,
-//!   delay spikes, stragglers, pauses, crash-stop failures).
+//!   ([`lb::engine::GossipEngine`]), a rank actor ([`lb::LbRank`]) that
+//!   owns the delivery state and frames the engine's messages, and thin
+//!   per-executor drivers — among them [`lb::socket`], a host per rank
+//!   process behind TCP byte pumps.
+//! * [`fault`] — seed-deterministic fault plans (drop, duplication,
+//!   delay spikes, stragglers, pauses, crash-stop failures, link faults,
+//!   partitions, churn), their validation and their counters.
 //! * [`emulator`] — the one interpreter of a [`fault::FaultPlan`], owned
 //!   by the simulator and by every real-I/O driver alike.
 //! * [`reliable`] — at-least-once delivery with retransmission, backoff,

@@ -3,7 +3,7 @@
 //! Runs the same [`Protocol`] actors as the deterministic simulator, but
 //! with real concurrency: ranks are sharded across worker threads and
 //! messages flow through `std::sync::mpsc` channels, one inbox per worker,
-//! which each worker polls briefly before it parks (see [`crate::host`]:
+//! which each worker polls briefly before it parks (see `crate::host`:
 //! a wake-up costs more than a handler). Delivery order between ranks
 //! is whatever the OS scheduler produces — exactly the nondeterminism a
 //! real AMT runtime faces — which makes this executor the stress test for

@@ -200,7 +200,7 @@ impl SeqSet {
     }
 }
 
-/// Immutable snapshot of one [`SeqSet`], exposed for end-of-run
+/// Immutable snapshot of one `SeqSet`, exposed for end-of-run
 /// delivery audits: the contiguous watermark plus the sparse
 /// out-of-order tail.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -343,7 +343,7 @@ impl<P: Protocol> Simulator<P> {
                 "send to out-of-range rank {to}"
             );
             // The latency draw and network accounting happen for every
-            // send — including ones the injector then drops — so the
+            // send — including ones the emulator then drops — so the
             // random stream and stats stay aligned with a fault-free run.
             let latency = self.model.latency(bytes, &mut self.rng);
             self.stats.record(bytes);

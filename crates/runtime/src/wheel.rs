@@ -9,7 +9,7 @@
 //! a top-three cost in profiles. This module replaces all three with one
 //! timer wheel keyed by a quantized time axis:
 //!
-//! * a **near wheel** of [`SLOTS`] buckets, each spanning one quantum of
+//! * a **near wheel** of `SLOTS` buckets, each spanning one quantum of
 //!   time — push is `O(1)` bucket append for anything within the horizon;
 //! * a **far level** holding events beyond the horizon in a small
 //!   tick-keyed min-heap, cascaded into the near wheel as the cursor

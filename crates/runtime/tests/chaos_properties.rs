@@ -320,7 +320,7 @@ fn hardening_is_transparent_when_fault_free() {
 }
 
 /// Distributed GrapevineLB — the original single-trial, single-iteration
-/// protocol — through the same engine/transport/driver stack: fault-free
+/// protocol — through the same engine/rank/driver stack: fault-free
 /// replay is bit-deterministic, and moderate chaos under the hardened
 /// transport commits the identical assignment.
 #[test]

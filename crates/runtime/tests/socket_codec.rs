@@ -3,21 +3,23 @@
 //!
 //! The codec is the trust boundary of the socket driver: whatever the
 //! peer's TCP stack hands us — whole frames, single bytes, several
-//! frames glued together, bit-flipped payloads — the reader must either
-//! reproduce the sender's `LbWire` exactly or surface a `Damaged` frame
-//! that fails verification (which the reliable layer then treats as a
-//! loss: dropped unacked, retransmitted by the sender).
+//! frames glued together, bit-flipped payloads, forged timers, ranks the
+//! run does not have, plain noise — the reader must either reproduce the
+//! sender's `LbWire` exactly or surface a `Damaged` frame that fails
+//! verification (which the rank then treats as a loss: dropped unacked,
+//! retransmitted by the sender).
 
 use proptest::prelude::*;
 use proptest::BoxedStrategy;
 use rand::Rng;
 use tempered_core::ids::{RankId, TaskId};
+use tempered_core::rng::RngFactory;
 use tempered_runtime::collective::LoadSummary;
-use tempered_runtime::lb::transport::{Reliable, RxEvent, Transport};
-use tempered_runtime::lb::{encode_frame, FrameReader, LbMsg, LbWire, TaskEntry};
+use tempered_runtime::crc::crc32;
+use tempered_runtime::lb::{encode_frame, FrameReader, LbMsg, LbRank, LbWire, TaskEntry};
 use tempered_runtime::sim::Ctx;
 use tempered_runtime::termination::TdMsg;
-use tempered_runtime::RetryConfig;
+use tempered_runtime::{LbProtocolConfig, Protocol, RetryConfig};
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -35,12 +37,19 @@ impl<T: std::fmt::Debug> Strategy for OneOf<T> {
     }
 }
 
+/// Every generated frame names ranks below this; readers are built for
+/// exactly this roster.
+const ROSTER: u32 = 64;
+
+/// `FrameReader`'s bound on a frame payload (private there).
+const MAX_FRAME_BYTES: usize = 64 << 20;
+
 fn arb_rank() -> impl Strategy<Value = RankId> {
-    (0u32..64).prop_map(RankId::new)
+    (0..ROSTER).prop_map(RankId::new)
 }
 
 fn arb_task_entry() -> impl Strategy<Value = TaskEntry> {
-    (any::<u64>(), 0.0f64..100.0, 0u32..64).prop_map(|(id, load, home)| TaskEntry {
+    (any::<u64>(), 0.0f64..100.0, 0..ROSTER).prop_map(|(id, load, home)| TaskEntry {
         id: TaskId::new(id),
         load,
         home: RankId::new(home),
@@ -120,6 +129,7 @@ fn arb_msg() -> impl Strategy<Value = LbMsg> {
     ])
 }
 
+/// Any frame a well-behaved peer of a [`ROSTER`]-rank run sends.
 fn arb_wire() -> impl Strategy<Value = LbWire> {
     OneOf(vec![
         arb_msg().prop_map(LbWire::Raw).boxed(),
@@ -127,18 +137,133 @@ fn arb_wire() -> impl Strategy<Value = LbWire> {
             .prop_map(|(seq, msg)| LbWire::Data { seq, msg })
             .boxed(),
         (1u64..1 << 48).prop_map(|seq| LbWire::Ack { seq }).boxed(),
+        Just(LbWire::Heartbeat).boxed(),
+    ])
+}
+
+/// The self-timers: a rank arms them for itself, so one on the wire is a
+/// forgery.
+fn arb_timer() -> impl Strategy<Value = LbWire> {
+    OneOf(vec![
         (arb_rank(), 1u64..1 << 48)
             .prop_map(|(to, seq)| LbWire::RetryTimer { to, seq })
             .boxed(),
-        any::<u64>()
+        (0u64..8)
             .prop_map(|stage_seq| LbWire::StageTimer { stage_seq })
             .boxed(),
-        Just(LbWire::Heartbeat).boxed(),
         Just(LbWire::HeartbeatTimer).boxed(),
-        any::<u64>()
+        (0u64..8)
             .prop_map(|park_seq| LbWire::ParkTimer { park_seq })
             .boxed(),
     ])
+}
+
+fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..max)
+}
+
+/// A well-formed header (length, matching CRC) around `payload`: what
+/// gets arbitrary bytes past the checksum and into `LbWire::decode`.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// One stretch of a hostile byte stream.
+fn arb_hostile_piece() -> impl Strategy<Value = Vec<u8>> {
+    OneOf(vec![
+        // Plain noise (almost always an absurd length prefix).
+        arb_bytes(48).boxed(),
+        // A frame a peer may send, to be found again after the noise.
+        arb_wire().prop_map(|w| encode_frame(&w)).boxed(),
+        // The same with one byte damaged anywhere, header included.
+        (
+            arb_wire(),
+            any::<prop::sample::Index>(),
+            (1u16..256).prop_map(|m| m as u8),
+        )
+            .prop_map(|(w, at, mask)| {
+                let mut bytes = encode_frame(&w);
+                let at = at.index(bytes.len());
+                bytes[at] ^= mask;
+                bytes
+            })
+            .boxed(),
+        // Arbitrary payloads under a checksum that matches.
+        arb_bytes(96).prop_map(|p| framed(&p)).boxed(),
+        // The same, steered into a frame or message decoder by its tag.
+        (0x20u16..0x2A, 0u16..14, arb_bytes(96))
+            .prop_map(|(wire_tag, msg_tag, mut p)| {
+                p.insert(0, msg_tag as u8);
+                p.insert(0, wire_tag as u8);
+                framed(&p)
+            })
+            .boxed(),
+        // Forged timers, and ranks the run does not have.
+        arb_timer().prop_map(|w| encode_frame(&w)).boxed(),
+        (ROSTER..u32::MAX, any::<u64>())
+            .prop_map(|(r, base)| {
+                encode_frame(&LbWire::Raw(LbMsg::View {
+                    base,
+                    dead: vec![RankId::new(1), RankId::new(r)].into(),
+                }))
+            })
+            .boxed(),
+        (ROSTER..u32::MAX, 1u64..1 << 48)
+            .prop_map(|(r, seq)| {
+                encode_frame(&LbWire::Data {
+                    seq,
+                    msg: LbMsg::Gossip {
+                        epoch: 1,
+                        round: 1,
+                        pairs: vec![(RankId::new(r), 1.0)].into(),
+                    },
+                })
+            })
+            .boxed(),
+    ])
+}
+
+/// The largest rank id `wire` names, if it names any.
+fn max_rank(wire: &LbWire) -> Option<u32> {
+    let (LbWire::Raw(msg) | LbWire::Data { msg, .. }) = wire else {
+        return None;
+    };
+    match msg {
+        LbMsg::Gossip { pairs, .. } => pairs.iter().map(|(r, _)| r.as_u32()).max(),
+        LbMsg::Propose { tasks, .. }
+        | LbMsg::ProposeReply {
+            rejected: tasks, ..
+        } => tasks.iter().map(|t| t.home.as_u32()).max(),
+        LbMsg::View { dead, .. } | LbMsg::Heal { dead, .. } => {
+            dead.iter().map(|r| r.as_u32()).max()
+        }
+        _ => None,
+    }
+}
+
+/// Feed `stream` to `reader` in pieces of the (cycled) `cuts` lengths,
+/// popping every frame that completes. Between pushes the reader may
+/// hold one incomplete frame and nothing more.
+fn feed(reader: &mut FrameReader, stream: &[u8], cuts: &[usize]) -> Vec<LbWire> {
+    let mut got = Vec::new();
+    let mut rest = stream;
+    for &cut in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (piece, tail) = rest.split_at(cut.min(rest.len()));
+        rest = tail;
+        reader.push(piece);
+        assert!(reader.pending() <= MAX_FRAME_BYTES + 8 + piece.len());
+        while let Some(w) = reader.next_frame() {
+            got.push(w);
+        }
+        assert!(reader.pending() < MAX_FRAME_BYTES + 8);
+    }
+    got
 }
 
 // ---------------------------------------------------------------------------
@@ -159,24 +284,44 @@ proptest! {
     }
 
     /// TCP is a byte stream: several frames glued together and fed to
-    /// the reader in arbitrary fixed-size chunks (down to one byte)
-    /// reassemble into exactly the sent sequence.
+    /// the reader in pieces of arbitrary, changing sizes (down to one
+    /// byte) reassemble into exactly the sent sequence.
     #[test]
     fn partial_reads_reassemble(
         wires in prop::collection::vec(arb_wire(), 1..5),
-        chunk in 1usize..7,
+        cuts in prop::collection::vec(1usize..40, 1..16),
     ) {
         let stream: Vec<u8> = wires.iter().flat_map(encode_frame).collect();
-        let mut reader = FrameReader::new();
-        let mut got = Vec::new();
-        for piece in stream.chunks(chunk) {
-            reader.push(piece);
-            while let Some(w) = reader.next_frame() {
-                got.push(w);
-            }
-        }
+        let mut reader = FrameReader::for_roster(ROSTER as usize);
+        let got = feed(&mut reader, &stream, &cuts);
         prop_assert_eq!(got, wires);
         prop_assert_eq!(reader.pending(), 0);
+    }
+
+    /// Whatever bytes arrive in whatever pieces, nothing panics and what
+    /// comes out is either a frame a peer of this roster may send or a
+    /// `Damaged` one whose check fails — never a timer, never a rank the
+    /// run does not have.
+    #[test]
+    fn hostile_bytes_come_out_admissible_or_damaged(
+        pieces in prop::collection::vec(arb_hostile_piece(), 1..12),
+        cuts in prop::collection::vec(1usize..64, 1..16),
+    ) {
+        let stream = pieces.concat();
+        let mut reader = FrameReader::for_roster(ROSTER as usize);
+        for wire in feed(&mut reader, &stream, &cuts) {
+            match &wire {
+                LbWire::Damaged { .. } => prop_assert!(!wire.verify(), "{:?}", wire),
+                LbWire::Raw(_) | LbWire::Data { .. } | LbWire::Ack { .. } | LbWire::Heartbeat => {
+                    prop_assert!(max_rank(&wire).is_none_or(|r| r < ROSTER), "{:?}", wire)
+                }
+                timer => prop_assert!(false, "a timer came off the wire: {:?}", timer),
+            }
+        }
+        // The decoder alone, on every piece, checksum or no checksum.
+        for piece in &pieces {
+            let _ = LbWire::decode(piece);
+        }
     }
 
     /// One socket read can hold hundreds of small frames: many whole
@@ -236,72 +381,109 @@ proptest! {
 /// `Damaged` and move on.
 #[test]
 fn corrupted_data_frames_are_dropped_unacked_and_redelivered() {
-    let retry = RetryConfig::default();
-    let me = RankId::new(0);
-    let peer = RankId::new(1);
-    let mut sender = Reliable::new(retry, 1000);
-    let mut receiver = Reliable::new(retry, 1000);
-    let msg = LbMsg::Gossip {
-        epoch: 1,
-        round: 1,
-        pairs: vec![(me, 2.0)].into(),
-    };
+    let (root, leaf) = (RankId::new(0), RankId::new(1));
+    let cfg = LbProtocolConfig::default().hardened(RetryConfig::default());
+    let new = |me| LbRank::new(me, 2, vec![(TaskId::new(1), 2.0)], cfg, RngFactory::new(3));
+    let (mut receiver, mut sender) = (new(root), new(leaf));
 
-    // Each step runs against a detached context; what the transport
-    // wrote comes back as (frames, timers).
-    fn step<R>(
-        me: RankId,
-        f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R,
-    ) -> (R, Vec<LbWire>, Vec<LbWire>) {
+    // Each step runs one handler against a detached context; what the
+    // rank wrote comes back as (frames, timers).
+    fn step(me: RankId, f: impl FnOnce(&mut Ctx<'_, LbWire>)) -> (Vec<LbWire>, Vec<LbWire>) {
         let mut outbox = Vec::new();
         let mut ctx = Ctx::detached(me, 0.0, &mut outbox);
-        let result = f(&mut ctx);
+        f(&mut ctx);
         let timers = ctx.take_timers().into_iter().map(|(_, w)| w).collect();
-        (
-            result,
-            outbox.into_iter().map(|(_, w, _)| w).collect(),
-            timers,
-        )
+        (outbox.into_iter().map(|(_, w, _)| w).collect(), timers)
     }
 
-    let ((), frames, timers) = step(me, |ctx| sender.send(ctx, peer, msg.clone()));
-    let [data] = &frames[..] else {
-        panic!("reliable send emits one Data frame, got {frames:?}");
+    // The root waits for its child; the leaf's start is one reliable
+    // send, its contribution to the setup reduction.
+    let (frames, _) = step(root, |ctx| receiver.on_start(ctx));
+    assert!(frames.is_empty(), "the root of two waits, got {frames:?}");
+    let (frames, timers) = step(leaf, |ctx| sender.on_start(ctx));
+    let [data @ LbWire::Data { seq: 1, .. }] = &frames[..] else {
+        panic!("a reliable send emits one Data frame, got {frames:?}");
     };
-    let [retry_timer] = &timers[..] else {
-        panic!("reliable send arms one retry timer, got {timers:?}");
+    let [LbWire::StageTimer { .. }, retry_timer @ LbWire::RetryTimer { seq: 1, .. }] = &timers[..]
+    else {
+        panic!("the stage deadline, then one retry timer, got {timers:?}");
     };
 
-    // The frame arrives corrupted: dropped, and — crucially — no ack.
-    let (event, frames, _) = step(peer, |ctx| receiver.receive(ctx, me, data.damaged()));
-    assert!(matches!(event, RxEvent::Corrupt { from } if from == me));
+    // The frame arrives with a bit flipped on the way: the reader hands
+    // over a `Damaged` frame, and the rank drops it — crucially, no ack.
+    let mut bytes = encode_frame(data);
+    *bytes.last_mut().unwrap() ^= 0x10;
+    let mut reader = FrameReader::for_roster(2);
+    reader.push(&bytes);
+    let damaged = reader.next_frame().expect("frame complete");
+    assert!(matches!(damaged, LbWire::Damaged { .. }) && !damaged.verify());
+    let (frames, timers) = step(root, |ctx| receiver.on_message(ctx, leaf, damaged));
     assert!(
-        frames.is_empty(),
+        frames.is_empty() && timers.is_empty(),
         "a corrupt frame must be dropped unacked, got {frames:?}"
     );
 
     // The sender's retry timer fires and retransmits the clean copy.
-    let (event, resent, _) = step(me, |ctx| sender.receive(ctx, me, retry_timer.clone()));
-    assert!(matches!(event, RxEvent::Retransmitted { to, .. } if to == peer));
+    let (resent, rearmed) = step(leaf, |ctx| {
+        sender.on_message(ctx, leaf, retry_timer.clone())
+    });
     assert_eq!(
         resent,
         std::slice::from_ref(data),
         "the resend is the identical Data frame"
     );
+    assert_eq!(rearmed, std::slice::from_ref(retry_timer));
 
-    // The clean copy delivers and is acked; the ack settles the sender.
-    let (event, acks, _) = step(peer, |ctx| receiver.receive(ctx, me, data.clone()));
-    match event {
-        RxEvent::Deliver(delivered) => assert_eq!(delivered, msg),
-        other => panic!("clean resend must deliver, got {other:?}"),
-    }
-    let [ack] = &acks[..] else {
-        panic!("delivery acks once, got {acks:?}");
+    // The clean copy is acked — before anything the engine sends in
+    // response — and delivered: the reduction completes, so the root
+    // answers its child.
+    let (frames, _) = step(root, |ctx| receiver.on_message(ctx, leaf, data.clone()));
+    let [ack @ LbWire::Ack { seq: 1 }, LbWire::Data {
+        msg: LbMsg::ReduceDown { .. },
+        ..
+    }, ..] = &frames[..]
+    else {
+        panic!("the ack, then the engine's reply, got {frames:?}");
     };
-    let (event, _, _) = step(me, |ctx| sender.receive(ctx, peer, ack.clone()));
-    assert!(matches!(event, RxEvent::Nothing));
+    // The ack settles the sender: the timer now finds nothing to resend.
+    let (frames, _) = step(leaf, |ctx| sender.on_message(ctx, root, ack.clone()));
+    assert!(frames.is_empty());
+    let (frames, timers) = step(leaf, |ctx| {
+        sender.on_message(ctx, leaf, retry_timer.clone())
+    });
+    assert!(frames.is_empty() && timers.is_empty());
 
-    assert_eq!(sender.stats().retransmitted, 1);
-    assert_eq!(sender.stats().acked, 1);
-    assert_eq!(receiver.stats().duplicates_suppressed, 0);
+    assert_eq!(sender.reliable_stats().retransmitted, 1);
+    assert_eq!(sender.reliable_stats().acked, 1);
+    assert_eq!(receiver.reliable_stats().duplicates_suppressed, 0);
+}
+
+/// A length-prefix bomb buys its sender nothing: the reader holds at
+/// most one frame of the largest size it takes, and a prefix beyond that
+/// is dropped on sight.
+#[test]
+fn the_reader_buffers_at_most_one_maximal_frame() {
+    let chunk = vec![0u8; 1 << 20];
+    let mut reader = FrameReader::for_roster(ROSTER as usize);
+    let mut header = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+    header.extend_from_slice(&0u32.to_le_bytes());
+    reader.push(&header);
+    for _ in 0..MAX_FRAME_BYTES / chunk.len() - 1 {
+        reader.push(&chunk);
+        assert!(reader.next_frame().is_none(), "still one byte-run short");
+        assert!(reader.pending() < MAX_FRAME_BYTES + 8);
+    }
+    reader.push(&chunk);
+    let got = reader.next_frame().expect("the maximal frame completes");
+    assert!(matches!(&got, LbWire::Damaged { bytes, .. } if bytes.len() == MAX_FRAME_BYTES));
+    assert_eq!(reader.pending(), 0);
+
+    let mut header = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes().to_vec();
+    header.extend_from_slice(&0u32.to_le_bytes());
+    reader.push(&header);
+    let got = reader
+        .next_frame()
+        .expect("an oversize prefix surfaces at once");
+    assert!(matches!(got, LbWire::Damaged { .. }) && !got.verify());
+    assert_eq!(reader.pending(), 0);
 }

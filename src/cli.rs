@@ -88,7 +88,7 @@ OPTIONS:
     --help                print this text
 ";
 
-/// Parse CLI arguments (excluding argv[0]).
+/// Parse CLI arguments (excluding `argv[0]`).
 pub fn parse_args<I, S>(args: I) -> Result<CliOptions, String>
 where
     I: IntoIterator<Item = S>,
