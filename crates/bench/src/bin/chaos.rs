@@ -747,12 +747,7 @@ fn custom_crashes(args: &[String]) -> Result<Vec<CrashEvent>, String> {
 fn plan_from_file(args: &[String], num_ranks: usize) -> Result<Option<FaultPlan>, String> {
     flag_values(args, "--plan", "<file.json>")?
         .first()
-        .map(|path| {
-            let plan = FaultPlan::load(std::path::Path::new(path))?;
-            plan.validate_churn(num_ranks, None)
-                .map_err(|e| format!("{path}: {e}"))?;
-            Ok(plan)
-        })
+        .map(|path| FaultPlan::load(std::path::Path::new(path), num_ranks))
         .transpose()
 }
 

@@ -136,11 +136,7 @@ fn main() -> ExitCode {
         }
     };
     let plan = match &args.plan {
-        Some(path) => match FaultPlan::load(path).and_then(|p| {
-            p.validate_churn(args.ranks, None)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            Ok(p)
-        }) {
+        Some(path) => match FaultPlan::load(path, args.ranks) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("lb_rank: {e}");

@@ -125,8 +125,8 @@ fn assert_predictive_wins(rows: &[Row]) {
 /// on the forecast loads over faulty links, and the run must complete
 /// with every task accounted for.
 fn gray_link_cell(plan_path: &Path, rows: &mut Vec<Row>) {
-    let plan =
-        FaultPlan::load(plan_path).unwrap_or_else(|e| panic!("svc_sweep gray-link plan: {e}"));
+    let plan = FaultPlan::load(plan_path, RANKS)
+        .unwrap_or_else(|e| panic!("svc_sweep gray-link plan: {e}"));
     let seed = seeds()[0];
     let sc = SvcScenario::flash_crowd(RANKS, SHARDS_PER_RANK, 36, seed);
     let mut dist = sc.initial_distribution();

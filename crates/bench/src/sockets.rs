@@ -211,7 +211,7 @@ pub struct SocketScenario {
 /// module docs).
 pub fn scenarios(num_ranks: usize, plans_dir: &Path) -> Result<Vec<SocketScenario>, String> {
     assert!(num_ranks >= 4, "the sockets grid needs at least 4 ranks");
-    let gray = FaultPlan::load(&plans_dir.join("sockets_gray.json"))?;
+    let gray = FaultPlan::load(&plans_dir.join("sockets_gray.json"), num_ranks)?;
     Ok(vec![
         SocketScenario {
             name: "clean",

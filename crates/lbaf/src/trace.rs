@@ -21,6 +21,7 @@
 //! ```
 
 use empire_pic::{BdotScenario, CostModel, EmpireSim};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
@@ -46,7 +47,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Reconstruct the task distribution of phase `idx`.
+    /// Reconstruct the task distribution of phase `idx`. A trace that
+    /// [`Trace::parse`] accepted fails only for an `idx` it does not
+    /// have: rank bounds and task uniqueness are checked at the door.
     pub fn distribution(&self, idx: usize) -> Result<Distribution, String> {
         let phase = self
             .phases
@@ -74,11 +77,15 @@ impl Trace {
         out
     }
 
-    /// Parse the text format.
+    /// Parse the text format. Every error names its line; an entry
+    /// whose rank is outside the `ranks` header, or whose task id already
+    /// appeared in its phase, is an error here rather than a surprise in
+    /// [`Trace::distribution`].
     pub fn parse(text: &str) -> Result<Trace, String> {
         let mut num_ranks: Option<usize> = None;
         let mut phases = Vec::new();
         let mut current: Option<TracePhase> = None;
+        let mut seen = HashSet::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
@@ -86,11 +93,15 @@ impl Trace {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("ranks ") {
+                if num_ranks.is_some() {
+                    return Err(err("second 'ranks' header"));
+                }
                 num_ranks = Some(rest.trim().parse().map_err(|_| err("bad rank count"))?);
             } else if let Some(rest) = line.strip_prefix("phase ") {
                 if current.is_some() {
                     return Err(err("nested phase block"));
                 }
+                seen.clear();
                 current = Some(TracePhase {
                     phase: rest.trim().parse().map_err(|_| err("bad phase id"))?,
                     entries: Vec::new(),
@@ -117,6 +128,13 @@ impl Trace {
                 }
                 if !load.is_finite() || load < 0.0 {
                     return Err(err("load must be finite and >= 0"));
+                }
+                let ranks = num_ranks.ok_or_else(|| err("entry before the 'ranks' header"))?;
+                if rank as usize >= ranks {
+                    return Err(err(&format!("rank {rank} outside 'ranks {ranks}'")));
+                }
+                if !seen.insert(task) {
+                    return Err(err(&format!("task {task} listed twice in one phase")));
                 }
                 p.entries.push((RankId::new(rank), TaskId::new(task), load));
             }
@@ -214,6 +232,17 @@ mod tests {
         assert!(Trace::parse("ranks 4\nphase 0\n0 0 -1\nend\n").is_err()); // negative
         assert!(Trace::parse("ranks 4\nphase 0\n0 0 1 9\nend\n").is_err()); // extra field
         assert!(Trace::parse("ranks 4\nend\n").is_err()); // end without phase
+        assert!(Trace::parse("phase 0\n0 0 1.0\nend\nranks 4\n").is_err()); // header after entries
+        assert!(Trace::parse("ranks 4\nphase 0\n3 0 1.0\nend\nranks 2\n").is_err()); // header shrunk later
+
+        // Both of these parsed, and `distribution` then failed on them.
+        let err = Trace::parse("ranks 2\nphase 0\n5 0 1.0\nend\n").unwrap_err();
+        assert_eq!(err, "line 3: rank 5 outside 'ranks 2'");
+        let err = Trace::parse("ranks 2\nphase 0\n0 7 1.0\n1 7 2.0\nend\n").unwrap_err();
+        assert_eq!(err, "line 4: task 7 listed twice in one phase");
+        // The same task id in two phases is the same task measured twice.
+        let ok = Trace::parse("ranks 2\nphase 0\n0 7 1.0\nend\nphase 1\n1 7 2.0\nend\n").unwrap();
+        assert!((0..2).all(|i| ok.distribution(i).is_ok()));
     }
 
     #[test]

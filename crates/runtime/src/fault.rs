@@ -647,9 +647,8 @@ impl FaultPlan {
     /// link fault or partition window whose rank set references a rank
     /// churn permanently retires before the window closes, and a join
     /// re-admitting a roster id while an earlier drain of the same id is
-    /// still inside its handoff deadline. Callers that parsed the plan
-    /// from a file should prefix the error with the path, exactly as
-    /// [`FaultPlan::load`] does for shape errors.
+    /// still inside its handoff deadline. [`FaultPlan::load`] runs this
+    /// on every plan file and prefixes the error with the path.
     pub fn validate_churn(
         &self,
         seed_ranks: usize,

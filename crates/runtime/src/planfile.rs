@@ -203,16 +203,20 @@ impl FaultPlan {
         plan_from_json(&json::parse(text)?)
     }
 
-    /// Read, parse, *and validate* a plan file, prefixing every error
-    /// with the offending path so a bad `--plan` flag (or a typo inside
-    /// the file) is reported as `plans/foo.json: link.kind.p must be a
-    /// probability` rather than a bare field name — or a panic.
-    pub fn load(path: &std::path::Path) -> Result<FaultPlan, String> {
+    /// The one door for plan files: read, parse, and validate the plan
+    /// for a run that starts with `ranks` ranks
+    /// ([`FaultPlan::validate_churn`], so a rank the run does not have is
+    /// rejected here), prefixing every error with the offending path — a
+    /// bad `--plan` flag or a typo inside the file is reported as
+    /// `plans/foo.json: link.kind.p must be a probability` rather than a
+    /// bare field name, or a panic.
+    pub fn load(path: &std::path::Path, ranks: usize) -> Result<FaultPlan, String> {
+        let named = |e: String| format!("{}: {e}", path.display());
         let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: cannot read plan file: {e}", path.display()))?;
-        let plan = FaultPlan::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        plan.validate()
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+            .map_err(|e| named(format!("cannot read plan file: {e}")))?;
+        let plan = FaultPlan::from_json(&text).map_err(named)?;
+        plan.validate_churn(ranks, None)
+            .map_err(|e| named(e.to_string()))?;
         Ok(plan)
     }
 
@@ -501,34 +505,47 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bomb.json");
         std::fs::write(&path, &bomb).unwrap();
-        let err = FaultPlan::load(&path).unwrap_err();
+        let err = FaultPlan::load(&path, 16).unwrap_err();
         assert!(err.starts_with(&format!("{}: ", path.display())), "{err}");
     }
 
-    /// The shipped example plans (`examples/plans/*.json`, the files
-    /// `chaos --plan` advertises) must parse, validate, and round-trip.
+    /// The shipped example plans (`examples/plans/*.json`) must load at
+    /// the rank count of the harness that runs them — the quick-mode
+    /// count where there are two, since CI runs that one — and
+    /// round-trip.
     #[test]
-    fn shipped_example_plans_parse_and_validate() {
+    fn shipped_example_plans_load_at_their_harness_rank_count() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/plans");
-        let mut seen = 0;
-        for entry in std::fs::read_dir(&dir).expect("examples/plans exists") {
-            let path = entry.unwrap().path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            seen += 1;
-            let plan =
-                FaultPlan::load(&path).unwrap_or_else(|e| panic!("shipped plan rejected: {e}"));
+        let harness_ranks = [
+            ("elastic_churn.json", 8),   // joins nodes 8 and 9 to an 8-node seed roster
+            ("gray_links.json", 16),     // `chaos --plan`
+            ("partition_heal.json", 16), // `chaos --plan`
+            ("sockets_gray.json", 4),    // `orchestrate` via `bench::sockets::scenarios`
+            ("svc_flashcrowd.json", 8),  // `svc_sweep`
+        ];
+        let mut shipped: Vec<String> = std::fs::read_dir(&dir)
+            .expect("examples/plans exists")
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".json"))
+            .collect();
+        shipped.sort();
+        assert_eq!(
+            shipped,
+            harness_ranks.map(|(name, _)| name),
+            "every shipped plan is listed here with its harness"
+        );
+        for (name, ranks) in harness_ranks {
+            let plan = FaultPlan::load(&dir.join(name), ranks)
+                .unwrap_or_else(|e| panic!("shipped plan rejected: {e}"));
             let back = FaultPlan::from_json(&plan.to_json()).unwrap();
-            assert_eq!(back, plan, "{} must round-trip", path.display());
+            assert_eq!(back, plan, "{name} must round-trip");
         }
-        assert!(seen >= 2, "at least two example plans ship with the repo");
     }
 
     #[test]
     fn load_names_the_file_in_every_error() {
         let missing = std::path::Path::new("/nonexistent/plan.json");
-        let err = FaultPlan::load(missing).unwrap_err();
+        let err = FaultPlan::load(missing, 16).unwrap_err();
         assert!(err.starts_with("/nonexistent/plan.json: "), "{err}");
         assert!(err.contains("cannot read"), "{err}");
 
@@ -537,7 +554,7 @@ mod tests {
 
         let bad_syntax = dir.join("bad_syntax.json");
         std::fs::write(&bad_syntax, r#"{"drop": }"#).unwrap();
-        let err = FaultPlan::load(&bad_syntax).unwrap_err();
+        let err = FaultPlan::load(&bad_syntax, 16).unwrap_err();
         assert!(
             err.starts_with(&format!("{}: ", bad_syntax.display())),
             "{err}"
@@ -545,7 +562,7 @@ mod tests {
 
         let bad_value = dir.join("bad_value.json");
         std::fs::write(&bad_value, r#"{"drop": 1.5}"#).unwrap();
-        let err = FaultPlan::load(&bad_value).unwrap_err();
+        let err = FaultPlan::load(&bad_value, 16).unwrap_err();
         assert!(
             err.contains("drop"),
             "validation error names the field: {err}"
@@ -554,6 +571,15 @@ mod tests {
             err.starts_with(&format!("{}: ", bad_value.display())),
             "{err}"
         );
+
+        // A rank the run does not have: the same file loads for 4 ranks
+        // and is rejected, by name, for 2.
+        let rank_3 = dir.join("rank_3.json");
+        std::fs::write(&rank_3, r#"{"crashes": [{"rank": 3, "at": 0.001}]}"#).unwrap();
+        assert!(FaultPlan::load(&rank_3, 4).is_ok());
+        let err = FaultPlan::load(&rank_3, 2).unwrap_err();
+        assert!(err.starts_with(&format!("{}: ", rank_3.display())), "{err}");
+        assert!(err.contains("rank 3"), "{err}");
     }
 
     #[test]

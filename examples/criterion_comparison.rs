@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example criterion_comparison`
 //! (uses the scaled-down layout; the full 2¹²-rank experiment is
-//! `cargo run --release -p tempered-bench --bin table_vb` / `table_vd`).
+//! `cargo run --release -p tempered-bench --bin repro -- table_vb table_vd`).
 
 use tempered_lb::lbaf::{
     comparison_table, run_criterion_experiment, CriterionExperiment, CriterionVariant,

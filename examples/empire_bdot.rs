@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example empire_bdot`
 //! (a reduced-scale scenario so it finishes in seconds; the full
 //! paper-scale harness is `cargo run --release -p tempered-bench --bin
-//! fig2_overall`).
+//! repro -- fig2_overall`).
 
 use tempered_lb::prelude::*;
 
