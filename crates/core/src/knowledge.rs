@@ -19,6 +19,14 @@
 //! ([`Knowledge::load_of`], [`Knowledge::add_to_load`]) binary-search when
 //! the entries are in canonical rank order (the transfer stage always
 //! canonicalizes first) and fall back to a linear scan otherwise.
+//!
+//! Canonical (ascending rank) order is produced by
+//! [`Knowledge::canonicalize`], and only a reader asks for it: a rank
+//! about to send its set or to run the transfer stage on it. At or below
+//! `SCAN_MAX` entries that is a comparison sort of a few cache lines.
+//! Above it the bitset is the set in rank order already, so each entry's
+//! index is the count of members below it (popcounts, no comparisons)
+//! and the entries are scattered into place in one pass.
 
 use crate::ids::RankId;
 use crate::load::Load;
@@ -203,6 +211,15 @@ impl Knowledge {
         self.entries().collect()
     }
 
+    /// Whether the entries are in ascending rank order — what
+    /// [`Knowledge::canonicalize`] establishes and in-order inserts keep.
+    /// CMF construction iterates entries in order, so the transfer stage
+    /// asserts this of the knowledge it is handed.
+    #[inline]
+    pub fn is_canonical(&self) -> bool {
+        self.sorted
+    }
+
     /// Re-order entries into ascending rank order (load estimates are
     /// preserved).
     ///
@@ -213,15 +230,46 @@ impl Knowledge {
     /// before the transfer stage so that sampled transfer targets are a
     /// pure function of the knowledge *set*, not of message timing.
     ///
-    /// Already-canonical knowledge (tracked by the `sorted` flag, the
-    /// steady state when the async engine re-canonicalizes every gossip
-    /// round) returns immediately.
+    /// Already-canonical knowledge (tracked by the `sorted` flag) returns
+    /// immediately. A set still on the scan path (at most `SCAN_MAX`
+    /// entries) is comparison-sorted. A larger one owns a membership
+    /// bitset that already *is* the set in rank order, so no entry is
+    /// compared with another: an entry's canonical index is the number of
+    /// members below it — a popcount prefix over the bitset's words plus
+    /// the popcount of the low bits of its own word — and one scatter
+    /// pass places every `(rank, load)`, O(n + P/64). Either way the
+    /// scratch is transient and `ranks`/`loads` are rewritten in place:
+    /// their capacity, and so the rank's resident memory, is untouched.
     pub fn canonicalize(&mut self) {
         if self.sorted {
             return;
         }
-        let mut pairs: Vec<(RankId, Load)> = self.entries().collect();
-        pairs.sort_unstable_by_key(|&(r, _)| r);
+        let mut pairs: Vec<(RankId, Load)>;
+        if self.bits.is_empty() {
+            pairs = self.entries().collect();
+            pairs.sort_unstable_by_key(|&(r, _)| r);
+        } else {
+            pairs = vec![(RankId::new(0), Load::ZERO); self.len()];
+            // `below[w]` = members in words before `w`.
+            let mut members = 0usize;
+            let below: Vec<usize> = self
+                .bits
+                .iter()
+                .map(|word| {
+                    let before = members;
+                    members += word.count_ones() as usize;
+                    before
+                })
+                .collect();
+            // Ranks are distinct, so the indices are a permutation of
+            // `0..len` and every slot of `pairs` is overwritten.
+            for (r, l) in self.entries() {
+                let i = r.as_usize();
+                let low_mask = (1u64 << (i & 63)) - 1;
+                let at = below[i >> 6] + (self.bits[i >> 6] & low_mask).count_ones() as usize;
+                pairs[at] = (r, l);
+            }
+        }
         for (i, (r, l)) in pairs.into_iter().enumerate() {
             self.ranks[i] = r;
             self.loads[i] = l;
@@ -326,6 +374,26 @@ mod tests {
         assert_eq!(a.load_of(RankId::new(9)), Some(Load::new(3.0)));
         assert!(a.add_to_load(RankId::new(5), Load::new(1.0)));
         assert_eq!(a.load_of(RankId::new(5)), Some(Load::new(2.0)));
+    }
+
+    #[test]
+    fn canonicalize_keeps_the_vectors_capacity() {
+        // A shrunk vector would reallocate on the next gossip merge, and
+        // a grown one would move the rank's resident memory. Both paths.
+        for n in [SCAN_MAX as u32 / 2, SCAN_MAX as u32 * 4] {
+            let mut a = Knowledge::new();
+            a.ranks.reserve(1000);
+            a.loads.reserve(1000);
+            for i in 0..n {
+                a.insert(RankId::new((i * 389) % 997), Load::new(f64::from(i)));
+            }
+            assert!(!a.is_canonical());
+            let before = (a.ranks.capacity(), a.loads.capacity());
+            a.canonicalize();
+            assert!(a.is_canonical());
+            assert!(a.ranks().windows(2).all(|w| w[0] < w[1]));
+            assert_eq!((a.ranks.capacity(), a.loads.capacity()), before);
+        }
     }
 
     #[test]

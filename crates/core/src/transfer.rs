@@ -87,7 +87,10 @@ pub struct TransferOutcome {
 ///
 /// `knowledge` is the rank's gossip result and is mutated in place: local
 /// estimates of recipient loads are bumped as transfers are proposed
-/// (line 12). `rng` drives CMF sampling (line 9).
+/// (line 12). `rng` drives CMF sampling (line 9). The CMF iterates
+/// `knowledge` in order, so the caller hands it over canonical
+/// ([`Knowledge::canonicalize`]): an arrival-ordered set would sample
+/// other targets and split the sync and async execution modes.
 pub fn transfer_stage(
     rank: RankId,
     tasks: &[Task],
@@ -96,6 +99,10 @@ pub fn transfer_stage(
     cfg: &TransferConfig,
     rng: &mut SmallRng,
 ) -> TransferOutcome {
+    debug_assert!(
+        knowledge.is_canonical(),
+        "transfer_stage needs knowledge in rank order"
+    );
     let mut l_p: Load = tasks.iter().map(|t| t.load).sum();
     let mut outcome = TransferOutcome {
         final_load: l_p,

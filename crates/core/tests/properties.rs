@@ -323,6 +323,94 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Knowledge: canonical order
+// ---------------------------------------------------------------------------
+
+/// `k` holds exactly `model`: same ranks in the same order, same load
+/// bits, and the lookups agree on members and on non-members.
+fn check_knowledge(k: &Knowledge, model: &[(u32, f64)]) -> Result<(), TestCaseError> {
+    let ranks: Vec<u32> = k.ranks().iter().map(|r| r.as_u32()).collect();
+    let bits: Vec<u64> = k.loads().iter().map(|l| l.get().to_bits()).collect();
+    prop_assert_eq!(ranks, model.iter().map(|&(r, _)| r).collect::<Vec<_>>());
+    prop_assert_eq!(
+        bits,
+        model.iter().map(|&(_, l)| l.to_bits()).collect::<Vec<_>>()
+    );
+    for &(r, l) in model {
+        prop_assert!(k.contains(RankId::new(r)));
+        prop_assert_eq!(k.load_of(RankId::new(r)), Some(Load::new(l)));
+        let absent = RankId::new(r ^ 1);
+        if !model.iter().any(|&(m, _)| m == absent.as_u32()) {
+            prop_assert!(!k.contains(absent));
+            prop_assert_eq!(k.load_of(absent), None);
+        }
+    }
+    let max = model.iter().map(|&(_, l)| Load::new(l)).reduce(Load::max);
+    prop_assert_eq!(k.max_known_load(), max);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `canonicalize` is the sort it replaced. Op sequences whose number
+    /// of distinct ranks lands on both sides of `SCAN_MAX` (32: below it
+    /// a comparison sort, above it the bitset rank-scatter) are replayed
+    /// against a plain `Vec<(rank, load)>` whose canonicalize is
+    /// `sort_by_key`; the two agree after every step.
+    #[test]
+    fn canonicalize_matches_a_reference_sort(
+        ops in prop::collection::vec((0u8..8, 0u32..4096, 0.0f64..4.0), 8..160),
+        late in 0u32..4096,
+    ) {
+        let mut k = Knowledge::new();
+        let mut model: Vec<(u32, f64)> = Vec::new();
+        for (kind, rank, load) in ops {
+            match kind {
+                // First insert wins.
+                0..=5 => {
+                    let fresh = !model.iter().any(|&(r, _)| r == rank);
+                    prop_assert_eq!(k.insert(RankId::new(rank), Load::new(load)), fresh);
+                    if fresh {
+                        model.push((rank, load));
+                    }
+                }
+                6 if !model.is_empty() => {
+                    let at = rank as usize % model.len();
+                    model[at].1 += load;
+                    prop_assert!(k.add_to_load(RankId::new(model[at].0), Load::new(load)));
+                }
+                _ => {
+                    k.canonicalize();
+                    model.sort_by_key(|&(r, _)| r);
+                    prop_assert!(k.is_canonical());
+                }
+            }
+            check_knowledge(&k, &model)?;
+        }
+
+        k.canonicalize();
+        model.sort_by_key(|&(r, _)| r);
+        check_knowledge(&k, &model)?;
+        // A second call is a no-op.
+        k.canonicalize();
+        check_knowledge(&k, &model)?;
+
+        // A later out-of-order insert lands at the end; the next
+        // canonicalize puts it in place.
+        if !model.iter().any(|&(r, _)| r == late) {
+            k.insert(RankId::new(late), Load::new(0.5));
+            model.push((late, 0.5));
+            check_knowledge(&k, &model)?;
+            k.canonicalize();
+            model.sort_by_key(|&(r, _)| r);
+            prop_assert!(k.is_canonical());
+            check_knowledge(&k, &model)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Refinement
 // ---------------------------------------------------------------------------
 

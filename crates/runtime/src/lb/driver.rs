@@ -41,6 +41,10 @@ pub struct LocalRunner<P: Protocol> {
     timers: Vec<(f64, u64, RankId, P::Msg)>,
     timer_seq: u64,
     now: f64,
+    /// What one handler call sent and armed; drained after every call
+    /// and reused by the next, as in the other two executors.
+    outbox: Vec<(RankId, P::Msg, usize)>,
+    armed: Vec<(f64, P::Msg)>,
 }
 
 impl<P: Protocol> LocalRunner<P> {
@@ -52,6 +56,8 @@ impl<P: Protocol> LocalRunner<P> {
             timers: Vec::new(),
             timer_seq: 0,
             now: 0.0,
+            outbox: Vec::new(),
+            armed: Vec::new(),
         }
     }
 
@@ -60,16 +66,11 @@ impl<P: Protocol> LocalRunner<P> {
     /// still waiting — a protocol bug or an unmasked delivery failure).
     pub fn run(&mut self) -> bool {
         for i in 0..self.ranks.len() {
-            let me = RankId::from(i);
-            let mut outbox = Vec::new();
-            let mut ctx = Ctx::detached(me, self.now, &mut outbox);
-            self.ranks[i].on_start(&mut ctx);
-            let timers = ctx.take_timers();
-            self.absorb(me, outbox, timers);
+            self.turn(RankId::from(i), |rank, ctx| rank.on_start(ctx));
         }
         loop {
             if let Some((to, from, msg)) = self.queue.pop_front() {
-                self.deliver(to, from, msg);
+                self.turn(to, |rank, ctx| rank.on_message(ctx, from, msg));
                 continue;
             }
             if self.ranks.iter().all(|r| r.is_done()) {
@@ -88,7 +89,7 @@ impl<P: Protocol> LocalRunner<P> {
             };
             let (time, _, me, msg) = self.timers.remove(next);
             self.now = self.now.max(time);
-            self.deliver(me, me, msg);
+            self.turn(me, |rank, ctx| rank.on_message(ctx, me, msg));
         }
     }
 
@@ -97,25 +98,14 @@ impl<P: Protocol> LocalRunner<P> {
         self.ranks
     }
 
-    fn deliver(&mut self, to: RankId, from: RankId, msg: P::Msg) {
-        let idx = to.as_u32() as usize;
-        let mut outbox = Vec::new();
-        let mut ctx = Ctx::detached(to, self.now, &mut outbox);
-        self.ranks[idx].on_message(&mut ctx, from, msg);
-        let timers = ctx.take_timers();
-        self.absorb(to, outbox, timers);
-    }
-
-    fn absorb(
-        &mut self,
-        me: RankId,
-        outbox: Vec<(RankId, P::Msg, usize)>,
-        timers: Vec<(f64, P::Msg)>,
-    ) {
-        for (to, msg, _bytes) in outbox {
+    /// Run one handler of rank `me`, then queue what it sent and armed.
+    fn turn(&mut self, me: RankId, handler: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
+        let mut ctx = Ctx::for_executor_reusing(me, self.now, &mut self.outbox, &mut self.armed);
+        handler(&mut self.ranks[me.as_usize()], &mut ctx);
+        for (to, msg, _bytes) in self.outbox.drain(..) {
             self.queue.push_back((to, me, msg));
         }
-        for (delay, msg) in timers {
+        for (delay, msg) in self.armed.drain(..) {
             self.timers
                 .push((self.now + delay, self.timer_seq, me, msg));
             self.timer_seq += 1;

@@ -155,10 +155,12 @@ impl GossipEngine {
             gs.grew
         };
         gs.grew = false;
-        gs.knowledge.canonicalize();
 
         let mut sends = Vec::new();
         if sending {
+            // Only a sender's set is read here, and only a sender's can
+            // have left rank order: it grew since it was last canonical.
+            gs.knowledge.canonicalize();
             let pairs = pairs_of(&gs.knowledge);
             let mut targets = Vec::new();
             let exclusions = LiveTargets {
@@ -253,7 +255,6 @@ impl GossipEngine {
         let epoch = self.proposal_epoch();
         self.det.start_epoch(epoch);
         self.canonicalize_current();
-        gs.knowledge.canonicalize();
 
         // Algorithm 2, locally — literally the same kernel the
         // analysis-mode driver runs, fed the same canonicalized inputs
@@ -261,6 +262,9 @@ impl GossipEngine {
         let my_load = self.my_load();
         let threshold = self.l_ave * self.cfg.transfer.threshold_h;
         if my_load > threshold && !gs.knowledge.is_empty() {
+            // Rank order only for a rank about to read it, exactly where
+            // `refine` has it: `gs` is dropped when this function returns.
+            gs.knowledge.canonicalize();
             let tasks: Vec<Task> = self
                 .current
                 .iter()

@@ -155,8 +155,9 @@ impl<M> TimerSink<'_, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Construct a context for an executor implementation (the simulator
-    /// and the wall-clock [`crate::host`]). Timers go into a caller-owned
+    /// Construct a context for an executor implementation (the simulator,
+    /// the wall-clock [`crate::host`] and the zero-latency
+    /// [`crate::lb::LocalRunner`]). Timers go into a caller-owned
     /// buffer, so a hot event loop reuses one allocation for every
     /// handler call; the caller drains the buffer after the handler
     /// instead of [`Ctx::take_timers`].

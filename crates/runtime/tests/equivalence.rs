@@ -16,7 +16,9 @@ use tempered_core::refine::{refine, RefineConfig};
 use tempered_core::rng::RngFactory;
 use tempered_core::transfer::TransferConfig;
 use tempered_runtime::lb::LbProtocolConfig;
-use tempered_runtime::run_local_lb;
+use tempered_runtime::reliable::RetryConfig;
+use tempered_runtime::sim::NetworkModel;
+use tempered_runtime::{run_distributed_lb, run_local_lb};
 
 /// Assert the async engine (zero-latency driver) and the sync `refine`
 /// agree bit-for-bit on the same input and seed.
@@ -96,6 +98,53 @@ fn grapevine_engine_matches_refine() {
     for seed in 0..4 {
         assert_equivalent(&dist, &RefineConfig::grapevine(), seed);
     }
+}
+
+/// Every case above tops out at 16 ranks, so no knowledge set there
+/// outgrows the scan path (`SCAN_MAX` = 32 entries). Here 112 of 128
+/// ranks are underloaded and gossip reaches `4^5` ranks, so the
+/// overloaded 16 canonicalize bitset-backed sets of about a hundred
+/// entries — the path every large run is on.
+#[test]
+fn tempered_engine_matches_refine_past_the_scan_threshold() {
+    let loads: Vec<Vec<f64>> = (0..128)
+        .map(|r| {
+            if r < 16 {
+                (0..40).map(|t| f64::from(1 + (r + t) % 8) * 0.25).collect()
+            } else {
+                vec![]
+            }
+        })
+        .collect();
+    let dist = Distribution::from_loads(loads);
+    let rcfg = RefineConfig {
+        gossip: GossipConfig {
+            fanout: 4,
+            rounds: 5,
+            ..Default::default()
+        },
+        ..small_tempered()
+    };
+    for seed in 0..4 {
+        assert_equivalent(&dist, &rcfg, seed);
+    }
+
+    // The simulator delivers in a different order (latency model, acks,
+    // retry timers); the committed placement is the same one.
+    let factory = RngFactory::new(0);
+    let cfg = LbProtocolConfig::from(rcfg);
+    let local = run_local_lb(&dist, cfg, &factory);
+    let hardened = run_distributed_lb(
+        &dist,
+        cfg.hardened(RetryConfig::default()),
+        NetworkModel::default(),
+        &factory,
+    );
+    assert_eq!(hardened.degraded_ranks, 0);
+    assert_eq!(
+        hardened.distribution.canonical(),
+        local.distribution.canonical()
+    );
 }
 
 proptest! {
