@@ -298,6 +298,12 @@ pub fn sample_fanout_targets<K: TargetExclusions>(
 /// membership probe and dominates the entire balancer. A dense bitset
 /// drops the probe to ~1 ns and keeps the insertion-ordered `(rank,
 /// load)` arrays the CMF needs.
+///
+/// The distributed engine skips merges into sets nobody will read
+/// (`GossipState::reads` in `tempered-runtime`); this one has no such
+/// rule because nothing here is unread: [`run_gossip`] *returns* every
+/// rank's knowledge, and `lbaf` reports `mean_knowledge_size` over all
+/// of them.
 struct FlatKnowledge {
     ranks: Vec<RankId>,
     loads: Vec<Load>,
@@ -492,7 +498,7 @@ mod tests {
             let t = msg.target.as_usize();
             let room = cap.saturating_sub(knowledge[t].len());
             let take = msg.payload.len().min(room);
-            knowledge[t].merge_pairs(&msg.payload[..take]);
+            knowledge[t].merge_from(msg.payload[..take].iter().copied());
             max_round = max_round.max(msg.round);
             if msg.round < cfg.rounds {
                 let me = msg.target;

@@ -27,6 +27,11 @@
 //! Above it the bitset is the set in rank order already, so each entry's
 //! index is the count of members below it (popcounts, no comparisons)
 //! and the entries are scattered into place in one pass.
+//!
+//! The set is filled by one entry point, [`Knowledge::merge_from`], and
+//! the same bitset makes it branch-free: above `SCAN_MAX` a gossiped
+//! pair is written at the tail slot whether or not its rank is known,
+//! and the length advances by the membership bit it found clear.
 
 use crate::ids::RankId;
 use crate::load::Load;
@@ -144,34 +149,38 @@ impl Knowledge {
         true
     }
 
-    /// Union with another rank's knowledge (Algorithm 1 lines 16–17).
-    /// Returns the number of newly learned ranks.
-    pub fn merge(&mut self, other: &Knowledge) -> usize {
-        let mut added = 0;
-        for (&r, &l) in other.ranks.iter().zip(other.loads.iter()) {
-            if self.insert(r, l) {
-                added += 1;
-            }
-        }
-        added
-    }
-
-    /// Merge from raw `(rank, load)` pairs, e.g. a decoded gossip message.
-    pub fn merge_pairs(&mut self, pairs: &[(RankId, Load)]) -> usize {
-        self.merge_from(pairs.iter().copied())
-    }
-
-    /// Merge from an iterator of `(rank, load)` pairs without
-    /// materializing them; same first-copy-wins semantics as
-    /// [`Knowledge::insert`].
+    /// Union with `(rank, load)` pairs — a decoded gossip payload
+    /// (Algorithm 1 lines 16–17). Returns the number of newly learned
+    /// ranks; same first-copy-wins semantics, insertion order and
+    /// canonical-order tracking as calling [`Knowledge::insert`] pair by
+    /// pair, which is what a set on the scan path does.
+    ///
+    /// Above `SCAN_MAX` about every other gossiped pair is already known,
+    /// so a membership test per pair is a branch the predictor loses.
+    /// The bitset path has none: every pair is written at the tail slot,
+    /// its bit is OR-ed in, and the length advances by whether the bit
+    /// was clear — a known rank's copy is simply overwritten by the next
+    /// pair. A full vector falls back to `insert`, which grows it only
+    /// for a rank that is new: a payload of known ranks never moves
+    /// either vector's capacity, and so never the rank's resident memory.
     pub fn merge_from(&mut self, pairs: impl IntoIterator<Item = (RankId, Load)>) -> usize {
-        let mut added = 0;
-        for (r, l) in pairs {
-            if self.insert(r, l) {
-                added += 1;
+        let before = self.len();
+        for (rank, load) in pairs {
+            let len = self.ranks.len();
+            if self.bits.is_empty() || len == self.ranks.capacity() || len == self.loads.capacity()
+            {
+                self.insert(rank, load);
+                continue;
             }
+            let is_new = !self.contains(rank);
+            self.set_bit(rank);
+            self.sorted &= !is_new | (self.ranks[len - 1] < rank);
+            self.ranks.push(rank);
+            self.loads.push(load);
+            self.ranks.truncate(len + usize::from(is_new));
+            self.loads.truncate(len + usize::from(is_new));
         }
-        added
+        self.len() - before
     }
 
     /// Update the local load estimate for a known rank (Algorithm 2
@@ -319,17 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_counts_new_entries_only() {
-        let mut a = k(&[(1, 0.5), (2, 0.25)]);
-        let b = k(&[(2, 0.99), (3, 0.1)]);
-        assert_eq!(a.merge(&b), 1);
-        assert_eq!(a.len(), 3);
-        // Existing local estimate kept:
-        assert_eq!(a.load_of(RankId::new(2)), Some(Load::new(0.25)));
-        assert_eq!(a.load_of(RankId::new(3)), Some(Load::new(0.1)));
-    }
-
-    #[test]
     fn iteration_order_is_insertion_order() {
         let mut a = Knowledge::new();
         a.insert(RankId::new(5), Load::new(1.0));
@@ -358,7 +356,7 @@ mod tests {
     fn pairs_roundtrip() {
         let a = k(&[(4, 0.5), (2, 2.0)]);
         let mut b = Knowledge::new();
-        b.merge_pairs(&a.to_pairs());
+        b.merge_from(a.to_pairs());
         assert_eq!(a, b);
     }
 
@@ -394,6 +392,37 @@ mod tests {
             assert!(a.ranks().windows(2).all(|w| w[0] < w[1]));
             assert_eq!((a.ranks.capacity(), a.loads.capacity()), before);
         }
+    }
+
+    #[test]
+    fn merging_known_ranks_into_a_full_set_keeps_its_capacity() {
+        // The tail write needs a free slot; a full vector must not grow
+        // to make one for a payload that teaches nothing.
+        let n = SCAN_MAX as u32 * 4;
+        let pairs =
+            |load: f64| (0..n).map(move |i| (RankId::new((i * 389) % 997), Load::new(load)));
+        let mut a = Knowledge::new();
+        a.merge_from(pairs(1.0));
+        a.ranks.shrink_to_fit();
+        a.loads.shrink_to_fit();
+        assert!(!a.bits.is_empty(), "on the bitset path");
+        assert_eq!(a.len(), a.ranks.capacity());
+        assert_eq!(a.len(), a.loads.capacity());
+        let before = (a.ranks.capacity(), a.loads.capacity());
+        assert_eq!(a.merge_from(pairs(9.0)), 0);
+        assert_eq!((a.ranks.capacity(), a.loads.capacity()), before);
+        assert!(
+            a.loads().iter().all(|&l| l == Load::new(1.0)),
+            "first copy wins"
+        );
+        // One new rank among known ones grows the set by exactly it.
+        let news = [
+            (RankId::new(0), Load::new(9.0)),
+            (RankId::new(998), Load::new(2.0)),
+        ];
+        assert_eq!(a.merge_from(news), 1);
+        assert_eq!(a.load_of(RankId::new(998)), Some(Load::new(2.0)));
+        assert_eq!(a.len(), n as usize + 1);
     }
 
     #[test]

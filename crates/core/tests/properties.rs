@@ -411,6 +411,64 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Knowledge: merge
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `merge_from` is the `insert` loop it replaced. Payloads are
+    /// unsorted and repeat ranks with different loads (`rank % span`
+    /// with a small span makes that the rule); the first long payload
+    /// crosses `SCAN_MAX` (32) mid-way, so one payload runs both the scan
+    /// path and the tail write, and a wide span keeps raising the
+    /// highest id seen, growing the bitset mid-payload. `canonicalize`
+    /// and `add_to_load` are interleaved. The reference calls `insert`
+    /// pair by pair; both sets agree after every step.
+    #[test]
+    fn merge_from_matches_an_insert_loop(
+        steps in prop::collection::vec(
+            (0u8..8, prop::collection::vec((0u32..4096, 0.0f64..4.0), 0..48)),
+            1..16,
+        ),
+        span in 0usize..3,
+    ) {
+        let span = [48u32, 512, 4096][span];
+        let mut k = Knowledge::new();
+        let mut reference = Knowledge::new();
+        for (kind, payload) in steps {
+            match (kind, payload.first()) {
+                (0..=5, _) => {
+                    let pairs = payload
+                        .iter()
+                        .map(|&(r, l)| (RankId::new(r % span), Load::new(l)));
+                    let added = pairs
+                        .clone()
+                        .filter(|&(r, l)| reference.insert(r, l))
+                        .count();
+                    prop_assert_eq!(k.merge_from(pairs), added);
+                }
+                (6, Some(&(at, delta))) if !reference.is_empty() => {
+                    let rank = reference.ranks()[at as usize % reference.len()];
+                    prop_assert!(reference.add_to_load(rank, Load::new(delta)));
+                    prop_assert!(k.add_to_load(rank, Load::new(delta)));
+                }
+                _ => {
+                    k.canonicalize();
+                    reference.canonicalize();
+                }
+            }
+            prop_assert_eq!(k.is_canonical(), reference.is_canonical());
+            let model: Vec<(u32, f64)> = reference
+                .entries()
+                .map(|(r, l)| (r.as_u32(), l.get()))
+                .collect();
+            check_knowledge(&k, &model)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Refinement
 // ---------------------------------------------------------------------------
 

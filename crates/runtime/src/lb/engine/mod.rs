@@ -949,6 +949,42 @@ mod tests {
     }
 
     #[test]
+    fn an_unread_last_round_gossip_is_counted_but_not_merged() {
+        // Returning before `on_basic_recv` would not fail an assertion
+        // anywhere: the epoch's books would never balance and the run
+        // would hang. Pin the order here.
+        let gossip_at = |l_ave: f64| {
+            let cfg = LbProtocolConfig {
+                rounds: 1,
+                ..LbProtocolConfig::default()
+            };
+            let mut e = engine(cfg, vec![(TaskId::new(1), 1.0)], 4);
+            e.l_ave = l_ave;
+            e.enter_gossip(&mut Vec::new());
+            let (epoch, before) = (e.gossip_round_epoch(1), e.det.counters());
+            let cmds = deliver(
+                &mut e,
+                2,
+                LbMsg::Gossip {
+                    epoch,
+                    round: 1,
+                    pairs: vec![(RankId::new(2), 0.25)].into(),
+                },
+            );
+            assert!(cmds.is_empty(), "a gossip receipt emits nothing");
+            assert_eq!(e.det.counters(), (before.0, before.1 + 1), "counted");
+            match &e.state {
+                StageState::Gossip(gs) => (gs.reads, gs.knowledge.len()),
+                s => panic!("left gossip for {}", s.label()),
+            }
+        };
+        // At the average: neither a seed nor a reader — nothing merged.
+        assert_eq!(gossip_at(1.0), (false, 0));
+        // Overloaded: the transfer stage will read the set.
+        assert_eq!(gossip_at(0.5), (true, 1));
+    }
+
+    #[test]
     fn abort_before_commit_reverts_to_input() {
         let tasks = vec![(TaskId::new(1), 1.0), (TaskId::new(2), 2.0)];
         let mut e = engine(LbProtocolConfig::default(), tasks, 4);

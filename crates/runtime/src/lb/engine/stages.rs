@@ -57,10 +57,24 @@ impl StageState {
 }
 
 /// Working state of the gossip stage for one `(trial, iteration)`.
+///
+/// The knowledge set has two readers. A *sender* reads it at round
+/// entry (rounds 1..=k: its payload and its target exclusions), so what
+/// rounds 1..k−1 deliver is merged by everyone. After the last round
+/// nobody sends, and the only reader left is [`transfer_stage`], which
+/// runs on overloaded ranks alone; `gs` is dropped when `run_transfer`
+/// returns. A last-round payload arriving at a rank that will not
+/// transfer would be merged into a set nobody reads, so it is not
+/// merged (see `on_gossip`).
 #[derive(Debug)]
 pub(super) struct GossipState {
     /// Accumulated `S^p` + `LOAD^p()` (Algorithm 1).
     pub(super) knowledge: Knowledge,
+    /// Whether this rank will run the transfer loop on the set:
+    /// `my_load > ℓ_ave·h`. Decided once at stage entry — `current`
+    /// changes only in the transfer and commit epochs, and a `Propose`
+    /// that arrives early is buffered.
+    pub(super) reads: bool,
     /// Current round, 1-based.
     pub(super) round: u32,
     /// Whether any message in the current round taught us a new
@@ -108,6 +122,12 @@ impl TargetExclusions for LiveTargets<'_> {
 impl GossipEngine {
     // ---- stage transitions -----------------------------------------------
 
+    /// Algorithm 2's entry test, `ℓ^p > ℓ_ave·h`: whether this rank runs
+    /// the transfer loop, and so reads its gossip knowledge.
+    fn is_overloaded(&self) -> bool {
+        self.my_load() > self.l_ave * self.cfg.transfer.threshold_h
+    }
+
     pub(super) fn enter_gossip(&mut self, out: &mut Vec<Command>) {
         self.iter_transfers = 0;
         self.iter_rejected = 0;
@@ -117,6 +137,7 @@ impl GossipEngine {
             .rank_stream(b"gossip", self.me.as_u32() as u64, self.sub_epoch());
         self.state = StageState::Gossip(GossipState {
             knowledge: Knowledge::new(),
+            reads: self.is_overloaded(),
             round: 0,
             grew: false,
             rng,
@@ -202,6 +223,12 @@ impl GossipEngine {
         match &mut self.state {
             StageState::Gossip(gs) => {
                 debug_assert_eq!(round, gs.round);
+                // The message is counted, acked and traced like any
+                // other; only the merge into a set nobody will read is
+                // skipped, and the payload is released here.
+                if round as usize >= self.cfg.rounds && !gs.reads {
+                    return;
+                }
                 let merged = gs
                     .knowledge
                     .merge_from(pairs.iter().map(|&(r, l)| (r, Load::new(l))));
@@ -259,9 +286,8 @@ impl GossipEngine {
         // Algorithm 2, locally — literally the same kernel the
         // analysis-mode driver runs, fed the same canonicalized inputs
         // and the same random stream.
-        let my_load = self.my_load();
-        let threshold = self.l_ave * self.cfg.transfer.threshold_h;
-        if my_load > threshold && !gs.knowledge.is_empty() {
+        debug_assert_eq!(gs.reads, self.is_overloaded());
+        if gs.reads && !gs.knowledge.is_empty() {
             // Rank order only for a rank about to read it, exactly where
             // `refine` has it: `gs` is dropped when this function returns.
             gs.knowledge.canonicalize();

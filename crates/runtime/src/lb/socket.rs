@@ -704,10 +704,13 @@ mod tests {
             stage_deadline: 10.0,
             ..Default::default()
         })
+        // A live peer must go silent for 300 ms before it is suspected
+        // (the `sockets_hotspot` knobs): the rank threads share two
+        // cores with every other test of a debug build.
         .crash_tolerant(HealthConfig {
-            period: 5e-3,
-            suspicion_threshold: 8.0,
-            startup_grace: 0.05,
+            period: 10e-3,
+            suspicion_threshold: 30.0,
+            startup_grace: 0.5,
         })
         .partition_tolerant(PartitionConfig { park_deadline: 1.0 });
         let factory = RngFactory::new(seed);
@@ -796,6 +799,18 @@ mod tests {
             let report = report.as_ref().expect("collected");
             assert!(report.finished, "rank {r} must finish");
             assert!(!report.rank.degraded(), "rank {r} degraded");
+            // A run that restarted on a smaller view legitimately commits
+            // another placement; say so before comparing placements.
+            let view = report.rank.view();
+            assert!(
+                view.generation() == 0 && !report.rank.parked(),
+                "rank {r} left the initial view (generation {}, dead {:?}, parked {}): \
+                 nobody crashed, so the host stalled a live peer past the suspicion \
+                 threshold — the placement below is not comparable",
+                view.generation(),
+                view.dead(),
+                report.rank.parked(),
+            );
             let placed = report.rank.canonical();
             total += placed.len();
             assert_eq!(placed, reference[r], "rank {r} assignment diverged");

@@ -100,42 +100,36 @@ fn grapevine_engine_matches_refine() {
     }
 }
 
-/// Every case above tops out at 16 ranks, so no knowledge set there
-/// outgrows the scan path (`SCAN_MAX` = 32 entries). Here 112 of 128
-/// ranks are underloaded and gossip reaches `4^5` ranks, so the
-/// overloaded 16 canonicalize bitset-backed sets of about a hundred
-/// entries — the path every large run is on.
-#[test]
-fn tempered_engine_matches_refine_past_the_scan_threshold() {
+/// 128 ranks: the first 16 hold 40 tasks each, the next `mid` hold four
+/// unit tasks each (below the average, above half of it), the rest
+/// nothing.
+fn concentrated_128(mid: u32) -> Distribution {
     let loads: Vec<Vec<f64>> = (0..128)
         .map(|r| {
             if r < 16 {
                 (0..40).map(|t| f64::from(1 + (r + t) % 8) * 0.25).collect()
+            } else if r < 16 + mid {
+                vec![1.0; 4]
             } else {
                 vec![]
             }
         })
         .collect();
-    let dist = Distribution::from_loads(loads);
-    let rcfg = RefineConfig {
-        gossip: GossipConfig {
-            fanout: 4,
-            rounds: 5,
-            ..Default::default()
-        },
-        ..small_tempered()
-    };
-    for seed in 0..4 {
-        assert_equivalent(&dist, &rcfg, seed);
-    }
+    Distribution::from_loads(loads)
+}
 
-    // The simulator delivers in a different order (latency model, acks,
-    // retry timers); the committed placement is the same one.
+/// [`assert_equivalent`] over four seeds, then the hardened simulator:
+/// it delivers in a different order (latency model, acks, retry timers)
+/// and must commit the same placement.
+fn assert_equivalent_on_every_driver(dist: &Distribution, rcfg: RefineConfig) {
+    for seed in 0..4 {
+        assert_equivalent(dist, &rcfg, seed);
+    }
     let factory = RngFactory::new(0);
     let cfg = LbProtocolConfig::from(rcfg);
-    let local = run_local_lb(&dist, cfg, &factory);
+    let local = run_local_lb(dist, cfg, &factory);
     let hardened = run_distributed_lb(
-        &dist,
+        dist,
         cfg.hardened(RetryConfig::default()),
         NetworkModel::default(),
         &factory,
@@ -145,6 +139,46 @@ fn tempered_engine_matches_refine_past_the_scan_threshold() {
         hardened.distribution.canonical(),
         local.distribution.canonical()
     );
+}
+
+/// `small_tempered` with the gossip stage widened to `fanout` × `rounds`.
+fn tempered_with_gossip(fanout: usize, rounds: usize) -> RefineConfig {
+    RefineConfig {
+        gossip: GossipConfig {
+            fanout,
+            rounds,
+            ..Default::default()
+        },
+        ..small_tempered()
+    }
+}
+
+/// Every case above tops out at 16 ranks, so no knowledge set there
+/// outgrows the scan path (`SCAN_MAX` = 32 entries). Here 112 of 128
+/// ranks are underloaded and gossip reaches `4^5` ranks, so the
+/// overloaded 16 canonicalize bitset-backed sets of about a hundred
+/// entries — the path every large run is on.
+#[test]
+fn tempered_engine_matches_refine_past_the_scan_threshold() {
+    assert_equivalent_on_every_driver(&concentrated_128(0), tempered_with_gossip(4, 5));
+}
+
+/// The engine does not merge a last-round payload on a rank that will
+/// not run the transfer loop. With one round every round is the last:
+/// only the overloaded 16 ever merge anything, and nobody can tell.
+#[test]
+fn unread_knowledge_is_unobservable_when_every_round_is_the_last() {
+    assert_equivalent_on_every_driver(&concentrated_128(0), tempered_with_gossip(8, 1));
+}
+
+/// With `h = 0.5` the 16 ranks between `h·ℓ_ave` and `ℓ_ave` seed gossip
+/// as underloaded *and* run the transfer loop — sender and reader at
+/// once, so their last-round receipts must be merged like any other.
+#[test]
+fn a_rank_below_the_average_and_above_the_threshold_reads_what_it_gossips() {
+    let mut rcfg = tempered_with_gossip(4, 5);
+    rcfg.transfer.threshold_h = 0.5;
+    assert_equivalent_on_every_driver(&concentrated_128(16), rcfg);
 }
 
 proptest! {
