@@ -11,7 +11,7 @@
 //! Pass a path to re-report an existing trace without running anything:
 //! `cargo run -p tempered-bench --bin obs_report -- results/trace.json`
 
-use empire_pic::{run_distributed_pic_crash_traced, BdotScenario, DistPicConfig, Mesh};
+use empire_pic::{run_distributed_pic, BdotScenario, DistPicConfig, Mesh};
 use lbaf::Table;
 use tempered_bench::write_results;
 use tempered_obs::{
@@ -19,7 +19,7 @@ use tempered_obs::{
     CostBreakdown, Recorder,
 };
 use tempered_runtime::sim::NetworkModel;
-use tempered_runtime::{FaultPlan, LbProtocolConfig};
+use tempered_runtime::LbProtocolConfig;
 
 /// Seed of the recorded demo run.
 const SEED: u64 = 2021;
@@ -90,14 +90,7 @@ fn main() {
     let num_ranks = cfg.scenario.mesh.num_ranks();
     eprintln!("obs_report: tracing a {num_ranks}-rank distributed PIC run (seed {SEED})");
     let recorder = Recorder::enabled(num_ranks);
-    let out = run_distributed_pic_crash_traced(
-        cfg,
-        NetworkModel::default(),
-        SEED,
-        FaultPlan::none(),
-        &[],
-        recorder.clone(),
-    );
+    let out = run_distributed_pic(cfg, NetworkModel::default(), SEED, recorder.clone());
     eprintln!(
         "run complete: {} steps, {} colors migrated, {} events",
         out.stats.len(),

@@ -23,6 +23,7 @@ use lbaf::{
     Table, Trace,
 };
 use tempered_core::prelude::*;
+use tempered_obs::Recorder;
 use tempered_runtime::{run_distributed_lb, LbProtocolConfig, NetworkModel};
 
 /// Master seed shared by all figure runs.
@@ -575,7 +576,7 @@ fn dist_validation(_: &mut Runs, scale: Scale) -> String {
             lb_first_step,
             lb_period: 25,
         };
-        run_distributed_pic(cfg, NetworkModel::default(), FIG_SEED)
+        run_distributed_pic(cfg, NetworkModel::default(), FIG_SEED, Recorder::disabled())
     };
     // The global harness on the distributed run's LB schedule and budget.
     let global = |mode| {

@@ -30,10 +30,7 @@ pub mod scenario;
 pub mod timeline;
 
 pub use app::{EmpireSim, PhaseLoads};
-pub use dist_app::{
-    run_distributed_pic, run_distributed_pic_crash_traced, run_distributed_pic_with_crashes,
-    DistPicConfig, DistPicResult, PicRank, StepCrash,
-};
+pub use dist_app::{run_distributed_pic, DistPicConfig, DistPicResult, PicRank};
 pub use locality::{measure_locality, LocalityStats};
 pub use mesh::{ColorId, Mesh};
 pub use scenario::{BdotScenario, CostModel};

@@ -176,20 +176,6 @@ pub enum EventKind {
         /// Stable node id that was force-crashed.
         node: u64,
     },
-    /// End-of-step object checkpoint shipped to a buddy rank.
-    CheckpointSaved {
-        /// Application step the checkpoint covers.
-        step: u64,
-        /// Objects captured in the checkpoint.
-        objects: u64,
-    },
-    /// Objects of a crashed rank restored from its latest checkpoint.
-    CheckpointRestored {
-        /// The crashed rank whose objects were recovered.
-        from: u32,
-        /// Objects brought back.
-        objects: u64,
-    },
     /// Free-form marker for ad-hoc instrumentation.
     Marker(&'static str),
 }
@@ -218,9 +204,6 @@ impl EventKind {
             | EventKind::DrainStarted { .. }
             | EventKind::DrainCompleted { .. }
             | EventKind::DrainDeadlineExceeded { .. } => "membership",
-            EventKind::CheckpointSaved { .. } | EventKind::CheckpointRestored { .. } => {
-                "checkpoint"
-            }
             EventKind::Marker(_) => "marker",
         }
     }
@@ -252,8 +235,6 @@ impl EventKind {
             EventKind::DrainDeadlineExceeded { node } => {
                 format!("drain_deadline_exceeded:{node}")
             }
-            EventKind::CheckpointSaved { step, .. } => format!("checkpoint_saved:{step}"),
-            EventKind::CheckpointRestored { from, .. } => format!("checkpoint_restored:{from}"),
             EventKind::Marker(name) => (*name).to_string(),
         }
     }
@@ -313,12 +294,6 @@ impl EventKind {
             | EventKind::DrainCompleted { node }
             | EventKind::DrainDeadlineExceeded { node } => {
                 vec![("node", node.to_string())]
-            }
-            EventKind::CheckpointSaved { step, objects } => {
-                vec![("step", step.to_string()), ("objects", objects.to_string())]
-            }
-            EventKind::CheckpointRestored { from, objects } => {
-                vec![("from", from.to_string()), ("objects", objects.to_string())]
             }
             EventKind::Marker(_) => vec![],
         }

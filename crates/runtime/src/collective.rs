@@ -192,8 +192,8 @@ pub enum Reduced {
 /// The numbering is computed from the dead set
 /// ([`live_index`] / [`nth_live`]), so no rank lists the survivors; with
 /// nobody dead index == id and this is the plain full tree. The dead set
-/// stays with its owner (a membership view, an application's crash
-/// record) and is passed to every call.
+/// stays with its owner (a membership view, or an empty set for a caller
+/// whose ranks never die) and is passed to every call.
 #[derive(Clone, Debug)]
 pub struct SurvivorTree {
     me: RankId,

@@ -41,8 +41,9 @@ pub struct PauseWindow {
 /// deliveries resume. The executors model a *warm* restart — the rank's
 /// in-memory protocol state survives, so a restart before the failure
 /// detector fires looks like a blackout the reliable layer can mask.
-/// State-loss recovery is the application layer's job (see the
-/// checkpoint/restore machinery in `tempered-empire`).
+/// A rank that stays dead takes its state with it: the LB layer does
+/// not restore a corpse's tasks, and the survivors balance what they
+/// still hold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CrashEvent {
     /// The crashing rank.

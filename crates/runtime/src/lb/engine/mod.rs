@@ -846,10 +846,9 @@ impl GossipEngine {
             .filter(|(_, m)| !self.is_stale(m))
             .collect();
 
-        // Tasks homed on a dead rank are gone at this layer — restoring
-        // their data is the application's job (checkpoints in
-        // `empire::dist_app`); the LB protocol just re-balances whatever
-        // the survivors still hold.
+        // Tasks homed on a dead rank are gone: the LB layer does not
+        // restore a corpse's tasks. The protocol just re-balances
+        // whatever the survivors still hold.
         self.current = self.original.clone();
         self.best = self.original.clone();
         self.l_ave = 0.0;

@@ -154,8 +154,8 @@ pub(crate) fn collapse(input: &Distribution, ranks: &[LbRank], strict: bool) -> 
         reliable.merge(&r.reliable_stats());
         if !r.finished() {
             // Crashed mid-protocol: its engine holds a corpse's state.
-            // Tasks homed there are restored from checkpoints by the
-            // application layer (see `tempered-empire`), not here.
+            // The LB layer does not restore the tasks homed there; they
+            // are missing from the output.
             continue;
         }
         for t in r.final_tasks() {
@@ -672,7 +672,7 @@ mod tests {
             );
             assert_eq!(out.degraded_ranks, 0, "survivors restart, not degrade");
             // Rank 0's 30 tasks died with it (the LB layer does not
-            // restore data; see empire's checkpoints). Rank 1's 30 live.
+            // restore a corpse's tasks). Rank 1's 30 live.
             assert_eq!(out.distribution.num_tasks(), 30);
             assert_eq!(
                 out.distribution.tasks_on(RankId::new(0)).len(),

@@ -106,10 +106,9 @@ pub trait Protocol: Sized {
     }
 
     /// Whether a message is subject to fault injection. Defaults to
-    /// everything; protocols embedding reliable and best-effort traffic
-    /// side by side (e.g. the PIC application, whose particle exchange
-    /// models an MPI transport) override this to expose only the traffic
-    /// their hardening actually protects.
+    /// everything; a protocol that carries hardened and unhardened
+    /// traffic side by side overrides this to expose only the traffic
+    /// its hardening actually protects.
     fn faultable(_msg: &Self::Msg) -> bool {
         true
     }

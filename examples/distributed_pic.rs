@@ -8,6 +8,7 @@
 
 use tempered_lb::empire::{run_distributed_pic, BdotScenario, CostModel, DistPicConfig};
 use tempered_lb::prelude::*;
+use tempered_obs::Recorder;
 
 fn main() {
     let mut scenario = BdotScenario::small();
@@ -30,10 +31,11 @@ fn main() {
         cfg.scenario.steps
     );
 
-    let balanced = run_distributed_pic(cfg, NetworkModel::default(), 2021);
+    let run = |cfg| run_distributed_pic(cfg, NetworkModel::default(), 2021, Recorder::disabled());
+    let balanced = run(cfg);
     let mut no_lb = cfg;
     no_lb.lb_first_step = usize::MAX;
-    let unbalanced = run_distributed_pic(no_lb, NetworkModel::default(), 2021);
+    let unbalanced = run(no_lb);
 
     println!();
     println!(
