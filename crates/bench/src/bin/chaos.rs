@@ -480,7 +480,8 @@ fn partition_sweep(
 ///   network partition; the partition-tolerant stack parks the minority
 ///   while the join still commits.
 /// - `drain_deadline` — a drain whose handoff stalls past its deadline
-///   must degrade to the crash path with checkpoint recovery.
+///   must degrade to the crash path: the step runner evacuates the
+///   overdue node's committed tasks, then declares it dead.
 ///
 /// Every scenario is gated on zero lost tasks, zero quorum violations,
 /// and bit-for-bit sim↔threaded assignment equality on every fault-free

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tempered_bench::sockets;
+use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::RngFactory;
 use tempered_runtime::lb::{run_socket_rank, LbRank, SocketConfig};
@@ -149,7 +150,7 @@ fn main() -> ExitCode {
     let me = RankId::from(args.rank);
     let tasks: Vec<(TaskId, f64)> = match args.tasks {
         Some(tasks) => tasks,
-        None => sockets::scenario_dist(args.ranks)
+        None => Distribution::concentrated(args.ranks, 2, 12)
             .tasks_on(me)
             .iter()
             .map(|t| (t.id, t.load.get()))

@@ -588,7 +588,7 @@ fn main() {
         }
     };
 
-    let dist = sockets::scenario_dist(args.ranks);
+    let dist = Distribution::concentrated(args.ranks, 2, 12);
     let total_tasks = dist.num_tasks();
 
     let mut table = Table::new(

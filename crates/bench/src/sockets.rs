@@ -6,6 +6,11 @@
 //! configuration, and fault plan from a handful of CLI scalars, or the
 //! bit-for-bit equivalence check would be comparing different runs.
 //! Everything shape-defining lives here; the binaries only parse flags.
+//! The input is the one exception, because core already builds it: every
+//! scenario runs `Distribution::concentrated(ranks, 2, 12)`, two ranks of
+//! twelve unit tasks and the rest empty — small enough that a grid of
+//! multi-process runs stays fast, imbalanced enough that the commit is a
+//! real migration pattern rather than a no-op.
 //!
 //! ## Why these knobs differ from the in-process chaos grid
 //!
@@ -31,24 +36,12 @@
 //! bit equality.
 
 use std::path::Path;
-use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::{FaultPlan, HealthConfig, PartitionConfig, PartitionWindow, RetryConfig};
 
 /// Master seed of the sockets grid (same convention as the chaos grid).
 pub const SOCKETS_SEED: u64 = 4242;
-
-/// Hot-spot input shared by every sockets scenario: 2 overloaded ranks,
-/// the rest empty — small enough that a grid of multi-process runs
-/// stays fast, imbalanced enough that the commit is a real migration
-/// pattern rather than a no-op.
-pub fn scenario_dist(num_ranks: usize) -> Distribution {
-    let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-        .map(|r| if r < 2 { vec![1.0; 12] } else { vec![] })
-        .collect();
-    Distribution::from_loads(per_rank)
-}
 
 /// Wall-clock retry configuration for runs over real sockets (the
 /// simulator reference uses the same values in virtual seconds).
@@ -347,13 +340,5 @@ mod tests {
         assert!(err("RESULT rank=1 colour=blue").contains("unknown RESULT key colour"));
         assert!(err("RESULT finished=1 tasks=").contains("missing rank="));
         assert!(err("RESULT rank=1 tasks=1,x").contains("tasks:"));
-    }
-
-    #[test]
-    fn shared_shapes_are_deterministic() {
-        let a = scenario_dist(8);
-        let b = scenario_dist(8);
-        assert_eq!(a.canonical(), b.canonical());
-        assert_eq!(a.num_tasks(), 24);
     }
 }

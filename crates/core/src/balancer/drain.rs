@@ -12,12 +12,10 @@
 //! evacuation order, recipients, and tie-breaks are deterministic so the
 //! same drain replays bit-for-bit on every driver.
 //!
-//! The second half of the module is the dense *projection*: continuing
-//! ranks re-numbered `0..m` in ascending original-id order, which is
-//! exactly the self-stabilizing renumbering the elastic layer uses
-//! (a node's rank = the number of live nodes with smaller ids). Any
-//! balancer can then run unchanged over the projected distribution, and
-//! [`unproject`] restores original rank ids for the commit.
+//! The elastic step runner (`runtime::elastic`) calls [`evacuate`] on the
+//! dense distribution of its current roster and moves the committed
+//! tasks itself; the balancer then runs over the next step's roster,
+//! which no longer holds the parked rank.
 
 use std::collections::BTreeSet;
 
@@ -25,10 +23,6 @@ use crate::criteria::CriterionKind;
 use crate::distribution::{Distribution, Migration};
 use crate::ids::RankId;
 use crate::load::Load;
-use crate::refine::net_migrations;
-use crate::rng::RngFactory;
-
-use super::{LoadBalancer, RebalanceResult};
 
 /// Deterministic evacuation of every draining rank: each of its tasks is
 /// handed to a continuing rank chosen by the transfer criterion with the
@@ -111,111 +105,10 @@ pub fn evacuate(
     out
 }
 
-/// Project `dist` onto its continuing ranks: a dense distribution over
-/// `m = num_ranks − |draining|` ranks where dense rank `i` is
-/// `continuing[i]` (continuing ids ascending — the self-stabilizing
-/// renumbering), plus that mapping. Tasks still sitting on a draining
-/// rank are **dropped** from the projection; run [`evacuate`] first if
-/// they must survive.
-pub fn project(dist: &Distribution, draining: &BTreeSet<RankId>) -> (Distribution, Vec<RankId>) {
-    let continuing: Vec<RankId> = dist.rank_ids().filter(|r| !draining.contains(r)).collect();
-    let mut dense = Distribution::new(continuing.len());
-    for (i, &r) in continuing.iter().enumerate() {
-        for &task in dist.tasks_on(r) {
-            dense
-                .insert(RankId::new(i as u32), task)
-                .expect("projection inserts each task once");
-        }
-    }
-    (dense, continuing)
-}
-
-/// Inverse of [`project`]: restore original rank ids. `continuing[i]`
-/// receives dense rank `i`'s tasks; the other ranks of the
-/// `num_ranks`-wide result end empty (the drained ranks, post-handoff).
-pub fn unproject(dense: &Distribution, continuing: &[RankId], num_ranks: usize) -> Distribution {
-    assert_eq!(dense.num_ranks(), continuing.len());
-    let mut out = Distribution::new(num_ranks);
-    for (i, &r) in continuing.iter().enumerate() {
-        for &task in dense.tasks_on(RankId::new(i as u32)) {
-            out.insert(r, task)
-                .expect("unprojection inserts each task once");
-        }
-    }
-    out
-}
-
-/// Wrap any balancer with drain handling: evacuate the draining ranks
-/// (criterion at infinite sender load), run the inner balancer over the
-/// dense projection of the continuing ranks, and restate the combined
-/// outcome against the *original* distribution via [`net_migrations`] —
-/// so callers see one ordinary [`RebalanceResult`] whose proposal leaves
-/// every draining rank empty.
-pub struct DrainingLb<B> {
-    inner: B,
-    criterion: CriterionKind,
-    draining: BTreeSet<RankId>,
-}
-
-impl<B: LoadBalancer> DrainingLb<B> {
-    /// Wrap `inner`; `criterion` prices the evacuation (use the same
-    /// criterion the inner balancer transfers with).
-    pub fn new(inner: B, criterion: CriterionKind, draining: BTreeSet<RankId>) -> Self {
-        DrainingLb {
-            inner,
-            criterion,
-            draining,
-        }
-    }
-
-    /// The wrapped balancer.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: LoadBalancer> LoadBalancer for DrainingLb<B> {
-    fn name(&self) -> &'static str {
-        "DrainingLB"
-    }
-
-    fn rebalance(
-        &mut self,
-        dist: &Distribution,
-        factory: &RngFactory,
-        epoch: u64,
-    ) -> RebalanceResult {
-        if self.draining.is_empty() {
-            return self.inner.rebalance(dist, factory, epoch);
-        }
-        let mut evacuated = dist.clone();
-        evacuated
-            .apply(&evacuate(dist, &self.draining, self.criterion))
-            .expect("evacuation migrations are consistent");
-        let (dense, continuing) = project(&evacuated, &self.draining);
-        let proposed = self.inner.rebalance(&dense, factory, epoch);
-        let restored = unproject(&proposed.distribution, &continuing, dist.num_ranks());
-
-        let migrations = net_migrations(dist, &restored);
-        let mut distribution = dist.clone();
-        distribution
-            .apply(&migrations)
-            .expect("net migrations against the input are consistent");
-        RebalanceResult {
-            initial_imbalance: dist.imbalance(),
-            final_imbalance: distribution.imbalance(),
-            messages_sent: proposed.messages_sent,
-            migrations,
-            distribution,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::balancer::test_support::skewed;
-    use crate::balancer::{GrapevineLb, TemperedLb};
     use crate::ids::TaskId;
 
     fn drain_set(ranks: &[u32]) -> BTreeSet<RankId> {
@@ -272,64 +165,6 @@ mod tests {
     fn draining_everyone_panics() {
         let dist = skewed(2, 4);
         evacuate(&dist, &drain_set(&[0, 1]), CriterionKind::Relaxed);
-    }
-
-    #[test]
-    fn projection_round_trips_after_evacuation() {
-        let dist = skewed(8, 12);
-        let draining = drain_set(&[0, 3]);
-        let mut evacuated = dist.clone();
-        evacuated
-            .apply(&evacuate(&dist, &draining, CriterionKind::Relaxed))
-            .unwrap();
-        let (dense, continuing) = project(&evacuated, &draining);
-        assert_eq!(dense.num_ranks(), 6);
-        assert_eq!(dense.num_tasks(), dist.num_tasks());
-        // The renumbering is the ascending-id order of the continuing
-        // ranks: rank = number of continuing ranks with smaller id.
-        assert_eq!(continuing, [1u32, 2, 4, 5, 6, 7].map(RankId::new).to_vec());
-        let back = unproject(&dense, &continuing, dist.num_ranks());
-        assert_eq!(back.canonical(), evacuated.canonical());
-    }
-
-    #[test]
-    fn draining_lb_proposal_leaves_drained_ranks_empty() {
-        let dist = skewed(8, 12);
-        let draining = drain_set(&[0]);
-        let mut lb = DrainingLb::new(TemperedLb::default(), CriterionKind::Relaxed, draining);
-        let result = lb.rebalance(&dist, &RngFactory::new(2021), 0);
-        result.distribution.check_invariants().unwrap();
-        assert_eq!(result.distribution.num_tasks(), dist.num_tasks());
-        assert!(result.distribution.tasks_on(RankId::new(0)).is_empty());
-        assert!(result
-            .distribution
-            .total_load()
-            .approx_eq(dist.total_load()));
-        // Migrations replay to the proposal.
-        let mut replay = dist.clone();
-        replay.apply(&result.migrations).unwrap();
-        assert_eq!(replay.canonical(), result.distribution.canonical());
-        // Every task is accounted for.
-        for r in dist.rank_ids() {
-            for t in dist.tasks_on(r) {
-                assert!(result.distribution.location_of(t.id).is_some());
-            }
-        }
-    }
-
-    #[test]
-    fn draining_lb_with_empty_set_is_the_inner_balancer() {
-        let dist = skewed(8, 12);
-        let factory = RngFactory::new(7);
-        let mut plain = GrapevineLb::default();
-        let mut wrapped = DrainingLb::new(
-            GrapevineLb::default(),
-            CriterionKind::Original,
-            BTreeSet::new(),
-        );
-        let a = plain.rebalance(&dist, &factory, 3);
-        let b = wrapped.rebalance(&dist, &factory, 3);
-        assert_eq!(a.distribution.canonical(), b.distribution.canonical());
     }
 
     #[test]

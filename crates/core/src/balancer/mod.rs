@@ -1,15 +1,18 @@
 //! Load balancing strategies behind a common interface.
 //!
-//! The paper's Fig. 2/3 compare five configurations; each maps to one
-//! implementation here:
+//! The paper's Fig. 2/3 compare five configurations; the four that
+//! balance map to one implementation each here, and the timelines model
+//! "SPMD" and "AMT without LB" by calling no balancer at all:
 //!
 //! | Paper configuration  | Type                 |
 //! |----------------------|----------------------|
-//! | SPMD / AMT without LB | [`NullLb`]          |
 //! | AMT w/GrapevineLB    | [`GrapevineLb`]      |
 //! | AMT w/GreedyLB       | [`GreedyLb`]         |
 //! | AMT w/HierLB         | [`HierLb`]           |
 //! | AMT w/TemperedLB     | [`TemperedLb`]       |
+//!
+//! Beside them, [`PredictiveLb`] runs any of these on forecast loads, and
+//! [`evacuate`] empties draining ranks for the elastic step runner.
 //!
 //! A balancer consumes the instrumented [`Distribution`] of the previous
 //! phase (the *principle of persistence*: past load predicts future load)
@@ -19,21 +22,14 @@ mod drain;
 mod grapevine;
 mod greedy;
 mod hier;
-mod naive;
-mod null;
 mod predictive;
 mod tempered;
 
-pub use drain::{evacuate, project, unproject, DrainingLb};
+pub use drain::evacuate;
 pub use grapevine::GrapevineLb;
 pub use greedy::GreedyLb;
 pub use hier::{HierConfig, HierLb};
-pub use naive::{RandomLb, RotateLb};
-pub use null::NullLb;
-pub use predictive::{
-    predictive_grapevine, predictive_tempered, PredictiveGrapevineLb, PredictiveLb,
-    PredictiveTemperedLb,
-};
+pub use predictive::PredictiveLb;
 pub use tempered::{TemperedConfig, TemperedLb};
 
 use crate::distribution::{Distribution, Migration};

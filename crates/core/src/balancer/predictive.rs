@@ -31,11 +31,9 @@
 
 use crate::balancer::{LoadBalancer, RebalanceResult};
 use crate::distribution::Distribution;
-use crate::forecast::{ForecastBank, Holt, LoadModel};
+use crate::forecast::{ForecastBank, LoadModel};
 use crate::refine::net_migrations;
 use crate::rng::RngFactory;
-
-use super::{GrapevineLb, TemperedLb};
 
 /// A forecast-driven wrapper around any [`LoadBalancer`].
 #[derive(Clone, Debug)]
@@ -57,24 +55,6 @@ impl<B: LoadBalancer, M: LoadModel + Clone> PredictiveLb<B, M> {
             name,
         }
     }
-}
-
-/// TemperedLB driven by Holt per-task forecasts.
-pub type PredictiveTemperedLb = PredictiveLb<TemperedLb, Holt>;
-
-/// GrapevineLB driven by Holt per-task forecasts.
-pub type PredictiveGrapevineLb = PredictiveLb<GrapevineLb, Holt>;
-
-/// The default predictive TemperedLB: Holt forecasts over
-/// [`TemperedLb::default`].
-pub fn predictive_tempered() -> PredictiveTemperedLb {
-    PredictiveLb::new("PredTemperedLB", TemperedLb::default(), Holt::default())
-}
-
-/// The default predictive GrapevineLB: Holt forecasts over
-/// [`GrapevineLb::default`].
-pub fn predictive_grapevine() -> PredictiveGrapevineLb {
-    PredictiveLb::new("PredGrapevineLB", GrapevineLb::default(), Holt::default())
 }
 
 impl<B: LoadBalancer, M: LoadModel + Clone> LoadBalancer for PredictiveLb<B, M> {
@@ -114,7 +94,8 @@ impl<B: LoadBalancer, M: LoadModel + Clone> LoadBalancer for PredictiveLb<B, M> 
 mod tests {
     use super::*;
     use crate::balancer::test_support::skewed;
-    use crate::forecast::LastObserved;
+    use crate::balancer::{GrapevineLb, TemperedLb};
+    use crate::forecast::{Holt, LastObserved};
     use crate::ids::{RankId, TaskId};
     use crate::load::Load;
 
@@ -123,7 +104,7 @@ mod tests {
         let dist = skewed(16, 24);
         let factory = RngFactory::new(77);
         let mut twin = TemperedLb::default();
-        let mut pred = predictive_tempered();
+        let mut pred = PredictiveLb::new("PredTemperedLB", TemperedLb::default(), Holt::default());
         for epoch in 0..4 {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);
@@ -170,7 +151,7 @@ mod tests {
         // The predictive balancer should move work off rank 0 even
         // though persistence sees nothing to do.
         let mut dist = Distribution::from_loads(vec![vec![1.0; 8], vec![1.0; 8], vec![]]);
-        let mut pred = predictive_tempered();
+        let mut pred = PredictiveLb::new("PredTemperedLB", TemperedLb::default(), Holt::default());
         let factory = RngFactory::new(3);
         // Feed a history: rank 0 ramps, rank 1 decays.
         for epoch in 0..6 {
@@ -198,7 +179,8 @@ mod tests {
     #[test]
     fn result_is_consistent_with_its_own_migrations() {
         let dist = skewed(12, 20);
-        let mut pred = predictive_grapevine();
+        let mut pred =
+            PredictiveLb::new("PredGrapevineLB", GrapevineLb::default(), Holt::default());
         let r = pred.rebalance(&dist, &factory(), 0);
         let mut replay = dist.clone();
         replay.apply(&r.migrations).unwrap();

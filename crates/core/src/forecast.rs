@@ -8,7 +8,9 @@
 //! the Benefits of Anticipating Load Imbalance*, see PAPERS.md), this
 //! module replaces the persistence estimate with a per-task time-series
 //! forecast: each task carries a small online model that absorbs one
-//! observation per phase and extrapolates one horizon ahead.
+//! observation per phase and extrapolates ahead: one phase for the
+//! per-task [`ForecastBank`], a configurable horizon for the elastic
+//! autoscaler's total-load series.
 //!
 //! Two design constraints shape the implementations:
 //!
@@ -33,9 +35,6 @@ use std::collections::BTreeMap;
 /// An online, single-series load model: absorb one observation per
 /// phase, extrapolate `horizon` phases ahead.
 pub trait LoadModel {
-    /// Short name for tables and CSV columns.
-    fn name(&self) -> &'static str;
-
     /// Absorb the load measured for the phase that just finished.
     fn observe(&mut self, load: f64);
 
@@ -54,60 +53,12 @@ pub struct LastObserved {
 }
 
 impl LoadModel for LastObserved {
-    fn name(&self) -> &'static str {
-        "last"
-    }
-
     fn observe(&mut self, load: f64) {
         self.last = Some(load);
     }
 
     fn predict(&self, _horizon: f64) -> f64 {
         self.last.unwrap_or(0.0)
-    }
-}
-
-/// Exponentially weighted moving average in error-correction form:
-/// `level += α · (x − level)`. Smooths noise; lags trends.
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    /// Smoothing factor in `(0, 1]`; 1 degenerates to [`LastObserved`].
-    pub alpha: f64,
-    level: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA with the given smoothing factor and no history.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
-        Ewma { alpha, level: None }
-    }
-
-    /// The current smoothed level, if any observation has arrived.
-    pub fn level(&self) -> Option<f64> {
-        self.level
-    }
-}
-
-impl LoadModel for Ewma {
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-
-    fn observe(&mut self, load: f64) {
-        match &mut self.level {
-            None => self.level = Some(load),
-            // Error-correction update: a zero innovation (constant
-            // series) leaves the level bit-exact.
-            Some(l) => *l += self.alpha * (load - *l),
-        }
-    }
-
-    fn predict(&self, _horizon: f64) -> f64 {
-        self.level.unwrap_or(0.0)
     }
 }
 
@@ -150,11 +101,6 @@ impl Holt {
             state: None,
         }
     }
-
-    /// The current `(level, trend)` pair, if any observation has arrived.
-    pub fn state(&self) -> Option<(f64, f64)> {
-        self.state
-    }
 }
 
 impl Default for Holt {
@@ -171,10 +117,6 @@ impl Default for Holt {
 }
 
 impl LoadModel for Holt {
-    fn name(&self) -> &'static str {
-        "holt"
-    }
-
     fn observe(&mut self, load: f64) {
         match &mut self.state {
             None => self.state = Some((load, 0.0)),
@@ -207,8 +149,6 @@ pub struct ForecastBank<M: LoadModel + Clone> {
     prototype: M,
     models: BTreeMap<TaskId, M>,
     last_epoch: Option<u64>,
-    /// Phases ahead to extrapolate (default 1: the next phase).
-    pub horizon: f64,
     /// When positive, predictions are snapped to the nearest multiple —
     /// use a dyadic quantum (e.g. `2⁻¹⁰`) to keep forecast loads safe
     /// for bit-exact cross-driver comparison. Zero disables snapping,
@@ -217,33 +157,15 @@ pub struct ForecastBank<M: LoadModel + Clone> {
     pub quantum: f64,
 }
 
-impl<M: LoadModel + Clone + Default> Default for ForecastBank<M> {
-    fn default() -> Self {
-        ForecastBank::new(M::default())
-    }
-}
-
 impl<M: LoadModel + Clone> ForecastBank<M> {
-    /// A bank cloning `prototype` for each new task, horizon 1, no
-    /// quantization.
+    /// A bank cloning `prototype` for each new task, no quantization.
     pub fn new(prototype: M) -> Self {
         ForecastBank {
             prototype,
             models: BTreeMap::new(),
             last_epoch: None,
-            horizon: 1.0,
             quantum: 0.0,
         }
-    }
-
-    /// Number of tasks with at least one observation.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// True when no task has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
     }
 
     /// Feed every task of `dist` its load for `epoch`. Returns `false`
@@ -266,14 +188,14 @@ impl<M: LoadModel + Clone> ForecastBank<M> {
         true
     }
 
-    /// Forecast one task's next-phase load. Falls back to the observed
+    /// Forecast one task's load one phase ahead. Falls back to the observed
     /// load for tasks never seen (fresh bank ⇒ pure persistence), and
     /// clamps non-finite or negative extrapolations to a valid load.
     pub fn predict_task(&self, task: TaskId, observed: f64) -> f64 {
         let Some(model) = self.models.get(&task) else {
             return observed;
         };
-        let p = model.predict(self.horizon);
+        let p = model.predict(1.0);
         let p = if p.is_finite() { p.max(0.0) } else { observed };
         if self.quantum > 0.0 {
             (p / self.quantum).round() * self.quantum
@@ -312,16 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_constant_series_is_bit_exact() {
-        let mut m = Ewma::new(0.3);
-        let x = 0.1 + 0.2; // deliberately non-representable-looking
-        for _ in 0..50 {
-            m.observe(x);
-            assert_eq!(m.predict(1.0).to_bits(), x.to_bits());
-        }
-    }
-
-    #[test]
     fn holt_constant_series_is_bit_exact() {
         let mut m = Holt::default();
         let x = 1.0 / 3.0;
@@ -348,16 +260,6 @@ mod tests {
             m.predict(1.0),
             expect
         );
-    }
-
-    #[test]
-    fn ewma_lags_a_ramp_less_than_it_moves() {
-        let mut m = Ewma::new(0.5);
-        for i in 0..100 {
-            m.observe(i as f64);
-        }
-        let p = m.predict(1.0);
-        assert!(p > 90.0 && p < 100.0, "EWMA lags but tracks, got {p}");
     }
 
     #[test]
@@ -404,7 +306,7 @@ mod tests {
 
     #[test]
     fn quantization_snaps_to_the_grid() {
-        let mut bank = ForecastBank::new(Ewma::new(0.37));
+        let mut bank = ForecastBank::new(Holt::default());
         bank.quantum = 1.0 / 1024.0;
         let d = Distribution::from_loads(vec![vec![0.123456789]]);
         let mut b2 = bank.clone();

@@ -70,14 +70,13 @@ pub mod transfer;
 /// Convenient glob-import surface for applications.
 pub mod prelude {
     pub use crate::balancer::{
-        predictive_grapevine, predictive_tempered, GrapevineLb, GreedyLb, HierConfig, HierLb,
-        LoadBalancer, NullLb, PredictiveGrapevineLb, PredictiveLb, PredictiveTemperedLb, RandomLb,
-        RebalanceResult, RotateLb, TemperedConfig, TemperedLb,
+        GrapevineLb, GreedyLb, HierConfig, HierLb, LoadBalancer, PredictiveLb, RebalanceResult,
+        TemperedConfig, TemperedLb,
     };
     pub use crate::cmf::{Cmf, CmfKind};
     pub use crate::criteria::CriterionKind;
     pub use crate::distribution::{Distribution, Migration};
-    pub use crate::forecast::{Ewma, ForecastBank, Holt, LastObserved, LoadModel};
+    pub use crate::forecast::{ForecastBank, Holt, LastObserved, LoadModel};
     pub use crate::gossip::GossipConfig;
     pub use crate::ids::{RankId, TaskId};
     pub use crate::imbalance::{imbalance, lower_bound_max_load, LoadStatistics};

@@ -9,7 +9,7 @@
 //! over randomized observation histories and distributions.
 
 use proptest::prelude::*;
-use tempered_core::forecast::{Ewma, ForecastBank, Holt, LastObserved, LoadModel};
+use tempered_core::forecast::{ForecastBank, Holt, LastObserved, LoadModel};
 use tempered_core::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -57,13 +57,10 @@ proptest! {
     /// horizon the bank actually uses.
     #[test]
     fn forecasts_are_finite(series in arb_series(), alpha in arb_gain(), beta in arb_gain()) {
-        let mut ewma = Ewma::new(alpha);
         let mut holt = Holt::new(alpha, beta);
         for &x in &series {
-            ewma.observe(x);
             holt.observe(x);
             for h in [1.0, 2.0, 8.0] {
-                prop_assert!(ewma.predict(h).is_finite());
                 prop_assert!(holt.predict(h).is_finite());
             }
         }
@@ -73,10 +70,6 @@ proptest! {
     /// fresh instance reproduces every prediction bit for bit.
     #[test]
     fn models_are_deterministic(series in arb_series(), alpha in arb_gain(), beta in arb_gain()) {
-        prop_assert_eq!(
-            replay(&mut Ewma::new(alpha), &series),
-            replay(&mut Ewma::new(alpha), &series)
-        );
         prop_assert_eq!(
             replay(&mut Holt::new(alpha, beta), &series),
             replay(&mut Holt::new(alpha, beta), &series)
@@ -98,14 +91,11 @@ proptest! {
         alpha in arb_gain(),
         beta in arb_gain(),
     ) {
-        let mut ewma = Ewma::new(alpha);
         let mut holt = Holt::new(alpha, beta);
         let mut last = LastObserved::default();
         for _ in 0..reps {
-            ewma.observe(x);
             holt.observe(x);
             last.observe(x);
-            prop_assert_eq!(ewma.predict(1.0).to_bits(), x.to_bits());
             prop_assert_eq!(holt.predict(1.0).to_bits(), x.to_bits());
             prop_assert_eq!(holt.predict(5.0).to_bits(), x.to_bits());
             prop_assert_eq!(last.predict(1.0).to_bits(), x.to_bits());
@@ -149,7 +139,7 @@ proptest! {
     ) {
         let factory = RngFactory::new(seed);
         let mut twin = TemperedLb::default();
-        let mut pred = predictive_tempered();
+        let mut pred = PredictiveLb::new("PredTemperedLB", TemperedLb::default(), Holt::default());
         for epoch in 0..epochs {
             let a = twin.rebalance(&dist, &factory, epoch);
             let b = pred.rebalance(&dist, &factory, epoch);

@@ -258,7 +258,6 @@ proptest! {
             ..TemperedConfig::default()
         });
         let mut balancers: Vec<Box<dyn LoadBalancer>> = vec![
-            Box::new(NullLb),
             Box::new(GreedyLb),
             Box::new(HierLb::default()),
             Box::new(GrapevineLb::new(GossipConfig { fanout: 2, rounds: 3, ..Default::default() })),

@@ -14,7 +14,6 @@ use tempered_core::distribution::Distribution;
 use tempered_core::load::Load;
 use tempered_core::rng::RngFactory;
 use tempered_core::task::Task;
-use tempered_runtime::phase::PhaseTracker;
 
 /// The running surrogate application.
 #[derive(Debug)]
@@ -27,8 +26,6 @@ pub struct EmpireSim {
     counts: Vec<usize>,
     /// Current color → rank assignment (colors are the migratable tasks).
     pub distribution: Distribution,
-    /// Phase instrumentation (persistence tracking).
-    pub tracker: PhaseTracker,
     step: usize,
     inject_rng: SmallRng,
     factory: RngFactory,
@@ -43,6 +40,33 @@ pub struct PhaseLoads {
     pub color_loads: Vec<f64>,
     /// Total particles alive this phase.
     pub num_particles: usize,
+}
+
+impl PhaseLoads {
+    /// The persistence coefficient between this phase and `next` (§III-B):
+    /// the Pearson correlation of per-color loads. Values near `1.0` mean
+    /// the previous phase predicts the next one well, the balancer's
+    /// operating assumption; `None` with fewer than two colors or zero
+    /// variance.
+    pub fn correlation(&self, next: &PhaseLoads) -> Option<f64> {
+        let paired = || self.color_loads.iter().zip(&next.color_loads);
+        let n = paired().count();
+        if n < 2 {
+            return None;
+        }
+        let (sx, sy) = paired().fold((0.0, 0.0), |(sx, sy), (x, y)| (sx + x, sy + y));
+        let (mx, my) = (sx / n as f64, sy / n as f64);
+        let (mut cov, mut vx, mut vy) = (0.0, 0.0, 0.0);
+        for (x, y) in paired() {
+            cov += (x - mx) * (y - my);
+            vx += (x - mx) * (x - mx);
+            vy += (y - my) * (y - my);
+        }
+        if vx == 0.0 || vy == 0.0 {
+            return None;
+        }
+        Some(cov / (vx.sqrt() * vy.sqrt()))
+    }
 }
 
 impl EmpireSim {
@@ -64,7 +88,6 @@ impl EmpireSim {
             ),
             counts: vec![0; mesh.num_colors()],
             distribution,
-            tracker: PhaseTracker::new(4),
             step: 0,
             inject_rng: factory.rank_stream(b"inject", 0, 0),
             scenario,
@@ -118,13 +141,10 @@ impl EmpireSim {
         for (color, &n) in self.counts.iter().enumerate() {
             let load = n as f64 * self.cost.per_particle;
             color_loads.push(load);
-            let task = tempered_core::ids::TaskId::from(color);
-            self.tracker.record(task, Load::new(load));
             self.distribution
-                .set_load(task, Load::new(load))
+                .set_load(tempered_core::ids::TaskId::from(color), Load::new(load))
                 .expect("every color is a task");
         }
-        self.tracker.end_phase();
 
         let out = PhaseLoads {
             step: self.step,
@@ -209,14 +229,30 @@ mod tests {
     #[test]
     fn persistence_holds_at_phase_level() {
         let mut sim = small_sim();
-        for _ in 0..10 {
-            sim.step();
-        }
-        let p = sim.tracker.persistence().expect("two phases recorded");
+        let phases: Vec<PhaseLoads> = (0..10).map(|_| sim.step()).collect();
+        let p = phases[8]
+            .correlation(&phases[9])
+            .expect("two phases with variance");
         assert!(
             p > 0.9,
             "phase-to-phase load correlation must be high (principle of persistence), got {p}"
         );
+        // Pinned bit for bit, so a change in summation order shows.
+        assert_eq!(p.to_bits(), 0x3fef_e91f_a20d_26b5);
+    }
+
+    #[test]
+    fn correlation_detects_anti_persistence_and_degenerate_phases() {
+        let phase = |loads: &[f64]| PhaseLoads {
+            step: 0,
+            color_loads: loads.to_vec(),
+            num_particles: 0,
+        };
+        let up = phase(&[1.0, 2.0, 3.0]);
+        assert!((up.correlation(&up).unwrap() - 1.0).abs() < 1e-12);
+        assert!((up.correlation(&phase(&[3.0, 2.0, 1.0])).unwrap() + 1.0).abs() < 1e-12);
+        assert!(up.correlation(&phase(&[5.0, 5.0, 5.0])).is_none());
+        assert!(phase(&[1.0]).correlation(&phase(&[2.0])).is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Electromagnetic field surrogate: the "B-Dot" drive and a real Jacobi
-//! relaxation kernel for the non-particle (FEM solve) work.
+//! Electromagnetic field surrogate: the "B-Dot" drive that pushes the
+//! particles.
 //!
 //! EMPIRE's B-Dot problem drives the plasma with a time-varying magnetic
 //! field (hence *B-dot*: `∂B/∂t`). The surrogate field gives particles
@@ -9,11 +9,10 @@
 //! the workload dynamics that make the per-color particle loads
 //! time-varying.
 //!
-//! The module also contains a genuine 5-point Jacobi relaxation used by
-//! examples and tests as the stand-in for the Trilinos FEM solve: the
-//! *cost* of the solve per rank is uniform (static mesh decomposition),
-//! which is why the paper's `t_n` is nearly identical across
-//! configurations.
+//! The non-particle (FEM solve) work is not computed here: it is priced
+//! by `CostModel::per_cell` over each rank's cells, uniform across ranks
+//! under the static mesh decomposition, which is why the paper's `t_n`
+//! is nearly identical across configurations.
 
 /// Analytic field surrogate.
 #[derive(Clone, Copy, Debug)]
@@ -63,36 +62,6 @@ impl FieldModel {
     }
 }
 
-/// A real 5-point Jacobi relaxation on a square grid: the surrogate for
-/// the per-timestep field solve. Returns the final residual (L2 norm of
-/// the update), so callers can assert convergence behaviour.
-pub fn jacobi_relax(grid: &mut [f64], tmp: &mut [f64], n: usize, sweeps: usize) -> f64 {
-    assert_eq!(grid.len(), n * n);
-    assert_eq!(tmp.len(), n * n);
-    let mut residual = 0.0;
-    for _ in 0..sweeps {
-        residual = 0.0;
-        for j in 1..n - 1 {
-            for i in 1..n - 1 {
-                let idx = j * n + i;
-                let new = 0.25 * (grid[idx - 1] + grid[idx + 1] + grid[idx - n] + grid[idx + n]);
-                let d = new - grid[idx];
-                residual += d * d;
-                tmp[idx] = new;
-            }
-        }
-        // Interior update; boundary (Dirichlet) stays.
-        for j in 1..n - 1 {
-            for i in 1..n - 1 {
-                let idx = j * n + i;
-                grid[idx] = tmp[idx];
-            }
-        }
-        residual = residual.sqrt();
-    }
-    residual
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,24 +99,5 @@ mod tests {
         let (ax, ay) = f.acceleration(0.5, 0.5, 2.0, -1.0, 100.0);
         assert!(ax < 0.0);
         assert!(ay > 0.0);
-    }
-
-    #[test]
-    fn jacobi_converges_toward_harmonic() {
-        // Hot boundary on one side, zero elsewhere: relaxation must
-        // monotonically shrink the residual.
-        let n = 16;
-        let mut grid = vec![0.0; n * n];
-        for g in grid.iter_mut().take(n) {
-            *g = 1.0; // top boundary
-        }
-        let mut tmp = grid.clone();
-        let r1 = jacobi_relax(&mut grid, &mut tmp, n, 5);
-        let r2 = jacobi_relax(&mut grid, &mut tmp, n, 50);
-        assert!(r2 < r1, "residual must decrease: {r1} → {r2}");
-        // Interior values are bounded by the boundary extremes.
-        assert!(grid.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        // And heat has diffused into the interior.
-        assert!(grid[n + n / 2] > 0.0);
     }
 }

@@ -25,7 +25,6 @@ use tempered_core::balancer::{
     GrapevineLb, GreedyLb, HierConfig, HierLb, LoadBalancer, TemperedLb,
 };
 use tempered_core::imbalance::lower_bound_max_load;
-use tempered_core::load::Load;
 use tempered_core::ordering::OrderingKind;
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::DistributedLb;
@@ -201,13 +200,12 @@ impl Timeline {
     }
 }
 
+/// HierLB keeps its own arm: it is rebuilt on every invocation, with
+/// `prefer_heavy` set only on the first.
 enum Balancer {
     None,
-    Grapevine(GrapevineLb),
-    Greedy(GreedyLb),
     Hier,
-    Tempered(TemperedLb),
-    Distributed(DistributedLb),
+    Any(Box<dyn LoadBalancer>),
 }
 
 /// Run one configuration end to end.
@@ -230,21 +228,21 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
 
     let mut balancer = match strategy {
         LbStrategy::None => Balancer::None,
-        LbStrategy::Grapevine => Balancer::Grapevine(GrapevineLb::default()),
-        LbStrategy::Greedy => Balancer::Greedy(GreedyLb),
+        LbStrategy::Grapevine => Balancer::Any(Box::new(GrapevineLb::default())),
+        LbStrategy::Greedy => Balancer::Any(Box::new(GreedyLb)),
         LbStrategy::Hier => Balancer::Hier,
         LbStrategy::Tempered(ordering) => {
             let mut lb = TemperedLb::with_ordering(ordering);
             lb.config.trials = cfg.tempered_trials;
             lb.config.iters = cfg.tempered_iters;
-            Balancer::Tempered(lb)
+            Balancer::Any(Box::new(lb))
         }
         LbStrategy::DistributedTempered => {
-            Balancer::Distributed(DistributedLb::tempered(LbProtocolConfig {
+            Balancer::Any(Box::new(DistributedLb::tempered(LbProtocolConfig {
                 trials: cfg.tempered_trials,
                 iters: cfg.tempered_iters,
                 ..LbProtocolConfig::default()
-            }))
+            })))
         }
     };
 
@@ -280,12 +278,6 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
             let factory = *sim.factory();
             let result = match &mut balancer {
                 Balancer::None => None,
-                Balancer::Grapevine(lb) => {
-                    Some(lb.rebalance(&sim.distribution, &factory, step as u64))
-                }
-                Balancer::Greedy(lb) => {
-                    Some(lb.rebalance(&sim.distribution, &factory, step as u64))
-                }
                 Balancer::Hier => {
                     // §VI-B: heaviest-first on the first invocation,
                     // lightest-first afterwards.
@@ -295,12 +287,7 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
                     });
                     Some(lb.rebalance(&sim.distribution, &factory, step as u64))
                 }
-                Balancer::Tempered(lb) => {
-                    Some(lb.rebalance(&sim.distribution, &factory, step as u64))
-                }
-                Balancer::Distributed(lb) => {
-                    Some(lb.rebalance(&sim.distribution, &factory, step as u64))
-                }
+                Balancer::Any(lb) => Some(lb.rebalance(&sim.distribution, &factory, step as u64)),
             };
             if let Some(r) = result {
                 sim.distribution
@@ -355,11 +342,6 @@ fn lb_due(strategy: LbStrategy, step: usize, cfg: &TimelineConfig) -> bool {
         return base || step == cfg.lb_first_step + 2;
     }
     base
-}
-
-fn _assert_load_newtype_is_transparent(l: Load) -> f64 {
-    // Compile-time reminder that modeled times are plain seconds.
-    l.get()
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 //! without tasks", with an observed initial imbalance of 280 (a uniform
 //! spread over 16 ranks would give exactly `4096/16 − 1 = 255`, so the
 //! paper's layout is moderately skewed across the populated ranks). The
-//! builders here reproduce that family of layouts deterministically, plus
-//! a few other shapes used by tests and sweeps.
+//! builder here reproduces that family of layouts deterministically.
 
 use rand::Rng;
 use tempered_core::distribution::Distribution;
@@ -107,33 +106,6 @@ impl ConcentratedLayout {
     }
 }
 
-/// A layout with loads drawn from a heavy-tailed (log-uniform) range,
-/// spread over all ranks — models persistent mild imbalance rather than
-/// catastrophic concentration.
-pub fn log_uniform_layout(
-    num_ranks: usize,
-    tasks_per_rank: usize,
-    min_load: f64,
-    max_load: f64,
-    seed: u64,
-) -> Distribution {
-    assert!(min_load > 0.0 && max_load >= min_load);
-    let factory = RngFactory::new(seed);
-    let mut dist = Distribution::new(num_ranks);
-    let ratio = (max_load / min_load).ln();
-    let mut task_id = 0u64;
-    for r in 0..num_ranks {
-        let mut rng = factory.rank_stream(b"loguni", r as u64, 0);
-        for _ in 0..tasks_per_rank {
-            let load = min_load * (ratio * rng.gen::<f64>()).exp();
-            dist.insert(RankId::from(r), Task::new(task_id, load))
-                .expect("sequential ids are unique");
-            task_id += 1;
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,18 +165,5 @@ mod tests {
             let dist = layout.build(0);
             assert_eq!(dist.num_tasks(), 1000, "populated={populated}");
         }
-    }
-
-    #[test]
-    fn log_uniform_loads_within_bounds() {
-        let dist = log_uniform_layout(8, 20, 0.5, 8.0, 3);
-        assert_eq!(dist.num_tasks(), 160);
-        for r in dist.rank_ids() {
-            for t in dist.tasks_on(r) {
-                assert!(t.load.get() >= 0.5 && t.load.get() <= 8.0);
-            }
-        }
-        // Heavy tail ⇒ some imbalance even though counts are equal.
-        assert!(dist.imbalance() > 0.0);
     }
 }

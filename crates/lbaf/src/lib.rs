@@ -20,7 +20,7 @@ pub use experiment::{
     comparison_table, run_criterion_experiment, CriterionExperiment, CriterionResult, CriterionRow,
     CriterionVariant,
 };
-pub use layout::{log_uniform_layout, ConcentratedLayout};
+pub use layout::ConcentratedLayout;
 pub use sweep::{
     gossip_coverage, sweep_ablation, sweep_budget, sweep_fanout, sweep_knowledge_cap,
     sweep_orderings, sweep_rounds, sweep_threshold, Sweep, SweepPoint,

@@ -105,11 +105,6 @@ pub enum EventKind {
         /// Application step the phase belongs to.
         step: u64,
     },
-    /// Tasks migrated onto this rank during a commit.
-    Migration {
-        /// Number of tasks received.
-        tasks: u64,
-    },
     /// This rank entered its commit stage: it adopted the best placement
     /// found and started the fenced commit epoch. The audit layer
     /// (`tempered_runtime::audit`) checks epoch monotonicity and
@@ -194,7 +189,6 @@ impl EventKind {
             | EventKind::Degraded { .. } => "reliable",
             EventKind::Fault { .. } => "fault",
             EventKind::PhaseBoundary { .. } | EventKind::AppPhase { .. } => "app",
-            EventKind::Migration { .. } => "migration",
             EventKind::Committed { .. } => "lb",
             EventKind::Suspected { .. }
             | EventKind::ViewChange { .. }
@@ -223,7 +217,6 @@ impl EventKind {
             EventKind::Fault { kind, .. } => format!("fault:{kind}"),
             EventKind::PhaseBoundary { step } => format!("step:{step}"),
             EventKind::AppPhase { phase, .. } => format!("app:{phase}"),
-            EventKind::Migration { .. } => "migration".to_string(),
             EventKind::Committed { epoch, .. } => format!("committed:{epoch}"),
             EventKind::Suspected { rank } => format!("suspected:{rank}"),
             EventKind::ViewChange { generation, .. } => format!("view_change:{generation}"),
@@ -267,7 +260,6 @@ impl EventKind {
             EventKind::Fault { to, .. } => vec![("to", to.to_string())],
             EventKind::PhaseBoundary { step } => vec![("step", step.to_string())],
             EventKind::AppPhase { step, .. } => vec![("step", step.to_string())],
-            EventKind::Migration { tasks } => vec![("tasks", tasks.to_string())],
             EventKind::Committed {
                 epoch,
                 generation,

@@ -7,11 +7,11 @@
 //!
 //! 1. **Task conservation** — every indivisible task has exactly one
 //!    live owner at the committed placement, across migrations, drains,
-//!    crash re-homing, and joins. Committing ranks of the authoritative
+//!    crashes, and joins. Committing ranks of the authoritative
 //!    (highest) view generation may never claim a task twice, and a
 //!    task may vanish from every live rank only when the plan actually
-//!    crashed something (corpse-homed tasks are recovered by the
-//!    application layer, not the balancer).
+//!    crashed something (the balancer does not restore the tasks a dead
+//!    rank owned).
 //! 2. **Epoch & generation monotonicity** — each rank's committed
 //!    epochs strictly increase, and its fenced view generation never
 //!    moves backwards across view changes, parks, and heals.
@@ -476,19 +476,6 @@ mod tests {
     use crate::reliable::RetryConfig;
     use tempered_core::rng::RngFactory;
 
-    fn hot_dist(num_ranks: usize, hot: usize, tasks_per_hot: usize) -> Distribution {
-        let per_rank: Vec<Vec<f64>> = (0..num_ranks)
-            .map(|r| {
-                if r < hot {
-                    vec![1.0; tasks_per_hot]
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Distribution::from_loads(per_rank)
-    }
-
     fn quick_cfg() -> LbProtocolConfig {
         LbProtocolConfig {
             trials: 1,
@@ -501,7 +488,7 @@ mod tests {
 
     #[test]
     fn clean_run_audits_clean() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let (rep, art) = run_audited(
             &dist,
@@ -519,7 +506,7 @@ mod tests {
 
     #[test]
     fn crashed_run_excuses_corpse_homed_tasks() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let mut plan = FaultPlan::none();
         plan.crashes = vec![CrashEvent::fatal(RankId(1), 0.0)];
@@ -550,7 +537,7 @@ mod tests {
         use crate::parallel::{run_parallel_with, ParallelOptions};
         use std::time::Duration;
 
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         // Wall-clock knobs: a scheduler hiccup must not read as a loss or
         // a death (same reasoning as `tempered_bench::sockets`).
         let cfg = quick_cfg()
@@ -592,7 +579,7 @@ mod tests {
 
     #[test]
     fn duplicated_claim_is_a_conservation_violation() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let cfg = quick_cfg().hardened(RetryConfig::default());
         let mut art = capture_lb_run(
@@ -611,7 +598,7 @@ mod tests {
 
     #[test]
     fn lost_task_is_a_conservation_violation() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let cfg = quick_cfg().hardened(RetryConfig::default());
         let mut art = capture_lb_run(
@@ -632,7 +619,7 @@ mod tests {
 
     #[test]
     fn regressed_epoch_is_a_monotonicity_violation() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let cfg = quick_cfg().hardened(RetryConfig::default());
         let mut art = capture_lb_run(
@@ -657,7 +644,7 @@ mod tests {
 
     #[test]
     fn quorumless_commit_is_a_violation() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let cfg = quick_cfg()
             .hardened(RetryConfig::default())
@@ -681,7 +668,7 @@ mod tests {
 
     #[test]
     fn forged_ack_is_a_delivery_violation() {
-        let dist = hot_dist(8, 2, 10);
+        let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
         let cfg = quick_cfg().hardened(RetryConfig::default());
         let mut art = capture_lb_run(

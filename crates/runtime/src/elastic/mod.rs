@@ -13,13 +13,13 @@
 //!   out twice concurrently, and every member computes the same mapping
 //!   from the roster alone.
 //! - **Drain** — a leaving node enters `Draining`: the transfer
-//!   criterion treats it as infinitely loaded, so every balancer
+//!   criterion treats it as infinitely loaded, so the step runner
 //!   evacuates it through ordinary migrations
 //!   (`tempered_core::balancer::evacuate`). When its residual tasks have
 //!   been handed off at a step boundary it acks and parks. A drain
 //!   carries an optional **deadline**: if the handoff stalls past it,
-//!   the node degrades to the crash path — declared dead, residual tasks
-//!   recovered onto the survivors from the last committed placement.
+//!   the node degrades to the crash path — the step runner evacuates its
+//!   committed tasks onto the survivors, then declares it dead.
 //! - **Autoscale** — [`policy::AutoscalePolicy`] watches the total load
 //!   through the same Holt forecaster the predictive balancers use and
 //!   emits joins/drains when the *predicted* per-rank load crosses
@@ -703,9 +703,8 @@ pub fn run_elastic(
         }
 
         // 3. Drains past their deadline degrade to the crash path: the
-        // corpse's residual tasks are recovered from the committed
-        // placement onto the survivors (checkpoint semantics — nothing
-        // is lost, exactly as the crash path restores a real corpse).
+        // overdue node's committed tasks are evacuated onto the
+        // survivors, then the node is declared dead.
         for node in membership.overdue(now) {
             let rank = membership.rank_of(node).expect("overdue node is in roster");
             placement.evacuate(&membership, &BTreeSet::from([rank]), factor);
@@ -1032,7 +1031,10 @@ mod tests {
         let out = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(out.deadline_crashes, 1, "the stalled drain must degrade");
         assert_eq!(out.membership.state(3), Some(MemberState::Dead));
-        assert_eq!(out.lost_tasks, 0, "checkpoint recovery loses nothing");
+        assert_eq!(
+            out.lost_tasks, 0,
+            "evacuating the overdue node loses nothing"
+        );
         assert_eq!(
             out.quorum_violations, 0,
             "3 live of 4 enrolled holds quorum"

@@ -39,8 +39,6 @@
 //!   crashed rank's silence into a deterministic suspicion verdict.
 //! * [`membership`] — epoch-stamped membership views (monotone dead
 //!   sets) used to fence stale-view traffic after a crash.
-//! * [`phase`] — phase demarcation and per-task instrumentation
-//!   (the *principle of persistence*, §III-B).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,7 +55,6 @@ mod host;
 pub mod lb;
 pub mod membership;
 pub mod parallel;
-pub mod phase;
 pub mod planfile;
 pub mod reliable;
 pub mod sim;
