@@ -32,19 +32,18 @@
 //! Writes `results/chaos.csv`, `results/chaos_grapevine.csv`,
 //! `results/chaos_crash.csv`, and `results/chaos_partition.csv`.
 //!
-//! An ad-hoc crash scenario can be injected with repeated
-//! `--crash <rank>@<time>[+<downtime>]` arguments; an invalid plan
-//! (malformed spec, duplicate rank, negative time) is reported as a
-//! clean CLI error instead of a panic. A full [`FaultPlan`] can be
-//! loaded from a JSON file with `--plan <file.json>` (see
-//! `examples/plans/` for the format) and is run against the
-//! partition-tolerant stack.
+//! An ad-hoc scenario is a [`FaultPlan`] loaded from a JSON file with
+//! `--plan <file.json>` (see `examples/plans/` for the format; an
+//! invalid plan is a clean exit 2, not a panic). It runs on the stack
+//! the fuzzer would pick for it (`tempered_runtime::fuzz::protocol_config`):
+//! crash-tolerant when it crashes a rank, partition-tolerant when it
+//! touches links or partitions.
 //!
-//! Adding `--strict` to a `--plan` or `--crash` invocation re-runs the
-//! scenario under the run-wide safety auditor (`tempered_runtime::audit`)
-//! and turns any violated invariant — task conservation, epoch
-//! monotonicity, quorum-before-commit, acked-delivery — into a nonzero
-//! exit instead of a printout CI would scroll past.
+//! Adding `--strict` to a `--plan` invocation re-runs the scenario under
+//! the run-wide safety auditor (`tempered_runtime::audit`) and turns any
+//! violated invariant — task conservation, epoch monotonicity,
+//! quorum-before-commit, acked-delivery — into a nonzero exit instead of
+//! a printout CI would scroll past.
 
 use lbaf::Table;
 use std::collections::BTreeSet;
@@ -52,6 +51,7 @@ use tempered_bench::{counter_cells, lb_run_metrics, write_results};
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
+use tempered_runtime::fuzz::{protocol_config, Balancer};
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::sim::NetworkModel;
 use tempered_runtime::{
@@ -78,8 +78,8 @@ fn survivor_lambda(d: &Distribution, dead: &BTreeSet<RankId>) -> f64 {
     }
 }
 
-/// Run one fault plan. The grids build theirs from the rank count; the
-/// two CLI doors (`--plan`, `--crash`) validate theirs against it first.
+/// Run one fault plan. The grids build theirs from the rank count;
+/// `--plan` validates its file against it first.
 fn run_with_plan(
     dist: &Distribution,
     cfg: LbProtocolConfig,
@@ -694,62 +694,17 @@ fn audit_gate(dist: &Distribution, cfg: LbProtocolConfig, seed: u64, plan: &Faul
     std::process::exit(1);
 }
 
-/// Parse a `--crash rank@time[+downtime]` specification.
-fn parse_crash_spec(spec: &str) -> Result<CrashEvent, String> {
-    let (rank, rest) = spec
-        .split_once('@')
-        .ok_or_else(|| format!("expected <rank>@<time>[+<downtime>], got {spec:?}"))?;
-    let rank: u32 = rank
-        .parse()
-        .map_err(|_| format!("bad rank in crash spec {spec:?}"))?;
-    let (at, downtime) = match rest.split_once('+') {
-        Some((at, down)) => (at, Some(down)),
-        None => (rest, None),
-    };
-    let at: f64 = at
-        .parse()
-        .map_err(|_| format!("bad crash time in {spec:?}"))?;
-    Ok(match downtime {
-        Some(d) => {
-            let d: f64 = d.parse().map_err(|_| format!("bad downtime in {spec:?}"))?;
-            CrashEvent::with_restart(RankId::new(rank), at, d)
-        }
-        None => CrashEvent::fatal(RankId::new(rank), at),
-    })
-}
-
-/// The values of every `flag <value>` occurrence in `args`.
-fn flag_values<'a>(args: &'a [String], flag: &str, what: &str) -> Result<Vec<&'a str>, String> {
-    let mut values = Vec::new();
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let value = args
-                .next()
-                .ok_or_else(|| format!("{flag} needs a {what} argument"))?;
-            values.push(value.as_str());
-        }
-    }
-    Ok(values)
-}
-
-/// Collect `--crash` arguments into a custom crash list (empty when the
-/// flag is absent).
-fn custom_crashes(args: &[String]) -> Result<Vec<CrashEvent>, String> {
-    flag_values(args, "--crash", "<rank>@<time>[+<downtime>]")?
-        .into_iter()
-        .map(parse_crash_spec)
-        .collect()
-}
-
 /// `--plan <file.json>`: load a full [`FaultPlan`] from disk and validate
 /// it against the run's `num_ranks` (`None` when the flag is absent).
 /// Every failure names the file.
 fn plan_from_file(args: &[String], num_ranks: usize) -> Result<Option<FaultPlan>, String> {
-    flag_values(args, "--plan", "<file.json>")?
-        .first()
-        .map(|path| FaultPlan::load(std::path::Path::new(path), num_ranks))
-        .transpose()
+    let Some(at) = args.iter().position(|a| a == "--plan") else {
+        return Ok(None);
+    };
+    let path = args
+        .get(at + 1)
+        .ok_or("--plan needs a <file.json> argument")?;
+    FaultPlan::load(std::path::Path::new(path), num_ranks).map(Some)
 }
 
 /// A malformed command line is a clean exit 2, never a panic.
@@ -789,10 +744,11 @@ fn main() {
     let crash_tolerant = tempered.crash_tolerant(HealthConfig::default());
     let partition_tolerant = crash_tolerant.partition_tolerant(PartitionConfig::quick());
 
-    // A full fault plan from a JSON file: validate, run against the
-    // partition-tolerant stack, report.
+    // A full fault plan from a JSON file: validate, run on the stack the
+    // fuzzer picks for it, report.
     if let Some(plan) = or_usage_error(plan_from_file(&args, num_ranks)) {
-        let out = run_with_plan(&dist, partition_tolerant, seed, plan.clone());
+        let cfg = protocol_config(Balancer::Tempered, &plan);
+        let out = run_with_plan(&dist, cfg, seed, plan.clone());
         println!(
             "plan scenario: imbalance {:.3} -> {:.3}, {} migrations, \
              {} degraded, {} parked, finish {:.2} ms",
@@ -804,36 +760,7 @@ fn main() {
             out.report.finish_time * 1e3
         );
         if strict {
-            audit_gate(&dist, partition_tolerant, seed, &plan);
-        }
-        return;
-    }
-
-    // Ad-hoc scenario from the command line: validate, run, report.
-    let custom = or_usage_error(custom_crashes(&args));
-    if !custom.is_empty() {
-        let plan = FaultPlan {
-            seed: 0xDEAD,
-            crashes: custom,
-            ..FaultPlan::none()
-        };
-        // A malformed time or a rank nobody holds is a usage error too.
-        or_usage_error(
-            plan.validate_churn(num_ranks, None)
-                .map_err(|e| format!("invalid fault plan: {e}")),
-        );
-        let out = run_with_plan(&dist, crash_tolerant, seed, plan.clone());
-        println!(
-            "custom crash scenario: imbalance {:.3} -> {:.3}, {} migrations, \
-             {} degraded, finish {:.2} ms",
-            out.initial_imbalance,
-            out.final_imbalance,
-            out.tasks_migrated,
-            out.degraded_ranks,
-            out.report.finish_time * 1e3
-        );
-        if strict {
-            audit_gate(&dist, crash_tolerant, seed, &plan);
+            audit_gate(&dist, cfg, seed, &plan);
         }
         return;
     }
@@ -908,20 +835,9 @@ mod tests {
     }
 
     #[test]
-    fn crash_rank_beyond_u32_is_rejected_not_wrapped() {
-        let ok = custom_crashes(&args(&["--crash", "3@0.0002", "--crash", "7@0.0003+0.005"]));
-        let ranks: Vec<RankId> = ok.unwrap().iter().map(|c| c.rank).collect();
-        assert_eq!(ranks, [RankId::new(3), RankId::new(7)]);
-        // 2^32 + 3 used to parse as usize and truncate to rank 3.
-        let err = custom_crashes(&args(&["--crash", "4294967299@0.0002"])).unwrap_err();
-        assert!(err.contains("bad rank"), "{err}");
-        assert!(custom_crashes(&args(&["--crash"])).is_err());
-        assert!(custom_crashes(&args(&["--strict"])).unwrap().is_empty());
-    }
-
-    #[test]
     fn plan_flag_validates_on_load_and_names_the_file() {
         assert!(plan_from_file(&args(&["--strict"]), 16).unwrap().is_none());
+        assert!(plan_from_file(&args(&["--plan"]), 16).is_err());
         let path = std::env::temp_dir().join(format!("chaos_bad_plan_{}.json", std::process::id()));
         // Parses, but no plan may drop with probability 1.5.
         let bad = FaultPlan {

@@ -1,11 +1,12 @@
 //! Shared harness for the experiment binaries that regenerate the
-//! paper's tables and figures and drive the chaos, service and
-//! performance sweeps.
+//! paper's tables and figures and drive the chaos and scaling sweeps.
 //!
-//! [`repro`] is the paper's evaluation: one table of experiments behind
-//! the one `repro` binary (`repro <name>`; see DESIGN.md §3 for the
-//! index), its outputs committed under `results/repro/`. The other
-//! binaries in `src/bin/` each drive one harness of their own.
+//! [`repro`] is every deterministic table: the paper's evaluation, the
+//! service-workload sweep and the modeled-cost grid, one table of
+//! experiments behind the one `repro` binary (`repro <name>`; see
+//! DESIGN.md §3 for the index), its outputs committed under
+//! `results/repro/`. The other binaries in `src/bin/` each drive one
+//! harness of their own.
 //!
 //! Scale control: experiments run the paper-shaped scenario (400 ranks,
 //! ×24 overdecomposition, 1400 steps) by default; set

@@ -1,4 +1,6 @@
-//! The paper's evaluation as one table of experiments.
+//! The paper's evaluation as one table of experiments, plus the two
+//! deterministic tables pinned the same way: the service-workload sweep
+//! and the modeled-cost grid every refactor must leave bit-identical.
 //!
 //! [`EXPERIMENTS`] maps a name to a function `(&mut Runs, Scale) ->
 //! String`; `repro <name>` writes that string to
@@ -22,9 +24,17 @@ use lbaf::{
     sweep_threshold, ConcentratedLayout, CriterionExperiment, CriterionResult, CriterionVariant,
     Table, Trace,
 };
+use tempered_core::forecast::{ForecastBank, Holt};
 use tempered_core::prelude::*;
+use tempered_core::rng::derive_seed;
 use tempered_obs::Recorder;
-use tempered_runtime::{run_distributed_lb, LbProtocolConfig, NetworkModel};
+use tempered_runtime::{
+    run_distributed_lb, run_distributed_lb_with_faults, FaultPlan, LbProtocolConfig, NetworkModel,
+    RetryConfig,
+};
+use tempered_svc::{
+    run_svc_timeline, SvcBalancerKind, SvcScenario, SvcTimeline, SvcTimelineConfig, LOAD_QUANTUM,
+};
 
 /// Master seed shared by all figure runs.
 const FIG_SEED: u64 = 2021;
@@ -84,6 +94,8 @@ pub const EXPERIMENTS: &[Experiment] = experiments! {
     replay: "vt → LBAF workflow: record a trace, replay every balancer per phase",
     dist_validation: "PIC as a message protocol vs the global harness",
     adaptive: "§IV/§VI-B extension: periodic vs imbalance-threshold LB triggering",
+    svc_sweep: "service workload: forecast-driven vs persistence balancing, gated",
+    modeled_cost: "messages / bytes / events / virtual time of one hardened LB run",
 };
 
 /// Look an experiment up by name; an unknown name is an error that
@@ -615,6 +627,210 @@ fn dist_validation(_: &mut Runs, scale: Scale) -> String {
         d_lb.report.network.messages,
         d_lb.report.network.bytes as f64 / (1024.0 * 1024.0),
         d_lb.report.finish_time * 1e3
+    )
+}
+
+/// The service sweep's cluster: 8 ranks of 32 shards each.
+const SVC_RANKS: usize = 8;
+const SVC_SHARDS_PER_RANK: usize = 32;
+
+/// Boulmier et al.'s question on the service workload: does balancing on
+/// a forecast beat balancing on last phase's loads (persistence)? Every
+/// analysis-mode balancer × the four `tempered-svc` generators × the
+/// seed list, one multi-phase timeline per cell, reporting `I` and the
+/// tail digest the predictive family is meant to move. Two gates:
+///
+/// 1. anticipation pays: summed over the seeds, predictive TemperedLB
+///    beats its persistence twin on max phase time for the diurnal and
+///    flash-crowd generators (GrapevineLB's threshold gossip is
+///    noisier, so its predictive variant is reported, not gated);
+/// 2. the stack survives gray links ([`svc_gray_links`]).
+fn svc_sweep(_: &mut Runs, scale: Scale) -> String {
+    let seeds: &[u64] = match scale {
+        Scale::Quick => &[5],
+        Scale::Paper => &[5, 11, 21],
+    };
+    let (ranks, shards) = (SVC_RANKS, SVC_SHARDS_PER_RANK);
+    let mut rows: Vec<(u64, String, SvcTimeline)> = Vec::new();
+    for &seed in seeds {
+        for sc in [
+            SvcScenario::diurnal(ranks, shards, 48, seed),
+            SvcScenario::flash_crowd(ranks, shards, 36, seed),
+            SvcScenario::hot_keys(ranks, shards, 40, seed),
+            SvcScenario::mixed(ranks, shards, 48, seed),
+        ] {
+            for kind in SvcBalancerKind::analysis_set() {
+                let t = run_svc_timeline(&SvcTimelineConfig::new(sc.clone(), kind, seed));
+                rows.push((seed, sc.name.clone(), t));
+            }
+        }
+    }
+    let f6 = |x: f64| format!("{x:.6}");
+    let mut out = tabulate(
+        "Service workload: forecast-driven vs persistence balancing",
+        &rows,
+        &[
+            ("scenario", &|(_, name, _)| name.clone()),
+            ("workload", &|(.., t)| t.workload.clone()),
+            ("seed", &|(seed, ..)| seed.to_string()),
+            ("balancer", &|(.., t)| t.balancer.to_string()),
+            ("ranks", &|_| ranks.to_string()),
+            ("shards", &|_| (ranks * shards).to_string()),
+            ("phases", &|(.., t)| t.tail.phases.to_string()),
+            ("mean_imbalance", &|(.., t)| f6(t.tail.mean_imbalance)),
+            ("max_phase_time", &|(.., t)| f6(t.tail.max_phase_time)),
+            ("sum_of_max", &|(.., t)| f6(t.tail.sum_of_max)),
+            ("p95_rank_load", &|(.., t)| f6(t.tail.p95_rank_load)),
+            ("p99_rank_load", &|(.., t)| f6(t.tail.p99_rank_load)),
+            ("lb_invocations", &|(.., t)| t.lb_invocations.to_string()),
+            ("migrations", &|(.., t)| t.total_migrations.to_string()),
+            ("messages", &|(.., t)| t.messages_sent.to_string()),
+        ],
+    );
+    for scenario in ["diurnal", "flash_crowd"] {
+        let total = |balancer| -> f64 {
+            let cells = rows
+                .iter()
+                .filter(|(_, name, t)| name == scenario && t.balancer == balancer);
+            cells.map(|(.., t)| t.tail.max_phase_time).sum()
+        };
+        let (pred, twin) = (total("pred_tempered"), total("tempered"));
+        assert!(
+            pred < twin,
+            "pred_tempered must beat tempered on {scenario} max phase time \
+             (got {pred:.3} vs {twin:.3} summed over seeds {seeds:?})"
+        );
+        out += &format!("gate {scenario:>12}: pred_tempered {pred:.3} < tempered {twin:.3}  ok\n");
+    }
+    out + &svc_gray_links(seeds[0])
+}
+
+/// One distributed predictive flash-crowd decision under the shipped
+/// gray-link plan, `examples/plans/svc_flashcrowd.json`: the forecast
+/// bank watches the ramp, the protocol runs on the forecast loads over
+/// faulty links, and the run must complete undegraded, every task
+/// accounted for and the imbalance still lowered.
+fn svc_gray_links(seed: u64) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/plans/svc_flashcrowd.json");
+    let plan = FaultPlan::load(&path, SVC_RANKS).unwrap_or_else(|e| panic!("{e}"));
+    let sc = SvcScenario::flash_crowd(SVC_RANKS, SVC_SHARDS_PER_RANK, 36, seed);
+    let mut dist = sc.initial_distribution();
+    let mut bank = ForecastBank::new(Holt::default());
+    bank.quantum = LOAD_QUANTUM;
+    // Observe through the ramp; decide at its steepest point.
+    for phase in 0..=sc.phases as u64 / 3 + 3 {
+        sc.apply_phase(&mut dist, phase);
+        bank.observe_epoch(phase, &dist);
+    }
+    let forecast = bank.forecast(&dist);
+    let cfg = LbProtocolConfig {
+        iters: 4,
+        ..LbProtocolConfig::quick()
+    };
+    let out = run_distributed_lb_with_faults(
+        &forecast,
+        cfg.hardened(RetryConfig::generous()),
+        NetworkModel::default(),
+        &RngFactory::new(derive_seed(seed, &[0x5EC5_96A1])),
+        plan,
+    );
+    assert!(
+        out.report.completed && out.degraded_ranks == 0,
+        "gray links degrade service, not correctness: the run terminates and no rank parks"
+    );
+    assert_eq!(out.distribution.num_tasks(), forecast.num_tasks());
+    let (before, after) = (out.initial_imbalance, out.final_imbalance);
+    assert!(
+        after < before,
+        "the crowd decision must still balance under gray links ({before:.3} -> {after:.3})"
+    );
+    format!(
+        "gate   gray_links: dist pred tempered I {before:.3} -> {after:.3}, {} msgs, \
+         {} retransmits  ok\n",
+        out.report.network.messages, out.reliable.retransmitted,
+    )
+}
+
+/// The modeled cost of one hardened, fault-free LB invocation —
+/// messages, bytes, events, virtual time and imbalance — which a
+/// refactor must leave bit-identical: a change that moves any of them is
+/// a diff of this file. Two input shapes, the hot-spot distribution and
+/// the service flash crowd frozen at the steepest point of its ramp (a
+/// hot hashed subset rather than a hot rank prefix), under both
+/// balancers; then hotspot/tempered at the rank counts of
+/// `perf_baseline`'s scaling sweep, which times these same runs.
+///
+/// The 16-rank svc_flash/grapevine row keeps its initial imbalance by
+/// design: uncoordinated senders acting on stale estimates overshoot the
+/// same few recipients, so no proposal improves the max and the
+/// strict-improvement commit gate keeps the original placement — the
+/// failure mode the paper motivates TemperedLB with. Pinned by
+/// `crates/svc/tests/grapevine_stall.rs`.
+fn modeled_cost(_: &mut Runs, scale: Scale) -> String {
+    const SEED: u64 = 4242;
+    let (grid, sweep): (&[usize], &[usize]) = match scale {
+        Scale::Quick => (&[8, 16], &[256]),
+        Scale::Paper => (&[8, 32, 128], &[256, 1024]),
+    };
+    let pairs = [
+        ("hotspot", "tempered"),
+        ("hotspot", "grapevine"),
+        ("svc_flash", "tempered"),
+        ("svc_flash", "grapevine"),
+    ];
+    let cells = grid.iter().flat_map(|&p| pairs.map(|(w, b)| (w, b, p)));
+    let cells = cells.chain(sweep.iter().map(|&p| ("hotspot", "tempered", p)));
+    let runs: Vec<_> = cells
+        .map(|(workload, balancer, p)| {
+            let dist = if workload == "hotspot" {
+                Distribution::concentrated(p, (p / 8).max(2), 40)
+            } else {
+                let sc = SvcScenario::flash_crowd(p, 16, 36, SEED);
+                let mut dist = sc.initial_distribution();
+                sc.apply_phase(&mut dist, sc.phases as u64 / 3 + 3);
+                dist
+            };
+            let cfg = if balancer == "tempered" {
+                LbProtocolConfig::quick()
+            } else {
+                LbProtocolConfig::grapevine()
+            };
+            let cfg = cfg.hardened(RetryConfig::generous());
+            let out =
+                run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(SEED));
+            assert!(
+                out.report.completed && out.degraded_ranks == 0,
+                "{workload}/{balancer} at {p} ranks: a fault-free run completes undegraded"
+            );
+            (workload, balancer, p, dist.num_tasks(), out)
+        })
+        .collect();
+    tabulate(
+        "Modeled cost of one hardened, fault-free LB invocation (seed 4242)",
+        &runs,
+        &[
+            ("workload", &|(w, ..)| w.to_string()),
+            ("balancer", &|(_, b, ..)| b.to_string()),
+            ("P", &|(_, _, p, ..)| p.to_string()),
+            ("tasks", &|(.., tasks, _)| tasks.to_string()),
+            ("messages", &|(.., out)| {
+                out.report.network.messages.to_string()
+            }),
+            ("bytes", &|(.., out)| out.report.network.bytes.to_string()),
+            ("events", &|(.., out)| {
+                out.report.events_delivered.to_string()
+            }),
+            ("virtual ms", &|(.., out)| {
+                format!("{:.6}", out.report.finish_time * 1e3)
+            }),
+            ("initial I", &|(.., out)| {
+                format!("{:.4}", out.initial_imbalance)
+            }),
+            ("final I", &|(.., out)| {
+                format!("{:.4}", out.final_imbalance)
+            }),
+        ],
     )
 }
 

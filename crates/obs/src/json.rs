@@ -1,8 +1,8 @@
 //! The workspace's one JSON reader.
 //!
 //! A small recursive-descent parser for the JSON the repository's own
-//! files use — fault-plan and fuzz-case files, `BENCH_lb.json`, exported
-//! Chrome traces — plus the typed accessors their decoders share. Every
+//! files use — fault-plan and fuzz-case files, exported Chrome traces —
+//! plus the typed accessors their decoders share. Every
 //! file it reads may come from outside the program, so malformed text is
 //! an ordinary `Err("… at byte N")`: nesting is capped at [`MAX_DEPTH`]
 //! (no input can overflow the stack) and a repeated object key is

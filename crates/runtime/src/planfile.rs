@@ -517,11 +517,12 @@ mod tests {
     fn shipped_example_plans_load_at_their_harness_rank_count() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/plans");
         let harness_ranks = [
+            ("crash_pair.json", 16),     // `chaos --plan`
             ("elastic_churn.json", 8),   // joins nodes 8 and 9 to an 8-node seed roster
             ("gray_links.json", 16),     // `chaos --plan`
             ("partition_heal.json", 16), // `chaos --plan`
             ("sockets_gray.json", 4),    // `orchestrate` via `bench::sockets::scenarios`
-            ("svc_flashcrowd.json", 8),  // `svc_sweep`
+            ("svc_flashcrowd.json", 8),  // `repro svc_sweep`
         ];
         let mut shipped: Vec<String> = std::fs::read_dir(&dir)
             .expect("examples/plans exists")
@@ -643,6 +644,12 @@ mod tests {
             (
                 text(r#"{"crashes":[{"rank":4000000000,"at":1e-4,"restart_after":null}]}"#),
                 "crash names rank 4000000000, outside the run's 16 ranks",
+            ),
+            // 2³² + 3 truncated to 32 bits is rank 3, which 16 ranks have:
+            // it must be rejected, not wrapped.
+            (
+                text(r#"{"crashes":[{"rank":4294967299,"at":2e-4}]}"#),
+                "crash.rank: 4294967299 is not an integer",
             ),
             (
                 text(r#"{"reorder":0.1,"reorder_factor":0.5}"#),

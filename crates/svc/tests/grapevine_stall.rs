@@ -1,6 +1,7 @@
-//! Pins the 16-rank `svc_flash` / grapevine benchmark row where final
-//! imbalance equals initial imbalance (0.2545 → 0.2545, zero
-//! migrations). Investigated and diagnosed as *correct* GrapevineLB
+//! Pins the 16-rank `svc_flash` / grapevine row of `repro modeled_cost`
+//! (`results/repro/quick/modeled_cost.txt`) where final imbalance equals
+//! initial imbalance (0.2545 → 0.2545, zero migrations). Investigated and
+//! diagnosed as *correct* GrapevineLB
 //! behavior, not a bug — this test gates the row so a silent behavior
 //! change (in either direction) is caught.
 //!
@@ -26,9 +27,9 @@ use tempered_core::refine::{refine, RefineConfig};
 use tempered_core::rng::RngFactory;
 use tempered_svc::SvcScenario;
 
-/// The exact distribution behind the benchmark row: flash-crowd service
-/// scenario advanced to mid-ramp (same seed and phase arithmetic as
-/// `perf_baseline`).
+/// The exact distribution behind the row: flash-crowd service scenario
+/// advanced to mid-ramp (same seed and phase arithmetic as
+/// `repro modeled_cost`).
 fn svc_flash(num_ranks: usize) -> Distribution {
     let scenario = SvcScenario::flash_crowd(num_ranks, 16, 36, 4242);
     let mut dist = scenario.initial_distribution();
@@ -61,20 +62,20 @@ fn grapevine_stalls_on_flash_crowd_despite_proposing_transfers() {
         assert!(
             record.imbalance >= outcome.initial_imbalance,
             "a grapevine proposal now improves the flash-crowd row \
-             ({} < {}): update BENCH_lb.json expectations",
+             ({} < {}): regenerate the `modeled_cost` quick row and this diagnosis",
             record.imbalance,
             outcome.initial_imbalance,
         );
     }
 
     // So the strict-improvement commit gate keeps the original
-    // placement: the benchmark row's 0.2545 → 0.2545 with 0 migrations.
+    // placement: the `modeled_cost` row's 0.2545 → 0.2545 with 0 migrations.
     assert_eq!(outcome.best_imbalance, outcome.initial_imbalance);
     assert!(outcome.migrations.is_empty());
 }
 
 /// TemperedLB breaks the stall on the identical distribution — the
-/// paper's point, and the reason the row stays in the benchmark as a
+/// paper's point, and the reason the row stays in `modeled_cost` as a
 /// contrast rather than being "fixed" in the grapevine protocol.
 #[test]
 fn tempered_makes_progress_on_the_same_flash_crowd() {
