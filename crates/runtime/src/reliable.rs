@@ -156,52 +156,8 @@ pub enum RetryAction<M> {
     Settled,
 }
 
-/// Receiver-side duplicate filter for one source: a contiguous
-/// watermark (`1..=watermark` all seen) plus a sparse set of
-/// out-of-order arrivals beyond it.
-///
-/// The sparse set is a sorted vector, not a tree: latency jitter keeps
-/// the out-of-order window to a handful of entries, and a vector
-/// reaches steady state without ever touching the allocator again.
-#[derive(Clone, Debug, Default)]
-struct SeqSet {
-    watermark: u64,
-    /// Out-of-order arrivals beyond `watermark + 1`, sorted ascending.
-    sparse: Vec<u64>,
-}
-
-impl SeqSet {
-    /// Record `seq`; returns `true` the first time it is seen.
-    fn insert(&mut self, seq: u64) -> bool {
-        if seq <= self.watermark {
-            return false;
-        }
-        if seq == self.watermark + 1 {
-            // In-order arrival (the overwhelmingly common case), then
-            // absorb any run the arrival made contiguous.
-            self.watermark += 1;
-            let mut run = 0;
-            while run < self.sparse.len() && self.sparse[run] == self.watermark + 1 {
-                self.watermark += 1;
-                run += 1;
-            }
-            if run > 0 {
-                self.sparse.drain(..run);
-            }
-            return true;
-        }
-        match self.sparse.binary_search(&seq) {
-            Ok(_) => false,
-            Err(i) => {
-                self.sparse.insert(i, seq);
-                true
-            }
-        }
-    }
-}
-
-/// Immutable snapshot of one `SeqSet`, exposed for end-of-run
-/// delivery audits: the contiguous watermark plus the sparse
+/// Immutable snapshot of one peer's delivery ledger, exposed for
+/// end-of-run delivery audits: the contiguous watermark plus the sparse
 /// out-of-order tail.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SeqSetView {
@@ -223,15 +179,6 @@ impl SeqSetView {
     }
 }
 
-impl SeqSet {
-    fn view(&self) -> SeqSetView {
-        SeqSetView {
-            watermark: self.watermark,
-            sparse: self.sparse.clone(),
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct Pending<M> {
     to: RankId,
@@ -240,9 +187,31 @@ struct Pending<M> {
     attempts: u32,
 }
 
+/// Sender-side state for one destination.
+#[derive(Clone, Copy, Debug, Default)]
+struct OutLink {
+    /// Last sequence number stamped toward this peer.
+    next_seq: u64,
+    /// The peer's acknowledged watermark plus one: `1..acked` are all
+    /// acknowledged. Zero until the peer acknowledges anything — even a
+    /// zero or out-of-order seq — so a peer that was only ever sent to
+    /// stays out of the acked ledger.
+    acked: u64,
+}
+
 /// Per-rank reliable-delivery state over message type `M`.
 ///
-/// Peer state is kept in sparse rank-sorted tables rather than hash
+/// Per-peer state is two watermarks, not sets: `out` holds, per
+/// destination, the last stamped sequence number and the contiguous
+/// acknowledged prefix; `seen` holds, per source, the contiguous prefix
+/// of accepted sequence numbers. A sequence number beyond a watermark
+/// waits in that direction's spill, one rank-sorted vector per rank, until
+/// the arrival that makes it contiguous absorbs it. Latency jitter keeps
+/// the spill to a handful of entries and in fault-free steady state it is
+/// empty, so a peer costs one table slot per direction (20 and 12 bytes)
+/// instead of a set.
+///
+/// The tables are open-addressed (see `PeerTable`) rather than std hash
 /// maps or dense rank-indexed arrays: every data message costs several
 /// point lookups here, and at simulator scale the hashing itself was a
 /// measurable slice of the wall clock, while dense tables cost O(P) per
@@ -265,18 +234,23 @@ struct Pending<M> {
 #[derive(Clone, Debug)]
 pub struct ReliableChannel<M> {
     cfg: RetryConfig,
-    /// Last assigned sequence number per destination rank.
-    next_seq: PeerTable<u64>,
+    /// Sequence and acknowledgement watermarks per destination rank.
+    out: PeerTable<OutLink>,
+    /// Sender-side record of every sequence number a peer has ever
+    /// acknowledged beyond its `OutLink::acked` prefix, as
+    /// `(peer, seq)` sorted ascending. Together with the prefix this is
+    /// independent of the pending window, which forgets a seq the moment
+    /// it settles: the audit layer compares it against the receiver's
+    /// seen ledger, and an acked-but-never-seen seq is a forged or
+    /// misrouted acknowledgement.
+    acked_spill: Vec<(RankId, u64)>,
     /// Unacknowledged messages to every destination, oldest first.
     window: VecDeque<Pending<M>>,
-    /// Receiver-side dedup state per source rank.
-    seen: PeerTable<SeqSet>,
-    /// Sender-side record of every sequence number a peer has ever
-    /// acknowledged (independent of the pending window, which forgets a
-    /// seq the moment it settles). The audit layer compares this against
-    /// the receiver's `seen` set: an acked-but-never-seen seq is a
-    /// forged or misrouted acknowledgement.
-    acked: PeerTable<SeqSet>,
+    /// Receiver-side dedup watermark per source rank.
+    seen: PeerTable<u64>,
+    /// Accepted sequence numbers beyond their source's `seen` watermark,
+    /// as `(source, seq)` sorted ascending.
+    seen_spill: Vec<(RankId, u64)>,
     /// Seeded stream for retry-delay jitter; `None` pins the exact
     /// exponential schedule.
     jitter_rng: Option<SmallRng>,
@@ -289,8 +263,8 @@ pub struct ReliableChannel<M> {
 /// the peers this rank has actually contacted (a few hundred at most
 /// under the gossip fanout) while a hit costs one multiply and, in the
 /// common case, a single probe — matching the dense layout's speed
-/// without its O(P)-per-rank footprint. The fixed hash and the absence
-/// of any table iteration keep behavior bit-deterministic.
+/// without its O(P)-per-rank footprint. The fixed hash, and snapshots
+/// that sort what they read, keep behavior bit-deterministic.
 #[derive(Clone, Debug, Default)]
 struct PeerTable<T> {
     /// Slot keys; `EMPTY` marks an unused slot. Length is a power of two.
@@ -335,19 +309,20 @@ impl<T: Default> PeerTable<T> {
             }
         }
     }
-}
 
-/// Rank-sorted snapshot of a per-peer [`SeqSet`] table.
-fn snapshot_seq_sets(table: &PeerTable<SeqSet>) -> Vec<(RankId, SeqSetView)> {
-    let mut out: Vec<(RankId, SeqSetView)> = table
-        .keys
-        .iter()
-        .zip(table.vals.iter())
-        .filter(|(&k, _)| k != EMPTY)
-        .map(|(&k, v)| (RankId(k), v.view()))
-        .collect();
-    out.sort_by_key(|(r, _)| *r);
-    out
+    /// Every occupied slot, sorted by rank so that no caller sees the
+    /// open-addressed layout's order.
+    fn sorted(&self) -> Vec<(RankId, &T)> {
+        let mut out: Vec<(RankId, &T)> = self
+            .keys
+            .iter()
+            .zip(&self.vals)
+            .filter(|(&k, _)| k != EMPTY)
+            .map(|(&k, v)| (RankId(k), v))
+            .collect();
+        out.sort_by_key(|&(r, _)| r);
+        out
+    }
 }
 
 /// Fetch the state slot for `rank`, inserting a default on first
@@ -367,16 +342,60 @@ fn slot<T: Default>(table: &mut PeerTable<T>, rank: RankId) -> &mut T {
     &mut table.vals[i]
 }
 
+/// Add `seq` to `peer`'s set — every seq in `1..=*mark`, plus `peer`'s
+/// entries in the direction's `spill` — and return `true` the first time
+/// it is added. Zero is never a member.
+///
+/// An in-order arrival (the overwhelmingly common case) advances the
+/// watermark and absorbs any spilled run it made contiguous; anything
+/// further ahead waits in the spill.
+fn record(mark: &mut u64, spill: &mut Vec<(RankId, u64)>, peer: RankId, seq: u64) -> bool {
+    if seq <= *mark {
+        return false;
+    }
+    if seq == *mark + 1 {
+        *mark = seq;
+        if let Ok(start) = spill.binary_search(&(peer, seq + 1)) {
+            let run = spill[start..]
+                .iter()
+                .zip(seq + 1..)
+                .take_while(|&(&entry, next)| entry == (peer, next))
+                .count();
+            *mark += run as u64;
+            spill.drain(start..start + run);
+        }
+        return true;
+    }
+    match spill.binary_search(&(peer, seq)) {
+        Ok(_) => false,
+        Err(i) => {
+            spill.insert(i, (peer, seq));
+            true
+        }
+    }
+}
+
+/// Audit view of `peer`'s set: watermark `mark` plus its run of `spill`.
+fn view(mark: u64, spill: &[(RankId, u64)], peer: RankId) -> SeqSetView {
+    let lo = spill.partition_point(|&(r, _)| r < peer);
+    let len = spill[lo..].partition_point(|&(r, _)| r == peer);
+    SeqSetView {
+        watermark: mark,
+        sparse: spill[lo..lo + len].iter().map(|&(_, s)| s).collect(),
+    }
+}
+
 impl<M: Clone> ReliableChannel<M> {
     /// New channel with the given retry policy and no jitter stream
     /// (exact exponential schedule).
     pub fn new(cfg: RetryConfig) -> Self {
         ReliableChannel {
             cfg,
-            next_seq: PeerTable::default(),
+            out: PeerTable::default(),
+            acked_spill: Vec::new(),
             window: VecDeque::new(),
             seen: PeerTable::default(),
-            acked: PeerTable::default(),
+            seen_spill: Vec::new(),
             jitter_rng: None,
             stats: ReliableStats::default(),
         }
@@ -407,9 +426,9 @@ impl<M: Clone> ReliableChannel<M> {
     /// sequence number and the delay for the first retry timer; the
     /// caller transmits the message and arms the timer.
     pub fn send(&mut self, to: RankId, msg: M) -> (u64, f64) {
-        let next = slot(&mut self.next_seq, to);
-        *next += 1;
-        let seq = *next;
+        let link = slot(&mut self.out, to);
+        link.next_seq += 1;
+        let seq = link.next_seq;
         self.window.push_back(Pending {
             to,
             seq,
@@ -425,7 +444,10 @@ impl<M: Clone> ReliableChannel<M> {
     pub fn on_ack(&mut self, from: RankId, seq: u64) {
         // Recorded unconditionally — even for acks of already-settled
         // seqs — so the audit sees exactly what the peer claimed.
-        slot(&mut self.acked, from).insert(seq);
+        let link = slot(&mut self.out, from);
+        let mut mark = link.acked.saturating_sub(1);
+        record(&mut mark, &mut self.acked_spill, from, seq);
+        link.acked = mark + 1;
         if let Some(i) = self.find(from, seq) {
             self.window.remove(i);
             self.stats.acked += 1;
@@ -453,7 +475,7 @@ impl<M: Clone> ReliableChannel<M> {
     /// `true` if this is the first copy (process it) or `false` for a
     /// duplicate (re-acknowledge but do not process).
     pub fn accept(&mut self, from: RankId, seq: u64) -> bool {
-        let fresh = slot(&mut self.seen, from).insert(seq);
+        let fresh = record(slot(&mut self.seen, from), &mut self.seen_spill, from, seq);
         if !fresh {
             self.stats.duplicates_suppressed += 1;
         }
@@ -465,13 +487,22 @@ impl<M: Clone> ReliableChannel<M> {
     /// independent of the open-addressed table layout, preserving the
     /// no-iteration determinism contract.
     pub fn acked_view(&self) -> Vec<(RankId, SeqSetView)> {
-        snapshot_seq_sets(&self.acked)
+        self.out
+            .sorted()
+            .into_iter()
+            .filter(|(_, link)| link.acked > 0)
+            .map(|(r, link)| (r, view(link.acked - 1, &self.acked_spill, r)))
+            .collect()
     }
 
     /// Rank-sorted snapshot of every sequence number this rank has seen
     /// from each peer (the receiver-side dedup state).
     pub fn seen_view(&self) -> Vec<(RankId, SeqSetView)> {
-        snapshot_seq_sets(&self.seen)
+        self.seen
+            .sorted()
+            .into_iter()
+            .map(|(r, &mark)| (r, view(mark, &self.seen_spill, r)))
+            .collect()
     }
 
     /// A retry timer for `(to, seq)` fired; decide what happens next.
@@ -758,16 +789,27 @@ mod tests {
     }
 
     #[test]
-    fn seqset_watermark_compacts() {
-        let mut s = SeqSet::default();
+    fn seen_watermark_absorbs_the_spill() {
+        let mut c = ch();
+        let (peer, other) = (RankId::new(5), RankId::new(6));
+        assert!(c.accept(other, 3));
         for seq in [2u64, 4, 1, 3] {
-            assert!(s.insert(seq));
+            assert!(c.accept(peer, seq));
         }
-        assert_eq!(s.watermark, 4);
-        assert!(s.sparse.is_empty());
-        assert!(!s.insert(3));
-        assert!(s.insert(6));
-        assert_eq!(s.watermark, 4);
-        assert_eq!(s.sparse.len(), 1);
+        assert_eq!(c.seen_spill, vec![(other, 3)], "the run 2..=4 was absorbed");
+        assert!(!c.accept(peer, 3));
+        assert!(c.accept(peer, 6));
+        let seen = c.seen_view();
+        assert_eq!(
+            seen[0],
+            (
+                peer,
+                SeqSetView {
+                    watermark: 4,
+                    sparse: vec![6],
+                }
+            )
+        );
+        assert_eq!(seen[1].1.sparse, vec![3], "another peer's spill stays put");
     }
 }

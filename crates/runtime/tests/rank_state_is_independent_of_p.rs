@@ -4,26 +4,38 @@
 //! transport — must therefore allocate the same number of bytes in a
 //! 256-rank job and in a million-rank one. A list of the job's ranks
 //! anywhere in there — 4 B × P — fails this.
+//!
+//! What a rank does hold grows with the peers it actually meets, so that
+//! growth is pinned too: the reliable channel's ledgers cost a few dozen
+//! bytes per peer in each direction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::RngFactory;
 use tempered_runtime::lb::{LbProtocolConfig, LbRank};
-use tempered_runtime::reliable::RetryConfig;
+use tempered_runtime::reliable::{ReliableChannel, RetryConfig};
 
 thread_local! {
     /// Bytes this thread has requested from the allocator. Per thread, so
     /// the test harness's own threads cannot disturb the count.
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has handed back.
+    static FREED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting the bytes each thread asks for.
+/// Bytes this thread holds on the heap, relative to an arbitrary origin.
+fn live() -> isize {
+    REQUESTED.with(Cell::get) as isize - FREED.with(Cell::get) as isize
+}
+
+/// The system allocator, counting the bytes each thread asks for and
+/// frees.
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a thread-local
-// counter with no destructor, which never allocates or unwinds.
+// the `GlobalAlloc` contract; the only addition is thread-local
+// counters with no destructor, which never allocate or unwind.
 // `realloc` is the trait's default, built on `alloc` and `dealloc`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -33,6 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.with(|b| b.set(b.get() + layout.size()));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -59,5 +72,33 @@ fn building_a_rank_allocates_the_same_in_a_small_job_and_a_huge_one() {
     assert_eq!(
         small, huge,
         "per-rank state grew with the job: {small} B at 256 ranks, {huge} B at 2^20"
+    );
+}
+
+#[test]
+fn a_reliable_channel_holds_a_few_dozen_bytes_per_peer_it_meets() {
+    // One frame each way with each of 1 000 peers, every frame in order
+    // and acknowledged: the steady state of a fault-free run.
+    const PEERS: u32 = 1000;
+    const BUDGET: isize = 48;
+    let peer = |i: u32| RankId::new(i * 7 + 1);
+    let start = live();
+    let mut ch: ReliableChannel<u64> = ReliableChannel::new(RetryConfig::default());
+    for i in 0..PEERS {
+        let (seq, _) = ch.send(peer(i), 0);
+        ch.on_ack(peer(i), seq);
+    }
+    let outbound = live() - start;
+    for i in 0..PEERS {
+        assert!(ch.accept(peer(i), 1));
+    }
+    let inbound = live() - start - outbound;
+    assert_eq!(ch.pending_count(), 0);
+    let per_peer = |bytes: isize| bytes / PEERS as isize;
+    assert!(
+        per_peer(outbound) <= BUDGET && per_peer(inbound) <= BUDGET,
+        "{} B per destination and {} B per source, budget {BUDGET} B each",
+        per_peer(outbound),
+        per_peer(inbound)
     );
 }
