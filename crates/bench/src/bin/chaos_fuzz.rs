@@ -1,7 +1,7 @@
 //! Chaos fuzzer: randomized fault-plan search under the run-wide
 //! safety auditor, with automatic counterexample shrinking.
 //!
-//! Where the `chaos` binary sweeps hand-picked grids, this binary
+//! Where `repro chaos` sweeps hand-picked grids, this binary
 //! *samples* the fault space: each case derives a seed from the master
 //! seed and the case index, generates a valid workload + `FaultPlan`
 //! mix (message noise, crashes, link faults, partitions, churn), runs
@@ -20,15 +20,18 @@
 //!   under `--out DIR` (default `results/fuzz_regressions`); write
 //!   `results/fuzz_summary.csv`. Exit 1 if any violation survived.
 //! - `--replay <case.json> [--seed S]` — re-run one saved case
-//!   (optionally under a different seed) and print the audit verdict.
-//!   Exit 0 iff the outcome matches the case's `expect` field (clean
-//!   when absent).
+//!   (optionally under a different seed) and print the audit verdict:
+//!   the one way to run a hand-written scenario under the auditor
+//!   (`examples/plans/regressions/`). Exit 0 iff the outcome matches the
+//!   case's `expect` field (clean when absent), 2 for a case file that
+//!   does not load.
 //! - `--inject-bug <name>` — self-test: plant a known artifact
 //!   corruption (`lose_on_link`, `dup_on_partition`, `forge_ack`,
 //!   `regress_epoch`), confirm the auditor catches it, shrink the
 //!   counterexample to ≤ 5 fault events, and verify the minimized
 //!   case file replays the violation deterministically.
 
+use lbaf::Table;
 use std::path::PathBuf;
 use tempered_bench::write_results;
 use tempered_runtime::fuzz::{gen_case, run_case, shrink, FuzzCase, InjectedBug};
@@ -259,9 +262,23 @@ fn main() {
         "chaos_fuzz: {} cases from master seed {:#x}",
         cli.cases, cli.seed
     );
-    let mut csv = String::from(
-        "case,seed,ranks,hot,tasks_per_hot,balancer,elastic_steps,fault_events,\
-         committed_events,checked_tasks,delivery_pairs,violations,first_invariant\n",
+    let mut summary = Table::new(
+        "",
+        &[
+            "case",
+            "seed",
+            "ranks",
+            "hot",
+            "tasks_per_hot",
+            "balancer",
+            "elastic_steps",
+            "fault_events",
+            "committed_events",
+            "checked_tasks",
+            "delivery_pairs",
+            "violations",
+            "first_invariant",
+        ],
     );
     let mut surviving = 0usize;
     let mut counterexamples: Vec<PathBuf> = Vec::new();
@@ -270,22 +287,23 @@ fn main() {
         let report = run_case(&case);
         let first = report
             .first_invariant()
-            .map(|i| i.name().to_string())
+            .map(|i| i.name())
             .unwrap_or_default();
-        csv.push_str(&format!(
-            "{index},{},{},{},{},{},{},{},{},{},{},{},{first}\n",
-            case.seed,
-            case.ranks,
-            case.hot,
-            case.tasks_per_hot,
-            case.balancer.name(),
-            case.elastic_steps,
-            case.fault_event_count(),
-            report.committed_events,
-            report.checked_tasks,
-            report.delivery_pairs,
-            report.violations.len(),
-        ));
+        summary.push_row(vec![
+            index.to_string(),
+            case.seed.to_string(),
+            case.ranks.to_string(),
+            case.hot.to_string(),
+            case.tasks_per_hot.to_string(),
+            case.balancer.name().to_string(),
+            case.elastic_steps.to_string(),
+            case.fault_event_count().to_string(),
+            report.committed_events.to_string(),
+            report.checked_tasks.to_string(),
+            report.delivery_pairs.to_string(),
+            report.violations.len().to_string(),
+            first.to_string(),
+        ]);
         if index % 50 == 0 {
             eprintln!("case {index}/{} (seed {})", cli.cases, case.seed);
         }
@@ -318,7 +336,7 @@ fn main() {
         ));
     }
 
-    write_results("fuzz_summary.csv", &csv);
+    write_results("fuzz_summary.csv", &summary.to_csv());
     if surviving == 0 {
         println!("all {} cases audited clean", cli.cases);
         std::process::exit(0);
@@ -336,4 +354,23 @@ fn main() {
         );
     }
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A case whose plan would run latency backwards is refused before
+    /// anything runs: exit 2, the status `main` exits with.
+    #[test]
+    fn replaying_a_malformed_case_is_exit_2() {
+        let dir = std::env::temp_dir().join(format!("chaos-fuzz-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("negative_scale.json");
+        let case = r#"{"ranks": 16, "hot": 2, "tasks_per_hot": 25,
+                       "plan": {"delay_spike": 0.5, "delay_spike_scale": -10}}"#;
+        std::fs::write(&path, case).unwrap();
+        assert_eq!(replay(&path, None), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -1,6 +1,7 @@
-//! The paper's evaluation as one table of experiments, plus the two
-//! deterministic tables pinned the same way: the service-workload sweep
-//! and the modeled-cost grid every refactor must leave bit-identical.
+//! The paper's evaluation as one table of experiments, plus the
+//! deterministic tables pinned the same way: the service-workload sweep,
+//! the modeled-cost grid every refactor must leave bit-identical, and
+//! the fault-injection grids (`chaos`, `chaos_elastic`).
 //!
 //! [`EXPERIMENTS`] maps a name to a function `(&mut Runs, Scale) ->
 //! String`; `repro <name>` writes that string to
@@ -35,6 +36,9 @@ use tempered_runtime::{
 use tempered_svc::{
     run_svc_timeline, SvcBalancerKind, SvcScenario, SvcTimeline, SvcTimelineConfig, LOAD_QUANTUM,
 };
+
+mod chaos;
+use chaos::{chaos, chaos_elastic};
 
 /// Master seed shared by all figure runs.
 const FIG_SEED: u64 = 2021;
@@ -96,6 +100,8 @@ pub const EXPERIMENTS: &[Experiment] = experiments! {
     adaptive: "§IV/§VI-B extension: periodic vs imbalance-threshold LB triggering",
     svc_sweep: "service workload: forecast-driven vs persistence balancing, gated",
     modeled_cost: "messages / bytes / events / virtual time of one hardened LB run",
+    chaos: "hardened protocol under drops × stragglers, crashes, partitions and gray links, gated",
+    chaos_elastic: "planned joins, drains and autoscaling vs the threaded executor, gated",
 };
 
 /// Look an experiment up by name; an unknown name is an error that

@@ -214,20 +214,6 @@ pub fn capture_lb_run(
     LbRunArtifacts::from_ranks(&ranks, recorder.snapshot(), report.completed)
 }
 
-/// Run under the auditor: capture, then audit. Returns the report
-/// alongside the artifacts (for diagnostics and shrinking).
-pub fn run_audited(
-    dist: &Distribution,
-    cfg: LbProtocolConfig,
-    model: NetworkModel,
-    factory: &RngFactory,
-    plan: FaultPlan,
-) -> (AuditReport, LbRunArtifacts) {
-    let art = capture_lb_run(dist, cfg, model, factory, plan.clone());
-    let report = audit_artifacts(dist, &cfg, &plan, &art);
-    (report, art)
-}
-
 /// Check every invariant against captured artifacts.
 pub fn audit_artifacts(
     input: &Distribution,
@@ -490,13 +476,10 @@ mod tests {
     fn clean_run_audits_clean() {
         let dist = Distribution::concentrated(8, 2, 10);
         let factory = RngFactory::new(7);
-        let (rep, art) = run_audited(
-            &dist,
-            quick_cfg().hardened(RetryConfig::default()),
-            NetworkModel::default(),
-            &factory,
-            FaultPlan::none(),
-        );
+        let cfg = quick_cfg().hardened(RetryConfig::default());
+        let plan = FaultPlan::none();
+        let art = capture_lb_run(&dist, cfg, NetworkModel::default(), &factory, plan.clone());
+        let rep = audit_artifacts(&dist, &cfg, &plan, &art);
         assert!(rep.is_clean(), "violations: {:?}", rep.violations);
         assert!(rep.committed_events > 0);
         assert!(rep.delivery_pairs > 0);
@@ -510,15 +493,11 @@ mod tests {
         let factory = RngFactory::new(7);
         let mut plan = FaultPlan::none();
         plan.crashes = vec![CrashEvent::fatal(RankId(1), 0.0)];
-        let (rep, _) = run_audited(
-            &dist,
-            quick_cfg()
-                .hardened(RetryConfig::default())
-                .crash_tolerant(HealthConfig::default()),
-            NetworkModel::default(),
-            &factory,
-            plan,
-        );
+        let cfg = quick_cfg()
+            .hardened(RetryConfig::default())
+            .crash_tolerant(HealthConfig::default());
+        let art = capture_lb_run(&dist, cfg, NetworkModel::default(), &factory, plan.clone());
+        let rep = audit_artifacts(&dist, &cfg, &plan, &art);
         assert!(rep.is_clean(), "violations: {:?}", rep.violations);
     }
 

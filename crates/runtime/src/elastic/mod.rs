@@ -36,7 +36,7 @@
 //! drives the *unchanged* LB protocol over the current dense roster
 //! through the discrete-event simulator and compares every fault-free
 //! step, bit for bit, against whichever second driver the caller hands
-//! it: the threaded executor (`chaos --elastic`), a fleet of rank
+//! it: the threaded executor (`repro chaos_elastic`), a fleet of rank
 //! processes over TCP (`orchestrate --elastic`), or none (the fuzzer).
 
 pub mod policy;
@@ -574,8 +574,8 @@ impl Committed {
 /// another driver — the threaded executor ([`threaded_driver`]), a fleet
 /// of rank processes — hands it in as `second`, and every step free of
 /// message-level faults is compared placement for placement. Gates are
-/// *recorded*, not asserted — the chaos grid sums them and asserts zero
-/// at the end.
+/// *recorded*, not asserted — `repro chaos_elastic` gates each
+/// scenario on them.
 pub fn run_elastic(
     sc: &ElasticScenario,
     mut second: Option<SecondDriver<'_>>,

@@ -273,21 +273,12 @@ impl FuzzCase {
     /// The case's input workload: `hot` overloaded ranks with
     /// `tasks_per_hot` unit tasks each, the rest empty.
     pub fn dist(&self) -> Distribution {
-        let per_rank: Vec<Vec<f64>> = (0..self.ranks)
-            .map(|r| {
-                if r < self.hot {
-                    vec![1.0; self.tasks_per_hot]
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        Distribution::from_loads(per_rank)
+        Distribution::concentrated(self.ranks, self.hot, self.tasks_per_hot)
     }
 }
 
-/// The protocol configuration a case runs under: the chaos harness's
-/// stack ([`LbProtocolConfig::quick`] or GrapevineLB, hardened with
+/// The protocol configuration a case runs under, and every `repro chaos`
+/// cell with it ([`LbProtocolConfig::quick`] or GrapevineLB, hardened with
 /// [`RetryConfig::generous`] — the delivery audit needs ledgers),
 /// crash-tolerant when the plan crashes anything, and quorum-gated when
 /// the plan touches links or partitions.
@@ -945,6 +936,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown field"), "{err}");
+    }
+
+    /// A case file that cannot run is rejected at load with its path
+    /// first: a plan no executor may run, and a file that is not there.
+    #[test]
+    fn load_names_the_file_and_the_offending_plan_field() {
+        let dir = std::env::temp_dir().join(format!("tempered-fuzz-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad_drop.json");
+        let case = r#"{"ranks": 16, "hot": 2, "tasks_per_hot": 25, "plan": {"drop": 1.5}}"#;
+        std::fs::write(&path, case).unwrap();
+        let err = FuzzCase::load(&path).unwrap_err();
+        let shown = path.display().to_string();
+        assert!(err.starts_with(&format!("{shown}: ")), "{err}");
+        assert!(err.contains("drop"), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = FuzzCase::load(&path).unwrap_err();
+        assert!(err.starts_with(&format!("{shown}: ")), "{err}");
+        assert!(err.contains("cannot read"), "{err}");
     }
 
     #[test]

@@ -512,17 +512,15 @@ mod tests {
     /// The shipped example plans (`examples/plans/*.json`) must load at
     /// the rank count of the harness that runs them — the quick-mode
     /// count where there are two, since CI runs that one — and
-    /// round-trip.
+    /// round-trip. (Scenarios run under the auditor are fuzz cases in
+    /// `regressions/`, which `tests/regression_corpus.rs` loads.)
     #[test]
     fn shipped_example_plans_load_at_their_harness_rank_count() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/plans");
         let harness_ranks = [
-            ("crash_pair.json", 16),     // `chaos --plan`
-            ("elastic_churn.json", 8),   // joins nodes 8 and 9 to an 8-node seed roster
-            ("gray_links.json", 16),     // `chaos --plan`
-            ("partition_heal.json", 16), // `chaos --plan`
-            ("sockets_gray.json", 4),    // `orchestrate` via `bench::sockets::scenarios`
-            ("svc_flashcrowd.json", 8),  // `repro svc_sweep`
+            ("elastic_churn.json", 8),  // joins nodes 8 and 9 to an 8-node seed roster
+            ("sockets_gray.json", 4),   // `orchestrate` via `bench::sockets::scenarios`
+            ("svc_flashcrowd.json", 8), // `repro svc_sweep`
         ];
         let mut shipped: Vec<String> = std::fs::read_dir(&dir)
             .expect("examples/plans exists")
