@@ -4,9 +4,9 @@
 //! Where `repro chaos` sweeps hand-picked grids, this binary
 //! *samples* the fault space: each case derives a seed from the master
 //! seed and the case index, generates a valid workload + `FaultPlan`
-//! mix (message noise, crashes, link faults, partitions, churn), runs
-//! it in the deterministic simulator, and audits the run against the
-//! global safety invariants (task conservation, epoch monotonicity,
+//! mix (message noise, crashes, link faults, partitions — or an elastic
+//! churn timeline under message noise), runs it in the deterministic
+//! simulator, and audits the run against the global safety invariants (task conservation, epoch monotonicity,
 //! quorum-before-commit, acked-delivery). A violating case is
 //! delta-debugged down to a minimal still-failing case file that
 //! replays the violation deterministically.

@@ -422,24 +422,17 @@ fn write_plan(path: &std::path::Path, plan: &FaultPlan) {
 /// node never gets another), ships each its bit-exact task slice via
 /// `--tasks`, and must reproduce the simulator's placement bit for bit.
 fn elastic_mode(args: &Args, bin: &PathBuf, plans_out: &std::path::Path) -> ! {
-    use tempered_runtime::elastic::{run_elastic, ElasticScenario};
-    use tempered_runtime::fault::ChurnEvent;
+    use tempered_runtime::elastic::{run_elastic, ChurnEvent, ElasticScenario};
 
     let seed_ranks = args.ranks;
     let mut sc = ElasticScenario::baseline("sockets_elastic", seed_ranks, 4, sockets::SOCKETS_SEED);
     // The rank processes rebuild this configuration from `--balancer`.
     sc.cfg = sockets::balancer_config("tempered").expect("known balancer");
-    // A join at step 1, a drain (with a generous deadline) at step 2 —
-    // shipped on the plan's churn dimension so the same JSON drives the
-    // simulator and threaded grids.
-    sc.plan.churn = vec![
+    // A join at step 1, a drain (with a generous deadline) at step 2.
+    sc.churn = vec![
         ChurnEvent::join(1.0, seed_ranks as u64),
         ChurnEvent::drain(2.0, 1, Some(2.0)),
     ];
-    write_plan(
-        &plans_out.join(format!("sockets_elastic_{seed_ranks}.json")),
-        &sc.plan,
-    );
     // The per-step rank processes see no faults: churn is consumed at
     // the boundaries, never inside a protocol run.
     let clean_path = plans_out.join("sockets_elastic_step.json");

@@ -20,9 +20,8 @@ use tempered_core::rng::RngFactory;
 use tempered_obs::Recorder;
 use tempered_runtime::elastic::policy::AutoscaleConfig;
 use tempered_runtime::elastic::{
-    run_elastic, threaded_driver, ElasticOutcome, ElasticScenario, LoadProfile,
+    run_elastic, threaded_driver, ChurnEvent, ElasticOutcome, ElasticScenario, LoadProfile,
 };
-use tempered_runtime::fault::ChurnEvent;
 use tempered_runtime::fuzz::{protocol_config, Balancer};
 use tempered_runtime::{
     run_distributed_lb_with_faults, CrashEvent, DistLbResult, FaultPlan, HealthConfig, LinkFault,
@@ -426,27 +425,23 @@ pub(super) fn chaos_elastic(_: &mut Runs, scale: Scale) -> String {
         .hardened(RetryConfig::generous())
         .crash_tolerant(HealthConfig::default())
         .partition_tolerant(PartitionConfig::quick());
-    join_part.plan.churn = vec![ChurnEvent::join(2.0, seed_ranks as u64)];
+    join_part.churn = vec![ChurnEvent::join(2.0, seed_ranks as u64)];
     // The join's step runs under a healing minority split: the
     // partition-tolerant stack parks the minority until the heal, and
     // the admission must still commit.
     join_part.step_faults = vec![(
         2,
-        FaultPlan {
-            seed: 0x9A47,
-            partitions: vec![PartitionWindow {
-                side: (0..seed_ranks / 4)
-                    .map(|i| RankId::from(1 + i * 3))
-                    .collect(),
-                start: 2e-4,
-                end: Some(0.02),
-            }],
-            ..FaultPlan::none()
+        PartitionWindow {
+            side: (0..seed_ranks / 4)
+                .map(|i| RankId::from(1 + i * 3))
+                .collect(),
+            start: 2e-4,
+            end: Some(0.02),
         },
     )];
 
     let mut deadline = ElasticScenario::baseline("drain_deadline", seed_ranks, steps, 0xE1A4);
-    deadline.plan.churn = vec![ChurnEvent::drain(2.0, 1, Some(1.5))];
+    deadline.churn = vec![ChurnEvent::drain(2.0, 1, Some(1.5))];
     deadline.stalled = BTreeSet::from([1u64]);
 
     let cells: Vec<_> = [flash, trough, join_part, deadline]

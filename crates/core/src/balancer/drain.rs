@@ -41,8 +41,8 @@ use crate::load::Load;
 /// # Panics
 ///
 /// Panics if every rank is draining — an empty cluster cannot inherit
-/// the work (callers validate this upstream
-/// via `FaultPlan::validate_churn`).
+/// the work (the elastic roster machine refuses to drain its last
+/// active node upstream: `ElasticMembership::begin_drain`).
 pub fn evacuate(
     dist: &Distribution,
     draining: &BTreeSet<RankId>,

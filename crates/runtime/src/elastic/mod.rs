@@ -30,14 +30,18 @@
 //! previous roster (`+= enrolled + 1`, mirroring [`crate::membership::View::heal`]), so
 //! protocol traffic from an older roster is recognizably stale.
 //!
-//! Churn arrives as [`ChurnEvent`]s on the [`FaultPlan`] (timed, JSON
-//! plan files, validated by `FaultPlan::validate_churn`) and is consumed
-//! at step boundaries by [`run_elastic`] — the one step loop — which
-//! drives the *unchanged* LB protocol over the current dense roster
-//! through the discrete-event simulator and compares every fault-free
-//! step, bit for bit, against whichever second driver the caller hands
-//! it: the threaded executor (`repro chaos_elastic`), a fleet of rank
-//! processes over TCP (`orchestrate --elastic`), or none (the fuzzer).
+//! Churn is an [`ElasticScenario`]'s timeline of [`ChurnEvent`]s. It is
+//! consumed at step boundaries by [`run_elastic`] — the one step loop —
+//! which drives the *unchanged* LB protocol over the current dense
+//! roster through the discrete-event simulator and compares every
+//! fault-free step, bit for bit, against whichever second driver the
+//! caller hands it: the threaded executor (`repro chaos_elastic`), a
+//! fleet of rank processes over TCP (`orchestrate --elastic`), or none
+//! (the fuzzer's elastic cases). No protocol run ever sees churn: a
+//! step's [`FaultPlan`] holds only message-level noise and the step's
+//! partition windows. [`ElasticScenario::validate`] checks a timeline by
+//! replaying it through the same [`ElasticMembership`] transitions the
+//! step loop executes, so the roster rules exist once.
 
 pub mod policy;
 
@@ -53,7 +57,7 @@ use tempered_core::rng::{derive_seed, RngFactory};
 use tempered_core::task::Task;
 use tempered_obs::{EventKind, Recorder};
 
-use crate::fault::{ChurnEvent, ChurnKind, FaultPlan};
+use crate::fault::{FaultPlan, PartitionWindow};
 use crate::lb::{LbProtocolConfig, LbRank};
 use crate::parallel::run_parallel;
 use crate::run_distributed_lb_with_faults;
@@ -84,7 +88,7 @@ pub enum MemberState {
     Dead,
 }
 
-/// A rejected membership transition.
+/// A rejected membership transition or scenario.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ElasticError {
     /// Knock from a node that is already in the roster.
@@ -107,6 +111,24 @@ pub enum ElasticError {
         /// The offending stable node id.
         node: u64,
     },
+    /// A churn event has a negative or non-finite time, or a drain
+    /// deadline that is not positive and finite.
+    MalformedEvent(ChurnEvent),
+    /// A churn event falls at or after the end of the scenario's last
+    /// step.
+    EventPastLastStep {
+        /// Event time.
+        at: f64,
+        /// The scenario's step count.
+        steps: u64,
+    },
+    /// The scenario's plan carries a dimension other than message-level
+    /// noise (`drop`, `duplicate`, `delay_spike`, `reorder`): an elastic
+    /// step's faults are that noise plus the step's partition windows.
+    NotMessageNoise {
+        /// The plan field that must be empty.
+        dimension: &'static str,
+    },
 }
 
 impl fmt::Display for ElasticError {
@@ -124,6 +146,19 @@ impl fmt::Display for ElasticError {
             ElasticError::NotDraining { node } => {
                 write!(f, "node {node} is not draining")
             }
+            ElasticError::MalformedEvent(ev) => {
+                write!(f, "churn event at {} is malformed: {:?}", ev.at, ev.kind)
+            }
+            ElasticError::EventPastLastStep { at, steps } => {
+                write!(
+                    f,
+                    "churn event at {at} falls past the last of {steps} steps"
+                )
+            }
+            ElasticError::NotMessageNoise { dimension } => write!(
+                f,
+                "an elastic plan carries only message-level noise, but it has {dimension}"
+            ),
         }
     }
 }
@@ -244,8 +279,8 @@ impl ElasticMembership {
 
     /// A node knocks: admit it under a fenced roster bump and return its
     /// deterministic dense rank. A parked or dead id may re-enlist (it
-    /// left the roster, so the id is free again — matching the
-    /// `FaultPlan::validate_churn` replay); a roster member may not.
+    /// left the roster, so the id is free again); a roster member may
+    /// not.
     pub fn knock(&mut self, node: u64) -> Result<RankId, ElasticError> {
         match self.members.get(&node) {
             Some(MemberState::Active) | Some(MemberState::Draining { .. }) => {
@@ -377,6 +412,65 @@ impl LoadProfile {
     }
 }
 
+/// A planned membership change on an [`ElasticScenario`]'s timeline: a
+/// join admits a fresh node under a fenced view bump, a drain evacuates
+/// a live node and parks it. Times are seconds of scenario time
+/// ([`STEP_DT`] per step).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ChurnEvent {
+    /// When the change takes effect: it is applied at the first step
+    /// boundary at or after `at`.
+    pub at: f64,
+    /// What changes.
+    pub kind: ChurnKind,
+}
+
+/// The membership change a [`ChurnEvent`] applies.
+///
+/// Events name stable *node* ids, not dense rank ids: rank ids are
+/// re-assigned by the self-stabilizing renumbering after every change
+/// (see [`ElasticMembership`]), so only node ids are meaningful across a
+/// timeline. Seed nodes are `0..seed_ranks`; joined nodes use fresh ids
+/// (the conventional choice is the next unused integer).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ChurnKind {
+    /// Node `node` knocks and is admitted as a new rank.
+    Join {
+        /// Stable id of the joining node — must not be in the roster.
+        node: u64,
+    },
+    /// Node `node` begins a planned drain: balancers evacuate it, it
+    /// hands off residual tasks at the next step boundary and parks.
+    Drain {
+        /// Stable id of the draining node — must be active.
+        node: u64,
+        /// Handoff budget in seconds. If the handoff has not completed
+        /// within it, the node is failed over the *crash* path (its
+        /// tasks are re-homed as after a death) instead of parking
+        /// cleanly. `None` waits for the next boundary however long.
+        deadline: Option<f64>,
+    },
+}
+
+impl ChurnEvent {
+    /// A join of node `node` at time `at`.
+    pub fn join(at: f64, node: u64) -> Self {
+        ChurnEvent {
+            at,
+            kind: ChurnKind::Join { node },
+        }
+    }
+
+    /// A planned drain of node `node` at time `at` with an optional
+    /// handoff deadline.
+    pub fn drain(at: f64, node: u64, deadline: Option<f64>) -> Self {
+        ChurnEvent {
+            at,
+            kind: ChurnKind::Drain { node, deadline },
+        }
+    }
+}
+
 /// Seconds of scenario time per step: a [`ChurnEvent`] applies at the
 /// first step boundary at or after its `at`.
 pub const STEP_DT: f64 = 1.0;
@@ -385,8 +479,8 @@ pub const STEP_DT: f64 = 1.0;
 const DRAIN_CRITERION: CriterionKind = CriterionKind::Relaxed;
 
 /// One elastic chaos scenario: a seed cluster, a step count, a churn
-/// timeline (explicit events and/or an autoscale policy), and the fault
-/// machinery to run each step's LB protocol under.
+/// timeline (explicit events and/or an autoscale policy), and the faults
+/// to run each step's LB protocol under.
 #[derive(Clone)]
 pub struct ElasticScenario {
     /// Scenario name, for tables and CSV rows.
@@ -399,14 +493,17 @@ pub struct ElasticScenario {
     pub steps: u64,
     /// Protocol configuration for every step's LB run.
     pub cfg: LbProtocolConfig,
-    /// The fault plan; its churn timeline drives joins/drains, and its
-    /// other dimensions apply to every step's protocol run.
+    /// Planned joins and drains, applied at step boundaries.
+    pub churn: Vec<ChurnEvent>,
+    /// Message-level noise (`drop`, `duplicate`, `delay_spike`,
+    /// `reorder`) injected into every step's protocol run; its seed
+    /// derives each step's fault seed. [`ElasticScenario::validate`]
+    /// rejects any other dimension.
     pub plan: FaultPlan,
-    /// Extra fault plans for specific steps (e.g. a partition window in
-    /// the step where a join lands). A step with extra faults runs
-    /// sim-only: a wall-clock driver's fault timing cannot be compared
-    /// bit-for-bit.
-    pub step_faults: Vec<(u64, FaultPlan)>,
+    /// Partition windows for specific steps (e.g. a split in the step
+    /// where a join lands). A step with faults runs sim-only: a
+    /// wall-clock driver's fault timing cannot be compared bit-for-bit.
+    pub step_faults: Vec<(u64, PartitionWindow)>,
     /// Chaos knob: nodes whose drain handoff stalls (the evacuation
     /// never commits), exercising the deadline → crash-path degrade.
     pub stalled: BTreeSet<u64>,
@@ -431,6 +528,7 @@ impl ElasticScenario {
                 rounds: 4,
                 ..LbProtocolConfig::quick()
             },
+            churn: Vec::new(),
             plan: FaultPlan::none(),
             step_faults: Vec::new(),
             stalled: BTreeSet::new(),
@@ -439,6 +537,100 @@ impl ElasticScenario {
             seed,
         }
     }
+
+    /// Check the scenario without running it: the plan holds only
+    /// message-level noise, every churn event is well formed and falls
+    /// before the end of the last step, and the timeline replays on an
+    /// [`ElasticMembership`] — steps 1, 3 and 4 of [`run_elastic`]
+    /// (due events in time order, overdue drains crashed, unstalled
+    /// drains parked), without the protocol runs. The autoscaler's
+    /// decisions depend on the loads, so they are not part of the
+    /// replay.
+    pub fn validate(&self) -> Result<(), ElasticError> {
+        let p = &self.plan;
+        for (dimension, present) in [
+            ("crashes", !p.crashes.is_empty()),
+            ("pauses", !p.pauses.is_empty()),
+            ("stragglers", !p.stragglers.is_empty()),
+            ("links", !p.links.is_empty()),
+            ("partitions", !p.partitions.is_empty()),
+        ] {
+            if present {
+                return Err(ElasticError::NotMessageNoise { dimension });
+            }
+        }
+        for &ev in &self.churn {
+            let well_formed = ev.at >= 0.0
+                && ev.at.is_finite()
+                && match ev.kind {
+                    ChurnKind::Join { .. } => true,
+                    ChurnKind::Drain { deadline, .. } => {
+                        deadline.is_none_or(|d| d > 0.0 && d.is_finite())
+                    }
+                };
+            if !well_formed {
+                return Err(ElasticError::MalformedEvent(ev));
+            }
+            if ev.at >= self.steps as f64 * STEP_DT {
+                return Err(ElasticError::EventPastLastStep {
+                    at: ev.at,
+                    steps: self.steps,
+                });
+            }
+        }
+        let mut membership = ElasticMembership::new(self.seed_ranks);
+        let mut due = timeline(&self.churn).into_iter().peekable();
+        for step in 0..self.steps {
+            let now = step as f64 * STEP_DT;
+            while let Some(ev) = due.next_if(|e| e.at <= now) {
+                match ev.kind {
+                    ChurnKind::Join { node } => membership.knock(node).map(drop)?,
+                    ChurnKind::Drain { node, deadline } => {
+                        membership.begin_drain(node, now, deadline)?
+                    }
+                }
+            }
+            for node in membership.overdue(now) {
+                membership.crash(node)?;
+            }
+            for node in handoff(&membership, &self.stalled) {
+                membership.finish_drain(node)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The fault plan step `step` runs under: the scenario's noise under
+    /// a per-step seed, plus the step's partition windows.
+    fn step_plan(&self, step: u64) -> FaultPlan {
+        FaultPlan {
+            seed: derive_seed(self.plan.seed, &[step]),
+            partitions: (self.step_faults.iter())
+                .filter(|(s, _)| *s == step)
+                .map(|(_, w)| w.clone())
+                .collect(),
+            ..self.plan.clone()
+        }
+    }
+}
+
+/// The churn timeline in the order boundaries apply it: by time, plan
+/// order on ties.
+fn timeline(churn: &[ChurnEvent]) -> Vec<ChurnEvent> {
+    let mut events = churn.to_vec();
+    events.sort_by(|a, b| a.at.total_cmp(&b.at));
+    events
+}
+
+/// Draining nodes whose handoff commits at this boundary: every one not
+/// `stalled`.
+fn handoff(membership: &ElasticMembership, stalled: &BTreeSet<u64>) -> Vec<u64> {
+    (membership.roster().into_iter())
+        .filter(|&n| {
+            matches!(membership.state(n), Some(MemberState::Draining { .. }))
+                && !stalled.contains(&n)
+        })
+        .collect()
 }
 
 /// What happened at one step boundary.
@@ -452,17 +644,11 @@ pub struct ElasticStepReport {
     pub joined: Vec<u64>,
     /// Nodes whose drain handoff committed at this boundary.
     pub drained: Vec<u64>,
-    /// Nodes force-crashed at this boundary (drain deadline exceeded).
-    pub deadline_crashed: Vec<u64>,
-    /// Tasks evacuated off draining ranks at this boundary.
-    pub evacuated_tasks: usize,
     /// Whether the roster held quorum at this boundary.
     pub quorum_held: bool,
     /// Whether the second driver reproduced the simulator's placement;
     /// `None` when this step was not compared.
     pub matched: Option<bool>,
-    /// Final imbalance of the committed placement.
-    pub imbalance: f64,
 }
 
 /// Aggregated outcome of one scenario, with the chaos-grid gates.
@@ -481,8 +667,6 @@ pub struct ElasticOutcome {
     pub cross_checked: usize,
     /// Drains that degraded to the crash path.
     pub deadline_crashes: usize,
-    /// LB rounds discarded because a rank degraded mid-protocol.
-    pub degraded_rounds: usize,
     /// Final placement: per roster node, sorted `(task id, load bits)`.
     pub final_assignment: BTreeMap<u64, Vec<(TaskId, u64)>>,
     /// Final membership.
@@ -542,13 +726,8 @@ impl Committed {
 
     /// Evacuate dense `ranks` of `membership`'s roster: each migration
     /// relocates a `(task, base load)` pair between the nodes holding
-    /// the dense `from` and `to` ranks. Returns the number of moves.
-    fn evacuate(
-        &mut self,
-        membership: &ElasticMembership,
-        ranks: &BTreeSet<RankId>,
-        factor: f64,
-    ) -> usize {
+    /// the dense `from` and `to` ranks.
+    fn evacuate(&mut self, membership: &ElasticMembership, ranks: &BTreeSet<RankId>, factor: f64) {
         let roster = membership.roster();
         let moves = evacuate(&self.dense(&roster, factor), ranks, DRAIN_CRITERION);
         for m in &moves {
@@ -563,7 +742,6 @@ impl Committed {
                 .or_default()
                 .push(entry);
         }
-        moves.len()
     }
 }
 
@@ -581,9 +759,8 @@ pub fn run_elastic(
     mut second: Option<SecondDriver<'_>>,
     recorder: &Recorder,
 ) -> ElasticOutcome {
-    sc.plan
-        .validate_churn(sc.seed_ranks, Some(sc.steps as f64 * STEP_DT))
-        .expect("elastic scenario ships a valid churn timeline");
+    sc.validate()
+        .unwrap_or_else(|e| panic!("elastic scenario {}: {e}", sc.name));
 
     let mut membership = ElasticMembership::new(sc.seed_ranks);
     let mut policy = sc.autoscale.map(AutoscalePolicy::new);
@@ -610,19 +787,7 @@ pub fn run_elastic(
         .values()
         .flat_map(|ts| ts.iter().copied())
         .collect();
-    // Comparing drivers requires a step with no message-level faults;
-    // the churn dimension alone does not disqualify a step (it is
-    // consumed here at the boundaries, not inside the protocol run).
-    let msg_faults_zero = FaultPlan {
-        churn: Vec::new(),
-        ..sc.plan.clone()
-    }
-    .is_zero();
-
-    // Churn events ordered by time (stable: plan order on ties).
-    let mut events: Vec<ChurnEvent> = sc.plan.churn.clone();
-    events.sort_by(|a, b| a.at.total_cmp(&b.at));
-    let mut next_event = 0usize;
+    let mut due = timeline(&sc.churn).into_iter().peekable();
 
     let mut out = ElasticOutcome {
         steps: Vec::new(),
@@ -631,7 +796,6 @@ pub fn run_elastic(
         divergences: 0,
         cross_checked: 0,
         deadline_crashes: 0,
-        degraded_rounds: 0,
         final_assignment: BTreeMap::new(),
         membership: membership.clone(),
     };
@@ -641,7 +805,8 @@ pub fn run_elastic(
         recorder.instant(0, now, EventKind::PhaseBoundary { step });
         let mut joined = Vec::new();
         let mut drained = Vec::new();
-        let mut deadline_crashed = Vec::new();
+        // `validate` replayed every planned transition below on the same
+        // state machine, so none can be refused here.
         let mut admit = |membership: &mut ElasticMembership, node: u64| {
             let rank = membership.knock(node).expect("validated join").as_u32();
             joined.push(node);
@@ -649,9 +814,7 @@ pub fn run_elastic(
         };
 
         // 1. Planned churn due at this boundary.
-        while next_event < events.len() && events[next_event].at <= now {
-            let ev = events[next_event];
-            next_event += 1;
+        while let Some(ev) = due.next_if(|e| e.at <= now) {
             match ev.kind {
                 ChurnKind::Join { node } => {
                     admit(&mut membership, node);
@@ -709,28 +872,19 @@ pub fn run_elastic(
             let rank = membership.rank_of(node).expect("overdue node is in roster");
             placement.evacuate(&membership, &BTreeSet::from([rank]), factor);
             membership.crash(node).expect("overdue node can crash");
-            deadline_crashed.push(node);
             out.deadline_crashes += 1;
             recorder.instant(0, now, EventKind::DrainDeadlineExceeded { node });
         }
 
         // 4. Drain handoff for every draining node whose handoff is not
         // stalled: evacuate at the boundary, then park it.
-        let handoff: Vec<u64> = membership
-            .roster()
-            .into_iter()
-            .filter(|&n| {
-                matches!(membership.state(n), Some(MemberState::Draining { .. }))
-                    && !sc.stalled.contains(&n)
-            })
-            .collect();
-        let mut evacuated_tasks = 0usize;
+        let handoff = handoff(&membership, &sc.stalled);
         if !handoff.is_empty() {
             let draining: BTreeSet<RankId> = handoff
                 .iter()
                 .map(|&n| membership.rank_of(n).expect("draining node has a rank"))
                 .collect();
-            evacuated_tasks = placement.evacuate(&membership, &draining, factor);
+            placement.evacuate(&membership, &draining, factor);
             for &node in &handoff {
                 membership.finish_drain(node).expect("handoff node drains");
                 drained.push(node);
@@ -748,17 +902,8 @@ pub fn run_elastic(
         // engine; elasticity is entirely in the projection around it.
         let roster = membership.roster();
         let dist = placement.dense(&roster, factor);
-        let step_plan = sc
-            .step_faults
-            .iter()
-            .find(|(s, _)| *s == step)
-            .map(|(_, p)| p.clone());
-        let faulted = step_plan.is_some();
-        let mut plan = step_plan.unwrap_or_else(FaultPlan::none);
-        // The scenario-wide message-level dims apply to every step.
-        plan.seed = derive_seed(sc.plan.seed, &[step]);
-        plan.drop += sc.plan.drop;
-        plan.duplicate += sc.plan.duplicate;
+        let plan = sc.step_plan(step);
+        let fault_free = plan.is_zero();
         let epoch_seed = derive_seed(sc.seed, &[0xE1A5_71C0, step]);
         let sim = run_distributed_lb_with_faults(
             &dist,
@@ -771,7 +916,7 @@ pub fn run_elastic(
         // The second driver, same seed: the placement must be the same
         // *bits* — elasticity must not cost determinism.
         let matched = match second.as_mut() {
-            Some(second) if !faulted && msg_faults_zero => {
+            Some(second) if fault_free => {
                 let same = second(&dist, sc.cfg, epoch_seed) == Some(sim.distribution.canonical());
                 out.cross_checked += 1;
                 out.divergences += usize::from(!same);
@@ -796,8 +941,6 @@ pub fn run_elastic(
                     .collect();
                 placement.tasks.insert(node, tasks);
             }
-        } else {
-            out.degraded_rounds += 1;
         }
 
         // 8. Zero-loss gate: every seed task is still placed on a
@@ -815,11 +958,8 @@ pub fn run_elastic(
             roster,
             joined,
             drained,
-            deadline_crashed,
-            evacuated_tasks,
             quorum_held,
             matched,
-            imbalance: sim.final_imbalance,
         });
     }
 
@@ -946,6 +1086,140 @@ mod tests {
         assert_eq!(m.state(2), Some(MemberState::Active));
     }
 
+    /// A timeline is checked by replaying it on the roster machine that
+    /// runs it: each refusal is the transition's own error.
+    #[test]
+    fn validate_replays_the_timeline_on_the_membership() {
+        let check = |churn: Vec<ChurnEvent>| {
+            let mut sc = ElasticScenario::baseline("v", 4, 6, 1);
+            sc.churn = churn;
+            sc.validate()
+        };
+        assert_eq!(
+            check(vec![ChurnEvent::join(0.1, 2)]),
+            Err(ElasticError::JoinOfLiveNode { node: 2 })
+        );
+        assert_eq!(
+            check(vec![ChurnEvent::drain(0.1, 9, None)]),
+            Err(ElasticError::DrainOfUnknownNode { node: 9 })
+        );
+        // The first drain parks node 1 at boundary 1; the second finds
+        // it gone.
+        assert_eq!(
+            check(vec![
+                ChurnEvent::drain(0.5, 1, None),
+                ChurnEvent::drain(1.5, 1, None)
+            ]),
+            Err(ElasticError::DrainOfUnknownNode { node: 1 })
+        );
+        assert_eq!(
+            check((0..4).map(|n| ChurnEvent::drain(1.0, n, None)).collect()),
+            Err(ElasticError::DrainWouldEmptyRoster { node: 3 })
+        );
+        // Events apply in time order, not plan order; a parked id may
+        // re-enlist.
+        assert_eq!(
+            check(vec![
+                ChurnEvent::join(3.0, 1),
+                ChurnEvent::drain(2.0, 4, None),
+                ChurnEvent::drain(1.0, 1, None),
+                ChurnEvent::join(0.5, 4),
+            ]),
+            Ok(())
+        );
+        assert_eq!(
+            check(vec![ChurnEvent::join(6.0, 4)]),
+            Err(ElasticError::EventPastLastStep { at: 6.0, steps: 6 })
+        );
+        assert_eq!(check(vec![ChurnEvent::join(5.5, 4)]), Ok(()));
+        for bad in [
+            ChurnEvent::join(-1.0, 4),
+            ChurnEvent::join(f64::NAN, 4),
+            ChurnEvent::drain(1.0, 0, Some(0.0)),
+            ChurnEvent::drain(1.0, 0, Some(f64::INFINITY)),
+        ] {
+            assert!(matches!(
+                check(vec![bad]),
+                Err(ElasticError::MalformedEvent(_))
+            ));
+        }
+    }
+
+    /// A stalled drain past its deadline takes the crash path in the
+    /// replay too, so the id is free for a later join.
+    #[test]
+    fn validate_follows_a_stalled_drain_onto_the_crash_path() {
+        let mut sc = ElasticScenario::baseline("v", 4, 6, 1);
+        sc.churn = vec![
+            ChurnEvent::drain(1.0, 3, Some(1.5)),
+            ChurnEvent::join(3.5, 3),
+        ];
+        sc.stalled = BTreeSet::from([3]);
+        assert_eq!(sc.validate(), Ok(()));
+        // Without the deadline the drain never ends, and the join finds
+        // node 3 still in the roster.
+        sc.churn[0] = ChurnEvent::drain(1.0, 3, None);
+        assert_eq!(sc.validate(), Err(ElasticError::JoinOfLiveNode { node: 3 }));
+    }
+
+    #[test]
+    fn an_elastic_plan_carries_only_message_noise() {
+        let mut sc = ElasticScenario::baseline("v", 4, 6, 1);
+        sc.plan.crashes = vec![crate::fault::CrashEvent::fatal(RankId::new(1), 0.1)];
+        assert_eq!(
+            sc.validate(),
+            Err(ElasticError::NotMessageNoise {
+                dimension: "crashes"
+            })
+        );
+        sc.plan = FaultPlan {
+            drop: 0.1,
+            duplicate: 0.1,
+            delay_spike: 0.1,
+            delay_spike_scale: 4.0,
+            reorder: 0.1,
+            reorder_factor: 2.0,
+            ..FaultPlan::none()
+        };
+        assert_eq!(sc.validate(), Ok(()));
+    }
+
+    /// Every step runs the scenario's noise under its own seed, and a
+    /// step with partition windows gets them on top.
+    #[test]
+    fn a_step_plan_carries_the_scenario_noise() {
+        let mut sc = ElasticScenario::baseline("noise", 4, 6, 1);
+        sc.plan = FaultPlan {
+            seed: 99,
+            drop: 0.02,
+            delay_spike: 0.1,
+            delay_spike_scale: 4.0,
+            reorder: 0.2,
+            reorder_factor: 3.0,
+            ..FaultPlan::none()
+        };
+        let window = PartitionWindow {
+            side: vec![RankId::new(1)],
+            start: 0.0,
+            end: Some(0.01),
+        };
+        sc.step_faults = vec![(2, window.clone())];
+        let quiet = sc.step_plan(1);
+        assert_eq!(
+            quiet,
+            FaultPlan {
+                seed: derive_seed(99, &[1]),
+                ..sc.plan.clone()
+            }
+        );
+        assert_eq!((quiet.delay_spike, quiet.delay_spike_scale), (0.1, 4.0));
+        assert_eq!((quiet.reorder, quiet.reorder_factor), (0.2, 3.0));
+        let split = sc.step_plan(2);
+        assert_eq!(split.partitions, vec![window]);
+        assert_eq!((split.delay_spike, split.reorder), (0.1, 0.2));
+        assert_ne!(split.seed, quiet.seed);
+    }
+
     #[test]
     fn elastic_baseline_runs_clean() {
         let sc = ElasticScenario::baseline("baseline", 4, 6, 11);
@@ -976,7 +1250,7 @@ mod tests {
             .canonical()
         }
         let mut sc = ElasticScenario::baseline("fake-driver", 4, 5, 19);
-        sc.plan.churn = vec![ChurnEvent::join(1.0, 4), ChurnEvent::drain(3.0, 0, None)];
+        sc.churn = vec![ChurnEvent::join(1.0, 4), ChurnEvent::drain(3.0, 0, None)];
         let steps = sc.steps as usize;
 
         let mut echo = |d: &Distribution, c, s| Some(simulate(d, c, s));
@@ -1011,7 +1285,7 @@ mod tests {
     #[test]
     fn planned_join_and_drain_round_trip_without_loss() {
         let mut sc = ElasticScenario::baseline("join-drain", 4, 8, 23);
-        sc.plan.churn = vec![ChurnEvent::join(2.0, 4), ChurnEvent::drain(5.0, 1, None)];
+        sc.churn = vec![ChurnEvent::join(2.0, 4), ChurnEvent::drain(5.0, 1, None)];
         let out = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(out.lost_tasks, 0);
         assert_eq!(out.quorum_violations, 0);
@@ -1026,7 +1300,7 @@ mod tests {
     #[test]
     fn stalled_drain_degrades_to_the_crash_path_without_loss() {
         let mut sc = ElasticScenario::baseline("deadline", 4, 8, 31);
-        sc.plan.churn = vec![ChurnEvent::drain(2.0, 3, Some(1.5))];
+        sc.churn = vec![ChurnEvent::drain(2.0, 3, Some(1.5))];
         sc.stalled = BTreeSet::from([3]);
         let out = run_elastic(&sc, Some(&mut threaded_driver), &Recorder::disabled());
         assert_eq!(out.deadline_crashes, 1, "the stalled drain must degrade");
@@ -1044,7 +1318,7 @@ mod tests {
     #[test]
     fn elastic_run_is_deterministic() {
         let mut sc = ElasticScenario::baseline("det", 4, 8, 77);
-        sc.plan.churn = vec![
+        sc.churn = vec![
             ChurnEvent::join(1.0, 9),
             ChurnEvent::drain(3.0, 0, None),
             ChurnEvent::join(5.0, 12),

@@ -91,8 +91,9 @@ impl AutoscalePolicy {
     /// Absorb this step's observed total load and decide. The sizing
     /// rule targets the midpoint of the hysteresis band: scale-out adds
     /// enough ranks to bring the predicted per-rank load down to the
-    /// midpoint, scale-in removes just enough to stay below the
-    /// scale-out threshold — both clamped to `[min_ranks, max_ranks]`.
+    /// midpoint, scale-in removes just enough to keep both the predicted
+    /// and the observed load below the scale-out threshold — both
+    /// clamped to `[min_ranks, max_ranks]`.
     pub fn observe_and_decide(
         &mut self,
         step: u64,
@@ -115,9 +116,11 @@ impl AutoscalePolicy {
             self.last_action = Some(step);
             ScaleDecision::Out(target - num_ranks)
         } else if per_rank < self.cfg.in_per_rank && num_ranks > self.cfg.min_ranks {
-            // Shrink only as far as the scale-out threshold allows, so
-            // the very next forecast cannot bounce the decision back.
-            let floor = (predicted / self.cfg.out_per_rank).ceil() as usize;
+            // Shrink only as far as the scale-out threshold allows for
+            // the larger of the forecast and the load in hand: a trend
+            // still falling after the load levels off must not drain
+            // ranks the current load needs.
+            let floor = (predicted.max(total_load) / self.cfg.out_per_rank).ceil() as usize;
             let target = floor.clamp(self.cfg.min_ranks, num_ranks - 1);
             self.last_action = Some(step);
             ScaleDecision::In(num_ranks - target)
@@ -171,6 +174,31 @@ mod tests {
             }
             other => panic!("expected scale-in, got {other:?}"),
         }
+    }
+
+    /// A ramp and then a step back down: the trend term still pulls
+    /// the forecast under the band after the load has levelled off, but
+    /// the scale-in keeps what the observed load needs.
+    #[test]
+    fn scale_in_never_drains_below_the_observed_load() {
+        let cfg = cfg();
+        let mut p = AutoscalePolicy::new(cfg);
+        // At `max_ranks` the ramp cannot scale out; the step down leaves
+        // 70 / 16 = 4.4 per rank inside the band, but the forecast reads
+        // 43.75.
+        let mut ranks = cfg.max_ranks;
+        for (step, load) in [(0, 80.0), (1, 100.0), (2, 120.0), (3, 140.0), (4, 70.0)] {
+            if let ScaleDecision::In(n) = p.observe_and_decide(step, load, ranks) {
+                ranks -= n;
+                assert!(
+                    load / ranks as f64 <= cfg.out_per_rank,
+                    "step {step}: {load} on {ranks} ranks overshoots {}",
+                    cfg.out_per_rank
+                );
+                return;
+            }
+        }
+        panic!("the step down never triggered a scale-in");
     }
 
     #[test]

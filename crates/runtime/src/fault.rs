@@ -1,19 +1,20 @@
 //! Seed-deterministic fault plans for the message-passing executors.
 //!
-//! A [`FaultPlan`] describes an adverse network: per-message drop,
-//! duplication, reorder and heavy-tailed delay-spike probabilities,
-//! per-rank straggler slowdowns, transient per-rank pause windows,
-//! crash-stop failures, directed link faults, partition windows and
-//! planned membership churn. This module is what a plan *is* — the plan
-//! types, their validation ([`FaultPlan::validate`],
-//! [`FaultPlan::validate_churn`], [`FaultPlanError`]) and the counters of
-//! what was injected ([`FaultStats`]). What a plan *does* is decided in
-//! one place, [`crate::emulator::LinkEmulator`], which every executor
+//! A [`FaultPlan`] describes an adverse network for one protocol run:
+//! per-message drop, duplication, reorder and heavy-tailed delay-spike
+//! probabilities, per-rank straggler slowdowns, transient per-rank pause
+//! windows, crash-stop failures, directed link faults and partition
+//! windows. This module is what a plan *is* — the plan types, their
+//! validation ([`FaultPlan::validate`], [`FaultPlan::validate_for`],
+//! [`FaultPlanError`]) and the counters of what was injected
+//! ([`FaultStats`]). What a plan *does* is decided in one place,
+//! [`crate::emulator::LinkEmulator`], which every executor
 //! ([`crate::sim::Simulator`], [`crate::parallel::run_parallel_with`],
 //! the TCP driver) owns one of — so a given plan means the same thing
 //! under discrete-event simulation, real threads and real sockets.
+//! Membership changes between runs are not a fault: they are an elastic
+//! scenario's churn timeline ([`crate::elastic::ChurnEvent`]).
 
-use std::collections::HashMap;
 use tempered_core::ids::RankId;
 use tempered_obs::MetricsRegistry;
 
@@ -182,76 +183,6 @@ impl PartitionWindow {
     }
 }
 
-/// A planned membership change — the *churn* dimension of a
-/// [`FaultPlan`]. Unlike every other dimension, churn is consumed by the
-/// elastic membership layer ([`crate::elastic`]) at step boundaries, not
-/// by the message-level emulator: a join admits a fresh node under a
-/// fenced view bump, a drain evacuates a live node and parks it. Times
-/// are seconds on the same clock as the rest of the plan (virtual in the
-/// simulator, wall-clock from run start in the threaded executor).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChurnEvent {
-    /// When the change takes effect: it is applied at the first step
-    /// boundary at or after `at`.
-    pub at: f64,
-    /// What changes.
-    pub kind: ChurnKind,
-}
-
-/// The membership change a [`ChurnEvent`] applies.
-///
-/// Events name stable *node* ids, not dense rank ids: rank ids are
-/// re-assigned by the self-stabilizing renumbering after every change
-/// (see [`crate::elastic::ElasticMembership`]), so only node ids are
-/// meaningful across a plan. Seed nodes are `0..seed_ranks`; joined
-/// nodes must use fresh ids (the conventional choice is the next unused
-/// integer).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ChurnKind {
-    /// Node `node` knocks and is admitted as a new rank.
-    Join {
-        /// Stable id of the joining node — must not be live at `at`.
-        node: u64,
-    },
-    /// Node `node` begins a planned drain: balancers evacuate it, it
-    /// hands off residual tasks at the next step boundary and parks.
-    Drain {
-        /// Stable id of the draining node — must be live at `at`.
-        node: u64,
-        /// Handoff budget in seconds. If the handoff has not completed
-        /// within it, the node is failed over the *crash* path (its
-        /// tasks are re-homed as after a death) instead of parking
-        /// cleanly. `None` waits for the next boundary however long.
-        deadline: Option<f64>,
-    },
-}
-
-impl ChurnEvent {
-    /// A join of node `node` at time `at`.
-    pub fn join(at: f64, node: u64) -> Self {
-        ChurnEvent {
-            at,
-            kind: ChurnKind::Join { node },
-        }
-    }
-
-    /// A planned drain of node `node` at time `at` with an optional
-    /// handoff deadline.
-    pub fn drain(at: f64, node: u64, deadline: Option<f64>) -> Self {
-        ChurnEvent {
-            at,
-            kind: ChurnKind::Drain { node, deadline },
-        }
-    }
-
-    /// The node the event concerns.
-    pub fn node(&self) -> u64 {
-        match self.kind {
-            ChurnKind::Join { node } | ChurnKind::Drain { node, .. } => node,
-        }
-    }
-}
-
 /// An invalid [`FaultPlan`] parameter, reported by [`FaultPlan::validate`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultPlanError {
@@ -290,9 +221,6 @@ pub enum FaultPlanError {
     /// A partition window is inverted, starts before time zero, or has a
     /// non-finite bound.
     MalformedPartition(PartitionWindow),
-    /// A churn event has a negative or non-finite time, or a drain
-    /// deadline that is not positive and finite.
-    MalformedChurn(ChurnEvent),
     /// A crash, straggler, pause, link fault or partition names a rank
     /// outside the run's roster `0..ranks`: it would silently apply to
     /// nobody.
@@ -303,74 +231,6 @@ pub enum FaultPlanError {
         rank: RankId,
         /// The roster size it must lie below.
         ranks: usize,
-    },
-    /// A churn join names a node that is already live at that time
-    /// (a seed node, or joined earlier and not yet drained).
-    ChurnJoinOfLiveNode {
-        /// Event time.
-        at: f64,
-        /// The offending node id.
-        node: u64,
-    },
-    /// A churn drain names a node that is not live at that time (never
-    /// joined, already drained, or already draining).
-    ChurnDrainOfUnknownNode {
-        /// Event time.
-        at: f64,
-        /// The offending node id.
-        node: u64,
-    },
-    /// A churn event fires at or past the run deadline, so it could
-    /// never take effect.
-    ChurnPastDeadline {
-        /// Event time.
-        at: f64,
-        /// The run deadline it violates.
-        deadline: f64,
-    },
-    /// Draining every live node would leave an empty cluster.
-    ChurnDrainsEveryone {
-        /// Time of the drain that empties the roster.
-        at: f64,
-    },
-    /// A churn drain names a seed node that a crash event has already
-    /// killed (and that is still down at the drain time) — there is
-    /// nothing left to evacuate.
-    ChurnDrainOfCrashedRank {
-        /// Drain time.
-        at: f64,
-        /// The node being drained.
-        node: u64,
-        /// When the conflicting crash fired.
-        crash_at: f64,
-    },
-    /// A link fault's `src`/`dst` set names a rank whose node the churn
-    /// dimension permanently retires before the fault's window closes —
-    /// the tail of the window can never match any traffic.
-    LinkFaultOnRetiredRank {
-        /// The retired rank the fault references.
-        rank: RankId,
-        /// When churn retires it.
-        retired_at: f64,
-    },
-    /// A partition window's `side` names a rank whose node the churn
-    /// dimension permanently retires before the window closes.
-    PartitionOnRetiredRank {
-        /// The retired rank the window references.
-        rank: RankId,
-        /// When churn retires it.
-        retired_at: f64,
-    },
-    /// A churn join re-admits a node while an earlier drain of the same
-    /// roster id is still handing off (same instant, or inside the
-    /// drain's deadline window) — the two events race on one identity.
-    ChurnOverlappingDrainJoin {
-        /// The contested node id.
-        node: u64,
-        /// When the drain started.
-        drain_at: f64,
-        /// When the overlapping join fires.
-        join_at: f64,
     },
 }
 
@@ -410,50 +270,9 @@ impl std::fmt::Display for FaultPlanError {
                 "partition window is malformed: [{}, {:?}) side {:?}",
                 p.start, p.end, p.side
             ),
-            FaultPlanError::MalformedChurn(c) => write!(
-                f,
-                "churn event at {} is malformed: {:?}",
-                c.at, c.kind
-            ),
             FaultPlanError::RankOutOfRange { what, rank, ranks } => write!(
                 f,
                 "{what} names rank {rank}, outside the run's {ranks} ranks"
-            ),
-            FaultPlanError::ChurnJoinOfLiveNode { at, node } => write!(
-                f,
-                "churn join at {at} names node {node}, which is already live"
-            ),
-            FaultPlanError::ChurnDrainOfUnknownNode { at, node } => write!(
-                f,
-                "churn drain at {at} names node {node}, which is not live (never joined or already drained)"
-            ),
-            FaultPlanError::ChurnPastDeadline { at, deadline } => write!(
-                f,
-                "churn event at {at} is at or past the run deadline {deadline}"
-            ),
-            FaultPlanError::ChurnDrainsEveryone { at } => write!(
-                f,
-                "churn drain at {at} would leave the cluster empty"
-            ),
-            FaultPlanError::ChurnDrainOfCrashedRank { at, node, crash_at } => write!(
-                f,
-                "churn drain at {at} names node {node}, which a crash at {crash_at} already killed"
-            ),
-            FaultPlanError::LinkFaultOnRetiredRank { rank, retired_at } => write!(
-                f,
-                "link fault references {rank}, but churn retires it at {retired_at} before the window closes"
-            ),
-            FaultPlanError::PartitionOnRetiredRank { rank, retired_at } => write!(
-                f,
-                "partition window references {rank}, but churn retires it at {retired_at} before the window closes"
-            ),
-            FaultPlanError::ChurnOverlappingDrainJoin {
-                node,
-                drain_at,
-                join_at,
-            } => write!(
-                f,
-                "churn join at {join_at} re-admits node {node} while the drain at {drain_at} is still handing off"
             ),
         }
     }
@@ -499,11 +318,6 @@ pub struct FaultPlan {
     /// Full bipartition windows (both directions across the cut are
     /// severed).
     pub partitions: Vec<PartitionWindow>,
-    /// Planned membership changes (joins and drains), consumed by the
-    /// elastic layer at step boundaries — inert for single-run
-    /// executors, which only see the roster the elastic layer hands
-    /// them.
-    pub churn: Vec<ChurnEvent>,
 }
 
 impl FaultPlan {
@@ -522,7 +336,6 @@ impl FaultPlan {
             crashes: Vec::new(),
             links: Vec::new(),
             partitions: Vec::new(),
-            churn: Vec::new(),
         }
     }
 
@@ -539,7 +352,6 @@ impl FaultPlan {
             && self.crashes.is_empty()
             && self.links.is_empty()
             && self.partitions.is_empty()
-            && self.churn.is_empty()
     }
 
     /// True when the plan contains no link faults and no partitions —
@@ -556,7 +368,7 @@ impl FaultPlan {
     /// at least 1 — a factor below 1 can yield a negative latency, an
     /// infinite one an unreachable arrival — and every time is finite
     /// and non-negative. Whether the ranks it names exist is
-    /// [`FaultPlan::validate_churn`]'s check, which knows the roster.
+    /// [`FaultPlan::validate_for`]'s check, which knows the roster.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         let time_ok = |t: f64| t >= 0.0 && t.is_finite();
         let factor_ok = |f: f64| f >= 1.0 && f.is_finite();
@@ -620,41 +432,15 @@ impl FaultPlan {
                 return Err(FaultPlanError::MalformedPartition(p.clone()));
             }
         }
-        for &c in &self.churn {
-            let deadline_ok = match c.kind {
-                ChurnKind::Join { .. } => true,
-                ChurnKind::Drain { deadline, .. } => {
-                    deadline.is_none_or(|d| d > 0.0 && d.is_finite())
-                }
-            };
-            if !time_ok(c.at) || !deadline_ok {
-                return Err(FaultPlanError::MalformedChurn(c));
-            }
-        }
         Ok(())
     }
 
-    /// Contextual validation on top of [`FaultPlan::validate`], for a
-    /// caller that knows the run's roster `0..seed_ranks`. Every rank a
-    /// crash, straggler, pause, link fault or partition names must lie
-    /// inside it (a rank nobody holds would otherwise make the plan a
-    /// silent no-op). The churn dimension is then replayed in time order
-    /// (ties in plan order) against that seed roster, rejecting
-    /// overlapping or impossible windows — a join of an already-live node, a drain of a node that
-    /// never joined (or already left), an event at or past the run
-    /// deadline, and a drain that would empty the cluster — plus
-    /// cross-dimension conflicts: a drain of a seed node that a crash
-    /// event already killed (and that is still down at drain time), a
-    /// link fault or partition window whose rank set references a rank
-    /// churn permanently retires before the window closes, and a join
-    /// re-admitting a roster id while an earlier drain of the same id is
-    /// still inside its handoff deadline. [`FaultPlan::load`] runs this
-    /// on every plan file and prefixes the error with the path.
-    pub fn validate_churn(
-        &self,
-        seed_ranks: usize,
-        run_deadline: Option<f64>,
-    ) -> Result<(), FaultPlanError> {
+    /// [`FaultPlan::validate`], then the check that needs the run's
+    /// roster `0..ranks`: every rank a crash, straggler, pause, link
+    /// fault or partition names must lie inside it (a rank nobody holds
+    /// would otherwise make the plan a silent no-op). [`FaultPlan::load`]
+    /// runs this on every plan file and prefixes the error with the path.
+    pub fn validate_for(&self, ranks: usize) -> Result<(), FaultPlanError> {
         self.validate()?;
         let named = (self.crashes.iter().map(|c| ("crash", c.rank)))
             .chain(self.stragglers.iter().map(|&(r, _)| ("straggler", r)))
@@ -670,129 +456,8 @@ impl FaultPlan {
                     .flat_map(|p| p.side.iter().map(|&r| ("partition", r))),
             );
         for (what, rank) in named {
-            if rank.as_usize() >= seed_ranks {
-                return Err(FaultPlanError::RankOutOfRange {
-                    what,
-                    rank,
-                    ranks: seed_ranks,
-                });
-            }
-        }
-        let mut order: Vec<&ChurnEvent> = self.churn.iter().collect();
-        order.sort_by(|a, b| a.at.total_cmp(&b.at));
-        let mut live: std::collections::BTreeSet<u64> = (0..seed_ranks as u64).collect();
-        for c in &order {
-            if let Some(d) = run_deadline {
-                if c.at >= d {
-                    return Err(FaultPlanError::ChurnPastDeadline {
-                        at: c.at,
-                        deadline: d,
-                    });
-                }
-            }
-            match c.kind {
-                ChurnKind::Join { node } => {
-                    if !live.insert(node) {
-                        return Err(FaultPlanError::ChurnJoinOfLiveNode { at: c.at, node });
-                    }
-                }
-                ChurnKind::Drain { node, .. } => {
-                    if !live.remove(&node) {
-                        return Err(FaultPlanError::ChurnDrainOfUnknownNode { at: c.at, node });
-                    }
-                    if live.is_empty() {
-                        return Err(FaultPlanError::ChurnDrainsEveryone { at: c.at });
-                    }
-                }
-            }
-        }
-        // Cross-dimension: draining a seed node a crash already killed.
-        // Seed node ids coincide with initial rank ids; joined nodes use
-        // fresh ids, so a crash (which names a rank) can only conflict
-        // with drains of nodes below `seed_ranks`. A warm restart that
-        // completes before the drain clears the conflict.
-        for c in &order {
-            if let ChurnKind::Drain { node, .. } = c.kind {
-                if node >= seed_ranks as u64 {
-                    continue;
-                }
-                for &cr in &self.crashes {
-                    let down = cr.at <= c.at && cr.restart_after.is_none_or(|d| cr.at + d > c.at);
-                    if u64::from(cr.rank.0) == node && down {
-                        return Err(FaultPlanError::ChurnDrainOfCrashedRank {
-                            at: c.at,
-                            node,
-                            crash_at: cr.at,
-                        });
-                    }
-                }
-            }
-        }
-        // Cross-dimension: a join racing a drain of the same roster id.
-        // The roster replay above already admits drain-then-rejoin; here
-        // we reject the rejoin while the drain's handoff window is still
-        // open (same instant, or inside a finite deadline).
-        for c in &self.churn {
-            if let ChurnKind::Drain { node, deadline } = c.kind {
-                for j in &self.churn {
-                    if let ChurnKind::Join { node: jn } = j.kind {
-                        let overlaps = j.at == c.at
-                            || (deadline.is_some_and(|d| j.at > c.at && j.at < c.at + d));
-                        if jn == node && overlaps {
-                            return Err(FaultPlanError::ChurnOverlappingDrainJoin {
-                                node,
-                                drain_at: c.at,
-                                join_at: j.at,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Cross-dimension: link faults and partition windows referencing
-        // ranks that churn permanently retires. A node is retired when
-        // its last churn event is a drain; a fault window that is not
-        // entirely before the retirement can never match that rank's
-        // traffic again. Only seed node ids map to plan-addressable
-        // ranks.
-        let mut retired: HashMap<u64, f64> = HashMap::new();
-        for c in &order {
-            match c.kind {
-                ChurnKind::Join { node } => {
-                    retired.remove(&node);
-                }
-                ChurnKind::Drain { node, .. } => {
-                    if node < seed_ranks as u64 {
-                        retired.insert(node, c.at);
-                    }
-                }
-            }
-        }
-        // Harmless only when the whole window closes before the
-        // retirement; an open end always outlives it.
-        let outlives = |end: Option<f64>, retired_at: f64| end.is_none_or(|e| e > retired_at);
-        for l in &self.links {
-            for &rank in l.src.iter().chain(l.dst.iter()) {
-                if let Some(&t) = retired.get(&u64::from(rank.0)) {
-                    if outlives(l.end, t) {
-                        return Err(FaultPlanError::LinkFaultOnRetiredRank {
-                            rank,
-                            retired_at: t,
-                        });
-                    }
-                }
-            }
-        }
-        for p in &self.partitions {
-            for &rank in &p.side {
-                if let Some(&t) = retired.get(&u64::from(rank.0)) {
-                    if outlives(p.end, t) {
-                        return Err(FaultPlanError::PartitionOnRetiredRank {
-                            rank,
-                            retired_at: t,
-                        });
-                    }
-                }
+            if rank.as_usize() >= ranks {
+                return Err(FaultPlanError::RankOutOfRange { what, rank, ranks });
             }
         }
         Ok(())
@@ -1030,228 +695,5 @@ mod tests {
             p.validate(),
             Err(FaultPlanError::MalformedPartition(_))
         ));
-    }
-
-    #[test]
-    fn churn_makes_a_plan_nonzero() {
-        let mut p = FaultPlan::none();
-        assert!(p.is_zero());
-        p.churn = vec![ChurnEvent::join(0.5, 4)];
-        assert!(!p.is_zero());
-        assert_eq!(p.validate(), Ok(()));
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-    }
-
-    #[test]
-    fn malformed_churn_is_rejected() {
-        let mut p = FaultPlan::none();
-        p.churn = vec![ChurnEvent::join(-1.0, 4)];
-        assert!(matches!(
-            p.validate(),
-            Err(FaultPlanError::MalformedChurn(_))
-        ));
-        p.churn = vec![ChurnEvent::drain(1.0, 0, Some(0.0))];
-        assert!(matches!(
-            p.validate(),
-            Err(FaultPlanError::MalformedChurn(_))
-        ));
-        p.churn = vec![ChurnEvent::drain(1.0, 0, Some(0.25))];
-        assert_eq!(p.validate(), Ok(()));
-    }
-
-    #[test]
-    fn churn_windows_are_replayed_against_the_roster() {
-        let mut p = FaultPlan::none();
-        // Join of a seed node: already live.
-        p.churn = vec![ChurnEvent::join(0.1, 2)];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnJoinOfLiveNode { at: 0.1, node: 2 })
-        );
-        // Drain of a node that never joined.
-        p.churn = vec![ChurnEvent::drain(0.1, 9, None)];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnDrainOfUnknownNode { at: 0.1, node: 9 })
-        );
-        // Drain, then re-join of the same node id is an overlap in the
-        // other order (drain before its join).
-        p.churn = vec![ChurnEvent::drain(0.1, 4, None), ChurnEvent::join(0.2, 4)];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnDrainOfUnknownNode { at: 0.1, node: 4 })
-        );
-        // Join then drain of the same fresh node is fine — ids stay
-        // dense through the renumbering either way.
-        p.churn = vec![ChurnEvent::join(0.1, 4), ChurnEvent::drain(0.2, 4, None)];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        // Double drain of the same node.
-        p.churn = vec![
-            ChurnEvent::drain(0.1, 1, None),
-            ChurnEvent::drain(0.2, 1, None),
-        ];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnDrainOfUnknownNode { at: 0.2, node: 1 })
-        );
-        // Events are replayed in *time* order, not plan order.
-        p.churn = vec![ChurnEvent::drain(0.2, 4, None), ChurnEvent::join(0.1, 4)];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-    }
-
-    #[test]
-    fn draining_a_crashed_rank_is_rejected() {
-        let mut p = FaultPlan::none();
-        p.crashes = vec![CrashEvent::fatal(RankId(1), 0.05)];
-        p.churn = vec![ChurnEvent::drain(0.1, 1, None)];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnDrainOfCrashedRank {
-                at: 0.1,
-                node: 1,
-                crash_at: 0.05,
-            })
-        );
-        // Draining *before* the crash fires is fine.
-        p.churn = vec![ChurnEvent::drain(0.01, 1, None)];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        // A warm restart that completes before the drain clears the
-        // conflict; one still down at drain time does not.
-        p.crashes = vec![CrashEvent::with_restart(RankId(1), 0.05, 0.02)];
-        p.churn = vec![ChurnEvent::drain(0.1, 1, None)];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        p.churn = vec![ChurnEvent::drain(0.06, 1, None)];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnDrainOfCrashedRank {
-                at: 0.06,
-                node: 1,
-                crash_at: 0.05,
-            })
-        );
-        // Crashes of ranks the churn never drains are unaffected.
-        p.crashes = vec![CrashEvent::fatal(RankId(2), 0.05)];
-        p.churn = vec![ChurnEvent::drain(0.1, 1, None)];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-    }
-
-    #[test]
-    fn link_and_partition_windows_on_retired_ranks_are_rejected() {
-        let mut p = FaultPlan::none();
-        p.churn = vec![ChurnEvent::drain(0.1, 2, None)];
-        // An open-ended fault naming the retired rank outlives it.
-        p.links = vec![LinkFault {
-            src: vec![RankId(2)],
-            dst: vec![],
-            start: 0.0,
-            end: None,
-            kind: LinkFaultKind::Cut,
-        }];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::LinkFaultOnRetiredRank {
-                rank: RankId(2),
-                retired_at: 0.1,
-            })
-        );
-        // A window closing before the retirement is harmless.
-        p.links[0].end = Some(0.1);
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        // A later re-join of the same node un-retires it.
-        p.links[0].end = None;
-        p.churn.push(ChurnEvent::join(0.5, 2));
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        // Same rule for bipartition windows.
-        p.links.clear();
-        p.churn = vec![ChurnEvent::drain(0.1, 2, None)];
-        p.partitions = vec![PartitionWindow {
-            side: vec![RankId(2), RankId(3)],
-            start: 0.0,
-            end: Some(0.3),
-        }];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::PartitionOnRetiredRank {
-                rank: RankId(2),
-                retired_at: 0.1,
-            })
-        );
-        p.partitions[0].end = Some(0.05);
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        // Fresh node ids beyond the seed roster are not plan-addressable
-        // ranks, so faults cannot conflict with their drains.
-        p.partitions.clear();
-        p.churn = vec![ChurnEvent::join(0.1, 7), ChurnEvent::drain(0.2, 7, None)];
-        p.links = vec![LinkFault {
-            src: vec![],
-            dst: vec![],
-            start: 0.0,
-            end: None,
-            kind: LinkFaultKind::Cut,
-        }];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-    }
-
-    #[test]
-    fn joins_overlapping_a_drain_handoff_are_rejected() {
-        let mut p = FaultPlan::none();
-        // Same instant: the two events race on one identity.
-        p.churn = vec![ChurnEvent::drain(0.2, 1, None), ChurnEvent::join(0.2, 1)];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnOverlappingDrainJoin {
-                node: 1,
-                drain_at: 0.2,
-                join_at: 0.2,
-            })
-        );
-        // Inside a finite handoff deadline.
-        p.churn = vec![
-            ChurnEvent::drain(0.2, 1, Some(0.5)),
-            ChurnEvent::join(0.4, 1),
-        ];
-        assert_eq!(
-            p.validate_churn(4, None),
-            Err(FaultPlanError::ChurnOverlappingDrainJoin {
-                node: 1,
-                drain_at: 0.2,
-                join_at: 0.4,
-            })
-        );
-        // Past the deadline the handoff has resolved either way.
-        p.churn = vec![
-            ChurnEvent::drain(0.2, 1, Some(0.5)),
-            ChurnEvent::join(0.8, 1),
-        ];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-        // With no deadline the drain completes at the next boundary, so
-        // any strictly later re-join is fine.
-        p.churn = vec![ChurnEvent::drain(0.2, 1, None), ChurnEvent::join(0.4, 1)];
-        assert_eq!(p.validate_churn(4, None), Ok(()));
-    }
-
-    #[test]
-    fn churn_past_the_run_deadline_is_rejected() {
-        let mut p = FaultPlan::none();
-        p.churn = vec![ChurnEvent::join(5.0, 4)];
-        assert_eq!(p.validate_churn(4, Some(10.0)), Ok(()));
-        assert_eq!(
-            p.validate_churn(4, Some(5.0)),
-            Err(FaultPlanError::ChurnPastDeadline {
-                at: 5.0,
-                deadline: 5.0
-            })
-        );
-    }
-
-    #[test]
-    fn draining_the_last_node_is_rejected() {
-        let mut p = FaultPlan::none();
-        p.churn = vec![ChurnEvent::drain(0.1, 0, None)];
-        assert_eq!(
-            p.validate_churn(1, None),
-            Err(FaultPlanError::ChurnDrainsEveryone { at: 0.1 })
-        );
-        assert_eq!(p.validate_churn(2, None), Ok(()));
     }
 }

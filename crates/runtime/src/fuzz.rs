@@ -4,11 +4,14 @@
 //!
 //! A [`FuzzCase`] samples one point of the fault space the chaos grids
 //! only ever probe by hand: a workload shape, a balancer, and a
-//! [`FaultPlan`] mixing message-level noise, crashes, link faults,
-//! bipartition windows, and (for elastic cases) churn. Cases are
-//! generated *valid by construction* and re-checked through
-//! [`FaultPlan::validate_churn`], executed in the deterministic
-//! simulator under the auditor, and — on a violation — handed to a
+//! [`FaultPlan`] mixing message-level noise, crashes, link faults and
+//! bipartition windows — or, for an elastic case, a churn timeline
+//! with message-level noise on every step. Cases are generated *valid
+//! by construction* and re-checked through [`FuzzCase::validate`]
+//! ([`FaultPlan::validate_for`] for a protocol case, the elastic
+//! scenario's [`ElasticScenario::validate`] roster replay for an elastic
+//! one), executed in the deterministic simulator under the auditor,
+//! and — on a violation — handed to a
 //! delta-debugging [`shrink`] loop that greedily drops fault events,
 //! zeroes probabilities, narrows windows, and reduces ranks/steps
 //! while the *same* invariant keeps failing. Because the executor is
@@ -20,6 +23,7 @@
 //! pipeline itself is testable end-to-end.
 
 use crate::audit::{audit_artifacts, capture_lb_run, AuditReport, Invariant, Violation};
+use crate::elastic::{ChurnEvent, ChurnKind, ElasticScenario};
 use crate::fault::FaultPlan;
 use crate::health::HealthConfig;
 use crate::lb::{LbProtocolConfig, PartitionConfig};
@@ -32,13 +36,24 @@ use std::fmt::Write as _;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
 use tempered_core::rng::{derive_seed, RngFactory};
-use tempered_obs::json::{self, as_str, as_uint, obj, Json};
+use tempered_obs::json::{self, arr, as_num, as_str, as_uint, field, get, obj, Json};
 use tempered_obs::{EventKind, Recorder};
 
 /// Largest integer the hand-rolled JSON codec can carry exactly (its
 /// number representation is an `f64`). Generated seeds are masked to
 /// this so case files round-trip losslessly.
 pub const MAX_JSON_SAFE_INT: u64 = (1 << 53) - 1;
+
+/// Largest cluster a case may ask for: the scaling sweep's top row, and
+/// the most ranks any harness runs.
+pub const MAX_RANKS: usize = 32_768;
+
+/// Most tasks a case may place (`hot × tasks_per_hot`, or `ranks ×
+/// tasks_per_hot` for an elastic case).
+pub const MAX_TASKS: usize = 1 << 20;
+
+/// Longest elastic timeline a case may ask for.
+pub const MAX_ELASTIC_STEPS: u64 = 1_000;
 
 /// Which balancer a protocol case runs distributed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,9 +228,12 @@ pub struct FuzzCase {
     /// drains with its own criterion).
     pub balancer: Balancer,
     /// `0` = one protocol run; `> 0` = an elastic timeline with this
-    /// many step boundaries, driven by the plan's churn dimension.
+    /// many step boundaries, driven by `churn`.
     pub elastic_steps: u64,
-    /// The fault plan under test.
+    /// Planned joins and drains (elastic cases only).
+    pub churn: Vec<ChurnEvent>,
+    /// The fault plan under test (elastic cases: the message-level noise
+    /// every step runs under).
     pub plan: FaultPlan,
     /// Corpus semantics: `Some(inv)` = replaying this case must violate
     /// `inv` (paired with `inject_bug`); `None` = must audit clean.
@@ -225,21 +243,12 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
-    /// The run deadline churn must respect (elastic cases only).
-    pub fn deadline(&self) -> Option<f64> {
-        if self.elastic_steps > 0 {
-            Some(self.elastic_steps as f64 * crate::elastic::STEP_DT)
-        } else {
-            None
-        }
-    }
-
     /// Total discrete fault events in the plan — the quantity the
     /// shrinker minimizes (and the acceptance bar for minimized
     /// counterexamples).
     pub fn fault_event_count(&self) -> usize {
         let p = &self.plan;
-        p.churn.len()
+        self.churn.len()
             + p.crashes.len()
             + p.links.len()
             + p.partitions.len()
@@ -247,11 +256,16 @@ impl FuzzCase {
             + p.stragglers.len()
     }
 
-    /// Structural validity: a sane workload shape and a plan that
-    /// passes the full cross-dimension [`FaultPlan::validate_churn`].
+    /// Structural validity: a workload shape within the size limits, and
+    /// a plan the run can execute — [`FaultPlan::validate_for`] the
+    /// case's ranks for a protocol case, [`ElasticScenario::validate`]
+    /// for an elastic one.
     pub fn validate(&self) -> Result<(), String> {
-        if self.ranks < 2 {
-            return Err(format!("ranks must be >= 2, got {}", self.ranks));
+        if !(2..=MAX_RANKS).contains(&self.ranks) {
+            return Err(format!(
+                "ranks must be in 2..={MAX_RANKS}, got {}",
+                self.ranks
+            ));
         }
         if self.hot == 0 || self.hot > self.ranks {
             return Err(format!(
@@ -262,12 +276,55 @@ impl FuzzCase {
         if self.tasks_per_hot == 0 {
             return Err("tasks_per_hot must be >= 1".to_string());
         }
-        if self.elastic_steps == 0 && !self.plan.churn.is_empty() {
-            return Err("churn requires an elastic case (elastic_steps > 0)".to_string());
+        let loaded = if self.elastic_steps > 0 {
+            self.ranks
+        } else {
+            self.hot
+        };
+        if loaded
+            .checked_mul(self.tasks_per_hot)
+            .is_none_or(|n| n > MAX_TASKS)
+        {
+            return Err(format!(
+                "{loaded} ranks × {} tasks_per_hot exceeds {MAX_TASKS} tasks",
+                self.tasks_per_hot
+            ));
         }
-        self.plan
-            .validate_churn(self.ranks, self.deadline())
-            .map_err(|e| e.to_string())
+        if self.elastic_steps > MAX_ELASTIC_STEPS {
+            return Err(format!(
+                "elastic_steps must be <= {MAX_ELASTIC_STEPS}, got {}",
+                self.elastic_steps
+            ));
+        }
+        if self.elastic_steps == 0 {
+            if !self.churn.is_empty() {
+                return Err("churn requires an elastic case (elastic_steps > 0)".to_string());
+            }
+            return self
+                .plan
+                .validate_for(self.ranks)
+                .map_err(|e| e.to_string());
+        }
+        self.plan.validate().map_err(|e| e.to_string())?;
+        self.scenario().validate().map_err(|e| e.to_string())
+    }
+
+    /// The elastic scenario an elastic case runs: `ranks` seed nodes
+    /// with `tasks_per_hot` tasks each, the case's churn and noise, and
+    /// every step hardened (the best-effort baseline configuration would
+    /// starve under the noise).
+    fn scenario(&self) -> ElasticScenario {
+        let mut sc = ElasticScenario::baseline(
+            &format!("fuzz-{:x}", self.seed),
+            self.ranks,
+            self.elastic_steps,
+            self.seed,
+        );
+        sc.tasks_per_rank = self.tasks_per_hot;
+        sc.churn = self.churn.clone();
+        sc.plan = self.plan.clone();
+        sc.cfg = sc.cfg.hardened(RetryConfig::generous());
+        sc
     }
 
     /// The case's input workload: `hot` overloaded ranks with
@@ -329,18 +386,7 @@ pub fn run_case(case: &FuzzCase) -> AuditReport {
 /// corrupt protocol-run artifacts, which the elastic harness consumes
 /// internally.
 fn run_elastic_case(case: &FuzzCase) -> AuditReport {
-    let mut sc = crate::elastic::ElasticScenario::baseline(
-        &format!("fuzz-{:x}", case.seed),
-        case.ranks,
-        case.elastic_steps,
-        case.seed,
-    );
-    sc.tasks_per_rank = case.tasks_per_hot;
-    sc.plan = case.plan.clone();
-    // Generated plans carry message-level noise; the best-effort
-    // baseline config would starve under it, so harden every step.
-    sc.cfg = sc.cfg.hardened(RetryConfig::generous());
-    let outcome = crate::elastic::run_elastic(&sc, None, &Recorder::disabled());
+    let outcome = crate::elastic::run_elastic(&case.scenario(), None, &Recorder::disabled());
     let mut rep = AuditReport {
         checked_tasks: case.ranks * case.tasks_per_hot,
         ..AuditReport::default()
@@ -371,10 +417,8 @@ fn run_elastic_case(case: &FuzzCase) -> AuditReport {
 // ---- generation ------------------------------------------------------------
 
 /// Deterministically generate case `index` of the fuzz run seeded by
-/// `master`. Cases are valid by construction; the handful of residual
-/// conflicts the cross-dimension validator can still find (e.g. a
-/// random crash landing on a node churn later drains) are resolved by
-/// re-rolling with a derived attempt key.
+/// `master`. Cases are valid by construction; one that still fails
+/// [`FuzzCase::validate`] is re-rolled with a derived attempt key.
 pub fn gen_case(master: u64, index: u64) -> FuzzCase {
     for attempt in 0..8u64 {
         let seed = derive_seed(master, &[0xF0_22, index, attempt]) & MAX_JSON_SAFE_INT;
@@ -391,6 +435,7 @@ pub fn gen_case(master: u64, index: u64) -> FuzzCase {
         tasks_per_hot: 8,
         balancer: Balancer::Tempered,
         elastic_steps: 0,
+        churn: Vec::new(),
         plan: FaultPlan::none(),
         expect: None,
         inject_bug: None,
@@ -429,7 +474,6 @@ fn gen_case_inner(seed: u64) -> FuzzCase {
 
     if elastic {
         let steps = r.gen_range(2u64..6);
-        gen_churn(&mut r, &mut plan, ranks, steps);
         return FuzzCase {
             seed,
             ranks,
@@ -437,6 +481,7 @@ fn gen_case_inner(seed: u64) -> FuzzCase {
             tasks_per_hot,
             balancer,
             elastic_steps: steps,
+            churn: gen_churn(&mut r, ranks, steps),
             plan,
             expect: None,
             inject_bug: None,
@@ -548,6 +593,7 @@ fn gen_case_inner(seed: u64) -> FuzzCase {
         tasks_per_hot,
         balancer,
         elastic_steps: 0,
+        churn: Vec::new(),
         plan,
         expect: None,
         inject_bug: None,
@@ -555,9 +601,9 @@ fn gen_case_inner(seed: u64) -> FuzzCase {
 }
 
 /// A valid-by-construction churn timeline: replay a live set, joining
-/// fresh node ids and draining only nodes that are live (and that no
-/// earlier drain's handoff still contends for).
-fn gen_churn(r: &mut SmallRng, plan: &mut FaultPlan, seed_ranks: usize, steps: u64) {
+/// fresh node ids and draining only live nodes, never the last two.
+fn gen_churn(r: &mut SmallRng, seed_ranks: usize, steps: u64) -> Vec<ChurnEvent> {
+    let mut churn = Vec::new();
     let mut live: Vec<u64> = (0..seed_ranks as u64).collect();
     let mut next_fresh = seed_ranks as u64;
     let horizon = steps as f64 * 0.9;
@@ -569,8 +615,7 @@ fn gen_churn(r: &mut SmallRng, plan: &mut FaultPlan, seed_ranks: usize, steps: u
             break;
         }
         if r.gen_bool(0.5) || live.len() <= 2 {
-            plan.churn
-                .push(crate::fault::ChurnEvent::join(at, next_fresh));
+            churn.push(ChurnEvent::join(at, next_fresh));
             live.push(next_fresh);
             next_fresh += 1;
         } else {
@@ -581,10 +626,10 @@ fn gen_churn(r: &mut SmallRng, plan: &mut FaultPlan, seed_ranks: usize, steps: u
             } else {
                 None
             };
-            plan.churn
-                .push(crate::fault::ChurnEvent::drain(at, node, deadline));
+            churn.push(ChurnEvent::drain(at, node, deadline));
         }
     }
+    churn
 }
 
 // ---- shrinking -------------------------------------------------------------
@@ -647,9 +692,9 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     let p = &case.plan;
 
     // Drop individual fault events, one at a time.
-    for i in 0..p.churn.len() {
+    for i in 0..case.churn.len() {
         let mut c = case.clone();
-        c.plan.churn.remove(i);
+        c.churn.remove(i);
         out.push(c);
     }
     for i in 0..p.crashes.len() {
@@ -796,16 +841,43 @@ fn reduce_ranks(case: &FuzzCase, target: usize) -> FuzzCase {
     // keep only events whose node ids still exist (fresh joiner ids
     // stay fresh — they are above the original roster, hence above the
     // smaller one too). Validation rejects any timeline this breaks.
-    c.plan.churn.retain(|e| match e.kind {
-        crate::fault::ChurnKind::Join { .. } => true,
-        crate::fault::ChurnKind::Drain { node, .. } => {
-            node >= case.ranks as u64 || node < target as u64
-        }
+    c.churn.retain(|e| match e.kind {
+        ChurnKind::Join { .. } => true,
+        ChurnKind::Drain { node, .. } => node >= case.ranks as u64 || node < target as u64,
     });
     c
 }
 
 // ---- case files ------------------------------------------------------------
+
+/// A case file's `churn` array: `{"at": t, "join": node}` or
+/// `{"at": t, "drain": node, "deadline": d | null}`.
+fn churn_from_json(value: &Json) -> Result<Vec<ChurnEvent>, String> {
+    let event = |item: &Json| {
+        let c = obj(item, "churn[]")?;
+        let at = as_num(field(c, "at", "churn")?, "churn.at")?;
+        let kind = match (get(c, "join"), get(c, "drain")) {
+            (Some(j), None) => {
+                if get(c, "deadline").is_some() {
+                    return Err("churn: \"deadline\" only applies to drains".into());
+                }
+                ChurnKind::Join {
+                    node: as_uint(j, "churn.join", u64::MAX)?,
+                }
+            }
+            (None, Some(d)) => ChurnKind::Drain {
+                node: as_uint(d, "churn.drain", u64::MAX)?,
+                deadline: match get(c, "deadline") {
+                    None => None,
+                    Some(v) => planfile::as_opt_num(v, "churn.deadline")?,
+                },
+            },
+            _ => return Err("churn: expected exactly one of \"join\" or \"drain\"".into()),
+        };
+        Ok(ChurnEvent { at, kind })
+    };
+    arr(value, "churn")?.iter().map(event).collect()
+}
 
 impl FuzzCase {
     /// Render the case as pretty-printed JSON (the regression-corpus
@@ -824,6 +896,25 @@ impl FuzzCase {
         if let Some(bug) = self.inject_bug {
             let _ = writeln!(out, "  \"inject_bug\": \"{}\",", bug.name());
         }
+        if !self.churn.is_empty() {
+            out.push_str("  \"churn\": [");
+            for (i, c) in self.churn.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "\n    {{\"at\": {}, ", planfile::num(c.at));
+                match c.kind {
+                    ChurnKind::Join { node } => {
+                        let _ = write!(out, "\"join\": {node}}}");
+                    }
+                    ChurnKind::Drain { node, deadline } => {
+                        let deadline = deadline.map_or("null".to_string(), planfile::num);
+                        let _ = write!(out, "\"drain\": {node}, \"deadline\": {deadline}}}");
+                    }
+                }
+            }
+            out.push_str("\n  ],\n");
+        }
         let plan = self.plan.to_json();
         let plan = plan.trim_end().replace('\n', "\n  ");
         let _ = writeln!(out, "  \"plan\": {plan}");
@@ -832,7 +923,8 @@ impl FuzzCase {
     }
 
     /// Parse a case from JSON text. Unknown fields are rejected;
-    /// the embedded plan parses exactly as a standalone plan file. The
+    /// the embedded plan parses exactly as a standalone plan file, and
+    /// churn sits at the top level, beside it. The
     /// parsed case is *not* validated — callers should
     /// [`FuzzCase::validate`] before running it.
     pub fn from_json(text: &str) -> Result<FuzzCase, String> {
@@ -845,6 +937,7 @@ impl FuzzCase {
             tasks_per_hot: 0,
             balancer: Balancer::Tempered,
             elastic_steps: 0,
+            churn: Vec::new(),
             plan: FaultPlan::none(),
             expect: None,
             inject_bug: None,
@@ -877,6 +970,7 @@ impl FuzzCase {
                             .ok_or_else(|| format!("inject_bug: unknown bug \"{s}\""))?,
                     );
                 }
+                "churn" => case.churn = churn_from_json(value)?,
                 "plan" => case.plan = planfile::plan_from_json(value)?,
                 other => return Err(format!("case: unknown field \"{other}\"")),
             }
@@ -956,6 +1050,100 @@ mod tests {
         let err = FuzzCase::load(&path).unwrap_err();
         assert!(err.starts_with(&format!("{shown}: ")), "{err}");
         assert!(err.contains("cannot read"), "{err}");
+    }
+
+    /// A case sized past what any harness runs is refused at load, before
+    /// anything is allocated — each limit through its own field.
+    #[test]
+    fn load_refuses_oversized_cases() {
+        let dir = std::env::temp_dir().join(format!("tempered-fuzz-size-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.json");
+        for (case, want) in [
+            (
+                r#"{"ranks": 100000000000, "hot": 1, "tasks_per_hot": 1}"#,
+                "ranks must be in 2..=32768, got 100000000000",
+            ),
+            (
+                r#"{"ranks": 16, "hot": 2, "tasks_per_hot": 524289}"#,
+                "2 ranks × 524289 tasks_per_hot exceeds 1048576 tasks",
+            ),
+            (
+                r#"{"ranks": 32768, "hot": 32768, "tasks_per_hot": 9007199254740991}"#,
+                "exceeds 1048576 tasks",
+            ),
+            (
+                r#"{"ranks": 32768, "hot": 1, "tasks_per_hot": 64, "elastic_steps": 2}"#,
+                "32768 ranks × 64 tasks_per_hot exceeds 1048576 tasks",
+            ),
+            (
+                r#"{"ranks": 8, "hot": 1, "tasks_per_hot": 6, "elastic_steps": 1001}"#,
+                "elastic_steps must be <= 1000, got 1001",
+            ),
+        ] {
+            std::fs::write(&path, case).unwrap();
+            let err = FuzzCase::load(&path).unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err:?}");
+        }
+        for at_the_limit in [
+            r#"{"ranks": 32768, "hot": 2, "tasks_per_hot": 524288}"#,
+            r#"{"ranks": 8, "hot": 1, "tasks_per_hot": 6, "elastic_steps": 1000}"#,
+        ] {
+            std::fs::write(&path, at_the_limit).unwrap();
+            assert!(FuzzCase::load(&path).is_ok(), "{at_the_limit}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Churn is the case's, at the top level: it round-trips there, is
+    /// checked by the elastic roster replay, and is an unknown field
+    /// inside a plan.
+    #[test]
+    fn churn_lives_on_the_case_not_the_plan() {
+        let text = r#"{"ranks": 4, "hot": 1, "tasks_per_hot": 2, "elastic_steps": 4,
+                       "churn": [{"at": 0.5, "join": 9}, {"at": 1, "drain": 3, "deadline": 0.25}]}"#;
+        let case = FuzzCase::from_json(text).unwrap();
+        assert_eq!(
+            case.churn,
+            vec![
+                ChurnEvent::join(0.5, 9),
+                ChurnEvent::drain(1.0, 3, Some(0.25))
+            ]
+        );
+        assert_eq!(case.validate(), Ok(()));
+        let back = FuzzCase::from_json(&case.to_json()).unwrap();
+        assert_eq!(back.churn, case.churn);
+
+        let err = FuzzCase::from_json(
+            r#"{"ranks": 4, "hot": 1, "tasks_per_hot": 2, "elastic_steps": 4,
+                "plan": {"churn": [{"at": 0.5, "join": 9}]}}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("plan: unknown field \"churn\""), "{err}");
+
+        let mut stale = case.clone();
+        stale.churn.push(ChurnEvent::join(2.0, 9));
+        let err = stale.validate().unwrap_err();
+        assert!(err.contains("node 9 knocked but is already"), "{err}");
+        stale.elastic_steps = 0;
+        let err = stale.validate().unwrap_err();
+        assert!(err.contains("churn requires an elastic case"), "{err}");
+
+        let events = |churn: &str| {
+            FuzzCase::from_json(&format!(
+                r#"{{"ranks": 4, "hot": 1, "tasks_per_hot": 2, "churn": [{churn}]}}"#
+            ))
+        };
+        // Both or neither of join/drain is ambiguous; a deadline on a
+        // join is a typo; a fractional node id is no node id.
+        for bad in [
+            r#"{"at": 0.5, "join": 9, "drain": 3}"#,
+            r#"{"at": 0.5}"#,
+            r#"{"at": 0.5, "join": 9, "deadline": 1}"#,
+            r#"{"at": 0.5, "join": 1.5}"#,
+        ] {
+            assert!(events(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   process behind TCP byte pumps.
 //! * [`fault`] — seed-deterministic fault plans (drop, duplication,
 //!   delay spikes, stragglers, pauses, crash-stop failures, link faults,
-//!   partitions, churn), their validation and their counters.
+//!   partitions), their validation and their counters.
 //! * [`emulator`] — the one interpreter of a [`fault::FaultPlan`], owned
 //!   by the simulator and by every real-I/O driver alike.
 //! * [`reliable`] — at-least-once delivery with retransmission, backoff,

@@ -6,10 +6,7 @@
 //! Omitted fields take their [`FaultPlan::none`] defaults, so checked-in
 //! plan files only state what they perturb.
 
-use crate::fault::{
-    ChurnEvent, ChurnKind, CrashEvent, FaultPlan, LinkFault, LinkFaultKind, PartitionWindow,
-    PauseWindow,
-};
+use crate::fault::{CrashEvent, FaultPlan, LinkFault, LinkFaultKind, PartitionWindow, PauseWindow};
 use std::fmt::Write as _;
 use tempered_core::ids::RankId;
 use tempered_obs::json::{self, arr, as_num, as_str, as_uint, field, get, obj, Json};
@@ -26,7 +23,7 @@ fn as_ranks(v: &Json, what: &str) -> PResult<Vec<RankId>> {
     arr(v, what)?.iter().map(|i| as_rank(i, what)).collect()
 }
 
-fn as_opt_num(v: &Json, what: &str) -> PResult<Option<f64>> {
+pub(crate) fn as_opt_num(v: &Json, what: &str) -> PResult<Option<f64>> {
     match v {
         Json::Null => Ok(None),
         other => as_num(other, what).map(Some),
@@ -129,35 +126,6 @@ pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
                     });
                 }
             }
-            "churn" => {
-                for item in arr(value, "churn")? {
-                    let c = obj(item, "churn[]")?;
-                    let at = as_num(field(c, "at", "churn")?, "churn.at")?;
-                    let kind = match (get(c, "join"), get(c, "drain")) {
-                        (Some(j), None) => {
-                            if get(c, "deadline").is_some() {
-                                return Err("churn: \"deadline\" only applies to drains".into());
-                            }
-                            ChurnKind::Join {
-                                node: as_uint(j, "churn.join", u64::MAX)?,
-                            }
-                        }
-                        (None, Some(d)) => ChurnKind::Drain {
-                            node: as_uint(d, "churn.drain", u64::MAX)?,
-                            deadline: match get(c, "deadline") {
-                                None => None,
-                                Some(v) => as_opt_num(v, "churn.deadline")?,
-                            },
-                        },
-                        _ => {
-                            return Err(
-                                "churn: expected exactly one of \"join\" or \"drain\"".into()
-                            )
-                        }
-                    };
-                    plan.churn.push(ChurnEvent { at, kind });
-                }
-            }
             other => return Err(format!("plan: unknown field \"{other}\"")),
         }
     }
@@ -170,7 +138,7 @@ pub(crate) fn plan_from_json(root: &Json) -> PResult<FaultPlan> {
 /// readable (`2` not `2.0` would not re-parse differently; both are
 /// fine) — plain `{}` formatting round-trips through `str::parse::<f64>`
 /// exactly for every finite value.
-fn num(x: f64) -> String {
+pub(crate) fn num(x: f64) -> String {
     format!("{x}")
 }
 
@@ -204,9 +172,8 @@ impl FaultPlan {
     }
 
     /// The one door for plan files: read, parse, and validate the plan
-    /// for a run that starts with `ranks` ranks
-    /// ([`FaultPlan::validate_churn`], so a rank the run does not have is
-    /// rejected here), prefixing every error with the offending path — a
+    /// for a run of `ranks` ranks ([`FaultPlan::validate_for`], so a rank
+    /// the run does not have is rejected here), prefixing every error with the offending path — a
     /// bad `--plan` flag or a typo inside the file is reported as
     /// `plans/foo.json: link.kind.p must be a probability` rather than a
     /// bare field name, or a panic.
@@ -215,8 +182,7 @@ impl FaultPlan {
         let text = std::fs::read_to_string(path)
             .map_err(|e| named(format!("cannot read plan file: {e}")))?;
         let plan = FaultPlan::from_json(&text).map_err(named)?;
-        plan.validate_churn(ranks, None)
-            .map_err(|e| named(e.to_string()))?;
+        plan.validate_for(ranks).map_err(|e| named(e.to_string()))?;
         Ok(plan)
     }
 
@@ -344,33 +310,6 @@ impl FaultPlan {
             out.push('}');
         }
         out.push_str(if self.partitions.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-
-        out.push_str("  \"churn\": [");
-        for (i, c) in self.churn.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {{\"at\": {}, ", num(c.at));
-            match c.kind {
-                ChurnKind::Join { node } => {
-                    let _ = write!(out, "\"join\": {node}}}");
-                }
-                ChurnKind::Drain { node, deadline } => {
-                    let _ = write!(out, "\"drain\": {node}, ");
-                    match deadline {
-                        Some(d) => {
-                            let _ = write!(out, "\"deadline\": {}}}", num(d));
-                        }
-                        None => out.push_str("\"deadline\": null}"),
-                    }
-                }
-            }
-        }
-        out.push_str(if self.churn.is_empty() {
             "]\n"
         } else {
             "\n  ]\n"
@@ -436,11 +375,6 @@ mod tests {
                 start: 0.002,
                 end: Some(0.004),
             }],
-            churn: vec![
-                ChurnEvent::join(0.003, 8),
-                ChurnEvent::drain(0.006, 2, Some(0.002)),
-                ChurnEvent::drain(0.009, 8, None),
-            ],
         }
     }
 
@@ -518,7 +452,6 @@ mod tests {
     fn shipped_example_plans_load_at_their_harness_rank_count() {
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/plans");
         let harness_ranks = [
-            ("elastic_churn.json", 8),  // joins nodes 8 and 9 to an 8-node seed roster
             ("sockets_gray.json", 4),   // `orchestrate` via `bench::sockets::scenarios`
             ("svc_flashcrowd.json", 8), // `repro svc_sweep`
         ];
@@ -581,37 +514,16 @@ mod tests {
         assert!(err.contains("rank 3"), "{err}");
     }
 
-    #[test]
-    fn churn_events_parse_and_reject_ambiguity() {
-        let plan = FaultPlan::from_json(
-            r#"{"churn": [{"at": 0.5, "join": 9}, {"at": 1, "drain": 3, "deadline": 0.25}]}"#,
-        )
-        .unwrap();
-        assert_eq!(plan.churn[0], ChurnEvent::join(0.5, 9));
-        assert_eq!(plan.churn[1], ChurnEvent::drain(1.0, 3, Some(0.25)));
-        // Both or neither of join/drain is ambiguous.
-        assert!(
-            FaultPlan::from_json(r#"{"churn": [{"at": 0.5, "join": 9, "drain": 3}]}"#).is_err()
-        );
-        assert!(FaultPlan::from_json(r#"{"churn": [{"at": 0.5}]}"#).is_err());
-        // A deadline on a join is a typo worth catching.
-        assert!(
-            FaultPlan::from_json(r#"{"churn": [{"at": 0.5, "join": 9, "deadline": 1}]}"#).is_err()
-        );
-        // Fractional node ids are not node ids.
-        assert!(FaultPlan::from_json(r#"{"churn": [{"at": 0.5, "join": 1.5}]}"#).is_err());
-    }
-
     /// No plan can hang or panic an executor: each of these once did
     /// (a negative latency factor, a deferral to +∞, a wheel index out of
     /// bounds) or silently crashed nobody, and each is now an `Err` at
     /// the door — the JSON reader for numbers that parse non-finite,
-    /// `validate` for what a caller builds in memory, `validate_churn`
-    /// for ranks outside the roster.
+    /// `validate` for what a caller builds in memory, `validate_for` for
+    /// ranks outside the roster.
     #[test]
     fn plans_that_hung_or_panicked_are_rejected_at_the_door() {
         let door = |plan: Result<FaultPlan, String>| {
-            plan.and_then(|p| p.validate_churn(16, None).map_err(|e| e.to_string()))
+            plan.and_then(|p| p.validate_for(16).map_err(|e| e.to_string()))
         };
         let text = |t: &str| FaultPlan::from_json(t);
         let built = |edit: fn(&mut FaultPlan)| {
@@ -701,10 +613,6 @@ mod tests {
                     }]
                 }),
                 "link fault is malformed",
-            ),
-            (
-                built(|p| p.churn = vec![ChurnEvent::drain(0.5, 1, Some(f64::INFINITY))]),
-                "churn event at 0.5 is malformed",
             ),
         ];
         for (plan, want) in table {
