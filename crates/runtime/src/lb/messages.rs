@@ -62,11 +62,14 @@ pub enum LbWire {
         /// Its sequence number.
         seq: u64,
     },
-    /// Self-timer: if the rank's stage-transition counter still equals
-    /// `stage_seq` when this fires, the stage has made no progress for a
-    /// full deadline and the rank degrades.
+    /// Self-timer, the rank's one armed stage watchdog: if the rank's
+    /// stage-transition counter still equals `stage_seq` when this fires,
+    /// the stage has made no progress for a full deadline and the rank
+    /// degrades; if the stage moved on, the timer re-arms for what is
+    /// left of the new stage's deadline.
     StageTimer {
-        /// Value of the stage counter when the timer was armed.
+        /// Value of the stage counter when the timer was armed; a timer
+        /// the rank no longer holds as armed is ignored.
         stage_seq: u64,
     },
     /// Liveness beacon for the heartbeat failure detector

@@ -67,8 +67,22 @@ pub struct LbRank {
     /// message leaves as a best-effort [`LbWire::Raw`] frame.
     channel: Option<ReliableChannel<LbMsg>>,
 
-    // Stage-liveness watchdog (driver-side policy).
+    // Stage-liveness watchdog (driver-side policy): a rank degrades once
+    // a stage has sat `stage_deadline` without a transition. It keeps one
+    // armed `StageTimer`, not one per stage: a transition only records
+    // itself below, and a timer that fires after the stage moved on
+    // re-arms for the remainder.
+    /// Stage transitions so far; a `StageTimer` carries the value it was
+    /// armed at.
     stage_seq: u64,
+    /// When the current stage began, or `None` while no stage deadline
+    /// runs (not yet started, or parked since the last transition).
+    stage_since: Option<f64>,
+    /// The one armed `StageTimer`: its due time and the `stage_seq` it
+    /// carries. A due time, not a flag: the simulator and the crash
+    /// emulator discard a down rank's timers, so a timer whose due time
+    /// passed without it firing is lost and the next transition arms anew.
+    watchdog: Option<(f64, u64)>,
     degraded: bool,
     done: bool,
 
@@ -120,6 +134,8 @@ impl LbRank {
             }),
             cfg,
             stage_seq: 0,
+            stage_since: None,
+            watchdog: None,
             degraded: false,
             done: false,
             health: None,
@@ -274,15 +290,62 @@ impl LbRank {
 
     // ---- driver-side policy ----------------------------------------------
 
+    /// A stage transition: restart the stage deadline. A pending watchdog
+    /// timer is left alone — it re-arms for the remainder when it fires —
+    /// so a new one is armed only if none is, or if the armed one's due
+    /// time passed without it firing.
     fn arm_stage_deadline(&mut self, ctx: &mut Ctx<'_, LbWire>) {
-        if let Some(retry) = self.cfg.reliability {
-            self.stage_seq += 1;
-            ctx.schedule(
-                retry.stage_deadline,
-                LbWire::StageTimer {
-                    stage_seq: self.stage_seq,
-                },
-            );
+        let Some(retry) = self.cfg.reliability else {
+            return;
+        };
+        let now = ctx.now();
+        self.stage_seq += 1;
+        self.stage_since = Some(now);
+        if !matches!(self.watchdog, Some((due, _)) if due >= now) {
+            self.arm_watchdog(ctx, retry.stage_deadline);
+        }
+    }
+
+    /// Schedule the watchdog `delay` from now, carrying the current
+    /// `stage_seq`.
+    fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, LbWire>, delay: f64) {
+        let delay = delay.max(0.0);
+        self.watchdog = Some((ctx.now() + delay, self.stage_seq));
+        ctx.schedule(
+            delay,
+            LbWire::StageTimer {
+                stage_seq: self.stage_seq,
+            },
+        );
+    }
+
+    /// The watchdog fired. A timer other than the armed one was superseded
+    /// and is ignored. If no transition happened since it was armed, the
+    /// stage stalled for a full deadline: degrade — at exactly the last
+    /// transition plus `stage_deadline`, the instant a timer armed by
+    /// every transition would have fired. Otherwise re-arm for what is
+    /// left of the current stage's deadline. A parked (or finished) rank
+    /// retires the watchdog instead; its next transition arms it again.
+    fn on_stage_timer(&mut self, ctx: &mut Ctx<'_, LbWire>, stage_seq: u64) {
+        if !matches!(self.watchdog, Some((_, armed)) if armed == stage_seq) {
+            return;
+        }
+        self.watchdog = None;
+        if self.done {
+            return;
+        }
+        let (Some(retry), Some(since)) = (self.cfg.reliability, self.stage_since) else {
+            return;
+        };
+        if stage_seq == self.stage_seq {
+            self.degrade(ctx.now());
+        } else {
+            // In simulated time the re-armed timer lands exactly on
+            // `since + deadline`: this one fired at `t + deadline` for an
+            // earlier transition `t ≤ since ≤ now`, so `now ≤ since +
+            // deadline ≤ 2·now` and the subtraction is exact (Sterbenz).
+            let remaining = since + retry.stage_deadline - ctx.now();
+            self.arm_watchdog(ctx, remaining);
         }
     }
 
@@ -419,7 +482,8 @@ impl LbRank {
 
     /// Mirror the engine's parked state into driver-side policy. Entering
     /// a park arms the park deadline and retires the stage watchdog — a
-    /// quorum-less stall is deliberate, not a delivery failure. Leaving
+    /// quorum-less stall is deliberate, not a delivery failure; the armed
+    /// timer, when it fires, does not re-arm. Leaving
     /// one (a heal restarted or finished us) invalidates any armed
     /// deadline by bumping the sequence number. Call after every batch of
     /// engine commands that could change the parked state.
@@ -428,7 +492,7 @@ impl LbRank {
         if parked && !self.parked_seen {
             self.parked_seen = true;
             self.park_seq += 1;
-            self.stage_seq += 1;
+            self.stage_since = None;
             if let Some(pc) = self.cfg.partition {
                 ctx.schedule(
                     pc.park_deadline,
@@ -651,13 +715,8 @@ impl Protocol for LbRank {
             // ---- self-timers: armed by `ctx.schedule`, never framed ----
             LbWire::HeartbeatTimer => self.on_heartbeat_timer(ctx),
             // The stage watchdog is driver-side policy, not delivery
-            // mechanics: a stale counter means the stage advanced since
-            // the timer was armed; only a live counter indicates a stall.
-            LbWire::StageTimer { stage_seq } => {
-                if !self.done && stage_seq == self.stage_seq {
-                    self.degrade(now);
-                }
-            }
+            // mechanics.
+            LbWire::StageTimer { stage_seq } => self.on_stage_timer(ctx, stage_seq),
             // The park deadline: no heal arrived in time, finish
             // read-only on the original placement. A stale sequence
             // number means a heal un-parked (or re-parked) us since the
@@ -767,8 +826,13 @@ mod tests {
     /// frames as `(to, wire, bytes)` and timers as `(delay, wire)`, each
     /// in call order (the two are separate queues in every driver).
     fn on_ctx<R>(f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R) -> (R, Frames, Timers) {
+        on_ctx_at(0.0, f)
+    }
+
+    /// [`on_ctx`] at virtual time `now`.
+    fn on_ctx_at<R>(now: f64, f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R) -> (R, Frames, Timers) {
         let mut frames = Vec::new();
-        let mut ctx = Ctx::detached(ME, 0.0, &mut frames);
+        let mut ctx = Ctx::detached(ME, now, &mut frames);
         let result = f(&mut ctx);
         let timers = ctx.take_timers();
         (result, frames, timers)
@@ -1057,5 +1121,188 @@ mod tests {
         let ((), frames, timers) = on_ctx(|ctx| r.send(ctx, PEER, LbMsg::Knock));
         assert!(matches!(frames[..], [(PEER, LbWire::Raw(LbMsg::Knock), _)]));
         assert!(timers.is_empty());
+    }
+
+    /// One rank turned through [`on_ctx_at`] at chosen instants, its
+    /// `StageTimer`s queued as the simulator queues them: due at the
+    /// arming turn's `now` plus the delay, equal due times in arming
+    /// order. Other timers are dropped — these tests never fire them.
+    struct Watched {
+        rank: LbRank,
+        stage_timers: Vec<(f64, LbWire)>,
+        most_pending: usize,
+        degraded_at: Option<f64>,
+    }
+
+    impl Watched {
+        fn new(cfg: LbProtocolConfig) -> Self {
+            Watched {
+                rank: rank(ME, cfg),
+                stage_timers: Vec::new(),
+                most_pending: 0,
+                degraded_at: None,
+            }
+        }
+
+        fn turn(&mut self, now: f64, f: impl FnOnce(&mut LbRank, &mut Ctx<'_, LbWire>)) {
+            let ((), _, timers) = on_ctx_at(now, |ctx| f(&mut self.rank, ctx));
+            self.stage_timers.extend(
+                timers
+                    .into_iter()
+                    .filter(|(_, t)| matches!(t, LbWire::StageTimer { .. }))
+                    .map(|(delay, t)| (now + delay, t)),
+            );
+            self.most_pending = self.most_pending.max(self.stage_timers.len());
+            if self.rank.degraded() && self.degraded_at.is_none() {
+                self.degraded_at = Some(now);
+            }
+        }
+
+        /// A stage transition at `now`, as the engine reports one.
+        fn transition(&mut self, now: f64) {
+            self.turn(now, |r, ctx| {
+                r.run_commands(
+                    ctx,
+                    &mut vec![Command::OpenSpan(EventKind::Marker("stage"))],
+                );
+            });
+        }
+
+        /// Fire, in due order, every stage timer due by `until`.
+        fn run_until(&mut self, until: f64) {
+            while let Some(i) = (0..self.stage_timers.len())
+                .filter(|&i| self.stage_timers[i].0 <= until)
+                .min_by(|&a, &b| self.stage_timers[a].0.total_cmp(&self.stage_timers[b].0))
+            {
+                let (at, timer) = self.stage_timers.remove(i);
+                self.turn(at, |r, ctx| r.on_message(ctx, ME, timer));
+            }
+        }
+    }
+
+    /// The instant the eager rule — a fresh timer armed by every
+    /// transition — degrades a rank whose stages began at `transitions`:
+    /// the first deadline no later transition beat.
+    fn eager_degrade(transitions: &[f64], deadline: f64) -> f64 {
+        transitions
+            .iter()
+            .enumerate()
+            .map(|(k, t)| (t + deadline, transitions.get(k + 1)))
+            .find(|&(due, next)| next.is_none_or(|&n| n > due))
+            .map(|(due, _)| due)
+            .expect("the last stage always stalls")
+    }
+
+    #[test]
+    fn advancing_stages_keep_one_stage_timer_and_never_degrade() {
+        let d = RetryConfig::default().stage_deadline;
+        let mut w = Watched::new(hardened(16));
+        for k in 0..=20 {
+            let now = f64::from(k) * d / 2.0;
+            w.run_until(now);
+            w.transition(now);
+        }
+        w.run_until(10.0 * d);
+        assert_eq!(w.degraded_at, None);
+        assert_eq!(w.most_pending, 1, "one stage timer in flight at a time");
+    }
+
+    #[test]
+    fn a_stall_degrades_at_the_eager_rules_instant_bit_for_bit() {
+        // A deadline and transition times with no exact binary form, so
+        // a re-armed remainder that drifted by an ulp would show.
+        let d = 0.3;
+        let cfg = LbProtocolConfig::default().hardened(RetryConfig {
+            stage_deadline: d,
+            ..RetryConfig::default()
+        });
+        let mut runs: Vec<Vec<f64>> = vec![
+            vec![0.0, 0.1, 0.17, 0.3, 0.41, 0.6999],
+            vec![0.0, 0.29, 0.58, 0.87, 1.2, 1.33],
+            vec![5.0, 5.123, 5.4, 5.41],
+            vec![0.7],
+        ];
+        // And seeded ones: gaps mostly under the deadline, from a start
+        // anywhere in the first 100 s.
+        use rand::Rng;
+        let mut rng = RngFactory::new(11).rank_stream(b"watchdog", 0, 0);
+        for _ in 0..200 {
+            let mut t = rng.gen_range(0.0..100.0);
+            let mut run = vec![t];
+            for _ in 0..rng.gen_range(0..12) {
+                t += rng.gen_range(0.0..1.2 * d);
+                run.push(t);
+            }
+            runs.push(run);
+        }
+        for transitions in &runs {
+            let mut w = Watched::new(cfg);
+            for &t in transitions {
+                w.run_until(t);
+                if w.rank.degraded() {
+                    break;
+                }
+                w.transition(t);
+            }
+            w.run_until(f64::INFINITY);
+            let eager = eager_degrade(transitions, d);
+            assert_eq!(
+                w.degraded_at.map(f64::to_bits),
+                Some(eager.to_bits()),
+                "{transitions:?}: degraded at {:?}, eager rule {eager}",
+                w.degraded_at
+            );
+            assert!(w.stage_timers.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_parked_rank_retires_the_watchdog_and_a_heal_rearms_it() {
+        let d = RetryConfig::default().stage_deadline;
+        let cfg = hardened(16)
+            .crash_tolerant(HealthConfig::default())
+            .partition_tolerant(PartitionConfig::default());
+        let mut w = Watched::new(cfg);
+        w.turn(0.0, |r, ctx| r.on_start(ctx));
+        assert_eq!(w.stage_timers.len(), 1, "setup arms the watchdog");
+        // The peer is declared dead: one live rank of two is no quorum.
+        w.turn(d / 2.0, |r, ctx| r.on_deaths(ctx, &[PEER]));
+        assert!(w.rank.parked());
+        w.run_until(10.0 * d);
+        assert_eq!(w.degraded_at, None, "a park is not a stall");
+        assert!(w.stage_timers.is_empty(), "the parked watchdog retired");
+
+        // A heal (a later base fencing nobody) re-admits the peer and
+        // restarts from Setup; the restarted stage stalls.
+        let heal = LbMsg::View {
+            base: w.rank.view().base_gen() + 3,
+            dead: Vec::new().into(),
+        };
+        w.turn(10.0 * d, |r, ctx| {
+            r.on_message(ctx, PEER, LbWire::Raw(heal))
+        });
+        assert!(!w.rank.parked());
+        assert_eq!(w.stage_timers.len(), 1, "the restart re-arms the watchdog");
+        w.run_until(f64::INFINITY);
+        assert_eq!(w.degraded_at, Some(10.0 * d + d));
+    }
+
+    #[test]
+    fn a_lost_stage_timer_does_not_disable_the_watchdog() {
+        let d = RetryConfig::default().stage_deadline;
+        let mut w = Watched::new(hardened(16));
+        w.transition(0.0);
+        // The rank is down when its watchdog falls due: the executor
+        // discards the timer.
+        let (due, _) = w.stage_timers.remove(0);
+        assert_eq!(due, d);
+        // Before its due time the lost timer still counts as armed…
+        w.transition(d / 2.0);
+        assert!(w.stage_timers.is_empty());
+        // …after it, the next transition arms a new one.
+        w.transition(1.5 * d);
+        assert_eq!(w.stage_timers.len(), 1);
+        w.run_until(f64::INFINITY);
+        assert_eq!(w.degraded_at, Some(1.5 * d + d));
     }
 }

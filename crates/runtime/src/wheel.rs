@@ -15,12 +15,21 @@
 //!   tick-keyed min-heap, cascaded into the near wheel as the cursor
 //!   approaches them — the classic hierarchical-wheel arrangement with
 //!   the coarser levels collapsed into one priority queue. The far level
-//!   holds only long-deadline timers (retransmission and stage-deadline
-//!   timers, a few hundred at peak), so its heap stays tiny while the
-//!   high-churn near traffic never touches it;
+//!   holds only long-deadline timers — backed-off retransmissions,
+//!   heartbeat periods, and each LB rank's one armed stage watchdog — so
+//!   its population is about one timer per rank plus the long backoffs
+//!   in flight, while the high-churn near traffic never touches it;
 //! * a **current bucket** sorted lazily when the cursor reaches it, so
 //!   ordering work is `O(m log m)` per bucket instead of `O(log n)` per
 //!   event.
+//!
+//! # Memory: what is in flight, not its history
+//!
+//! A drained near slot hands its buffer to the current bucket whole and
+//! keeps at most `SLOT_KEEP` entries of capacity for its next cohort.
+//! Capacity not holding a pending event is therefore bounded by
+//! `SLOTS × SLOT_KEEP` entries plus the largest bucket drained lately,
+//! whatever bursts the wheel has seen before.
 //!
 //! # Deterministic ordering — the contract
 //!
@@ -59,6 +68,10 @@ use std::time::Instant;
 const SLOTS: usize = 256;
 /// Occupancy bitmask words.
 const WORDS: usize = SLOTS / 64;
+/// Entries of capacity a drained slot keeps for its next cohort: the
+/// near wheel's idle capacity is at most `SLOTS × SLOT_KEEP` entries.
+/// A larger burst regrows its slot's buffer by doubling.
+const SLOT_KEEP: usize = 64;
 
 /// A point on a wheel's time axis: totally ordered and quantizable to a
 /// bucket index against a scale.
@@ -169,6 +182,7 @@ pub struct TimerWheel<T: WheelTime, V> {
     slot_tick: [u64; SLOTS],
     /// The bucket being drained: sorted ascending by `(time, seq)`,
     /// consumed via `current_pos`. Also receives behind-cursor pushes.
+    /// Its buffer is the drained slot's, swapped in.
     current: Vec<Entry<T, V>>,
     current_pos: usize,
     /// Far level: everything at or beyond the near horizon, a min-heap
@@ -275,8 +289,8 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
     /// Load the next non-empty bucket into `current`, advancing the
     /// cursor. Caller guarantees `current` is exhausted and `len > 0`.
     fn load_next_bucket(&mut self) {
-        self.current.clear();
-        self.current_pos = 0;
+        // `pop` forgets a bucket's shells the moment it runs dry.
+        debug_assert!(self.current.is_empty() && self.current_pos == 0);
 
         // The next event lives in the lowest pending tick, whether that
         // cohort is in the near wheel or still in the far pool. All live
@@ -292,10 +306,22 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
         debug_assert_ne!(target, u64::MAX, "len > 0 but no pending tick");
         self.cursor_tick = target;
 
+        // Drain the target cohort itself: its buffer becomes `current`
+        // (no per-event copy), and the slot takes back `current`'s spent
+        // buffer trimmed to `SLOT_KEEP` — a burst's capacity leaves the
+        // wheel with the burst instead of staying parked in its slot.
+        let s = (target % SLOTS as u64) as usize;
+        if self.occupied[s >> 6] & (1 << (s & 63)) != 0 && self.slot_tick[s] == target {
+            self.occupied[s >> 6] &= !(1 << (s & 63));
+            std::mem::swap(&mut self.current, &mut self.slots[s]);
+            self.slots[s].shrink_to(SLOT_KEEP);
+        }
+
         // Cascade: far-level cohorts that entered the near horizon move
         // into their slots — popping matured heads only, never scanning
         // the still-far tail. All live ticks now sit in
-        // [target, target + SLOTS), so slot residues are collision-free.
+        // [target, target + SLOTS), so slot residues are collision-free
+        // (the target's own slot was just emptied above).
         while let Some(Reverse(f)) = self.far.peek() {
             if f.tick >= target + SLOTS as u64 {
                 break;
@@ -309,13 +335,6 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
                 self.slot_tick[s] = tick;
                 self.slots[s].push(entry);
             }
-        }
-
-        // Drain the target cohort itself.
-        let s = (target % SLOTS as u64) as usize;
-        if self.occupied[s >> 6] & (1 << (s & 63)) != 0 && self.slot_tick[s] == target {
-            self.occupied[s >> 6] &= !(1 << (s & 63));
-            self.current.append(&mut self.slots[s]);
         }
         // Sort the bucket once: ascending (time, seq). Sequence numbers
         // are unique, so the order is total and the sort deterministic.
@@ -513,6 +532,42 @@ mod tests {
         w.push(0.0, 100);
         let order: Vec<u32> = std::iter::from_fn(|| w.pop().map(|(_, v)| v)).collect();
         assert_eq!(order, (1..=100).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn drained_slots_give_their_burst_capacity_back() {
+        // Quantum 1.0: burst `t` lands whole in tick `t`, one slot ahead
+        // of the cursor. 300 ticks cover all 256 residues, some twice;
+        // every burst is well above `SLOT_KEEP`, and every 64th is a
+        // 10 k spike.
+        let mut w: TimerWheel<f64, u32> = TimerWheel::new(1.0);
+        let mut largest = 0;
+        for t in 1..=300u32 {
+            let burst = if t % 64 == 0 {
+                10_000
+            } else {
+                100 + (t * 37) % 400
+            };
+            largest = largest.max(burst as usize);
+            for i in 0..burst {
+                w.push(f64::from(t), i);
+            }
+            for i in 0..burst {
+                assert_eq!(w.pop(), Some((f64::from(t), i)), "FIFO within a tick");
+            }
+        }
+        assert!(w.is_empty());
+        let held: usize = w.slots.iter().map(Vec::capacity).sum();
+        assert!(
+            held <= SLOTS * SLOT_KEEP,
+            "idle slots hold {held} entries of capacity, bound {}",
+            SLOTS * SLOT_KEEP
+        );
+        assert!(
+            w.current.capacity() <= largest.next_power_of_two(),
+            "current holds {} entries of capacity after a largest burst of {largest}",
+            w.current.capacity()
+        );
     }
 
     #[test]

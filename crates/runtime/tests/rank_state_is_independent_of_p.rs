@@ -8,13 +8,20 @@
 //! What a rank does hold grows with the peers it actually meets, so that
 //! growth is pinned too: the reliable channel's ledgers cost a few dozen
 //! bytes per peer in each direction.
+//!
+//! And a whole simulated round holds what is in flight, not its history:
+//! the heap high-water mark of a hardened 256-rank round is pinned, so
+//! an event queue that keeps every burst's capacity, or a timer per
+//! stage per rank, shows up as a failure here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::RngFactory;
-use tempered_runtime::lb::{LbProtocolConfig, LbRank};
+use tempered_runtime::lb::{run_distributed_lb, LbProtocolConfig, LbRank};
 use tempered_runtime::reliable::{ReliableChannel, RetryConfig};
+use tempered_runtime::NetworkModel;
 
 thread_local! {
     /// Bytes this thread has requested from the allocator. Per thread, so
@@ -22,6 +29,8 @@ thread_local! {
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
     /// Bytes this thread has handed back.
     static FREED: Cell<usize> = const { Cell::new(0) };
+    /// The most [`live`] has been since it was last reset.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Bytes this thread holds on the heap, relative to an arbitrary origin.
@@ -40,6 +49,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         REQUESTED.with(|b| b.set(b.get() + layout.size()));
+        PEAK.with(|p| p.set(p.get().max(live())));
         // SAFETY: the caller's obligations are passed through as-is.
         unsafe { System.alloc(layout) }
     }
@@ -100,5 +110,36 @@ fn a_reliable_channel_holds_a_few_dozen_bytes_per_peer_it_meets() {
         "{} B per destination and {} B per source, budget {BUDGET} B each",
         per_peer(outbound),
         per_peer(inbound)
+    );
+}
+
+#[test]
+fn a_hardened_256_rank_round_peaks_at_a_few_megabytes_of_heap() {
+    // The benchmark's hotspot: an eighth of the ranks hold 40 unit tasks.
+    const RANKS: usize = 256;
+    const BUDGET: isize = 6 << 20;
+    let dist = Distribution::from_loads((0..RANKS).map(|r| {
+        if r < RANKS / 8 {
+            vec![1.0; 40]
+        } else {
+            Vec::new()
+        }
+    }));
+    let cfg = LbProtocolConfig {
+        trials: 2,
+        iters: 3,
+        fanout: 4,
+        rounds: 5,
+        ..LbProtocolConfig::default()
+    }
+    .hardened(RetryConfig::generous());
+    let start = live();
+    PEAK.with(|p| p.set(start));
+    let out = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(4242));
+    let peak = PEAK.with(Cell::get) - start;
+    assert!(out.final_imbalance < out.initial_imbalance);
+    assert!(
+        peak <= BUDGET,
+        "a {RANKS}-rank round peaked at {peak} B of live heap, budget {BUDGET} B"
     );
 }
