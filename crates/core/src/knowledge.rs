@@ -215,6 +215,14 @@ impl Knowledge {
         self.loads.iter().copied().reduce(|a, b| a.max(b))
     }
 
+    /// Heap bytes this set holds, counting capacity: the rank and load
+    /// vectors and the membership bitset.
+    pub fn heap_bytes(&self) -> usize {
+        self.ranks.capacity() * std::mem::size_of::<RankId>()
+            + self.loads.capacity() * std::mem::size_of::<Load>()
+            + self.bits.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Serialize into `(rank, load)` pairs for a gossip message payload.
     pub fn to_pairs(&self) -> Vec<(RankId, Load)> {
         self.entries().collect()
@@ -478,5 +486,17 @@ mod tests {
         a.canonicalize();
         let order: Vec<u32> = a.entries().map(|(r, _)| r.as_u32()).collect();
         assert_eq!(order, vec![1, 2, 3, 7]);
+    }
+
+    #[test]
+    fn heap_bytes_counts_capacity() {
+        assert_eq!(Knowledge::new().heap_bytes(), 0);
+        let big: Knowledge = (0..200u32)
+            .map(|r| (RankId::new(r * 3), Load::new(1.0)))
+            .collect();
+        let want = big.ranks.capacity() * 4 + big.loads.capacity() * 8 + big.bits.capacity() * 8;
+        assert!(!big.bits.is_empty(), "a large set keeps a bitset");
+        assert_eq!(big.heap_bytes(), want);
+        assert!(want >= 200 * 12);
     }
 }

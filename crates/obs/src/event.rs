@@ -382,6 +382,33 @@ impl Recorder {
         self.inner.is_some()
     }
 
+    /// Heap bytes this recorder's storage holds, counting capacity: the
+    /// per-rank ring buffers and the metrics registry (0 when disabled).
+    /// Clones share the storage, so count it once per recorder, not per
+    /// handle.
+    pub fn heap_bytes(&self) -> usize {
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
+        let rings: usize = inner
+            .rings
+            .iter()
+            .map(|r| {
+                let ring = r.lock().expect("obs ring poisoned");
+                ring.events.capacity() * std::mem::size_of::<Event>()
+            })
+            .sum();
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Inner>()
+            + inner.rings.capacity() * std::mem::size_of::<Mutex<Ring>>()
+            + rings
+            + inner
+                .metrics
+                .lock()
+                .expect("obs metrics poisoned")
+                .heap_bytes()
+    }
+
     /// Record an instant event at `ts` seconds on `rank`.
     #[inline]
     pub fn instant(&self, rank: u32, ts: f64, kind: EventKind) {
@@ -515,6 +542,23 @@ mod tests {
         // t=1 first; at t=2 rank 0 sorts before rank 1 (stable sort,
         // rank-major concatenation).
         assert_eq!(names, vec!["c", "a", "b"]);
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_rings_by_capacity() {
+        assert_eq!(Recorder::disabled().heap_bytes(), 0);
+        let rec = Recorder::enabled(2);
+        let empty = rec.heap_bytes();
+        assert!(empty > 0, "the rings' headers live on the heap");
+        for i in 0..100 {
+            rec.instant(1, i as f64, EventKind::PhaseBoundary { step: i });
+        }
+        let grown = rec.heap_bytes() - empty;
+        assert!(
+            grown >= 100 * std::mem::size_of::<Event>(),
+            "{grown} B for 100 events"
+        );
+        assert_eq!(rec.clone().heap_bytes(), rec.heap_bytes(), "one storage");
     }
 
     #[test]

@@ -258,6 +258,16 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Heap bytes held, estimated: each map as full B-tree leaves of
+    /// eleven entries behind a 16-byte header, plus every name's buffer.
+    pub fn heap_bytes(&self) -> usize {
+        fn map<V>(m: &BTreeMap<String, V>) -> usize {
+            let entry = std::mem::size_of::<String>() + std::mem::size_of::<V>();
+            m.len().div_ceil(11) * (16 + 11 * entry) + m.keys().map(String::capacity).sum::<usize>()
+        }
+        map(&self.counters) + map(&self.gauges) + map(&self.histograms)
+    }
+
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()

@@ -12,6 +12,7 @@
 //! tell the embedding protocol what to send; all actual communication
 //! goes through the protocol's own message type.
 
+use crate::census::{hash_map_bytes, vec_bytes};
 use crate::membership::{live_index, nth_live};
 use std::collections::{BTreeSet, HashMap};
 use tempered_core::ids::RankId;
@@ -239,7 +240,9 @@ impl SurvivorTree {
             .map(move |c| nth_live(dead, c.as_usize()))
     }
 
-    /// Record this rank's own contribution to `slot`.
+    /// Record this rank's own contribution to `slot`. A slot that
+    /// completes is released: what the tree holds is the reduces in
+    /// flight, not the finished ones.
     pub fn contribute(
         &mut self,
         dead: &BTreeSet<RankId>,
@@ -247,10 +250,12 @@ impl SurvivorTree {
         own: LoadSummary,
     ) -> Option<Reduced> {
         let done = self.slot_mut(dead, slot).contribute(own)?;
+        self.slots.remove(&slot);
         Some(self.route(dead, done))
     }
 
-    /// Record child `from`'s partial for `slot`.
+    /// Record child `from`'s partial for `slot`; a slot that completes
+    /// is released, as in [`SurvivorTree::contribute`].
     pub fn on_child(
         &mut self,
         dead: &BTreeSet<RankId>,
@@ -259,7 +264,18 @@ impl SurvivorTree {
         partial: LoadSummary,
     ) -> Option<Reduced> {
         let done = self.slot_mut(dead, slot).on_child(from, partial)?;
+        self.slots.remove(&slot);
         Some(self.route(dead, done))
+    }
+
+    /// Heap bytes of the reduce slots in flight, counting capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        hash_map_bytes(&self.slots)
+            + self
+                .slots
+                .values()
+                .map(|s| vec_bytes(&s.children))
+                .sum::<usize>()
     }
 
     fn slot_mut(&mut self, dead: &BTreeSet<RankId>, slot: u32) -> &mut ReduceSlot {
@@ -418,6 +434,58 @@ mod tests {
                 .collect();
             seen.sort_unstable();
             assert_eq!(seen, live[1..]);
+        }
+    }
+
+    #[test]
+    fn completed_slots_are_released_and_reduce_the_same() {
+        // A setup reduce (slot 0) and five evaluation reduces on a 7-rank
+        // tree. Even slots contribute root first, so inner ranks complete
+        // on their last child's partial; odd slots contribute leaves
+        // first, so inner ranks complete on their own contribution.
+        let dead = BTreeSet::new();
+        let mut seats: Vec<SurvivorTree> = (0..7u32)
+            .map(|r| SurvivorTree::new(RankId::new(r), 7))
+            .collect();
+        for slot in 0..6u32 {
+            let value = |r: u32| LoadSummary::of(f64::from((r + 1) * (slot + 1)));
+            let order: Vec<u32> = if slot % 2 == 0 {
+                (0..7).collect()
+            } else {
+                (0..7).rev().collect()
+            };
+            let mut root = None;
+            for r in order {
+                let mut step = seats[r as usize].contribute(&dead, slot, value(r));
+                let mut at = r;
+                while let Some(reduced) = step {
+                    match reduced {
+                        Reduced::Up(parent, partial) => {
+                            step = seats[parent.as_usize()].on_child(
+                                &dead,
+                                slot,
+                                RankId::new(at),
+                                partial,
+                            );
+                            at = parent.as_u32();
+                        }
+                        Reduced::Root(total) => {
+                            root = Some(total);
+                            step = None;
+                        }
+                    }
+                }
+            }
+            let total = root.expect("the root completes every slot");
+            let k = f64::from(slot + 1);
+            assert_eq!(
+                (total.total, total.max, total.count),
+                (28.0 * k, 7.0 * k, 7)
+            );
+            assert!(
+                seats.iter().all(|s| s.slots.is_empty()),
+                "slot {slot}: a finished reduce is still held"
+            );
         }
     }
 }

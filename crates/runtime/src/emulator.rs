@@ -132,6 +132,30 @@ impl LinkEmulator {
         }
     }
 
+    /// Heap bytes held: the plan's lists and the interpreter's per-rank
+    /// and per-link tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::census::{hash_map_bytes, vec_bytes};
+        let p = &self.plan;
+        vec_bytes(&p.stragglers)
+            + vec_bytes(&p.pauses)
+            + vec_bytes(&p.crashes)
+            + vec_bytes(&p.links)
+            + p.links
+                .iter()
+                .map(|l| vec_bytes(&l.src) + vec_bytes(&l.dst))
+                .sum::<usize>()
+            + vec_bytes(&p.partitions)
+            + p.partitions
+                .iter()
+                .map(|w| vec_bytes(&w.side))
+                .sum::<usize>()
+            + hash_map_bytes(&self.straggler)
+            + hash_map_bytes(&self.crashes)
+            + hash_map_bytes(&self.ordinals)
+            + hash_map_bytes(&self.link_ordinals)
+    }
+
     /// Apply send-time fates to one outgoing message at time `now`,
     /// handing each surviving copy and its arrival time to `deliver` in
     /// delivery order. `deliver` is not called at all when the message

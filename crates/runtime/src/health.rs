@@ -115,6 +115,11 @@ impl HealthDetector {
         }
     }
 
+    /// Heap bytes held: one peer record per rank of the job.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::census::vec_bytes(&self.peers)
+    }
+
     /// The detector's configuration.
     pub fn cfg(&self) -> &HealthConfig {
         &self.cfg

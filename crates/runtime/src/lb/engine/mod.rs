@@ -54,6 +54,7 @@ mod stages;
 
 use super::config::LbProtocolConfig;
 use super::messages::{LbMsg, TaskEntry};
+use crate::census::{btree_set_bytes, vec_bytes, HeapCensus, Owner};
 use crate::collective::{LoadSummary, Reduced, SurvivorTree};
 use crate::membership::View;
 use crate::termination::{TdMsg, TdOutcome, TerminationDetector};
@@ -354,6 +355,28 @@ impl GossipEngine {
     /// (always 0 unless [`LbProtocolConfig::use_nacks`]).
     pub fn nacks_received(&self) -> usize {
         self.nacks_received
+    }
+
+    /// Count this engine's heap bytes into `census`, by owner, counting
+    /// capacity.
+    pub(crate) fn heap_census(&self, census: &mut HeapCensus) {
+        if let StageState::Gossip(gs) = &self.state {
+            census.add(Owner::Knowledge, gs.knowledge.heap_bytes());
+        }
+        census.add(
+            Owner::Tasks,
+            vec_bytes(&self.original) + vec_bytes(&self.current) + vec_bytes(&self.best),
+        );
+        census.add(Owner::Buffered, vec_bytes(&self.buffered));
+        for (_, msg) in &self.buffered {
+            msg.heap_census(census);
+        }
+        census.add(Owner::Records, vec_bytes(&self.records));
+        census.add(Owner::Collective, self.coll.heap_bytes());
+        census.add(
+            Owner::Membership,
+            btree_set_bytes(self.view.dead()) + self.det.heap_bytes(),
+        );
     }
 
     fn my_load(&self) -> f64 {
@@ -981,6 +1004,131 @@ mod tests {
         assert_eq!(gossip_at(1.0), (false, 0));
         // Overloaded: the transfer stage will read the set.
         assert_eq!(gossip_at(0.5), (true, 1));
+    }
+
+    /// The gossip payloads among `cmds`, as `(round, pairs)`.
+    fn gossip_sent(cmds: &[Command]) -> Vec<(u32, Vec<(u32, f64)>)> {
+        cmds.iter()
+            .filter_map(|c| match c {
+                Command::Send {
+                    msg: LbMsg::Gossip { round, pairs, .. },
+                    ..
+                } => Some((
+                    *round,
+                    pairs.iter().map(|&(r, l)| (r.as_u32(), l)).collect(),
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The gossip stage's set: `(len, heap bytes)`.
+    fn held(e: &GossipEngine) -> (usize, usize) {
+        match &e.state {
+            StageState::Gossip(gs) => (gs.knowledge.len(), gs.knowledge.heap_bytes()),
+            s => panic!("left gossip for {}", s.label()),
+        }
+    }
+
+    /// Rank 0 of 16 holding `load` in four equal tasks, in gossip round
+    /// 1 of `rounds` at average `l_ave`, with the round-1 commands it
+    /// emitted.
+    fn gossiping(rounds: usize, load: f64, l_ave: f64) -> (GossipEngine, Vec<Command>) {
+        let cfg = LbProtocolConfig {
+            rounds,
+            ..LbProtocolConfig::default()
+        };
+        let tasks = (1..=4).map(|t| (TaskId::new(t), load / 4.0)).collect();
+        let mut e = engine(cfg, tasks, 16);
+        e.l_ave = l_ave;
+        let mut out = Vec::new();
+        e.enter_gossip(&mut out);
+        (e, out)
+    }
+
+    fn gossip(e: &mut GossipEngine, from: u32, round: u32, pairs: &[(u32, f64)]) {
+        let epoch = e.gossip_round_epoch(round);
+        let pairs: Vec<(RankId, f64)> = pairs.iter().map(|&(r, l)| (RankId::new(r), l)).collect();
+        let cmds = deliver(
+            e,
+            from,
+            LbMsg::Gossip {
+                epoch,
+                round,
+                pairs: pairs.into(),
+            },
+        );
+        assert!(cmds.is_empty());
+    }
+
+    /// Close gossip round `round` with `sent` messages moved, as the
+    /// termination broadcast does.
+    fn close_round(e: &mut GossipEngine, round: u32, sent: u64) -> Vec<Command> {
+        let mut out = Vec::new();
+        let epoch = e.gossip_round_epoch(round);
+        e.on_epoch_terminated(&mut out, epoch, sent);
+        out
+    }
+
+    #[test]
+    fn a_rank_that_will_not_transfer_drops_its_set_after_its_last_send() {
+        // Underloaded: a round-1 seed that will not transfer.
+        let (mut e, _) = gossiping(2, 1.0, 2.0);
+        gossip(&mut e, 2, 1, &[(2, 0.25), (3, 0.5)]);
+        assert_eq!(held(&e).0, 3, "rounds before the last merge");
+        let cmds = close_round(&mut e, 1, 1);
+        let sent = gossip_sent(&cmds);
+        assert!(!sent.is_empty(), "its set grew, so it sends in round 2");
+        for (round, pairs) in sent {
+            assert_eq!(round, 2);
+            assert_eq!(pairs, vec![(0, 1.0), (2, 0.25), (3, 0.5)], "the whole set");
+        }
+        assert_eq!(held(&e), (0, 0), "released once the last sends are built");
+        gossip(&mut e, 5, 2, &[(5, 0.5)]);
+        assert_eq!(held(&e), (0, 0), "and not refilled by the last round");
+    }
+
+    #[test]
+    fn a_rank_that_will_transfer_keeps_its_set_until_it_does() {
+        // Overloaded: it reads its set in the transfer stage.
+        let (mut e, _) = gossiping(2, 4.0, 1.0);
+        gossip(&mut e, 2, 1, &[(2, 0.25)]);
+        let cmds = close_round(&mut e, 1, 1);
+        assert_eq!(
+            gossip_sent(&cmds).len(),
+            e.cfg.fanout,
+            "it forwards in round 2"
+        );
+        assert_eq!(held(&e).0, 1, "kept through the last round's entry");
+        gossip(&mut e, 3, 2, &[(3, 0.5)]);
+        assert_eq!(held(&e).0, 2, "and merges the last round");
+        let cmds = close_round(&mut e, 2, 1);
+        assert!(matches!(e.state, StageState::Transfer));
+        let proposed: Vec<RankId> = cmds
+            .iter()
+            .filter_map(|c| match c {
+                Command::Send {
+                    to,
+                    msg: LbMsg::Propose { .. },
+                } => Some(*to),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !proposed.is_empty() && proposed.iter().all(|r| [2, 3].contains(&r.as_u32())),
+            "the transfer stage read the set: proposals to {proposed:?}"
+        );
+    }
+
+    #[test]
+    fn with_one_round_a_seed_sends_and_releases_on_entry() {
+        let (e, cmds) = gossiping(1, 1.0, 2.0);
+        let sent = gossip_sent(&cmds);
+        assert_eq!(sent.len(), e.cfg.fanout);
+        assert!(sent
+            .iter()
+            .all(|(round, pairs)| *round == 1 && pairs == &[(0, 1.0)]));
+        assert_eq!(held(&e), (0, 0));
     }
 
     #[test]

@@ -62,10 +62,17 @@ impl StageState {
 /// entry (rounds 1..=k: its payload and its target exclusions), so what
 /// rounds 1..k−1 deliver is merged by everyone. After the last round
 /// nobody sends, and the only reader left is [`transfer_stage`], which
-/// runs on overloaded ranks alone; `gs` is dropped when `run_transfer`
-/// returns. A last-round payload arriving at a rank that will not
-/// transfer would be merged into a set nobody reads, so it is not
-/// merged (see `on_gossip`).
+/// runs on overloaded ranks alone (`reads`).
+///
+/// The set is released as soon as its last reader is done with it:
+/// - a rank that `reads` keeps it until `run_transfer` returns, where
+///   `gs` is dropped;
+/// - a rank that does not read it releases it on entry to round k, once
+///   that round's sends (payload, targets, exclusions) are built — with
+///   round 1 as the last round, a seed sends and releases in one step;
+/// - a last-round payload arriving at a rank that will not transfer
+///   would be merged into a set nobody reads, so it is not merged (see
+///   `on_gossip`).
 #[derive(Debug)]
 pub(super) struct GossipState {
     /// Accumulated `S^p` + `LOAD^p()` (Algorithm 1).
@@ -206,6 +213,11 @@ impl GossipEngine {
                     },
                 ));
             }
+        }
+        // Hold only what is read: after the last round's sends nothing
+        // reads a non-transferring rank's set again.
+        if round as usize >= self.cfg.rounds && !gs.reads {
+            gs.knowledge = Knowledge::new();
         }
         self.state = StageState::Gossip(gs);
         for (to, msg) in sends {

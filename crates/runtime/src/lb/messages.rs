@@ -5,6 +5,7 @@
 //! can buffer it instead of processing it out of order — the standard
 //! epoch-stamping discipline of barrier-free AMT runtimes.
 
+use crate::census::{vec_bytes, HeapCensus, Owner};
 use crate::collective::LoadSummary;
 use crate::crc::crc32;
 use crate::termination::TdMsg;
@@ -108,6 +109,21 @@ pub enum LbWire {
 pub const SEQ_OVERHEAD_BYTES: usize = 12;
 
 impl LbWire {
+    /// Count the heap behind this frame as [`Owner::Payloads`]: its
+    /// message's (see [`LbMsg::heap_census`]) or a damaged frame's bytes.
+    pub(crate) fn heap_census(&self, census: &mut HeapCensus) {
+        match self {
+            LbWire::Raw(msg) | LbWire::Data { msg, .. } => msg.heap_census(census),
+            LbWire::Damaged { bytes, .. } => census.add(Owner::Payloads, vec_bytes(bytes)),
+            LbWire::Ack { .. }
+            | LbWire::RetryTimer { .. }
+            | LbWire::StageTimer { .. }
+            | LbWire::Heartbeat
+            | LbWire::HeartbeatTimer
+            | LbWire::ParkTimer { .. } => {}
+        }
+    }
+
     /// Modeled wire size. Timers never cross the network and cost 0.
     pub fn wire_bytes(&self) -> usize {
         match self {
@@ -710,6 +726,26 @@ pub enum LbMsg {
 }
 
 impl LbMsg {
+    /// Count the heap behind this message as [`Owner::Payloads`]: task
+    /// lists by capacity, gossip pairs and dead sets once per shared
+    /// allocation however many frames carry them.
+    pub(crate) fn heap_census(&self, census: &mut HeapCensus) {
+        match self {
+            LbMsg::Gossip { pairs, .. } => census.add_shared(Owner::Payloads, pairs),
+            LbMsg::View { dead, .. } | LbMsg::Heal { dead, .. } => {
+                census.add_shared(Owner::Payloads, dead)
+            }
+            LbMsg::Propose { tasks, .. }
+            | LbMsg::ProposeReply {
+                rejected: tasks, ..
+            } => census.add(Owner::Payloads, vec_bytes(tasks)),
+            LbMsg::Fetch { tasks, .. } | LbMsg::TaskData { tasks, .. } => {
+                census.add(Owner::Payloads, vec_bytes(tasks))
+            }
+            LbMsg::ReduceUp { .. } | LbMsg::ReduceDown { .. } | LbMsg::Knock | LbMsg::Td(_) => {}
+        }
+    }
+
     /// The TD epoch a *basic* message belongs to; `None` for control and
     /// collective messages, which are never TD-counted or buffered.
     pub fn basic_epoch(&self) -> Option<u64> {

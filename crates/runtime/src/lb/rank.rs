@@ -27,6 +27,7 @@
 use super::config::LbProtocolConfig;
 use super::engine::{Command, GossipEngine};
 use super::messages::{payload_bytes, LbMsg, LbWire, TaskEntry, SEQ_OVERHEAD_BYTES};
+use crate::census::{btree_set_bytes, vec_bytes, HeapCensus, Owner};
 use crate::health::HealthDetector;
 use crate::reliable::{ReliableChannel, ReliableStats, RetryAction, SeqSetView};
 use crate::sim::{Ctx, Protocol};
@@ -797,6 +798,24 @@ impl Protocol for LbRank {
 
     fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// The engine's, the channel's and this actor's own heap bytes; the
+    /// recorder is shared by every rank and counted by the executor.
+    fn heap_census(&self, census: &mut HeapCensus) {
+        self.engine.heap_census(census);
+        if let Some(channel) = &self.channel {
+            channel.heap_census(census, LbMsg::heap_census);
+        }
+        census.add(
+            Owner::Membership,
+            btree_set_bytes(&self.fenced) + self.health.as_ref().map_or(0, |h| h.heap_bytes()),
+        );
+        census.add(Owner::Scratch, vec_bytes(&self.scratch_cmds));
+    }
+
+    fn msg_heap_census(msg: &LbWire, census: &mut HeapCensus) {
+        msg.heap_census(census);
     }
 
     /// The LB wire format checksums its frames (CRC32 over the canonical

@@ -44,6 +44,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod audit;
+pub mod census;
 pub mod collective;
 pub mod crc;
 pub mod elastic;

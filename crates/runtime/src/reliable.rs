@@ -15,6 +15,7 @@
 //! embedding protocol what to (re)send; timers are driven through the
 //! executor's [`crate::sim::Ctx::schedule`] facility.
 
+use crate::census::{vec_bytes, HeapCensus, Owner};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -310,6 +311,11 @@ impl<T: Default> PeerTable<T> {
         }
     }
 
+    /// Heap bytes of the two slot arrays.
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.keys) + vec_bytes(&self.vals)
+    }
+
     /// Every occupied slot, sorted by rank so that no caller sees the
     /// open-addressed layout's order.
     fn sorted(&self) -> Vec<(RankId, &T)> {
@@ -557,6 +563,31 @@ impl<M: Clone> ReliableChannel<M> {
     /// Number of unacknowledged messages.
     pub fn pending_count(&self) -> usize {
         self.window.len()
+    }
+
+    /// Count this channel's heap bytes into `census`: the two watermark
+    /// tables with their spills, and the window's entries, with `payload`
+    /// counting what each windowed message holds.
+    pub(crate) fn heap_census(
+        &self,
+        census: &mut HeapCensus,
+        mut payload: impl FnMut(&M, &mut HeapCensus),
+    ) {
+        census.add(
+            Owner::ReliableOut,
+            self.out.heap_bytes() + vec_bytes(&self.acked_spill),
+        );
+        census.add(
+            Owner::ReliableSeen,
+            self.seen.heap_bytes() + vec_bytes(&self.seen_spill),
+        );
+        census.add(
+            Owner::ReliableWindow,
+            self.window.capacity() * std::mem::size_of::<Pending<M>>(),
+        );
+        for p in &self.window {
+            payload(&p.msg, census);
+        }
     }
 }
 

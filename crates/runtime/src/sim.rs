@@ -24,6 +24,7 @@
 //!   simulator hook exists to *validate* the detector against ground
 //!   truth.
 
+use crate::census::{vec_bytes, HeapCensus, Owner};
 use crate::emulator::LinkEmulator;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::wheel::TimerWheel;
@@ -123,6 +124,15 @@ pub trait Protocol: Sized {
     fn corrupted(_msg: &Self::Msg) -> Option<Self::Msg> {
         None
     }
+
+    /// Count the heap bytes this rank holds into `census`, by owner and
+    /// counting capacity (see [`crate::census`]). The simulator calls this
+    /// only while its recorder is enabled. Default: nothing.
+    fn heap_census(&self, _census: &mut HeapCensus) {}
+
+    /// Count the heap bytes behind a message in flight into `census`;
+    /// its inline bytes are the event queue's. Default: nothing.
+    fn msg_heap_census(_msg: &Self::Msg, _census: &mut HeapCensus) {}
 }
 
 /// Handler context: the only channel for effects.
@@ -392,11 +402,53 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
+    /// Take a heap census of the run as it stands — every rank, the
+    /// event queue and the messages in it, the fault interpreter, the
+    /// recorder, and the run loop's send and timer buffers (`scratch`
+    /// bytes) — and keep it in `peak` with the delivered-event count if
+    /// it is the largest so far.
+    fn take_census(&self, census: &mut HeapCensus, peak: &mut (u64, HeapCensus), scratch: usize) {
+        census.clear();
+        for rank in &self.ranks {
+            rank.heap_census(census);
+        }
+        census.add(Owner::RankInline, vec_bytes(&self.ranks));
+        let wheel = self.queue.heap_bytes();
+        census.add(Owner::WheelSlots, wheel.near);
+        census.add(Owner::WheelCurrent, wheel.current);
+        census.add(Owner::WheelFar, wheel.far);
+        for ev in self.queue.values() {
+            P::msg_heap_census(&ev.msg, census);
+        }
+        census.add(Owner::Emulator, self.emulator.heap_bytes());
+        census.add(Owner::Obs, self.emulator.recorder.heap_bytes());
+        census.add(Owner::Scratch, scratch);
+        census.settle();
+        if census.total() > peak.1.total() {
+            *peak = (self.events_delivered, census.clone());
+        }
+    }
+
     /// Run until every rank is done (and no network events remain), the
     /// queue drains with no progress, or the event budget is exhausted.
+    ///
+    /// While the recorder is enabled the run also takes a heap census
+    /// ([`crate::census`]) every `max(4096, 2P)` delivered events and at
+    /// the end, and records the largest sample and the last one as
+    /// `mem.peak.*` and `mem.end.*` gauges.
     pub fn run(&mut self) -> SimReport {
         let mut outbox: Vec<(RankId, P::Msg, usize)> = Vec::new();
         let mut timers: Vec<(f64, P::Msg)> = Vec::new();
+        let census_every = (2 * self.ranks.len() as u64).max(4096);
+        let mut next_census = if self.emulator.recorder.is_enabled() {
+            self.events_delivered + census_every
+        } else {
+            u64::MAX
+        };
+        let mut census = HeapCensus::default();
+        // The largest sample so far and the delivered-event count it was
+        // taken at.
+        let mut peak = (0, HeapCensus::default());
 
         // Start handlers.
         for p in 0..self.ranks.len() {
@@ -445,6 +497,11 @@ impl<P: Protocol> Simulator<P> {
                     drop(ctx);
                     self.flush_outbox(ev.to, &mut outbox);
                     self.flush_timers(ev.to, &mut timers);
+                    if self.events_delivered >= next_census {
+                        next_census += census_every;
+                        let scratch = vec_bytes(&outbox) + vec_bytes(&timers);
+                        self.take_census(&mut census, &mut peak, scratch);
+                    }
                 }
                 None => {
                     // Queue drained: report quiescence to every rank; a
@@ -466,12 +523,19 @@ impl<P: Protocol> Simulator<P> {
             }
         }
 
+        if self.emulator.recorder.is_enabled() {
+            let scratch = vec_bytes(&outbox) + vec_bytes(&timers);
+            self.take_census(&mut census, &mut peak, scratch);
+        }
         let faults = self.emulator.stats();
         self.emulator.recorder.with_metrics(|m| {
             m.record_network("sim.net", &self.stats);
             m.counter_add("sim.events_delivered", self.events_delivered);
             m.gauge_max("sim.finish_time_s", self.now);
             faults.record(m);
+            peak.1.record(m, "peak");
+            m.gauge_max("mem.peak.event", peak.0 as f64);
+            census.record(m, "end");
         });
         SimReport {
             finish_time: self.now,
@@ -546,6 +610,21 @@ mod tests {
                 done: false,
             })
             .collect()
+    }
+
+    #[test]
+    fn an_observed_run_records_its_heap_census() {
+        let mut sim = Simulator::new(make(8), NetworkModel::default(), &RngFactory::new(1));
+        let recorder = Recorder::enabled(8);
+        sim.set_recorder(recorder.clone());
+        sim.run();
+        let m = recorder.snapshot().metrics;
+        let gauge = |name: &str| m.gauge(name).unwrap_or_else(|| panic!("no {name}"));
+        let inline = 8 * std::mem::size_of::<PingPong>();
+        assert_eq!(gauge("mem.end.rank_inline_bytes"), inline as f64);
+        assert!(gauge("mem.end.wheel_slots_bytes") > 0.0);
+        assert!(gauge("mem.end.obs_bytes") > 0.0);
+        assert!(gauge("mem.peak.total_bytes") >= gauge("mem.end.total_bytes"));
     }
 
     #[test]

@@ -124,6 +124,11 @@ impl TerminationDetector {
         }
     }
 
+    /// Heap bytes held: the dead set.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::census::btree_set_bytes(&self.dead)
+    }
+
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch

@@ -378,6 +378,30 @@ impl<T: WheelTime, V> TimerWheel<T, V> {
         Some(self.current[self.current_pos].time)
     }
 
+    /// Heap bytes the wheel holds, counting capacity, by level.
+    pub(crate) fn heap_bytes(&self) -> WheelBytes {
+        let entry = std::mem::size_of::<Entry<T, V>>();
+        WheelBytes {
+            near: self.slots.capacity() * std::mem::size_of::<Vec<Entry<T, V>>>()
+                + self
+                    .slots
+                    .iter()
+                    .map(|s| s.capacity() * entry)
+                    .sum::<usize>(),
+            current: self.current.capacity() * entry,
+            far: self.far.capacity() * std::mem::size_of::<Reverse<FarEntry<T, V>>>(),
+        }
+    }
+
+    /// Every pending value, in no particular order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.current[self.current_pos..]
+            .iter()
+            .chain(self.slots.iter().flatten())
+            .chain(self.far.iter().map(|Reverse(f)| &f.entry))
+            .map(|e| &e.value)
+    }
+
     /// Clear the fully-drained current bucket. Entries before
     /// `current_pos` had their values moved out by `pop`; dropping them
     /// normally would double-drop, so the shells are forgotten instead.
@@ -402,6 +426,17 @@ impl<T: WheelTime, V> Drop for TimerWheel<T, V> {
         // SAFETY: only moved-from shells remain below current_pos.
         unsafe { self.current.set_len(0) };
     }
+}
+
+/// Heap bytes of a [`TimerWheel`], by level, counting capacity.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct WheelBytes {
+    /// The near-wheel slots: their headers and every slot's buffer.
+    pub(crate) near: usize,
+    /// The bucket being drained.
+    pub(crate) current: usize,
+    /// The far level's heap.
+    pub(crate) far: usize,
 }
 
 /// A queue of items held back until a wall-clock deadline: the protocol
@@ -568,6 +603,33 @@ mod tests {
             "current holds {} entries of capacity after a largest burst of {largest}",
             w.current.capacity()
         );
+    }
+
+    #[test]
+    fn values_and_heap_bytes_see_every_level() {
+        let mut w: TimerWheel<f64, u32> = TimerWheel::new(1.0 / 1e-6);
+        w.push(30.0, 99);
+        for i in 0..10u32 {
+            w.push(f64::from(i) * 1e-6, i);
+        }
+        w.push(0.0, 100);
+        // Tick 0 becomes the current bucket, one of its two events left.
+        assert_eq!(w.pop(), Some((0.0, 0)));
+        let mut pending: Vec<u32> = w.values().copied().collect();
+        pending.sort_unstable();
+        assert_eq!(pending, (1..10).chain([99, 100]).collect::<Vec<u32>>());
+
+        let entry = std::mem::size_of::<Entry<f64, u32>>();
+        let bytes = w.heap_bytes();
+        let near: usize = w.slots.iter().map(Vec::capacity).sum();
+        assert_eq!(
+            bytes.near,
+            SLOTS * std::mem::size_of::<Vec<Entry<f64, u32>>>() + near * entry
+        );
+        assert!(near >= 9);
+        assert_eq!(bytes.current, w.current.capacity() * entry);
+        assert!(w.current.capacity() >= 2);
+        assert!(bytes.far >= std::mem::size_of::<Reverse<FarEntry<f64, u32>>>());
     }
 
     #[test]

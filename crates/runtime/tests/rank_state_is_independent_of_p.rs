@@ -13,15 +13,23 @@
 //! the heap high-water mark of a hardened 256-rank round is pinned, so
 //! an event queue that keeps every burst's capacity, or a timer per
 //! stage per rank, shows up as a failure here.
+//!
+//! Every byte of that peak has an owner: the simulator's heap census
+//! (`tempered_runtime::census`) must account for nine tenths of what the
+//! counting allocator saw, and the owners that grow with gossip —
+//! knowledge sets and payloads in flight — are held to a budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::OnceLock;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
 use tempered_core::rng::RngFactory;
+use tempered_obs::{MetricsRegistry, Recorder};
+use tempered_runtime::census::Owner;
 use tempered_runtime::lb::{run_distributed_lb, LbProtocolConfig, LbRank};
 use tempered_runtime::reliable::{ReliableChannel, RetryConfig};
-use tempered_runtime::NetworkModel;
+use tempered_runtime::{run_distributed_lb_traced, FaultPlan, NetworkModel};
 
 thread_local! {
     /// Bytes this thread has requested from the allocator. Per thread, so
@@ -113,26 +121,35 @@ fn a_reliable_channel_holds_a_few_dozen_bytes_per_peer_it_meets() {
     );
 }
 
-#[test]
-fn a_hardened_256_rank_round_peaks_at_a_few_megabytes_of_heap() {
-    // The benchmark's hotspot: an eighth of the ranks hold 40 unit tasks.
-    const RANKS: usize = 256;
-    const BUDGET: isize = 6 << 20;
-    let dist = Distribution::from_loads((0..RANKS).map(|r| {
-        if r < RANKS / 8 {
+/// The benchmark's hotspot: an eighth of the ranks hold 40 unit tasks.
+fn hotspot(ranks: usize) -> Distribution {
+    Distribution::from_loads((0..ranks).map(|r| {
+        if r < ranks / 8 {
             vec![1.0; 40]
         } else {
             Vec::new()
         }
-    }));
-    let cfg = LbProtocolConfig {
+    }))
+}
+
+/// The benchmark's hardened protocol configuration.
+fn hardened() -> LbProtocolConfig {
+    LbProtocolConfig {
         trials: 2,
         iters: 3,
         fanout: 4,
         rounds: 5,
         ..LbProtocolConfig::default()
     }
-    .hardened(RetryConfig::generous());
+    .hardened(RetryConfig::generous())
+}
+
+#[test]
+fn a_hardened_256_rank_round_peaks_at_a_few_megabytes_of_heap() {
+    const RANKS: usize = 256;
+    const BUDGET: isize = 6 << 20;
+    let dist = hotspot(RANKS);
+    let cfg = hardened();
     let start = live();
     PEAK.with(|p| p.set(start));
     let out = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(4242));
@@ -141,5 +158,97 @@ fn a_hardened_256_rank_round_peaks_at_a_few_megabytes_of_heap() {
     assert!(
         peak <= BUDGET,
         "a {RANKS}-rank round peaked at {peak} B of live heap, budget {BUDGET} B"
+    );
+}
+
+/// One observed hardened hotspot round at `ranks`: the counting
+/// allocator's heap peak over the run, and the run's metrics with the
+/// simulator's census gauges. The recorder is built inside the measured
+/// window, since the census counts its storage.
+fn observed_round(ranks: usize) -> (usize, MetricsRegistry) {
+    let dist = hotspot(ranks);
+    let start = live();
+    PEAK.with(|p| p.set(start));
+    let recorder = Recorder::with_capacity(ranks, 1);
+    let out = run_distributed_lb_traced(
+        &dist,
+        hardened(),
+        NetworkModel::default(),
+        &RngFactory::new(4242),
+        FaultPlan::none(),
+        recorder.clone(),
+    );
+    let peak = (PEAK.with(Cell::get) - start) as usize;
+    assert!(out.final_imbalance < out.initial_imbalance);
+    (peak, recorder.snapshot().metrics)
+}
+
+/// The 2 048-rank observed round, run once for every test that reads it.
+fn round_2048() -> &'static (usize, MetricsRegistry) {
+    static ROUND: OnceLock<(usize, MetricsRegistry)> = OnceLock::new();
+    ROUND.get_or_init(|| observed_round(2048))
+}
+
+fn gauge(m: &MetricsRegistry, name: &str) -> usize {
+    m.gauge(name).unwrap_or_else(|| panic!("no gauge {name}")) as usize
+}
+
+/// The census at its peak sample, one owner a line.
+fn peak_table(m: &MetricsRegistry) -> String {
+    Owner::ALL
+        .iter()
+        .map(|o| {
+            let name = o.name();
+            format!(
+                "{name:>16} {:>12}\n",
+                gauge(m, &format!("mem.peak.{name}_bytes"))
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn the_census_owns_nine_tenths_of_the_heap_peak() {
+    let small = observed_round(256);
+    for (ranks, (peak, metrics)) in [(256, &small), (2048, round_2048())] {
+        let owned = gauge(metrics, "mem.peak.total_bytes");
+        assert!(
+            owned * 10 >= peak * 9,
+            "{ranks} ranks: the census owns {owned} B of a {peak} B peak\n{}",
+            peak_table(metrics)
+        );
+        assert!(
+            owned <= *peak,
+            "{ranks} ranks: {owned} B owned, {peak} B peak"
+        );
+    }
+}
+
+#[test]
+fn the_end_of_a_run_holds_the_wheel_of_what_was_in_flight() {
+    // 256 near-slot headers (24 B) with 17 600 entries of capacity
+    // (80 B), and one stage watchdog a rank at the far level (88 B).
+    let (_, metrics) = round_2048();
+    assert_eq!(
+        gauge(metrics, "mem.end.wheel_slots_bytes"),
+        256 * 24 + 17_600 * 80
+    );
+    assert_eq!(gauge(metrics, "mem.end.wheel_far_bytes"), 2048 * 88);
+}
+
+#[test]
+fn gossip_knowledge_and_payloads_stay_within_budget_at_the_peak() {
+    // At most 1.25 times what the round measures, so a rank that keeps
+    // a gossip set nobody reads shows up here.
+    const KNOWLEDGE: usize = 14_500_000;
+    const PAYLOADS: usize = 9_000_000;
+    let (_, metrics) = round_2048();
+    let knowledge = gauge(metrics, "mem.peak.knowledge_bytes");
+    let payloads = gauge(metrics, "mem.peak.payloads_bytes");
+    assert!(
+        knowledge <= KNOWLEDGE && payloads <= PAYLOADS,
+        "knowledge {knowledge} B (budget {KNOWLEDGE}), payloads {payloads} B \
+         (budget {PAYLOADS})\n{}",
+        peak_table(metrics)
     );
 }
