@@ -2,12 +2,12 @@
 //!
 //! Models the hierarchical persistence-based strategy of Lifflander et
 //! al. (HPDC'12, the paper's reference [22]): ranks are organized into an
-//! `arity`-way tree; leaves balance locally, and each interior level
+//! `ARITY`-way tree; leaves balance locally, and each interior level
 //! trades tasks between its child groups to pull every group toward the
 //! global average. The paper's empirical setup invokes it with different
 //! task-selection preferences on different timesteps (heaviest-first on
 //! the second step, lightest-first afterwards), which is exposed through
-//! [`HierConfig::prefer_heavy`].
+//! [`HierLb::prefer_heavy`].
 //!
 //! Cost structure (the point of the Fig. 2 comparison): the reduction tree
 //! gives `Ω(log P)` critical path and message counts linear in `P`, more
@@ -23,40 +23,18 @@ use crate::refine::net_migrations;
 use crate::rng::RngFactory;
 use crate::task::Task;
 
-/// Configuration of the hierarchical balancer.
-#[derive(Clone, Copy, Debug)]
-pub struct HierConfig {
-    /// Tree branching factor (children per interior node).
-    pub arity: usize,
-    /// Leaf group size: ranks per leaf-level greedy domain.
-    pub group_size: usize,
-    /// Select the most load-intensive tasks for inter-group migration
-    /// first (`true`), or the most lightweight (`false`).
-    pub prefer_heavy: bool,
-}
+/// Tree branching factor (children per interior node).
+const ARITY: usize = 8;
 
-impl Default for HierConfig {
-    fn default() -> Self {
-        HierConfig {
-            arity: 8,
-            group_size: 8,
-            prefer_heavy: false,
-        }
-    }
-}
+/// Leaf group size: ranks per leaf-level greedy domain.
+const GROUP_SIZE: usize = 8;
 
 /// Hierarchical tree-based balancer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HierLb {
-    /// Tuning knobs.
-    pub config: HierConfig,
-}
-
-impl HierLb {
-    /// Create with explicit configuration.
-    pub fn new(config: HierConfig) -> Self {
-        HierLb { config }
-    }
+    /// Select the most load-intensive tasks for inter-group migration
+    /// first (`true`), or the most lightweight (`false`, the default).
+    pub prefer_heavy: bool,
 }
 
 impl LoadBalancer for HierLb {
@@ -80,7 +58,13 @@ impl LoadBalancer for HierLb {
 
         let all_ranks: Vec<usize> = (0..num_ranks).collect();
         let mut messages = 0u64;
-        balance_subtree(&all_ranks, &mut tasks, l_ave, &self.config, &mut messages);
+        balance_subtree(
+            &all_ranks,
+            &mut tasks,
+            l_ave,
+            self.prefer_heavy,
+            &mut messages,
+        );
 
         let mut proposal = Distribution::new(num_ranks);
         for (r, ts) in tasks.into_iter().enumerate() {
@@ -119,20 +103,19 @@ fn balance_subtree(
     ranks: &[usize],
     tasks: &mut [Vec<Task>],
     l_ave: Load,
-    cfg: &HierConfig,
+    prefer_heavy: bool,
     messages: &mut u64,
 ) {
-    if ranks.len() <= cfg.group_size.max(1) {
+    if ranks.len() <= GROUP_SIZE {
         balance_leaf_group(ranks, tasks, messages);
         return;
     }
 
-    // Split into up to `arity` contiguous child groups and recurse.
-    let arity = cfg.arity.max(2);
-    let chunk = ranks.len().div_ceil(arity);
+    // Split into up to `ARITY` contiguous child groups and recurse.
+    let chunk = ranks.len().div_ceil(ARITY);
     let groups: Vec<&[usize]> = ranks.chunks(chunk).collect();
     for g in &groups {
-        balance_subtree(g, tasks, l_ave, cfg, messages);
+        balance_subtree(g, tasks, l_ave, prefer_heavy, messages);
     }
 
     // Each child reports its total load to this node (one message per
@@ -160,7 +143,7 @@ fn balance_subtree(
             .iter()
             .flat_map(|&r| tasks[r].iter().map(move |&t| (r, t)))
             .collect();
-        if cfg.prefer_heavy {
+        if prefer_heavy {
             candidates.sort_by(|a, b| b.1.load.total_cmp(&a.1.load).then(a.1.id.cmp(&b.1.id)));
         } else {
             candidates.sort_by(|a, b| a.1.load.total_cmp(&b.1.load).then(a.1.id.cmp(&b.1.id)));
@@ -178,7 +161,7 @@ fn balance_subtree(
             // Don't overshoot: moving the task must shrink the group's
             // distance to its target.
             if t.load.get() > 2.0 * excess {
-                if cfg.prefer_heavy {
+                if prefer_heavy {
                     // Descending order: later candidates are smaller.
                     continue;
                 }
@@ -240,7 +223,7 @@ fn balance_leaf_group(ranks: &[usize], tasks: &mut [Vec<Task>], messages: &mut u
     let mut loads: Vec<(Load, usize, usize)> = ranks.iter().map(|&r| (Load::ZERO, 0, r)).collect();
     for t in all {
         // Least-loaded rank in the group; linear scan is fine at leaf
-        // group sizes (≤ group_size).
+        // group sizes (≤ GROUP_SIZE).
         let min = loads
             .iter_mut()
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)))
@@ -273,11 +256,7 @@ mod tests {
     #[test]
     fn hier_single_group_degenerates_to_greedy() {
         let dist = skewed(8, 32);
-        let mut lb = HierLb::new(HierConfig {
-            arity: 8,
-            group_size: 8,
-            prefer_heavy: false,
-        });
+        let mut lb = HierLb::default();
         let r = lb.rebalance(&dist, &RngFactory::new(1), 0);
         check_postconditions(&dist, &r);
         assert!(r.final_imbalance < 0.2, "got {}", r.final_imbalance);
@@ -304,19 +283,18 @@ mod tests {
     #[test]
     fn prefer_heavy_changes_selection() {
         let dist = skewed(64, 48);
-        let mut heavy = HierLb::new(HierConfig {
-            prefer_heavy: true,
-            ..HierConfig::default()
-        });
-        let mut light = HierLb::new(HierConfig::default());
+        let mut heavy = HierLb { prefer_heavy: true };
+        let mut light = HierLb::default();
         let a = heavy.rebalance(&dist, &RngFactory::new(1), 0);
         let b = light.rebalance(&dist, &RngFactory::new(1), 0);
         check_postconditions(&dist, &a);
         check_postconditions(&dist, &b);
         // Heavy-preferring migration should move fewer, bigger tasks.
         if !a.migrations.is_empty() && !b.migrations.is_empty() {
-            let mean_a = a.migrated_load() / a.migrations.len() as f64;
-            let mean_b = b.migrated_load() / b.migrations.len() as f64;
+            let mean = |r: &RebalanceResult| {
+                r.migrations.iter().map(|m| m.load.get()).sum::<f64>() / r.migrations.len() as f64
+            };
+            let (mean_a, mean_b) = (mean(&a), mean(&b));
             assert!(
                 mean_a >= mean_b,
                 "heavy preference should raise mean migrated task load ({mean_a} < {mean_b})"

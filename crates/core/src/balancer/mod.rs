@@ -28,7 +28,7 @@ mod tempered;
 pub use drain::evacuate;
 pub use grapevine::GrapevineLb;
 pub use greedy::GreedyLb;
-pub use hier::{HierConfig, HierLb};
+pub use hier::HierLb;
 pub use predictive::PredictiveLb;
 pub use tempered::{TemperedConfig, TemperedLb};
 
@@ -48,13 +48,6 @@ pub struct RebalanceResult {
     pub final_imbalance: f64,
     /// Protocol messages sent (0 for centralized strategies).
     pub messages_sent: u64,
-}
-
-impl RebalanceResult {
-    /// Total load moved by the proposed migrations.
-    pub fn migrated_load(&self) -> f64 {
-        self.migrations.iter().map(|m| m.load.get()).sum()
-    }
 }
 
 /// A load balancing strategy.

@@ -119,12 +119,6 @@ impl Cmf {
         !self.ranks.is_empty()
     }
 
-    /// Number of selectable ranks.
-    #[inline]
-    pub fn support_len(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// The selectable ranks (strictly positive weight).
     pub fn support(&self) -> &[RankId] {
         &self.ranks
@@ -170,7 +164,7 @@ mod tests {
             CmfKind::Original,
         )
         .unwrap();
-        assert_eq!(c.support_len(), 2);
+        assert_eq!(c.support().len(), 2);
         assert!((c.probability(0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.probability(1) - 1.0 / 3.0).abs() < 1e-12);
     }

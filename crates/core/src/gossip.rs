@@ -475,7 +475,7 @@ mod tests {
                 if let Some(target) = sample_target(&mut rngs[p], num_ranks, me, &knowledge[p]) {
                     queue.push_back(Msg {
                         target,
-                        payload: knowledge[p].to_pairs(),
+                        payload: knowledge[p].entries().collect(),
                         round: 1,
                     });
                     messages_sent += 1;
@@ -507,7 +507,7 @@ mod tests {
                     {
                         queue.push_back(Msg {
                             target,
-                            payload: knowledge[t].to_pairs(),
+                            payload: knowledge[t].entries().collect(),
                             round: msg.round + 1,
                         });
                         messages_sent += 1;

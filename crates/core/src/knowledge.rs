@@ -223,11 +223,6 @@ impl Knowledge {
             + self.bits.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Serialize into `(rank, load)` pairs for a gossip message payload.
-    pub fn to_pairs(&self) -> Vec<(RankId, Load)> {
-        self.entries().collect()
-    }
-
     /// Whether the entries are in ascending rank order — what
     /// [`Knowledge::canonicalize`] establishes and in-order inserts keep.
     /// CMF construction iterates entries in order, so the transfer stage
@@ -364,7 +359,7 @@ mod tests {
     fn pairs_roundtrip() {
         let a = k(&[(4, 0.5), (2, 2.0)]);
         let mut b = Knowledge::new();
-        b.merge_from(a.to_pairs());
+        b.merge_from(a.entries());
         assert_eq!(a, b);
     }
 

@@ -70,8 +70,8 @@ pub mod transfer;
 /// Convenient glob-import surface for applications.
 pub mod prelude {
     pub use crate::balancer::{
-        GrapevineLb, GreedyLb, HierConfig, HierLb, LoadBalancer, PredictiveLb, RebalanceResult,
-        TemperedConfig, TemperedLb,
+        GrapevineLb, GreedyLb, HierLb, LoadBalancer, PredictiveLb, RebalanceResult, TemperedConfig,
+        TemperedLb,
     };
     pub use crate::cmf::{Cmf, CmfKind};
     pub use crate::criteria::CriterionKind;

@@ -116,13 +116,6 @@ pub struct RefineOutcome {
     pub total_messages: u64,
 }
 
-impl RefineOutcome {
-    /// Records for a single trial.
-    pub fn trial_records(&self, trial: usize) -> impl Iterator<Item = &IterationRecord> {
-        self.records.iter().filter(move |r| r.trial == trial)
-    }
-}
-
 /// Run Algorithm 3 over `dist`, returning the best proposal found.
 ///
 /// `epoch` namespaces this pass's randomness (e.g. the application
@@ -370,9 +363,14 @@ mod tests {
         let out = refine(&dist, &cfg, &RngFactory::new(1), 0);
         assert_eq!(out.records.len(), 12);
         for t in 0..3 {
-            assert_eq!(out.trial_records(t).count(), 4);
+            assert_eq!(out.records.iter().filter(|r| r.trial == t).count(), 4);
         }
-        let iters: Vec<usize> = out.trial_records(1).map(|r| r.iteration).collect();
+        let iters: Vec<usize> = out
+            .records
+            .iter()
+            .filter(|r| r.trial == 1)
+            .map(|r| r.iteration)
+            .collect();
         assert_eq!(iters, vec![1, 2, 3, 4]);
     }
 

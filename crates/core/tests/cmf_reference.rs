@@ -88,7 +88,7 @@ proptest! {
             (None, None) => {}
             (Some(d), Some(r)) => {
                 prop_assert_eq!(d.support(), r.ranks.as_slice());
-                for i in 0..d.support_len() {
+                for i in 0..d.support().len() {
                     let prev = if i == 0 { 0.0 } else { r.cumulative[i - 1] };
                     let z = *r.cumulative.last().unwrap();
                     let want = (r.cumulative[i] - prev) / z;
@@ -106,7 +106,7 @@ proptest! {
             (d, r) => prop_assert!(
                 false,
                 "support emptiness diverged: dense={:?} reference={:?}",
-                d.map(|c| c.support_len()),
+                d.map(|c| c.support().len()),
                 r.map(|c| c.ranks.len()),
             ),
         }

@@ -186,9 +186,9 @@ proptest! {
             .collect();
         for kind in [CmfKind::Original, CmfKind::Modified] {
             if let Some(cmf) = Cmf::build(&knowledge, Load::new(l_ave), kind) {
-                let total: f64 = (0..cmf.support_len()).map(|i| cmf.probability(i)).sum();
+                let total: f64 = (0..cmf.support().len()).map(|i| cmf.probability(i)).sum();
                 prop_assert!((total - 1.0).abs() < 1e-9, "{kind}: sum {total}");
-                for i in 0..cmf.support_len() {
+                for i in 0..cmf.support().len() {
                     prop_assert!(cmf.probability(i) > 0.0);
                 }
             }

@@ -102,11 +102,6 @@ impl EmpireSim {
         &self.factory
     }
 
-    /// Current phase index.
-    pub fn current_step(&self) -> usize {
-        self.step
-    }
-
     /// Particles currently alive.
     pub fn num_particles(&self) -> usize {
         self.particles.len()
@@ -204,7 +199,7 @@ mod tests {
             (total - p2.num_particles as f64 * sim.cost.per_particle).abs() < 1e-9,
             "loads must account for every particle"
         );
-        assert_eq!(sim.current_step(), 2);
+        assert_eq!((p1.step, p2.step), (0, 1));
     }
 
     #[test]

@@ -293,7 +293,8 @@ impl PicRank {
         });
     }
 
-    /// Colors currently owned by this rank.
+    /// Colors currently owned by this rank. Test accessor: the
+    /// distributed-app tests check ownership stays a partition.
     pub fn owned_colors(&self) -> &[ColorId] {
         &self.owned
     }

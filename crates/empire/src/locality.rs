@@ -35,11 +35,6 @@ impl LocalityStats {
             self.intra_rank_edges as f64 / self.total_edges as f64
         }
     }
-
-    /// Edges crossing ranks: the per-step remote ghost-exchange count.
-    pub fn remote_edges(&self) -> usize {
-        self.total_edges - self.intra_rank_edges
-    }
 }
 
 /// Measure the communication locality of `assignment` over `mesh`'s
@@ -105,7 +100,7 @@ mod tests {
         // plus the transpose for horizontal boundaries.
         let remote_exact = (mesh.ranks_x - 1) * mesh.ranks_y * mesh.colors_y
             + (mesh.ranks_y - 1) * mesh.ranks_x * mesh.colors_x;
-        assert_eq!(s.remote_edges(), remote_exact);
+        assert_eq!(s.total_edges - s.intra_rank_edges, remote_exact);
         assert!(
             s.locality() > 0.6,
             "block decomposition should be mostly local, got {}",
@@ -132,10 +127,6 @@ mod tests {
             scattered.locality(),
             home.locality()
         );
-        assert_eq!(
-            scattered.remote_edges() + scattered.intra_rank_edges,
-            scattered.total_edges
-        );
     }
 
     #[test]
@@ -146,6 +137,6 @@ mod tests {
         let dist = home_assignment(&mesh);
         let s = measure_locality(&mesh, &dist);
         assert_eq!(s.locality(), 1.0);
-        assert_eq!(s.remote_edges(), 0);
+        assert_eq!(s.intra_rank_edges, s.total_edges);
     }
 }

@@ -100,7 +100,8 @@ impl Mesh {
         ColorId::from_grid(self, cx, cy)
     }
 
-    /// Physical center of a color's cell region.
+    /// Physical center of a color's cell region. Test accessor: the
+    /// round trip through [`Mesh::color_at`] is that function's oracle.
     pub fn color_center(&self, color: ColorId) -> (f64, f64) {
         let (gx, gy) = self.color_grid();
         let (cx, cy) = color.grid_pos(self);

@@ -21,13 +21,13 @@
 use crate::app::EmpireSim;
 use crate::locality::measure_locality;
 use crate::scenario::{BdotScenario, CostModel};
-use tempered_core::balancer::{
-    GrapevineLb, GreedyLb, HierConfig, HierLb, LoadBalancer, TemperedLb,
-};
+use tempered_core::balancer::{GrapevineLb, GreedyLb, HierLb, LoadBalancer, TemperedLb};
 use tempered_core::imbalance::lower_bound_max_load;
 use tempered_core::ordering::OrderingKind;
-use tempered_runtime::lb::LbProtocolConfig;
-use tempered_runtime::DistributedLb;
+
+/// Minimum steps between adaptive invocations
+/// ([`TimelineConfig::adaptive_threshold`]).
+const LB_MIN_GAP: usize = 10;
 
 /// Which balancer an AMT configuration runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,9 +42,6 @@ pub enum LbStrategy {
     Hier,
     /// This paper's balancer with the given ordering ("AMT w/TemperedLB").
     Tempered(OrderingKind),
-    /// TemperedLB executed through the full asynchronous message protocol
-    /// on the simulated runtime (validation mode; same algorithm).
-    DistributedTempered,
 }
 
 impl LbStrategy {
@@ -56,7 +53,6 @@ impl LbStrategy {
             LbStrategy::Greedy => "AMT w/GreedyLB".into(),
             LbStrategy::Hier => "AMT w/HierLB".into(),
             LbStrategy::Tempered(o) => format!("AMT w/TemperedLB ({o})"),
-            LbStrategy::DistributedTempered => "AMT w/TemperedLB (async runtime)".into(),
         }
     }
 }
@@ -111,12 +107,11 @@ pub struct TimelineConfig {
     /// TemperedLB iterations per trial (paper: 8).
     pub tempered_iters: usize,
     /// Adaptive triggering (§IV/§VI-B extension): when set, the balancer
-    /// runs whenever the measured imbalance exceeds this threshold
-    /// (subject to `lb_min_gap`) instead of on the fixed period — "its
-    /// frequency can be adjusted to match the imbalance rate".
+    /// runs whenever the measured imbalance exceeds this threshold (at
+    /// least `LB_MIN_GAP` = 10 steps apart) instead of on the fixed
+    /// period — "its frequency can be adjusted to match the imbalance
+    /// rate".
     pub adaptive_threshold: Option<f64>,
-    /// Minimum steps between adaptive invocations.
-    pub lb_min_gap: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -133,7 +128,6 @@ impl TimelineConfig {
             tempered_trials: 10,
             tempered_iters: 8,
             adaptive_threshold: None,
-            lb_min_gap: 10,
             seed,
         }
     }
@@ -237,13 +231,6 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
             lb.config.iters = cfg.tempered_iters;
             Balancer::Any(Box::new(lb))
         }
-        LbStrategy::DistributedTempered => {
-            Balancer::Any(Box::new(DistributedLb::tempered(LbProtocolConfig {
-                trials: cfg.tempered_trials,
-                iters: cfg.tempered_iters,
-                ..LbProtocolConfig::default()
-            })))
-        }
     };
 
     let mut steps = Vec::with_capacity(cfg.scenario.steps);
@@ -268,7 +255,7 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
             Some(threshold) => {
                 strategy != LbStrategy::None
                     && step >= cfg.lb_first_step
-                    && last_lb.is_none_or(|l| step - l >= cfg.lb_min_gap)
+                    && last_lb.is_none_or(|l| step - l >= LB_MIN_GAP)
                     && sim.distribution.imbalance() > threshold
             }
         };
@@ -281,10 +268,9 @@ pub fn run_timeline(cfg: &TimelineConfig) -> Timeline {
                 Balancer::Hier => {
                     // §VI-B: heaviest-first on the first invocation,
                     // lightest-first afterwards.
-                    let mut lb = HierLb::new(HierConfig {
+                    let mut lb = HierLb {
                         prefer_heavy: step == cfg.lb_first_step,
-                        ..HierConfig::default()
-                    });
+                    };
                     Some(lb.rebalance(&sim.distribution, &factory, step as u64))
                 }
                 Balancer::Any(lb) => Some(lb.rebalance(&sim.distribution, &factory, step as u64)),
@@ -453,7 +439,6 @@ mod tests {
     fn adaptive_trigger_balances_on_demand() {
         let mut adaptive = quick(ExecutionMode::Amt(LbStrategy::Greedy));
         adaptive.adaptive_threshold = Some(0.5);
-        adaptive.lb_min_gap = 5;
         let ta = run_timeline(&adaptive);
         assert!(ta.lb_invocations > 0, "imbalance crosses 0.5 repeatedly");
 
@@ -465,7 +450,7 @@ mod tests {
 
         // The min-gap bounds the invocation count.
         let steps = adaptive.scenario.steps;
-        assert!(ta.lb_invocations <= steps / adaptive.lb_min_gap + 1);
+        assert!(ta.lb_invocations <= steps / LB_MIN_GAP + 1);
 
         // Adaptive keeps the imbalance below the periodic schedule's
         // worst excursions (it reacts instead of waiting).
@@ -481,26 +466,6 @@ mod tests {
             "adaptive worst-case I {} vs periodic {}",
             worst(&ta),
             worst(&periodic)
-        );
-    }
-
-    #[test]
-    fn distributed_tempered_strategy_runs_in_the_timeline() {
-        // The timeline can drive the full asynchronous protocol as its
-        // balancer; quality must match the analysis-mode strategies'
-        // regime.
-        let mut cfg = quick(ExecutionMode::Amt(LbStrategy::DistributedTempered));
-        cfg.tempered_trials = 1;
-        cfg.tempered_iters = 3;
-        let t = run_timeline(&cfg);
-        assert!(t.lb_invocations > 0);
-        assert!(t.total_migrations > 0);
-        let spmd = run_timeline(&quick(ExecutionMode::Spmd));
-        assert!(
-            t.t_p < spmd.t_p,
-            "async-protocol balancing must still beat SPMD: {} vs {}",
-            t.t_p,
-            spmd.t_p
         );
     }
 

@@ -63,7 +63,8 @@ impl Trace {
         Ok(dist)
     }
 
-    /// Serialize to the text format.
+    /// Serialize to the text format. Test accessor: the inverse that
+    /// [`Trace::parse`]'s round-trip tests check it against.
     pub fn to_text(&self) -> String {
         let mut out = String::from("# tempered-lb trace v1\n");
         let _ = writeln!(out, "ranks {}", self.num_ranks);

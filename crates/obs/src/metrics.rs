@@ -47,15 +47,6 @@ impl NetworkStats {
         self.messages = self.messages.saturating_add(other.messages);
         self.bytes = self.bytes.saturating_add(other.bytes);
     }
-
-    /// Mean payload size in bytes; `0.0` when no messages were sent.
-    pub fn mean_message_bytes(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.messages as f64
-        }
-    }
 }
 
 /// Log₂-bucketed histogram over `u64` observations.
@@ -299,7 +290,6 @@ mod tests {
         a.record(30);
         assert_eq!(a.messages, 2);
         assert_eq!(a.bytes, 40);
-        assert_eq!(a.mean_message_bytes(), 20.0);
         let mut b = NetworkStats::default();
         b.record(60);
         a.merge(&b);

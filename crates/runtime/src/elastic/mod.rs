@@ -258,11 +258,6 @@ impl ElasticMembership {
         None
     }
 
-    /// Stable node id holding dense `rank`, if the roster is that big.
-    pub fn node_at(&self, rank: RankId) -> Option<u64> {
-        self.roster().get(rank.as_usize()).copied()
-    }
-
     /// Draining nodes whose handoff deadline has passed at `now`.
     pub fn overdue(&self, now: f64) -> Vec<u64> {
         self.members
@@ -987,7 +982,6 @@ mod tests {
         let m = ElasticMembership::new(4);
         assert_eq!(m.roster(), vec![0, 1, 2, 3]);
         assert_eq!(m.rank_of(2), Some(RankId::new(2)));
-        assert_eq!(m.node_at(RankId::new(3)), Some(3));
         assert!(m.has_quorum());
         assert_eq!(m.generation(), 0);
     }

@@ -229,7 +229,8 @@ impl HealthDetector {
     /// Whether the *path* to `peer` is currently under suspicion
     /// (hysteresis verdict over [`HealthDetector::link_quality`]).
     /// Independent of [`HealthDetector::is_suspected`]: a link-suspect
-    /// peer is still considered alive.
+    /// peer is still considered alive. Test accessor: no protocol path
+    /// acts on the verdict.
     pub fn is_link_suspect(&self, peer: RankId) -> bool {
         self.peers[peer.as_usize()].link_suspect
     }

@@ -24,12 +24,6 @@ pub struct LbProtocolConfig {
     pub rounds: usize,
     /// Transfer-stage knobs (criterion, CMF, ordering, threshold).
     pub transfer: TransferConfig,
-    /// Modeled payload bytes per migrated task (commit-stage data volume).
-    pub bytes_per_task: usize,
-    /// Enable Menon et al.'s negative acknowledgements: recipients bounce
-    /// proposed tasks that would push them past `ℓ_ave`. The paper drops
-    /// this mechanism (§V-A); the flag exists to measure that choice.
-    pub use_nacks: bool,
     /// Delivery hardening. `None` (default) sends best-effort
     /// [`super::LbWire::Raw`] frames — the historical protocol,
     /// bit-identical to builds without the fault layer. `Some` enables
@@ -100,8 +94,6 @@ impl From<RefineConfig> for LbProtocolConfig {
             fanout: cfg.gossip.fanout,
             rounds: cfg.gossip.rounds,
             transfer: cfg.transfer,
-            bytes_per_task: 65_536,
-            use_nacks: false,
             reliability: None,
             health: None,
             partition: None,

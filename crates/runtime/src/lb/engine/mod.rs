@@ -46,9 +46,7 @@
 //! boundary makes the final assignment a pure function of
 //! `(input, config, seed)`, independent of message timing, interleaving,
 //! or executor. This is what lets the chaos harness assert that a faulted
-//! run converges to the *same* assignment as a fault-free one. (The NACK
-//! variant is excluded: which proposals a recipient bounces depends
-//! inherently on arrival order.)
+//! run converges to the *same* assignment as a fault-free one.
 
 mod stages;
 
@@ -113,8 +111,8 @@ pub struct GossipEngine {
     num_ranks: usize,
     /// The protocol configuration this engine is sliced from: it reads
     /// the algorithmic knobs (`trials`, `iters`, `fanout`, `rounds`,
-    /// `transfer`, `use_nacks`) and whether `partition` is set — the
-    /// quorum gate on view changes — and nothing of the delivery stack.
+    /// `transfer`) and whether `partition` is set — the quorum gate on
+    /// view changes — and nothing of the delivery stack.
     cfg: LbProtocolConfig,
     factory: RngFactory,
     /// This rank's seat in the collective tree over the view's
@@ -150,7 +148,6 @@ pub struct GossipEngine {
     records: Vec<AsyncIterationRecord>,
     migrations_in: usize,
     migrations_out: usize,
-    nacks_received: usize,
     iter_transfers: usize,
     iter_rejected: usize,
 
@@ -198,7 +195,6 @@ impl GossipEngine {
             records: Vec::new(),
             migrations_in: 0,
             migrations_out: 0,
-            nacks_received: 0,
             iter_transfers: 0,
             iter_rejected: 0,
             done: false,
@@ -349,12 +345,6 @@ impl GossipEngine {
     /// Tasks fetched *from* this rank at commit (real migrations out).
     pub fn migrations_out(&self) -> usize {
         self.migrations_out
-    }
-
-    /// Proposed tasks bounced back by NACKs across the whole run
-    /// (always 0 unless [`LbProtocolConfig::use_nacks`]).
-    pub fn nacks_received(&self) -> usize {
-        self.nacks_received
     }
 
     /// Count this engine's heap bytes into `census`, by owner, counting
@@ -642,12 +632,11 @@ impl GossipEngine {
             }
             LbMsg::Propose { epoch, tasks } => {
                 debug_assert_eq!(epoch, self.det.epoch());
-                self.on_propose(out, from, tasks);
+                self.on_propose(tasks);
             }
-            LbMsg::ProposeReply { epoch, rejected } => {
-                debug_assert_eq!(epoch, self.det.epoch());
-                self.on_propose_reply(rejected);
-            }
+            // No rank sends one and `LbWire::admissible` refuses it off
+            // the wire; the variant survives only as a codec tag.
+            LbMsg::ProposeReply { .. } => {}
             LbMsg::Fetch { epoch, tasks } => {
                 debug_assert_eq!(epoch, self.det.epoch());
                 self.on_fetch(out, from, tasks);
@@ -884,7 +873,6 @@ impl GossipEngine {
         self.iter_rejected = 0;
         self.migrations_in = 0;
         self.migrations_out = 0;
-        self.nacks_received = 0;
         self.state = StageState::Setup;
     }
 }

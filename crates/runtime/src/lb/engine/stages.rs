@@ -347,40 +347,11 @@ impl GossipEngine {
         self.replay_buffered(out);
     }
 
-    pub(super) fn on_propose(
-        &mut self,
-        out: &mut Vec<Command>,
-        from: RankId,
-        tasks: Vec<TaskEntry>,
-    ) {
+    /// Accept every proposed task: the paper drops Menon et al.'s
+    /// negative acknowledgements (§V-A), so a recipient never bounces one.
+    pub(super) fn on_propose(&mut self, tasks: Vec<TaskEntry>) {
         self.det.on_basic_recv();
-        if !self.cfg.use_nacks {
-            self.current.extend(tasks);
-            return;
-        }
-        // Menon-style NACKs: accept while staying under the average;
-        // bounce the rest back to the proposer.
-        let mut load = self.my_load();
-        let mut rejected = Vec::new();
-        for t in tasks {
-            if load + t.load < self.l_ave {
-                load += t.load;
-                self.current.push(t);
-            } else {
-                rejected.push(t);
-            }
-        }
-        if !rejected.is_empty() {
-            let epoch = self.det.epoch();
-            self.send_basic(out, from, LbMsg::ProposeReply { epoch, rejected });
-        }
-    }
-
-    pub(super) fn on_propose_reply(&mut self, rejected: Vec<TaskEntry>) {
-        self.det.on_basic_recv();
-        self.nacks_received += rejected.len();
-        // Bounced tasks revert to this rank for the rest of the iteration.
-        self.current.extend(rejected);
+        self.current.extend(tasks);
     }
 
     fn enter_evaluate(&mut self, out: &mut Vec<Command>) {

@@ -332,16 +332,15 @@ impl LbWire {
     /// task homes, dead sets — must lie inside the roster: the engine
     /// sends to the ranks it learns of and sizes its survivor set by the
     /// dead ones. A [`LbWire::Damaged`] frame must actually fail its
-    /// check, and a self-timer is never a peer's to send.
+    /// check, and a self-timer or a [`LbMsg::ProposeReply`] is never a
+    /// peer's to send.
     pub(crate) fn admissible(&self, num_ranks: usize) -> bool {
         let known = |r: &RankId| r.as_usize() < num_ranks;
         match self {
             LbWire::Raw(msg) | LbWire::Data { msg, .. } => match msg {
                 LbMsg::Gossip { pairs, .. } => pairs.iter().all(|(r, _)| known(r)),
-                LbMsg::Propose { tasks, .. }
-                | LbMsg::ProposeReply {
-                    rejected: tasks, ..
-                } => tasks.iter().all(|t| known(&t.home)),
+                LbMsg::Propose { tasks, .. } => tasks.iter().all(|t| known(&t.home)),
+                LbMsg::ProposeReply { .. } => false,
                 LbMsg::View { dead, .. } | LbMsg::Heal { dead, .. } => dead.iter().all(known),
                 LbMsg::ReduceUp { .. }
                 | LbMsg::ReduceDown { .. }
@@ -658,11 +657,11 @@ pub enum LbMsg {
         /// Tasks now logically owned by the receiver.
         tasks: Vec<TaskEntry>,
     },
-    /// Negative acknowledgement (optional, [`super::LbProtocolConfig::use_nacks`]):
-    /// tasks the recipient refused because accepting them would push it
-    /// past the average load — Menon et al.'s original mechanism, which
-    /// the paper deliberately drops (§V-A). Returned tasks revert to the
-    /// sender.
+    /// Menon et al.'s negative acknowledgement, which the paper drops
+    /// (§V-A): no rank sends one. The variant keeps its codec tag only
+    /// because the benchmark's message classifier still names it;
+    /// `LbWire::admissible` refuses it off the wire and the engine
+    /// ignores it.
     ProposeReply {
         /// TD epoch this message belongs to.
         epoch: u64,
@@ -752,7 +751,6 @@ impl LbMsg {
         match self {
             LbMsg::Gossip { epoch, .. }
             | LbMsg::Propose { epoch, .. }
-            | LbMsg::ProposeReply { epoch, .. }
             | LbMsg::Fetch { epoch, .. }
             | LbMsg::TaskData { epoch, .. } => Some(*epoch),
             _ => None,
@@ -761,7 +759,7 @@ impl LbMsg {
 
     /// Modeled wire size in bytes, used by the executors' latency model
     /// and network accounting. Task *data* payloads are modeled via
-    /// `bytes_per_task` at the send site, not here.
+    /// `BYTES_PER_TASK` at the send site, not here.
     pub fn wire_bytes(&self) -> usize {
         match self {
             LbMsg::ReduceUp { .. } | LbMsg::ReduceDown { .. } => 32,
@@ -781,13 +779,17 @@ impl LbMsg {
     }
 }
 
+/// Modeled payload bytes per migrated task: the commit stage's data
+/// volume.
+pub(crate) const BYTES_PER_TASK: usize = 65_536;
+
 /// Full modeled cost of a protocol message: wire framing plus the
-/// commit-stage task-data payload (`bytes_per_task` per shipped task).
+/// commit-stage task-data payload ([`BYTES_PER_TASK`] per shipped task).
 /// Every send site uses this, so a retransmission recomputes the same
 /// cost as the original transmission.
-pub fn payload_bytes(msg: &LbMsg, bytes_per_task: usize) -> usize {
+pub fn payload_bytes(msg: &LbMsg) -> usize {
     let extra = match msg {
-        LbMsg::TaskData { tasks, .. } => bytes_per_task * tasks.len(),
+        LbMsg::TaskData { tasks, .. } => BYTES_PER_TASK * tasks.len(),
         _ => 0,
     };
     msg.wire_bytes() + extra

@@ -36,10 +36,8 @@ pub use socket::{encode_frame, run_socket_rank, FrameReader, SocketConfig, Socke
 use crate::fault::FaultPlan;
 use crate::reliable::ReliableStats;
 use crate::sim::{NetworkModel, SimReport, Simulator};
-use tempered_core::balancer::{LoadBalancer, RebalanceResult};
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
-use tempered_core::refine::net_migrations;
 use tempered_core::rng::RngFactory;
 use tempered_core::task::Task;
 use tempered_obs::Recorder;
@@ -225,79 +223,10 @@ pub(crate) fn run_lb_ranks(
     (sim.into_ranks(), report)
 }
 
-/// [`LoadBalancer`] adapter: a balancer executed through the full
-/// asynchronous protocol on the discrete-event executor instead of the
-/// analysis-mode driver. Every balancer expressible as a `RefineConfig`
-/// runs distributed this way — the engine is generic over the
-/// configuration, not specialized to TemperedLB — and the adapter
-/// composes with the `tempered_core::balancer` wrappers like any other
-/// balancer: `PredictiveLb::new(name, DistributedLb::tempered(cfg), model)`
-/// feeds the unchanged protocol forecasts in place of last-phase loads.
-#[derive(Clone, Copy, Debug)]
-pub struct DistributedLb {
-    /// Protocol knobs.
-    pub config: LbProtocolConfig,
-    /// Network latency model for the simulated interconnect.
-    pub model: NetworkModel,
-    name: &'static str,
-}
-
-impl DistributedLb {
-    /// TemperedLB (`DistTemperedLB`) under `config`.
-    pub fn tempered(config: LbProtocolConfig) -> Self {
-        DistributedLb {
-            config,
-            model: NetworkModel::default(),
-            name: "DistTemperedLB",
-        }
-    }
-
-    /// The original GrapevineLB (`DistGrapevineLB`): single trial, single
-    /// iteration, strict criterion, original CMF
-    /// ([`LbProtocolConfig::grapevine`]).
-    pub fn grapevine() -> Self {
-        DistributedLb {
-            config: LbProtocolConfig::grapevine(),
-            model: NetworkModel::default(),
-            name: "DistGrapevineLB",
-        }
-    }
-}
-
-impl LoadBalancer for DistributedLb {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Namespace the protocol's randomness by invocation epoch, run the
-    /// full async protocol, and report net migrations against the input.
-    fn rebalance(
-        &mut self,
-        dist: &Distribution,
-        factory: &RngFactory,
-        epoch: u64,
-    ) -> RebalanceResult {
-        let sub = RngFactory::new(tempered_core::rng::derive_seed(
-            factory.master(),
-            &[0x0A57_C0DE, epoch],
-        ));
-        let out = run_distributed_lb(dist, self.config, self.model, &sub);
-        let migrations = net_migrations(dist, &out.distribution);
-        RebalanceResult {
-            initial_imbalance: out.initial_imbalance,
-            final_imbalance: out.final_imbalance,
-            messages_sent: out.report.network.messages,
-            migrations,
-            distribution: out.distribution,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempered_core::balancer::PredictiveLb;
-    use tempered_core::forecast::Holt;
+    use tempered_core::forecast::{ForecastBank, Holt};
     use tempered_core::ids::TaskId;
     use tempered_core::transfer::TransferConfig;
 
@@ -415,55 +344,6 @@ mod tests {
         assert!(tempered.final_imbalance <= grapevine.final_imbalance);
     }
 
-    /// Menon-style NACKs (the mechanism the paper drops): the protocol
-    /// still completes and conserves tasks, and recipients bounce
-    /// over-filling proposals so no rank is pushed far past average by
-    /// colliding senders within one iteration.
-    #[test]
-    fn nack_variant_bounces_overfilling_proposals() {
-        // Many hot ranks all discovering the same few cold ranks: prime
-        // territory for multi-sender collisions.
-        let dist = Distribution::concentrated(12, 8, 30);
-        let cfg = LbProtocolConfig {
-            use_nacks: true,
-            ..quick_cfg()
-        };
-        let out = run_distributed_lb(&dist, cfg, NetworkModel::default(), &RngFactory::new(4));
-        assert!(out.report.completed);
-        assert_eq!(out.distribution.num_tasks(), dist.num_tasks());
-        assert!(out.final_imbalance <= out.initial_imbalance);
-
-        // The same scenario without NACKs must behave identically w.r.t.
-        // conservation; quality may differ either way.
-        let plain = run_distributed_lb(
-            &dist,
-            quick_cfg(),
-            NetworkModel::default(),
-            &RngFactory::new(4),
-        );
-        assert_eq!(plain.distribution.num_tasks(), dist.num_tasks());
-    }
-
-    #[test]
-    fn nacks_are_actually_exercised() {
-        use crate::sim::Simulator;
-        let dist = Distribution::concentrated(12, 8, 30);
-        let cfg = LbProtocolConfig {
-            use_nacks: true,
-            ..quick_cfg()
-        };
-        let factory = RngFactory::new(4);
-        let ranks = LbRank::for_dist(&dist, cfg, factory);
-        let mut sim = Simulator::new(ranks, NetworkModel::default(), &factory);
-        let report = sim.run();
-        assert!(report.completed);
-        let total_nacks: usize = sim.into_ranks().iter().map(|r| r.nacks_received()).sum();
-        assert!(
-            total_nacks > 0,
-            "the collision-heavy scenario should trigger at least one NACK"
-        );
-    }
-
     /// Extreme latency jitter maximizes message reordering across ranks;
     /// the epoch-buffering discipline must still deliver a correct,
     /// complete run.
@@ -508,68 +388,28 @@ mod tests {
         assert_eq!(out.distribution.num_tasks(), 3);
     }
 
-    /// The predictive adapter over a constant workload is its
-    /// persistence twin: a fresh bank (and, after observation, a
-    /// zero-innovation Holt state) forecasts the observed loads
-    /// bit-exactly, so the unchanged protocol sees identical inputs and
-    /// commits the identical assignment.
+    /// Forecast-then-balance through the full async protocol, the path
+    /// `repro svc_sweep`'s gray-links gate takes: over a constant
+    /// workload a Holt bank forecasts the observed loads bit-exactly, so
+    /// the protocol run on the forecast commits the placement the run on
+    /// the observed loads does.
     #[test]
-    fn predictive_adapter_matches_twin_on_constant_workload() {
+    fn protocol_on_a_constant_forecast_matches_the_observed_run() {
         let dist = Distribution::concentrated(16, 2, 20);
         let factory = RngFactory::new(2);
-        let mut twin = DistributedLb::tempered(quick_cfg());
-        let mut pred = PredictiveLb::new("DistPredTemperedLB", twin, Holt::default());
+        let mut bank = ForecastBank::new(Holt::default());
         for epoch in 0..3 {
-            let a = twin.rebalance(&dist, &factory, epoch);
-            let b = pred.rebalance(&dist, &factory, epoch);
+            bank.observe_epoch(epoch, &dist);
+            let forecast = bank.forecast(&dist);
+            let observed =
+                run_distributed_lb(&dist, quick_cfg(), NetworkModel::default(), &factory);
+            let predicted =
+                run_distributed_lb(&forecast, quick_cfg(), NetworkModel::default(), &factory);
             assert_eq!(
-                a.distribution.canonical(),
-                b.distribution.canonical(),
+                observed.distribution.canonical(),
+                predicted.distribution.canonical(),
                 "epoch {epoch}: constant workload must be bit-identical"
             );
-        }
-    }
-
-    /// On a drifting workload the predictive adapter still conserves
-    /// tasks and load, and its migrations replay onto the input.
-    #[test]
-    fn predictive_adapter_is_consistent_under_drift() {
-        use tempered_core::load::Load;
-        let mut dist = Distribution::concentrated(8, 2, 15);
-        let factory = RngFactory::new(6);
-        let mut pred = PredictiveLb::new(
-            "DistPredGrapevineLB",
-            DistributedLb::grapevine(),
-            Holt::default(),
-        );
-        for epoch in 0..3u64 {
-            let r = pred.rebalance(&dist, &factory, epoch);
-            let mut replay = dist.clone();
-            replay.apply(&r.migrations).unwrap();
-            assert_eq!(replay.num_tasks(), r.distribution.num_tasks());
-            assert!(r.distribution.total_load().approx_eq(dist.total_load()));
-            dist = r.distribution;
-            for t in 0..dist.num_tasks() as u64 {
-                let old = dist.load_of(TaskId::new(t)).unwrap().get();
-                dist.set_load(TaskId::new(t), Load::new(old * 1.5 + 0.25))
-                    .unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn balancer_trait_adapter_works() {
-        let dist = Distribution::concentrated(16, 2, 20);
-        let mut lb = DistributedLb::tempered(quick_cfg());
-        assert_eq!(lb.name(), "DistTemperedLB");
-        let r = lb.rebalance(&dist, &RngFactory::new(2), 0);
-        assert!(r.final_imbalance < r.initial_imbalance);
-        let mut replay = dist.clone();
-        replay.apply(&r.migrations).unwrap();
-        for rank in replay.rank_ids() {
-            assert!(replay
-                .rank_load(rank)
-                .approx_eq(r.distribution.rank_load(rank)));
         }
     }
 

@@ -230,11 +230,6 @@ impl LbRank {
         self.engine.migrations_in()
     }
 
-    /// Proposed tasks bounced back by NACKs across the whole run.
-    pub fn nacks_received(&self) -> usize {
-        self.engine.nacks_received()
-    }
-
     /// Delivery-layer counters (all zero in best-effort mode).
     pub fn reliable_stats(&self) -> ReliableStats {
         self.channel.as_ref().map(|c| c.stats).unwrap_or_default()
@@ -279,7 +274,6 @@ impl LbRank {
             self.reliable_stats().record(m);
             m.counter_add("lb.migrations_in", self.engine.migrations_in() as u64);
             m.counter_add("lb.migrations_out", self.engine.migrations_out() as u64);
-            m.counter_add("lb.nacks_received", self.engine.nacks_received() as u64);
             m.counter_add("lb.degraded_ranks", self.degraded as u64);
             m.counter_add("lb.parked_ranks", self.engine.is_parked() as u64);
             m.gauge_max("lb.initial_imbalance", self.engine.initial_imbalance());
@@ -512,14 +506,14 @@ impl LbRank {
 
     /// Best-effort frame: no sequence number, no ack, no retry.
     fn send_raw(&self, ctx: &mut Ctx<'_, LbWire>, to: RankId, msg: LbMsg) {
-        let bytes = payload_bytes(&msg, self.cfg.bytes_per_task);
+        let bytes = payload_bytes(&msg);
         ctx.send(to, LbWire::Raw(msg), bytes);
     }
 
     /// Put `(to, seq, msg)` on the network and arm its retry timer: the
     /// one shape a first send, a retransmission and a reinstatement share.
     fn transmit(&self, ctx: &mut Ctx<'_, LbWire>, to: RankId, seq: u64, msg: LbMsg, delay: f64) {
-        let bytes = payload_bytes(&msg, self.cfg.bytes_per_task) + SEQ_OVERHEAD_BYTES;
+        let bytes = payload_bytes(&msg) + SEQ_OVERHEAD_BYTES;
         ctx.send(to, LbWire::Data { seq, msg }, bytes);
         ctx.schedule(delay, LbWire::RetryTimer { to, seq });
     }
@@ -832,6 +826,7 @@ impl Protocol for LbRank {
 mod tests {
     use super::*;
     use crate::health::HealthConfig;
+    use crate::lb::messages::BYTES_PER_TASK;
     use crate::lb::PartitionConfig;
     use crate::reliable::RetryConfig;
 
@@ -942,18 +937,15 @@ mod tests {
             epoch: 9,
             tasks: vec![TaskId::new(1); 3],
         };
-        let cfg = LbProtocolConfig {
-            bytes_per_task: 1000,
-            ..LbProtocolConfig::default()
-        };
+        let cfg = LbProtocolConfig::default();
         let mut raw = rank(ME, cfg);
         let ((), frames, _) = on_ctx(|ctx| raw.send(ctx, PEER, msg.clone()));
-        assert_eq!(frames[0].2, msg.wire_bytes() + 3 * 1000);
+        assert_eq!(frames[0].2, msg.wire_bytes() + 3 * BYTES_PER_TASK);
         let mut reliable = rank(ME, cfg.hardened(RetryConfig::default()));
         let ((), frames, _) = on_ctx(|ctx| reliable.send(ctx, PEER, msg.clone()));
         assert_eq!(
             frames[0].2,
-            msg.wire_bytes() + 3 * 1000 + SEQ_OVERHEAD_BYTES
+            msg.wire_bytes() + 3 * BYTES_PER_TASK + SEQ_OVERHEAD_BYTES
         );
     }
 

@@ -624,10 +624,6 @@ mod tests {
                 epoch: 1,
                 tasks: vec![entry(0), entry(r)],
             },
-            LbMsg::ProposeReply {
-                epoch: 1,
-                rejected: vec![entry(r)],
-            },
             LbMsg::View {
                 base: 0,
                 dead: (r..r + 5).map(RankId::new).collect(),

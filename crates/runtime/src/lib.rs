@@ -68,7 +68,7 @@ pub use fault::{
 pub use health::{HealthConfig, HealthDetector};
 pub use lb::{
     run_distributed_lb, run_distributed_lb_traced, run_distributed_lb_with_faults, run_local_lb,
-    DistLbResult, DistributedLb, GossipEngine, LbProtocolConfig, LocalLbResult, PartitionConfig,
+    DistLbResult, GossipEngine, LbProtocolConfig, LocalLbResult, PartitionConfig,
 };
 pub use membership::View;
 pub use reliable::{ReliableStats, RetryConfig};

@@ -122,13 +122,6 @@ impl View {
         self.num_ranks - self.dead.len()
     }
 
-    /// Declare a single rank dead. Returns `true` if the view grew
-    /// (i.e. this was news and the generation advanced).
-    pub fn declare_dead(&mut self, rank: RankId) -> bool {
-        debug_assert!(rank.as_usize() < self.num_ranks, "unknown rank {rank}");
-        self.dead.insert(rank)
-    }
-
     /// Merge a peer's dead set (view-change propagation). Returns `true`
     /// if the union grew our view.
     pub fn merge(&mut self, dead: &BTreeSet<RankId>) -> bool {
@@ -197,8 +190,11 @@ mod tests {
     #[test]
     fn declaring_dead_advances_the_generation_once() {
         let mut v = View::new(4);
-        assert!(v.declare_dead(RankId::new(2)));
-        assert!(!v.declare_dead(RankId::new(2)), "not news twice");
+        assert!(v.merge(&BTreeSet::from([RankId::new(2)])));
+        assert!(
+            !v.merge(&BTreeSet::from([RankId::new(2)])),
+            "not news twice"
+        );
         assert_eq!(v.generation(), 1);
         assert_eq!(v.epoch_base(), VIEW_EPOCH_STRIDE);
         assert!(!v.is_live(RankId::new(2)));
@@ -212,9 +208,9 @@ mod tests {
     #[test]
     fn merge_is_a_union_and_reports_growth() {
         let mut a = View::new(5);
-        a.declare_dead(RankId::new(1));
+        a.merge(&BTreeSet::from([RankId::new(1)]));
         let mut b = View::new(5);
-        b.declare_dead(RankId::new(3));
+        b.merge(&BTreeSet::from([RankId::new(3)]));
         assert!(a.merge(b.dead()));
         assert_eq!(a.generation(), 2);
         assert!(!a.merge(b.dead()), "idempotent");
@@ -247,12 +243,12 @@ mod tests {
         let mut v = View::new(8);
         assert!(v.has_quorum());
         for r in 0..3 {
-            v.declare_dead(RankId::new(r));
+            v.merge(&BTreeSet::from([RankId::new(r)]));
         }
         assert!(v.has_quorum(), "5 of 8 is a majority");
-        v.declare_dead(RankId::new(3));
+        v.merge(&BTreeSet::from([RankId::new(3)]));
         assert!(!v.has_quorum(), "a 50/50 split has no quorum");
-        v.declare_dead(RankId::new(4));
+        v.merge(&BTreeSet::from([RankId::new(4)]));
         assert!(!v.has_quorum());
     }
 
@@ -260,7 +256,7 @@ mod tests {
     fn heal_readmits_and_jumps_generations() {
         let mut v = View::new(8);
         for r in [1u32, 2, 3] {
-            v.declare_dead(RankId::new(r));
+            v.merge(&BTreeSet::from([RankId::new(r)]));
         }
         let pre_gen = v.generation();
         assert_eq!(pre_gen, 3);
@@ -278,14 +274,14 @@ mod tests {
     #[test]
     fn merge_full_orders_by_base_then_unions() {
         let mut a = View::new(6);
-        a.declare_dead(RankId::new(5));
+        a.merge(&BTreeSet::from([RankId::new(5)]));
         // Same base: union.
         let dead1: BTreeSet<RankId> = [RankId::new(4)].into_iter().collect();
         assert!(a.merge_full(0, &dead1));
         assert_eq!(a.generation(), 2);
         // Lower base: ignored.
         let mut healed = View::new(6);
-        healed.declare_dead(RankId::new(1));
+        healed.merge(&BTreeSet::from([RankId::new(1)]));
         healed.heal(&[RankId::new(1)].into_iter().collect());
         assert!(!healed.merge_full(0, a.dead()));
         assert!(healed.is_live(RankId::new(4)));

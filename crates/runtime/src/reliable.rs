@@ -560,7 +560,8 @@ impl<M: Clone> ReliableChannel<M> {
         before - self.window.len()
     }
 
-    /// Number of unacknowledged messages.
+    /// Number of unacknowledged messages. Test accessor: the model and
+    /// end-of-run checks compare it against what they expect in flight.
     pub fn pending_count(&self) -> usize {
         self.window.len()
     }

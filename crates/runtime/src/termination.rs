@@ -189,7 +189,7 @@ impl TerminationDetector {
     }
 
     /// Whether the current epoch has been declared terminated at this
-    /// rank.
+    /// rank. Test accessor: the protocol acts on [`TdOutcome`] instead.
     pub fn is_terminated(&self) -> bool {
         self.terminated
     }

@@ -64,8 +64,9 @@ fn apply(m: &mut ElasticMembership, op: &Op, step: usize) -> bool {
 
 proptest! {
     /// After *any* accepted interleaving, rank ids are dense: `rank_of`
-    /// is a bijection from the roster onto `0..roster.len()`, `node_at`
-    /// is its inverse, and nothing off the roster has a rank.
+    /// is a bijection from the roster onto `0..roster.len()` (the roster
+    /// in rank order is its inverse), and nothing off the roster has a
+    /// rank.
     #[test]
     fn ranks_stay_dense_and_bijective(ops in arb_ops()) {
         let mut m = ElasticMembership::new(4);
@@ -75,14 +76,12 @@ proptest! {
             prop_assert_eq!(roster.len(), m.num_ranks());
             for (idx, &node) in roster.iter().enumerate() {
                 prop_assert_eq!(m.rank_of(node), Some(RankId::from(idx)));
-                prop_assert_eq!(m.node_at(RankId::from(idx)), Some(node));
             }
             for n in 0..NODE_SPACE + 2 {
                 if !roster.contains(&n) {
                     prop_assert_eq!(m.rank_of(n), None);
                 }
             }
-            prop_assert_eq!(m.node_at(RankId::from(roster.len())), None);
         }
     }
 

@@ -3,10 +3,10 @@
 //!
 //! The codec is the trust boundary of the socket driver: whatever the
 //! peer's TCP stack hands us — whole frames, single bytes, several
-//! frames glued together, bit-flipped payloads, forged timers, ranks the
-//! run does not have, plain noise — the reader must either reproduce the
-//! sender's `LbWire` exactly or surface a `Damaged` frame that fails
-//! verification (which the rank then treats as a loss: dropped unacked,
+//! frames glued together, bit-flipped payloads, forged timers and NACKs,
+//! ranks the run does not have, plain noise — the reader must either
+//! reproduce the sender's `LbWire` exactly or surface a `Damaged` frame
+//! that fails verification (which the rank then treats as a loss: dropped unacked,
 //! retransmitted by the sender).
 
 use proptest::prelude::*;
@@ -88,9 +88,6 @@ fn arb_msg() -> impl Strategy<Value = LbMsg> {
         (any::<u64>(), prop::collection::vec(arb_task_entry(), 0..12))
             .prop_map(|(epoch, tasks)| LbMsg::Propose { epoch, tasks })
             .boxed(),
-        (any::<u64>(), prop::collection::vec(arb_task_entry(), 0..12))
-            .prop_map(|(epoch, rejected)| LbMsg::ProposeReply { epoch, rejected })
-            .boxed(),
         (
             any::<u64>(),
             prop::collection::vec(any::<u64>().prop_map(TaskId::new), 0..24),
@@ -129,7 +126,8 @@ fn arb_msg() -> impl Strategy<Value = LbMsg> {
     ])
 }
 
-/// Any frame a well-behaved peer of a [`ROSTER`]-rank run sends.
+/// Any frame a well-behaved peer of a [`ROSTER`]-rank run sends. No peer
+/// sends a `ProposeReply`: the protocol has no negative acknowledgements.
 fn arb_wire() -> impl Strategy<Value = LbWire> {
     OneOf(vec![
         arb_msg().prop_map(LbWire::Raw).boxed(),
@@ -171,6 +169,21 @@ fn framed(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A negative acknowledgement naming only ranks of the roster: a well-formed
+/// frame of a kind no peer sends, so one on the wire is a forgery.
+fn arb_nack() -> impl Strategy<Value = LbWire> {
+    let nack = || {
+        (any::<u64>(), prop::collection::vec(arb_task_entry(), 0..12))
+            .prop_map(|(epoch, rejected)| LbMsg::ProposeReply { epoch, rejected })
+    };
+    OneOf(vec![
+        nack().prop_map(LbWire::Raw).boxed(),
+        (1u64..1 << 48, nack())
+            .prop_map(|(seq, msg)| LbWire::Data { seq, msg })
+            .boxed(),
+    ])
+}
+
 /// One stretch of a hostile byte stream.
 fn arb_hostile_piece() -> impl Strategy<Value = Vec<u8>> {
     OneOf(vec![
@@ -201,8 +214,9 @@ fn arb_hostile_piece() -> impl Strategy<Value = Vec<u8>> {
                 framed(&p)
             })
             .boxed(),
-        // Forged timers, and ranks the run does not have.
+        // Forged timers and NACKs, and ranks the run does not have.
         arb_timer().prop_map(|w| encode_frame(&w)).boxed(),
+        arb_nack().prop_map(|w| encode_frame(&w)).boxed(),
         (ROSTER..u32::MAX, any::<u64>())
             .prop_map(|(r, base)| {
                 encode_frame(&LbWire::Raw(LbMsg::View {
@@ -233,10 +247,7 @@ fn max_rank(wire: &LbWire) -> Option<u32> {
     };
     match msg {
         LbMsg::Gossip { pairs, .. } => pairs.iter().map(|(r, _)| r.as_u32()).max(),
-        LbMsg::Propose { tasks, .. }
-        | LbMsg::ProposeReply {
-            rejected: tasks, ..
-        } => tasks.iter().map(|t| t.home.as_u32()).max(),
+        LbMsg::Propose { tasks, .. } => tasks.iter().map(|t| t.home.as_u32()).max(),
         LbMsg::View { dead, .. } | LbMsg::Heal { dead, .. } => {
             dead.iter().map(|r| r.as_u32()).max()
         }
@@ -300,8 +311,8 @@ proptest! {
 
     /// Whatever bytes arrive in whatever pieces, nothing panics and what
     /// comes out is either a frame a peer of this roster may send or a
-    /// `Damaged` one whose check fails — never a timer, never a rank the
-    /// run does not have.
+    /// `Damaged` one whose check fails — never a timer, never a NACK,
+    /// never a rank the run does not have.
     #[test]
     fn hostile_bytes_come_out_admissible_or_damaged(
         pieces in prop::collection::vec(arb_hostile_piece(), 1..12),
@@ -312,6 +323,10 @@ proptest! {
         for wire in feed(&mut reader, &stream, &cuts) {
             match &wire {
                 LbWire::Damaged { .. } => prop_assert!(!wire.verify(), "{:?}", wire),
+                LbWire::Raw(LbMsg::ProposeReply { .. })
+                | LbWire::Data { msg: LbMsg::ProposeReply { .. }, .. } => {
+                    prop_assert!(false, "a NACK came off the wire: {:?}", wire)
+                }
                 LbWire::Raw(_) | LbWire::Data { .. } | LbWire::Ack { .. } | LbWire::Heartbeat => {
                     prop_assert!(max_rank(&wire).is_none_or(|r| r < ROSTER), "{:?}", wire)
                 }

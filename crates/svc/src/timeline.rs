@@ -26,8 +26,16 @@ use tempered_core::distribution::Distribution;
 use tempered_core::forecast::Holt;
 use tempered_core::rng::RngFactory;
 use tempered_obs::tail::{TailAccumulator, TailSummary};
-use tempered_runtime::lb::LbProtocolConfig;
-use tempered_runtime::DistributedLb;
+
+/// First phase a balancer may fire: after one measurement.
+const LB_FIRST_PHASE: usize = 1;
+
+/// Phases excluded from the tail digest, `LB_FIRST_PHASE + 1`: every
+/// balancer inherits the same block placement, so the pre-LB phases would
+/// charge identical warmup costs to all of them and mask the differences
+/// the tail metrics exist to expose. Forecast banks still observe warmup
+/// phases.
+const TAIL_WARMUP: usize = LB_FIRST_PHASE + 1;
 
 /// Which balancer drives the timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,14 +52,6 @@ pub enum SvcBalancerKind {
     PredictiveGrapevine,
     /// TemperedLB on Holt per-task forecasts.
     PredictiveTempered,
-    /// TemperedLB through the full asynchronous message protocol.
-    DistributedTempered,
-    /// Predictive TemperedLB through the same unchanged protocol.
-    DistributedPredictiveTempered,
-    /// GrapevineLB through the full asynchronous message protocol.
-    DistributedGrapevine,
-    /// Predictive GrapevineLB through the same unchanged protocol.
-    DistributedPredictiveGrapevine,
 }
 
 impl SvcBalancerKind {
@@ -64,10 +64,6 @@ impl SvcBalancerKind {
             SvcBalancerKind::Tempered => "tempered",
             SvcBalancerKind::PredictiveGrapevine => "pred_grapevine",
             SvcBalancerKind::PredictiveTempered => "pred_tempered",
-            SvcBalancerKind::DistributedTempered => "dist_tempered",
-            SvcBalancerKind::DistributedPredictiveTempered => "dist_pred_tempered",
-            SvcBalancerKind::DistributedGrapevine => "dist_grapevine",
-            SvcBalancerKind::DistributedPredictiveGrapevine => "dist_pred_grapevine",
         }
     }
 
@@ -91,9 +87,6 @@ pub struct SvcTimelineConfig {
     pub scenario: SvcScenario,
     /// The balancer under test.
     pub balancer: SvcBalancerKind,
-    /// First phase the balancer may fire (default 1: after one
-    /// measurement).
-    pub lb_first_phase: usize,
     /// Phases between invocations (default 1: every phase — service
     /// loads drift every phase, so the schedule matches the drift).
     pub lb_period: usize,
@@ -101,12 +94,6 @@ pub struct SvcTimelineConfig {
     pub tempered_trials: usize,
     /// TemperedLB iterations per trial.
     pub tempered_iters: usize,
-    /// Phases excluded from the tail digest (default
-    /// `lb_first_phase + 1`): every balancer inherits the same block
-    /// placement, so the pre-LB phases would charge identical warmup
-    /// costs to all of them and mask the differences the tail metrics
-    /// exist to expose. Forecast banks still observe warmup phases.
-    pub tail_warmup: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -117,11 +104,9 @@ impl SvcTimelineConfig {
         SvcTimelineConfig {
             scenario,
             balancer,
-            lb_first_phase: 1,
             lb_period: 1,
             tempered_trials: 4,
             tempered_iters: 8,
-            tail_warmup: 2,
             seed,
         }
     }
@@ -142,7 +127,8 @@ pub struct SvcTimeline {
     pub lb_invocations: usize,
     /// Tasks migrated over the run.
     pub total_migrations: usize,
-    /// Protocol messages sent (distributed kinds only; 0 otherwise).
+    /// Messages the balancer reported sending, summed over its
+    /// invocations (0 for [`SvcBalancerKind::Null`]).
     pub messages_sent: u64,
 }
 
@@ -161,15 +147,6 @@ impl Balancer {
             lb.config.iters = cfg.tempered_iters;
             lb
         };
-        let dist_tempered = || {
-            DistributedLb::tempered(LbProtocolConfig {
-                trials: cfg.tempered_trials,
-                iters: cfg.tempered_iters,
-                fanout: 4,
-                rounds: 6,
-                ..Default::default()
-            })
-        };
         // The strategy, and for the predictive kinds the name their Holt
         // forecast wrapper goes by.
         let (inner, predictive): (Box<dyn LoadBalancer>, Option<&'static str>) = match cfg.balancer
@@ -180,15 +157,6 @@ impl Balancer {
             K::Tempered => (Box::new(tempered()), None),
             K::PredictiveGrapevine => (Box::new(GrapevineLb::default()), Some("PredGrapevineLB")),
             K::PredictiveTempered => (Box::new(tempered()), Some("PredTemperedLB")),
-            K::DistributedTempered => (Box::new(dist_tempered()), None),
-            K::DistributedPredictiveTempered => {
-                (Box::new(dist_tempered()), Some("DistPredTemperedLB"))
-            }
-            K::DistributedGrapevine => (Box::new(DistributedLb::grapevine()), None),
-            K::DistributedPredictiveGrapevine => (
-                Box::new(DistributedLb::grapevine()),
-                Some("DistPredGrapevineLB"),
-            ),
         };
         match predictive {
             None => Balancer::Plain(inner),
@@ -238,7 +206,7 @@ pub fn run_svc_timeline(cfg: &SvcTimelineConfig) -> SvcTimeline {
     for phase in 0..sc.phases {
         // 1. The phase realizes under the current placement.
         sc.apply_phase(&mut dist, phase as u64);
-        if phase >= cfg.tail_warmup {
+        if phase >= TAIL_WARMUP {
             let loads: Vec<f64> = dist.rank_loads().iter().map(|l| l.get()).collect();
             tail.record_phase(&loads);
         }
@@ -248,9 +216,9 @@ pub fn run_svc_timeline(cfg: &SvcTimelineConfig) -> SvcTimeline {
         balancer.observe(phase as u64, &dist);
 
         // 3. Rebalance for the next phase on schedule.
-        let due = phase >= cfg.lb_first_phase
+        let due = phase >= LB_FIRST_PHASE
             && cfg.lb_period > 0
-            && (phase - cfg.lb_first_phase).is_multiple_of(cfg.lb_period)
+            && (phase - LB_FIRST_PHASE).is_multiple_of(cfg.lb_period)
             && phase + 1 < sc.phases; // the last phase has no successor
         if due {
             if let Some(r) = balancer.rebalance(&dist, &factory, phase as u64) {
@@ -338,18 +306,5 @@ mod tests {
         let b = run_svc_timeline(&quick(SvcBalancerKind::PredictiveGrapevine));
         assert_eq!(a.tail.sum_of_max.to_bits(), b.tail.sum_of_max.to_bits());
         assert_eq!(a.total_migrations, b.total_migrations);
-    }
-
-    #[test]
-    fn distributed_kinds_run_through_the_protocol() {
-        let mut cfg = quick(SvcBalancerKind::DistributedPredictiveTempered);
-        cfg.scenario.phases = 12;
-        cfg.lb_period = 4;
-        let t = run_svc_timeline(&cfg);
-        assert!(t.lb_invocations > 0);
-        assert!(
-            t.messages_sent > 0,
-            "the async protocol must actually exchange messages"
-        );
     }
 }

@@ -52,7 +52,7 @@ pub mod prelude {
         Timeline, TimelineConfig,
     };
     pub use tempered_core::prelude::*;
-    pub use tempered_runtime::{run_distributed_lb, DistributedLb, LbProtocolConfig, NetworkModel};
+    pub use tempered_runtime::{run_distributed_lb, LbProtocolConfig, NetworkModel};
 }
 
 #[cfg(test)]

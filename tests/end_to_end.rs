@@ -79,12 +79,16 @@ fn distributed_protocol_matches_analysis_mode_quality() {
         &RngFactory::new(5),
         0,
     );
-    let mut async_lb = DistributedLb::tempered(LbProtocolConfig {
-        trials: 2,
-        iters: 4,
-        ..Default::default()
-    });
-    let asynch = async_lb.rebalance(&dist, &RngFactory::new(5), 0);
+    let asynch = run_distributed_lb(
+        &dist,
+        LbProtocolConfig {
+            trials: 2,
+            iters: 4,
+            ..Default::default()
+        },
+        NetworkModel::default(),
+        &RngFactory::new(5),
+    );
 
     assert!(sync.best_imbalance < 1.0, "sync: {}", sync.best_imbalance);
     assert!(
