@@ -132,23 +132,19 @@ pub fn run_gossip(
     epoch: u64,
 ) -> GossipResult {
     let num_ranks = loads.len();
-    let cap = if cfg.max_knowledge == 0 {
-        usize::MAX
-    } else {
-        cfg.max_knowledge
-    };
-    let mut knowledge: Vec<FlatKnowledge> = (0..num_ranks)
+    let cap = (cfg.max_knowledge > 0).then_some(cfg.max_knowledge);
+    let mut knowledge: Vec<Knowledge> = (0..num_ranks)
         .map(|p| {
-            let mut k = FlatKnowledge::new(num_ranks, cap);
+            let mut k = Knowledge::new();
             if loads[p] < l_ave {
                 k.insert(RankId::from(p), loads[p]);
             }
             k
         })
         .collect();
-    let num_underloaded = knowledge.iter().filter(|k| k.len() > 0).count();
+    let num_underloaded = knowledge.iter().filter(|k| !k.is_empty()).count();
     // Round 1 senders: the underloaded seeds themselves.
-    let mut active: Vec<bool> = knowledge.iter().map(|k| k.len() > 0).collect();
+    let mut active: Vec<bool> = knowledge.iter().map(|k| !k.is_empty()).collect();
     let mut rngs: Vec<SmallRng> = (0..num_ranks)
         .map(|p| factory.rank_stream(b"gossip", p as u64, epoch))
         .collect();
@@ -197,12 +193,21 @@ pub fn run_gossip(
             }
             // Split borrow: merge sender's round-start prefix into target.
             let (src, dst) = disjoint_pair(&mut knowledge, s, t);
-            let mut added = 0usize;
-            for i in 0..prefix as usize {
-                if dst.insert(src.ranks[i], src.loads[i]) {
-                    added += 1;
+            let pairs = src.entries().take(prefix as usize);
+            let added = match cap {
+                None => dst.merge_from(pairs),
+                // A capped set stops accepting at the cap.
+                Some(cap) => {
+                    let mut added = 0;
+                    for (rank, load) in pairs {
+                        if dst.len() >= cap {
+                            break;
+                        }
+                        added += usize::from(dst.insert(rank, load));
+                    }
+                    added
                 }
-            }
+            };
             if added > 0 {
                 gained[t] = true;
             }
@@ -211,10 +216,7 @@ pub fn run_gossip(
     }
 
     GossipResult {
-        knowledge: knowledge
-            .into_iter()
-            .map(FlatKnowledge::into_knowledge)
-            .collect(),
+        knowledge,
         messages_sent,
         pairs_sent,
         rounds_executed,
@@ -224,8 +226,8 @@ pub fn run_gossip(
 /// Membership view of a rank's knowledge for fanout target sampling.
 ///
 /// The sampling kernel only needs `|S^p|` and membership tests, so the
-/// flat bitset representation used by the analysis-mode engine and the
-/// [`Knowledge`] map used by the asynchronous runtime protocol share one
+/// analysis-mode engine's [`Knowledge`] and the asynchronous runtime's
+/// view of it (which also excludes ranks it has seen leave) share one
 /// implementation — and therefore draw *identical* random sequences,
 /// which the sync↔async equivalence guarantee depends on.
 pub trait TargetExclusions {
@@ -288,79 +290,6 @@ pub fn sample_fanout_targets<K: TargetExclusions>(
         .collect();
     for _ in 0..fanout {
         out.push(complement[rng.gen_range(0..complement.len())]);
-    }
-}
-
-/// Flat, bitset-indexed knowledge used inside the round-based engine.
-///
-/// The §V-B experiment runs gossip over 4096 ranks with ~4080 underloaded
-/// seeds; merging accumulated lists through a hash map costs ~10 ns per
-/// membership probe and dominates the entire balancer. A dense bitset
-/// drops the probe to ~1 ns and keeps the insertion-ordered `(rank,
-/// load)` arrays the CMF needs.
-///
-/// The distributed engine skips merges into sets nobody will read
-/// (`GossipState::reads` in `tempered-runtime`); this one has no such
-/// rule because nothing here is unread: [`run_gossip`] *returns* every
-/// rank's knowledge, and `lbaf` reports `mean_knowledge_size` over all
-/// of them.
-struct FlatKnowledge {
-    ranks: Vec<RankId>,
-    loads: Vec<Load>,
-    seen: Vec<u64>,
-    /// Entry cap (`usize::MAX` = unbounded); own-seed entries bypass it.
-    cap: usize,
-}
-
-impl FlatKnowledge {
-    fn new(num_ranks: usize, cap: usize) -> Self {
-        FlatKnowledge {
-            ranks: Vec::new(),
-            loads: Vec::new(),
-            seen: vec![0u64; num_ranks.div_ceil(64)],
-            cap,
-        }
-    }
-
-    #[inline]
-    fn contains(&self, r: RankId) -> bool {
-        let i = r.as_usize();
-        self.seen[i >> 6] & (1u64 << (i & 63)) != 0
-    }
-
-    #[inline]
-    fn insert(&mut self, r: RankId, l: Load) -> bool {
-        if self.ranks.len() >= self.cap {
-            return false;
-        }
-        let i = r.as_usize();
-        let word = &mut self.seen[i >> 6];
-        let bit = 1u64 << (i & 63);
-        if *word & bit != 0 {
-            return false;
-        }
-        *word |= bit;
-        self.ranks.push(r);
-        self.loads.push(l);
-        true
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.ranks.len()
-    }
-
-    fn into_knowledge(self) -> Knowledge {
-        self.ranks.into_iter().zip(self.loads).collect()
-    }
-}
-
-impl TargetExclusions for FlatKnowledge {
-    fn known(&self) -> usize {
-        self.len()
-    }
-    fn knows(&self, rank: RankId) -> bool {
-        self.contains(rank)
     }
 }
 
@@ -714,26 +643,19 @@ mod tests {
     }
 
     #[test]
-    fn fanout_sampling_is_representation_independent() {
-        // The flat bitset view and the Knowledge map must consume the
-        // random stream identically — the async runtime relies on it.
+    fn fanout_targets_exclude_self_and_known_ranks() {
         let num_ranks = 48;
-        let known: Vec<u32> = vec![3, 7, 11, 30];
-        let mut flat = FlatKnowledge::new(num_ranks, usize::MAX);
-        let mut map = Knowledge::new();
-        for &r in &known {
-            flat.insert(RankId::new(r), Load::new(0.5));
-            map.insert(RankId::new(r), Load::new(0.5));
-        }
+        let known: Knowledge = [3, 7, 11, 30]
+            .into_iter()
+            .map(|r| (RankId::new(r), Load::new(0.5)))
+            .collect();
         let me = RankId::new(7);
         for round in 0..4u64 {
-            let mut rng_a = RngFactory::new(9).rank_stream(b"t", 0, round);
-            let mut rng_b = RngFactory::new(9).rank_stream(b"t", 0, round);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            sample_fanout_targets(&mut rng_a, num_ranks, me, &flat, 6, &mut a);
-            sample_fanout_targets(&mut rng_b, num_ranks, me, &map, 6, &mut b);
-            assert_eq!(a, b);
-            assert!(a.iter().all(|&t| t != me && !map.contains(t)));
+            let mut rng = RngFactory::new(9).rank_stream(b"t", 0, round);
+            let mut targets = Vec::new();
+            sample_fanout_targets(&mut rng, num_ranks, me, &known, 6, &mut targets);
+            assert_eq!(targets.len(), 6);
+            assert!(targets.iter().all(|&t| t != me && !known.contains(t)));
         }
     }
 

@@ -22,7 +22,7 @@
 //!   distributedly).
 //! * **Embedded load balancing**: on LB steps each rank instantiates the
 //!   asynchronous [`LbRank`] protocol and pumps its messages through the
-//!   PIC message type (protocol composition via [`Ctx::detached`]); when
+//!   PIC message type (protocol composition through its own [`Ctx`]); when
 //!   it commits, gaining ranks fetch the *real particle payloads* from
 //!   the previous owners and notify mesh homes of the ownership change.
 //!   LB traffic is tagged with an invocation *generation* so that stale
@@ -604,13 +604,9 @@ impl PicRank {
         f: impl FnOnce(&mut LbRank, &mut Ctx<'_, LbWire>),
         lb: &mut LbRank,
     ) {
-        let mut outbox: Vec<(RankId, LbWire, usize)> = Vec::new();
-        let timers;
-        {
-            let mut lb_ctx = Ctx::detached(self.me, ctx.now(), &mut outbox);
-            f(lb, &mut lb_ctx);
-            timers = lb_ctx.take_timers();
-        }
+        let (mut outbox, mut timers) = (Vec::new(), Vec::new());
+        let mut lb_ctx = Ctx::new(self.me, ctx.now(), &mut outbox, &mut timers);
+        f(lb, &mut lb_ctx);
         let gen = self.lb_gen;
         for (to, wire, bytes) in outbox {
             ctx.send(to, PicMsg::Lb { gen, wire }, bytes);

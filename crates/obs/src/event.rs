@@ -69,7 +69,7 @@ pub enum EventKind {
     },
     /// Retry exhaustion was attributed to the *link* (the failure
     /// detector still vouches for the peer): the payload was reinstated
-    /// with a fresh budget and the link's quality score debited.
+    /// with a fresh retry budget.
     LinkSuspect {
         /// Destination rank of the suspect path.
         to: u32,

@@ -53,19 +53,6 @@ impl Default for HealthConfig {
     }
 }
 
-/// Hysteresis band for per-link quality: a link becomes suspect when its
-/// delivery-quality EWMA falls below [`LINK_SUSPECT_BELOW`] and is
-/// trusted again only once it recovers above [`LINK_TRUST_ABOVE`]. The
-/// wide band keeps a flapping link from toggling the verdict at the flap
-/// frequency (pinned by `flapping_link_hysteresis_does_not_oscillate`).
-const LINK_SUSPECT_BELOW: f64 = 0.25;
-/// Upper edge of the link-quality hysteresis band.
-const LINK_TRUST_ABOVE: f64 = 0.75;
-/// EWMA weight on the newest delivery outcome for link quality. Smaller
-/// than the inter-arrival alpha: one retransmission burst should dent
-/// the score, not crater it.
-const LINK_EWMA_ALPHA: f64 = 0.1;
-
 /// Per-peer arrival bookkeeping.
 #[derive(Clone, Copy, Debug)]
 struct Peer {
@@ -74,13 +61,6 @@ struct Peer {
     /// Smoothed inter-arrival estimate (EWMA), seeded with the period.
     mean_interval: f64,
     suspected: bool,
-    /// Delivery-quality EWMA for the *path* to this peer: successful
-    /// deliveries (acks, received frames) push it toward 1, failures
-    /// (retransmissions, retry exhaustion) toward 0. Starts optimistic.
-    link_quality: f64,
-    /// Hysteresis state derived from `link_quality` — distinguishes
-    /// "path to peer degraded" from the accrual verdict "peer dead".
-    link_suspect: bool,
 }
 
 /// Accrual failure detector for one rank observing all peers.
@@ -107,8 +87,6 @@ impl HealthDetector {
                     last_heard: now,
                     mean_interval: cfg.period,
                     suspected: false,
-                    link_quality: 1.0,
-                    link_suspect: false,
                 };
                 num_ranks
             ],
@@ -188,51 +166,16 @@ impl HealthDetector {
         fresh
     }
 
-    /// Reinstate `rank` after a partition heal: clear suspicion, restart
-    /// its arrival history at `now`, and reset the link score to
-    /// optimistic. The crash-stop "suspicion is monotone" rule is
-    /// deliberately relaxed here — a healed rank was fenced out for being
-    /// unreachable, not dead, and the heal protocol (quorum leader only)
-    /// is the sole caller.
+    /// Reinstate `rank` after a partition heal: clear suspicion and
+    /// restart its arrival history at `now`. The crash-stop "suspicion is
+    /// monotone" rule is deliberately relaxed here — a healed rank was
+    /// fenced out for being unreachable, not dead, and the heal protocol
+    /// (quorum leader only) is the sole caller.
     pub fn reinstate(&mut self, rank: RankId, now: f64) {
         let p = &mut self.peers[rank.as_usize()];
         p.suspected = false;
         p.last_heard = now;
         p.mean_interval = self.cfg.period;
-        p.link_quality = 1.0;
-        p.link_suspect = false;
-    }
-
-    /// Record one delivery outcome on the path to `peer`: `ok` for a
-    /// successful delivery (a frame arrived from the peer, or an ack came
-    /// back), `!ok` for evidence of path trouble (a retransmission fired,
-    /// or the retry budget ran out). Updates the link-quality EWMA and
-    /// its hysteresis verdict.
-    pub fn on_link_outcome(&mut self, peer: RankId, ok: bool) {
-        let p = &mut self.peers[peer.as_usize()];
-        let sample = if ok { 1.0 } else { 0.0 };
-        p.link_quality = (1.0 - LINK_EWMA_ALPHA) * p.link_quality + LINK_EWMA_ALPHA * sample;
-        if p.link_suspect {
-            if p.link_quality > LINK_TRUST_ABOVE {
-                p.link_suspect = false;
-            }
-        } else if p.link_quality < LINK_SUSPECT_BELOW {
-            p.link_suspect = true;
-        }
-    }
-
-    /// Current delivery-quality score for the path to `peer`, in `[0, 1]`.
-    pub fn link_quality(&self, peer: RankId) -> f64 {
-        self.peers[peer.as_usize()].link_quality
-    }
-
-    /// Whether the *path* to `peer` is currently under suspicion
-    /// (hysteresis verdict over [`HealthDetector::link_quality`]).
-    /// Independent of [`HealthDetector::is_suspected`]: a link-suspect
-    /// peer is still considered alive. Test accessor: no protocol path
-    /// acts on the verdict.
-    pub fn is_link_suspect(&self, peer: RankId) -> bool {
-        self.peers[peer.as_usize()].link_suspect
     }
 }
 
@@ -323,56 +266,17 @@ mod tests {
         // A link to rank 1 flaps at the heartbeat period: every other
         // heartbeat is lost. Silence therefore never exceeds ~2 periods,
         // well under the suspicion threshold of 3 — the peer must stay
-        // trusted for the whole run, and the delivery-outcome hysteresis
-        // must not flip the link verdict at the flap frequency either.
+        // trusted for the whole run.
         let mut d = HealthDetector::new(RankId::new(0), 2, cfg(), 0.0);
         let peer = RankId::new(1);
         for beat in 0..200u32 {
             let t = beat as f64; // period = 1.0
             if beat % 2 == 0 {
                 d.on_heartbeat(peer, t);
-                d.on_link_outcome(peer, true);
-            } else {
-                d.on_link_outcome(peer, false);
             }
             assert!(d.tick(t).is_empty(), "flapping peer suspected at t={t}");
         }
         assert!(!d.is_suspected(peer));
-        // Alternating outcomes settle the quality EWMA mid-band; the
-        // hysteresis verdict must have stabilized, not toggled per beat.
-        let q = d.link_quality(peer);
-        assert!((0.25..=0.75).contains(&q), "mid-band quality, got {q}");
-    }
-
-    #[test]
-    fn link_hysteresis_enters_low_and_exits_high() {
-        let mut d = HealthDetector::new(RankId::new(0), 2, cfg(), 0.0);
-        let peer = RankId::new(1);
-        assert!(!d.is_link_suspect(peer));
-        assert_eq!(d.link_quality(peer), 1.0);
-        // Sustained failures drive the score below the entry edge.
-        let mut flips = 0u32;
-        let mut prev = false;
-        for _ in 0..40 {
-            d.on_link_outcome(peer, false);
-            if d.is_link_suspect(peer) != prev {
-                flips += 1;
-                prev = d.is_link_suspect(peer);
-            }
-        }
-        assert!(d.is_link_suspect(peer));
-        assert!(d.link_quality(peer) < 0.25);
-        assert_eq!(flips, 1, "one clean transition into suspicion");
-        // Partial recovery into the band must NOT clear the verdict…
-        while d.link_quality(peer) < 0.5 {
-            d.on_link_outcome(peer, true);
-        }
-        assert!(d.is_link_suspect(peer), "mid-band recovery stays suspect");
-        // …full recovery above the exit edge does.
-        while d.link_quality(peer) <= 0.75 {
-            d.on_link_outcome(peer, true);
-        }
-        assert!(!d.is_link_suspect(peer));
     }
 
     #[test]
@@ -380,15 +284,9 @@ mod tests {
         let mut d = HealthDetector::new(RankId::new(0), 2, cfg(), 0.0);
         let peer = RankId::new(1);
         d.force_suspect(peer);
-        for _ in 0..50 {
-            d.on_link_outcome(peer, false);
-        }
         assert!(d.is_suspected(peer));
-        assert!(d.is_link_suspect(peer));
         d.reinstate(peer, 100.0);
         assert!(!d.is_suspected(peer));
-        assert!(!d.is_link_suspect(peer));
-        assert_eq!(d.link_quality(peer), 1.0);
         // Fresh arrival history: no instant re-suspicion at the next tick.
         assert!(d.tick(100.5).is_empty());
         // But renewed silence is still detected eventually.

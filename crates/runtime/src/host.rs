@@ -3,8 +3,9 @@
 //!
 //! A [`Host`] owns some of a run's ranks and everything hosting them on a
 //! wall clock takes: the `Instant` → seconds clock, the [`LinkEmulator`]
-//! that rules on their sends, the [`HeldQueue`] of protocol timers and
-//! delay-fated copies, the reused handler buffers and the send counters.
+//! that rules on their sends, a [`TimerWheel`] on that clock holding
+//! protocol timers and delay-fated copies, the reused handler buffers and
+//! the send counters.
 //! What differs between drivers stays with them, as two closures:
 //!
 //! * `egress(from, to, msg)` — where a surviving copy goes: a peer
@@ -29,7 +30,7 @@
 use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::sim::{Ctx, Protocol};
-use crate::wheel::HeldQueue;
+use crate::wheel::TimerWheel;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 use tempered_core::ids::RankId;
@@ -40,6 +41,11 @@ pub(crate) type Inbound<M> = (RankId, RankId, M);
 
 /// Longest the receive loop sleeps before it reconsults the stop rule.
 const TICK: Duration = Duration::from_millis(1);
+
+/// Held-entry bucket width in seconds. Delay fault windows are given in
+/// units of 100 µs and link emulation tolerates millisecond jitter, so
+/// 1 ms buckets keep the wheel's near horizon at 256 ms.
+const HELD_QUANTUM: f64 = 1e-3;
 
 /// How long a host that just did work polls an empty inbox before it
 /// blocks. A reply to what it just sent is typically a handler away, and
@@ -85,7 +91,8 @@ pub(crate) struct Host<P: Protocol> {
     fresh_done: usize,
     start: Instant,
     emulator: LinkEmulator,
-    held: HeldQueue<Held<P::Msg>>,
+    /// Held entries keyed by their due time on [`Host::now`]'s clock.
+    held: TimerWheel<f64, Held<P::Msg>>,
     outbox: Vec<(RankId, P::Msg, usize)>,
     timers: Vec<(f64, P::Msg)>,
     stats: NetworkStats,
@@ -116,7 +123,7 @@ impl<P: Protocol> Host<P> {
             fresh_done: 0,
             start,
             emulator: LinkEmulator::new(plan, recorder),
-            held: HeldQueue::new(),
+            held: TimerWheel::new(1.0 / HELD_QUANTUM),
             outbox: Vec::new(),
             timers: Vec::new(),
             stats: NetworkStats::default(),
@@ -165,16 +172,15 @@ impl<P: Protocol> Host<P> {
     ) {
         let (id, rank) = &mut self.ranks[slot];
         let me = RankId::from(*id);
-        let mut ctx = Ctx::for_executor_reusing(me, now, &mut self.outbox, &mut self.timers);
+        let mut ctx = Ctx::new(me, now, &mut self.outbox, &mut self.timers);
         handler(rank, &mut ctx);
         for (to, msg, bytes) in self.outbox.drain(..) {
             self.stats.record(bytes);
-            let (held, start) = (&mut self.held, self.start);
+            let held = &mut self.held;
             self.emulator
                 .outgoing::<P>(me, to, msg, now, wall_arrival(now), |msg, arrival| {
                     if arrival > now {
-                        let when = start + Duration::from_secs_f64(arrival);
-                        held.hold(when, Held::Send(me, to, msg));
+                        held.push(arrival, Held::Send(me, to, msg));
                     } else {
                         egress(me, to, msg);
                     }
@@ -182,8 +188,7 @@ impl<P: Protocol> Host<P> {
         }
         // Virtual seconds map one-to-one onto wall-clock seconds.
         for (delay, msg) in self.timers.drain(..) {
-            let when = self.start + Duration::from_secs_f64(now + delay);
-            self.held.hold(when, Held::Timer(me, msg));
+            self.held.push(now + delay, Held::Timer(me, msg));
         }
         if !self.done[slot] && rank.is_done() {
             self.done[slot] = true;
@@ -223,7 +228,8 @@ impl<P: Protocol> Host<P> {
     /// returns how many.
     pub(crate) fn fire_due(&mut self, egress: &mut impl FnMut(RankId, RankId, P::Msg)) -> usize {
         let mut fired = 0;
-        while let Some(item) = self.held.pop_due(Instant::now()) {
+        while self.held.peek_time().is_some_and(|due| due <= self.now()) {
+            let (_, item) = self.held.pop().expect("peeked entry exists");
             match item {
                 Held::Timer(me, msg) => self.deliver(me, me, msg, egress),
                 Held::Send(from, to, msg) => egress(from, to, msg),
@@ -289,10 +295,9 @@ impl<P: Protocol> Host<P> {
         loop {
             // Wake early if a held entry comes due before the tick.
             let began = Instant::now();
-            let wait = match self.held.next_deadline() {
-                Some(when) => when.saturating_duration_since(began).min(TICK),
-                None => TICK,
-            };
+            let wait = self.held.peek_time().map_or(TICK, |due| {
+                Duration::from_secs_f64((due - self.now()).clamp(0.0, TICK.as_secs_f64()))
+            });
             let received = match self.receive(inbox, wait, idle.is_zero()) {
                 Ok((from, to, msg)) => {
                     self.deliver(from, to, msg, &mut egress);
@@ -455,10 +460,11 @@ mod tests {
 
     #[test]
     fn timers_fire_in_deadline_order_and_bypass_the_emulator() {
-        // Every message that met the emulator would be dropped.
+        // Every message that met the emulator would be dropped. Timers 2
+        // and 4 share a deadline and fire in the order they were armed.
         let mut h = host(
             Stub {
-                timers: vec![(3e-3, 3), (1e-3, 1), (2e-3, 2)],
+                timers: vec![(3e-3, 3), (1e-3, 1), (2e-3, 2), (2e-3, 4)],
                 ..Stub::default()
             },
             FaultPlan {
@@ -474,7 +480,7 @@ mod tests {
         }
         let (ranks, network, faults, _) = h.finish();
         let me = RankId::new(0);
-        assert_eq!(ranks[0].1.got, [(me, 1), (me, 2), (me, 3)]);
+        assert_eq!(ranks[0].1.got, [(me, 1), (me, 2), (me, 4), (me, 3)]);
         assert_eq!(network.messages, 0);
         assert_eq!(faults, FaultStats::default());
     }

@@ -27,6 +27,7 @@ use super::rank::LbRank;
 use super::LbProtocolConfig;
 use crate::reliable::ReliableStats;
 use crate::sim::{Ctx, Protocol};
+use crate::wheel::TimerWheel;
 use std::collections::VecDeque;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
@@ -37,9 +38,9 @@ pub struct LocalRunner<P: Protocol> {
     ranks: Vec<P>,
     /// FIFO of in-flight messages as `(to, from, msg)`.
     queue: VecDeque<(RankId, RankId, P::Msg)>,
-    /// Pending self-timers as `(fire time, arm order, rank, msg)`.
-    timers: Vec<(f64, u64, RankId, P::Msg)>,
-    timer_seq: u64,
+    /// Pending self-timers as `(rank, msg)` by fire time; equal times
+    /// fire in arm order.
+    timers: TimerWheel<f64, (RankId, P::Msg)>,
     now: f64,
     /// What one handler call sent and armed; drained after every call
     /// and reused by the next, as in the other two executors.
@@ -53,8 +54,8 @@ impl<P: Protocol> LocalRunner<P> {
         LocalRunner {
             ranks,
             queue: VecDeque::new(),
-            timers: Vec::new(),
-            timer_seq: 0,
+            // The simulator's zero-latency quantum.
+            timers: TimerWheel::new(1.0 / 1e-6),
             now: 0.0,
             outbox: Vec::new(),
             armed: Vec::new(),
@@ -78,17 +79,10 @@ impl<P: Protocol> LocalRunner<P> {
             }
             // Queue drained but ranks still waiting: fire the earliest
             // timer (virtual time jumps forward; ties break by arm order).
-            let Some(next) = self
-                .timers
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap())
-                .map(|(i, _)| i)
-            else {
+            let Some((time, (me, msg))) = self.timers.pop() else {
                 return false;
             };
-            let (time, _, me, msg) = self.timers.remove(next);
-            self.now = self.now.max(time);
+            self.now = time;
             self.turn(me, |rank, ctx| rank.on_message(ctx, me, msg));
         }
     }
@@ -100,15 +94,13 @@ impl<P: Protocol> LocalRunner<P> {
 
     /// Run one handler of rank `me`, then queue what it sent and armed.
     fn turn(&mut self, me: RankId, handler: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
-        let mut ctx = Ctx::for_executor_reusing(me, self.now, &mut self.outbox, &mut self.armed);
+        let mut ctx = Ctx::new(me, self.now, &mut self.outbox, &mut self.armed);
         handler(&mut self.ranks[me.as_usize()], &mut ctx);
         for (to, msg, _bytes) in self.outbox.drain(..) {
             self.queue.push_back((to, me, msg));
         }
         for (delay, msg) in self.armed.drain(..) {
-            self.timers
-                .push((self.now + delay, self.timer_seq, me, msg));
-            self.timer_seq += 1;
+            self.timers.push(self.now + delay, (me, msg));
         }
     }
 }
@@ -155,6 +147,36 @@ pub fn run_local_lb(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Arms `.0` on start and keeps what fires, with its time, in `.1`;
+    /// timer 1 arms timer 5 one second on.
+    struct Arms(Vec<(f64, u32)>, Vec<(f64, u32)>);
+
+    impl Protocol for Arms {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            for &(delay, msg) in &self.0 {
+                ctx.schedule(delay, msg);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _from: RankId, msg: u32) {
+            self.1.push((ctx.now(), msg));
+            if msg == 1 {
+                ctx.schedule(1.0, 5);
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_by_time_then_arm_order() {
+        let armed = vec![(2.0, 0), (1.0, 1), (2.0, 2), (1.0, 3)];
+        let mut runner = LocalRunner::new(vec![Arms(armed, Vec::new())]);
+        assert!(!runner.run(), "a rank that never reports done stalls");
+        assert_eq!(
+            runner.into_ranks()[0].1,
+            [(1.0, 1), (1.0, 3), (2.0, 0), (2.0, 2), (2.0, 5)]
+        );
+    }
 
     #[test]
     fn local_runner_balances_and_is_deterministic() {

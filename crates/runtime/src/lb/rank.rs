@@ -543,20 +543,14 @@ impl LbRank {
     /// not fed.
     ///
     /// Any other frame that crossed the network proves the sender was
-    /// alive when it sent — cheaper and tighter than heartbeats alone. An
-    /// `ack` additionally proves the *outbound* path to the sender
-    /// delivered a frame, which is the direction the link-quality score
-    /// tracks.
-    fn hears(&mut self, now: f64, from: RankId, membership: bool, ack: bool) -> bool {
+    /// alive when it sent — cheaper and tighter than heartbeats alone.
+    fn hears(&mut self, now: f64, from: RankId, membership: bool) -> bool {
         if self.fenced.contains(&from) {
             return membership && self.cfg.partition.is_some();
         }
         if from != self.me {
             if let Some(d) = &mut self.health {
                 d.on_heartbeat(from, now);
-                if ack && self.cfg.partition.is_some() {
-                    d.on_link_outcome(from, true);
-                }
             }
         }
         true
@@ -633,14 +627,10 @@ impl LbRank {
                     // Gray-link attribution: the failure detector still
                     // vouches for the peer — its frames keep arriving —
                     // so the *path* ate this payload, not the peer.
-                    // Debit the link's quality score and reinstate the
-                    // message with a fresh retry budget instead of
-                    // declaring a live peer dead. A link that never
-                    // recovers stalls the stage, and the stage deadline
-                    // backstops that.
-                    if let Some(d) = &mut self.health {
-                        d.on_link_outcome(to, false);
-                    }
+                    // Reinstate the message with a fresh retry budget
+                    // instead of declaring a live peer dead. A link that
+                    // never recovers stalls the stage, and the stage
+                    // deadline backstops that.
                     self.rec.instant(
                         self.me.as_u32(),
                         ctx.now(),
@@ -726,10 +716,10 @@ impl Protocol for LbRank {
 
             // ---- frames off the network --------------------------------
             LbWire::Heartbeat => {
-                self.hears(now, from, false, false);
+                self.hears(now, from, false);
             }
             LbWire::Ack { seq } => {
-                if self.hears(now, from, false, true) {
+                if self.hears(now, from, false) {
                     if let Some(channel) = &mut self.channel {
                         channel.on_ack(from, seq);
                     }
@@ -738,12 +728,12 @@ impl Protocol for LbRank {
             // No sequence number to dedup. A hardened rank gets these too:
             // the View flood to the fenced, and every Knock.
             LbWire::Raw(msg) => {
-                if self.hears(now, from, is_membership(&msg), false) {
+                if self.hears(now, from, is_membership(&msg)) {
                     self.deliver(ctx, from, msg);
                 }
             }
             LbWire::Data { seq, msg } => {
-                if !self.hears(now, from, is_membership(&msg), false) {
+                if !self.hears(now, from, is_membership(&msg)) {
                     return;
                 }
                 // Always ack, even duplicates: the ack for the original
@@ -777,7 +767,7 @@ impl Protocol for LbRank {
             // Best-effort frames are simply lost.
             dam @ LbWire::Damaged { .. } => {
                 debug_assert!(!dam.verify(), "damaged frames carry a mismatched crc");
-                if self.hears(now, from, false, false) {
+                if self.hears(now, from, false) {
                     self.rec.instant(
                         self.me.as_u32(),
                         now,
@@ -836,7 +826,7 @@ mod tests {
     const ME: RankId = RankId(0);
     const PEER: RankId = RankId(1);
 
-    /// Run `f` against a [`Ctx::detached`] and hand back what it wrote:
+    /// Run `f` against a fresh [`Ctx`] and hand back what it wrote:
     /// frames as `(to, wire, bytes)` and timers as `(delay, wire)`, each
     /// in call order (the two are separate queues in every driver).
     fn on_ctx<R>(f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R) -> (R, Frames, Timers) {
@@ -845,10 +835,8 @@ mod tests {
 
     /// [`on_ctx`] at virtual time `now`.
     fn on_ctx_at<R>(now: f64, f: impl FnOnce(&mut Ctx<'_, LbWire>) -> R) -> (R, Frames, Timers) {
-        let mut frames = Vec::new();
-        let mut ctx = Ctx::detached(ME, now, &mut frames);
-        let result = f(&mut ctx);
-        let timers = ctx.take_timers();
+        let (mut frames, mut timers) = (Vec::new(), Vec::new());
+        let result = f(&mut Ctx::new(ME, now, &mut frames, &mut timers));
         (result, frames, timers)
     }
 

@@ -141,36 +141,17 @@ pub struct Ctx<'a, M> {
     me: RankId,
     now: f64,
     outbox: &'a mut Vec<(RankId, M, usize)>,
-    timers: TimerSink<'a, M>,
-}
-
-/// Where scheduled timers accumulate: a context-owned vector (detached /
-/// executor contexts) or a caller-owned buffer reused across handler
-/// invocations (the simulator's hot loop, which would otherwise pay one
-/// allocation per delivered event).
-enum TimerSink<'a, M> {
-    Owned(Vec<(f64, M)>),
-    Borrowed(&'a mut Vec<(f64, M)>),
-}
-
-impl<M> TimerSink<'_, M> {
-    #[inline]
-    fn as_mut(&mut self) -> &mut Vec<(f64, M)> {
-        match self {
-            TimerSink::Owned(v) => v,
-            TimerSink::Borrowed(v) => v,
-        }
-    }
+    timers: &'a mut Vec<(f64, M)>,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Construct a context for an executor implementation (the simulator,
-    /// the wall-clock [`crate::host`] and the zero-latency
-    /// [`crate::lb::LocalRunner`]). Timers go into a caller-owned
-    /// buffer, so a hot event loop reuses one allocation for every
-    /// handler call; the caller drains the buffer after the handler
-    /// instead of [`Ctx::take_timers`].
-    pub(crate) fn for_executor_reusing(
+    /// A context for rank `me` at time `now`. Sends go into `outbox` as
+    /// `(to, msg, bytes)` and timers into `timers` as `(delay, msg)`,
+    /// both caller-owned: an executor drains them after each handler and
+    /// reuses them for the next, and an outer protocol embedding an inner
+    /// one (as the distributed PIC application embeds the LB protocol)
+    /// wraps what they hold and re-sends it through its own context.
+    pub fn new(
         me: RankId,
         now: f64,
         outbox: &'a mut Vec<(RankId, M, usize)>,
@@ -180,21 +161,7 @@ impl<'a, M> Ctx<'a, M> {
             me,
             now,
             outbox,
-            timers: TimerSink::Borrowed(timers),
-        }
-    }
-
-    /// Construct a detached context for *protocol composition*: an outer
-    /// protocol embedding an inner one (with a different message type)
-    /// collects the inner protocol's sends in `outbox`, then wraps and
-    /// re-sends them through its own context. The embedded LB protocol
-    /// inside the distributed PIC application uses exactly this.
-    pub fn detached(me: RankId, now: f64, outbox: &'a mut Vec<(RankId, M, usize)>) -> Self {
-        Ctx {
-            me,
-            now,
-            outbox,
-            timers: TimerSink::Owned(Vec::new()),
+            timers,
         }
     }
 
@@ -222,15 +189,7 @@ impl<'a, M> Ctx<'a, M> {
     /// network statistics, and fault injection. Retransmission timeouts
     /// and stage deadlines are built on this.
     pub fn schedule(&mut self, delay: f64, msg: M) {
-        self.timers.as_mut().push((delay.max(0.0), msg));
-    }
-
-    /// Drain the timers scheduled during this handler invocation.
-    /// Executors call this after each handler; composing protocols
-    /// (outer protocol pumping an inner one through a detached context)
-    /// re-schedule the drained timers through their own context.
-    pub fn take_timers(&mut self) -> Vec<(f64, M)> {
-        std::mem::take(self.timers.as_mut())
+        self.timers.push((delay.max(0.0), msg));
     }
 }
 
@@ -453,9 +412,7 @@ impl<P: Protocol> Simulator<P> {
         // Start handlers.
         for p in 0..self.ranks.len() {
             let me = RankId::from(p);
-            let mut ctx = Ctx::for_executor_reusing(me, self.now, &mut outbox, &mut timers);
-            self.ranks[p].on_start(&mut ctx);
-            drop(ctx);
+            self.ranks[p].on_start(&mut Ctx::new(me, self.now, &mut outbox, &mut timers));
             self.flush_outbox(me, &mut outbox);
             self.flush_timers(me, &mut timers);
         }
@@ -491,10 +448,8 @@ impl<P: Protocol> Simulator<P> {
                     }
                     self.events_delivered += 1;
                     let to = ev.to.as_usize();
-                    let mut ctx =
-                        Ctx::for_executor_reusing(ev.to, self.now, &mut outbox, &mut timers);
+                    let mut ctx = Ctx::new(ev.to, self.now, &mut outbox, &mut timers);
                     self.ranks[to].on_message(&mut ctx, ev.from, ev.msg);
-                    drop(ctx);
                     self.flush_outbox(ev.to, &mut outbox);
                     self.flush_timers(ev.to, &mut timers);
                     if self.events_delivered >= next_census {
@@ -509,10 +464,8 @@ impl<P: Protocol> Simulator<P> {
                     // starting its next stage in tests).
                     for p in 0..self.ranks.len() {
                         let me = RankId::from(p);
-                        let mut ctx =
-                            Ctx::for_executor_reusing(me, self.now, &mut outbox, &mut timers);
+                        let mut ctx = Ctx::new(me, self.now, &mut outbox, &mut timers);
                         self.ranks[p].on_quiescence(&mut ctx);
-                        drop(ctx);
                         self.flush_outbox(me, &mut outbox);
                         self.flush_timers(me, &mut timers);
                     }

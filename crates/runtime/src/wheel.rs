@@ -1,13 +1,14 @@
 //! Hierarchical timer wheel: the shared future-event queue of every
 //! executor.
 //!
-//! The discrete-event simulator, the threaded executor's held-wire queue,
-//! and the socket driver's held-wire queue all used to keep their pending
-//! events in a `BinaryHeap<Reverse<…>>`. A binary heap pays `O(log n)`
-//! pointer-chasing comparisons on every push *and* pop; at simulator
-//! scale (hundreds of thousands of in-flight events) the heap shows up as
-//! a top-three cost in profiles. This module replaces all three with one
-//! timer wheel keyed by a quantized time axis:
+//! The discrete-event simulator's event queue, the wall-clock host's held
+//! timers and delay-fated copies (`runtime::host`, under the threaded
+//! executor and the TCP driver alike) and [`crate::lb::LocalRunner`]'s
+//! timers are all one of these wheels over `f64` seconds. A binary heap
+//! pays `O(log n)` pointer-chasing comparisons on every push *and* pop; at
+//! simulator scale (hundreds of thousands of in-flight events) the heap
+//! showed up as a top-three cost in profiles. The wheel keys events by a
+//! quantized time axis:
 //!
 //! * a **near wheel** of `SLOTS` buckets, each spanning one quantum of
 //!   time — push is `O(1)` bucket append for anything within the horizon;
@@ -57,7 +58,6 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Number of near-wheel buckets. Four `u64` occupancy words cover the
 /// whole wheel, which keeps "find the next non-empty bucket" a handful of
@@ -75,10 +75,13 @@ const SLOT_KEEP: usize = 64;
 
 /// A point on a wheel's time axis: totally ordered and quantizable to a
 /// bucket index against a scale.
+///
+/// Its one impl is `f64` seconds, virtual or wall-clock. The trait stays
+/// because the standalone benchmark package spells the wheel's type with
+/// the time axis as a parameter, `TimerWheel<f64, u32>`.
 pub trait WheelTime: Copy {
-    /// Scale parameters mapping a time to its quantum index (for `f64`
-    /// virtual time: the inverse quantum; for [`Instant`]: an origin and
-    /// a quantum width).
+    /// Scale parameters mapping a time to its quantum index (for `f64`:
+    /// the inverse quantum).
     type Scale;
     /// The quantum this time falls in. Must be monotone in the time.
     fn tick(self, scale: &Self::Scale) -> u64;
@@ -105,22 +108,6 @@ impl WheelTime for f64 {
     #[inline]
     fn cmp_time(self, other: Self) -> Ordering {
         self.total_cmp(&other)
-    }
-}
-
-impl WheelTime for Instant {
-    /// `(origin, quantum in nanoseconds)`.
-    type Scale = (Instant, u64);
-
-    #[inline]
-    fn tick(self, &(origin, quantum_ns): &Self::Scale) -> u64 {
-        let ns = self.saturating_duration_since(origin).as_nanos();
-        (ns / u128::from(quantum_ns)) as u64
-    }
-
-    #[inline]
-    fn cmp_time(self, other: Self) -> Ordering {
-        self.cmp(&other)
     }
 }
 
@@ -169,8 +156,8 @@ impl<T: WheelTime, V> PartialOrd for FarEntry<T, V> {
     }
 }
 
-/// The wheel. `T` is the time axis (`f64` virtual seconds or
-/// [`Instant`]), `V` the event payload.
+/// The wheel. `T` is the time axis (`f64` seconds), `V` the event
+/// payload.
 pub struct TimerWheel<T: WheelTime, V> {
     scale: T::Scale,
     /// Near wheel: bucket `tick % SLOTS`, valid while
@@ -439,71 +426,9 @@ pub(crate) struct WheelBytes {
     pub(crate) far: usize,
 }
 
-/// A queue of items held back until a wall-clock deadline: the protocol
-/// timers and delay-fated copies of the wall-clock host (`runtime::host`),
-/// under the threaded executor and the TCP socket driver alike.
-///
-/// Deadlines are bucketed at millisecond granularity; release order is
-/// exact `(deadline, hold order)` regardless of bucketing, per the
-/// [`TimerWheel`] ordering contract.
-pub struct HeldQueue<V> {
-    wheel: TimerWheel<Instant, V>,
-}
-
-/// Held-wire bucket width. Delay fault windows are specified in units of
-/// 100µs and real link emulation tolerates millisecond jitter, so 1ms
-/// buckets keep the near horizon at 256ms — past that, the far pool.
-const HELD_QUANTUM_NS: u64 = 1_000_000;
-
-impl<V> HeldQueue<V> {
-    /// An empty queue anchored at "now".
-    pub fn new() -> Self {
-        HeldQueue {
-            wheel: TimerWheel::new((Instant::now(), HELD_QUANTUM_NS)),
-        }
-    }
-
-    /// Whether no messages are held.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
-    /// Number of held messages.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Hold `item` until `when`.
-    pub fn hold(&mut self, when: Instant, item: V) {
-        self.wheel.push(when, item);
-    }
-
-    /// Release the earliest held item if its deadline has passed.
-    /// Call in a loop to drain everything due.
-    pub fn pop_due(&mut self, now: Instant) -> Option<V> {
-        match self.wheel.peek_time() {
-            Some(when) if when <= now => self.wheel.pop().map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The earliest deadline, if any — the executor's wake-early bound so
-    /// a sleeping worker re-checks exactly when the next hold matures.
-    pub fn next_deadline(&mut self) -> Option<Instant> {
-        self.wheel.peek_time()
-    }
-}
-
-impl<V> Default for HeldQueue<V> {
-    fn default() -> Self {
-        HeldQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn pops_in_time_then_fifo_order() {
@@ -647,30 +572,5 @@ mod tests {
         }
         drop(w);
         assert_eq!(Rc::strong_count(&token), 1, "leak or double-drop");
-    }
-
-    #[test]
-    fn held_queue_releases_by_deadline() {
-        let mut q: HeldQueue<&'static str> = HeldQueue::new();
-        let now = Instant::now();
-        q.hold(now + Duration::from_millis(50), "late");
-        q.hold(now, "due");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_due(now), Some("due"));
-        assert_eq!(q.pop_due(now), None, "future deadline must stay held");
-        assert_eq!(q.next_deadline(), Some(now + Duration::from_millis(50)));
-        assert_eq!(q.pop_due(now + Duration::from_millis(51)), Some("late"));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn held_queue_ties_release_in_hold_order() {
-        let mut q: HeldQueue<u32> = HeldQueue::new();
-        let when = Instant::now();
-        for i in 0..5 {
-            q.hold(when, i);
-        }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_due(when)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -401,14 +401,15 @@ fn corrupted_data_frames_are_dropped_unacked_and_redelivered() {
     let new = |me| LbRank::new(me, 2, vec![(TaskId::new(1), 2.0)], cfg, RngFactory::new(3));
     let (mut receiver, mut sender) = (new(root), new(leaf));
 
-    // Each step runs one handler against a detached context; what the
+    // Each step runs one handler against a fresh context; what the
     // rank wrote comes back as (frames, timers).
     fn step(me: RankId, f: impl FnOnce(&mut Ctx<'_, LbWire>)) -> (Vec<LbWire>, Vec<LbWire>) {
-        let mut outbox = Vec::new();
-        let mut ctx = Ctx::detached(me, 0.0, &mut outbox);
-        f(&mut ctx);
-        let timers = ctx.take_timers().into_iter().map(|(_, w)| w).collect();
-        (outbox.into_iter().map(|(_, w, _)| w).collect(), timers)
+        let (mut outbox, mut timers) = (Vec::new(), Vec::new());
+        f(&mut Ctx::new(me, 0.0, &mut outbox, &mut timers));
+        (
+            outbox.into_iter().map(|(_, w, _)| w).collect(),
+            timers.into_iter().map(|(_, w)| w).collect(),
+        )
     }
 
     // The root waits for its child; the leaf's start is one reliable
