@@ -8,10 +8,16 @@
 //! the send counters.
 //! What differs between drivers stays with them, as two closures:
 //!
-//! * `egress(from, to, msg)` — where a surviving copy goes: a peer
-//!   worker's channel, a peer process's frame queue.
+//! * `egress(from, to, msg)` — where a surviving copy for a rank on
+//!   another host goes: that worker's channel, that process's frame queue.
 //! * the per-turn stop rule — done-count and idle timeout for threads,
 //!   stop flag and deadline for sockets.
+//!
+//! Which host a rank lives on, and at which slot, is a [`Layout`]: blocks
+//! of consecutive ranks dealt round-robin over the hosts. A surviving copy
+//! for a rank this host holds — a self-send included — never meets
+//! `egress`: it joins a host-local FIFO and is delivered from there, crash
+//! gate included. The emulator rules on it like on any other send.
 //!
 //! Copies fated to a delay are held on the *sending* side — the one rule
 //! that also works across processes — and released no earlier than their
@@ -25,12 +31,15 @@
 //! tens, so a host that blocked the instant its inbox ran dry would pay
 //! the kernel once per message. After a turn that did work it polls for
 //! [`SPIN`] first and blocks only when that stays empty; a host with
-//! nothing to do goes straight back to sleep.
+//! nothing to do goes straight back to sleep. A turn ends by delivering
+//! what the local FIFO held when that sweep began, so a local chain and
+//! the inbox take turns and neither starves the other.
 
 use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::sim::{Ctx, Protocol};
 use crate::wheel::TimerWheel;
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 use tempered_core::ids::RankId;
@@ -73,6 +82,27 @@ impl IdleStats {
     }
 }
 
+/// Where ranks live: blocks of `block` consecutive ranks dealt
+/// round-robin over `hosts` hosts, each host's ranks in ascending order
+/// at dense slots. One rank per process is `block = 1, hosts = P`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Layout {
+    pub(crate) block: usize,
+    pub(crate) hosts: usize,
+}
+
+impl Layout {
+    /// The host that holds `rank`.
+    pub(crate) fn host(self, rank: usize) -> usize {
+        (rank / self.block) % self.hosts
+    }
+
+    /// Where `rank` sits among its host's ranks.
+    pub(crate) fn slot(self, rank: usize) -> usize {
+        rank / (self.block * self.hosts) * self.block + rank % self.block
+    }
+}
+
 enum Held<M> {
     /// A protocol timer, due back at the rank that scheduled it.
     Timer(RankId, M),
@@ -83,9 +113,13 @@ enum Held<M> {
 /// The ranks of one worker thread or one rank process, and the loop that
 /// runs them.
 pub(crate) struct Host<P: Protocol> {
-    /// Hosted ranks by ascending id: rank `r` sits at slot `r / stride`.
+    /// Hosted ranks by ascending id, each at its [`Layout::slot`].
     ranks: Vec<(usize, P)>,
-    stride: usize,
+    layout: Layout,
+    /// This host's index in `layout`.
+    index: usize,
+    /// Surviving copies `(from, to, msg)` for hosted ranks, in send order.
+    local: VecDeque<Inbound<P::Msg>>,
     /// Per slot: already counted by [`Host::newly_done`].
     done: Vec<bool>,
     fresh_done: usize,
@@ -100,9 +134,9 @@ pub(crate) struct Host<P: Protocol> {
 }
 
 impl<P: Protocol> Host<P> {
-    /// Host `ranks` as one of `stride` hosts that split a run's ranks
-    /// round-robin: this one owns every rank congruent to its first
-    /// modulo `stride` (a single-rank host passes the rank count).
+    /// Host `ranks`: every rank `layout` puts on the host of the first
+    /// (there is at least one), in ascending order (a single-rank host passes one-rank blocks over
+    /// as many hosts as the run has ranks).
     ///
     /// `start` is the run's time zero, which fault windows count from.
     /// Hosts of one run share it and each build their own emulator over
@@ -111,15 +145,17 @@ impl<P: Protocol> Host<P> {
     /// split reproduces the single-emulator simulator exactly.
     pub(crate) fn new(
         ranks: Vec<(usize, P)>,
-        stride: usize,
+        layout: Layout,
         start: Instant,
         plan: FaultPlan,
         recorder: Recorder,
     ) -> Self {
         Host {
             done: vec![false; ranks.len()],
+            index: layout.host(ranks[0].0),
             ranks,
-            stride,
+            layout,
+            local: VecDeque::new(),
             fresh_done: 0,
             start,
             emulator: LinkEmulator::new(plan, recorder),
@@ -161,8 +197,8 @@ impl<P: Protocol> Host<P> {
     }
 
     /// Run one handler of the rank at `slot`, then route what it produced:
-    /// sends through the emulator to `egress` (or into the held queue when
-    /// fated to a delay), timers into the held queue.
+    /// sends through the emulator to the local FIFO or `egress` (or into
+    /// the held queue when fated to a delay), timers into the held queue.
     fn turn(
         &mut self,
         slot: usize,
@@ -176,11 +212,14 @@ impl<P: Protocol> Host<P> {
         handler(rank, &mut ctx);
         for (to, msg, bytes) in self.outbox.drain(..) {
             self.stats.record(bytes);
-            let held = &mut self.held;
+            let hosted = self.layout.host(to.as_usize()) == self.index;
+            let (held, local) = (&mut self.held, &mut self.local);
             self.emulator
                 .outgoing::<P>(me, to, msg, now, wall_arrival(now), |msg, arrival| {
                     if arrival > now {
                         held.push(arrival, Held::Send(me, to, msg));
+                    } else if hosted {
+                        local.push_back((me, to, msg));
                     } else {
                         egress(me, to, msg);
                     }
@@ -214,7 +253,7 @@ impl<P: Protocol> Host<P> {
         msg: P::Msg,
         egress: &mut impl FnMut(RankId, RankId, P::Msg),
     ) {
-        let slot = to.as_usize() / self.stride;
+        let slot = self.layout.slot(to.as_usize());
         debug_assert_eq!(self.ranks[slot].0, to.as_usize(), "routed to its host");
         let now = self.now();
         if self.emulator.admit(from, to, now) {
@@ -232,6 +271,9 @@ impl<P: Protocol> Host<P> {
             let (_, item) = self.held.pop().expect("peeked entry exists");
             match item {
                 Held::Timer(me, msg) => self.deliver(me, me, msg, egress),
+                Held::Send(from, to, msg) if self.layout.host(to.as_usize()) == self.index => {
+                    self.local.push_back((from, to, msg));
+                }
                 Held::Send(from, to, msg) => egress(from, to, msg),
             }
             fired += 1;
@@ -280,10 +322,11 @@ impl<P: Protocol> Host<P> {
         inbox.recv_timeout(left)
     }
 
-    /// Start the hosted ranks, then serve `inbox` until `stop` says so
-    /// (or every sender is gone). `stop` is consulted after each turn of
-    /// the loop with how long the host has been idle — zero when the turn
-    /// received a message or released a held entry.
+    /// Start the hosted ranks, then serve `inbox`, the held queue and the
+    /// local FIFO until `stop` says so (or every sender is gone). `stop`
+    /// is consulted after each turn of the loop with how long the host
+    /// has been idle — zero when the turn received a message, released a
+    /// held entry or delivered a local copy.
     pub(crate) fn run(
         &mut self,
         inbox: &Receiver<Inbound<P::Msg>>,
@@ -293,11 +336,17 @@ impl<P: Protocol> Host<P> {
         self.start(&mut egress);
         let mut idle = Duration::ZERO;
         loop {
-            // Wake early if a held entry comes due before the tick.
+            // Local copies left over from the last sweep mean no wait;
+            // otherwise wake early if a held entry comes due before the
+            // tick.
             let began = Instant::now();
-            let wait = self.held.peek_time().map_or(TICK, |due| {
-                Duration::from_secs_f64((due - self.now()).clamp(0.0, TICK.as_secs_f64()))
-            });
+            let wait = if !self.local.is_empty() {
+                Duration::ZERO
+            } else {
+                self.held.peek_time().map_or(TICK, |due| {
+                    Duration::from_secs_f64((due - self.now()).clamp(0.0, TICK.as_secs_f64()))
+                })
+            };
             let received = match self.receive(inbox, wait, idle.is_zero()) {
                 Ok((from, to, msg)) => {
                     self.deliver(from, to, msg, &mut egress);
@@ -314,7 +363,14 @@ impl<P: Protocol> Host<P> {
                 Err(RecvTimeoutError::Disconnected) => return,
             };
             let fired = self.fire_due(&mut egress);
-            idle = if received || fired > 0 {
+            // One sweep: what was queued locally when it began, so a
+            // local ping-pong cannot shut out the inbox or a due timer.
+            let swept = self.local.len();
+            for _ in 0..swept {
+                let (from, to, msg) = self.local.pop_front().expect("counted above");
+                self.deliver(from, to, msg, &mut egress);
+            }
+            idle = if received || fired > 0 || swept > 0 {
                 Duration::ZERO
             } else {
                 // The time actually waited, so the stop rules' timeouts
@@ -366,9 +422,22 @@ mod tests {
 
     /// Rank 0 alone on a host of a two-rank run.
     fn host(rank: Stub, plan: FaultPlan) -> Host<Stub> {
+        let one_each = Layout { block: 1, hosts: 2 };
         Host::new(
             vec![(0, rank)],
-            2,
+            one_each,
+            Instant::now(),
+            plan,
+            Recorder::disabled(),
+        )
+    }
+
+    /// Ranks 0 and 1 of a two-rank run, on one host.
+    fn pair(rank0: Stub, plan: FaultPlan) -> Host<Stub> {
+        let together = Layout { block: 1, hosts: 1 };
+        Host::new(
+            vec![(0, rank0), (1, Stub::default())],
+            together,
             Instant::now(),
             plan,
             Recorder::disabled(),
@@ -510,20 +579,103 @@ mod tests {
         assert_eq!(faults.crash_dropped, 2);
     }
 
-    /// Run `h` on an inbox only its own egress feeds, until it has been
-    /// idle for `quiet`: how many turns the loop took, and the host.
+    /// Run `h` on an inbox no one else writes to, with an egress that
+    /// panics, until it has been idle for `quiet`: how many turns the
+    /// loop took, and the host.
     fn run_alone(mut h: Host<Stub>, quiet: Duration) -> (u64, Host<Stub>) {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (_tx, rx) = std::sync::mpsc::channel();
         let mut turns = 0;
         h.run(
             &rx,
-            |from, to, msg| tx.send((from, to, msg)).expect("the inbox is open"),
+            |_, _, _| panic!("a copy for a hosted rank left the host"),
             |_, idle| {
                 turns += 1;
                 idle >= quiet
             },
         );
         (turns, h)
+    }
+
+    #[test]
+    fn copies_for_hosted_ranks_never_meet_egress() {
+        let quiet = Duration::from_millis(20);
+        let (r0, r1) = (RankId::new(0), RankId::new(1));
+        // Rank 0 to rank 1, both on one host.
+        let rank0 = Stub {
+            send: Some(7),
+            ..Stub::default()
+        };
+        let (_, h) = run_alone(pair(rank0, FaultPlan::none()), quiet);
+        let (ranks, network, _, _) = h.finish();
+        assert_eq!(ranks[1].1.got, [(r0, 7)]);
+        assert_eq!(network.messages, 1);
+
+        // Rank 1 alone on its host sends to itself.
+        let rank1 = Stub {
+            send: Some(7),
+            ..Stub::default()
+        };
+        let alone = Layout { block: 1, hosts: 2 };
+        let h = Host::new(
+            vec![(1, rank1)],
+            alone,
+            Instant::now(),
+            FaultPlan::none(),
+            Recorder::disabled(),
+        );
+        let (_, h) = run_alone(h, quiet);
+        assert_eq!(h.finish().0[0].1.got, [(r1, 7)]);
+
+        // A delay-fated copy is held, then delivered on the host.
+        let began = Instant::now();
+        let plan = FaultPlan {
+            links: delayed(51.0),
+            ..FaultPlan::none()
+        };
+        let rank0 = Stub {
+            send: Some(7),
+            ..Stub::default()
+        };
+        let (_, h) = run_alone(pair(rank0, plan), quiet);
+        let (ranks, _, faults, _) = h.finish();
+        assert_eq!(ranks[1].1.got, [(r0, 7)]);
+        assert_eq!(faults.link_delayed, 1);
+        assert!(began.elapsed() >= 50 * PARALLEL_DELAY_UNIT);
+    }
+
+    #[test]
+    fn a_local_chain_starves_neither_the_inbox_nor_a_due_timer() {
+        // Rank 0 passes a countdown to itself, one local hop a turn. Ten
+        // turns in, a message lands in its inbox and a timer comes due.
+        const CHAIN: u32 = 1_000;
+        let (me, peer) = (RankId::new(0), RankId::new(1));
+        let rank = Stub {
+            timers: vec![(0.0, CHAIN)],
+            relay: true,
+            ..Stub::default()
+        };
+        let mut h = host(rank, FaultPlan::none());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut turns = 0;
+        h.run(
+            &rx,
+            |_, _, _| panic!("a self-send left the host"),
+            |h, idle| {
+                turns += 1;
+                if turns == 10 {
+                    tx.send((peer, me, 0)).expect("the inbox is open");
+                    h.held.push(h.now(), Held::Timer(me, 0));
+                }
+                idle >= Duration::from_millis(20)
+            },
+        );
+        let got = &h.finish().0[0].1.got;
+        assert_eq!(got.len(), CHAIN as usize + 3);
+        // The chain ends on a 0 of its own; the timer's 0 comes first.
+        let at = |entry| got.iter().position(|&e| e == entry).expect("delivered");
+        let (inbox, timer) = (at((peer, 0)), at((me, 0)));
+        assert!(inbox <= 12, "the inbox waited {inbox} deliveries");
+        assert!(timer <= 12, "the timer waited {timer} deliveries");
     }
 
     #[test]
@@ -543,9 +695,9 @@ mod tests {
     #[test]
     fn work_rearms_the_spin() {
         // Long after the first turn's spin the timer hands the rank a 1,
-        // which it passes on to itself through egress as a 0. The turn
-        // after finds that in the inbox at once; the turn after that is
-        // the first to come up empty behind work, and spins.
+        // which it passes on to itself as a 0 through the local queue, and
+        // the same turn's sweep delivers that. The turn after is the
+        // first to come up empty behind work, and spins.
         let rank = Stub {
             timers: vec![(5e-3, 1)],
             relay: true,

@@ -16,11 +16,14 @@
 //! main thread       crate::host::Host hosting the one LbRank
 //! ```
 //!
-//! The main thread runs the loop a parallel worker runs, `Host::run`:
-//! sends pass through the emulator at send time (per-link fault ordinals
-//! are keyed by the sending rank, so per-process emulators reproduce the
-//! single-emulator simulator), delay fates hold messages back on the
-//! *sender* side, and crash windows gate admission at delivery time.
+//! The main thread runs the loop a parallel worker runs, `Host::run`, as
+//! a host of one rank (a layout of one-rank blocks over one host per
+//! rank, so a self-send stays in the host and egress only frames for
+//! peers): sends pass through the emulator at send time (per-link fault
+//! ordinals are keyed by the sending rank, so per-process emulators
+//! reproduce the single-emulator simulator), delay fates hold messages
+//! back on the *sender* side, and crash windows gate admission at
+//! delivery time.
 //! Only the byte pumps, the frame egress and the stop rule live here.
 //! Real TCP loss — a reset mid-run, a peer not yet listening — is
 //! absorbed by reconnect-with-backoff below and the rank's reliable
@@ -45,7 +48,7 @@ use super::messages::LbWire;
 use super::rank::LbRank;
 use crate::crc::crc32;
 use crate::fault::{FaultPlan, FaultStats};
-use crate::host::{Host, Inbound};
+use crate::host::{Host, Inbound, Layout};
 use crate::sim::Protocol;
 use rand::Rng;
 use std::io::{ErrorKind, Read, Write};
@@ -262,7 +265,10 @@ pub fn run_socket_rank(
     let halt = Arc::new(AtomicBool::new(false));
     let mut host = Host::new(
         vec![(me.as_usize(), rank)],
-        num_ranks,
+        Layout {
+            block: 1,
+            hosts: num_ranks,
+        },
         start,
         cfg.fault_plan,
         tempered_obs::Recorder::disabled(),
@@ -314,15 +320,10 @@ pub fn run_socket_rank(
 
         host.run(
             &in_rx,
-            |_, to, msg| match &out_tx[to.as_usize()] {
-                Some(peer) => {
-                    let _ = peer.send(encode_frame(&msg));
-                }
-                // No queue to ourselves: a (rare) self-send is delivered
-                // on the next loop turn.
-                None => {
-                    let _ = in_tx.send((me, me, msg));
-                }
+            // The host keeps a self-send; egress only ever names a peer.
+            |_, to, msg| {
+                let peer = out_tx[to.as_usize()].as_ref().expect("a peer's queue");
+                let _ = peer.send(encode_frame(&msg));
             },
             |host, _idle| {
                 if host.newly_done() > 0 {

@@ -11,13 +11,15 @@
 //!   queue and the wall-clock host's held queue, with a deterministic
 //!   `(time, push order)` pop order.
 //! * `host` (crate-private) — the one wall-clock driver loop: clock,
-//!   emulator, held queue, handler buffers, and a receive loop that
-//!   spins briefly before it parks. A driver adds where a surviving copy
-//!   goes and when to stop.
+//!   emulator, held queue, handler buffers, a local queue for copies
+//!   between its own ranks, and a receive loop that spins briefly before
+//!   it parks. A driver adds where a copy for another host goes and when
+//!   to stop.
 //! * [`parallel`] — multi-threaded executor running the *same* protocols
-//!   with real concurrency: ranks sharded over worker threads, one host
-//!   each, `std::sync::mpsc` channels between them. Stress-tests protocol
-//!   correctness under arbitrary interleavings.
+//!   with real concurrency: ranks dealt to worker threads in blocks of
+//!   consecutive ids, one host each, `std::sync::mpsc` channels between
+//!   them. Stress-tests protocol correctness under arbitrary
+//!   interleavings.
 //! * [`termination`] — Mattern four-counter wave termination detection,
 //!   the mechanism sequencing the barrier-free gossip protocol (§IV-B).
 //! * [`collective`] — binary-tree reduce/broadcast used for the load
