@@ -72,6 +72,8 @@ pub struct Cmf {
     /// Cumulative (unnormalized) weights, parallel to `ranks`;
     /// `cumulative.last()` is the normalizer `z`.
     cumulative: Vec<f64>,
+    /// The scale `ℓ_s` the weights were computed against.
+    scale: Load,
 }
 
 impl Cmf {
@@ -96,20 +98,65 @@ impl Cmf {
     /// on this to cache the CMF across candidates without perturbing
     /// sampled targets.
     pub fn rebuild(&mut self, knowledge: &Knowledge, l_ave: Load, kind: CmfKind) -> bool {
-        self.ranks.clear();
-        self.cumulative.clear();
-        let l_s = match kind {
+        self.scale = match kind {
             CmfKind::Original => l_ave,
             CmfKind::Modified => knowledge.max_known_load().map_or(l_ave, |m| m.max(l_ave)),
         };
-        if l_s.is_zero() {
+        self.fill_from(knowledge, 0)
+    }
+
+    /// Bring this CMF up to date after `rank`'s estimate in `knowledge`
+    /// rose (Algorithm 2 line 12), with the same result as
+    /// [`Cmf::rebuild`], bit for bit, at a fraction of its work.
+    ///
+    /// `knowledge` must be in rank order, as the transfer stage keeps it,
+    /// so the entries before `rank` are the CMF's prefix of ranks below
+    /// `rank`: their weights, and the running sum at their end, are
+    /// unchanged, and only the suffix from `rank` on is recomputed. The
+    /// exception is a raised scale: estimates only rise, so under
+    /// [`CmfKind::Modified`] the new scale is `max(ℓ_s, estimate)` without
+    /// a rescan, and when it moves every weight does and the CMF is
+    /// refilled from the start. A `rank` that `knowledge` does not hold
+    /// changes nothing.
+    pub fn raise(&mut self, knowledge: &Knowledge, kind: CmfKind, rank: RankId) -> bool {
+        debug_assert!(
+            knowledge.is_canonical(),
+            "raise needs knowledge in rank order"
+        );
+        let Ok(at) = knowledge.ranks().binary_search(&rank) else {
+            return !self.ranks.is_empty();
+        };
+        let estimate = knowledge.loads()[at];
+        if kind == CmfKind::Modified && estimate > self.scale {
+            self.scale = estimate;
+            return self.fill_from(knowledge, 0);
+        }
+        let keep = self.ranks.partition_point(|&r| r < rank);
+        self.ranks.truncate(keep);
+        self.cumulative.truncate(keep);
+        self.fill_from(knowledge, at)
+    }
+
+    /// Recompute the entries from `knowledge`'s `start`-th on against
+    /// `self.scale`, continuing the running sum of those kept. Returns
+    /// whether the support is non-empty.
+    fn fill_from(&mut self, knowledge: &Knowledge, start: usize) -> bool {
+        if start == 0 {
+            self.ranks.clear();
+            self.cumulative.clear();
+        }
+        if self.scale.is_zero() {
             return false;
         }
-        self.ranks.reserve(knowledge.len());
-        self.cumulative.reserve(knowledge.len());
-        let mut acc = 0.0f64;
-        for (rank, load) in knowledge.entries() {
-            let w = 1.0 - load.get() / l_s.get();
+        let l_s = self.scale.get();
+        self.ranks.reserve(knowledge.len() - start);
+        self.cumulative.reserve(knowledge.len() - start);
+        let mut acc = self.cumulative.last().copied().unwrap_or(0.0);
+        for (&rank, load) in knowledge.ranks()[start..]
+            .iter()
+            .zip(&knowledge.loads()[start..])
+        {
+            let w = 1.0 - load.get() / l_s;
             if w > 0.0 {
                 acc += w;
                 self.ranks.push(rank);
@@ -117,6 +164,14 @@ impl Cmf {
             }
         }
         !self.ranks.is_empty()
+    }
+
+    /// The cumulative (unnormalized) weights, parallel to
+    /// [`Cmf::support`]; the last is the normalizer `z`. Test accessor:
+    /// the reference tests compare a kept CMF with a fresh build bit for
+    /// bit through it.
+    pub fn cumulative(&self) -> &[f64] {
+        &self.cumulative
     }
 
     /// The selectable ranks (strictly positive weight).

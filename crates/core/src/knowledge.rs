@@ -35,6 +35,7 @@
 
 use crate::ids::RankId;
 use crate::load::Load;
+use std::sync::Arc;
 
 /// Sets up to this size answer membership by scanning the dense rank
 /// array; larger sets switch to the bitset. Scanning 32 × 4-byte ids is
@@ -136,8 +137,11 @@ impl Knowledge {
         if !self.bits.is_empty() {
             self.set_bit(rank);
         } else if self.ranks.len() >= SCAN_MAX {
-            // Outgrew the scan threshold: build the bitset once, covering
-            // every existing member plus the newcomer.
+            // Outgrew the scan threshold: build the bitset once, sized
+            // for the highest member, covering every existing member plus
+            // the newcomer.
+            let top = self.ranks.iter().fold(rank, |top, &r| top.max(r));
+            self.bits = vec![0; (top.as_usize() >> 6) + 1];
             for i in 0..self.ranks.len() {
                 let r = self.ranks[i];
                 self.set_bit(r);
@@ -256,37 +260,54 @@ impl Knowledge {
         if self.sorted {
             return;
         }
-        let mut pairs: Vec<(RankId, Load)>;
-        if self.bits.is_empty() {
-            pairs = self.entries().collect();
-            pairs.sort_unstable_by_key(|&(r, _)| r);
-        } else {
-            pairs = vec![(RankId::new(0), Load::ZERO); self.len()];
-            // `below[w]` = members in words before `w`.
-            let mut members = 0usize;
-            let below: Vec<usize> = self
-                .bits
-                .iter()
-                .map(|word| {
-                    let before = members;
-                    members += word.count_ones() as usize;
-                    before
-                })
-                .collect();
-            // Ranks are distinct, so the indices are a permutation of
-            // `0..len` and every slot of `pairs` is overwritten.
-            for (r, l) in self.entries() {
-                let i = r.as_usize();
-                let low_mask = (1u64 << (i & 63)) - 1;
-                let at = below[i >> 6] + (self.bits[i >> 6] & low_mask).count_ones() as usize;
-                pairs[at] = (r, l);
-            }
-        }
-        for (i, (r, l)) in pairs.into_iter().enumerate() {
+        let pairs = self.pairs_in_rank_order();
+        for (i, &(r, l)) in pairs.iter().enumerate() {
             self.ranks[i] = r;
-            self.loads[i] = l;
+            self.loads[i] = Load(l);
         }
         self.sorted = true;
+    }
+
+    /// The `(rank, load)` pairs in ascending rank order, as one shared
+    /// allocation: a gossip payload, and the scratch
+    /// [`Knowledge::canonicalize`] orders the set through. The set itself
+    /// keeps its order. A canonical set is copied straight in and a set
+    /// on the bitset path is scattered straight into place; only a small
+    /// unsorted one (at most `SCAN_MAX` entries) is sorted in a vector
+    /// first.
+    pub fn pairs_in_rank_order(&self) -> Arc<[(RankId, f64)]> {
+        let pair = |(r, l): (RankId, Load)| (r, l.get());
+        if self.sorted {
+            return self.entries().map(pair).collect();
+        }
+        if self.bits.is_empty() {
+            let mut pairs: Vec<(RankId, f64)> = self.entries().map(pair).collect();
+            pairs.sort_unstable_by_key(|&(r, _)| r);
+            return pairs.into();
+        }
+        let mut pairs: Arc<[(RankId, f64)]> =
+            std::iter::repeat_n((RankId::new(0), 0.0), self.len()).collect();
+        let slots = Arc::get_mut(&mut pairs).expect("a new allocation is not shared");
+        // `below[w]` = members in words before `w`.
+        let mut members = 0usize;
+        let below: Vec<usize> = self
+            .bits
+            .iter()
+            .map(|word| {
+                let before = members;
+                members += word.count_ones() as usize;
+                before
+            })
+            .collect();
+        // Ranks are distinct, so the indices are a permutation of
+        // `0..len` and every slot is overwritten.
+        for (r, l) in self.entries() {
+            let i = r.as_usize();
+            let low_mask = (1u64 << (i & 63)) - 1;
+            let at = below[i >> 6] + (self.bits[i >> 6] & low_mask).count_ones() as usize;
+            slots[at] = (r, l.get());
+        }
+        pairs
     }
 }
 
@@ -493,5 +514,26 @@ mod tests {
         assert!(!big.bits.is_empty(), "a large set keeps a bitset");
         assert_eq!(big.heap_bytes(), want);
         assert!(want >= 200 * 12);
+    }
+
+    #[test]
+    fn pairs_come_out_in_rank_order_and_the_set_keeps_its_own() {
+        // Small and unsorted, on the bitset path and unsorted, and
+        // canonical: the payload is the canonical set's entries each time.
+        for n in [5u32, 200] {
+            let ranks: Vec<u32> = (0..n).map(|i| (i * 173 + 11) % 401).collect();
+            let a: Knowledge = ranks
+                .iter()
+                .map(|&r| (RankId::new(r), Load::new(f64::from(r) + 0.5)))
+                .collect();
+            assert!(!a.is_canonical());
+            let mut canonical = a.clone();
+            canonical.canonicalize();
+            let want: Vec<(RankId, f64)> = canonical.entries().map(|(r, l)| (r, l.get())).collect();
+            assert_eq!(*a.pairs_in_rank_order(), *want);
+            assert_eq!(*canonical.pairs_in_rank_order(), *want);
+            let order: Vec<u32> = a.entries().map(|(r, _)| r.as_u32()).collect();
+            assert_eq!(order, ranks, "the set is not reordered");
+        }
     }
 }

@@ -115,13 +115,15 @@ pub fn transfer_stage(
     // Line 5 / line 7: the CMF is a pure function of (knowledge, l_ave,
     // cfg.cmf), and knowledge changes only when a proposal is accepted
     // (line 12), so the per-candidate rebuild of the modified behaviour
-    // (§V-A change 3) only has real work to do after an acceptance. The
-    // rebuild reuses one scratch CMF and produces bit-identical floats,
-    // so sampled targets and RNG consumption match a naive per-candidate
-    // `Cmf::build` exactly.
+    // (§V-A change 3) only has real work to do after an acceptance — and
+    // then only from the recipient's position in the rank-ordered
+    // knowledge on, unless its new estimate raised the scale
+    // ([`Cmf::raise`]). The kept CMF is bit-identical to a fresh
+    // `Cmf::build` over the current estimates, so sampled targets and RNG
+    // consumption match a naive per-candidate rebuild exactly.
     let mut cmf = Cmf::default();
     let mut viable = cmf.rebuild(knowledge, l_ave, cfg.cmf);
-    let mut stale = false;
+    let mut raised = None;
 
     let threshold = l_ave * cfg.threshold_h;
     let mut n = 0usize;
@@ -129,9 +131,10 @@ pub fn transfer_stage(
     while l_p > threshold && n < order.len() {
         // Line 7: modified behaviour rebuilds the CMF each candidate so
         // the updated local estimates are reflected.
-        if cfg.recompute_cmf && stale {
-            viable = cmf.rebuild(knowledge, l_ave, cfg.cmf);
-            stale = false;
+        if cfg.recompute_cmf {
+            if let Some(recipient) = raised.take() {
+                viable = cmf.raise(knowledge, cfg.cmf, recipient);
+            }
         }
         if !viable {
             // No viable recipient under the current estimates: nothing
@@ -158,7 +161,7 @@ pub fn transfer_stage(
         if cfg.criterion.evaluate(l_x, o_x.load, l_ave, l_p) {
             // Lines 12–16: update local estimates and record the proposal.
             knowledge.add_to_load(p_x, o_x.load);
-            stale = true;
+            raised = Some(p_x);
             l_p -= o_x.load;
             outcome.proposals.push(Migration {
                 task: o_x.id,

@@ -4,6 +4,11 @@
 //! recipient for the same RNG stream. This is the contract that let the
 //! `BTreeMap`-shaped knowledge/CMF path be replaced by dense arrays
 //! without perturbing a single sampled transfer target.
+//!
+//! The transfer stage keeps one CMF across its loop and brings it up to
+//! date after each accepted proposal with [`Cmf::raise`] instead of
+//! rebuilding it; that kept CMF is pinned to a fresh [`Cmf::build`] the
+//! same way, bit for bit.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -109,6 +114,44 @@ proptest! {
                 d.map(|c| c.support().len()),
                 r.map(|c| c.ranks.len()),
             ),
+        }
+    }
+
+    #[test]
+    fn a_raised_cmf_matches_a_fresh_build(
+        pairs in pairs_strategy(),
+        l_ave in 0.0f64..1.5,
+        kind in any::<bool>().prop_map(|b| if b { CmfKind::Original } else { CmfKind::Modified }),
+        bumps in prop::collection::vec((0usize..80, any::<bool>(), 0.0f64..1.0), 1..24),
+        seed in 0u64..1000,
+    ) {
+        let mut knowledge: Knowledge = pairs
+            .iter()
+            .map(|&(r, l)| (RankId::new(r), Load::new(l)))
+            .collect();
+        knowledge.canonicalize();
+        let l_ave = Load::new(l_ave);
+        let mut kept = Cmf::default();
+        kept.rebuild(&knowledge, l_ave, kind);
+        let factory = RngFactory::new(seed);
+        for (at, zero, delta) in bumps {
+            // Line 12 bumps the recipient's estimate, then the loop asks
+            // the kept CMF for the next candidate.
+            let rank = knowledge.ranks()[at % knowledge.len()];
+            let delta = if zero { 0.0 } else { delta };
+            knowledge.add_to_load(rank, Load::new(delta));
+            let viable = kept.raise(&knowledge, kind, rank);
+            let fresh = Cmf::build(&knowledge, l_ave, kind);
+            prop_assert_eq!(viable, fresh.is_some());
+            let Some(fresh) = fresh else { continue };
+            prop_assert_eq!(kept.support(), fresh.support());
+            let bits = |c: &Cmf| c.cumulative().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&kept), bits(&fresh));
+            let mut s1 = factory.rank_stream(b"cmf-raise", 0, 0);
+            let mut s2 = factory.rank_stream(b"cmf-raise", 0, 0);
+            for _ in 0..8 {
+                prop_assert_eq!(kept.sample(&mut s1), fresh.sample(&mut s2));
+            }
         }
     }
 }

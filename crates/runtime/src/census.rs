@@ -46,7 +46,9 @@ pub enum Owner {
     /// Membership and failure detection: dead sets, fenced sets, the
     /// heartbeat detector.
     Membership,
-    /// Reused buffers: command and send buffers, the census's own.
+    /// Reused buffers: the executor's send and timer buffers, the
+    /// census's own. The one per-thread buffer of engine commands that
+    /// `LbRank` drains per delivery is not counted.
     Scratch,
     /// Each rank's protocol struct itself, in the simulator's rank vector.
     RankInline,

@@ -95,10 +95,6 @@ pub(super) struct GossipState {
     pub(super) rng: SmallRng,
 }
 
-fn pairs_of(k: &Knowledge) -> std::sync::Arc<[(RankId, f64)]> {
-    k.entries().map(|(r, l)| (r, l.get())).collect()
-}
-
 /// [`TargetExclusions`] restricted to the membership view's survivors:
 /// dead ranks count as already-known, so the fanout draw resamples over
 /// live ranks only. In the initial view (nobody dead) this is exactly
@@ -186,10 +182,9 @@ impl GossipEngine {
 
         let mut sends = Vec::new();
         if sending {
-            // Only a sender's set is read here, and only a sender's can
-            // have left rank order: it grew since it was last canonical.
-            gs.knowledge.canonicalize();
-            let pairs = pairs_of(&gs.knowledge);
+            // The payload goes out in rank order; the set itself is put
+            // in order only by a rank about to run the transfer stage.
+            let pairs = gs.knowledge.pairs_in_rank_order();
             let mut targets = Vec::new();
             let exclusions = LiveTargets {
                 knowledge: &gs.knowledge,

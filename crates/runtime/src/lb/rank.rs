@@ -27,10 +27,11 @@
 use super::config::LbProtocolConfig;
 use super::engine::{Command, GossipEngine};
 use super::messages::{payload_bytes, LbMsg, LbWire, TaskEntry, SEQ_OVERHEAD_BYTES};
-use crate::census::{btree_set_bytes, vec_bytes, HeapCensus, Owner};
+use crate::census::{btree_set_bytes, HeapCensus, Owner};
 use crate::health::HealthDetector;
 use crate::reliable::{ReliableChannel, ReliableStats, RetryAction, SeqSetView};
 use crate::sim::{Ctx, Protocol};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::{RankId, TaskId};
@@ -53,6 +54,13 @@ pub struct DeliveryAudit {
 /// has fenced (see [`LbRank::hears`]).
 fn is_membership(msg: &LbMsg) -> bool {
     matches!(msg, LbMsg::Knock | LbMsg::View { .. } | LbMsg::Heal { .. })
+}
+
+thread_local! {
+    /// The engine commands of the message being delivered. A delivery
+    /// drains them before the next one starts, so one buffer a thread
+    /// serves every rank that thread runs, instead of one a rank.
+    static COMMANDS: Cell<Vec<Command>> = const { Cell::new(Vec::new()) };
 }
 
 /// The per-rank protocol actor: engine + delivery state + driver glue.
@@ -101,11 +109,6 @@ pub struct LbRank {
     parked_seen: bool,
     park_seq: u64,
 
-    // Reusable buffer for the per-message hot path: engine commands are
-    // drained in place instead of allocating a fresh `Vec` per delivered
-    // message.
-    scratch_cmds: Vec<Command>,
-
     // Observability.
     rec: Recorder,
     /// Currently open stage/round span: `(start ts, kind)`. Closed (and
@@ -143,7 +146,6 @@ impl LbRank {
             fenced: BTreeSet::new(),
             parked_seen: false,
             park_seq: 0,
-            scratch_cmds: Vec::new(),
             rec: Recorder::disabled(),
             open_span: None,
         }
@@ -583,12 +585,11 @@ impl LbRank {
                 return;
             }
         }
-        let mut commands = std::mem::take(&mut self.scratch_cmds);
+        let mut commands = COMMANDS.take();
         self.engine.on_message(&mut commands, from, msg);
         self.apply_view(ctx.now());
         self.run_commands(ctx, &mut commands);
-        commands.clear();
-        self.scratch_cmds = commands;
+        COMMANDS.set(commands);
         self.sync_park(ctx);
     }
 
@@ -795,7 +796,6 @@ impl Protocol for LbRank {
             Owner::Membership,
             btree_set_bytes(&self.fenced) + self.health.as_ref().map_or(0, |h| h.heap_bytes()),
         );
-        census.add(Owner::Scratch, vec_bytes(&self.scratch_cmds));
     }
 
     fn msg_heap_census(msg: &LbWire, census: &mut HeapCensus) {

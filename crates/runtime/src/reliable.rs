@@ -188,17 +188,27 @@ struct Pending<M> {
     attempts: u32,
 }
 
-/// Sender-side state for one destination.
+/// Sender-side state for one destination: two 32-bit watermarks, so a
+/// table slot with its key is 12 bytes.
 #[derive(Clone, Copy, Debug, Default)]
 struct OutLink {
     /// Last sequence number stamped toward this peer.
-    next_seq: u64,
+    next_seq: u32,
     /// The peer's acknowledged watermark plus one: `1..acked` are all
     /// acknowledged. Zero until the peer acknowledges anything — even a
     /// zero or out-of-order seq — so a peer that was only ever sent to
     /// stays out of the acked ledger.
-    acked: u64,
+    acked: u32,
 }
+
+/// Highest acknowledged watermark an [`OutLink`] stores (its `acked` is
+/// the watermark plus one); an acknowledgement above it waits in the
+/// acked spill.
+const ACKED_LIMIT: u64 = u32::MAX as u64 - 1;
+
+/// Highest seen watermark a slot stores; an arrival above it waits in the
+/// seen spill.
+const SEEN_LIMIT: u64 = u32::MAX as u64;
 
 /// Per-rank reliable-delivery state over message type `M`.
 ///
@@ -209,8 +219,15 @@ struct OutLink {
 /// waits in that direction's spill, one rank-sorted vector per rank, until
 /// the arrival that makes it contiguous absorbs it. Latency jitter keeps
 /// the spill to a handful of entries and in fault-free steady state it is
-/// empty, so a peer costs one table slot per direction (20 and 12 bytes)
+/// empty, so a peer costs one table slot per direction (12 and 8 bytes)
 /// instead of a set.
+///
+/// The watermarks are 32-bit while the API's sequence numbers are 64-bit:
+/// four billion messages on one link is far beyond any run, and a
+/// sequence number above a slot's limit (a forged or damaged one off the
+/// wire) still gets exact set semantics — it waits in its direction's
+/// 64-bit spill like any other out-of-order arrival, and the watermark
+/// never advances past what it can hold.
 ///
 /// The tables are open-addressed (see `PeerTable`) rather than std hash
 /// maps or dense rank-indexed arrays: every data message costs several
@@ -248,7 +265,7 @@ pub struct ReliableChannel<M> {
     /// Unacknowledged messages to every destination, oldest first.
     window: VecDeque<Pending<M>>,
     /// Receiver-side dedup watermark per source rank.
-    seen: PeerTable<u64>,
+    seen: PeerTable<u32>,
     /// Accepted sequence numbers beyond their source's `seen` watermark,
     /// as `(source, seq)` sorted ascending.
     seen_spill: Vec<(RankId, u64)>,
@@ -259,19 +276,19 @@ pub struct ReliableChannel<M> {
     pub stats: ReliableStats,
 }
 
-/// Sparse per-peer table: open addressing over a power-of-two slot
-/// array with a fixed multiplicative hash. Memory stays proportional to
-/// the peers this rank has actually contacted (a few hundred at most
-/// under the gossip fanout) while a hit costs one multiply and, in the
-/// common case, a single probe — matching the dense layout's speed
-/// without its O(P)-per-rank footprint. The fixed hash, and snapshots
-/// that sort what they read, keep behavior bit-deterministic.
+/// Sparse per-peer table: open addressing over a power-of-two array of
+/// `(key, value)` slots with a fixed multiplicative hash. Memory stays
+/// proportional to the peers this rank has actually contacted (a few
+/// hundred at most under the gossip fanout) while a hit costs one multiply
+/// and, in the common case, a single probe that reads the key and its
+/// value from one cache line — matching the dense layout's speed without
+/// its O(P)-per-rank footprint. The fixed hash, and snapshots that sort
+/// what they read, keep behavior bit-deterministic.
 #[derive(Clone, Debug, Default)]
 struct PeerTable<T> {
-    /// Slot keys; `EMPTY` marks an unused slot. Length is a power of two.
-    keys: Vec<u32>,
-    /// Values parallel to `keys` (default-initialized in empty slots).
-    vals: Vec<T>,
+    /// Slots; a key of `EMPTY` marks an unused one (its value is the
+    /// default). Length is a power of two.
+    slots: Vec<(u32, T)>,
     /// Occupied slot count.
     len: usize,
 }
@@ -279,14 +296,14 @@ struct PeerTable<T> {
 /// Unused-slot sentinel: rank ids are dense small integers, never this.
 const EMPTY: u32 = u32::MAX;
 
-impl<T: Default> PeerTable<T> {
+impl<T: Copy + Default> PeerTable<T> {
     /// Probe for `r`, returning its slot index or the empty slot where
     /// it belongs. Requires a non-empty table.
     fn probe(&self, r: u32) -> usize {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = r.wrapping_mul(0x9E37_79B9) as usize & mask;
         loop {
-            let k = self.keys[i];
+            let k = self.slots[i].0;
             if k == r || k == EMPTY {
                 return i;
             }
@@ -296,35 +313,29 @@ impl<T: Default> PeerTable<T> {
 
     /// Double the slot array and re-place every occupied entry.
     fn grow(&mut self) {
-        let new_cap = (self.keys.len() * 2).max(16);
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_vals = std::mem::replace(
-            &mut self.vals,
-            std::iter::repeat_with(T::default).take(new_cap).collect(),
-        );
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        let new_cap = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, T::default()); new_cap]);
+        for (k, v) in old {
             if k != EMPTY {
                 let i = self.probe(k);
-                self.keys[i] = k;
-                self.vals[i] = v;
+                self.slots[i] = (k, v);
             }
         }
     }
 
-    /// Heap bytes of the two slot arrays.
+    /// Heap bytes of the slot array.
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.keys) + vec_bytes(&self.vals)
+        vec_bytes(&self.slots)
     }
 
     /// Every occupied slot, sorted by rank so that no caller sees the
     /// open-addressed layout's order.
-    fn sorted(&self) -> Vec<(RankId, &T)> {
-        let mut out: Vec<(RankId, &T)> = self
-            .keys
+    fn sorted(&self) -> Vec<(RankId, T)> {
+        let mut out: Vec<(RankId, T)> = self
+            .slots
             .iter()
-            .zip(&self.vals)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, v)| (RankId(k), v))
+            .filter(|&&(k, _)| k != EMPTY)
+            .map(|&(k, v)| (RankId(k), v))
             .collect();
         out.sort_by_key(|&(r, _)| r);
         out
@@ -333,38 +344,47 @@ impl<T: Default> PeerTable<T> {
 
 /// Fetch the state slot for `rank`, inserting a default on first
 /// contact.
-fn slot<T: Default>(table: &mut PeerTable<T>, rank: RankId) -> &mut T {
+fn slot<T: Copy + Default>(table: &mut PeerTable<T>, rank: RankId) -> &mut T {
     let r = rank.as_usize() as u32;
     debug_assert_ne!(r, EMPTY);
     // Grow at 3/4 load (and on first touch) so probes stay short.
-    if (table.len + 1) * 4 > table.keys.len() * 3 {
+    if (table.len + 1) * 4 > table.slots.len() * 3 {
         table.grow();
     }
     let i = table.probe(r);
-    if table.keys[i] == EMPTY {
-        table.keys[i] = r;
+    let entry = &mut table.slots[i];
+    if entry.0 == EMPTY {
+        entry.0 = r;
         table.len += 1;
     }
-    &mut table.vals[i]
+    &mut entry.1
 }
 
 /// Add `seq` to `peer`'s set — every seq in `1..=*mark`, plus `peer`'s
 /// entries in the direction's `spill` — and return `true` the first time
-/// it is added. Zero is never a member.
+/// it is added. Zero is never a member, and the watermark never passes
+/// `limit` (what the direction's slot can hold): a seq beyond it stays in
+/// the spill.
 ///
 /// An in-order arrival (the overwhelmingly common case) advances the
 /// watermark and absorbs any spilled run it made contiguous; anything
 /// further ahead waits in the spill.
-fn record(mark: &mut u64, spill: &mut Vec<(RankId, u64)>, peer: RankId, seq: u64) -> bool {
+fn record(
+    mark: &mut u64,
+    spill: &mut Vec<(RankId, u64)>,
+    peer: RankId,
+    seq: u64,
+    limit: u64,
+) -> bool {
     if seq <= *mark {
         return false;
     }
-    if seq == *mark + 1 {
+    if seq == *mark + 1 && seq <= limit {
         *mark = seq;
         if let Ok(start) = spill.binary_search(&(peer, seq + 1)) {
             let run = spill[start..]
                 .iter()
-                .zip(seq + 1..)
+                .zip(seq + 1..=limit)
                 .take_while(|&(&entry, next)| entry == (peer, next))
                 .count();
             *mark += run as u64;
@@ -433,8 +453,11 @@ impl<M: Clone> ReliableChannel<M> {
     /// caller transmits the message and arms the timer.
     pub fn send(&mut self, to: RankId, msg: M) -> (u64, f64) {
         let link = slot(&mut self.out, to);
-        link.next_seq += 1;
-        let seq = link.next_seq;
+        link.next_seq = link
+            .next_seq
+            .checked_add(1)
+            .expect("more than u32::MAX messages to one peer");
+        let seq = u64::from(link.next_seq);
         self.window.push_back(Pending {
             to,
             seq,
@@ -451,9 +474,9 @@ impl<M: Clone> ReliableChannel<M> {
         // Recorded unconditionally — even for acks of already-settled
         // seqs — so the audit sees exactly what the peer claimed.
         let link = slot(&mut self.out, from);
-        let mut mark = link.acked.saturating_sub(1);
-        record(&mut mark, &mut self.acked_spill, from, seq);
-        link.acked = mark + 1;
+        let mut mark = u64::from(link.acked.saturating_sub(1));
+        record(&mut mark, &mut self.acked_spill, from, seq, ACKED_LIMIT);
+        link.acked = (mark + 1) as u32;
         if let Some(i) = self.find(from, seq) {
             self.window.remove(i);
             self.stats.acked += 1;
@@ -481,7 +504,10 @@ impl<M: Clone> ReliableChannel<M> {
     /// `true` if this is the first copy (process it) or `false` for a
     /// duplicate (re-acknowledge but do not process).
     pub fn accept(&mut self, from: RankId, seq: u64) -> bool {
-        let fresh = record(slot(&mut self.seen, from), &mut self.seen_spill, from, seq);
+        let seen = slot(&mut self.seen, from);
+        let mut mark = u64::from(*seen);
+        let fresh = record(&mut mark, &mut self.seen_spill, from, seq, SEEN_LIMIT);
+        *seen = mark as u32;
         if !fresh {
             self.stats.duplicates_suppressed += 1;
         }
@@ -497,7 +523,7 @@ impl<M: Clone> ReliableChannel<M> {
             .sorted()
             .into_iter()
             .filter(|(_, link)| link.acked > 0)
-            .map(|(r, link)| (r, view(link.acked - 1, &self.acked_spill, r)))
+            .map(|(r, link)| (r, view(u64::from(link.acked) - 1, &self.acked_spill, r)))
             .collect()
     }
 
@@ -507,7 +533,7 @@ impl<M: Clone> ReliableChannel<M> {
         self.seen
             .sorted()
             .into_iter()
-            .map(|(r, &mark)| (r, view(mark, &self.seen_spill, r)))
+            .map(|(r, mark)| (r, view(u64::from(mark), &self.seen_spill, r)))
             .collect()
     }
 
@@ -843,5 +869,60 @@ mod tests {
             )
         );
         assert_eq!(seen[1].1.sparse, vec![3], "another peer's spill stays put");
+    }
+
+    #[test]
+    fn a_sequence_number_beyond_the_slot_waits_in_the_spill() {
+        // Both directions' limits, with the watermark one short of the
+        // limit and at it: every arrival is accepted once, refused after,
+        // and listed in the view — in the spill whenever it is above what
+        // the 32-bit slot holds.
+        let peer = RankId::new(9);
+        let max = u64::from(u32::MAX);
+        for limit in [ACKED_LIMIT, SEEN_LIMIT] {
+            for start in [max - 1, max] {
+                let mut mark = start.min(limit);
+                let mut spill = Vec::new();
+                for seq in [max, max + 1, u64::MAX] {
+                    let fresh = seq > mark;
+                    assert_eq!(record(&mut mark, &mut spill, peer, seq, limit), fresh);
+                    assert!(!record(&mut mark, &mut spill, peer, seq, limit));
+                    assert!(mark <= limit, "limit {limit}: watermark {mark}");
+                    let v = view(mark, &spill, peer);
+                    assert!(v.contains(seq), "limit {limit}, start {start}: {seq}");
+                    assert_eq!(v.sparse.contains(&seq), seq > limit);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_ledger_at_its_limit_keeps_set_semantics_through_the_channel() {
+        let mut c = ch();
+        let peer = RankId::new(4);
+        *slot(&mut c.seen, peer) = u32::MAX - 1;
+        slot(&mut c.out, peer).acked = u32::MAX;
+        let max = u64::from(u32::MAX);
+        for seq in [max, max + 1, u64::MAX] {
+            assert!(c.accept(peer, seq), "{seq} is new");
+            assert!(!c.accept(peer, seq), "{seq} is a duplicate");
+            c.on_ack(peer, seq);
+        }
+        let seen = &c.seen_view()[0].1;
+        assert_eq!(seen.watermark, max);
+        assert_eq!(seen.sparse, vec![max + 1, u64::MAX]);
+        let acked = &c.acked_view()[0].1;
+        assert_eq!(acked.watermark, max - 1);
+        assert_eq!(acked.sparse, vec![max, max + 1, u64::MAX]);
+    }
+
+    #[test]
+    fn a_slot_is_twelve_bytes_out_and_eight_in() {
+        fn slot_bytes<T>(_: &PeerTable<T>) -> usize {
+            std::mem::size_of::<(u32, T)>()
+        }
+        let c = ch();
+        assert_eq!(slot_bytes(&c.out), 12);
+        assert_eq!(slot_bytes(&c.seen), 8);
     }
 }
