@@ -146,7 +146,7 @@ fn replay(path: &std::path::Path, seed_override: Option<u64>) -> i32 {
     let report = run_case(&case);
     println!(
         "replay {}: seed {}, {} ranks, {} fault events, {} committed events, \
-         {} tasks checked, {} delivery pairs",
+         {} tasks checked, {} delivery pairs, {} terminations",
         path.display(),
         case.seed,
         case.ranks,
@@ -154,6 +154,7 @@ fn replay(path: &std::path::Path, seed_override: Option<u64>) -> i32 {
         report.committed_events,
         report.checked_tasks,
         report.delivery_pairs,
+        report.terminations,
     );
     for v in &report.violations {
         println!("  {v}");
@@ -276,6 +277,7 @@ fn main() {
             "committed_events",
             "checked_tasks",
             "delivery_pairs",
+            "terminations",
             "violations",
             "first_invariant",
         ],
@@ -301,6 +303,7 @@ fn main() {
             report.committed_events.to_string(),
             report.checked_tasks.to_string(),
             report.delivery_pairs.to_string(),
+            report.terminations.to_string(),
             report.violations.len().to_string(),
             first.to_string(),
         ]);

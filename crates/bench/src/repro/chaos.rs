@@ -8,7 +8,9 @@
 //! drop rate × straggler factor for both balancers, crash-stop failures,
 //! and partitions / gray links for both balancers. Every cell runs on
 //! the stack the fuzzer would pick for its plan
-//! ([`tempered_runtime::fuzz::protocol_config`]). `chaos_elastic` sweeps
+//! ([`tempered_runtime::fuzz::protocol_config`]) and under the safety
+//! auditor ([`run_audited`]), so a cell that breaks an invariant stops
+//! the experiment. `chaos_elastic` sweeps
 //! planned joins, drains and autoscaling through [`run_elastic`] with
 //! the threaded executor as its second driver.
 
@@ -18,25 +20,29 @@ use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
 use tempered_core::rng::RngFactory;
 use tempered_obs::Recorder;
+use tempered_runtime::audit::run_audited;
 use tempered_runtime::elastic::policy::AutoscaleConfig;
 use tempered_runtime::elastic::{
     run_elastic, threaded_driver, ChurnEvent, ElasticOutcome, ElasticScenario, LoadProfile,
 };
 use tempered_runtime::fuzz::{protocol_config, Balancer};
 use tempered_runtime::{
-    run_distributed_lb_with_faults, CrashEvent, DistLbResult, FaultPlan, HealthConfig, LinkFault,
-    LinkFaultKind, NetworkModel, PartitionConfig, PartitionWindow, RetryConfig,
+    CrashEvent, DistLbResult, FaultPlan, HealthConfig, LinkFault, LinkFaultKind, NetworkModel,
+    PartitionConfig, PartitionWindow, RetryConfig,
 };
 
 /// Master seed of every simulator grid cell.
 const SEED: u64 = 4242;
 
 /// One cell: `balancer` over `dist` under `plan`, on the stack that plan
-/// calls for.
+/// calls for, under the safety auditor — a violation of any invariant
+/// stops the experiment.
 fn run(dist: &Distribution, balancer: Balancer, plan: FaultPlan) -> DistLbResult {
     let cfg = protocol_config(balancer, &plan);
     let factory = RngFactory::new(SEED);
-    run_distributed_lb_with_faults(dist, cfg, NetworkModel::default(), &factory, plan)
+    let (out, audit) = run_audited(dist, cfg, NetworkModel::default(), &factory, plan);
+    assert!(audit.is_clean(), "audit: {:?}", audit.violations);
+    out
 }
 
 /// [`run`] twice, and whether the second run reproduced the first bit

@@ -270,10 +270,7 @@ impl LinkEmulator {
 
     /// Whether `rank` is down at time `now` (crashed, not yet restarted).
     fn is_down(&self, rank: RankId, now: f64) -> bool {
-        match self.crashes.get(&rank) {
-            Some(c) => now >= c.at && c.restart_after.is_none_or(|d| now < c.at + d),
-            None => false,
-        }
+        self.crashes.get(&rank).is_some_and(|c| c.down_at(now))
     }
 
     /// Decide the fate of the next message on the `from → to` link.

@@ -75,6 +75,12 @@ impl CrashEvent {
             restart_after: Some(downtime),
         }
     }
+
+    /// Whether the crashed rank is down at `now`: from `at` until its
+    /// warm restart, or for good.
+    pub fn down_at(&self, now: f64) -> bool {
+        now >= self.at && self.restart_after.is_none_or(|d| now < self.at + d)
+    }
 }
 
 /// What a matching [`LinkFault`] does to traffic on the link.

@@ -86,6 +86,23 @@ pub enum Command {
     /// The protocol reached `Done` on this rank: close the open span and
     /// flush end-of-run metrics.
     Finished,
+    /// This rank just learned that TD epoch `epoch` terminated, with
+    /// `sent` basic messages in all. Every basic message of the epoch —
+    /// and of every earlier epoch — has been processed, so what the
+    /// driver keeps per epoch can go.
+    Terminated {
+        /// The terminated epoch.
+        epoch: u64,
+        /// Basic messages the epoch moved, job-wide.
+        sent: u64,
+    },
+    /// A basic message of `epoch` was just processed. Emitted only after
+    /// [`GossipEngine::report_processing`]: the termination audit's
+    /// ground truth of what is still pending.
+    Processed {
+        /// The processed message's epoch.
+        epoch: u64,
+    },
 }
 
 /// One `(trial, iteration, imbalance)` record, mirroring
@@ -143,6 +160,8 @@ pub struct GossipEngine {
 
     // Epoch-stamped buffering of early messages.
     buffered: Vec<(RankId, LbMsg)>,
+    /// Emit [`Command::Processed`] for every basic message dispatched.
+    report_processing: bool,
 
     // Statistics.
     records: Vec<AsyncIterationRecord>,
@@ -192,6 +211,7 @@ impl GossipEngine {
             state: StageState::Setup,
             cfg,
             buffered: Vec::new(),
+            report_processing: false,
             records: Vec::new(),
             migrations_in: 0,
             migrations_out: 0,
@@ -283,6 +303,13 @@ impl GossipEngine {
             self.done = true;
         }
         label
+    }
+
+    /// From now on, report every basic message this engine processes as a
+    /// [`Command::Processed`] — for an audited run, which checks each
+    /// termination against what is still unprocessed.
+    pub fn report_processing(&mut self) {
+        self.report_processing = true;
     }
 
     // ---- accessors -------------------------------------------------------
@@ -613,6 +640,11 @@ impl GossipEngine {
     }
 
     fn dispatch(&mut self, out: &mut Vec<Command>, from: RankId, msg: LbMsg) {
+        if self.report_processing {
+            if let Some(epoch) = msg.basic_epoch() {
+                out.push(Command::Processed { epoch });
+            }
+        }
         match msg {
             LbMsg::ReduceUp { slot, summary } => {
                 let done = self.coll.on_child(self.view.dead(), slot, from, summary);

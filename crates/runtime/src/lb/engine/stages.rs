@@ -248,7 +248,7 @@ impl GossipEngine {
     }
 
     pub(super) fn on_epoch_terminated(&mut self, out: &mut Vec<Command>, epoch: u64, sent: u64) {
-        out.push(Command::Instant(EventKind::EpochTerminated { epoch, sent }));
+        out.push(Command::Terminated { epoch, sent });
         match &self.state {
             StageState::Gossip(gs) => {
                 debug_assert_eq!(epoch, self.gossip_round_epoch(gs.round));
