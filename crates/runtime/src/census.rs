@@ -65,11 +65,14 @@ pub enum Owner {
     Emulator,
     /// The observability recorder: ring buffers and metrics.
     Obs,
+    /// Closed epochs' delivery ledgers, which a rank keeps for the
+    /// auditor only while its recorder is enabled.
+    AuditLedgers,
 }
 
 impl Owner {
     /// Every owner, in report order.
-    pub const ALL: [Owner; 17] = [
+    pub const ALL: [Owner; 18] = [
         Owner::Knowledge,
         Owner::Tasks,
         Owner::Buffered,
@@ -87,6 +90,7 @@ impl Owner {
         Owner::Payloads,
         Owner::Emulator,
         Owner::Obs,
+        Owner::AuditLedgers,
     ];
 
     /// The owner's name in gauge names and tables.
@@ -109,6 +113,7 @@ impl Owner {
             Owner::Payloads => "payloads",
             Owner::Emulator => "emulator",
             Owner::Obs => "obs",
+            Owner::AuditLedgers => "audit_ledgers",
         }
     }
 }

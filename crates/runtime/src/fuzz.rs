@@ -188,7 +188,7 @@ impl InjectedBug {
                     return;
                 }
                 for da in art.delivery.iter_mut().flatten() {
-                    if let Some((_, acked)) = da.acked.first_mut() {
+                    if let Some((_, _, acked)) = da.acked.first_mut() {
                         acked.sparse.push(acked.watermark + 1_000_003);
                         return;
                     }

@@ -467,12 +467,22 @@ impl Cursor<'_> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next `N` bytes as an array, copied byte by byte so that no
+    /// length mismatch can panic.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireDecodeError> {
+        let mut out = [0; N];
+        for (to, from) in out.iter_mut().zip(self.take(N)?) {
+            *to = *from;
+        }
+        Ok(out)
+    }
+
     fn u32(&mut self) -> Result<u32, WireDecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, WireDecodeError> {
@@ -793,6 +803,12 @@ pub fn payload_bytes(msg: &LbMsg) -> usize {
         _ => 0,
     };
     msg.wire_bytes() + extra
+}
+
+impl crate::reliable::Payload for LbMsg {
+    fn basic_epoch(&self) -> Option<u64> {
+        LbMsg::basic_epoch(self)
+    }
 }
 
 #[cfg(test)]
