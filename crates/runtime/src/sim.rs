@@ -20,9 +20,9 @@
 //! * The executor exposes an [`Protocol::on_quiescence`] hook fired when
 //!   the event queue drains. Protocol code may use it for test
 //!   scaffolding, but the shipped LB protocol sequences itself with the
-//!   distributed termination detector in [`crate::termination`] — the
-//!   simulator hook exists to *validate* the detector against ground
-//!   truth.
+//!   distributed termination detector in [`crate::termination`], which
+//!   an audited run checks against ground truth at every declaration
+//!   ([`crate::audit::TerminationLedger`]).
 
 use crate::census::{vec_bytes, HeapCensus, Owner};
 use crate::emulator::LinkEmulator;
