@@ -362,10 +362,7 @@ pub fn run_audited(
     let fault_free = plan.crashes.is_empty() && plan.links_zero();
     let (art, ranks, report) = capture_lb_run_with(dist, cfg, model, factory, plan.clone());
     let rep = audit_artifacts(dist, &cfg, &plan, &art);
-    (
-        crate::lb::dist_result(dist, &ranks, report, fault_free),
-        rep,
-    )
+    (crate::lb::collapse(dist, &ranks, report, fault_free), rep)
 }
 
 /// Check every invariant against captured artifacts.

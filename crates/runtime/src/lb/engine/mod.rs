@@ -5,9 +5,9 @@
 //! [`Command`]s for the embedding driver to interpret. It knows nothing
 //! about channels, retries, clocks, recorders, or executors — those live
 //! in the rank actor ([`super::LbRank`]) and in the drivers (the
-//! discrete-event [`crate::sim::Simulator`], the threaded
-//! [`crate::parallel`] executor, and the zero-latency
-//! [`super::driver::LocalRunner`]). The stage flow is:
+//! discrete-event [`crate::sim::Simulator`], zero-latency under
+//! [`crate::sim::NetworkModel::instant`], and the threaded
+//! [`crate::parallel`] executor). The stage flow is:
 //!
 //! ```text
 //! Setup      allreduce (Σ load, max load) → every rank knows ℓ_ave, ℓ_max

@@ -15,19 +15,18 @@
 //!   state (a [`crate::reliable::ReliableChannel`] when hardened), frames
 //!   each protocol message onto the driver's `Ctx` and reads each
 //!   incoming [`LbWire`] once.
-//! - drivers — the deterministic discrete-event [`crate::sim::Simulator`],
-//!   the threaded `parallel` executor, the zero-latency in-process
-//!   [`LocalRunner`], and the multi-process TCP [`socket`] driver.
+//! - drivers — the deterministic discrete-event [`crate::sim::Simulator`]
+//!   (also the zero-latency driver, under [`NetworkModel::instant`]), the
+//!   threaded `parallel` executor, and the multi-process TCP [`socket`]
+//!   driver.
 
 mod config;
-pub mod driver;
 pub mod engine;
 mod messages;
 mod rank;
 pub mod socket;
 
 pub use config::{LbProtocolConfig, PartitionConfig};
-pub use driver::{run_local_lb, LocalLbResult, LocalRunner};
 pub use engine::{AsyncIterationRecord, Command, GossipEngine};
 pub use messages::{LbMsg, LbWire, TaskEntry, WireDecodeError, WireDecodeErrorKind};
 pub use rank::{DeliveryAudit, LbRank};
@@ -54,8 +53,8 @@ pub struct DistLbResult {
     pub final_imbalance: f64,
     /// Real task migrations executed at commit.
     pub tasks_migrated: usize,
-    /// Per-iteration records from rank 0 (imbalances are globally
-    /// agreed, so rank 0's view is the global sequence).
+    /// Per-iteration records from a rank that committed (imbalances are
+    /// globally agreed, so one rank's view is the global sequence).
     pub records: Vec<AsyncIterationRecord>,
     /// Ranks that abandoned the protocol (retry budget exhausted or
     /// stage deadline missed) and reverted to a safe assignment. Always
@@ -82,6 +81,17 @@ pub fn run_distributed_lb(
     factory: &RngFactory,
 ) -> DistLbResult {
     run_distributed_lb_with_faults(dist, cfg, model, factory, FaultPlan::none())
+}
+
+/// [`run_distributed_lb`] on the zero-latency schedule
+/// ([`NetworkModel::instant`]): same protocol, same engine, no modeled
+/// network.
+pub fn run_local_lb(
+    dist: &Distribution,
+    cfg: LbProtocolConfig,
+    factory: &RngFactory,
+) -> DistLbResult {
+    run_distributed_lb(dist, cfg, NetworkModel::instant(), factory)
 }
 
 /// Run the asynchronous protocol under an adversarial network described
@@ -116,13 +126,16 @@ pub fn run_distributed_lb_traced(
 ) -> DistLbResult {
     let fault_free = plan.crashes.is_empty() && plan.links_zero();
     let (ranks, report) = run_lb_ranks(dist, cfg, model, factory, plan, recorder, None);
-    dist_result(dist, &ranks, report, fault_free)
+    collapse(dist, &ranks, report, fault_free)
 }
 
-/// The [`DistLbResult`] of a finished simulator run over `dist`;
-/// `fault_free` runs must have completed and conserved every task.
-pub(crate) fn dist_result(
-    dist: &Distribution,
+/// Fold the finished `ranks` of one simulator run over `input` (index =
+/// rank id) and its `report` into a [`DistLbResult`]. `fault_free` is the
+/// caller vouching that nothing was injected that excuses an unfinished
+/// rank or a lost or doubly-claimed task: completion is then asserted,
+/// and so is conservation, unless a rank degraded all the same.
+pub(crate) fn collapse(
+    input: &Distribution,
     ranks: &[LbRank],
     report: SimReport,
     fault_free: bool,
@@ -134,29 +147,9 @@ pub(crate) fn dist_result(
              `reliability` configured can starve the best-effort protocol)"
         );
     }
-    let c = collapse(dist, ranks, fault_free);
-    DistLbResult {
-        distribution: c.distribution,
-        initial_imbalance: c.initial_imbalance,
-        final_imbalance: c.final_imbalance,
-        tasks_migrated: c.tasks_migrated,
-        records: c.records,
-        degraded_ranks: c.degraded_ranks,
-        parked_ranks: c.parked_ranks,
-        reliable: c.reliable,
-        report,
-    }
-}
-
-/// Fold the finished `ranks` of one run over `input` (index = rank id)
-/// into a placement: the one fold behind [`DistLbResult`] and
-/// [`LocalLbResult`]. `strict` is the caller vouching that nothing was
-/// injected that excuses a lost or doubly-claimed task; conservation is
-/// then asserted, unless a rank degraded all the same.
-pub(crate) fn collapse(input: &Distribution, ranks: &[LbRank], strict: bool) -> LocalLbResult {
     let degraded_ranks = ranks.iter().filter(|r| r.degraded()).count();
     let parked_ranks = ranks.iter().filter(|r| r.parked()).count();
-    let strict = strict && degraded_ranks == 0;
+    let strict = fault_free && degraded_ranks == 0;
     let mut reliable = ReliableStats::default();
     let mut out = Distribution::new(input.num_ranks());
     let mut tasks_migrated = 0usize;
@@ -196,7 +189,7 @@ pub(crate) fn collapse(input: &Distribution, ranks: &[LbRank], strict: bool) -> 
         .position(|r| r.finished() && !r.degraded() && !r.parked())
         .or_else(|| ranks.iter().position(|r| r.finished() && !r.degraded()))
         .unwrap_or(0);
-    LocalLbResult {
+    DistLbResult {
         initial_imbalance: ranks[reporter].initial_imbalance(),
         final_imbalance: out.imbalance(),
         tasks_migrated,
@@ -205,6 +198,7 @@ pub(crate) fn collapse(input: &Distribution, ranks: &[LbRank], strict: bool) -> 
         parked_ranks,
         reliable,
         distribution: out,
+        report,
     }
 }
 
@@ -434,9 +428,20 @@ mod tests {
     /// holding `tasks`: the cheapest finished [`LbRank`] there is.
     fn finished_alone(tasks: Vec<(TaskId, f64)>) -> LbRank {
         let rank = LbRank::new(RankId::new(0), 1, tasks, quick_cfg(), RngFactory::new(1));
-        let mut runner = LocalRunner::new(vec![rank]);
-        assert!(runner.run());
-        runner.into_ranks().pop().unwrap()
+        let mut sim = Simulator::new(vec![rank], NetworkModel::instant(), &RngFactory::new(1));
+        assert!(sim.run().completed);
+        sim.into_ranks().pop().unwrap()
+    }
+
+    /// The report of a run in which every rank finished.
+    fn completed_report() -> SimReport {
+        SimReport {
+            finish_time: 0.0,
+            events_delivered: 0,
+            network: Default::default(),
+            faults: Default::default(),
+            completed: true,
+        }
     }
 
     fn two_ranks_claiming_task_7() -> (Distribution, Vec<LbRank>) {
@@ -455,13 +460,13 @@ mod tests {
     #[should_panic(expected = "each task has exactly one final owner")]
     fn collapse_panics_on_a_duplicated_claim_when_strict() {
         let (input, ranks) = two_ranks_claiming_task_7();
-        collapse(&input, &ranks, true);
+        collapse(&input, &ranks, completed_report(), true);
     }
 
     #[test]
     fn collapse_keeps_the_first_of_a_duplicated_claim_otherwise() {
         let (input, ranks) = two_ranks_claiming_task_7();
-        let c = collapse(&input, &ranks, false);
+        let c = collapse(&input, &ranks, completed_report(), false);
         assert_eq!(c.distribution.num_tasks(), 1);
         assert_eq!(c.distribution.tasks_on(RankId::new(0)).len(), 1);
         assert_eq!(c.distribution.tasks_on(RankId::new(1)).len(), 0);
@@ -483,7 +488,7 @@ mod tests {
         let mut input = Distribution::new(2);
         input.insert(RankId::new(0), Task::new(id(1), 1.0)).unwrap();
         input.insert(RankId::new(1), Task::new(id(2), 1.0)).unwrap();
-        let c = collapse(&input, &[corpse, committed], false);
+        let c = collapse(&input, &[corpse, committed], completed_report(), false);
         let cfg = quick_cfg();
         assert_eq!(c.records.len(), cfg.trials * cfg.iters);
         assert_eq!(
@@ -492,6 +497,68 @@ mod tests {
             "the corpse's task is not ours"
         );
         assert_eq!(c.distribution.tasks_on(RankId::new(1)).len(), 1);
+    }
+
+    #[test]
+    fn local_runner_balances_and_is_deterministic() {
+        let dist = Distribution::from_loads(vec![
+            vec![1.0; 40],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+        ]);
+        let cfg = LbProtocolConfig {
+            trials: 2,
+            iters: 4,
+            fanout: 3,
+            rounds: 5,
+            ..Default::default()
+        };
+        let a = run_local_lb(&dist, cfg, &RngFactory::new(17));
+        let b = run_local_lb(&dist, cfg, &RngFactory::new(17));
+        assert!(a.final_imbalance < a.initial_imbalance);
+        assert_eq!(a.final_imbalance.to_bits(), b.final_imbalance.to_bits());
+        assert_eq!(a.tasks_migrated, b.tasks_migrated);
+        assert_eq!(a.degraded_ranks, 0);
+        assert_eq!(a.report.finish_time, 0.0, "no timer fired");
+        a.distribution.check_invariants().unwrap();
+        for r in a.distribution.rank_ids() {
+            assert_eq!(a.distribution.rank_load(r), b.distribution.rank_load(r));
+        }
+    }
+
+    #[test]
+    fn local_runner_handles_single_rank() {
+        let dist = Distribution::from_loads(vec![vec![1.0, 2.0, 3.0]]);
+        let out = run_local_lb(&dist, LbProtocolConfig::grapevine(), &RngFactory::new(1));
+        assert_eq!(out.tasks_migrated, 0);
+        assert_eq!(out.distribution.num_tasks(), 3);
+    }
+
+    #[test]
+    fn local_runner_with_reliability_still_completes() {
+        // Retry timers get armed, but every message of an instant is
+        // delivered before a later timer fires, so none fires before
+        // completion; leftover timers must not stall the exit.
+        let dist = Distribution::from_loads(vec![vec![4.0, 1.0], vec![], vec![], vec![]]);
+        let cfg = LbProtocolConfig {
+            trials: 1,
+            iters: 2,
+            fanout: 2,
+            rounds: 3,
+            ..Default::default()
+        }
+        .hardened(crate::reliable::RetryConfig::default());
+        let out = run_local_lb(&dist, cfg, &RngFactory::new(5));
+        assert!(out.report.completed);
+        assert_eq!(out.report.finish_time, 0.0, "no retry timer fired");
+        assert_eq!(out.reliable.retransmitted, 0);
+        assert_eq!(out.degraded_ranks, 0);
+        assert_eq!(out.distribution.num_tasks(), 2);
     }
 
     mod crash {

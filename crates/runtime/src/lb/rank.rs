@@ -10,8 +10,9 @@
 //!                (Raw, or Data + retry timer when hardened) straight
 //!                onto the driver's Ctx, reads each incoming LbWire in
 //!                one match, records spans/instants, arms deadlines
-//! driver         Simulator (discrete-event), parallel executor, or the
-//!                zero-latency in-process LocalRunner
+//! driver         Simulator (discrete-event; zero-latency under
+//!                NetworkModel::instant), parallel executor, or the
+//!                TCP driver
 //! ```
 //!
 //! All protocol logic — stages, epochs, collectives, gossip, transfer,

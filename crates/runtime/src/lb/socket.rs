@@ -144,11 +144,11 @@ impl FrameReader {
     /// way, with the checksum inverted so verification still fails.
     pub fn next_frame(&mut self) -> Option<LbWire> {
         let unread = &self.buf[self.read..];
-        if unread.len() < 8 {
-            return None;
-        }
-        let len = u32::from_le_bytes(unread[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(unread[4..8].try_into().unwrap());
+        // The header is read through a fixed-size array, so a short or
+        // hostile prefix is "not yet", never a panic.
+        let (&[l0, l1, l2, l3, c0, c1, c2, c3], body) = unread.split_first_chunk::<8>()?;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len > MAX_FRAME_BYTES {
             // Desynchronized or hostile stream: surface one damaged
             // frame and resynchronize by discarding what is unread.
@@ -160,13 +160,10 @@ impl FrameReader {
                 bytes,
             });
         }
-        if unread.len() < 8 + len {
-            return None;
-        }
         // Decode straight out of the reassembly buffer: the payload is
         // only copied out on the damaged paths, which need to own the
         // bytes they surface.
-        let payload = &unread[8..8 + len];
+        let payload = body.get(..len)?;
         let wire = if crc32(payload) != crc {
             LbWire::Damaged {
                 crc,
@@ -287,6 +284,8 @@ pub fn run_socket_rank(
         })
         .collect();
 
+    // Reached before any peer connects, so no input bytes reach it: only
+    // an OS that refuses the option on our own listener.
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");
@@ -320,7 +319,9 @@ pub fn run_socket_rank(
 
         host.run(
             &in_rx,
-            // The host keeps a self-send; egress only ever names a peer.
+            // The host keeps a self-send, and `FrameReader` drops a frame
+            // naming a rank off the roster as damaged, so egress only ever
+            // names a peer: no input bytes reach the `expect`.
             |_, to, msg| {
                 let peer = out_tx[to.as_usize()].as_ref().expect("a peer's queue");
                 let _ = peer.send(encode_frame(&msg));
@@ -338,6 +339,8 @@ pub fn run_socket_rank(
 
     let wall_time_s = host.now();
     let (mut ranks, network, faults, _) = host.finish();
+    // The host was built above over this one rank; no input bytes reach
+    // the `expect`.
     let (_, rank) = ranks.pop().expect("the host holds this rank");
     SocketRankReport {
         finished: rank.is_done(),
@@ -407,8 +410,9 @@ fn read_handshake(
             Err(_) => return None,
         }
     }
-    let magic = u32::from_le_bytes(hs[0..4].try_into().unwrap());
-    let from = u32::from_le_bytes(hs[4..8].try_into().unwrap());
+    let [m0, m1, m2, m3, f0, f1, f2, f3] = hs;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
+    let from = u32::from_le_bytes([f0, f1, f2, f3]);
     (magic == HANDSHAKE_MAGIC && (from as usize) < num_ranks).then(|| RankId::new(from))
 }
 
@@ -481,20 +485,20 @@ fn writer_loop(
                     backoff = INITIAL_BACKOFF;
                 }
             }
-            if stream.is_none() {
-                // Jittered exponential backoff: deterministic per
-                // (seed, me, peer) stream, uncorrelated across links.
-                let sleep = backoff.mul_f64(0.5 + jitter.gen::<f64>());
-                let step = Duration::from_millis(5);
-                let mut slept = Duration::ZERO;
-                while slept < sleep && !shutting_down() {
-                    std::thread::sleep(step.min(sleep - slept));
-                    slept += step;
-                }
-                backoff = (backoff * 2).min(MAX_BACKOFF);
-                continue;
-            }
         }
+        let Some(s) = stream.as_mut() else {
+            // Jittered exponential backoff: deterministic per
+            // (seed, me, peer) stream, uncorrelated across links.
+            let sleep = backoff.mul_f64(0.5 + jitter.gen::<f64>());
+            let step = Duration::from_millis(5);
+            let mut slept = Duration::ZERO;
+            while slept < sleep && !shutting_down() {
+                std::thread::sleep(step.min(sleep - slept));
+                slept += step;
+            }
+            backoff = (backoff * 2).min(MAX_BACKOFF);
+            continue;
+        };
         // Next frame: the one that failed last time, or a fresh one.
         let frame = match pending.take() {
             Some(f) => f,
@@ -504,7 +508,6 @@ fn writer_loop(
                 Err(RecvTimeoutError::Disconnected) => return,
             },
         };
-        let s = stream.as_mut().expect("connected above");
         if s.write_all(&frame).is_err() {
             stream = None;
             pending = Some(frame);

@@ -61,8 +61,12 @@ impl Default for NetworkModel {
 }
 
 impl NetworkModel {
-    /// Zero-latency instant network; useful in tests where only causal
-    /// order matters.
+    /// The zero-latency schedule: every message arrives at the instant
+    /// it was sent, so virtual time advances only when a timer fires.
+    /// Events are ordered by `(time, push order)`: messages sent in one
+    /// instant are delivered in send order, all before any timer due at a
+    /// later instant; a timer due at that instant and armed before them
+    /// fires ahead of them.
     pub fn instant() -> Self {
         NetworkModel {
             base_latency: 0.0,
@@ -607,6 +611,65 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.finish_time, 0.0);
         assert!(report.completed);
+    }
+
+    /// Arms `.0` on start and keeps what fires or arrives, with its
+    /// time, in `.1`. Timer 1 arms timer 5 one second on and sends 10, 11
+    /// and 12 to itself; message 10 sends 20.
+    struct Arms(Vec<(f64, u32)>, Vec<(f64, u32)>);
+
+    impl Protocol for Arms {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            for &(delay, msg) in &self.0 {
+                ctx.schedule(delay, msg);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _from: RankId, msg: u32) {
+            self.1.push((ctx.now(), msg));
+            let me = ctx.me();
+            match msg {
+                1 => {
+                    ctx.schedule(1.0, 5);
+                    for m in [10, 11, 12] {
+                        ctx.send(me, m, 4);
+                    }
+                }
+                10 => ctx.send(me, 20, 4),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_by_time_then_arm_order() {
+        let armed = vec![(2.0, 0), (1.0, 1), (2.0, 2), (1.0, 3)];
+        let mut sim = Simulator::new(
+            vec![Arms(armed, Vec::new())],
+            NetworkModel::instant(),
+            &RngFactory::new(1),
+        );
+        assert!(
+            !sim.run().completed,
+            "a rank that never reports done stalls"
+        );
+        assert_eq!(
+            sim.into_ranks()[0].1,
+            [
+                (1.0, 1),
+                // Armed before the instant came due: ahead of its messages.
+                (1.0, 3),
+                // Sent in one instant: in send order, the message one of
+                // them sent included, before the next instant's timers.
+                (1.0, 10),
+                (1.0, 11),
+                (1.0, 12),
+                (1.0, 20),
+                (2.0, 0),
+                (2.0, 2),
+                (2.0, 5),
+            ]
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Hierarchical timer wheel: the shared future-event queue of every
 //! executor.
 //!
-//! The discrete-event simulator's event queue, the wall-clock host's held
-//! timers and delay-fated copies (`runtime::host`, under the threaded
-//! executor and the TCP driver alike) and [`crate::lb::LocalRunner`]'s
-//! timers are all one of these wheels over `f64` seconds. A binary heap
+//! The discrete-event simulator's event queue (its zero-latency schedule
+//! included) and the wall-clock host's held timers and delay-fated copies
+//! (`runtime::host`, under the threaded executor and the TCP driver
+//! alike) are both one of these wheels over `f64` seconds. A binary heap
 //! pays `O(log n)` pointer-chasing comparisons on every push *and* pop; at
 //! simulator scale (hundreds of thousands of in-flight events) the heap
 //! showed up as a top-three cost in profiles. The wheel keys events by a

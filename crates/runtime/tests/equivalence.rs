@@ -1,7 +1,8 @@
 //! Sync ↔ async equivalence: the asynchronous protocol engine, driven by
-//! the zero-latency in-process runner, must commit the *exact*
-//! `Distribution` that the synchronous `tempered_core::refine` produces
-//! for the same seed — bit-identical task placement and imbalance.
+//! the simulator on the zero-latency schedule (`run_local_lb`, i.e.
+//! `NetworkModel::instant()`), must commit the *exact* `Distribution`
+//! that the synchronous `tempered_core::refine` produces for the same
+//! seed — bit-identical task placement and imbalance.
 //!
 //! This holds by construction: the engine calls the same algorithmic
 //! kernels (`sample_fanout_targets`, `transfer_stage`) with the same
