@@ -18,7 +18,11 @@
 //! - default — run `--cases N` (default 500) generated cases from
 //!   `--seed S` (default 0xF022); shrink and save any counterexamples
 //!   under `--out DIR` (default `results/fuzz_regressions`); write
-//!   `results/fuzz_summary.csv`. Exit 1 if any violation survived.
+//!   `results/fuzz_summary.csv`. A case whose run panics (the
+//!   simulator's livelock valve included) is a failed case: its row
+//!   carries the panic message, its generated case file is saved, and
+//!   the run goes on. Exit 1 if any violation survived or any case
+//!   panicked.
 //! - `--replay <case.json> [--seed S]` — re-run one saved case
 //!   (optionally under a different seed) and print the audit verdict:
 //!   the one way to run a hand-written scenario under the auditor
@@ -32,8 +36,10 @@
 //!   case file replays the violation deterministically.
 
 use lbaf::Table;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use tempered_bench::write_results;
+use tempered_runtime::audit::AuditReport;
 use tempered_runtime::fuzz::{gen_case, run_case, shrink, FuzzCase, InjectedBug};
 
 /// Parsed command line. Unknown flags are usage errors (exit 2).
@@ -249,21 +255,9 @@ fn self_test(bug: InjectedBug, cli: &Cli) -> i32 {
     0
 }
 
-fn main() {
-    let cli = parse_cli();
-
-    if let Some(path) = &cli.replay {
-        std::process::exit(replay(path, cli.seed_override));
-    }
-    if let Some(bug) = cli.inject_bug {
-        std::process::exit(self_test(bug, &cli));
-    }
-
-    println!(
-        "chaos_fuzz: {} cases from master seed {:#x}",
-        cli.cases, cli.seed
-    );
-    let mut summary = Table::new(
+/// `results/fuzz_summary.csv`, one row a case.
+fn summary_table() -> Table {
+    Table::new(
         "",
         &[
             "case",
@@ -281,72 +275,113 @@ fn main() {
             "violations",
             "first_invariant",
         ],
+    )
+}
+
+/// One case of the default mode: run `case` through `runner`, catching
+/// a panic, and add its row to `summary`. A case that does not audit
+/// clean leaves a case file under `cli.out`, which is returned: shrunk to
+/// its first violated invariant, or as generated when the run panicked —
+/// a livelock valve or a failed assertion stops that case, not the run.
+fn fuzz_case(
+    index: u64,
+    case: &FuzzCase,
+    runner: impl Fn(&FuzzCase) -> AuditReport,
+    cli: &Cli,
+    summary: &mut Table,
+) -> Option<PathBuf> {
+    let mut row = vec![
+        index.to_string(),
+        case.seed.to_string(),
+        case.ranks.to_string(),
+        case.hot.to_string(),
+        case.tasks_per_hot.to_string(),
+        case.balancer.name().to_string(),
+        case.elastic_steps.to_string(),
+        case.fault_event_count().to_string(),
+    ];
+    let report = match std::panic::catch_unwind(AssertUnwindSafe(|| runner(case))) {
+        Ok(report) => report,
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            eprintln!("PANIC at case {index} (seed {}): {message}", case.seed);
+            row.extend(["", "", "", ""].map(String::from));
+            row.extend(["1".to_string(), format!("panic: {message}")]);
+            summary.push_row(row);
+            return Some(save_case(&cli.out, &format!("case{index:05}_panic"), case));
+        }
+    };
+    let first = report.first_invariant();
+    row.extend([
+        report.committed_events.to_string(),
+        report.checked_tasks.to_string(),
+        report.delivery_pairs.to_string(),
+        report.terminations.to_string(),
+        report.violations.len().to_string(),
+        first.map(|i| i.name()).unwrap_or_default().to_string(),
+    ]);
+    summary.push_row(row);
+    let invariant = first?;
+    eprintln!(
+        "VIOLATION at case {index} (seed {}): [{invariant}]",
+        case.seed
     );
-    let mut surviving = 0usize;
+    for v in &report.violations {
+        eprintln!("  {v}");
+    }
+    let shrunk = shrink(case, invariant, cli.shrink_budget);
+    eprintln!(
+        "  shrunk {} -> {} fault events in {} attempts",
+        case.fault_event_count(),
+        shrunk.case.fault_event_count(),
+        shrunk.attempts
+    );
+    let mut minimized = shrunk.case;
+    minimized.expect = Some(invariant);
+    Some(save_case(
+        &cli.out,
+        &format!("case{index:05}_{}", invariant.name()),
+        &minimized,
+    ))
+}
+
+fn main() {
+    let cli = parse_cli();
+
+    if let Some(path) = &cli.replay {
+        std::process::exit(replay(path, cli.seed_override));
+    }
+    if let Some(bug) = cli.inject_bug {
+        std::process::exit(self_test(bug, &cli));
+    }
+
+    println!(
+        "chaos_fuzz: {} cases from master seed {:#x}",
+        cli.cases, cli.seed
+    );
+    let mut summary = summary_table();
     let mut counterexamples: Vec<PathBuf> = Vec::new();
     for index in 0..cli.cases {
         let case = gen_case(cli.seed, index);
-        let report = run_case(&case);
-        let first = report
-            .first_invariant()
-            .map(|i| i.name())
-            .unwrap_or_default();
-        summary.push_row(vec![
-            index.to_string(),
-            case.seed.to_string(),
-            case.ranks.to_string(),
-            case.hot.to_string(),
-            case.tasks_per_hot.to_string(),
-            case.balancer.name().to_string(),
-            case.elastic_steps.to_string(),
-            case.fault_event_count().to_string(),
-            report.committed_events.to_string(),
-            report.checked_tasks.to_string(),
-            report.delivery_pairs.to_string(),
-            report.terminations.to_string(),
-            report.violations.len().to_string(),
-            first.to_string(),
-        ]);
         if index % 50 == 0 {
             eprintln!("case {index}/{} (seed {})", cli.cases, case.seed);
         }
-        if report.is_clean() {
-            continue;
-        }
-
-        surviving += 1;
-        let invariant = report.first_invariant().expect("non-clean report");
-        eprintln!(
-            "VIOLATION at case {index} (seed {}): [{invariant}]",
-            case.seed
-        );
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-        let shrunk = shrink(&case, invariant, cli.shrink_budget);
-        eprintln!(
-            "  shrunk {} -> {} fault events in {} attempts",
-            case.fault_event_count(),
-            shrunk.case.fault_event_count(),
-            shrunk.attempts
-        );
-        let mut minimized = shrunk.case.clone();
-        minimized.expect = Some(invariant);
-        counterexamples.push(save_case(
-            &cli.out,
-            &format!("case{index:05}_{}", invariant.name()),
-            &minimized,
-        ));
+        counterexamples.extend(fuzz_case(index, &case, run_case, &cli, &mut summary));
     }
 
     write_results("fuzz_summary.csv", &summary.to_csv());
-    if surviving == 0 {
+    if counterexamples.is_empty() {
         println!("all {} cases audited clean", cli.cases);
         std::process::exit(0);
     }
     eprintln!(
-        "chaos_fuzz: {surviving} of {} cases violated an invariant; minimized \
+        "chaos_fuzz: {} of {} cases violated an invariant or panicked; \
          counterexamples:",
+        counterexamples.len(),
         cli.cases
     );
     for p in &counterexamples {
@@ -375,5 +410,44 @@ mod tests {
         std::fs::write(&path, case).unwrap();
         assert_eq!(replay(&path, None), 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A panicking case is a failed row and a saved case file, not the
+    /// end of the run; a clean one writes neither.
+    #[test]
+    fn a_case_that_panics_is_reported_and_the_run_goes_on() {
+        let out = std::env::temp_dir().join(format!("chaos-fuzz-panic-{}", std::process::id()));
+        let cli = Cli {
+            seed: 1,
+            cases: 2,
+            out: out.clone(),
+            replay: None,
+            seed_override: None,
+            inject_bug: None,
+            shrink_budget: 0,
+        };
+        let mut summary = summary_table();
+        let case = gen_case(cli.seed, 0);
+        let saved = fuzz_case(
+            0,
+            &case,
+            |_| panic!("simulation exceeded 10 events: protocol livelock?"),
+            &cli,
+            &mut summary,
+        );
+        let path = saved.expect("a case file for the panicked case");
+        assert_eq!(FuzzCase::load(&path).expect("loads").seed, case.seed);
+        let csv = summary.to_csv();
+        let row = csv.lines().nth(1).expect("one row");
+        assert!(row.starts_with(&format!("0,{},", case.seed)), "{row}");
+        assert!(
+            row.ends_with(",1,panic: simulation exceeded 10 events: protocol livelock?"),
+            "{row}"
+        );
+
+        let clean = fuzz_case(1, &case, |_| AuditReport::default(), &cli, &mut summary);
+        assert_eq!(clean, None);
+        assert_eq!(summary.to_csv().lines().count(), 3);
+        std::fs::remove_dir_all(&out).unwrap();
     }
 }

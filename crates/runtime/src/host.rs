@@ -6,10 +6,14 @@
 //! that rules on their sends, a [`TimerWheel`] on that clock holding
 //! protocol timers and delay-fated copies, the reused handler buffers and
 //! the send counters.
-//! What differs between drivers stays with them, as two closures:
+//! What differs between drivers stays with them: a [`Transport`] and a
+//! stop rule.
 //!
-//! * `egress(from, to, msg)` — where a surviving copy for a rank on
-//!   another host goes: that worker's channel, that process's frame queue.
+//! * [`Transport::receive`] — where inbound messages come from and how
+//!   the host waits for them: a worker's `std::sync::mpsc` inbox
+//!   ([`Channel`]), a rank process's own sockets.
+//! * [`Transport::egress`] — where a surviving copy for a rank on another
+//!   host goes: that worker's channel, that peer's outbound stream.
 //! * the per-turn stop rule — done-count and idle timeout for threads,
 //!   stop flag and deadline for sockets.
 //!
@@ -26,14 +30,17 @@
 //! gate. One clock reading serves a whole handler turn: the `now` the
 //! handler sees is the send time the emulator rules on.
 //!
-//! The inbox is a `std::sync::mpsc` channel, and the loop spins before it
-//! parks: a handler takes microseconds and waking a parked thread takes
-//! tens, so a host that blocked the instant its inbox ran dry would pay
-//! the kernel once per message. After a turn that did work it polls for
-//! [`SPIN`] first and blocks only when that stays empty; a host with
-//! nothing to do goes straight back to sleep. A turn ends by delivering
-//! what the local FIFO held when that sweep began, so a local chain and
-//! the inbox take turns and neither starves the other.
+//! The threaded executor's inbox is a `std::sync::mpsc` channel, and its
+//! receive step spins before it parks: a handler takes microseconds and
+//! waking a parked thread takes tens, so a host that blocked the instant
+//! its inbox ran dry would pay the kernel once per message. After a turn
+//! that did work it polls for [`SPIN`] first and blocks only when that
+//! stays empty; a host with nothing to do goes straight back to sleep.
+//!
+//! A turn of the loop receives what the transport has, releases what came
+//! due, and ends by delivering what the local FIFO held when that sweep
+//! began, so a local chain and the inbox take turns and neither starves
+//! the other.
 
 use crate::emulator::{wall_arrival, LinkEmulator};
 use crate::fault::{FaultPlan, FaultStats};
@@ -61,7 +68,7 @@ const HELD_QUANTUM: f64 = 1e-3;
 /// a wake-up from the kernel costs more than several handlers. Measured
 /// flat from 10 to 300 µs; short enough that a host out of work burns one
 /// window and then sleeps.
-const SPIN: Duration = Duration::from_micros(50);
+pub(crate) const SPIN: Duration = Duration::from_micros(50);
 
 /// What the receive step did when it found the inbox empty.
 #[derive(Debug, Default)]
@@ -281,59 +288,17 @@ impl<P: Protocol> Host<P> {
         fired
     }
 
-    /// Take the next message off `inbox`, waiting up to `wait` for one.
-    /// An `armed` host (its last turn did work) polls for [`SPIN`] before
-    /// it blocks; `Timeout` covers both ways of coming back empty.
-    fn receive(
-        &mut self,
-        inbox: &Receiver<Inbound<P::Msg>>,
-        wait: Duration,
-        armed: bool,
-    ) -> Result<Inbound<P::Msg>, RecvTimeoutError> {
-        let poll = || match inbox.try_recv() {
-            Ok(msg) => Some(Ok(msg)),
-            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
-            Err(TryRecvError::Empty) => None,
-        };
-        if let Some(out) = poll() {
-            return out;
-        }
-        if wait.is_zero() {
-            // A held entry is already due: neither a spin nor a park.
-            return Err(RecvTimeoutError::Timeout);
-        }
-        let began = Instant::now();
-        if armed {
-            self.idle.spins += 1;
-            let spin = SPIN.min(wait);
-            while began.elapsed() < spin {
-                std::thread::yield_now();
-                if let Some(out) = poll() {
-                    self.idle.spin_hits += u64::from(out.is_ok());
-                    return out;
-                }
-            }
-        }
-        let left = wait.saturating_sub(began.elapsed());
-        if left.is_zero() {
-            return Err(RecvTimeoutError::Timeout);
-        }
-        self.idle.parks += 1;
-        inbox.recv_timeout(left)
-    }
-
-    /// Start the hosted ranks, then serve `inbox`, the held queue and the
-    /// local FIFO until `stop` says so (or every sender is gone). `stop`
-    /// is consulted after each turn of the loop with how long the host
-    /// has been idle — zero when the turn received a message, released a
-    /// held entry or delivered a local copy.
+    /// Start the hosted ranks, then serve `transport`, the held queue and
+    /// the local FIFO until `stop` says so (or the transport disconnects).
+    /// `stop` is consulted after each turn of the loop with how long the
+    /// host has been idle — zero when the turn received a message,
+    /// released a held entry or delivered a local copy.
     pub(crate) fn run(
         &mut self,
-        inbox: &Receiver<Inbound<P::Msg>>,
-        mut egress: impl FnMut(RankId, RankId, P::Msg),
+        transport: &mut impl Transport<P::Msg>,
         mut stop: impl FnMut(&mut Self, Duration) -> bool,
     ) {
-        self.start(&mut egress);
+        self.start(&mut egress_of(transport));
         let mut idle = Duration::ZERO;
         loop {
             // Local copies left over from the last sweep mean no wait;
@@ -347,21 +312,22 @@ impl<P: Protocol> Host<P> {
                     Duration::from_secs_f64((due - self.now()).clamp(0.0, TICK.as_secs_f64()))
                 })
             };
-            let received = match self.receive(inbox, wait, idle.is_zero()) {
+            let received = match transport.receive(wait, idle.is_zero(), &mut self.idle) {
                 Ok((from, to, msg)) => {
-                    self.deliver(from, to, msg, &mut egress);
+                    self.deliver(from, to, msg, &mut egress_of(transport));
                     // Batched drain: a host that waited typically comes
                     // back to a mailbox full of gossip, and draining it in
                     // one sweep amortizes the wait over every queued
                     // message instead of paying it per message.
-                    while let Ok((from, to, msg)) = inbox.try_recv() {
-                        self.deliver(from, to, msg, &mut egress);
+                    while let Some((from, to, msg)) = transport.try_receive() {
+                        self.deliver(from, to, msg, &mut egress_of(transport));
                     }
                     true
                 }
                 Err(RecvTimeoutError::Timeout) => false,
                 Err(RecvTimeoutError::Disconnected) => return,
             };
+            let mut egress = egress_of(transport);
             let fired = self.fire_due(&mut egress);
             // One sweep: what was queued locally when it began, so a
             // local ping-pong cannot shut out the inbox or a due timer.
@@ -382,6 +348,91 @@ impl<P: Protocol> Host<P> {
                 return;
             }
         }
+    }
+}
+
+/// `transport`'s egress as the closure the handler turns route through.
+fn egress_of<M>(transport: &mut impl Transport<M>) -> impl FnMut(RankId, RankId, M) + '_ {
+    move |from, to, msg| transport.egress(from, to, msg)
+}
+
+/// What a driver supplies to [`Host::run`] besides its stop rule: where
+/// inbound messages come from, and where a surviving copy for a rank on
+/// another host goes.
+pub(crate) trait Transport<M> {
+    /// Take the next inbound message, waiting up to `wait` for one. An
+    /// `armed` host (its last turn did work) may poll before it blocks;
+    /// `idle` counts what the wait did. `Timeout` covers every way of
+    /// coming back empty; `Disconnected` ends the run.
+    fn receive(
+        &mut self,
+        wait: Duration,
+        armed: bool,
+        idle: &mut IdleStats,
+    ) -> Result<Inbound<M>, RecvTimeoutError>;
+
+    /// The next inbound message that is already here, without waiting:
+    /// the rest of the batch [`Transport::receive`] began.
+    fn try_receive(&mut self) -> Option<Inbound<M>>;
+
+    /// Send `(from, to, msg)` towards `to`, a rank on another host.
+    fn egress(&mut self, from: RankId, to: RankId, msg: M);
+}
+
+/// The threaded executor's transport: a worker's `std::sync::mpsc` inbox,
+/// and the rule that hands a copy to the worker holding its rank.
+pub(crate) struct Channel<'a, M, E> {
+    pub(crate) inbox: &'a Receiver<Inbound<M>>,
+    pub(crate) egress: E,
+}
+
+impl<M, E: FnMut(RankId, RankId, M)> Transport<M> for Channel<'_, M, E> {
+    /// An `armed` host polls for [`SPIN`] before it blocks.
+    fn receive(
+        &mut self,
+        wait: Duration,
+        armed: bool,
+        idle: &mut IdleStats,
+    ) -> Result<Inbound<M>, RecvTimeoutError> {
+        let inbox = self.inbox;
+        let poll = || match inbox.try_recv() {
+            Ok(msg) => Some(Ok(msg)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        };
+        if let Some(out) = poll() {
+            return out;
+        }
+        if wait.is_zero() {
+            // A held entry is already due: neither a spin nor a park.
+            return Err(RecvTimeoutError::Timeout);
+        }
+        let began = Instant::now();
+        if armed {
+            idle.spins += 1;
+            let spin = SPIN.min(wait);
+            while began.elapsed() < spin {
+                std::thread::yield_now();
+                if let Some(out) = poll() {
+                    idle.spin_hits += u64::from(out.is_ok());
+                    return out;
+                }
+            }
+        }
+        let left = wait.saturating_sub(began.elapsed());
+        if left.is_zero() {
+            return Err(RecvTimeoutError::Timeout);
+        }
+        idle.parks += 1;
+        inbox.recv_timeout(left)
+    }
+
+    fn try_receive(&mut self) -> Option<Inbound<M>> {
+        self.inbox.try_recv().ok()
+    }
+
+    fn egress(&mut self, from: RankId, to: RankId, msg: M) {
+        (self.egress)(from, to, msg)
     }
 }
 
@@ -585,14 +636,14 @@ mod tests {
     fn run_alone(mut h: Host<Stub>, quiet: Duration) -> (u64, Host<Stub>) {
         let (_tx, rx) = std::sync::mpsc::channel();
         let mut turns = 0;
-        h.run(
-            &rx,
-            |_, _, _| panic!("a copy for a hosted rank left the host"),
-            |_, idle| {
-                turns += 1;
-                idle >= quiet
-            },
-        );
+        let mut channel = Channel {
+            inbox: &rx,
+            egress: |_, _, _| panic!("a copy for a hosted rank left the host"),
+        };
+        h.run(&mut channel, |_, idle| {
+            turns += 1;
+            idle >= quiet
+        });
         (turns, h)
     }
 
@@ -657,18 +708,18 @@ mod tests {
         let mut h = host(rank, FaultPlan::none());
         let (tx, rx) = std::sync::mpsc::channel();
         let mut turns = 0;
-        h.run(
-            &rx,
-            |_, _, _| panic!("a self-send left the host"),
-            |h, idle| {
-                turns += 1;
-                if turns == 10 {
-                    tx.send((peer, me, 0)).expect("the inbox is open");
-                    h.held.push(h.now(), Held::Timer(me, 0));
-                }
-                idle >= Duration::from_millis(20)
-            },
-        );
+        let mut channel = Channel {
+            inbox: &rx,
+            egress: |_, _, _| panic!("a self-send left the host"),
+        };
+        h.run(&mut channel, |h, idle| {
+            turns += 1;
+            if turns == 10 {
+                tx.send((peer, me, 0)).expect("the inbox is open");
+                h.held.push(h.now(), Held::Timer(me, 0));
+            }
+            idle >= Duration::from_millis(20)
+        });
         let got = &h.finish().0[0].1.got;
         assert_eq!(got.len(), CHAIN as usize + 3);
         // The chain ends on a 0 of its own; the timer's 0 comes first.

@@ -30,11 +30,12 @@
 //! reports done hangs the run, which tests guard with a wall-clock bound.
 
 use crate::fault::{FaultPlan, FaultStats};
-use crate::host::{Host, IdleStats, Inbound, Layout};
+use crate::host::{Channel, Host, IdleStats, Inbound, Layout};
 use crate::sim::Protocol;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
+use tempered_core::ids::RankId;
 use tempered_obs::NetworkStats;
 use tempered_obs::Recorder;
 
@@ -159,14 +160,17 @@ where
             );
             handles.push(scope.spawn(move || {
                 let mut ok = false;
-                host.run(
-                    &inbox,
+                let mut channel = Channel {
+                    inbox: &inbox,
                     // A send can only fail after global completion, when
                     // peer workers have exited; at that point the message
                     // is stale control traffic and dropping it is correct.
-                    |from, to, msg| {
+                    egress: |from, to: RankId, msg| {
                         let _ = senders[layout.host(to.as_usize())].send((from, to, msg));
                     },
+                };
+                host.run(
+                    &mut channel,
                     // Stop once every rank has reported done and this
                     // worker has gone a tick without traffic, or give up
                     // on a deadlocked or livelocked protocol.
