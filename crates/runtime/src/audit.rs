@@ -43,6 +43,7 @@ use crate::fault::FaultPlan;
 use crate::lb::{DeliveryAudit, LbProtocolConfig, LbRank, TaskEntry};
 use crate::reliable::SeqSetView;
 use crate::sim::NetworkModel;
+use crate::termination::EpochSends;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -200,12 +201,28 @@ pub struct EarlyDeclaration {
     pub pending: Vec<(RankId, u64)>,
 }
 
+/// How one epoch's termination was detected, as an audited run saw it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EpochDetection {
+    /// The epoch.
+    pub epoch: u64,
+    /// How the epoch sent, and the waves its coordinator launched before
+    /// declaring it; `None` when no wave ran (a sole survivor declares
+    /// at its kick).
+    pub waves: Option<(EpochSends, u64)>,
+    /// Virtual seconds from ground-truth quiescence — the epoch's last
+    /// basic message processed — to the first declaration; `None` when
+    /// the epoch moved no basic message.
+    pub lag: Option<f64>,
+}
+
 /// Ground truth for [`Invariant::TerminationSoundness`]: per (basic
 /// epoch, receiver), the basic messages sent and not yet processed —
 /// counted where the engine sends one and where it dispatches one, so
 /// neither a retransmission nor a duplicate copy counts twice, and a
 /// buffered message counts as pending — plus every declaration made
-/// while anything was.
+/// while anything was. It also times each epoch's detection
+/// ([`EpochDetection`]).
 ///
 /// One ledger is shared by every rank of an audited simulator run
 /// ([`capture_lb_run`]); a rank without one pays nothing.
@@ -214,6 +231,12 @@ pub struct TerminationLedger {
     unprocessed: BTreeMap<(u64, RankId), u64>,
     declarations: usize,
     early: Vec<EarlyDeclaration>,
+    /// Per epoch: when its last basic message so far was processed.
+    last_processed: BTreeMap<u64, f64>,
+    /// Per epoch: when a rank first learned it terminated.
+    first_declared: BTreeMap<u64, f64>,
+    /// Per epoch: how it sent, and its coordinator's wave count.
+    waves: BTreeMap<u64, (EpochSends, u64)>,
 }
 
 /// A [`TerminationLedger`] as the ranks of one run share it.
@@ -225,8 +248,9 @@ impl TerminationLedger {
         *self.unprocessed.entry((epoch, to)).or_default() += 1;
     }
 
-    /// `rank` processed a basic message of `epoch`.
-    pub fn processed(&mut self, epoch: u64, rank: RankId) {
+    /// `rank` processed a basic message of `epoch` at `at`.
+    pub fn processed(&mut self, epoch: u64, rank: RankId, at: f64) {
+        self.last_processed.insert(epoch, at);
         if let Some(n) = self.unprocessed.get_mut(&(epoch, rank)) {
             *n -= 1;
             if *n == 0 {
@@ -239,6 +263,7 @@ impl TerminationLedger {
     /// terminated.
     pub fn declared(&mut self, rank: RankId, epoch: u64, at: f64, dead: &BTreeSet<RankId>) {
         self.declarations += 1;
+        self.first_declared.entry(epoch).or_insert(at);
         let pending: Vec<(RankId, u64)> = self
             .unprocessed
             .range((epoch, RankId(0))..=(epoch, RankId(u32::MAX)))
@@ -254,6 +279,12 @@ impl TerminationLedger {
             });
         }
     }
+
+    /// The coordinator declared `epoch`, which sent as `sends`, after
+    /// launching `waves` waves.
+    pub fn detected(&mut self, epoch: u64, sends: EpochSends, waves: u64) {
+        self.waves.insert(epoch, (sends, waves));
+    }
 }
 
 /// What a run's [`TerminationLedger`] concluded.
@@ -263,6 +294,8 @@ pub struct TerminationTruth {
     pub declarations: usize,
     /// The declarations made while something was still pending.
     pub early: Vec<EarlyDeclaration>,
+    /// Every declared epoch's detection, in epoch order.
+    pub epochs: Vec<EpochDetection>,
 }
 
 impl From<&SharedTerminationLedger> for TerminationTruth {
@@ -271,6 +304,15 @@ impl From<&SharedTerminationLedger> for TerminationTruth {
         TerminationTruth {
             declarations: ledger.declarations,
             early: ledger.early.clone(),
+            epochs: ledger
+                .first_declared
+                .iter()
+                .map(|(&epoch, &at)| EpochDetection {
+                    epoch,
+                    waves: ledger.waves.get(&epoch).copied(),
+                    lag: ledger.last_processed.get(&epoch).map(|&t| at - t),
+                })
+                .collect(),
         }
     }
 }
@@ -688,12 +730,50 @@ mod tests {
     }
 
     #[test]
+    fn an_audited_run_times_every_epochs_detection() {
+        let dist = Distribution::concentrated(8, 2, 10);
+        let cfg = quick_cfg().hardened(RetryConfig::default());
+        let art = capture_lb_run(
+            &dist,
+            cfg,
+            NetworkModel::default(),
+            &RngFactory::new(11),
+            FaultPlan::none(),
+        );
+        let truth = art.termination.as_ref().expect("audited");
+        let (mut entry_only, mut reply) = (0, 0);
+        for e in &truth.epochs {
+            let (sends, waves) = e.waves.expect("eight ranks launch a wave");
+            // A two-wave epoch needs a confirming wave.
+            let least = match sends {
+                EpochSends::EntryOnly => {
+                    entry_only += 1;
+                    1
+                }
+                EpochSends::Replies => {
+                    reply += 1;
+                    2
+                }
+            };
+            assert!(waves >= least, "{e:?}");
+            assert!(e.lag.is_none_or(|lag| lag >= 0.0), "{e:?}");
+        }
+        // Gossip rounds and proposals are entry-only; the commit is not.
+        assert_eq!(reply, 1);
+        assert!(entry_only >= 2 * 2, "{entry_only}");
+        // The observed run counts the same waves.
+        let hist = |name| art.trace.metrics.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(hist("lb.td.waves.entry_only"), entry_only);
+        assert_eq!(hist("lb.td.waves.reply"), reply);
+    }
+
+    #[test]
     fn a_declaration_with_a_message_unprocessed_is_a_termination_violation() {
         let (a, b) = (RankId(0), RankId(1));
         let mut ledger = TerminationLedger::default();
         ledger.sent(5, b);
         ledger.sent(5, b);
-        ledger.processed(5, b);
+        ledger.processed(5, b, 0.25);
         // One of rank 1's two epoch-5 messages is still unprocessed.
         ledger.declared(a, 5, 1.0, &BTreeSet::new());
         // Another epoch, or a receiver the view fences, does not count.
@@ -711,6 +791,10 @@ mod tests {
                 pending: vec![(b, 1)],
             }]
         );
+        // Epoch 5 is timed from its last processed message; epochs 6 and
+        // 7 processed none.
+        let lags: Vec<(u64, Option<f64>)> = truth.epochs.iter().map(|e| (e.epoch, e.lag)).collect();
+        assert_eq!(lags, vec![(5, Some(0.75)), (6, None), (7, None)]);
         let dist = Distribution::concentrated(2, 1, 2);
         let cfg = quick_cfg().hardened(RetryConfig::default());
         let mut art = capture_lb_run(

@@ -55,7 +55,7 @@ use super::messages::{LbMsg, TaskEntry};
 use crate::census::{btree_set_bytes, vec_bytes, HeapCensus, Owner};
 use crate::collective::{LoadSummary, Reduced, SurvivorTree};
 use crate::membership::View;
-use crate::termination::{TdMsg, TdOutcome, TerminationDetector};
+use crate::termination::{EpochSends, TdMsg, TdOutcome, TerminationDetector};
 use stages::StageState;
 use std::collections::BTreeSet;
 use tempered_core::ids::{RankId, TaskId};
@@ -95,6 +95,11 @@ pub enum Command {
         epoch: u64,
         /// Basic messages the epoch moved, job-wide.
         sent: u64,
+        /// How the epoch sent its basic messages.
+        sends: EpochSends,
+        /// Termination-detection waves this rank launched for the
+        /// epoch: nonzero only at the coordinator that declared it.
+        waves: u64,
     },
     /// A basic message of `epoch` was just processed. Emitted only after
     /// [`GossipEngine::report_processing`]: the termination audit's
@@ -881,7 +886,8 @@ impl GossipEngine {
         // relaunch sends target the old, now-abandoned epoch — discard
         // them), then hard-reset it to the new view's epoch base.
         let _ = self.det.set_dead(self.view.dead());
-        self.det.start_epoch(self.view.epoch_base());
+        self.det
+            .start_epoch(self.view.epoch_base(), EpochSends::Replies);
 
         // Drop any buffered message that the new view fences out.
         let buffered = std::mem::take(&mut self.buffered);

@@ -12,6 +12,7 @@ use super::super::messages::{LbMsg, TaskEntry};
 use super::{Command, GossipEngine};
 use crate::collective::LoadSummary;
 use crate::membership::View;
+use crate::termination::EpochSends;
 use rand::rngs::SmallRng;
 use std::collections::HashMap;
 use tempered_core::gossip::{sample_fanout_targets, TargetExclusions};
@@ -155,13 +156,14 @@ impl GossipEngine {
             round,
         }));
         let epoch = self.gossip_round_epoch(round);
-        self.det.start_epoch(epoch);
+        self.det.start_epoch(epoch, EpochSends::EntryOnly);
 
         // Algorithm 1, stepped: round 1 is seeded by the underloaded
         // ranks (lines 6–12); round r+1 is sent by exactly the ranks
         // whose knowledge grew during round r (lines 18–24). All sends
         // happen at round entry, over the complete, canonicalized union
-        // of the previous round's receipts.
+        // of the previous round's receipts — so the epoch is entry-only,
+        // and ends on its first balanced wave.
         let mut gs = match std::mem::replace(&mut self.state, StageState::Done) {
             StageState::Gossip(gs) => gs,
             s => unreachable!("gossip round entered from {}", s.label()),
@@ -248,7 +250,12 @@ impl GossipEngine {
     }
 
     pub(super) fn on_epoch_terminated(&mut self, out: &mut Vec<Command>, epoch: u64, sent: u64) {
-        out.push(Command::Terminated { epoch, sent });
+        out.push(Command::Terminated {
+            epoch,
+            sent,
+            sends: self.det.sends(),
+            waves: self.det.waves(),
+        });
         match &self.state {
             StageState::Gossip(gs) => {
                 debug_assert_eq!(epoch, self.gossip_round_epoch(gs.round));
@@ -287,7 +294,7 @@ impl GossipEngine {
         };
         self.open_stage_span(out);
         let epoch = self.proposal_epoch();
-        self.det.start_epoch(epoch);
+        self.det.start_epoch(epoch, EpochSends::EntryOnly);
         self.canonicalize_current();
 
         // Algorithm 2, locally — literally the same kernel the
@@ -380,7 +387,8 @@ impl GossipEngine {
         self.state = StageState::Commit;
         self.open_stage_span(out);
         let epoch = self.commit_epoch();
-        self.det.start_epoch(epoch);
+        // A `Fetch` is answered with `TaskData` while it is processed.
+        self.det.start_epoch(epoch, EpochSends::Replies);
         out.push(Command::Instant(EventKind::Committed {
             epoch,
             generation: self.view.generation(),

@@ -33,6 +33,7 @@ use crate::census::{btree_set_bytes, vec_bytes, HeapCensus, Owner};
 use crate::health::HealthDetector;
 use crate::reliable::{LedgerView, ReliableChannel, ReliableStats, RetryAction};
 use crate::sim::{Ctx, Protocol};
+use crate::termination::EpochSends;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use tempered_core::distribution::Distribution;
@@ -757,20 +758,34 @@ impl LbRank {
                     self.span_close(ctx.now());
                     self.flush_metrics();
                 }
-                Command::Terminated { epoch, sent } => {
+                Command::Terminated {
+                    epoch,
+                    sent,
+                    sends,
+                    waves,
+                } => {
                     let now = ctx.now();
                     self.rec.instant(
                         self.me.as_u32(),
                         now,
                         EventKind::EpochTerminated { epoch, sent },
                     );
+                    // Only the declaring coordinator launched waves.
+                    if waves > 0 {
+                        let name = match sends {
+                            EpochSends::EntryOnly => "lb.td.waves.entry_only",
+                            EpochSends::Replies => "lb.td.waves.reply",
+                        };
+                        self.rec.observe(name, waves);
+                        self.with_truth(|t| t.detected(epoch, sends, waves));
+                    }
                     let (me, dead) = (self.me, self.engine.view().dead());
                     self.with_truth(|t| t.declared(me, epoch, now, dead));
                     self.close_epoch(epoch);
                 }
                 Command::Processed { epoch } => {
-                    let me = self.me;
-                    self.with_truth(|t| t.processed(epoch, me));
+                    let (me, now) = (self.me, ctx.now());
+                    self.with_truth(|t| t.processed(epoch, me, now));
                 }
             }
         }

@@ -20,7 +20,8 @@
 //!   consecutive ids, one host each, `std::sync::mpsc` channels between
 //!   them. Stress-tests protocol correctness under arbitrary
 //!   interleavings.
-//! * [`termination`] — Mattern four-counter wave termination detection,
+//! * [`termination`] — Mattern four-counter wave termination detection
+//!   (one balanced wave for an epoch that sends only at entry),
 //!   the mechanism sequencing the barrier-free gossip protocol (§IV-B).
 //! * [`collective`] — binary-tree reduce/broadcast used for the load
 //!   allreduce and per-iteration evaluation.

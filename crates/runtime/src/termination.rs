@@ -1,4 +1,6 @@
-//! Distributed termination detection: Mattern's four-counter wave method.
+//! Distributed termination detection: Mattern's four-counter wave
+//! method, with a one-wave rule for epochs whose messages all leave at
+//! entry.
 //!
 //! The asynchronous gossip protocol has no barriers; §IV-B: rounds
 //! "proceed without barriers, relying on distributed *termination
@@ -18,6 +20,40 @@
 //! message is counted **when it is processed**, not when it is buffered —
 //! otherwise a counted-but-unprocessed message could still generate sends
 //! after the counts look stable.
+//!
+//! # Entry-only epochs end on their first balanced wave
+//!
+//! The second wave is needed only because a rank may send *after* the
+//! wave counted it: processing a message can produce another one. The
+//! embedding protocol says at [`TerminationDetector::start_epoch`] which
+//! kind of epoch it starts ([`EpochSends`]). In an
+//! [`EpochSends::EntryOnly`] epoch every basic message is sent by its
+//! sender on entering the epoch, and the coordinator declares termination
+//! at the end of the first wave whose totals have `sent == recv`:
+//!
+//! - A rank handles an epoch's token only after it has entered that
+//!   epoch: the embedding protocol buffers a token of a later epoch, and
+//!   the coordinator kicks only after its own entry sends. So every count
+//!   the wave reads already includes all of that rank's sends, and the
+//!   wave's `sent` is the epoch's total.
+//! - Each processed message was sent, and the delivery layer's dedup
+//!   counts it once, so `recv ≤ sent`. If `recv == sent`, every basic
+//!   message of the epoch was processed before its receiver's visit, and
+//!   no rank can send another one.
+//! - The `sent` that `Terminated` carries is the same total the
+//!   two-wave rule would carry.
+//!
+//! Both rules assume the ring visits every sender. After
+//! [`TerminationDetector::set_dead`] it does not — a corpse's sends leave
+//! the totals — which is why embedding protocols restart the epoch on a
+//! view change.
+//!
+//! In `lb::engine` the gossip rounds and the transfer stage are
+//! entry-only; the commit epoch (a `Fetch` is answered by `TaskData`)
+//! and the setup and restart epochs keep two equal, balanced waves, as
+//! do `empire::dist_app`'s exchange (a mesh home forwards particles) and
+//! migration (request and reply) epochs. An epoch that moved every
+//! message before the kick ends in exactly one lap plus the broadcast.
 //!
 //! The detector is a passive component: it owns counters and wave state,
 //! and returns the control messages for the caller to transmit through
@@ -52,6 +88,20 @@ pub enum TdMsg {
         /// early when a round moved zero messages.
         sent: u64,
     },
+}
+
+/// When an epoch's basic messages are sent: what decides whether one
+/// balanced wave proves termination (see the module doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EpochSends {
+    /// Every basic message of the epoch is sent by its sender on
+    /// entering the epoch, before it handles the epoch's token.
+    /// Termination is declared on the first wave with `sent == recv`.
+    EntryOnly,
+    /// Processing a basic message may send another one (a reply or a
+    /// forward). Termination needs two consecutive waves with equal
+    /// totals and `sent == recv`.
+    Replies,
 }
 
 /// Wire size of a control message (for latency/accounting models).
@@ -92,6 +142,8 @@ pub struct TerminationDetector {
     /// ([`crate::membership::live_index`]), never listed.
     dead: BTreeSet<RankId>,
     epoch: u64,
+    /// Whether the current epoch sends only at entry.
+    sends: EpochSends,
     sent: u64,
     recv: u64,
     /// Coordinator only: totals of the previous completed wave.
@@ -115,6 +167,7 @@ impl TerminationDetector {
             tree: Tree::new(num_ranks, RankId::new(0)),
             dead: BTreeSet::new(),
             epoch: 0,
+            sends: EpochSends::Replies,
             sent: 0,
             recv: 0,
             prev_wave: None,
@@ -199,10 +252,25 @@ impl TerminationDetector {
         (self.sent, self.recv)
     }
 
-    /// Begin a new epoch: resets counters and wave state. The coordinator
-    /// must follow with [`TerminationDetector::kick`] to launch wave 1.
-    pub fn start_epoch(&mut self, epoch: u64) {
+    /// Waves this rank launched in the current epoch since it started or
+    /// since the last [`TerminationDetector::set_dead`]: nonzero only on
+    /// the coordinator.
+    pub fn waves(&self) -> u64 {
+        self.wave
+    }
+
+    /// How the current epoch's basic messages are sent.
+    pub fn sends(&self) -> EpochSends {
+        self.sends
+    }
+
+    /// Begin a new epoch whose basic messages are sent as `sends` says:
+    /// resets counters and wave state. The coordinator must follow with
+    /// [`TerminationDetector::kick`] to launch wave 1, after its own
+    /// entry sends.
+    pub fn start_epoch(&mut self, epoch: u64, sends: EpochSends) {
         self.epoch = epoch;
+        self.sends = sends;
         self.sent = 0;
         self.recv = 0;
         self.prev_wave = None;
@@ -274,9 +342,11 @@ impl TerminationDetector {
                         // condition. Only the wave we launched may return.
                         return TdOutcome::default();
                     }
-                    // Wave completed.
+                    // Wave completed. An entry-only epoch needs no
+                    // confirming wave: nothing is sent behind this one.
                     let totals = (sent, recv);
-                    let stable = self.prev_wave == Some(totals);
+                    let stable =
+                        self.sends == EpochSends::EntryOnly || self.prev_wave == Some(totals);
                     self.prev_wave = Some(totals);
                     if sent == recv && stable {
                         // Terminated: broadcast down the tree.
@@ -352,7 +422,7 @@ mod tests {
         let mut dets: Vec<TerminationDetector> = (0..num_ranks)
             .map(|r| {
                 let mut d = TerminationDetector::new(RankId::from(r), num_ranks);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 for _ in 0..counters[r].0 {
                     d.on_basic_send();
                 }
@@ -395,7 +465,7 @@ mod tests {
     #[test]
     fn single_rank_terminates_on_kick() {
         let mut d = TerminationDetector::new(RankId::new(0), 1);
-        d.start_epoch(3);
+        d.start_epoch(3, EpochSends::Replies);
         let out = d.kick();
         assert_eq!(out.terminated_epoch, Some(3));
         assert!(d.is_terminated());
@@ -410,7 +480,7 @@ mod tests {
         let mut dets: Vec<TerminationDetector> = (0..num_ranks)
             .map(|r| {
                 let mut d = TerminationDetector::new(RankId::from(r), num_ranks);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 d
             })
             .collect();
@@ -442,8 +512,8 @@ mod tests {
         let num_ranks = 2;
         let mut d0 = TerminationDetector::new(RankId::new(0), num_ranks);
         let mut d1 = TerminationDetector::new(RankId::new(1), num_ranks);
-        d0.start_epoch(1);
-        d1.start_epoch(1);
+        d0.start_epoch(1, EpochSends::Replies);
+        d1.start_epoch(1, EpochSends::Replies);
         d0.on_basic_send();
 
         // Wave 1: token through rank 1 (recv not yet counted).
@@ -473,9 +543,32 @@ mod tests {
     }
 
     #[test]
+    fn entry_only_epoch_ends_on_its_first_balanced_wave() {
+        // The schedule of `late_delivery_requires_second_stable_wave`,
+        // in an epoch whose one message left at entry: wave 1 sees it in
+        // flight, wave 2 sees it processed and declares.
+        let mut d0 = TerminationDetector::new(RankId::new(0), 2);
+        let mut d1 = TerminationDetector::new(RankId::new(1), 2);
+        d0.start_epoch(1, EpochSends::EntryOnly);
+        d1.start_epoch(1, EpochSends::EntryOnly);
+        d0.on_basic_send();
+        let t1 = d0.kick().sends.remove(0);
+        let back1 = d1.handle(t1.msg).sends.remove(0);
+        d1.on_basic_recv();
+        let t2 = d0.handle(back1.msg).sends.remove(0);
+        assert_eq!(d0.waves(), 2);
+        let back2 = d1.handle(t2.msg).sends.remove(0);
+        let fin = d0.handle(back2.msg);
+        assert_eq!(fin.terminated_epoch, Some(1));
+        assert_eq!(fin.sends[0].msg, TdMsg::Terminated { epoch: 1, sent: 1 });
+        assert_eq!(d0.waves(), 2);
+        assert_eq!(d1.waves(), 0, "only the coordinator launches waves");
+    }
+
+    #[test]
     fn stale_tokens_are_dropped() {
         let mut d = TerminationDetector::new(RankId::new(1), 4);
-        d.start_epoch(5);
+        d.start_epoch(5, EpochSends::Replies);
         let out = d.handle(TdMsg::Token {
             epoch: 4,
             wave: 9,
@@ -495,7 +588,7 @@ mod tests {
         // twice. A forwarding rank must not add its counters into the
         // wave a second time.
         let mut d = TerminationDetector::new(RankId::new(1), 3);
-        d.start_epoch(1);
+        d.start_epoch(1, EpochSends::Replies);
         d.on_basic_recv();
         let token = TdMsg::Token {
             epoch: 1,
@@ -533,7 +626,7 @@ mod tests {
         // Coordinator launched wave 1; a duplicate of the returning wave-1
         // token must not be treated as a second stable wave.
         let mut d0 = TerminationDetector::new(RankId::new(0), 2);
-        d0.start_epoch(1);
+        d0.start_epoch(1, EpochSends::Replies);
         let _ = d0.kick(); // wave 1 out
         let back = TdMsg::Token {
             epoch: 1,
@@ -566,7 +659,7 @@ mod tests {
     #[test]
     fn duplicated_terminated_broadcast_is_idempotent() {
         let mut d = TerminationDetector::new(RankId::new(1), 4);
-        d.start_epoch(2);
+        d.start_epoch(2, EpochSends::Replies);
         let first = d.handle(TdMsg::Terminated { epoch: 2, sent: 7 });
         assert_eq!(first.terminated_epoch, Some(2));
         assert_eq!(first.terminated_sent, 7);
@@ -587,7 +680,7 @@ mod tests {
         let mut dets: Vec<TerminationDetector> = (0..num_ranks)
             .map(|r| {
                 let mut d = TerminationDetector::new(RankId::from(r), num_ranks);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 d
             })
             .collect();
@@ -643,7 +736,7 @@ mod tests {
         let mut dets: Vec<TerminationDetector> = (0..num_ranks)
             .map(|r| {
                 let mut d = TerminationDetector::new(RankId::from(r), num_ranks);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 d
             })
             .collect();
@@ -679,7 +772,7 @@ mod tests {
         let mut dets: Vec<TerminationDetector> = (0..num_ranks)
             .map(|r| {
                 let mut d = TerminationDetector::new(RankId::from(r), num_ranks);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 d
             })
             .collect();
@@ -700,7 +793,7 @@ mod tests {
     #[test]
     fn sole_survivor_terminates_immediately_on_set_dead() {
         let mut d = TerminationDetector::new(RankId::new(1), 3);
-        d.start_epoch(1);
+        d.start_epoch(1, EpochSends::Replies);
         let dead: BTreeSet<RankId> = [RankId::new(0), RankId::new(2)].into_iter().collect();
         let out = d.set_dead(&dead);
         assert_eq!(out.terminated_epoch, Some(1));
@@ -711,9 +804,9 @@ mod tests {
     #[test]
     fn start_epoch_resets_state() {
         let mut d = TerminationDetector::new(RankId::new(0), 1);
-        d.start_epoch(1);
+        d.start_epoch(1, EpochSends::Replies);
         assert_eq!(d.kick().terminated_epoch, Some(1));
-        d.start_epoch(2);
+        d.start_epoch(2, EpochSends::Replies);
         assert!(!d.is_terminated());
         assert_eq!(d.counters(), (0, 0));
         assert_eq!(d.epoch(), 2);

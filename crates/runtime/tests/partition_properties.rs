@@ -22,7 +22,7 @@ use tempered_runtime::lb::{LbProtocolConfig, PartitionConfig};
 use tempered_runtime::membership::{live_index, nth_live, View};
 use tempered_runtime::reliable::RetryConfig;
 use tempered_runtime::sim::NetworkModel;
-use tempered_runtime::termination::{TdMsg, TerminationDetector};
+use tempered_runtime::termination::{EpochSends, TdMsg, TerminationDetector};
 use tempered_runtime::{run_distributed_lb, run_distributed_lb_with_faults};
 
 const RANKS: usize = 12;
@@ -306,7 +306,7 @@ proptest! {
             .map(|r| view.is_live(r).then(|| {
                 let mut d = TerminationDetector::new(r, num_ranks);
                 let _ = d.set_dead(&dead);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 d
             }))
             .collect();

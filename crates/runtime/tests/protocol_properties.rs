@@ -1,8 +1,11 @@
 //! Property-based tests of the runtime substrate: termination detection
-//! under arbitrary counter states, tree topology invariants, and the full
-//! asynchronous LB protocol over randomized distributions.
+//! under arbitrary counter states and under adversarial schedules, tree
+//! topology invariants, and the full asynchronous LB protocol over
+//! randomized distributions.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use tempered_core::distribution::Distribution;
 use tempered_core::ids::RankId;
@@ -11,7 +14,7 @@ use tempered_runtime::collective::{LoadSummary, Tree};
 use tempered_runtime::lb::LbProtocolConfig;
 use tempered_runtime::run_distributed_lb;
 use tempered_runtime::sim::NetworkModel;
-use tempered_runtime::termination::{TdMsg, TerminationDetector};
+use tempered_runtime::termination::{EpochSends, TdMsg, TerminationDetector};
 
 proptest! {
     /// The spanning tree is a tree for any size and root: every non-root
@@ -85,7 +88,7 @@ proptest! {
         let mut dets: Vec<TerminationDetector> = (0..n)
             .map(|r| {
                 let mut d = TerminationDetector::new(RankId::from(r), n);
-                d.start_epoch(1);
+                d.start_epoch(1, EpochSends::Replies);
                 for _ in 0..counters[r].0 { d.on_basic_send(); }
                 for _ in 0..counters[r].1 { d.on_basic_recv(); }
                 d
@@ -114,6 +117,176 @@ proptest! {
             prop_assert!(dets.iter().all(|d| !d.is_terminated()),
                 "unbalanced counters must never terminate");
             prop_assert!(wave_guard > 6, "waves must keep circulating");
+        }
+    }
+}
+
+/// A message of the adversarial schedule: a basic message with the
+/// number of replies it has already bred, or a detector control message.
+#[derive(Clone, Copy, Debug)]
+enum InFlight {
+    Basic { to: usize, depth: u32 },
+    Control { to: usize, msg: TdMsg },
+}
+
+/// What one adversarial epoch did.
+#[derive(Debug, Default)]
+struct EpochRun {
+    /// Ring tokens and `Terminated` messages delivered.
+    tokens: usize,
+    broadcasts: usize,
+}
+
+/// One epoch over `entry_sends.len()` detectors, rank 0 coordinating.
+/// Rank `r` sends `entry_sends[r]` basic messages to random other ranks
+/// when it enters the epoch. Entries, basic deliveries and control
+/// deliveries then interleave in an order drawn from `seed`; a message
+/// for a rank that has not entered yet waits, as the engine buffers one.
+/// With `replies`, processing a message sends up to two more (three
+/// generations at most). With `kick_late`, the coordinator kicks only
+/// once every rank has entered and every basic message is processed.
+/// Fails if a rank learns of termination while a basic message is
+/// unprocessed, or if the epoch does not end everywhere.
+fn adversarial_epoch(
+    sends: EpochSends,
+    entry_sends: &[u8],
+    replies: bool,
+    kick_late: bool,
+    seed: u64,
+) -> Result<EpochRun, TestCaseError> {
+    let n = entry_sends.len();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut dets: Vec<TerminationDetector> = (0..n)
+        .map(|r| TerminationDetector::new(RankId::from(r), n))
+        .collect();
+    let mut entered = vec![false; n];
+    let mut kicked = false;
+    let mut flight: Vec<InFlight> = Vec::new();
+    let mut unprocessed = 0usize;
+    let mut run = EpochRun::default();
+    let other = |rng: &mut SmallRng, me: usize| (me + rng.gen_range(1..n)) % n;
+    for _ in 0..1_000_000 {
+        if !kicked && entered[0] && (!kick_late || (entered.iter().all(|&e| e) && unprocessed == 0))
+        {
+            kicked = true;
+            let out = dets[0].kick();
+            flight.extend(out.sends.iter().map(|s| InFlight::Control {
+                to: s.to.as_usize(),
+                msg: s.msg,
+            }));
+            continue;
+        }
+        // Every action open now: a rank entering, or a delivery to a
+        // rank that has entered.
+        let waiting: Vec<usize> = (0..n).filter(|&r| !entered[r]).collect();
+        let deliverable: Vec<usize> = (0..flight.len())
+            .filter(|&i| match flight[i] {
+                InFlight::Basic { to, .. } | InFlight::Control { to, .. } => entered[to],
+            })
+            .collect();
+        let actions = waiting.len() + deliverable.len();
+        if actions == 0 {
+            break;
+        }
+        let pick = rng.gen_range(0..actions);
+        if pick < waiting.len() {
+            let r = waiting[pick];
+            entered[r] = true;
+            dets[r].start_epoch(1, sends);
+            for _ in 0..entry_sends[r] {
+                dets[r].on_basic_send();
+                unprocessed += 1;
+                flight.push(InFlight::Basic {
+                    to: other(&mut rng, r),
+                    depth: 0,
+                });
+            }
+            continue;
+        }
+        match flight.swap_remove(deliverable[pick - waiting.len()]) {
+            InFlight::Basic { to, depth } => {
+                prop_assert!(
+                    !dets[to].is_terminated(),
+                    "rank {to} processed after termination"
+                );
+                dets[to].on_basic_recv();
+                unprocessed -= 1;
+                let bred = if replies && depth < 3 {
+                    rng.gen_range(0..3)
+                } else {
+                    0
+                };
+                for _ in 0..bred {
+                    dets[to].on_basic_send();
+                    unprocessed += 1;
+                    flight.push(InFlight::Basic {
+                        to: other(&mut rng, to),
+                        depth: depth + 1,
+                    });
+                }
+            }
+            InFlight::Control { to, msg } => {
+                match msg {
+                    TdMsg::Token { .. } => run.tokens += 1,
+                    TdMsg::Terminated { .. } => run.broadcasts += 1,
+                }
+                let out = dets[to].handle(msg);
+                if out.terminated_epoch.is_some() {
+                    prop_assert_eq!(
+                        unprocessed,
+                        0,
+                        "rank {} learned of termination with {} message(s) unprocessed",
+                        to,
+                        unprocessed
+                    );
+                }
+                flight.extend(out.sends.iter().map(|s| InFlight::Control {
+                    to: s.to.as_usize(),
+                    msg: s.msg,
+                }));
+            }
+        }
+    }
+    prop_assert!(flight.is_empty(), "the schedule did not drain");
+    prop_assert!(
+        dets.iter().all(|d| d.is_terminated()),
+        "the epoch must end everywhere"
+    );
+    Ok(run)
+}
+
+proptest! {
+    /// An entry-only epoch under any interleaving of entries, basic
+    /// deliveries and token hops: every declaration follows the last
+    /// processed message, and an epoch whose messages were all processed
+    /// before the kick ends in one lap plus the broadcast.
+    #[test]
+    fn entry_only_epoch_is_sound_under_any_schedule(
+        entry_sends in prop::collection::vec(0u8..5, 2..13),
+        kick_late in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = entry_sends.len();
+        let run = adversarial_epoch(EpochSends::EntryOnly, &entry_sends, false, kick_late, seed)?;
+        prop_assert_eq!(run.broadcasts, n - 1);
+        if kick_late {
+            prop_assert_eq!(run.tokens, n, "one lap");
+        }
+    }
+
+    /// An epoch whose processing sends more messages stays sound under
+    /// the two-wave rule, and needs its confirming lap.
+    #[test]
+    fn reply_epoch_is_sound_under_any_schedule(
+        entry_sends in prop::collection::vec(0u8..5, 2..13),
+        kick_late in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = entry_sends.len();
+        let run = adversarial_epoch(EpochSends::Replies, &entry_sends, true, kick_late, seed)?;
+        prop_assert_eq!(run.broadcasts, n - 1);
+        if kick_late {
+            prop_assert_eq!(run.tokens, 2 * n, "two laps");
         }
     }
 }
